@@ -123,8 +123,6 @@ def _build_component(section: dict, where: str):
             m.distances = load_distance_cache(cache)
             if m.distances.shape[0] != m.n_vertices:
                 raise ConfigError(f"{where}: distance cache does not match the mesh")
-        else:
-            m.compute_distances()
         return mesh_component(m, radius_cap=cap)
     if kind == "circle":
         if "points" not in section:
@@ -210,7 +208,7 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _manifest(config: dict, plan, family, elapsed: float, threads: int) -> str:
+def _manifest(config: dict, plan, family, elapsed: float) -> str:
     return json.dumps(
         {
             "config_sha256": _config_hash(config),
@@ -221,7 +219,6 @@ def _manifest(config: dict, plan, family, elapsed: float, threads: int) -> str:
             "family_balls": family.n_balls,
             "family_memberships": family.n_memberships,
             "ballwise_version": __version__,
-            "threads": threads,
             "wall_time_s": round(elapsed, 3),
         },
         indent=2,
@@ -340,7 +337,7 @@ def cmd_test(args) -> int:
     )
     _atomic_write(
         os.path.join(out_dir, "manifest.json"),
-        _manifest(config, plan, family, elapsed, args.threads),
+        _manifest(config, plan, family, elapsed),
     )
     n_sig = int(np.sum(result.p.adjusted <= alpha))
     print(
@@ -487,12 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ballwise",
         description="Ball-wise local inference for functional data on "
         "triangulated manifold domains",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("BALLWISE_THREADS", "0")),
-        help="worker threads (0 = auto); recorded in the manifest",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

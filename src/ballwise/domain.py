@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, kron
 
 from .mesh import TriangulatedManifold
 
@@ -44,7 +44,8 @@ class ComponentGrid:
 
     ``points`` carries a scalar label per grid point (mesh: vertex index;
     circle: arc-length position; interval: coordinate). ``weights`` are the
-    per-point quadrature weights and ``distances`` the pairwise metric.
+    per-point quadrature weights and ``distances`` the pairwise metric; only
+    entries below ``radius_cap`` are read, so farther ones may be ``inf``.
     """
 
     kind: str  # "mesh" | "circle" | "interval"
@@ -74,11 +75,15 @@ class ComponentGrid:
 
 
 def mesh_component(m: TriangulatedManifold, radius_cap: float = math.inf) -> ComponentGrid:
-    """Wrap a triangulated mesh as a product-domain component."""
+    """Wrap a triangulated mesh as a product-domain component.
+
+    Distances not yet computed are computed only out to ``radius_cap``: the
+    balls need nothing farther.
+    """
     if m.weights is None:
         m.compute_weights()
     if m.distances is None:
-        m.compute_distances()
+        m.compute_distances(limit=radius_cap)
     return ComponentGrid(
         kind="mesh",
         points=np.arange(m.n_vertices),
@@ -153,39 +158,36 @@ class ComponentBall:
 def enumerate_component_balls(g: ComponentGrid) -> list[ComponentBall]:
     """All distinct ball supports of one component under its radius cap.
 
-    For each center the candidate radii are the sorted distinct distances
-    from that center (truncated at the cap), plus one radius exceeding the
-    largest in-cap distance; supports are deduplicated across centers.
+    For each center, only the distances below the cap are sorted, so rows
+    may hold ``inf`` (or any value) beyond it. Each distinct in-cap value v
+    gives the support {d <= v} with inner radius v; its radius is the next
+    in-cap value, or, for the widest support, the cap (``v + 1`` when the cap
+    is infinite and the support is the whole grid). Supports are deduplicated
+    across centers, keeping the first center that realizes each.
     """
     cap = g.radius_cap
     seen: dict[bytes, ComponentBall] = {}
     for center in range(g.size):
         d = g.distances[center]
-        order = np.argsort(d, kind="stable").astype(np.int32)
+        in_cap = np.flatnonzero(d < cap)
+        if not len(in_cap):
+            continue
+        order = in_cap[np.argsort(d[in_cap], kind="stable")].astype(np.int32)
         sorted_d = d[order]
-        # prefix boundaries: one support per distinct distance value
-        boundaries = np.nonzero(np.diff(sorted_d) > 0)[0] + 1
-        for k in boundaries:
-            radius = float(sorted_d[k])  # support = {d < radius}
+        # prefix ends: one support per distinct in-cap distance value
+        ends = np.append(np.flatnonzero(np.diff(sorted_d) > 0) + 1, len(order))
+        for k in ends:
             inner = float(sorted_d[k - 1])
-            if radius > cap:
-                # the widest in-cap support is {d < cap}
-                if inner < cap < radius:
-                    radius = float(cap)
-                else:
-                    break
+            if k < len(order):
+                radius = float(sorted_d[k])  # support = {d < radius}
+            elif len(order) == g.size and math.isinf(cap):
+                radius = inner + 1.0
+            else:
+                radius = float(cap)
             support = np.sort(order[:k])
             key = support.tobytes()
             if key not in seen:
                 seen[key] = ComponentBall(center, radius, inner, support)
-        # full support {d < r} for r above the largest distance
-        full_inner = float(sorted_d[-1])
-        if full_inner < cap:
-            radius = full_inner + 1.0 if math.isinf(cap) else float(cap)
-            support = np.sort(order).copy()
-            key = support.tobytes()
-            if key not in seen:
-                seen[key] = ComponentBall(center, radius, full_inner, support)
     return list(seen.values())
 
 
@@ -282,32 +284,33 @@ def ball_weight(b: AdjustmentBall) -> float:
 
 @dataclass
 class AdjustmentFamily:
-    """Deduplicated list of ball products over a product domain.
+    """Cartesian products of per-component ball supports over a product domain.
 
+    ``component_balls`` holds one list of distinct supports per component;
+    ``balls`` lists their products in ``itertools.product`` order.
     ``weight_matrix`` (n_balls x grid size, CSR) holds each ball's support
     weights, so integrated statistics for every ball are one sparse matmul.
+    It is the Kronecker product of the per-component (balls x points) weight
+    matrices, whose row and column orders are those of ``balls`` and of the
+    C-order grid.
     """
 
     domain: ProductDomain
-    balls: list[AdjustmentBall]
+    component_balls: list[list[ComponentBall]]
+    balls: list[AdjustmentBall] = field(init=False, repr=False)
     weight_matrix: csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = self.domain.size
-        indptr = np.zeros(len(self.balls) + 1, dtype=np.int64)
-        chunks_idx, chunks_w = [], []
-        for k, b in enumerate(self.balls):
-            idx = b.support_indices()
-            chunks_idx.append(idx)
-            chunks_w.append(b.support_weights())
-            indptr[k + 1] = indptr[k] + len(idx)
-        indices = (
-            np.concatenate(chunks_idx) if chunks_idx else np.empty(0, dtype=np.int64)
-        )
-        data = np.concatenate(chunks_w) if chunks_w else np.empty(0)
-        self.weight_matrix = csr_matrix(
-            (data, indices, indptr), shape=(len(self.balls), m)
-        )
+        self.balls = [
+            AdjustmentBall(combo, self.domain)
+            for combo in itertools.product(*self.component_balls)
+        ]
+        W = None
+        for comp, balls in zip(self.domain.components, self.component_balls):
+            W_comp = _component_weight_matrix(comp, balls)
+            W = W_comp if W is None else kron(W, W_comp, format="csr")
+        W.sort_indices()
+        self.weight_matrix = W
 
     @property
     def n_balls(self) -> int:
@@ -334,6 +337,18 @@ class AdjustmentFamily:
         )
 
 
+def _component_weight_matrix(g: ComponentGrid, balls: list[ComponentBall]) -> csr_matrix:
+    """(balls x points) CSR of one component's support weights."""
+    indptr = np.zeros(len(balls) + 1, dtype=np.int64)
+    np.cumsum([b.size for b in balls], out=indptr[1:])
+    indices = (
+        np.concatenate([b.indices for b in balls])
+        if balls
+        else np.empty(0, dtype=np.int32)
+    )
+    return csr_matrix((g.weights[indices], indices, indptr), shape=(len(balls), g.size))
+
+
 def enumerate_family(
     d: ProductDomain, max_memberships: int = DEFAULT_MAX_MEMBERSHIPS
 ) -> AdjustmentFamily:
@@ -352,7 +367,4 @@ def enumerate_family(
             f"adjustment family would have {memberships} support memberships "
             f"(limit {max_memberships}); use smaller radius caps or a coarser grid"
         )
-    balls = [
-        AdjustmentBall(combo, d) for combo in itertools.product(*per_component)
-    ]
-    return AdjustmentFamily(d, balls)
+    return AdjustmentFamily(d, per_component)

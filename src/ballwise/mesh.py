@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 __all__ = [
     "TriangulatedManifold",
@@ -75,7 +75,9 @@ class TriangulatedManifold:
         Vertex quadrature weights, populated by :meth:`compute_weights`.
     distances : (n, n) float array or None
         Graph-geodesic distances, populated by :meth:`compute_distances`.
-        ``inf`` marks disconnected pairs.
+        ``inf`` marks disconnected pairs and pairs beyond ``distance_limit``.
+    distance_limit : float
+        The ``limit`` the distances were computed with (``inf``: all pairs).
     """
 
     vertices: np.ndarray
@@ -83,6 +85,7 @@ class TriangulatedManifold:
     edge_lengths: np.ndarray = field(default=None)  # type: ignore[assignment]
     weights: np.ndarray | None = None
     distances: np.ndarray | None = None
+    distance_limit: float = np.inf
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
@@ -181,16 +184,23 @@ class TriangulatedManifold:
             shape=(n, n),
         ).tocsr()
 
-    def compute_distances(self, allowed_vertices=None) -> "TriangulatedManifold":
-        """Populate all-pairs shortest-path distances over the edge graph.
+    def compute_distances(
+        self, allowed_vertices=None, limit: float = np.inf
+    ) -> "TriangulatedManifold":
+        """Populate shortest-path distances over the edge graph.
 
         If ``allowed_vertices`` is given, only edges within that subset are
-        traversed. Disconnected pairs get ``inf`` (with a warning).
+        traversed. Pairs farther apart than ``limit`` get ``inf``; every
+        distance up to and including ``limit`` is the same as in the
+        unbounded run, so a ball cap needs only ``limit=cap``. A graph with
+        more than one connected component warns, and its cross-component
+        pairs are ``inf`` whatever the limit.
         """
         graph = self.adjacency(allowed_vertices)
-        d = dijkstra(graph, directed=False)
+        d = dijkstra(graph, directed=False, limit=limit)
         np.fill_diagonal(d, 0.0)
-        if np.isinf(d).any():
+        self.distance_limit = limit
+        if _n_components(graph) > 1:
             warnings.warn(
                 "mesh edge graph is disconnected; distances across components "
                 "are infinite",
@@ -205,7 +215,11 @@ class TriangulatedManifold:
             self.compute_distances()
         if not 0 <= center < self.n_vertices:
             raise IndexError(f"vertex index {center} out of range")
-        if np.isinf(self.distances[center]).any():
+        if r > self.distance_limit:
+            raise ValueError(
+                f"radius {r} is beyond the distance limit {self.distance_limit}"
+            )
+        if np.isinf(self.distance_limit) and np.isinf(self.distances[center]).any():
             raise ValueError(
                 f"vertex {center} is disconnected from part of the mesh"
             )
@@ -273,15 +287,13 @@ def load_mesh(path, fmt: str = "OFF") -> TriangulatedManifold:
             raise
         raise ValueError(f"{path}: malformed OFF file ({exc})") from exc
     m = TriangulatedManifold(verts, np.array(faces, dtype=np.int64))
-    if len(m.edges) and _n_components(m) > 1:
+    if len(m.edges) and _n_components(m.adjacency()) > 1:
         warnings.warn(f"{path}: mesh is disconnected", stacklevel=2)
     return m
 
 
-def _n_components(m: TriangulatedManifold) -> int:
-    from scipy.sparse.csgraph import connected_components
-
-    n, _ = connected_components(m.adjacency(), directed=False)
+def _n_components(graph) -> int:
+    n, _ = connected_components(graph, directed=False)
     return n
 
 

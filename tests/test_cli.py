@@ -98,6 +98,22 @@ class TestTestCommand:
         assert (d1 / "pointwise.csv").read_bytes() == (d2 / "pointwise.csv").read_bytes()
         assert (d1 / "balls.csv").read_bytes() == (d2 / "balls.csv").read_bytes()
 
+    def test_capped_run_matches_full_distance_cache(self, tmp_path):
+        # without a cache the mesh distances stop at the cap; outputs must not
+        # change
+        config = write_test_setup(tmp_path, cap=1.5)
+        cache = tmp_path / "d.bin"
+        assert main(["distances", "--mesh", str(tmp_path / "ico.off"), "--out", str(cache)]) == 0
+        cfg = json.loads(config.read_text())
+        cfg["domain"]["components"][0]["distance_cache"] = str(cache)
+        cached_config = tmp_path / "cached.json"
+        cached_config.write_text(json.dumps(cfg))
+        d1, d2 = tmp_path / "bounded", tmp_path / "cached"
+        assert main(["test", "--config", str(config), "--out-dir", str(d1)]) == 0
+        assert main(["test", "--config", str(cached_config), "--out-dir", str(d2)]) == 0
+        for name in ("pointwise.csv", "balls.csv"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
     def test_missing_data_file(self, tmp_path):
         config = write_test_setup(tmp_path)
         cfg = json.loads(config.read_text())

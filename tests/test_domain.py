@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from ballwise.domain import (
     AdjustmentBall,
@@ -14,6 +15,7 @@ from ballwise.domain import (
     interval_component,
     mesh_component,
 )
+from ballwise.mesh import TriangulatedManifold, build_icosphere
 
 
 def brute_force_supports(grid, radii_probe=None):
@@ -36,6 +38,58 @@ def brute_force_supports(grid, radii_probe=None):
             supports.add(frozenset(np.nonzero(d < r)[0].tolist()))
     supports.discard(frozenset())
     return supports
+
+
+def reference_component_balls(grid):
+    """Oracle: the full-row enumeration loop, which needs every distance.
+
+    Argsorts each whole row and walks all its prefix boundaries up to the cap.
+    """
+    cap = grid.radius_cap
+    seen = {}
+    for center in range(grid.size):
+        d = grid.distances[center]
+        order = np.argsort(d, kind="stable").astype(np.int32)
+        sorted_d = d[order]
+        with np.errstate(invalid="ignore"):  # inf - inf between unreached pairs
+            boundaries = np.nonzero(np.diff(sorted_d) > 0)[0] + 1
+        for k in boundaries:
+            radius = float(sorted_d[k])
+            inner = float(sorted_d[k - 1])
+            if radius > cap:
+                if inner < cap < radius:
+                    radius = float(cap)
+                else:
+                    break
+            support = np.sort(order[:k])
+            key = support.tobytes()
+            if key not in seen:
+                seen[key] = (center, radius, inner, support)
+        full_inner = float(sorted_d[-1])
+        if full_inner < cap:
+            radius = full_inner + 1.0 if math.isinf(cap) else float(cap)
+            support = np.sort(order)
+            key = support.tobytes()
+            if key not in seen:
+                seen[key] = (center, radius, full_inner, support)
+    return list(seen.values())
+
+
+def reference_weight_matrix(fam):
+    """Oracle: one CSR row per ball from its own support indices and weights."""
+    rows = [(b.support_indices(), b.support_weights()) for b in fam.balls]
+    indptr = np.cumsum([0] + [len(idx) for idx, _ in rows])
+    return csr_matrix(
+        (np.concatenate([w for _, w in rows]), np.concatenate([i for i, _ in rows]), indptr),
+        shape=(fam.n_balls, fam.domain.size),
+    )
+
+
+def disconnected_mesh():
+    verts = np.array(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 0], [6, 5, 0], [5, 6, 0]], dtype=float
+    )
+    return TriangulatedManifold(verts, np.array([[0, 1, 2], [3, 4, 5]]))
 
 
 def family_supports(balls):
@@ -111,6 +165,72 @@ class TestEnumerateComponentBalls:
             assert b.inner_radius < b.radius
             d = g.distances[b.center]
             assert b.inner_radius == pytest.approx(d[b.indices].max())
+
+
+class TestBoundedEnumeration:
+    """Enumeration on rows bounded at the cap equals the full-row oracle."""
+
+    @staticmethod
+    def assert_same_balls(balls, reference):
+        assert len(balls) == len(reference)
+        for b, (center, radius, inner, support) in zip(balls, reference):
+            assert (b.center, b.radius, b.inner_radius) == (center, radius, inner)
+            assert b.indices.dtype == support.dtype
+            np.testing.assert_array_equal(b.indices, support)
+
+    @pytest.mark.parametrize("cap", [0.35, 1.0, math.inf])
+    def test_icosphere(self, cap):
+        bounded = mesh_component(build_icosphere(4), radius_cap=cap)
+        full = build_icosphere(4).compute_distances()
+        reference = mesh_component(full, radius_cap=cap)
+        if math.isfinite(cap):
+            assert np.isinf(bounded.distances).any()
+        self.assert_same_balls(
+            enumerate_component_balls(bounded), reference_component_balls(reference)
+        )
+
+    def test_circle_cap_on_a_distance(self):
+        g = circle_component(12, circumference=12.0, radius_cap=2.0)  # 2 steps
+        self.assert_same_balls(enumerate_component_balls(g), reference_component_balls(g))
+
+    @pytest.mark.parametrize("cap", [0.5, 1.0, math.inf])
+    def test_interval(self, cap):
+        g = interval_component(0.0, 3.0, 7, radius_cap=cap)
+        self.assert_same_balls(enumerate_component_balls(g), reference_component_balls(g))
+
+    @pytest.mark.parametrize("cap", [1.2, math.inf])
+    def test_disconnected_mesh(self, cap):
+        with pytest.warns(UserWarning, match="disconnected"):
+            g = mesh_component(disconnected_mesh(), radius_cap=cap)
+        self.assert_same_balls(enumerate_component_balls(g), reference_component_balls(g))
+
+
+class TestKroneckerWeightMatrix:
+    """The Kronecker-assembled weight matrix equals the per-ball CSR."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [mesh_component(build_icosphere(3), radius_cap=0.6)],
+            lambda: [
+                mesh_component(build_icosphere(2), radius_cap=0.8),
+                circle_component(6, circumference=6.0, radius_cap=2.0),
+            ],
+            lambda: [
+                mesh_component(build_icosphere(2), radius_cap=0.7),
+                circle_component(5, circumference=5.0, radius_cap=1.5),
+                interval_component(0.0, 1.0, 4, radius_cap=0.5),
+            ],
+        ],
+        ids=["mesh", "mesh-circle", "mesh-circle-interval"],
+    )
+    def test_matches_per_ball_rows(self, make):
+        fam = enumerate_family(ProductDomain(make()))
+        W, ref = fam.weight_matrix, reference_weight_matrix(fam)
+        assert W.has_sorted_indices
+        np.testing.assert_array_equal(W.indptr, ref.indptr)
+        np.testing.assert_array_equal(W.indices, ref.indices)
+        assert W.data.tobytes() == ref.data.tobytes()
 
 
 class TestEnumerateFamily:

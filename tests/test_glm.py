@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
@@ -205,6 +205,9 @@ class TestInvarianceProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_shift_invariance(self, y, shift):
+        # only shifts that round-trip exactly: y=[6.09e-128, 0, ..., 0] with
+        # shift=1.0 turns into a constant vector, whose t^2 is 0
+        assume(np.array_equal((y + shift) - shift, y))
         groups = [0] * 4 + [1] * 4
         t = np.arange(8.0)
         try:

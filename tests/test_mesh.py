@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,24 @@ class TestDistances:
         assert m.distances[0, 1] == pytest.approx(1.0)
         assert np.isinf(m.distances[0, 3])
 
+    @pytest.mark.parametrize("limit", ["exact", 0.3, 0.77])
+    def test_limit_matches_unbounded_within_limit(self, limit):
+        full = build_icosphere(5).compute_distances().distances
+        if limit == "exact":  # a limit equal to a realized distance is kept
+            limit = float(np.unique(full[0])[7])
+        bounded = build_icosphere(5).compute_distances(limit=limit).distances
+        inside = full <= limit
+        assert inside.sum() > full.shape[0]
+        np.testing.assert_array_equal(bounded[inside], full[inside])
+        assert np.all(np.isinf(bounded[~inside]))
+
+    def test_capped_connected_mesh_does_not_warn(self):
+        m = build_icosphere(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m.compute_distances(limit=0.2)
+        assert np.isinf(m.distances).any()
+
     def test_cache_roundtrip(self, octahedron, tmp_path):
         d = octahedron.compute_distances().distances
         path = tmp_path / "d.bin"
@@ -246,6 +266,14 @@ class TestBall:
         m = unit_tetrahedron.compute_distances()
         with pytest.raises(IndexError):
             m.ball(7, 1.0)
+
+    def test_bounded_distances(self):
+        full = build_icosphere(4).compute_distances()
+        bounded = build_icosphere(4).compute_distances(limit=0.5)
+        for r in (0.2, 0.5):
+            np.testing.assert_array_equal(bounded.ball(3, r), full.ball(3, r))
+        with pytest.raises(ValueError, match="distance limit"):
+            bounded.ball(3, 0.6)
 
     def test_monotone_in_radius(self, octahedron):
         m = octahedron.compute_distances()
