@@ -5,11 +5,9 @@ sup-adjusted p-value function."""
 __version__ = "0.1.0"
 
 from .domain import (
-    AdjustmentBall,
     AdjustmentFamily,
     ComponentGrid,
     ProductDomain,
-    ball_weight,
     circle_component,
     enumerate_component_balls,
     enumerate_family,
@@ -32,15 +30,7 @@ from .mesh import (
     save_off,
     triangle_area,
 )
-from .permute import (
-    PermutationPlan,
-    PValueFields,
-    integrated_stat,
-    null_distribution,
-    permute_once,
-    pvalues,
-    run_inference,
-)
+from .permute import PermutationPlan, PValueFields, run_inference
 from .evalsim import (
     ErrorRates,
     ScenarioConfig,
@@ -50,15 +40,14 @@ from .evalsim import (
 )
 
 __all__ = [
-    "AdjustmentBall", "AdjustmentFamily", "ComponentGrid", "ProductDomain",
-    "ball_weight", "circle_component", "enumerate_component_balls",
+    "AdjustmentFamily", "ComponentGrid", "ProductDomain",
+    "circle_component", "enumerate_component_balls",
     "enumerate_family", "interval_component", "mesh_component",
     "DesignSpec", "HypothesisSpec", "ols_fit", "slope_sq", "stat_field",
     "t_trend_cutoff", "t_two_sample_sq",
     "TriangulatedManifold", "build_icosphere", "load_mesh", "save_off",
     "triangle_area",
-    "PermutationPlan", "PValueFields", "integrated_stat", "null_distribution",
-    "permute_once", "pvalues", "run_inference",
+    "PermutationPlan", "PValueFields", "run_inference",
     "ErrorRates", "ScenarioConfig", "compute_error_rates",
     "gaussian_kernel_noise", "run_scenario",
 ]

@@ -19,11 +19,13 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from . import __version__
 from .domain import (
+    DEFAULT_MAX_MEMBERSHIPS,
     ProductDomain,
     circle_component,
     enumerate_family,
@@ -55,11 +57,15 @@ class ConfigError(Exception):
     """Invalid configuration or unreadable input."""
 
 
-def _atomic_write(path: str, data: str | bytes) -> None:
+def _atomic_write(path: str, data: str | bytes | Iterable[str]) -> None:
+    """Write ``data`` (text, bytes, or text chunks in order) via temp + rename."""
     mode = "wb" if isinstance(data, bytes) else "w"
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, mode) as fh:
-        fh.write(data)
+        if isinstance(data, (str, bytes)):
+            fh.write(data)
+        else:
+            fh.writelines(data)
     os.replace(tmp, path)
 
 
@@ -79,7 +85,7 @@ def _parse_cap(value, where: str) -> float:
         cap = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: radius_cap must be a number or 'inf'") from None
-    if cap <= 0:
+    if not cap > 0:  # also rejects nan
         raise ConfigError(f"{where}: radius_cap must be positive")
     return cap
 
@@ -146,7 +152,8 @@ def _build_domain(config: dict):
         _build_component(c, f"domain.components[{i}]")
         for i, c in enumerate(config["components"])
     ]
-    return ProductDomain(comps), config.get("max_memberships")
+    max_members = config.get("max_memberships") or DEFAULT_MAX_MEMBERSHIPS
+    return ProductDomain(comps), max_members
 
 
 def _load_signals(section: dict):
@@ -248,22 +255,44 @@ def _pointwise_csv(domain, result, p) -> str:
     return buf.getvalue()
 
 
-def _balls_csv(domain, family, result, p) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    ncomp = len(domain.components)
+# rows of balls.csv formatted and written per chunk, so the whole text is
+# never held in memory at once
+BALLS_CSV_CHUNK = 4096
+
+
+def _balls_csv(family, result) -> Iterator[str]:
+    """``balls.csv`` as text chunks: one row per product ball, in ball order.
+
+    Each component ball's center and radii are formatted once and indexed by
+    the unraveled ball index, so no per-ball Python object is built. Every
+    field is a number, so rows are written as ``csv.writer`` would write them
+    (no quoting, ``\\r\\n`` line ends).
+    """
+    n = family.n_balls
     header = ["ball_id"]
-    for l in range(ncomp):
-        header += [f"center_{l}", f"radius_{l}", f"inner_radius_{l}"]
-    header += ["T_ball_obs", "p_ball"]
-    writer.writerow(header)
-    for k, b in enumerate(family.balls):
-        row = [k]
-        for c, r, ir in zip(b.centers, b.radii, b.inner_radii):
-            row += [c, f"{r:.17g}", f"{ir:.17g}"]
-        row += [f"{result.observed_ball_stats[k]:.17g}", f"{p.ballwise[k]:.17g}"]
-        writer.writerow(row)
-    return buf.getvalue()
+    columns = []
+    ball_idx = np.unravel_index(np.arange(n), family.shape)
+    for l, (balls, idx) in enumerate(zip(family.component_balls, ball_idx)):
+        header.append(f"center_{l},radius_{l},inner_radius_{l}")
+        fields = np.array(
+            [f"{b.center},{b.radius:.17g},{b.inner_radius:.17g}" for b in balls],
+            dtype=object,
+        )
+        columns.append(fields[idx])
+    header.append("T_ball_obs,p_ball")
+    yield ",".join(header) + "\r\n"
+    row = "{}," * (len(columns) + 1) + "{:.17g},{:.17g}\r\n"
+    for start in range(0, n, BALLS_CSV_CHUNK):
+        chunk = slice(start, start + BALLS_CSV_CHUNK)
+        yield "".join(
+            row.format(*values)
+            for values in zip(
+                range(n)[chunk],
+                *(c[chunk].tolist() for c in columns),
+                result.observed_ball_stats[chunk].tolist(),
+                result.p.ballwise[chunk].tolist(),
+            )
+        )
 
 
 # --- subcommands -------------------------------------------------------------
@@ -321,11 +350,7 @@ def cmd_test(args) -> int:
     plan, alpha = _build_plan(
         config["inference"], args.seed if args.seed is not None else seed_env
     )
-    family = (
-        enumerate_family(domain, max_members)
-        if max_members
-        else enumerate_family(domain)
-    )
+    family = enumerate_family(domain, max_members)
     result = run_inference(Y, design, hyp, family, plan)
     elapsed = time.monotonic() - start
 
@@ -333,7 +358,7 @@ def cmd_test(args) -> int:
         os.path.join(out_dir, "pointwise.csv"), _pointwise_csv(domain, result, result.p)
     )
     _atomic_write(
-        os.path.join(out_dir, "balls.csv"), _balls_csv(domain, family, result, result.p)
+        os.path.join(out_dir, "balls.csv"), _balls_csv(family, result)
     )
     _atomic_write(
         os.path.join(out_dir, "manifest.json"),
@@ -350,11 +375,7 @@ def cmd_test(args) -> int:
 def cmd_adjust(args) -> int:
     config = _load_test_config(args.config)
     domain, max_members = _build_domain(config["domain"])
-    family = (
-        enumerate_family(domain, max_members)
-        if max_members
-        else enumerate_family(domain)
-    )
+    family = enumerate_family(domain, max_members)
     caps = []
     for tok in args.caps.split(","):
         caps.append(_parse_cap(tok.strip(), "--caps"))
@@ -366,13 +387,19 @@ def cmd_adjust(args) -> int:
     if not os.path.exists(args.balls):
         raise ConfigError(f"ball p-value file not found: {args.balls}")
     with open(args.balls, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        if "p_ball" not in (reader.fieldnames or []):
+            raise ConfigError(f"{args.balls}: no p_ball column")
+        rows = list(reader)
     if len(rows) != family.n_balls:
         raise ConfigError(
             f"{args.balls}: {len(rows)} balls but the re-enumerated family has "
             f"{family.n_balls}; config/caps mismatch"
         )
-    p_ball = np.array([float(r["p_ball"]) for r in rows])
+    try:
+        p_ball = np.array([float(r["p_ball"]) for r in rows])
+    except (TypeError, ValueError):  # TypeError: a short row reads as None
+        raise ConfigError(f"{args.balls}: p_ball values must be numbers") from None
     mask = family.admissible_mask(caps)
     adjusted = adjusted_from_ballwise(p_ball, family, ball_mask=mask)
 

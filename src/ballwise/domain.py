@@ -10,6 +10,7 @@ family stores one ball per distinct support.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,14 +24,12 @@ __all__ = [
     "ComponentGrid",
     "ComponentBall",
     "ProductDomain",
-    "AdjustmentBall",
     "AdjustmentFamily",
     "mesh_component",
     "circle_component",
     "interval_component",
     "enumerate_component_balls",
     "enumerate_family",
-    "ball_weight",
 ]
 
 # Cap on the total number of (ball, grid point) support memberships of a
@@ -63,7 +62,7 @@ class ComponentGrid:
             raise ValueError("component arrays have inconsistent sizes")
         if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
             raise ValueError("component weights must be positive and finite")
-        if self.radius_cap <= 0:
+        if not self.radius_cap > 0:  # also rejects nan
             raise ValueError("radius_cap must be positive (or inf)")
 
     @property
@@ -224,87 +223,27 @@ class ProductDomain:
             for multi in itertools.product(*(range(s) for s in self.shape))
         ]
 
-    def flat_index(self, multi) -> int:
-        return int(np.ravel_multi_index(multi, self.shape))
-
-
-@dataclass
-class AdjustmentBall:
-    """A ball product: one ComponentBall per domain component."""
-
-    component_balls: tuple[ComponentBall, ...]
-    domain: ProductDomain
-
-    @property
-    def centers(self) -> tuple[int, ...]:
-        return tuple(b.center for b in self.component_balls)
-
-    @property
-    def radii(self) -> tuple[float, ...]:
-        return tuple(b.radius for b in self.component_balls)
-
-    @property
-    def inner_radii(self) -> tuple[float, ...]:
-        return tuple(b.inner_radius for b in self.component_balls)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod([b.size for b in self.component_balls]))
-
-    def support_indices(self) -> np.ndarray:
-        """Flat grid indices of the support, ascending."""
-        grids = np.meshgrid(
-            *(b.indices for b in self.component_balls), indexing="ij"
-        )
-        return np.ravel_multi_index(
-            tuple(g.ravel() for g in grids), self.domain.shape
-        )
-
-    def support_weights(self) -> np.ndarray:
-        """Product weights aligned with :meth:`support_indices`."""
-        w = self.domain.components[0].weights[self.component_balls[0].indices]
-        for comp, b in zip(self.domain.components[1:], self.component_balls[1:]):
-            w = np.multiply.outer(w, comp.weights[b.indices])
-        return w.ravel()
-
-    def weight(self) -> float:
-        return float(
-            np.prod(
-                [
-                    comp.weights[b.indices].sum()
-                    for comp, b in zip(self.domain.components, self.component_balls)
-                ]
-            )
-        )
-
-
-def ball_weight(b: AdjustmentBall) -> float:
-    return b.weight()
-
 
 @dataclass
 class AdjustmentFamily:
     """Cartesian products of per-component ball supports over a product domain.
 
-    ``component_balls`` holds one list of distinct supports per component;
-    ``balls`` lists their products in ``itertools.product`` order.
-    ``weight_matrix`` (n_balls x grid size, CSR) holds each ball's support
-    weights, so integrated statistics for every ball are one sparse matmul.
-    It is the Kronecker product of the per-component (balls x points) weight
-    matrices, whose row and column orders are those of ``balls`` and of the
+    ``component_balls`` holds one list of distinct supports per component and
+    is the family's only per-ball description: product ball k is
+    ``np.unravel_index(k, shape)`` over the per-component ball counts
+    ``shape``, which is ``itertools.product`` order. ``weight_matrix``
+    (n_balls x grid size, CSR) holds each ball's support weights, so
+    integrated statistics for every ball are one sparse matmul. It is the
+    Kronecker product of the per-component (balls x points) weight matrices,
+    whose row and column orders are those of the product balls and of the
     C-order grid.
     """
 
     domain: ProductDomain
     component_balls: list[list[ComponentBall]]
-    balls: list[AdjustmentBall] = field(init=False, repr=False)
     weight_matrix: csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.balls = [
-            AdjustmentBall(combo, self.domain)
-            for combo in itertools.product(*self.component_balls)
-        ]
         W = None
         for comp, balls in zip(self.domain.components, self.component_balls):
             W_comp = _component_weight_matrix(comp, balls)
@@ -313,8 +252,13 @@ class AdjustmentFamily:
         self.weight_matrix = W
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """Number of distinct balls in each component."""
+        return tuple(len(balls) for balls in self.component_balls)
+
+    @property
     def n_balls(self) -> int:
-        return len(self.balls)
+        return math.prod(self.shape)
 
     @property
     def n_memberships(self) -> int:
@@ -325,16 +269,19 @@ class AdjustmentFamily:
         return self.weight_matrix @ np.asarray(stat_fields).T
 
     def admissible_mask(self, caps) -> np.ndarray:
-        """Which balls survive under new per-component radius caps."""
+        """Which balls survive under new per-component radius caps.
+
+        A product ball survives when every component's inner radius is
+        strictly below that component's cap.
+        """
         caps = list(caps)
         if len(caps) != len(self.domain.components):
             raise ValueError("one cap per component required")
-        return np.array(
-            [
-                all(inner < cap for inner, cap in zip(b.inner_radii, caps))
-                for b in self.balls
-            ]
-        )
+        per_component = [
+            np.array([b.inner_radius for b in balls]) < cap
+            for balls, cap in zip(self.component_balls, caps)
+        ]
+        return functools.reduce(np.logical_and.outer, per_component).ravel()
 
 
 def _component_weight_matrix(g: ComponentGrid, balls: list[ComponentBall]) -> csr_matrix:

@@ -246,8 +246,3 @@ def run_scenario(
 
     rates = compute_error_rates(masks, truth, m.weights)
     return (rates, masks) if return_masks else rates
-
-
-def run_sweep(configs, mesh: TriangulatedManifold | None = None):
-    """Run a list of scenarios (sharing a mesh when one is supplied)."""
-    return [run_scenario(cfg, mesh=mesh) for cfg in configs]

@@ -75,16 +75,9 @@ class DesignSpec:
 
 @dataclass
 class HypothesisSpec:
-    """Which statistic to evaluate pointwise.
-
-    The general affine hypothesis C beta = c0 is carried for extension;
-    only the three shipped statistics are evaluated.
-    """
+    """Which statistic to evaluate pointwise (one of ``STATISTICS``)."""
 
     statistic: str
-    C: np.ndarray | None = None
-    c0: np.ndarray | None = None
-    sidedness: str = "two_sided"
 
     def __post_init__(self):
         if self.statistic not in STATISTICS:

@@ -236,21 +236,6 @@ def _unique_edges(triangles: np.ndarray) -> np.ndarray:
     return np.unique(pairs, axis=0)
 
 
-# --- functional aliases ------------------------------------------------------
-
-def compute_weights(m: TriangulatedManifold) -> TriangulatedManifold:
-    return m.compute_weights()
-
-
-def geodesic_distances(m: TriangulatedManifold, allowed_vertices=None) -> np.ndarray:
-    m.compute_distances(allowed_vertices)
-    return m.distances
-
-
-def ball(m: TriangulatedManifold, center: int, r: float) -> np.ndarray:
-    return m.ball(center, r)
-
-
 # --- OFF file I/O ------------------------------------------------------------
 
 def load_mesh(path, fmt: str = "OFF") -> TriangulatedManifold:

@@ -15,20 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AdjustmentBall, AdjustmentFamily
+from .domain import AdjustmentFamily
 from .glm import DesignSpec, HypothesisSpec, stat_field
 
 __all__ = [
     "RNG_ALGORITHM",
     "PermutationPlan",
     "PValueFields",
-    "NullDistribution",
     "InferenceResult",
-    "integrated_stat",
     "generate_permutations",
-    "permute_once",
-    "null_distribution",
-    "pvalues",
     "adjusted_from_ballwise",
     "run_inference",
 ]
@@ -96,65 +91,6 @@ def _reduced_fit(Y: np.ndarray, plan: PermutationPlan):
     return fits, Y - fits
 
 
-def permute_once(
-    signals: np.ndarray, plan: PermutationPlan, perm: np.ndarray
-) -> np.ndarray:
-    """One permuted copy of the signal matrix.
-
-    Freedman-Lane permutes the reduced-model residual rows and adds back the
-    reduced-model fits; the raw scheme permutes observation rows directly.
-    """
-    Y = np.asarray(signals, dtype=float)
-    perm = np.asarray(perm, dtype=np.int64)
-    if plan.scheme == "raw_label_permutation":
-        return Y[perm]
-    fits, resid = _reduced_fit(Y, plan)
-    return fits + resid[perm]
-
-
-def integrated_stat(stat_values: np.ndarray, b: AdjustmentBall) -> float:
-    """Weighted sum of a stat field over a ball's support."""
-    T = np.asarray(stat_values, dtype=float).ravel()
-    return float(b.support_weights() @ T[b.support_indices()])
-
-
-@dataclass
-class NullDistribution:
-    """Observed and permuted statistics, pointwise and per ball."""
-
-    observed_field: np.ndarray          # (m,)
-    observed_ball_stats: np.ndarray     # (n_balls,)
-    permuted_fields: np.ndarray         # (B, m)
-    permuted_ball_stats: np.ndarray     # (B, n_balls)
-
-    @property
-    def n_permutations(self) -> int:
-        return self.permuted_fields.shape[0]
-
-
-def null_distribution(
-    signals: np.ndarray,
-    design: DesignSpec,
-    hypothesis: HypothesisSpec,
-    family: AdjustmentFamily,
-    plan: PermutationPlan,
-) -> NullDistribution:
-    """Materialize the full permutation null (small problems and oracles).
-
-    For production-size runs prefer :func:`run_inference`, which accumulates
-    counts in chunks and never stores the full permuted ball-stat matrix.
-    """
-    Y = np.asarray(signals, dtype=float)
-    perms = generate_permutations(plan, Y.shape[0])
-    T_obs = stat_field(Y, design, hypothesis)
-    ball_obs = family.integrated_stats(T_obs)
-    T_perm = np.stack(
-        [stat_field(permute_once(Y, plan, p), design, hypothesis) for p in perms]
-    )
-    ball_perm = family.integrated_stats(T_perm).T
-    return NullDistribution(T_obs, ball_obs, T_perm, ball_perm)
-
-
 @dataclass
 class PValueFields:
     """Pointwise, ball-wise and sup-adjusted permutation p-values."""
@@ -199,16 +135,6 @@ def _p_from_counts(counts: np.ndarray, n_permutations: int) -> np.ndarray:
     return (1.0 + counts) / (n_permutations + 1.0)
 
 
-def pvalues(nd: NullDistribution, family: AdjustmentFamily) -> PValueFields:
-    """p-value fields from a materialized permutation null."""
-    B = nd.n_permutations
-    point_counts = (nd.permuted_fields >= nd.observed_field).sum(axis=0)
-    ball_counts = (nd.permuted_ball_stats >= nd.observed_ball_stats).sum(axis=0)
-    p_point = _p_from_counts(point_counts, B)
-    p_ball = _p_from_counts(ball_counts, B)
-    return PValueFields(p_point, p_ball, adjusted_from_ballwise(p_ball, family), B)
-
-
 @dataclass
 class InferenceResult:
     """Observed statistics and the resulting p-value fields."""
@@ -228,8 +154,10 @@ def run_inference(
 ) -> InferenceResult:
     """Full pipeline: permutation null, p-values, sup adjustment.
 
-    Numerically identical to ``pvalues(null_distribution(...), family)`` but
-    processes permutations in chunks so only counts are kept.
+    Permutations are processed in chunks of ``chunk_size``, so only the
+    exceedance counts are kept, never the permuted ball statistics. The
+    Freedman-Lane scheme permutes the reduced-model residual rows and adds
+    back the reduced-model fits; the raw scheme permutes observation rows.
     """
     Y = np.asarray(signals, dtype=float)
     perms = generate_permutations(plan, Y.shape[0])

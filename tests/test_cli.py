@@ -5,9 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from ballwise.cli import main
-from ballwise.glm import save_signals_csv
-from ballwise.mesh import load_distance_cache, load_mesh
+import oracles
+from ballwise import cli
+from ballwise.cli import _balls_csv, main
+from ballwise.domain import (
+    ProductDomain,
+    circle_component,
+    enumerate_family,
+    interval_component,
+    mesh_component,
+)
+from ballwise.glm import DesignSpec, HypothesisSpec, save_signals_csv
+from ballwise.mesh import build_icosphere, load_distance_cache, load_mesh
+from ballwise.permute import PermutationPlan, run_inference
 
 
 def write_test_setup(tmp_path, n_perm=19, seed=5, cap="inf"):
@@ -137,6 +147,12 @@ class TestTestCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
+    def test_nan_cap_rejected(self, tmp_path):
+        config = write_test_setup(tmp_path, cap="nan")
+        out_dir = tmp_path / "o"
+        assert main(["test", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+        assert not (out_dir / "pointwise.csv").exists()
+
     def test_column_mismatch(self, tmp_path):
         config = write_test_setup(tmp_path)
         cfg = json.loads(config.read_text())
@@ -188,6 +204,46 @@ class TestAdjust:
             ["adjust", "--config", str(config), "--balls", str(out_dir / "balls.csv"),
              "--caps", "1.0,2.0", "--out-dir", str(tmp_path / "x")]
         ) == 2
+
+    def test_nan_cap_rejected(self, tmp_path):
+        config = write_test_setup(tmp_path)
+        out_dir = tmp_path / "out"
+        main(["test", "--config", str(config), "--out-dir", str(out_dir)])
+        adj_dir = tmp_path / "adj"
+        assert main(
+            ["adjust", "--config", str(config), "--balls", str(out_dir / "balls.csv"),
+             "--caps", "nan", "--out-dir", str(adj_dir)]
+        ) == 2
+        assert not (adj_dir / "adjusted.csv").exists()
+
+    @staticmethod
+    def adjust_rewritten_balls(tmp_path, rewrite):
+        """Exit code of `adjust` on a balls.csv whose rows went through ``rewrite``."""
+        config = write_test_setup(tmp_path)
+        out_dir = tmp_path / "out"
+        main(["test", "--config", str(config), "--out-dir", str(out_dir)])
+        with open(out_dir / "balls.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        bad = tmp_path / "bad_balls.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(rewrite(rows))
+        return main(
+            ["adjust", "--config", str(config), "--balls", str(bad),
+             "--caps", "inf", "--out-dir", str(tmp_path / "adj")]
+        )
+
+    def test_missing_p_ball_column(self, tmp_path):
+        def drop_last_column(rows):  # p_ball is the last column
+            return [r[:-1] for r in rows]
+
+        assert self.adjust_rewritten_balls(tmp_path, drop_last_column) == 2
+
+    def test_non_numeric_p_ball(self, tmp_path):
+        def corrupt(rows):
+            rows[3][-1] = "0.5x"
+            return rows
+
+        assert self.adjust_rewritten_balls(tmp_path, corrupt) == 2
 
 
 class TestSimulate:
@@ -272,3 +328,40 @@ class TestSimulate:
         cfg = tmp_path / "bad2.json"
         cfg.write_text(json.dumps(sweep))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
+
+def small_inference(components):
+    """A family on ``components`` and a run_inference result on random data."""
+    fam = enumerate_family(ProductDomain(components))
+    Y = np.random.default_rng(0).standard_normal((8, fam.domain.size))
+    plan = PermutationPlan(9, seed=1, scheme="raw_label_permutation")
+    design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
+    return fam, run_inference(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
+
+
+class TestBallsCsv:
+    """The column-wise balls.csv writer is byte-identical to the row-wise one."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [mesh_component(build_icosphere(2), radius_cap=0.7)],
+            lambda: [
+                mesh_component(build_icosphere(1)),
+                circle_component(12, radius_cap=2.5),
+            ],
+            lambda: [
+                mesh_component(build_icosphere(1), radius_cap=1.2),
+                circle_component(5),
+                interval_component(0.0, 1.0, 4),
+            ],
+        ],
+        ids=["mesh", "mesh-circle-inf", "mesh-circle-interval-inf"],
+    )
+    def test_matches_row_writer(self, make, monkeypatch):
+        fam, result = small_inference(make())
+        expected = oracles.balls_csv(fam, result).encode()
+        assert expected.count(b"\r\n") == fam.n_balls + 1
+        assert "".join(_balls_csv(fam, result)).encode() == expected
+        monkeypatch.setattr(cli, "BALLS_CSV_CHUNK", 7)  # chunk ends inside the family
+        assert "".join(_balls_csv(fam, result)).encode() == expected

@@ -6,9 +6,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from ballwise.domain import (
-    AdjustmentBall,
     ProductDomain,
-    ball_weight,
     circle_component,
     enumerate_component_balls,
     enumerate_family,
@@ -16,6 +14,13 @@ from ballwise.domain import (
     mesh_component,
 )
 from ballwise.mesh import TriangulatedManifold, build_icosphere
+from oracles import (
+    admissible_mask,
+    ball_weight,
+    product_ball,
+    support_indices,
+    support_weights,
+)
 
 
 def brute_force_supports(grid, radii_probe=None):
@@ -77,7 +82,9 @@ def reference_component_balls(grid):
 
 def reference_weight_matrix(fam):
     """Oracle: one CSR row per ball from its own support indices and weights."""
-    rows = [(b.support_indices(), b.support_weights()) for b in fam.balls]
+    rows = [
+        (support_indices(fam, k), support_weights(fam, k)) for k in range(fam.n_balls)
+    ]
     indptr = np.cumsum([0] + [len(idx) for idx, _ in rows])
     return csr_matrix(
         (np.concatenate([w for _, w in rows]), np.concatenate([i for i, _ in rows]), indptr),
@@ -114,8 +121,9 @@ class TestComponentGrids:
         assert g.total_weight() == pytest.approx(np.sqrt(3.0), rel=1e-9)
 
     def test_bad_cap(self):
-        with pytest.raises(ValueError):
-            circle_component(3, radius_cap=0.0)
+        for cap in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                circle_component(3, radius_cap=cap)
 
 
 class TestEnumerateComponentBalls:
@@ -205,25 +213,28 @@ class TestBoundedEnumeration:
         self.assert_same_balls(enumerate_component_balls(g), reference_component_balls(g))
 
 
+PRODUCT_DOMAINS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: [mesh_component(build_icosphere(3), radius_cap=0.6)],
+        lambda: [
+            mesh_component(build_icosphere(2), radius_cap=0.8),
+            circle_component(6, circumference=6.0, radius_cap=2.0),
+        ],
+        lambda: [
+            mesh_component(build_icosphere(2), radius_cap=0.7),
+            circle_component(5, circumference=5.0, radius_cap=1.5),
+            interval_component(0.0, 1.0, 4, radius_cap=0.5),
+        ],
+    ],
+    ids=["mesh", "mesh-circle", "mesh-circle-interval"],
+)
+
+
 class TestKroneckerWeightMatrix:
     """The Kronecker-assembled weight matrix equals the per-ball CSR."""
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: [mesh_component(build_icosphere(3), radius_cap=0.6)],
-            lambda: [
-                mesh_component(build_icosphere(2), radius_cap=0.8),
-                circle_component(6, circumference=6.0, radius_cap=2.0),
-            ],
-            lambda: [
-                mesh_component(build_icosphere(2), radius_cap=0.7),
-                circle_component(5, circumference=5.0, radius_cap=1.5),
-                interval_component(0.0, 1.0, 4, radius_cap=0.5),
-            ],
-        ],
-        ids=["mesh", "mesh-circle", "mesh-circle-interval"],
-    )
+    @PRODUCT_DOMAINS
     def test_matches_per_ball_rows(self, make):
         fam = enumerate_family(ProductDomain(make()))
         W, ref = fam.weight_matrix, reference_weight_matrix(fam)
@@ -231,6 +242,32 @@ class TestKroneckerWeightMatrix:
         np.testing.assert_array_equal(W.indptr, ref.indptr)
         np.testing.assert_array_equal(W.indices, ref.indices)
         assert W.data.tobytes() == ref.data.tobytes()
+
+
+class TestAdmissibleMask:
+    """The vectorised mask equals the per-ball loop."""
+
+    @PRODUCT_DOMAINS
+    def test_matches_per_ball_loop(self, make):
+        fam = enumerate_family(ProductDomain(make()))
+        inner = [sorted({b.inner_radius for b in balls}) for balls in fam.component_balls]
+        cap_sets = [
+            [math.inf] * len(inner),
+            # caps equal to realised inner radii: those balls must drop out
+            [radii[len(radii) // 2] for radii in inner],
+            [radii[-1] for radii in inner],
+            [1e-9] + [math.inf] * (len(inner) - 1),
+        ]
+        for caps in cap_sets:
+            mask = fam.admissible_mask(caps)
+            assert mask.dtype == bool and mask.shape == (fam.n_balls,)
+            np.testing.assert_array_equal(mask, admissible_mask(fam, caps))
+        assert 0 < fam.admissible_mask(cap_sets[1]).sum() < fam.n_balls
+
+    def test_one_cap_per_component(self):
+        fam = enumerate_family(ProductDomain([circle_component(4)]))
+        with pytest.raises(ValueError, match="one cap per component"):
+            fam.admissible_mask([1.0, 1.0])
 
 
 class TestEnumerateFamily:
@@ -245,6 +282,7 @@ class TestEnumerateFamily:
         g1 = interval_component(0.0, 1.0, 2, radius_cap=0.5)  # singletons only
         g2 = interval_component(0.0, 2.0, 3, radius_cap=0.5)
         fam = enumerate_family(ProductDomain([g1, g2]))
+        assert fam.shape == (2, 3)
         assert fam.n_balls == 6
 
     def test_mesh_times_circle_brute_force(self, unit_tetrahedron):
@@ -256,8 +294,8 @@ class TestEnumerateFamily:
         assert fam.n_balls == n1 * n2
         # supports are exact Cartesian products
         seen = set()
-        for b in fam.balls:
-            key = tuple(sorted(b.support_indices().tolist()))
+        for k in range(fam.n_balls):
+            key = tuple(sorted(support_indices(fam, k).tolist()))
             assert key not in seen
             seen.add(key)
 
@@ -269,9 +307,8 @@ class TestEnumerateFamily:
     def test_every_point_covered_by_singleton(self, octahedron):
         d = ProductDomain([mesh_component(octahedron), circle_component(3)])
         fam = enumerate_family(d)
-        singleton_points = {
-            int(b.support_indices()[0]) for b in fam.balls if b.size == 1
-        }
+        supports = [support_indices(fam, k) for k in range(fam.n_balls)]
+        singleton_points = {int(s[0]) for s in supports if len(s) == 1}
         assert singleton_points == set(range(d.size))
 
 
@@ -280,19 +317,19 @@ class TestBallWeight:
         c = mesh_component(unit_tetrahedron)
         d = ProductDomain([c])
         fam = enumerate_family(d)
-        for b in fam.balls:
-            if b.size == 1:
-                v = int(b.support_indices()[0])
-                assert ball_weight(b) == pytest.approx(c.weights[v])
+        for k in range(fam.n_balls):
+            support = support_indices(fam, k)
+            if len(support) == 1:
+                assert ball_weight(fam, k) == pytest.approx(c.weights[support[0]])
 
     def test_full_domain_is_total_measure(self, unit_tetrahedron):
         c1 = mesh_component(unit_tetrahedron)
         c2 = circle_component(12)
         d = ProductDomain([c1, c2])
         fam = enumerate_family(d)
-        full = max(fam.balls, key=lambda b: b.size)
-        assert full.size == d.size
-        assert ball_weight(full) == pytest.approx(
+        full = max(range(fam.n_balls), key=lambda k: len(support_indices(fam, k)))
+        assert len(support_indices(fam, full)) == d.size
+        assert ball_weight(fam, full) == pytest.approx(
             c1.total_weight() * c2.total_weight(), rel=1e-12
         )
 
@@ -302,12 +339,12 @@ class TestBallWeight:
         d = ProductDomain([c1, c2])
         fam = enumerate_family(d)
         target = [
-            b for b in fam.balls
-            if b.component_balls[0].size == 4 and b.component_balls[1].size == 1
+            k for k in range(fam.n_balls)
+            if [b.size for b in product_ball(fam, k)] == [4, 1]
         ]
         assert target
         # mesh edges have length 1 up to rounding, total area sqrt(3)
-        assert ball_weight(target[0]) == pytest.approx(
+        assert ball_weight(fam, target[0]) == pytest.approx(
             np.sqrt(3.0) * (2 * np.pi / 12), rel=1e-9
         )
 
@@ -316,15 +353,15 @@ class TestBallWeight:
         c2 = circle_component(5)
         d = ProductDomain([c1, c2])
         fam = enumerate_family(d)
-        for b in fam.balls:
+        for k in range(fam.n_balls):
             per_comp = [
                 comp.weights[cb.indices].sum()
-                for comp, cb in zip(d.components, b.component_balls)
+                for comp, cb in zip(d.components, product_ball(fam, k))
             ]
-            assert ball_weight(b) == per_comp[0] * per_comp[1]
+            assert ball_weight(fam, k) == per_comp[0] * per_comp[1]
             # and equals the sum of the flattened product weights
-            assert b.support_weights().sum() == pytest.approx(
-                ball_weight(b), rel=1e-12
+            assert support_weights(fam, k).sum() == pytest.approx(
+                ball_weight(fam, k), rel=1e-12
             )
 
     def test_nesting_for_fixed_center(self):

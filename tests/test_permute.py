@@ -12,15 +12,20 @@ from ballwise.domain import (
 )
 from ballwise.glm import DesignSpec, HypothesisSpec, stat_field, t_two_sample_sq
 from ballwise.permute import (
-    NullDistribution,
     PermutationPlan,
     adjusted_from_ballwise,
     generate_permutations,
+    run_inference,
+)
+from oracles import (
+    NullDistribution,
+    ball_weight,
     integrated_stat,
     null_distribution,
     permute_once,
+    product_ball,
     pvalues,
-    run_inference,
+    support_indices,
 )
 
 
@@ -34,41 +39,44 @@ class TestIntegratedStat:
     def test_constant_field_is_weight(self, tet_circle_domain):
         d, fam = tet_circle_domain
         T = np.full(d.size, 2.5)
-        for b in fam.balls:
-            assert integrated_stat(T, b) == pytest.approx(2.5 * b.weight(), rel=1e-12)
+        for k in range(fam.n_balls):
+            assert integrated_stat(T, fam, k) == pytest.approx(
+                2.5 * ball_weight(fam, k), rel=1e-12
+            )
 
     def test_singleton(self, tet_circle_domain):
         d, fam = tet_circle_domain
         rng = np.random.default_rng(0)
         T = rng.random(d.size)
         w = d.grid_weights()
-        for b in fam.balls:
-            if b.size == 1:
-                g = int(b.support_indices()[0])
-                assert integrated_stat(T, b) == pytest.approx(w[g] * T[g], rel=1e-12)
+        for k in range(fam.n_balls):
+            support = support_indices(fam, k)
+            if len(support) == 1:
+                g = int(support[0])
+                assert integrated_stat(T, fam, k) == pytest.approx(w[g] * T[g], rel=1e-12)
 
     def test_fubini_nested_double_sum(self, tet_circle_domain):
         d, fam = tet_circle_domain
         rng = np.random.default_rng(1)
         T = rng.random(d.size).reshape(d.shape)
         c1, c2 = d.components
-        for b in fam.balls:
-            b1, b2 = b.component_balls
+        for k in range(fam.n_balls):
+            b1, b2 = product_ball(fam, k)
             total = 0.0
             for i in b1.indices:
                 inner = 0.0
                 for j in b2.indices:
                     inner += c2.weights[j] * T[i, j]
                 total += c1.weights[i] * inner
-            assert integrated_stat(T.ravel(), b) == pytest.approx(total, rel=1e-12)
+            assert integrated_stat(T.ravel(), fam, k) == pytest.approx(total, rel=1e-12)
 
     def test_matches_family_matrix(self, tet_circle_domain):
         d, fam = tet_circle_domain
         rng = np.random.default_rng(2)
         T = rng.random(d.size)
         stacked = fam.integrated_stats(T)
-        for k, b in enumerate(fam.balls):
-            assert stacked[k] == pytest.approx(integrated_stat(T, b), rel=1e-12)
+        for k in range(fam.n_balls):
+            assert stacked[k] == pytest.approx(integrated_stat(T, fam, k), rel=1e-12)
 
 
 class TestPermuteOnce:
@@ -112,6 +120,10 @@ class TestPermuteOnce:
         plan = PermutationPlan(1, null_design=np.ones((4, 2)))
         with pytest.raises(ValueError, match="rank deficient"):
             permute_once(Y, plan, np.arange(4))
+        fam = enumerate_family(ProductDomain([interval_component(0.0, 1.0, 2)]))
+        design = DesignSpec(covariates=np.arange(4.0))
+        with pytest.raises(ValueError, match="rank deficient"):
+            run_inference(Y, design, HypothesisSpec("slope_sq"), fam, plan)
 
 
 class TestGeneratePermutations:
@@ -143,9 +155,14 @@ class TestNullDistribution:
             1, scheme="raw_label_permutation",
             permutations=np.arange(8)[None, :],
         )
-        nd = null_distribution(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
+        hyp = HypothesisSpec("t_two_sample_sq")
+        nd = null_distribution(Y, design, hyp, fam, plan)
         np.testing.assert_array_equal(nd.permuted_fields[0], nd.observed_field)
         np.testing.assert_array_equal(nd.permuted_ball_stats[0], nd.observed_ball_stats)
+        # the engine counts the identity as a tie everywhere: p = 2 / 2
+        p = run_inference(Y, design, hyp, fam, plan).p
+        for arr in (p.pointwise, p.ballwise, p.adjusted):
+            np.testing.assert_array_equal(arr, 1.0)
 
     def test_group_swap_symmetry(self, tet_circle_domain):
         d, fam = tet_circle_domain
@@ -209,10 +226,12 @@ class TestExhaustiveOracle:
         plan = PermutationPlan(
             len(perms), scheme="raw_label_permutation", permutations=perms
         )
-        nd = null_distribution(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
-        p = pvalues(nd, fam)
-        np.testing.assert_array_equal(p.pointwise, p_point_oracle)
-        np.testing.assert_array_equal(p.ballwise, p_ball_oracle)
+        hyp = HypothesisSpec("t_two_sample_sq")
+        materialised = pvalues(null_distribution(Y, design, hyp, fam, plan), fam)
+        engine = run_inference(Y, design, hyp, fam, plan).p
+        for p in (materialised, engine):
+            np.testing.assert_array_equal(p.pointwise, p_point_oracle)
+            np.testing.assert_array_equal(p.ballwise, p_ball_oracle)
 
 
 class TestPValues:
@@ -267,7 +286,9 @@ class TestPValues:
     def test_single_full_domain_ball_gives_constant_adjustment(self, octahedron):
         d = ProductDomain([mesh_component(octahedron)])
         fam = enumerate_family(d)
-        full_mask = np.array([b.size == d.size for b in fam.balls])
+        full_mask = np.array(
+            [len(support_indices(fam, k)) == d.size for k in range(fam.n_balls)]
+        )
         assert full_mask.sum() == 1
         p_ball = np.linspace(0.1, 0.9, fam.n_balls)
         adj = adjusted_from_ballwise(p_ball, fam, ball_mask=full_mask)
@@ -280,8 +301,7 @@ class TestPValues:
         adj = adjusted_from_ballwise(p_ball, fam)
         for g in rng.integers(0, d.size, size=5):
             covering = [
-                p_ball[k] for k, b in enumerate(fam.balls)
-                if g in b.support_indices()
+                p_ball[k] for k in range(fam.n_balls) if g in support_indices(fam, k)
             ]
             assert adj[g] == pytest.approx(max(covering))
 
@@ -325,8 +345,13 @@ class TestEngineProperties:
         Y = np.random.default_rng(14).standard_normal((8, d.size))
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
         hyp = HypothesisSpec("t_two_sample_sq")
-        for scheme in ("freedman_lane", "raw_label_permutation"):
-            plan = PermutationPlan(23, seed=5, scheme=scheme)
+        covariate_null = np.column_stack([np.ones(8), np.arange(8.0)])
+        for scheme, null_design in [
+            ("freedman_lane", None),
+            ("freedman_lane", covariate_null),
+            ("raw_label_permutation", None),
+        ]:
+            plan = PermutationPlan(23, seed=5, scheme=scheme, null_design=null_design)
             nd = null_distribution(Y, design, hyp, fam, plan)
             p_ref = pvalues(nd, fam)
             p_chunk = run_inference(Y, design, hyp, fam, plan, chunk_size=4).p
