@@ -17,7 +17,6 @@ from .domain import (
 from .glm import (
     DesignSpec,
     HypothesisSpec,
-    ols_fit,
     slope_sq,
     stat_field,
     t_trend_cutoff,
@@ -43,7 +42,7 @@ __all__ = [
     "AdjustmentFamily", "ComponentGrid", "ProductDomain",
     "circle_component", "enumerate_component_balls",
     "enumerate_family", "interval_component", "mesh_component",
-    "DesignSpec", "HypothesisSpec", "ols_fit", "slope_sq", "stat_field",
+    "DesignSpec", "HypothesisSpec", "slope_sq", "stat_field",
     "t_trend_cutoff", "t_two_sample_sq",
     "TriangulatedManifold", "build_icosphere", "load_mesh", "save_off",
     "triangle_area",

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .domain import (
-    DEFAULT_MAX_MEMBERSHIPS,
+    DEFAULT_MAX_BALLS,
+    FamilyTooLargeError,
     ProductDomain,
     circle_component,
     enumerate_family,
@@ -147,13 +148,30 @@ def _build_component(section: dict, where: str):
 
 
 def _build_domain(config: dict):
-    _check_keys(config, {"components", "max_memberships"}, {"components"}, "domain")
+    if "max_memberships" in config:
+        raise ConfigError(
+            "domain: max_memberships is no longer supported; the family size "
+            "limit is max_balls, a number of balls"
+        )
+    _check_keys(config, {"components", "max_balls"}, {"components"}, "domain")
+    max_balls = config.get("max_balls", DEFAULT_MAX_BALLS)
+    # bool is an int subclass: reject true/false explicitly
+    if isinstance(max_balls, bool) or not isinstance(max_balls, int) or max_balls < 1:
+        raise ConfigError(
+            f"domain: max_balls must be a positive integer, got {max_balls!r}"
+        )
     comps = [
         _build_component(c, f"domain.components[{i}]")
         for i, c in enumerate(config["components"])
     ]
-    max_members = config.get("max_memberships") or DEFAULT_MAX_MEMBERSHIPS
-    return ProductDomain(comps), max_members
+    return ProductDomain(comps), max_balls
+
+
+def _enumerate_family(domain, max_balls: int):
+    try:
+        return enumerate_family(domain, max_balls)
+    except FamilyTooLargeError as exc:
+        raise ConfigError(f"{exc}, or raise domain.max_balls") from None
 
 
 def _load_signals(section: dict):
@@ -224,6 +242,7 @@ def _manifest(config: dict, plan, family, elapsed: float) -> str:
             "scheme": plan.scheme,
             "rng_algorithm": RNG_ALGORITHM,
             "family_balls": family.n_balls,
+            "family_shape": list(family.shape),
             "family_memberships": family.n_memberships,
             "ballwise_version": __version__,
             "wall_time_s": round(elapsed, 3),
@@ -275,7 +294,14 @@ def _balls_csv(family, result) -> Iterator[str]:
     for l, (balls, idx) in enumerate(zip(family.component_balls, ball_idx)):
         header.append(f"center_{l},radius_{l},inner_radius_{l}")
         fields = np.array(
-            [f"{b.center},{b.radius:.17g},{b.inner_radius:.17g}" for b in balls],
+            [
+                f"{c},{r:.17g},{i:.17g}"
+                for c, r, i in zip(
+                    balls.centers.tolist(),
+                    balls.radii.tolist(),
+                    balls.inner_radii.tolist(),
+                )
+            ],
             dtype=object,
         )
         columns.append(fields[idx])
@@ -338,7 +364,7 @@ def cmd_test(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     start = time.monotonic()
-    domain, max_members = _build_domain(config["domain"])
+    domain, max_balls = _build_domain(config["domain"])
     Y = _load_signals(config["data"])
     if Y.shape[1] != domain.size:
         raise ConfigError(
@@ -350,7 +376,7 @@ def cmd_test(args) -> int:
     plan, alpha = _build_plan(
         config["inference"], args.seed if args.seed is not None else seed_env
     )
-    family = enumerate_family(domain, max_members)
+    family = _enumerate_family(domain, max_balls)
     result = run_inference(Y, design, hyp, family, plan)
     elapsed = time.monotonic() - start
 
@@ -374,8 +400,8 @@ def cmd_test(args) -> int:
 
 def cmd_adjust(args) -> int:
     config = _load_test_config(args.config)
-    domain, max_members = _build_domain(config["domain"])
-    family = enumerate_family(domain, max_members)
+    domain, max_balls = _build_domain(config["domain"])
+    family = _enumerate_family(domain, max_balls)
     caps = []
     for tok in args.caps.split(","):
         caps.append(_parse_cap(tok.strip(), "--caps"))
@@ -486,7 +512,10 @@ def cmd_simulate(args) -> int:
             mesh_cache[key] = cfg.build_mesh()
         mesh = mesh_cache[key]
         _apply_truth(cfg, section, mesh, idx)
-        rates = run_scenario(cfg, mesh=mesh)
+        try:
+            rates = run_scenario(cfg, mesh=mesh)
+        except FamilyTooLargeError as exc:
+            raise ConfigError(f"scenario[{idx}]: {exc}") from None
         writer.writerow(
             [
                 cfg.scenario_id,

@@ -6,6 +6,11 @@ consists of Cartesian products of per-component metric balls whose radii stay
 below the per-component caps. Balls are discretized to their vertex supports:
 two balls with the same support are interchangeable for inference, so the
 family stores one ball per distinct support.
+
+Every support of a component is a prefix of one row of that component's
+sorted-distance order (the points nearest a center), so the family is stored
+as one prefix operator per component: integrated statistics are prefix sums
+along those rows, applied one component axis at a time (Fubini).
 """
 
 from __future__ import annotations
@@ -13,16 +18,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix, kron
 
 from .mesh import TriangulatedManifold
 
 __all__ = [
     "ComponentGrid",
     "ComponentBall",
+    "ComponentBalls",
     "ProductDomain",
     "AdjustmentFamily",
     "mesh_component",
@@ -30,11 +36,26 @@ __all__ = [
     "interval_component",
     "enumerate_component_balls",
     "enumerate_family",
+    "FamilyTooLargeError",
 ]
 
-# Cap on the total number of (ball, grid point) support memberships of a
-# family; above this the enumeration refuses to materialize.
-DEFAULT_MAX_MEMBERSHIPS = 50_000_000
+# Cap on the number of product balls of a family. Inference keeps a few
+# float64 values per ball (observed statistic, exceedance count, p-value, the
+# statistics of a chunk of permutations) and balls.csv formats a row per
+# ball, so 10 M balls take on the order of a gigabyte.
+DEFAULT_MAX_BALLS = 10_000_000
+
+# Prefix sums run over tiles of rows with at least TILE_ADD_VALUES values per
+# add, which amortises numpy's per-call cost, and at most TILE_MAX_VALUES in
+# all: a tile of short rows stays in cache and its buffer is reused instead of
+# being faulted in afresh on every call.
+TILE_ADD_VALUES = 1 << 12
+TILE_MAX_VALUES = 1 << 22
+
+# Elements per block of the enumeration's temporaries: distance-matrix rows
+# scanned at once, and support entries compared at once when duplicates are
+# confirmed.
+ENUMERATION_BLOCK = 1 << 20
 
 
 @dataclass
@@ -154,40 +175,193 @@ class ComponentBall:
         return len(self.indices)
 
 
-def enumerate_component_balls(g: ComponentGrid) -> list[ComponentBall]:
+@dataclass(eq=False)
+class ComponentBalls(Sequence):
+    """The distinct ball supports of one component, as prefixes of sorted rows.
+
+    Row i of ``order`` (n x L) lists the points below the cap around center i
+    by (distance, index), padded with the sentinel n, whose weight is 0. Ball
+    b is the first ``sizes[b]`` points of row ``centers[b]``, so its
+    integrated statistic is a prefix sum along that row and the balls
+    covering a point are those whose prefix reaches the point's position.
+    Indexing yields the ball as a ``ComponentBall``.
+    """
+
+    order: np.ndarray        # (n, L) int32
+    weights: np.ndarray      # (n,) point weights
+    centers: np.ndarray      # (n_balls,) row of each ball
+    sizes: np.ndarray        # (n_balls,) prefix length of each ball
+    radii: np.ndarray        # (n_balls,)
+    inner_radii: np.ndarray  # (n_balls,)
+    # balls are in center order: those of row i are _ball_start[i:i + 2]
+    _ball_start: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._ball_start = np.searchsorted(self.centers, np.arange(len(self.order) + 1))
+
+    def __len__(self) -> int:
+        return len(self.centers)
+
+    def __getitem__(self, b) -> ComponentBall:
+        center, size = int(self.centers[b]), int(self.sizes[b])
+        return ComponentBall(
+            center,
+            float(self.radii[b]),
+            float(self.inner_radii[b]),
+            np.sort(self.order[center, :size]),
+        )
+
+    def integrate(self, values: np.ndarray) -> np.ndarray:
+        """Weighted support sums along axis 0: (n, ...) -> (n_balls, ...)."""
+        n, L = self.order.shape
+        rest = values.shape[1:]
+        weighted = np.zeros((n + 1,) + rest)  # row n: the sentinel
+        np.multiply(
+            self.weights.reshape((n,) + (1,) * len(rest)), values, out=weighted[:n]
+        )
+        weighted = weighted.reshape(n + 1, -1)
+        r = weighted.shape[1]
+        out = np.empty((len(self), r))
+        rows = min(-(-TILE_ADD_VALUES // max(r, 1)), TILE_MAX_VALUES // max(L * r, 1))
+        rows = max(rows, 1)
+        for top in range(0, n, rows):
+            bottom = min(n, top + rows)
+            # the tile's rows by sorted position, accumulation axis
+            # outermost: L - 1 contiguous adds, each value summed in row order
+            block = weighted.take(self.order[top:bottom].T.ravel(), axis=0)
+            block = block.reshape(L, bottom - top, r)
+            for j in range(1, L):
+                block[j] += block[j - 1]
+            first, last = self._ball_start[top], self._ball_start[bottom]
+            pick = (self.sizes[first:last] - 1) * (bottom - top) + (
+                self.centers[first:last] - top
+            )
+            # every pick is in range; "clip" only spares take a buffered copy
+            block.reshape(-1, r).take(pick, axis=0, out=out[first:last], mode="clip")
+        return out.reshape((len(self),) + rest)
+
+    def cover_max(self, ball_values: np.ndarray) -> np.ndarray:
+        """Max over the covering balls along axis 0: (n_balls, ...) -> (n, ...).
+
+        Points covered by no ball get 0, the floor of any p-value.
+        """
+        n, L = self.order.shape
+        rest = ball_values.shape[1:]
+        at_end = np.zeros((n, L, math.prod(rest)))
+        at_end[self.centers, self.sizes - 1] = ball_values.reshape(len(self), -1)
+        # the point at position j of a row lies in every prefix of that row
+        # ending at or after j
+        covering = np.maximum.accumulate(at_end[:, ::-1], axis=1)[:, ::-1]
+        out = np.zeros((n + 1, at_end.shape[2]))
+        np.maximum.at(out, self.order.ravel(), covering.reshape(n * L, -1))
+        return out[:n].reshape((n,) + rest)
+
+
+def _zobrist_keys(n: int) -> np.ndarray:
+    """A fixed random uint64 per point; a support hashes to the XOR of its keys."""
+    rng = np.random.default_rng(0x5EED)
+    return rng.integers(0, 2**64, size=n, dtype=np.uint64)
+
+
+def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
     """All distinct ball supports of one component under its radius cap.
 
     For each center, only the distances below the cap are sorted, so rows
-    may hold ``inf`` (or any value) beyond it. Each distinct in-cap value v
-    gives the support {d <= v} with inner radius v; its radius is the next
-    in-cap value, or, for the widest support, the cap (``v + 1`` when the cap
-    is infinite and the support is the whole grid). Supports are deduplicated
-    across centers, keeping the first center that realizes each.
+    may hold ``inf`` (or any value not below the cap) beyond it. Each
+    distinct in-cap value v gives the support {d <= v} with inner radius v;
+    its radius is the next in-cap value, or, for the widest support, the cap
+    (``v + 1`` when the cap is infinite and the support is the whole grid).
+    Supports are deduplicated across centers, keeping the first center that
+    realizes each: candidates are grouped by size and Zobrist hash, and every
+    duplicate is confirmed exactly against its group's first candidate, so a
+    hash collision never merges two supports.
     """
-    cap = g.radius_cap
-    seen: dict[bytes, ComponentBall] = {}
-    for center in range(g.size):
-        d = g.distances[center]
-        in_cap = np.flatnonzero(d < cap)
-        if not len(in_cap):
-            continue
-        order = in_cap[np.argsort(d[in_cap], kind="stable")].astype(np.int32)
-        sorted_d = d[order]
-        # prefix ends: one support per distinct in-cap distance value
-        ends = np.append(np.flatnonzero(np.diff(sorted_d) > 0) + 1, len(order))
-        for k in ends:
-            inner = float(sorted_d[k - 1])
-            if k < len(order):
-                radius = float(sorted_d[k])  # support = {d < radius}
-            elif len(order) == g.size and math.isinf(cap):
-                radius = inner + 1.0
-            else:
-                radius = float(cap)
-            support = np.sort(order[:k])
-            key = support.tobytes()
-            if key not in seen:
-                seen[key] = ComponentBall(center, radius, inner, support)
-    return list(seen.values())
+    n, cap = g.size, g.radius_cap
+    # in-cap entries by (row, distance, index), a block of rows at a time
+    parts = []
+    step = max(1, ENUMERATION_BLOCK // n)
+    for start in range(0, n, step):
+        block = g.distances[start:start + step]
+        r, c = np.nonzero(block < cap)  # row-major: indices ascend in a row
+        d = block[r, c]
+        s = np.lexsort((d, r))  # stable, so equal distances keep index order
+        parts.append((r[s] + start, c[s], d[s]))
+    rows, cols, dists = (np.concatenate(a) for a in zip(*parts))
+    counts = np.bincount(rows, minlength=n)
+    L = int(counts.max())
+    pos = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    order = np.full((n, L), n, dtype=np.int32)
+    order[rows, pos] = cols
+    sorted_d = np.full((n, L + 1), np.inf)
+    sorted_d[rows, pos] = dists
+
+    # a prefix of length j + 1 is a support where the sorted distance grows
+    brow, bpos = np.nonzero(sorted_d[:, 1:] > sorted_d[:, :-1])
+    sizes = bpos + 1
+    inner = sorted_d[brow, bpos]
+    radius = sorted_d[brow, bpos + 1]
+    widest = sizes == counts[brow]
+    radius[widest] = cap
+    if math.isinf(cap):
+        whole = widest & (sizes == n)
+        radius[whole] = inner[whole] + 1.0
+
+    keys = np.append(_zobrist_keys(n), np.uint64(0))
+    hashes = np.bitwise_xor.accumulate(keys[order], axis=1)[brow, bpos]
+    first = _first_equal_support(g.distances, order, brow, sizes, inner, hashes)
+    is_ball = first == np.arange(len(first))
+    return ComponentBalls(
+        order=order,
+        weights=g.weights,
+        centers=brow[is_ball],
+        sizes=sizes[is_ball],
+        radii=radius[is_ball],
+        inner_radii=inner[is_ball],
+    )
+
+
+def _first_equal_support(distances, order, rows, sizes, inner, hashes) -> np.ndarray:
+    """For each candidate (prefix ``sizes[i]`` of row ``rows[i]``, in scan
+    order), the index of the first candidate with the same support."""
+    first = np.empty(len(rows), dtype=np.intp)
+    todo = np.arange(len(rows))
+    while len(todo):
+        # lexsort is stable, so each (size, hash) group starts with its
+        # first candidate in scan order
+        perm = np.lexsort((hashes[todo], sizes[todo]))
+        s = todo[perm]
+        starts = np.ones(len(s), dtype=bool)
+        starts[1:] = (sizes[s[1:]] != sizes[s[:-1]]) | (hashes[s[1:]] != hashes[s[:-1]])
+        lead = np.empty_like(todo)
+        lead[perm] = s[np.maximum.accumulate(np.where(starts, np.arange(len(s)), 0))]
+        same = _same_support(distances, order, rows, sizes, inner, lead, todo)
+        first[todo[same]] = lead[same]
+        todo = todo[~same]  # collided with another support: regroup
+    return first
+
+
+def _same_support(distances, order, rows, sizes, inner, lead, cand) -> np.ndarray:
+    """Whether each candidate's support equals its group lead's.
+
+    Both have the same size, so they are equal when every point of the
+    candidate lies within the lead's inner radius of the lead's center.
+    """
+    same = lead == cand
+    check = np.flatnonzero(~same)
+    k = sizes[cand[check]]
+    ends = np.cumsum(k)
+    start = 0
+    while start < len(check):
+        limit = ends[start] - k[start] + ENUMERATION_BLOCK
+        stop = max(start + 1, int(np.searchsorted(ends, limit, "right")))
+        part, kk = check[start:stop], k[start:stop]
+        offsets = np.cumsum(kk) - kk
+        seg = np.repeat(np.arange(len(part)), kk)
+        points = order[rows[cand[part]][seg], np.arange(len(seg)) - offsets[seg]]
+        outside = distances[rows[lead[part]][seg], points] > inner[lead[part]][seg]
+        same[part] = ~np.logical_or.reduceat(outside, offsets)
+        start = stop
+    return same
 
 
 @dataclass
@@ -228,28 +402,14 @@ class ProductDomain:
 class AdjustmentFamily:
     """Cartesian products of per-component ball supports over a product domain.
 
-    ``component_balls`` holds one list of distinct supports per component and
-    is the family's only per-ball description: product ball k is
+    ``component_balls`` holds one ``ComponentBalls`` operator per component
+    and is the family's only description: product ball k is
     ``np.unravel_index(k, shape)`` over the per-component ball counts
-    ``shape``, which is ``itertools.product`` order. ``weight_matrix``
-    (n_balls x grid size, CSR) holds each ball's support weights, so
-    integrated statistics for every ball are one sparse matmul. It is the
-    Kronecker product of the per-component (balls x points) weight matrices,
-    whose row and column orders are those of the product balls and of the
-    C-order grid.
+    ``shape``, which is ``itertools.product`` order.
     """
 
     domain: ProductDomain
-    component_balls: list[list[ComponentBall]]
-    weight_matrix: csr_matrix = field(init=False, repr=False)
-
-    def __post_init__(self):
-        W = None
-        for comp, balls in zip(self.domain.components, self.component_balls):
-            W_comp = _component_weight_matrix(comp, balls)
-            W = W_comp if W is None else kron(W, W_comp, format="csr")
-        W.sort_indices()
-        self.weight_matrix = W
+    component_balls: list[ComponentBalls]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -262,11 +422,58 @@ class AdjustmentFamily:
 
     @property
     def n_memberships(self) -> int:
-        return int(self.weight_matrix.nnz)
+        """Total (ball, grid point) support memberships of the product balls."""
+        return math.prod(int(balls.sizes.sum()) for balls in self.component_balls)
+
+    def _integration_axes(self) -> list[int]:
+        # shortest sorted rows first: a component's pass gathers L_c values
+        # per value of its input, so this keeps the first, largest input's
+        # gather smallest
+        return sorted(
+            range(len(self.component_balls)),
+            key=lambda c: self.component_balls[c].order.shape[1],
+        )
+
+    @property
+    def column_bytes(self) -> int:
+        """Bytes per stacked field that ``integrated_stats`` may hold at once,
+        an upper estimate: in one component's pass, the input, its weighted
+        copy and gathered rows, the output and its reordered copy, all
+        float64 (the last output is the ball statistics)."""
+        sizes = [self.domain.size]
+        for c in self._integration_axes():
+            balls = self.component_balls[c]
+            sizes.append(sizes[-1] // len(balls.order) * len(balls))
+        return 8 * max(3 * a + 2 * b for a, b in zip(sizes, sizes[1:]))
 
     def integrated_stats(self, stat_fields: np.ndarray) -> np.ndarray:
-        """Weighted support sums of one stat field (m,) or a stack (..., m)."""
-        return self.weight_matrix @ np.asarray(stat_fields).T
+        """Weighted support sums of one stat field (m,) or a stack (B, m).
+
+        Returns (n_balls,) or (n_balls, B). The sum over a product ball is
+        the iterated sum over its component supports (Fubini), so each
+        component's prefix operator runs along its own axis of the
+        (n_1, ..., n_L, B) field tensor. Every value is computed element by
+        element, so it does not depend on how fields are stacked.
+        """
+        fields = np.asarray(stat_fields, dtype=float)
+        stack = fields.shape[:-1][::-1]
+        X = fields.T.reshape(self.domain.shape + stack)
+        for c in self._integration_axes():
+            balls = self.component_balls[c]
+            X = np.moveaxis(balls.integrate(np.moveaxis(X, c, 0)), 0, c)
+        return X.reshape((self.n_balls,) + stack)
+
+    def cover_max(self, ball_values: np.ndarray) -> np.ndarray:
+        """Per grid point, the max of ``ball_values`` over the balls covering it.
+
+        A max over a product of sets is an iterated max, so each component's
+        operator maps its ball axis to its point axis in turn. Points covered
+        by no ball get 0.
+        """
+        V = np.asarray(ball_values, dtype=float).reshape(self.shape)
+        for c, balls in enumerate(self.component_balls):
+            V = np.moveaxis(balls.cover_max(np.moveaxis(V, c, 0)), 0, c)
+        return V.ravel()
 
     def admissible_mask(self, caps) -> np.ndarray:
         """Which balls survive under new per-component radius caps.
@@ -278,40 +485,29 @@ class AdjustmentFamily:
         if len(caps) != len(self.domain.components):
             raise ValueError("one cap per component required")
         per_component = [
-            np.array([b.inner_radius for b in balls]) < cap
-            for balls, cap in zip(self.component_balls, caps)
+            balls.inner_radii < cap for balls, cap in zip(self.component_balls, caps)
         ]
         return functools.reduce(np.logical_and.outer, per_component).ravel()
 
 
-def _component_weight_matrix(g: ComponentGrid, balls: list[ComponentBall]) -> csr_matrix:
-    """(balls x points) CSR of one component's support weights."""
-    indptr = np.zeros(len(balls) + 1, dtype=np.int64)
-    np.cumsum([b.size for b in balls], out=indptr[1:])
-    indices = (
-        np.concatenate([b.indices for b in balls])
-        if balls
-        else np.empty(0, dtype=np.int32)
-    )
-    return csr_matrix((g.weights[indices], indices, indptr), shape=(len(balls), g.size))
+class FamilyTooLargeError(ValueError):
+    """The adjustment family has more balls than the limit allows."""
 
 
 def enumerate_family(
-    d: ProductDomain, max_memberships: int = DEFAULT_MAX_MEMBERSHIPS
+    d: ProductDomain, max_balls: int = DEFAULT_MAX_BALLS
 ) -> AdjustmentFamily:
     """Cartesian products of the per-component ball supports.
 
     Component supports are already deduplicated and products of distinct
     supports are distinct, so no cross-component dedup is needed. Raises if
-    the total number of support memberships would exceed ``max_memberships``.
+    the family would have more than ``max_balls`` balls.
     """
     per_component = [enumerate_component_balls(c) for c in d.components]
-    memberships = 1
-    for balls in per_component:
-        memberships *= sum(b.size for b in balls)
-    if memberships > max_memberships:
-        raise ValueError(
-            f"adjustment family would have {memberships} support memberships "
-            f"(limit {max_memberships}); use smaller radius caps or a coarser grid"
+    n_balls = math.prod(len(balls) for balls in per_component)
+    if n_balls > max_balls:
+        raise FamilyTooLargeError(
+            f"adjustment family would have {n_balls} balls (limit {max_balls}); "
+            "use smaller radius caps or a coarser grid"
         )
     return AdjustmentFamily(d, per_component)

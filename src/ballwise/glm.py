@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "DesignSpec",
     "HypothesisSpec",
-    "ols_fit",
     "t_two_sample_sq",
     "t_trend_cutoff",
     "slope_sq",
@@ -61,17 +60,6 @@ class DesignSpec:
             return len(self.group_labels)
         raise ValueError("empty design")
 
-    def design_matrix(self) -> np.ndarray:
-        """Intercept column plus covariates; must be full column rank."""
-        n = self.n_obs
-        cols = [np.ones(n)]
-        if self.covariates is not None:
-            cols.extend(self.covariates.T)
-        X = np.column_stack(cols)
-        if np.linalg.matrix_rank(X) < X.shape[1]:
-            raise ValueError("design matrix is rank deficient")
-        return X
-
 
 @dataclass
 class HypothesisSpec:
@@ -84,32 +72,6 @@ class HypothesisSpec:
             raise ValueError(
                 f"unknown statistic {self.statistic!r}; choose from {STATISTICS}"
             )
-
-
-def ols_fit(y: np.ndarray, X, compute_se: bool = True):
-    """Ordinary least squares of y on the columns of X.
-
-    ``X`` is a design matrix or a :class:`DesignSpec` (intercept implied).
-    Returns (coefficients, residuals, standard_errors); standard errors are
-    None when ``compute_se`` is False.
-    """
-    if isinstance(X, DesignSpec):
-        X = X.design_matrix()
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    n, k = X.shape
-    if np.linalg.matrix_rank(X) < k:
-        raise ValueError("design matrix is rank deficient")
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
-    se = None
-    if compute_se:
-        if n <= k:
-            raise ValueError("too few observations for standard errors")
-        s2 = resid @ resid / (n - k)
-        xtx_inv = np.linalg.inv(X.T @ X)
-        se = np.sqrt(s2 * np.diag(xtx_inv))
-    return beta, resid, se
 
 
 def _check_degenerate(numerator_zero: np.ndarray, se_zero: np.ndarray):

@@ -31,6 +31,11 @@ __all__ = [
 # numpy's default bit generator; recorded in run manifests for reproducibility
 RNG_ALGORITHM = "PCG64"
 
+# Working memory of one chunk of permutations in ball integration (the
+# per-component partial sums and the chunk's ball statistics); larger
+# families get smaller chunks.
+CHUNK_BYTES = 64 * 2**20
+
 SCHEMES = ("freedman_lane", "raw_label_permutation")
 
 
@@ -115,20 +120,17 @@ class PValueFields:
 def adjusted_from_ballwise(
     ballwise_p: np.ndarray, family: AdjustmentFamily, ball_mask: np.ndarray | None = None
 ) -> np.ndarray:
-    """Scatter-max of ball-wise p-values into the grid points each ball covers.
+    """Max of the ball-wise p-values over the balls covering each grid point.
 
-    ``ball_mask`` restricts the sup to a sub-family (cap re-adjustment).
-    Grid points not covered by any selected ball get 0; with singletons in the
-    family every point is covered.
+    ``ball_mask`` restricts the sup to a sub-family (cap re-adjustment): the
+    p-values of the other balls are zeroed, and p-values are never below 0.
+    Grid points not covered by any selected ball get 0; with singletons in
+    the family every point is covered.
     """
-    W = family.weight_matrix
-    adj = np.zeros(W.shape[1])
-    ball_ids = np.repeat(np.arange(family.n_balls), np.diff(W.indptr))
-    entries = np.ones(W.nnz, dtype=bool)
+    p = np.asarray(ballwise_p, dtype=float)
     if ball_mask is not None:
-        entries = np.asarray(ball_mask, dtype=bool)[ball_ids]
-    np.maximum.at(adj, W.indices[entries], np.asarray(ballwise_p)[ball_ids[entries]])
-    return adj
+        p = np.where(np.asarray(ball_mask, dtype=bool), p, 0.0)
+    return family.cover_max(p)
 
 
 def _p_from_counts(counts: np.ndarray, n_permutations: int) -> np.ndarray:
@@ -154,8 +156,10 @@ def run_inference(
 ) -> InferenceResult:
     """Full pipeline: permutation null, p-values, sup adjustment.
 
-    Permutations are processed in chunks of ``chunk_size``, so only the
-    exceedance counts are kept, never the permuted ball statistics. The
+    Permutations are processed in chunks of at most ``chunk_size``, fewer
+    when the family's integration would need more than ``CHUNK_BYTES`` for
+    them, so only the exceedance counts are kept, never the permuted ball
+    statistics. Every p-value is the same whatever the chunk size. The
     Freedman-Lane scheme permutes the reduced-model residual rows and adds
     back the reduced-model fits; the raw scheme permutes observation rows.
     """
@@ -168,6 +172,7 @@ def run_inference(
     if plan.scheme == "freedman_lane":
         fits, resid = _reduced_fit(Y, plan)
 
+    chunk_size = max(1, min(chunk_size, CHUNK_BYTES // family.column_bytes))
     point_counts = np.zeros(T_obs.shape[0], dtype=np.int64)
     ball_counts = np.zeros(family.n_balls, dtype=np.int64)
     for start in range(0, B, chunk_size):

@@ -1,10 +1,11 @@
 """Materialised reference implementations that the tests compare against.
 
 The library keeps one inference engine (``run_inference``) and describes the
-adjustment family only by its per-component balls. The helpers here are the
-slow, direct versions: one product ball at a time, one permutation at a time,
-the whole permutation null held in memory. Product ball k of a family is
-``np.unravel_index(k, family.shape)`` over the per-component ball lists.
+adjustment family only by its per-component prefix operators. The helpers
+here are the slow, direct versions: one product ball at a time, one center
+at a time, one permutation at a time, the whole permutation null held in
+memory, the family as one sparse weight matrix. Product ball k of a family
+is ``np.unravel_index(k, family.shape)`` over the per-component ball lists.
 """
 
 from __future__ import annotations
@@ -12,12 +13,77 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix, kron
 
-from ballwise.glm import stat_field
+from ballwise.glm import DesignSpec, stat_field
 from ballwise.permute import PValueFields, adjusted_from_ballwise, generate_permutations
+
+
+# --- one component ---------------------------------------------------------------
+
+def component_balls_loop(g):
+    """The per-center enumeration loop: (center, radius, inner, support) per
+    distinct support, deduplicated on the support's bytes, first center kept."""
+    cap = g.radius_cap
+    seen = {}
+    for center in range(g.size):
+        d = g.distances[center]
+        in_cap = np.flatnonzero(d < cap)
+        if not len(in_cap):
+            continue
+        order = in_cap[np.argsort(d[in_cap], kind="stable")].astype(np.int32)
+        sorted_d = d[order]
+        # prefix ends: one support per distinct in-cap distance value
+        ends = np.append(np.flatnonzero(np.diff(sorted_d) > 0) + 1, len(order))
+        for k in ends:
+            inner = float(sorted_d[k - 1])
+            if k < len(order):
+                radius = float(sorted_d[k])  # support = {d < radius}
+            elif len(order) == g.size and math.isinf(cap):
+                radius = inner + 1.0
+            else:
+                radius = float(cap)
+            support = np.sort(order[:k])
+            key = support.tobytes()
+            if key not in seen:
+                seen[key] = (center, radius, inner, support)
+    return list(seen.values())
+
+
+# --- the whole family as one sparse matrix --------------------------------------
+
+def weight_matrix(family) -> csr_matrix:
+    """(n_balls x grid size) CSR of support weights: the Kronecker product of
+    the per-component (balls x points) weight matrices."""
+    W = None
+    for comp, balls in zip(family.domain.components, family.component_balls):
+        balls = list(balls)
+        indptr = np.zeros(len(balls) + 1, dtype=np.int64)
+        np.cumsum([b.size for b in balls], out=indptr[1:])
+        indices = np.concatenate([b.indices for b in balls])
+        W_comp = csr_matrix(
+            (comp.weights[indices], indices, indptr), shape=(len(balls), comp.size)
+        )
+        W = W_comp if W is None else kron(W, W_comp, format="csr")
+    W.sort_indices()
+    return W
+
+
+def cover_max(ball_values, family, ball_mask=None) -> np.ndarray:
+    """Row-wise scatter-max of ball values into the grid points of each ball's
+    CSR row; 0 where no (selected) ball covers a point."""
+    W = weight_matrix(family)
+    ball_ids = np.repeat(np.arange(family.n_balls), np.diff(W.indptr))
+    entries = np.ones(W.nnz, dtype=bool)
+    if ball_mask is not None:
+        entries = np.asarray(ball_mask, dtype=bool)[ball_ids]
+    out = np.zeros(W.shape[1])
+    np.maximum.at(out, W.indices[entries], np.asarray(ball_values)[ball_ids[entries]])
+    return out
 
 
 # --- one product ball ----------------------------------------------------------
@@ -154,3 +220,42 @@ def pvalues(nd: NullDistribution, family):
     p_point = (1.0 + point_counts) / (B + 1.0)
     p_ball = (1.0 + ball_counts) / (B + 1.0)
     return PValueFields(p_point, p_ball, adjusted_from_ballwise(p_ball, family), B)
+
+
+# --- least squares ----------------------------------------------------------------
+
+def design_matrix(design: DesignSpec) -> np.ndarray:
+    """Intercept column plus covariates; must be full column rank."""
+    cols = [np.ones(design.n_obs)]
+    if design.covariates is not None:
+        cols.extend(design.covariates.T)
+    X = np.column_stack(cols)
+    if np.linalg.matrix_rank(X) < X.shape[1]:
+        raise ValueError("design matrix is rank deficient")
+    return X
+
+
+def ols_fit(y: np.ndarray, X, compute_se: bool = True):
+    """Ordinary least squares of y on the columns of X.
+
+    ``X`` is a design matrix or a ``DesignSpec`` (intercept implied).
+    Returns (coefficients, residuals, standard_errors); standard errors are
+    None when ``compute_se`` is False.
+    """
+    if isinstance(X, DesignSpec):
+        X = design_matrix(X)
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    n, k = X.shape
+    if np.linalg.matrix_rank(X) < k:
+        raise ValueError("design matrix is rank deficient")
+    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    resid = y - X @ beta
+    se = None
+    if compute_se:
+        if n <= k:
+            raise ValueError("too few observations for standard errors")
+        s2 = resid @ resid / (n - k)
+        xtx_inv = np.linalg.inv(X.T @ X)
+        se = np.sqrt(s2 * np.diag(xtx_inv))
+    return beta, resid, se

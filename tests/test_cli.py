@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ballwise import cli
+from ballwise import cli, evalsim
 from ballwise.cli import _balls_csv, main
 from ballwise.domain import (
     ProductDomain,
@@ -18,14 +19,15 @@ from ballwise.domain import (
 from ballwise.glm import DesignSpec, HypothesisSpec, save_signals_csv
 from ballwise.mesh import build_icosphere, load_distance_cache, load_mesh
 from ballwise.permute import PermutationPlan, run_inference
+from oracles import weight_matrix
 
 
-def write_test_setup(tmp_path, n_perm=19, seed=5, cap="inf"):
-    """Icosphere-order-1 two-sample run config plus matching data."""
+def write_test_setup(tmp_path, n_perm=19, seed=5, cap="inf", order=1):
+    """Icosphere two-sample run config plus matching data."""
     mesh_path = tmp_path / "ico.off"
-    assert main(["tessellate", "--order", "1", "--out", str(mesh_path)]) == 0
+    assert main(["tessellate", "--order", str(order), "--out", str(mesh_path)]) == 0
     rng = np.random.default_rng(0)
-    Y = rng.standard_normal((8, 12))
+    Y = rng.standard_normal((8, load_mesh(mesh_path).n_vertices))
     data_path = tmp_path / "signals.csv"
     save_signals_csv(Y, data_path)
     config = {
@@ -153,6 +155,41 @@ class TestTestCommand:
         assert main(["test", "--config", str(config), "--out-dir", str(out_dir)]) == 2
         assert not (out_dir / "pointwise.csv").exists()
 
+    def test_manifest_family_size(self, tmp_path):
+        config = write_test_setup(tmp_path, cap=1.2)
+        cfg = json.loads(config.read_text())
+        cfg["domain"]["components"].append(
+            {"kind": "circle", "points": 3, "circumference": 3.0}
+        )
+        save_signals_csv(np.random.default_rng(1).standard_normal((8, 36)), cfg["data"]["path"])
+        config.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "o"
+        assert main(["test", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        fam = enumerate_family(
+            ProductDomain(
+                [
+                    mesh_component(load_mesh(tmp_path / "ico.off"), radius_cap=1.2),
+                    circle_component(3, circumference=3.0),
+                ]
+            )
+        )
+        assert manifest["family_shape"] == list(fam.shape) and len(fam.shape) == 2
+        assert manifest["family_balls"] == fam.n_balls
+        assert manifest["family_memberships"] == weight_matrix(fam).nnz
+
+    def test_order8_full_cap_family(self, tmp_path):
+        # 100 M support memberships: refused while the family was one sparse
+        # matrix with a membership limit
+        config = write_test_setup(tmp_path, n_perm=9, order=8)
+        out_dir = tmp_path / "o"
+        assert main(["test", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["family_shape"] == [314_481]
+        assert manifest["family_memberships"] == 100_222_114
+        with open(out_dir / "balls.csv", newline="") as fh:
+            assert sum(1 for _ in fh) == 314_481 + 1
+
     def test_column_mismatch(self, tmp_path):
         config = write_test_setup(tmp_path)
         cfg = json.loads(config.read_text())
@@ -161,6 +198,42 @@ class TestTestCommand:
         cfg["data"]["path"] = str(bad)
         config.write_text(json.dumps(cfg))
         assert main(["test", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+class TestFamilyGuard:
+    """domain.max_balls: a positive integer; over-limit families exit 2."""
+
+    @staticmethod
+    def run_with_domain_key(tmp_path, key, value, command="test"):
+        config = write_test_setup(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg["domain"][key] = value
+        config.write_text(json.dumps(cfg))
+        if command == "test":
+            return main(["test", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        return main(
+            ["adjust", "--config", str(config), "--balls", str(tmp_path / "b.csv"),
+             "--caps", "inf", "--out-dir", str(tmp_path / "a")]
+        )
+
+    @pytest.mark.parametrize("value", ["abc", -5, 0, True, 2.5, None])
+    def test_bad_value(self, tmp_path, value, capsys):
+        assert self.run_with_domain_key(tmp_path, "max_balls", value) == 2
+        assert "max_balls must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["test", "adjust"])
+    def test_over_limit_family(self, tmp_path, command, capsys):
+        # the order-1 full-cap family has 37 balls
+        assert self.run_with_domain_key(tmp_path, "max_balls", 36, command) == 2
+        err = capsys.readouterr().err
+        assert "37 balls (limit 36)" in err and "domain.max_balls" in err
+
+    def test_at_limit_runs(self, tmp_path):
+        assert self.run_with_domain_key(tmp_path, "max_balls", 37) == 0
+
+    def test_old_key_rejected(self, tmp_path, capsys):
+        assert self.run_with_domain_key(tmp_path, "max_memberships", 50_000_000) == 2
+        assert "max_balls" in capsys.readouterr().err
 
 
 class TestAdjust:
@@ -269,6 +342,18 @@ class TestSimulate:
         assert rows[0]["sensitivity"] == ""  # global null
         for key in ("fwer", "fpr", "fdr"):
             assert 0.0 <= float(rows[0][key]) <= 1.0
+
+    def test_over_limit_family(self, tmp_path, monkeypatch, capsys):
+        # the order-1 full-cap family has 37 balls
+        monkeypatch.setattr(
+            evalsim, "enumerate_family", functools.partial(enumerate_family, max_balls=5)
+        )
+        sweep = [{"icosphere_order": 1, "n_samples": 8, "permutations": 9,
+                  "replicates": 1, "seed": 1}]
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(sweep))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "37 balls (limit 5)" in capsys.readouterr().err
 
     def test_twelve_scenario_sweep(self, tmp_path):
         sweep = []

