@@ -17,11 +17,14 @@ import io
 import json
 import math
 import os
+import platform
+import resource
 import sys
 import time
 from collections.abc import Iterable, Iterator
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .domain import (
@@ -101,6 +104,25 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
+def _load_mesh(path: str, where: str, edge_lengths=None):
+    """The mesh of an OFF file with optional edge-length overrides; a file
+    that does not describe a valid mesh is a ``ConfigError``."""
+    if not os.path.exists(path):
+        raise ConfigError(f"{where}mesh file not found: {path}")
+    try:
+        m = load_mesh(path)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}") from None
+    if edge_lengths:
+        if not os.path.exists(edge_lengths):
+            raise ConfigError(f"{where}edge-length file not found: {edge_lengths}")
+        try:
+            m.override_edge_lengths(edge_lengths)
+        except ValueError as exc:
+            raise ConfigError(f"{where}{exc}") from None
+    return m
+
+
 def _build_component(section: dict, where: str):
     _check_keys(
         section,
@@ -114,36 +136,41 @@ def _build_component(section: dict, where: str):
     if kind == "mesh":
         if "path" not in section:
             raise ConfigError(f"{where}: mesh component needs a 'path'")
-        path = section["path"]
-        if not os.path.exists(path):
-            raise ConfigError(f"{where}: mesh file not found: {path}")
-        m = load_mesh(path)
-        if section.get("edge_lengths"):
-            if not os.path.exists(section["edge_lengths"]):
-                raise ConfigError(
-                    f"{where}: edge-length file not found: {section['edge_lengths']}"
-                )
-            m.override_edge_lengths(section["edge_lengths"])
-        m.compute_weights()
+        m = _load_mesh(section["path"], f"{where}: ", section.get("edge_lengths"))
+        try:
+            m.compute_weights()
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
         cache = section.get("distance_cache")
         if cache and os.path.exists(cache):
-            m.distances = load_distance_cache(cache)
-            if m.distances.shape[0] != m.n_vertices:
+            try:
+                m.distances = load_distance_cache(cache, limit=cap)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            m.distance_limit = cap
+            if len(m.distances) != m.n_vertices:
                 raise ConfigError(f"{where}: distance cache does not match the mesh")
         return mesh_component(m, radius_cap=cap)
-    if kind == "circle":
-        if "points" not in section:
-            raise ConfigError(f"{where}: circle component needs 'points'")
-        return circle_component(
-            int(section["points"]),
-            circumference=float(section.get("circumference", 2 * math.pi)),
-            radius_cap=cap,
-        )
-    if kind == "interval":
-        if "bounds" not in section or "points" not in section:
-            raise ConfigError(f"{where}: interval component needs 'bounds' and 'points'")
-        a, b = section["bounds"]
-        return interval_component(float(a), float(b), int(section["points"]), radius_cap=cap)
+    try:
+        if kind == "circle":
+            if "points" not in section:
+                raise ConfigError(f"{where}: circle component needs 'points'")
+            return circle_component(
+                int(section["points"]),
+                circumference=float(section.get("circumference", 2 * math.pi)),
+                radius_cap=cap,
+            )
+        if kind == "interval":
+            if "bounds" not in section or "points" not in section:
+                raise ConfigError(
+                    f"{where}: interval component needs 'bounds' and 'points'"
+                )
+            a, b = section["bounds"]
+            return interval_component(
+                float(a), float(b), int(section["points"]), radius_cap=cap
+            )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}: unknown component kind {kind!r}")
 
 
@@ -180,28 +207,31 @@ def _load_signals(section: dict):
     if not os.path.exists(path):
         raise ConfigError(f"data file not found: {path}")
     fmt = section.get("format", "csv")
-    if fmt == "csv":
-        Y, _ = load_signals_csv(path)
-        return Y
-    if fmt == "bin":
+    if fmt not in ("csv", "bin"):
+        raise ConfigError(f"data.format must be 'csv' or 'bin', got {fmt!r}")
+    try:
+        if fmt == "csv":
+            Y, _ = load_signals_csv(path)
+            return Y
         return load_signals_bin(path)
-    raise ConfigError(f"data.format must be 'csv' or 'bin', got {fmt!r}")
+    except ValueError as exc:
+        raise ConfigError(f"data: {exc}") from None
 
 
 def _build_model(section: dict):
     _check_keys(section, {"statistic", "groups", "covariate"}, {"statistic"}, "model")
     stat = section["statistic"]
-    if stat == "t_two_sample_sq":
-        if "groups" not in section:
-            raise ConfigError("model: t_two_sample_sq needs 'groups'")
-        design = DesignSpec(group_labels=np.asarray(section["groups"]))
-    else:
-        if "covariate" not in section:
-            raise ConfigError(f"model: {stat} needs 'covariate'")
-        design = DesignSpec(covariates=np.asarray(section["covariate"], dtype=float))
     try:
         hyp = HypothesisSpec(statistic=stat)
-    except ValueError as exc:
+        if stat == "t_two_sample_sq":
+            if "groups" not in section:
+                raise ConfigError("model: t_two_sample_sq needs 'groups'")
+            design = DesignSpec(group_labels=np.asarray(section["groups"]))
+        else:
+            if "covariate" not in section:
+                raise ConfigError(f"model: {stat} needs 'covariate'")
+            design = DesignSpec(covariates=np.asarray(section["covariate"], dtype=float))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"model: {exc}") from None
     return design, hyp
 
@@ -245,7 +275,14 @@ def _manifest(config: dict, plan, family, elapsed: float) -> str:
             "family_shape": list(family.shape),
             "family_memberships": family.n_memberships,
             "ballwise_version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "wall_time_s": round(elapsed, 3),
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+            ),
         },
         indent=2,
     )
@@ -336,13 +373,7 @@ def cmd_tessellate(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    if not os.path.exists(args.mesh):
-        raise ConfigError(f"mesh file not found: {args.mesh}")
-    m = load_mesh(args.mesh)
-    if args.edge_lengths:
-        if not os.path.exists(args.edge_lengths):
-            raise ConfigError(f"edge-length file not found: {args.edge_lengths}")
-        m.override_edge_lengths(args.edge_lengths)
+    m = _load_mesh(args.mesh, "", args.edge_lengths)
     m.compute_distances()
     save_distance_cache(m.distances, args.out)
     print(f"wrote {m.n_vertices}x{m.n_vertices} distance cache -> {args.out}")
@@ -372,6 +403,11 @@ def cmd_test(args) -> int:
             f"{domain.size} grid points"
         )
     design, hyp = _build_model(config["model"])
+    if design.n_obs != Y.shape[0]:
+        raise ConfigError(
+            f"model: the design has {design.n_obs} observations but the signal "
+            f"matrix has {Y.shape[0]} rows"
+        )
     seed_env = os.environ.get("BALLWISE_SEED")
     plan, alpha = _build_plan(
         config["inference"], args.seed if args.seed is not None else seed_env
@@ -509,7 +545,10 @@ def cmd_simulate(args) -> int:
         cfg = _scenario_from_config(section, idx)
         key = (cfg.mesh_path, cfg.icosphere_order, cfg.icosphere_radius)
         if key not in mesh_cache:
-            mesh_cache[key] = cfg.build_mesh()
+            try:
+                mesh_cache[key] = cfg.build_mesh()
+            except ValueError as exc:
+                raise ConfigError(f"scenario[{idx}]: {exc}") from None
         mesh = mesh_cache[key]
         _apply_truth(cfg, section, mesh, idx)
         try:

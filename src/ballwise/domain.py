@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import TriangulatedManifold
+from .mesh import DistanceRows, TriangulatedManifold
 
 __all__ = [
     "ComponentGrid",
@@ -52,9 +52,7 @@ DEFAULT_MAX_BALLS = 10_000_000
 TILE_ADD_VALUES = 1 << 12
 TILE_MAX_VALUES = 1 << 22
 
-# Elements per block of the enumeration's temporaries: distance-matrix rows
-# scanned at once, and support entries compared at once when duplicates are
-# confirmed.
+# Support entries compared at once when duplicate supports are confirmed.
 ENUMERATION_BLOCK = 1 << 20
 
 
@@ -64,22 +62,22 @@ class ComponentGrid:
 
     ``points`` carries a scalar label per grid point (mesh: vertex index;
     circle: arc-length position; interval: coordinate). ``weights`` are the
-    per-point quadrature weights and ``distances`` the pairwise metric; only
-    entries below ``radius_cap`` are read, so farther ones may be ``inf``.
+    per-point quadrature weights and ``rows`` the metric below the cap: for
+    each center, the points at distance < ``radius_cap`` by (distance,
+    index), with their distances. Nothing farther is ever needed.
     """
 
     kind: str  # "mesh" | "circle" | "interval"
     points: np.ndarray
     weights: np.ndarray
-    distances: np.ndarray
+    rows: DistanceRows
     radius_cap: float = math.inf
 
     def __post_init__(self):
         self.points = np.asarray(self.points)
         self.weights = np.asarray(self.weights, dtype=float)
-        self.distances = np.asarray(self.distances, dtype=float)
         n = len(self.points)
-        if self.weights.shape != (n,) or self.distances.shape != (n, n):
+        if self.weights.shape != (n,) or len(self.rows) != n:
             raise ValueError("component arrays have inconsistent sizes")
         if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
             raise ValueError("component weights must be positive and finite")
@@ -94,21 +92,32 @@ class ComponentGrid:
         return float(self.weights.sum())
 
 
+def _in_cap_rows(n: int, block_rows, cap: float) -> DistanceRows:
+    """The sorted in-cap rows of dense distances given a block of rows at a
+    time (``block_rows(start, stop)``)."""
+    return DistanceRows.from_blocks(n, block_rows, lambda block: block < cap)
+
+
 def mesh_component(m: TriangulatedManifold, radius_cap: float = math.inf) -> ComponentGrid:
     """Wrap a triangulated mesh as a product-domain component.
 
-    Distances not yet computed are computed only out to ``radius_cap``: the
-    balls need nothing farther.
+    Distances not yet computed, or computed only out to a limit below
+    ``radius_cap``, are computed out to ``radius_cap``: the balls need
+    nothing farther.
     """
     if m.weights is None:
         m.compute_weights()
-    if m.distances is None:
+    if m.distances is None or m.distance_limit < radius_cap:
         m.compute_distances(limit=radius_cap)
+    if isinstance(m.distances, DistanceRows):
+        rows = m.distances.below(radius_cap)
+    else:
+        rows = _in_cap_rows(m.n_vertices, lambda a, b: m.distances[a:b], radius_cap)
     return ComponentGrid(
         kind="mesh",
         points=np.arange(m.n_vertices),
         weights=m.weights,
-        distances=m.distances,
+        rows=rows,
         radius_cap=radius_cap,
     )
 
@@ -123,13 +132,16 @@ def circle_component(
         raise ValueError("circumference must be positive")
     step = circumference / n_points
     idx = np.arange(n_points)
-    k = np.abs(idx[:, None] - idx[None, :])
-    k = np.minimum(k, n_points - k)
+
+    def block_rows(start, stop):
+        k = np.abs(idx[start:stop, None] - idx[None, :])
+        return np.minimum(k, n_points - k) * step
+
     return ComponentGrid(
         kind="circle",
         points=idx * step,
         weights=np.full(n_points, step),
-        distances=k * step,
+        rows=_in_cap_rows(n_points, block_rows, radius_cap),
         radius_cap=radius_cap,
     )
 
@@ -146,11 +158,15 @@ def interval_component(
     h = (b - a) / (n_points - 1)
     w = np.full(n_points, h)
     w[0] = w[-1] = h / 2
+
+    def block_rows(start, stop):
+        return np.abs(pts[start:stop, None] - pts[None, :])
+
     return ComponentGrid(
         kind="interval",
         points=pts,
         weights=w,
-        distances=np.abs(pts[:, None] - pts[None, :]),
+        rows=_in_cap_rows(n_points, block_rows, radius_cap),
         radius_cap=radius_cap,
     )
 
@@ -266,34 +282,25 @@ def _zobrist_keys(n: int) -> np.ndarray:
 def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
     """All distinct ball supports of one component under its radius cap.
 
-    For each center, only the distances below the cap are sorted, so rows
-    may hold ``inf`` (or any value not below the cap) beyond it. Each
-    distinct in-cap value v gives the support {d <= v} with inner radius v;
-    its radius is the next in-cap value, or, for the widest support, the cap
-    (``v + 1`` when the cap is infinite and the support is the whole grid).
-    Supports are deduplicated across centers, keeping the first center that
-    realizes each: candidates are grouped by size and Zobrist hash, and every
+    Only the in-cap rows are read. Each distinct in-cap value v of a row
+    gives the support {d <= v} with inner radius v; its radius is the next
+    in-cap value, or, for the widest support, the cap (``v + 1`` when the cap
+    is infinite and the support is the whole grid). Supports are
+    deduplicated across centers, keeping the first center that realizes
+    each: candidates are grouped by size and Zobrist hash, and every
     duplicate is confirmed exactly against its group's first candidate, so a
     hash collision never merges two supports.
     """
-    n, cap = g.size, g.radius_cap
-    # in-cap entries by (row, distance, index), a block of rows at a time
-    parts = []
-    step = max(1, ENUMERATION_BLOCK // n)
-    for start in range(0, n, step):
-        block = g.distances[start:start + step]
-        r, c = np.nonzero(block < cap)  # row-major: indices ascend in a row
-        d = block[r, c]
-        s = np.lexsort((d, r))  # stable, so equal distances keep index order
-        parts.append((r[s] + start, c[s], d[s]))
-    rows, cols, dists = (np.concatenate(a) for a in zip(*parts))
-    counts = np.bincount(rows, minlength=n)
+    n, cap, rows = g.size, g.radius_cap, g.rows
+    counts = np.diff(rows.indptr)
     L = int(counts.max())
-    pos = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    row = np.repeat(np.arange(n), counts)
+    pos = np.arange(len(row)) - rows.indptr[row]
     order = np.full((n, L), n, dtype=np.int32)
-    order[rows, pos] = cols
+    order[row, pos] = rows.indices
     sorted_d = np.full((n, L + 1), np.inf)
-    sorted_d[rows, pos] = dists
+    sorted_d[row, pos] = rows.values
+    del row, pos
 
     # a prefix of length j + 1 is a support where the sorted distance grows
     brow, bpos = np.nonzero(sorted_d[:, 1:] > sorted_d[:, :-1])
@@ -308,7 +315,7 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
 
     keys = np.append(_zobrist_keys(n), np.uint64(0))
     hashes = np.bitwise_xor.accumulate(keys[order], axis=1)[brow, bpos]
-    first = _first_equal_support(g.distances, order, brow, sizes, inner, hashes)
+    first = _first_equal_support(order, brow, sizes, hashes)
     is_ball = first == np.arange(len(first))
     return ComponentBalls(
         order=order,
@@ -320,7 +327,7 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
     )
 
 
-def _first_equal_support(distances, order, rows, sizes, inner, hashes) -> np.ndarray:
+def _first_equal_support(order, rows, sizes, hashes) -> np.ndarray:
     """For each candidate (prefix ``sizes[i]`` of row ``rows[i]``, in scan
     order), the index of the first candidate with the same support."""
     first = np.empty(len(rows), dtype=np.intp)
@@ -334,22 +341,23 @@ def _first_equal_support(distances, order, rows, sizes, inner, hashes) -> np.nda
         starts[1:] = (sizes[s[1:]] != sizes[s[:-1]]) | (hashes[s[1:]] != hashes[s[:-1]])
         lead = np.empty_like(todo)
         lead[perm] = s[np.maximum.accumulate(np.where(starts, np.arange(len(s)), 0))]
-        same = _same_support(distances, order, rows, sizes, inner, lead, todo)
+        same = _same_support(order, rows, sizes, lead, todo)
         first[todo[same]] = lead[same]
         todo = todo[~same]  # collided with another support: regroup
     return first
 
 
-def _same_support(distances, order, rows, sizes, inner, lead, cand) -> np.ndarray:
+def _same_support(order, rows, sizes, lead, cand) -> np.ndarray:
     """Whether each candidate's support equals its group lead's.
 
-    Both have the same size, so they are equal when every point of the
-    candidate lies within the lead's inner radius of the lead's center.
+    Both are prefixes of the same size, so they are equal when their points,
+    sorted, are; no distance is needed.
     """
     same = lead == cand
     check = np.flatnonzero(~same)
     k = sizes[cand[check]]
     ends = np.cumsum(k)
+    stride = order.shape[0] + 1
     start = 0
     while start < len(check):
         limit = ends[start] - k[start] + ENUMERATION_BLOCK
@@ -357,9 +365,11 @@ def _same_support(distances, order, rows, sizes, inner, lead, cand) -> np.ndarra
         part, kk = check[start:stop], k[start:stop]
         offsets = np.cumsum(kk) - kk
         seg = np.repeat(np.arange(len(part)), kk)
-        points = order[rows[cand[part]][seg], np.arange(len(seg)) - offsets[seg]]
-        outside = distances[rows[lead[part]][seg], points] > inner[lead[part]][seg]
-        same[part] = ~np.logical_or.reduceat(outside, offsets)
+        col = np.arange(len(seg)) - offsets[seg]
+        # points keyed by their pair, so one sort orders every pair's points
+        ours = np.sort(seg * stride + order[rows[cand[part]][seg], col])
+        theirs = np.sort(seg * stride + order[rows[lead[part]][seg], col])
+        same[part] = ~np.logical_or.reduceat(ours != theirs, offsets)
         start = stop
     return same
 

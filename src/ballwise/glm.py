@@ -9,6 +9,7 @@ the squared OLS slope. All are nonnegative by construction.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -48,9 +49,11 @@ class DesignSpec:
                 self.covariates = self.covariates.T
         if self.group_labels is not None:
             self.group_labels = np.asarray(self.group_labels)
-            uniq = np.unique(self.group_labels)
-            if len(uniq) != 2:
+            _, sizes = np.unique(self.group_labels, return_counts=True)
+            if len(sizes) != 2:
                 raise ValueError("group_labels must define exactly two groups")
+            if sizes.min() < 2:
+                raise ValueError("both groups need at least two observations")
 
     @property
     def n_obs(self) -> int:
@@ -220,7 +223,10 @@ def load_signals_csv(path) -> tuple[np.ndarray, list[str]]:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty signal file") from None
-        rows = [[float(v) for v in row] for row in reader if row]
+        try:
+            rows = [[float(v) for v in row] for row in reader if row]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     Y = np.array(rows, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != len(header):
         raise ValueError(f"{path}: ragged or empty signal matrix")
@@ -241,7 +247,8 @@ def load_signals_bin(path) -> np.ndarray:
         if len(head) < 16:
             raise ValueError(f"{path}: truncated signal file")
         n, m = struct.unpack("<QQ", head)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * m:
-        raise ValueError(f"{path}: expected {n * m} entries, found {data.size}")
-    return data.reshape(n, m).astype(float)
+        size = os.fstat(fh.fileno()).st_size - 16
+        if size != 8 * n * m:
+            raise ValueError(f"{path}: expected {n * m} entries, found {size / 8:g}")
+        data = np.fromfile(fh, dtype="<f8", count=n * m)
+    return data.reshape(n, m).astype(float, copy=False)

@@ -11,8 +11,11 @@ defines the metric balls B(x, r) = {e : d(x, e) < r}.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +24,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 __all__ = [
     "TriangulatedManifold",
+    "DistanceRows",
     "triangle_area",
     "load_mesh",
     "save_off",
@@ -31,6 +35,11 @@ __all__ = [
 
 # Relative slack on the triangle inequality before a triangle is rejected.
 DEGENERACY_RTOL = 1e-9
+
+# Elements per block of rows when distances are kept only up to a bound: a
+# bounded Dijkstra or a cache file produces this many dense distances at a
+# time, and each block is compressed before the next one is made.
+DISTANCE_BLOCK = 1 << 20
 
 
 def triangle_area(l1: float, l2: float, l3: float) -> float:
@@ -56,6 +65,67 @@ def triangle_area(l1: float, l2: float, l3: float) -> float:
     return float(np.sqrt(max(rad, 0.0)))
 
 
+@dataclass(frozen=True)
+class DistanceRows:
+    """Distances from each center to the points near it, as sorted CSR rows.
+
+    Row i holds the points ``indices[indptr[i]:indptr[i + 1]]`` ordered by
+    (distance, index), and ``values`` their distances at the same positions.
+    Which points a row keeps (those within a search bound, or below a ball
+    cap) is up to whoever builds it.
+    """
+
+    indptr: np.ndarray   # (n + 1,) int64
+    indices: np.ndarray  # (nnz,) int32
+    values: np.ndarray   # (nnz,) float64
+
+    @classmethod
+    def from_blocks(
+        cls,
+        n: int,
+        block_rows: Callable[[int, int], np.ndarray],
+        keep: Callable[[np.ndarray], np.ndarray],
+    ) -> "DistanceRows":
+        """Compress dense rows one block at a time.
+
+        ``block_rows(start, stop)`` returns rows ``start:stop`` of the n x n
+        distances, about ``DISTANCE_BLOCK`` elements per call, and
+        ``keep(block)`` marks the entries to keep.
+        """
+        counts = np.zeros(n, dtype=np.int64)
+        indices, values = [np.empty(0, dtype=np.int32)], [np.empty(0)]
+        step = max(1, DISTANCE_BLOCK // max(n, 1))
+        for start in range(0, n, step):
+            stop = min(n, start + step)
+            block = block_rows(start, stop)
+            r, c = np.nonzero(keep(block))  # row-major: indices ascend in a row
+            d = block[r, c]
+            s = np.lexsort((d, r))  # stable, so equal distances keep index order
+            indices.append(c[s].astype(np.int32))
+            values.append(d[s])
+            counts[start:stop] = np.bincount(r, minlength=stop - start)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return cls(indptr, np.concatenate(indices), np.concatenate(values))
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Points and distances of row i, by (distance, index)."""
+        span = slice(self.indptr[i], self.indptr[i + 1])
+        return self.indices[span], self.values[span]
+
+    def below(self, bound: float) -> "DistanceRows":
+        """The entries with distance < ``bound``: a prefix of every row."""
+        keep = self.values < bound
+        if keep.all():
+            return self
+        kept = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        return DistanceRows(kept[self.indptr], self.indices[keep], self.values[keep])
+
+
 @dataclass
 class TriangulatedManifold:
     """One triangulated component manifold.
@@ -73,9 +143,11 @@ class TriangulatedManifold:
         can be overridden (see :meth:`override_edge_lengths`).
     weights : (n,) float array or None
         Vertex quadrature weights, populated by :meth:`compute_weights`.
-    distances : (n, n) float array or None
+    distances : (n, n) float array, DistanceRows or None
         Graph-geodesic distances, populated by :meth:`compute_distances`.
-        ``inf`` marks disconnected pairs and pairs beyond ``distance_limit``.
+        All pairs (an array, ``inf`` across disconnected parts) when
+        ``distance_limit`` is infinite; otherwise each vertex's row of the
+        vertices within ``distance_limit``.
     distance_limit : float
         The ``limit`` the distances were computed with (``inf``: all pairs).
     """
@@ -84,7 +156,7 @@ class TriangulatedManifold:
     triangles: np.ndarray
     edge_lengths: np.ndarray = field(default=None)  # type: ignore[assignment]
     weights: np.ndarray | None = None
-    distances: np.ndarray | None = None
+    distances: np.ndarray | DistanceRows | None = None
     distance_limit: float = np.inf
 
     def __post_init__(self):
@@ -94,10 +166,14 @@ class TriangulatedManifold:
         if self.triangles.size:
             if self.triangles.min() < 0 or self.triangles.max() >= n:
                 raise ValueError("triangle references an invalid vertex index")
-            for tri in self.triangles:
-                if len(set(tri)) != 3:
-                    raise ValueError(f"triangle {tri.tolist()} has repeated vertices")
-        self.edges = _unique_edges(self.triangles)
+            t = self.triangles
+            repeated = (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])
+            if repeated.any():
+                tri = t[np.argmax(repeated)]
+                raise ValueError(f"triangle {tri.tolist()} has repeated vertices")
+        self.edges = _unique_edges(self.triangles, n)
+        # the edges' keys i * n + j, ascending, then a key no edge has
+        self._edge_keys = np.append(self.edges[:, 0] * n + self.edges[:, 1], n * n)
         if self.edge_lengths is None:
             diffs = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
             self.edge_lengths = np.linalg.norm(diffs, axis=1)
@@ -107,17 +183,27 @@ class TriangulatedManifold:
                 raise ValueError("edge_lengths does not match the edge count")
         if np.any(self.edge_lengths < 0):
             raise ValueError("negative edge length")
-        self._edge_index = {
-            (int(i), int(j)): k for k, (i, j) in enumerate(self.edges)
-        }
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
+    def _edge_ids(self, i, j) -> np.ndarray:
+        """Positions in ``edges`` of the undirected edges (i, j); -1 where
+        there is no such edge."""
+        n = self.n_vertices
+        lo = np.minimum(i, j).astype(np.int64)
+        hi = np.maximum(i, j).astype(np.int64)
+        keys = lo * n + hi
+        pos = np.minimum(np.searchsorted(self._edge_keys, keys), len(self.edges))
+        found = (lo >= 0) & (hi < n) & (self._edge_keys[pos] == keys)
+        return np.where(found, pos, -1)
+
     def edge_length(self, i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        return float(self.edge_lengths[self._edge_index[key]])
+        k = int(self._edge_ids(i, j))
+        if k < 0:
+            raise KeyError((min(i, j), max(i, j)))
+        return float(self.edge_lengths[k])
 
     def override_edge_lengths(self, path) -> None:
         """Apply per-edge length overrides from a CSV of ``i,j,length`` rows.
@@ -125,33 +211,51 @@ class TriangulatedManifold:
         Invalidates previously computed weights and distances.
         """
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                i, j, length = int(row[0]), int(row[1]), float(row[2])
-                key = (min(i, j), max(i, j))
-                if key not in self._edge_index:
-                    raise ValueError(f"override for non-existent edge ({i}, {j})")
-                if length < 0:
-                    raise ValueError(f"negative override length for edge ({i}, {j})")
-                self.edge_lengths[self._edge_index[key]] = length
+            rows = [
+                row for row in csv.reader(fh)
+                if row and not row[0].lstrip().startswith("#")
+            ]
+        try:
+            i = np.array([int(row[0]) for row in rows], dtype=np.int64)
+            j = np.array([int(row[1]) for row in rows], dtype=np.int64)
+            length = np.array([float(row[2]) for row in rows])
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed edge-length row ({exc})") from None
+        ids = self._edge_ids(i, j)
+        missing, negative = ids < 0, length < 0
+        if (missing | negative).any():
+            k = int(np.argmax(missing | negative))
+            what = "override for non-existent edge" if missing[k] else (
+                "negative override length for edge"
+            )
+            raise ValueError(f"{path}: {what} ({i[k]}, {j[k]})")
+        self.edge_lengths[ids] = length
         self.weights = None
         self.distances = None
 
     def triangle_areas(self) -> np.ndarray:
         """Flat areas of all triangles from their (possibly overridden) edge
-        lengths."""
-        areas = np.empty(len(self.triangles))
-        for k, (a, b, c) in enumerate(self.triangles):
+        lengths: ``triangle_area`` on every triangle at once."""
+        a, b, c = self.triangles.T
+        sides_of = [self._edge_ids(a, b), self._edge_ids(b, c), self._edge_ids(a, c)]
+        lengths = self.edge_lengths[np.stack(sides_of, axis=1)]
+        sides = np.sort(lengths, axis=1)
+        perimeter = sides[:, 0] + sides[:, 1] + sides[:, 2]
+        violation = sides[:, 2] - (sides[:, 0] + sides[:, 1])
+        bad = (sides[:, 0] < 0) | (violation > DEGENERACY_RTOL * perimeter)
+        if bad.any():
+            k = int(np.argmax(bad))
             try:
-                areas[k] = triangle_area(
-                    self.edge_length(a, b),
-                    self.edge_length(b, c),
-                    self.edge_length(a, c),
-                )
+                triangle_area(*lengths[k].tolist())
             except ValueError as exc:
-                raise ValueError(f"triangle #{k} ({a},{b},{c}): {exc}") from exc
-        return areas
+                raise ValueError(
+                    f"triangle #{k} ({a[k]},{b[k]},{c[k]}): {exc}"
+                ) from exc
+        s = 0.5 * perimeter
+        rad = s * (s - sides[:, 0]) * (s - sides[:, 1]) * (s - sides[:, 2])
+        # max(rad, 0.0) as triangle_area takes it: nan and -0.0 pass through
+        area = np.sqrt(np.where(rad < 0, 0.0, rad))
+        return np.where(violation > 0, 0.0, area)
 
     def compute_weights(self) -> "TriangulatedManifold":
         """Populate vertex quadrature weights: one third of the total area of
@@ -190,15 +294,29 @@ class TriangulatedManifold:
         """Populate shortest-path distances over the edge graph.
 
         If ``allowed_vertices`` is given, only edges within that subset are
-        traversed. Pairs farther apart than ``limit`` get ``inf``; every
-        distance up to and including ``limit`` is the same as in the
-        unbounded run, so a ball cap needs only ``limit=cap``. A graph with
-        more than one connected component warns, and its cross-component
-        pairs are ``inf`` whatever the limit.
+        traversed. With an infinite ``limit`` the distances are the all-pairs
+        matrix. With a finite one they are ``DistanceRows`` holding, for each
+        vertex, the vertices within ``limit``: the search runs over blocks of
+        source rows and each block is compressed before the next, so no n x n
+        array is made, and every distance up to and including ``limit`` is
+        the same as in the unbounded run. A ball cap therefore needs only
+        ``limit=cap``. A graph with more than one connected component warns;
+        its cross-component pairs are ``inf`` (or absent) whatever the limit.
         """
         graph = self.adjacency(allowed_vertices)
-        d = dijkstra(graph, directed=False, limit=limit)
-        np.fill_diagonal(d, 0.0)
+        if math.isinf(limit):
+            d = dijkstra(graph, directed=False)
+            np.fill_diagonal(d, 0.0)
+        else:
+            def block_rows(start, stop):
+                sources = np.arange(start, stop)
+                block = dijkstra(graph, directed=False, indices=sources, limit=limit)
+                block[sources - start, sources] = 0.0
+                return block
+
+            d = DistanceRows.from_blocks(
+                self.n_vertices, block_rows, lambda block: block <= limit
+            )
         self.distance_limit = limit
         if _n_components(graph) > 1:
             warnings.warn(
@@ -219,21 +337,22 @@ class TriangulatedManifold:
             raise ValueError(
                 f"radius {r} is beyond the distance limit {self.distance_limit}"
             )
-        if np.isinf(self.distance_limit) and np.isinf(self.distances[center]).any():
+        if isinstance(self.distances, DistanceRows):
+            points, d = self.distances.row(center)
+            return np.sort(points[d < r]).astype(np.intp)
+        if np.isinf(self.distances[center]).any():
             raise ValueError(
                 f"vertex {center} is disconnected from part of the mesh"
             )
         return np.nonzero(self.distances[center] < r)[0]
 
 
-def _unique_edges(triangles: np.ndarray) -> np.ndarray:
-    if triangles.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    pairs = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [0, 2]]]
-    )
-    pairs.sort(axis=1)
-    return np.unique(pairs, axis=0)
+def _unique_edges(triangles: np.ndarray, n: int) -> np.ndarray:
+    """The sorted (i < j) vertex pairs joined by a triangle side, ascending."""
+    i = np.concatenate([triangles[:, 0], triangles[:, 1], triangles[:, 0]])
+    j = np.concatenate([triangles[:, 1], triangles[:, 2], triangles[:, 2]])
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 # --- OFF file I/O ------------------------------------------------------------
@@ -247,31 +366,32 @@ def load_mesh(path, fmt: str = "OFF") -> TriangulatedManifold:
     if fmt.upper() != "OFF":
         raise ValueError(f"unsupported mesh format: {fmt}")
     with open(path) as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
+        text = fh.read()
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    tokens = text.split()
     if not tokens or tokens[0].upper() != "OFF":
         raise ValueError(f"{path}: missing OFF header")
     tokens = tokens[1:]
     try:
         nv, nf = int(tokens[0]), int(tokens[1])
+        if nv < 0 or nf < 0:
+            raise ValueError("negative element count")
         pos = 3  # skip edge count
         verts = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
         pos += 3 * nv
-        faces = []
-        for _ in range(nf):
-            k = int(tokens[pos])
-            if k != 3:
-                raise ValueError(f"{path}: non-triangular face with {k} vertices")
-            faces.append([int(t) for t in tokens[pos + 1:pos + 4]])
-            pos += 1 + k
+        # each face is "3 i j k"; a face of another size ends the parse below
+        faces = np.array(tokens[pos:pos + 4 * nf], dtype=np.int64).reshape(nf, 4)
     except (IndexError, ValueError) as exc:
-        if "non-triangular" in str(exc):
-            raise
         raise ValueError(f"{path}: malformed OFF file ({exc})") from exc
-    m = TriangulatedManifold(verts, np.array(faces, dtype=np.int64))
+    other = faces[:, 0] != 3
+    if other.any():
+        k = faces[np.argmax(other), 0]
+        raise ValueError(f"{path}: non-triangular face with {k} vertices")
+    try:
+        m = TriangulatedManifold(verts, np.ascontiguousarray(faces[:, 1:]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if len(m.edges) and _n_components(m.adjacency()) > 1:
         warnings.warn(f"{path}: mesh is disconnected", stacklevel=2)
     return m
@@ -305,19 +425,35 @@ def save_distance_cache(distances: np.ndarray, path) -> None:
         raise ValueError("distance matrix must be square")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", n))
-        fh.write(d.tobytes())
+        fh.write(memoryview(d).cast("B"))  # the array's own buffer, not a copy
 
 
-def load_distance_cache(path) -> np.ndarray:
+def load_distance_cache(path, limit: float = np.inf) -> np.ndarray | DistanceRows:
+    """Read a cache written by ``save_distance_cache``.
+
+    With an infinite ``limit`` this is the n x n matrix. With a finite one it
+    is the ``DistanceRows`` of the entries up to ``limit``, as
+    ``TriangulatedManifold.compute_distances(limit=limit)`` returns them; the
+    file is then read a block of rows at a time and no n x n array is made.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(8)
         if len(raw) < 8:
             raise ValueError(f"{path}: truncated distance cache")
         (n,) = struct.unpack("<Q", raw)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * n:
-        raise ValueError(f"{path}: expected {n * n} entries, found {data.size}")
-    return data.reshape(n, n).astype(float)
+        size = os.fstat(fh.fileno()).st_size - 8
+        if size != 8 * n * n:
+            raise ValueError(f"{path}: expected {n * n} entries, found {size / 8:g}")
+        if math.isinf(limit):
+            return np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n).astype(
+                float, copy=False
+            )
+
+        def block_rows(start, stop):
+            block = np.fromfile(fh, dtype="<f8", count=(stop - start) * n)
+            return block.reshape(stop - start, n)
+
+        return DistanceRows.from_blocks(n, block_rows, lambda block: block <= limit)
 
 
 # --- icosphere ---------------------------------------------------------------

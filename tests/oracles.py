@@ -18,9 +18,50 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, kron
+from scipy.sparse.csgraph import dijkstra
 
+from ballwise.domain import mesh_component
 from ballwise.glm import DesignSpec, stat_field
 from ballwise.permute import PValueFields, adjusted_from_ballwise, generate_permutations
+
+
+# --- ground-truth distances ------------------------------------------------------
+
+def dense_dijkstra(m) -> np.ndarray:
+    """All-pairs distances of a mesh from one unbounded dense Dijkstra."""
+    d = dijkstra(m.adjacency(), directed=False)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def mesh_grid(m, radius_cap=math.inf):
+    """``mesh_component(m, radius_cap)`` that also carries, as ``truth``, the
+    mesh's ``dense_dijkstra`` distances for the oracles below."""
+    truth = dense_dijkstra(m)
+    g = mesh_component(m, radius_cap=radius_cap)
+    g.truth = truth
+    return g
+
+
+def distances(g) -> np.ndarray:
+    """All-pairs distances of a component, never read from its in-cap rows:
+    a mesh's ``truth`` (see ``mesh_grid``), or the closed form of a circle
+    or an interval."""
+    if g.kind == "mesh":
+        return g.truth
+    if g.kind == "circle":
+        idx = np.arange(g.size)
+        k = np.abs(idx[:, None] - idx[None, :])
+        return np.minimum(k, g.size - k) * g.weights[0]  # the weight is the step
+    return np.abs(g.points[:, None] - g.points[None, :])
+
+
+def rows_to_dense(rows) -> np.ndarray:
+    """``DistanceRows`` as an n x n matrix, ``inf`` where a row has no entry."""
+    n = len(rows)
+    d = np.full((n, n), np.inf)
+    d[np.repeat(np.arange(n), np.diff(rows.indptr)), rows.indices] = rows.values
+    return d
 
 
 # --- one component ---------------------------------------------------------------
@@ -29,9 +70,10 @@ def component_balls_loop(g):
     """The per-center enumeration loop: (center, radius, inner, support) per
     distinct support, deduplicated on the support's bytes, first center kept."""
     cap = g.radius_cap
+    D = distances(g)
     seen = {}
     for center in range(g.size):
-        d = g.distances[center]
+        d = D[center]
         in_cap = np.flatnonzero(d < cap)
         if not len(in_cap):
             continue

@@ -2,9 +2,11 @@ import csv
 import functools
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 import oracles
 from ballwise import cli, evalsim
@@ -16,7 +18,7 @@ from ballwise.domain import (
     interval_component,
     mesh_component,
 )
-from ballwise.glm import DesignSpec, HypothesisSpec, save_signals_csv
+from ballwise.glm import DesignSpec, HypothesisSpec, save_signals_bin, save_signals_csv
 from ballwise.mesh import build_icosphere, load_distance_cache, load_mesh
 from ballwise.permute import PermutationPlan, run_inference
 from oracles import weight_matrix
@@ -111,18 +113,38 @@ class TestTestCommand:
         assert (d1 / "balls.csv").read_bytes() == (d2 / "balls.csv").read_bytes()
 
     def test_capped_run_matches_full_distance_cache(self, tmp_path):
-        # without a cache the mesh distances stop at the cap; outputs must not
-        # change
-        config = write_test_setup(tmp_path, cap=1.5)
-        cache = tmp_path / "d.bin"
-        assert main(["distances", "--mesh", str(tmp_path / "ico.off"), "--out", str(cache)]) == 0
-        cfg = json.loads(config.read_text())
-        cfg["domain"]["components"][0]["distance_cache"] = str(cache)
-        cached_config = tmp_path / "cached.json"
-        cached_config.write_text(json.dumps(cfg))
-        d1, d2 = tmp_path / "bounded", tmp_path / "cached"
+        # without a cache the mesh distances stop at the cap, and with one the
+        # file is read a block of rows at a time; outputs must not change
+        for order, cap in ((1, 1.5), (3, 0.35), (3, "exact"), (2, "inf")):
+            work = tmp_path / f"{order}-{cap}"
+            work.mkdir()
+            cache = work / "d.bin"
+            mesh_path = work / "ico.off"
+            assert main(["tessellate", "--order", str(order), "--out", str(mesh_path)]) == 0
+            assert main(["distances", "--mesh", str(mesh_path), "--out", str(cache)]) == 0
+            if cap == "exact":  # a cap equal to a realised distance
+                cap = float(np.unique(load_distance_cache(cache)[0])[4])
+            config = write_test_setup(work, cap=cap, order=order)
+            cfg = json.loads(config.read_text())
+            cfg["domain"]["components"][0]["distance_cache"] = str(cache)
+            cached_config = work / "cached.json"
+            cached_config.write_text(json.dumps(cfg))
+            d1, d2 = work / "bounded", work / "cached"
+            assert main(["test", "--config", str(config), "--out-dir", str(d1)]) == 0
+            assert main(["test", "--config", str(cached_config), "--out-dir", str(d2)]) == 0
+            for name in ("pointwise.csv", "balls.csv"):
+                assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_manifest_environment_and_byte_identical_reruns(self, tmp_path):
+        config = write_test_setup(tmp_path, cap=1.2)
+        d1, d2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["test", "--config", str(config), "--out-dir", str(d1)]) == 0
-        assert main(["test", "--config", str(cached_config), "--out-dir", str(d2)]) == 0
+        assert main(["test", "--config", str(config), "--out-dir", str(d2)]) == 0
+        manifest = json.loads((d1 / "manifest.json").read_text())
+        assert manifest["peak_rss_mb"] > 0
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["python"] == platform.python_version()
         for name in ("pointwise.csv", "balls.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
@@ -198,6 +220,95 @@ class TestTestCommand:
         cfg["data"]["path"] = str(bad)
         config.write_text(json.dumps(cfg))
         assert main(["test", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def run_test(tmp_path, config, capsys, expected_exit=2):
+    """Run ``test`` on ``config``; return its stderr."""
+    out_dir = tmp_path / "o"
+    assert main(["test", "--config", str(config), "--out-dir", str(out_dir)]) == expected_exit
+    assert not (out_dir / "pointwise.csv").exists()
+    return capsys.readouterr().err
+
+
+def edit_config(config, edit):
+    cfg = json.loads(config.read_text())
+    edit(cfg)
+    config.write_text(json.dumps(cfg))
+    return config
+
+
+class TestMalformedInputs:
+    """Input files and config values that cannot be used exit 2 with a message."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("OFF\n3 1 0\n0 0 0\n1 0\n", "malformed OFF"),
+            ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n", "malformed OFF"),
+            ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n", "repeated vertices"),
+            ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", "invalid vertex index"),
+        ],
+    )
+    def test_malformed_off(self, tmp_path, capsys, text, message):
+        config = write_test_setup(tmp_path)
+        (tmp_path / "ico.off").write_text(text)
+        assert message in run_test(tmp_path, config, capsys)
+        out = tmp_path / "d.bin"
+        assert main(["distances", "--mesh", str(tmp_path / "ico.off"), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cut", [3, 8, 8 + 8 * 143, -1])
+    @pytest.mark.parametrize("cap", [1.5, "inf"])
+    def test_wrongly_sized_distance_cache(self, tmp_path, capsys, cut, cap):
+        config = write_test_setup(tmp_path, cap=cap)
+        cache = tmp_path / "d.bin"
+        assert main(["distances", "--mesh", str(tmp_path / "ico.off"), "--out", str(cache)]) == 0
+        raw = cache.read_bytes()
+        cache.write_bytes(raw + bytes(8) if cut == -1 else raw[:cut])
+        edit_config(
+            config, lambda c: c["domain"]["components"][0].update(distance_cache=str(cache))
+        )
+        err = run_test(tmp_path, config, capsys)
+        assert "truncated" in err or "expected 144 entries" in err
+
+    def test_truncated_signal_bin(self, tmp_path, capsys):
+        config = write_test_setup(tmp_path)
+        signals = tmp_path / "signals.bin"
+        save_signals_bin(np.zeros((8, 12)), signals)
+        signals.write_bytes(signals.read_bytes()[:-5])
+        edit_config(config, lambda c: c.update(data={"path": str(signals), "format": "bin"}))
+        assert "expected 96 entries" in run_test(tmp_path, config, capsys)
+
+    def test_non_numeric_signal_csv(self, tmp_path, capsys):
+        config = write_test_setup(tmp_path)
+        path = json.loads(config.read_text())["data"]["path"]
+        with open(path, "a") as fh:
+            fh.write(",".join(["abc"] * 12) + "\n")
+        assert "could not convert" in run_test(tmp_path, config, capsys)
+
+    @pytest.mark.parametrize("points", [0, -3, "abc"])
+    def test_bad_circle_points(self, tmp_path, capsys, points):
+        config = write_test_setup(tmp_path)
+        edit_config(
+            config,
+            lambda c: c["domain"]["components"].append({"kind": "circle", "points": points}),
+        )
+        assert "domain.components[1]" in run_test(tmp_path, config, capsys)
+
+    @pytest.mark.parametrize(
+        "model,message",
+        [
+            ({"statistic": "t_two_sample_sq", "groups": [0, 0, 0, 1, 1, 1]}, "6 observations"),
+            ({"statistic": "t_two_sample_sq", "groups": [0] * 5 + [1] * 5}, "10 observations"),
+            ({"statistic": "t_trend_cutoff", "covariate": list(range(6))}, "6 observations"),
+            ({"statistic": "t_two_sample_sq", "groups": [0] + [1] * 7}, "at least two"),
+            ({"statistic": "t_two_sample_sq", "groups": [0, 1, 2, 0, 1, 2, 0, 1]}, "two groups"),
+        ],
+    )
+    def test_design_does_not_fit_the_signals(self, tmp_path, capsys, model, message):
+        config = edit_config(write_test_setup(tmp_path), lambda c: c.update(model=model))
+        assert message in run_test(tmp_path, config, capsys)
 
 
 class TestFamilyGuard:

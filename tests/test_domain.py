@@ -36,8 +36,9 @@ def brute_force_supports(grid, radii_probe=None):
     and a dense sweep of admissible radii."""
     supports = set()
     cap = grid.radius_cap
+    D = oracles.distances(grid)
     for center in range(grid.size):
-        d = grid.distances[center]
+        d = D[center]
         candidates = sorted(set(d[d > 0].tolist()))
         probes = []
         for v in candidates:
@@ -59,9 +60,10 @@ def reference_component_balls(grid):
     Argsorts each whole row and walks all its prefix boundaries up to the cap.
     """
     cap = grid.radius_cap
+    D = oracles.distances(grid)
     seen = {}
     for center in range(grid.size):
-        d = grid.distances[center]
+        d = D[center]
         order = np.argsort(d, kind="stable").astype(np.int32)
         sorted_d = d[order]
         with np.errstate(invalid="ignore"):  # inf - inf between unreached pairs
@@ -115,14 +117,16 @@ class TestComponentGrids:
     def test_circle_weights_and_distances(self):
         g = circle_component(12, circumference=12.0)
         assert g.total_weight() == pytest.approx(12.0)
-        assert g.distances.max() == pytest.approx(6.0)  # half circumference
-        np.testing.assert_allclose(g.distances, g.distances.T)
+        d = oracles.rows_to_dense(g.rows)  # no cap: every pair is in a row
+        assert d.max() == pytest.approx(6.0)  # half circumference
+        np.testing.assert_array_equal(d, d.T)
+        np.testing.assert_array_equal(d, oracles.distances(g))
 
     def test_interval_trapezoid(self):
         g = interval_component(0.0, 2.0, 5)
         np.testing.assert_allclose(g.weights, [0.25, 0.5, 0.5, 0.5, 0.25])
         assert g.total_weight() == pytest.approx(2.0)
-        assert g.distances.max() == pytest.approx(2.0)
+        assert oracles.rows_to_dense(g.rows).max() == pytest.approx(2.0)
 
     def test_mesh_component(self, unit_tetrahedron):
         g = mesh_component(unit_tetrahedron)
@@ -160,7 +164,7 @@ class TestEnumerateComponentBalls:
         assert family_supports(enumerate_component_balls(g)) == brute_force_supports(g)
 
     def test_mesh_matches_brute_force(self, octahedron):
-        g = mesh_component(octahedron, radius_cap=2.5)
+        g = oracles.mesh_grid(octahedron, radius_cap=2.5)
         assert family_supports(enumerate_component_balls(g)) == brute_force_supports(g)
 
     def test_singletons_always_present(self, octahedron):
@@ -179,7 +183,7 @@ class TestEnumerateComponentBalls:
         g = interval_component(0.0, 3.0, 4)
         for b in enumerate_component_balls(g):
             assert b.inner_radius < b.radius
-            d = g.distances[b.center]
+            d = oracles.distances(g)[b.center]
             assert b.inner_radius == pytest.approx(d[b.indices].max())
 
 
@@ -197,13 +201,24 @@ class TestBoundedEnumeration:
     @pytest.mark.parametrize("cap", [0.35, 1.0, math.inf])
     def test_icosphere(self, cap):
         bounded = mesh_component(build_icosphere(4), radius_cap=cap)
-        full = build_icosphere(4).compute_distances()
-        reference = mesh_component(full, radius_cap=cap)
+        reference = oracles.mesh_grid(build_icosphere(4), radius_cap=cap)
         if math.isfinite(cap):
-            assert np.isinf(bounded.distances).any()
+            assert len(bounded.rows.values) < bounded.size**2
         self.assert_same_balls(
             enumerate_component_balls(bounded), reference_component_balls(reference)
         )
+
+    def test_capped_order25_holds_no_dense_matrix(self):
+        # the order-25 icosphere's n x n float64 distances alone are 298 MiB
+        m = build_icosphere(25).compute_weights()
+        tracemalloc.start()
+        try:
+            balls = enumerate_component_balls(mesh_component(m, radius_cap=0.06))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(balls) == 42_510
+        assert peak < 64 * 2**20
 
     def test_circle_cap_on_a_distance(self):
         g = circle_component(12, circumference=12.0, radius_cap=2.0)  # 2 steps
@@ -217,7 +232,7 @@ class TestBoundedEnumeration:
     @pytest.mark.parametrize("cap", [1.2, math.inf])
     def test_disconnected_mesh(self, cap):
         with pytest.warns(UserWarning, match="disconnected"):
-            g = mesh_component(disconnected_mesh(), radius_cap=cap)
+            g = oracles.mesh_grid(disconnected_mesh(), radius_cap=cap)
         self.assert_same_balls(enumerate_component_balls(g), reference_component_balls(g))
 
 
@@ -262,28 +277,28 @@ class TestKroneckerWeightMatrix:
 def quiet_disconnected(cap=math.inf):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return mesh_component(disconnected_mesh(), radius_cap=cap)
+        return oracles.mesh_grid(disconnected_mesh(), radius_cap=cap)
 
 
 def mesh_cap_on_a_distance():
     """Octahedron with its cap equal to a realised geodesic distance."""
     m = build_icosphere(1).compute_distances()
     cap = float(np.unique(m.distances)[2])
-    return mesh_component(m, radius_cap=cap)
+    return oracles.mesh_grid(m, radius_cap=cap)
 
 
 OPERATOR_DOMAINS = pytest.mark.parametrize(
     "make",
     [
-        lambda: [mesh_component(build_icosphere(2), radius_cap=0.7)],
-        lambda: [mesh_component(build_icosphere(2))],
+        lambda: [oracles.mesh_grid(build_icosphere(2), radius_cap=0.7)],
+        lambda: [oracles.mesh_grid(build_icosphere(2))],
         lambda: [mesh_cap_on_a_distance()],
         lambda: [quiet_disconnected(1.2)],
         # ties on both sides of every center; the cap is 2 steps exactly
         lambda: [circle_component(12, circumference=12.0, radius_cap=2.0)],
         lambda: [interval_component(0.0, 3.0, 7, radius_cap=1.0)],
         lambda: [
-            mesh_component(build_icosphere(1), radius_cap=1.2),
+            oracles.mesh_grid(build_icosphere(1), radius_cap=1.2),
             circle_component(12, circumference=12.0),
         ],
         lambda: [
@@ -423,7 +438,7 @@ class TestEnumerateFamily:
         assert fam.n_balls == 6
 
     def test_mesh_times_circle_brute_force(self, unit_tetrahedron):
-        c1 = mesh_component(unit_tetrahedron)
+        c1 = oracles.mesh_grid(unit_tetrahedron)
         c2 = circle_component(3)
         fam = enumerate_family(ProductDomain([c1, c2]))
         n1 = len(brute_force_supports(c1))

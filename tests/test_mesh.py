@@ -3,7 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
+from ballwise import mesh
 from ballwise.mesh import (
+    DistanceRows,
     TriangulatedManifold,
     build_icosphere,
     load_distance_cache,
@@ -179,6 +182,32 @@ class TestWeights:
         m.compute_weights()
         assert m.total_weight() == pytest.approx(4 * base_total, rel=1e-12)
 
+    @pytest.mark.parametrize("order", [1, 3, 8])
+    def test_areas_match_scalar_heron(self, order):
+        m = build_icosphere(order)
+        expected = [
+            triangle_area(m.edge_length(a, b), m.edge_length(b, c), m.edge_length(a, c))
+            for a, b, c in m.triangles
+        ]
+        assert m.triangle_areas().tobytes() == np.array(expected).tobytes()
+
+    def test_degenerate_areas_match_scalar_heron(self):
+        # a flat triangle, one flat within DEGENERACY_RTOL, one regular
+        verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0]], float)
+        tris = np.array([[0, 1, 2], [0, 1, 3], [1, 2, 4]])
+        m = TriangulatedManifold(verts, tris)
+        m.edge_lengths[m.edges.tolist().index([1, 3])] = 2.0 + 1e-10  # 1 + 1 + slack
+        areas = m.triangle_areas()
+        expected = [
+            triangle_area(m.edge_length(a, b), m.edge_length(b, c), m.edge_length(a, c))
+            for a, b, c in tris
+        ]
+        assert areas.tobytes() == np.array(expected).tobytes()
+        assert areas[0] == areas[1] == 0.0 < areas[2]
+        m.edge_lengths[m.edges.tolist().index([1, 3])] = 2.5
+        with pytest.raises(ValueError, match=r"triangle #1 \(0,1,3\).*triangle inequality"):
+            m.triangle_areas()
+
     def test_override_unknown_edge_rejected(self, triangle_strip, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,3,1.0\n")
@@ -216,23 +245,70 @@ class TestDistances:
         assert m.distances[0, 1] == pytest.approx(1.0)
         assert np.isinf(m.distances[0, 3])
 
-    @pytest.mark.parametrize("limit", ["exact", 0.3, 0.77])
-    def test_limit_matches_unbounded_within_limit(self, limit):
-        full = build_icosphere(5).compute_distances().distances
-        if limit == "exact":  # a limit equal to a realized distance is kept
-            limit = float(np.unique(full[0])[7])
-        bounded = build_icosphere(5).compute_distances(limit=limit).distances
+    @staticmethod
+    def assert_rows_within(rows, full, limit):
+        """``rows`` hold exactly the entries of ``full`` up to ``limit``, each
+        row by (distance, index)."""
+        assert isinstance(rows, DistanceRows)
         inside = full <= limit
-        assert inside.sum() > full.shape[0]
+        assert len(rows.values) == inside.sum()
+        bounded = oracles.rows_to_dense(rows)
         np.testing.assert_array_equal(bounded[inside], full[inside])
         assert np.all(np.isinf(bounded[~inside]))
+        row = np.repeat(np.arange(len(rows)), np.diff(rows.indptr))
+        np.testing.assert_array_equal(
+            np.lexsort((rows.indices, rows.values, row)), np.arange(len(row))
+        )
+
+    # rows per block: one, seven, and one block larger than the mesh
+    BLOCK_ROWS = pytest.mark.parametrize("block_rows", [1, 7, None])
+
+    @pytest.mark.parametrize("limit", ["exact", 0.3, 0.77])
+    def test_limit_matches_unbounded_within_limit(self, limit, monkeypatch):
+        m = build_icosphere(5)
+        full = oracles.dense_dijkstra(m)
+        if limit == "exact":  # a limit equal to a realized distance is kept
+            limit = float(np.unique(full[0])[7])
+        n = m.n_vertices
+        assert (full <= limit).sum() > n
+        for block_rows in (1, 7, n + 5):
+            monkeypatch.setattr(mesh, "DISTANCE_BLOCK", block_rows * n)
+            self.assert_rows_within(m.compute_distances(limit=limit).distances, full, limit)
+
+    @BLOCK_ROWS
+    def test_bounded_disconnected_mesh(self, block_rows, monkeypatch):
+        a, b = build_icosphere(2), build_icosphere(2)
+        m = TriangulatedManifold(
+            np.concatenate([a.vertices, b.vertices + 5.0]),
+            np.concatenate([a.triangles, b.triangles + a.n_vertices]),
+        )
+        full = oracles.dense_dijkstra(m)
+        n = m.n_vertices
+        monkeypatch.setattr(mesh, "DISTANCE_BLOCK", (block_rows or n + 5) * n)
+        with pytest.warns(UserWarning, match="disconnected"):
+            rows = m.compute_distances(limit=0.8).distances
+        self.assert_rows_within(rows, full, 0.8)
+
+    @BLOCK_ROWS
+    def test_bounded_cache_matches_bounded_search(self, block_rows, monkeypatch, tmp_path):
+        m = build_icosphere(3)
+        full = oracles.dense_dijkstra(m)
+        path = tmp_path / "d.bin"
+        save_distance_cache(full, path)
+        n = m.n_vertices
+        monkeypatch.setattr(mesh, "DISTANCE_BLOCK", (block_rows or n + 5) * n)
+        cached = load_distance_cache(path, limit=0.4)
+        self.assert_rows_within(cached, full, 0.4)
+        searched = m.compute_distances(limit=0.4).distances
+        for name in ("indptr", "indices", "values"):
+            assert getattr(cached, name).tobytes() == getattr(searched, name).tobytes()
 
     def test_capped_connected_mesh_does_not_warn(self):
         m = build_icosphere(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m.compute_distances(limit=0.2)
-        assert np.isinf(m.distances).any()
+        assert len(m.distances.values) < m.n_vertices**2
 
     def test_cache_roundtrip(self, octahedron, tmp_path):
         d = octahedron.compute_distances().distances
@@ -245,6 +321,22 @@ class TestDistances:
         path.write_bytes(b"\x03")
         with pytest.raises(ValueError, match="truncated"):
             load_distance_cache(path)
+
+    @pytest.mark.parametrize("limit", [np.inf, 1.0])
+    def test_cache_wrong_size(self, octahedron, tmp_path, limit):
+        path = tmp_path / "d.bin"
+        save_distance_cache(octahedron.compute_distances().distances, path)
+        raw = path.read_bytes()
+        for bad in (raw[:-8], raw[:-3], raw + bytes(8)):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="expected 36 entries"):
+                load_distance_cache(path, limit=limit)
+
+    def test_cache_file_is_the_matrix_bytes(self, octahedron, tmp_path):
+        d = octahedron.compute_distances().distances
+        path = tmp_path / "d.bin"
+        save_distance_cache(d, path)
+        assert path.read_bytes() == np.uint64(6).astype("<u8").tobytes() + d.astype("<f8").tobytes()
 
 
 class TestBall:
