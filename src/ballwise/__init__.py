@@ -17,10 +17,8 @@ from .domain import (
 from .glm import (
     DesignSpec,
     HypothesisSpec,
-    slope_sq,
+    StatKernel,
     stat_field,
-    t_trend_cutoff,
-    t_two_sample_sq,
 )
 from .mesh import (
     TriangulatedManifold,
@@ -42,8 +40,7 @@ __all__ = [
     "AdjustmentFamily", "ComponentGrid", "ProductDomain",
     "circle_component", "enumerate_component_balls",
     "enumerate_family", "interval_component", "mesh_component",
-    "DesignSpec", "HypothesisSpec", "slope_sq", "stat_field",
-    "t_trend_cutoff", "t_two_sample_sq",
+    "DesignSpec", "HypothesisSpec", "StatKernel", "stat_field",
     "TriangulatedManifold", "build_icosphere", "load_mesh", "save_off",
     "triangle_area",
     "PermutationPlan", "PValueFields", "run_inference",

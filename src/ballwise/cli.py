@@ -42,7 +42,13 @@ from .evalsim import (
     multi_patch_mask,
     run_scenario,
 )
-from .glm import DesignSpec, HypothesisSpec, load_signals_bin, load_signals_csv
+from .glm import (
+    DesignSpec,
+    HypothesisSpec,
+    design_vector,
+    load_signals_bin,
+    load_signals_csv,
+)
 from .mesh import (
     build_icosphere,
     load_distance_cache,
@@ -231,6 +237,7 @@ def _build_model(section: dict):
             if "covariate" not in section:
                 raise ConfigError(f"model: {stat} needs 'covariate'")
             design = DesignSpec(covariates=np.asarray(section["covariate"], dtype=float))
+        design_vector(design, hyp)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model: {exc}") from None
     return design, hyp

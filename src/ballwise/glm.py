@@ -3,7 +3,12 @@
 Signals are an N x m matrix: one row per observed functional signal, one
 column per product-grid point. The three shipped statistics are the squared
 two-sample t (pooled variance), the one-sided trend t floored at zero, and
-the squared OLS slope. All are nonnegative by construction.
+the squared OLS slope. All are nonnegative by construction, and all are
+statistics of the slope of each column on one centred design vector x (the
+covariate, or the indicator of the first group): with u = x'y, SS the centred
+sum of squares of y and RSS = SS - u^2 / x'x, the slope is u / x'x and its
+squared t is (N - 2) (u^2 / x'x) / RSS. ``StatKernel`` evaluates them for a
+whole chunk of permutations with one matmul.
 """
 
 from __future__ import annotations
@@ -11,16 +16,16 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "DesignSpec",
     "HypothesisSpec",
-    "t_two_sample_sq",
-    "t_trend_cutoff",
-    "slope_sq",
+    "StatKernel",
+    "design_vector",
     "stat_field",
     "load_signals_csv",
     "save_signals_csv",
@@ -77,103 +82,170 @@ class HypothesisSpec:
             )
 
 
-def _check_degenerate(numerator_zero: np.ndarray, se_zero: np.ndarray):
-    bad = se_zero & ~numerator_zero
-    if np.any(bad):
-        raise ValueError(
-            "zero residual variance with nonzero effect at grid point(s) "
-            f"{np.nonzero(bad)[0].tolist()}"
-        )
+def design_vector(design: DesignSpec, hypothesis: HypothesisSpec) -> np.ndarray:
+    """The centred vector x that the statistic regresses every column on.
 
-
-def t_two_sample_sq(y: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Squared pooled-variance two-sample t, columnwise.
-
-    ``y`` is (N,) or (N, m); ``groups`` a length-N two-valued label vector.
-    Zero pooled variance yields 0 when the group means agree and raises
-    otherwise.
+    Raises ``ValueError`` when the design does not suit the statistic. For the
+    covariate statistics x is the centred covariate; for the two-sample t it
+    is the centred indicator of the first group, since the pooled two-sample
+    t is the t of the slope on a group indicator.
     """
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 1
-    Y = y[:, None] if scalar else y
-    groups = np.asarray(groups)
-    labels = np.unique(groups)
-    if len(labels) != 2:
-        raise ValueError("two groups required")
-    g1, g2 = groups == labels[0], groups == labels[1]
-    n1, n2 = int(g1.sum()), int(g2.sum())
-    if n1 < 2 or n2 < 2:
-        raise ValueError("both groups need at least two observations")
-    m1, m2 = Y[g1].mean(axis=0), Y[g2].mean(axis=0)
-    v1 = Y[g1].var(axis=0, ddof=1)
-    v2 = Y[g2].var(axis=0, ddof=1)
-    sp2 = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)
-    se = np.sqrt(sp2 * (1.0 / n1 + 1.0 / n2))
-    diff = m1 - m2
-    zero = se == 0
-    _check_degenerate(diff == 0, zero)
-    t2 = np.zeros_like(diff)
-    np.divide(diff, se, out=t2, where=~zero)
-    t2 = t2 ** 2
-    return float(t2[0]) if scalar else t2
-
-
-def _slope_and_se(y: np.ndarray, t: np.ndarray):
-    """Columnwise OLS slope and its standard error for y ~ 1 + t."""
-    Y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    n = len(t)
-    tc = t - t.mean()
-    sxx = tc @ tc
-    if sxx == 0:
-        raise ValueError("covariate is constant")
-    yc = Y - Y.mean(axis=0)
-    b = tc @ yc / sxx
-    rss = (yc ** 2).sum(axis=0) - b ** 2 * sxx
-    rss = np.maximum(rss, 0.0)
-    if n > 2:
-        se = np.sqrt(rss / (n - 2) / sxx)
+    if hypothesis.statistic == "t_two_sample_sq":
+        if design.group_labels is None:
+            raise ValueError("t_two_sample_sq requires group_labels")
+        labels, sizes = np.unique(design.group_labels, return_counts=True)
+        if len(labels) != 2:
+            raise ValueError("group_labels must define exactly two groups")
+        if sizes.min() < 2:
+            raise ValueError("both groups need at least two observations")
+        x = (design.group_labels == labels[0]).astype(float)
     else:
-        se = np.full_like(np.atleast_1d(b), np.nan)
-    return b, se
+        if design.covariates is None or design.covariates.shape[1] != 1:
+            raise ValueError(
+                f"{hypothesis.statistic} requires exactly one scalar covariate"
+            )
+        x = design.covariates[:, 0]
+        if hypothesis.statistic == "t_trend_cutoff" and len(x) < 3:
+            raise ValueError("trend t statistic needs at least 3 observations")
+        if len(x) < 2:
+            raise ValueError("slope needs at least 2 observations")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("covariate contains non-finite entries")
+        if x.min() == x.max():
+            raise ValueError("covariate is constant")
+    return x - x.mean()
 
 
-def t_trend_cutoff(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """One-sided positive-trend statistic max(0, slope / SE), columnwise.
+class _CentredFits(NamedTuple):
+    """The non-constant centred columns of a reduced design and what the
+    kernel needs of their fits: ``cols`` (K, N), ``coef`` (K, m), the fits'
+    x'F (m,) and their centred sums of squares (m,)."""
 
-    A perfect fit (zero SE) with nonpositive slope is floored to 0 like any
-    other nonpositive trend; a perfect positive fit has no finite value and
-    raises.
+    cols: np.ndarray
+    coef: np.ndarray
+    u: np.ndarray
+    ss: np.ndarray
+
+
+class StatKernel:
+    """The statistic field of permuted copies of the signals, a chunk at a time.
+
+    Permuting the rows of the signals by p is the same as permuting the design
+    by the inverse of p and keeping the signals fixed, so every statistic of a
+    chunk comes from the matmul of the (chunk x N) permuted design with the
+    fixed, centred signals, plus column moments that no permutation changes.
+    A permuted design depends only on the grouping (or the covariate order) it
+    makes, so two permutations that make the same grouping give bitwise equal
+    fields.
+
+    With a ``reduced_design`` X0 (N x K) the permuted data are Freedman-Lane's
+    ``F + R[p]``: the reduced-model fits F = X0 beta plus the permuted
+    residuals R. Their centred sum of squares has a cross term between the
+    centred fits and the permuted residuals, one matmul per non-constant
+    column of X0. Without it the signals themselves are permuted.
     """
-    y = np.asarray(y, dtype=float)
-    if len(t) < 3:
-        raise ValueError("trend t statistic needs at least 3 observations")
-    scalar = y.ndim == 1
-    b, se = _slope_and_se(y[:, None] if scalar else y, t)
-    b, se = np.atleast_1d(b), np.atleast_1d(se)
-    zero = se == 0
-    _check_degenerate(b <= 0, zero)
-    stat = np.zeros_like(b)
-    np.divide(b, se, out=stat, where=~zero)
-    stat = np.maximum(stat, 0.0)
-    return float(stat[0]) if scalar else stat
+
+    def __init__(
+        self,
+        signals: np.ndarray,
+        design: DesignSpec,
+        hypothesis: HypothesisSpec,
+        reduced_design: np.ndarray | None = None,
+    ):
+        Y = np.asarray(signals, dtype=float)
+        if Y.ndim != 2:
+            raise ValueError("signal matrix must be 2-D (observations x grid points)")
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("signal matrix contains non-finite entries")
+        self.x = design_vector(design, hypothesis)
+        if len(self.x) != Y.shape[0]:
+            raise ValueError(
+                f"the design has {len(self.x)} observations but the signal "
+                f"matrix has {Y.shape[0]} rows"
+            )
+        self.statistic = hypothesis.statistic
+        self.sxx = self.x @ self.x
+        # a residual sum of squares within this fraction of the sums it is
+        # formed from is a perfect fit: the rounding error of the one-pass
+        # SS - u^2 / x'x grows with N (up to about N eps / 2 on exactly
+        # degenerate columns), so below it the residual carries no information
+        self.perfect_fit_rtol = 4 * len(self.x) * np.finfo(float).eps
+        self.fit = None
+        resid = Y
+        if reduced_design is not None:
+            X0 = np.asarray(reduced_design, dtype=float)
+            X0 = X0[:, None] if X0.ndim == 1 else X0
+            if np.linalg.matrix_rank(X0) < X0.shape[1]:
+                raise ValueError("reduced design is rank deficient")
+            beta, *_ = np.linalg.lstsq(X0, Y, rcond=None)
+            resid = Y - X0 @ beta
+            # the intercept centres to exact zeros and drops out
+            X0c = X0 - X0.mean(axis=0)
+            varying = np.any(X0c != 0, axis=0)
+            if varying.any():
+                X0c, beta = X0c[:, varying], beta[varying]
+                fits = X0c @ beta
+                self.fit = _CentredFits(X0c.T.copy(), beta, self.x @ fits, _col_ss(fits))
+        # a constant column has no centred variation in exact arithmetic;
+        # zeroing it keeps its statistic equal under every permutation
+        self.Z = resid - resid.mean(axis=0)
+        self.Z[:, resid.min(axis=0) == resid.max(axis=0)] = 0.0
+        self.ss = _col_ss(self.Z)
+
+    @property
+    def n_obs(self) -> int:
+        return len(self.x)
+
+    def fields(self, perms: np.ndarray) -> np.ndarray:
+        """(B, m) statistic fields of the signals permuted by each row of the
+        (B, N) ``perms``; row b is the field of ``signals[perms[b]]`` (of
+        ``F + R[perms[b]]`` under a reduced design)."""
+        inv = np.argsort(perms, axis=1)
+        U = self.x[inv] @ self.Z
+        if self.fit is not None:
+            U += self.fit.u
+        if self.statistic == "slope_sq":
+            U /= self.sxx
+            return np.square(U, out=U)
+        E = np.square(U)
+        E /= self.sxx
+        if self.fit is None:
+            scale = self.ss
+            rss = self.ss - E
+        else:
+            # SS of the centred F + R[p]: |Fc|^2 + |Z|^2 + 2 Fc'(Z[p]), with
+            # Fc'(Z[p]) = sum_k coef_k * (X0c_k[inv] @ Z)
+            cross = np.zeros_like(U)
+            for col, coef in zip(self.fit.cols, self.fit.coef):
+                cross += (col[inv] @ self.Z) * coef
+            fixed = self.ss + self.fit.ss
+            scale = fixed + 2.0 * np.abs(cross)
+            rss = fixed + 2.0 * cross - E
+        tol = self.perfect_fit_rtol * scale
+        perfect = rss <= tol
+        if perfect.any():
+            effect = E > tol
+            if self.statistic == "t_trend_cutoff":
+                effect &= U > 0
+            bad = perfect & effect
+            if bad.any():
+                raise ValueError(
+                    "zero residual variance with nonzero effect at grid point(s) "
+                    f"{np.unique(np.nonzero(bad)[-1]).tolist()}"
+                )
+            rss[perfect] = np.inf  # no effect, or a floored trend: 0
+        if self.statistic == "t_two_sample_sq":
+            E /= rss
+            E *= self.n_obs - 2
+            return E
+        # slope / SE = u / sqrt(RSS x'x / (N - 2)), floored at 0
+        rss *= self.sxx / (self.n_obs - 2)
+        U /= np.sqrt(rss, out=rss)
+        return np.maximum(U, 0.0, out=U)
 
 
-def slope_sq(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Squared OLS slope of y on t, columnwise."""
-    y = np.asarray(y, dtype=float)
-    if len(t) < 2:
-        raise ValueError("slope needs at least 2 observations")
-    scalar = y.ndim == 1
-    Y = y[:, None] if scalar else y
-    t = np.asarray(t, dtype=float)
-    tc = t - t.mean()
-    sxx = tc @ tc
-    if sxx == 0:
-        raise ValueError("covariate is constant")
-    b = tc @ (Y - Y.mean(axis=0)) / sxx
-    out = b ** 2
-    return float(out[0]) if scalar else out
+def _col_ss(A: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", A, A)
 
 
 def stat_field(
@@ -181,25 +253,11 @@ def stat_field(
 ) -> np.ndarray:
     """Evaluate the selected statistic at every product-grid point.
 
-    ``signals`` is N x m; the result is a nonnegative length-m vector.
+    ``signals`` is N x m; the result is a nonnegative length-m vector, the
+    identity row of a ``StatKernel``.
     """
-    Y = np.asarray(signals, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError("signal matrix must be 2-D (observations x grid points)")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("signal matrix contains non-finite entries")
-    if hypothesis.statistic == "t_two_sample_sq":
-        if design.group_labels is None:
-            raise ValueError("t_two_sample_sq requires group_labels")
-        return t_two_sample_sq(Y, design.group_labels)
-    if design.covariates is None or design.covariates.shape[1] != 1:
-        raise ValueError(
-            f"{hypothesis.statistic} requires exactly one scalar covariate"
-        )
-    t = design.covariates[:, 0]
-    if hypothesis.statistic == "t_trend_cutoff":
-        return t_trend_cutoff(Y, t)
-    return slope_sq(Y, t)
+    kernel = StatKernel(signals, design, hypothesis)
+    return kernel.fields(np.arange(kernel.n_obs)[None, :])[0]
 
 
 # --- signal matrix I/O -------------------------------------------------------

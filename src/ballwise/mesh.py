@@ -19,8 +19,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 __all__ = [
     "TriangulatedManifold",
@@ -274,6 +272,8 @@ class TriangulatedManifold:
     def adjacency(self, allowed_vertices=None):
         """Sparse symmetric edge-weight matrix, optionally restricted to
         edges with both endpoints in ``allowed_vertices``."""
+        from scipy.sparse import coo_matrix  # imported on use: it is slow to load
+
         i, j = self.edges[:, 0], self.edges[:, 1]
         lengths = self.edge_lengths
         if allowed_vertices is not None:
@@ -303,6 +303,8 @@ class TriangulatedManifold:
         ``limit=cap``. A graph with more than one connected component warns;
         its cross-component pairs are ``inf`` (or absent) whatever the limit.
         """
+        from scipy.sparse.csgraph import dijkstra
+
         graph = self.adjacency(allowed_vertices)
         if math.isinf(limit):
             d = dijkstra(graph, directed=False)
@@ -398,6 +400,8 @@ def load_mesh(path, fmt: str = "OFF") -> TriangulatedManifold:
 
 
 def _n_components(graph) -> int:
+    from scipy.sparse.csgraph import connected_components
+
     n, _ = connected_components(graph, directed=False)
     return n
 

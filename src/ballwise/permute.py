@@ -2,11 +2,18 @@
 
 One permutation is shared across the whole domain within a replicate, so the
 joint null distribution of the ball-wise integrated statistics is preserved.
-p-values use the (1 + #{permuted >= observed}) / (B + 1) convention: ties
-count as extreme and p is never zero. The adjusted value at a grid point is
-the maximum ball-wise p over all family balls containing the point; since the
-family always contains every singleton, adjusted >= pointwise holds by
-construction.
+Permuting the rows of the signals (or of the Freedman-Lane residuals) is done
+by permuting the design by the inverse permutation, with the signals fixed
+(``glm.StatKernel``), so two permutations that make the same grouping give
+bitwise equal statistics and the observed field is the kernel's identity row.
+p-values use the (1 + #{permuted >= observed}) / (B + 1) convention, where a
+permuted statistic within a relative 100 eps of the observed one counts as a
+tie (``null >= obs - |100 eps obs|``, the rule of scipy's
+``permutation_test``): ties count as extreme, so statistics that are equal in
+exact arithmetic but were summed in another order are never lost, and p is
+never zero. The adjusted value at a grid point is the maximum ball-wise p over
+all family balls containing the point; since the family always contains every
+singleton, adjusted >= pointwise holds by construction.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import AdjustmentFamily
-from .glm import DesignSpec, HypothesisSpec, stat_field
+from .glm import DesignSpec, HypothesisSpec, StatKernel
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -33,10 +40,16 @@ RNG_ALGORITHM = "PCG64"
 
 # Working memory of one chunk of permutations in ball integration (the
 # per-component partial sums and the chunk's ball statistics); larger
-# families get smaller chunks.
+# families get smaller chunks. The stat kernel's temporaries, at most five
+# fields per permutation, fit the same budget: a family's column_bytes is at
+# least five fields.
 CHUNK_BYTES = 64 * 2**20
 
 SCHEMES = ("freedman_lane", "raw_label_permutation")
+
+# A permuted statistic at least (1 - TIE_RTOL) times the observed one counts
+# as a tie.
+TIE_RTOL = 100 * np.finfo(float).eps
 
 
 @dataclass
@@ -73,27 +86,14 @@ def generate_permutations(plan: PermutationPlan, n_obs: int) -> np.ndarray:
         perms = plan.permutations
         if perms.shape[1] != n_obs:
             raise ValueError("explicit permutations have the wrong length")
+        # the engine inverts each row, so each must be a permutation
+        if not (np.sort(perms, axis=1) == np.arange(n_obs)).all():
+            raise ValueError("explicit permutations must each reorder 0..N-1")
         return perms
     rng = np.random.default_rng(plan.seed)
     return np.array(
         [rng.permutation(n_obs) for _ in range(plan.n_permutations)], dtype=np.int64
     )
-
-
-def _reduced_fit(Y: np.ndarray, plan: PermutationPlan):
-    """Fitted values and residuals of the null (reduced) model, columnwise."""
-    n = Y.shape[0]
-    X0 = plan.null_design
-    if X0 is None:
-        fits = np.broadcast_to(Y.mean(axis=0), Y.shape)
-        return np.array(fits), Y - fits
-    if X0.ndim == 1:
-        X0 = X0[:, None]
-    if np.linalg.matrix_rank(X0) < X0.shape[1]:
-        raise ValueError("reduced design is rank deficient")
-    beta, *_ = np.linalg.lstsq(X0, Y, rcond=None)
-    fits = X0 @ beta
-    return fits, Y - fits
 
 
 @dataclass
@@ -146,6 +146,11 @@ class InferenceResult:
     p: PValueFields
 
 
+def _tie_floor(observed: np.ndarray) -> np.ndarray:
+    """The least permuted statistic that counts as at least ``observed``."""
+    return observed - np.abs(TIE_RTOL * observed)
+
+
 def run_inference(
     signals: np.ndarray,
     design: DesignSpec,
@@ -159,36 +164,30 @@ def run_inference(
     Permutations are processed in chunks of at most ``chunk_size``, fewer
     when the family's integration would need more than ``CHUNK_BYTES`` for
     them, so only the exceedance counts are kept, never the permuted ball
-    statistics. Every p-value is the same whatever the chunk size. The
+    statistics. A chunk's fields come from one ``StatKernel`` call. The
     Freedman-Lane scheme permutes the reduced-model residual rows and adds
     back the reduced-model fits; the raw scheme permutes observation rows.
     """
     Y = np.asarray(signals, dtype=float)
     perms = generate_permutations(plan, Y.shape[0])
     B = perms.shape[0]
-    T_obs = stat_field(Y, design, hypothesis)
-    ball_obs = family.integrated_stats(T_obs)
-
+    reduced = None
     if plan.scheme == "freedman_lane":
-        fits, resid = _reduced_fit(Y, plan)
+        reduced = plan.null_design
+        if reduced is None:
+            reduced = np.ones((Y.shape[0], 1))
+    kernel = StatKernel(Y, design, hypothesis, reduced)
+    T_obs = kernel.fields(np.arange(Y.shape[0])[None, :])[0]
+    ball_obs = family.integrated_stats(T_obs)
+    point_floor, ball_floor = _tie_floor(T_obs), _tie_floor(ball_obs)[:, None]
 
     chunk_size = max(1, min(chunk_size, CHUNK_BYTES // family.column_bytes))
     point_counts = np.zeros(T_obs.shape[0], dtype=np.int64)
     ball_counts = np.zeros(family.n_balls, dtype=np.int64)
     for start in range(0, B, chunk_size):
-        batch = perms[start:start + chunk_size]
-        if plan.scheme == "raw_label_permutation":
-            fields = np.stack(
-                [stat_field(Y[p], design, hypothesis) for p in batch]
-            )
-        else:
-            fields = np.stack(
-                [stat_field(fits + resid[p], design, hypothesis) for p in batch]
-            )
-        point_counts += (fields >= T_obs).sum(axis=0)
-        ball_counts += (family.integrated_stats(fields) >= ball_obs[:, None]).sum(
-            axis=1
-        )
+        fields = kernel.fields(perms[start:start + chunk_size])
+        point_counts += (fields >= point_floor).sum(axis=0)
+        ball_counts += (family.integrated_stats(fields) >= ball_floor).sum(axis=1)
 
     p_point = _p_from_counts(point_counts, B)
     p_ball = _p_from_counts(ball_counts, B)

@@ -4,7 +4,8 @@ The library keeps one inference engine (``run_inference``) and describes the
 adjustment family only by its per-component prefix operators. The helpers
 here are the slow, direct versions: one product ball at a time, one center
 at a time, one permutation at a time, the whole permutation null held in
-memory, the family as one sparse weight matrix. Product ball k of a family
+memory, the family as one sparse weight matrix, each statistic from two
+passes over an explicit signal column. Product ball k of a family
 is ``np.unravel_index(k, family.shape)`` over the per-component ball lists.
 """
 
@@ -254,14 +255,122 @@ def null_distribution(signals, design, hypothesis, family, plan) -> NullDistribu
     return NullDistribution(T_obs, ball_obs, T_perm, ball_perm)
 
 
+def at_least(null, observed):
+    """scipy ``permutation_test``'s tie rule: a null statistic within a
+    relative 100 eps of the observed one counts as at least as extreme."""
+    gamma = np.abs(100 * np.finfo(float).eps * observed)
+    return null >= observed - gamma
+
+
 def pvalues(nd: NullDistribution, family):
     """p-value fields from a materialised permutation null."""
     B = nd.n_permutations
-    point_counts = (nd.permuted_fields >= nd.observed_field).sum(axis=0)
-    ball_counts = (nd.permuted_ball_stats >= nd.observed_ball_stats).sum(axis=0)
+    point_counts = at_least(nd.permuted_fields, nd.observed_field).sum(axis=0)
+    ball_counts = at_least(nd.permuted_ball_stats, nd.observed_ball_stats).sum(axis=0)
     p_point = (1.0 + point_counts) / (B + 1.0)
     p_ball = (1.0 + ball_counts) / (B + 1.0)
     return PValueFields(p_point, p_ball, adjusted_from_ballwise(p_ball, family), B)
+
+
+# --- two-pass column statistics ------------------------------------------------
+
+def _check_degenerate(numerator_zero: np.ndarray, se_zero: np.ndarray):
+    bad = se_zero & ~numerator_zero
+    if np.any(bad):
+        raise ValueError(
+            "zero residual variance with nonzero effect at grid point(s) "
+            f"{np.nonzero(bad)[0].tolist()}"
+        )
+
+
+def t_two_sample_sq(y: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Squared pooled-variance two-sample t, columnwise.
+
+    ``y`` is (N,) or (N, m); ``groups`` a length-N two-valued label vector.
+    Zero pooled variance yields 0 when the group means agree and raises
+    otherwise.
+    """
+    y = np.asarray(y, dtype=float)
+    scalar = y.ndim == 1
+    Y = y[:, None] if scalar else y
+    groups = np.asarray(groups)
+    labels = np.unique(groups)
+    if len(labels) != 2:
+        raise ValueError("two groups required")
+    g1, g2 = groups == labels[0], groups == labels[1]
+    n1, n2 = int(g1.sum()), int(g2.sum())
+    if n1 < 2 or n2 < 2:
+        raise ValueError("both groups need at least two observations")
+    m1, m2 = Y[g1].mean(axis=0), Y[g2].mean(axis=0)
+    v1 = Y[g1].var(axis=0, ddof=1)
+    v2 = Y[g2].var(axis=0, ddof=1)
+    sp2 = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)
+    se = np.sqrt(sp2 * (1.0 / n1 + 1.0 / n2))
+    diff = m1 - m2
+    zero = se == 0
+    _check_degenerate(diff == 0, zero)
+    t2 = np.zeros_like(diff)
+    np.divide(diff, se, out=t2, where=~zero)
+    t2 = t2 ** 2
+    return float(t2[0]) if scalar else t2
+
+
+def _slope_and_se(y: np.ndarray, t: np.ndarray):
+    """Columnwise OLS slope and its standard error for y ~ 1 + t."""
+    Y = np.asarray(y, dtype=float)
+    t = np.asarray(t, dtype=float)
+    n = len(t)
+    tc = t - t.mean()
+    sxx = tc @ tc
+    if sxx == 0:
+        raise ValueError("covariate is constant")
+    yc = Y - Y.mean(axis=0)
+    b = tc @ yc / sxx
+    rss = (yc ** 2).sum(axis=0) - b ** 2 * sxx
+    rss = np.maximum(rss, 0.0)
+    if n > 2:
+        se = np.sqrt(rss / (n - 2) / sxx)
+    else:
+        se = np.full_like(np.atleast_1d(b), np.nan)
+    return b, se
+
+
+def t_trend_cutoff(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """One-sided positive-trend statistic max(0, slope / SE), columnwise.
+
+    A perfect fit (zero SE) with nonpositive slope is floored to 0 like any
+    other nonpositive trend; a perfect positive fit has no finite value and
+    raises.
+    """
+    y = np.asarray(y, dtype=float)
+    if len(t) < 3:
+        raise ValueError("trend t statistic needs at least 3 observations")
+    scalar = y.ndim == 1
+    b, se = _slope_and_se(y[:, None] if scalar else y, t)
+    b, se = np.atleast_1d(b), np.atleast_1d(se)
+    zero = se == 0
+    _check_degenerate(b <= 0, zero)
+    stat = np.zeros_like(b)
+    np.divide(b, se, out=stat, where=~zero)
+    stat = np.maximum(stat, 0.0)
+    return float(stat[0]) if scalar else stat
+
+
+def slope_sq(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Squared OLS slope of y on t, columnwise."""
+    y = np.asarray(y, dtype=float)
+    if len(t) < 2:
+        raise ValueError("slope needs at least 2 observations")
+    scalar = y.ndim == 1
+    Y = y[:, None] if scalar else y
+    t = np.asarray(t, dtype=float)
+    tc = t - t.mean()
+    sxx = tc @ tc
+    if sxx == 0:
+        raise ValueError("covariate is constant")
+    b = tc @ (Y - Y.mean(axis=0)) / sxx
+    out = b ** 2
+    return float(out[0]) if scalar else out
 
 
 # --- least squares ----------------------------------------------------------------

@@ -18,7 +18,13 @@ from ballwise.domain import (
     interval_component,
     mesh_component,
 )
-from ballwise.glm import DesignSpec, HypothesisSpec, save_signals_bin, save_signals_csv
+from ballwise.glm import (
+    DesignSpec,
+    HypothesisSpec,
+    load_signals_csv,
+    save_signals_bin,
+    save_signals_csv,
+)
 from ballwise.mesh import build_icosphere, load_distance_cache, load_mesh
 from ballwise.permute import PermutationPlan, run_inference
 from oracles import weight_matrix
@@ -304,11 +310,31 @@ class TestMalformedInputs:
             ({"statistic": "t_trend_cutoff", "covariate": list(range(6))}, "6 observations"),
             ({"statistic": "t_two_sample_sq", "groups": [0] + [1] * 7}, "at least two"),
             ({"statistic": "t_two_sample_sq", "groups": [0, 1, 2, 0, 1, 2, 0, 1]}, "two groups"),
+            # designs the statistic cannot use
+            ({"statistic": "t_trend_cutoff", "covariate": [2.5] * 8}, "covariate is constant"),
+            ({"statistic": "slope_sq", "covariate": [1.0] * 8}, "covariate is constant"),
+            (
+                {"statistic": "slope_sq", "covariate": [[i, i * i] for i in range(8)]},
+                "exactly one scalar covariate",
+            ),
+            (
+                {"statistic": "t_trend_cutoff", "covariate": [[i, -i] for i in range(8)]},
+                "exactly one scalar covariate",
+            ),
         ],
     )
     def test_design_does_not_fit_the_signals(self, tmp_path, capsys, model, message):
         config = edit_config(write_test_setup(tmp_path), lambda c: c.update(model=model))
         assert message in run_test(tmp_path, config, capsys)
+
+    def test_trend_needs_three_observations(self, tmp_path, capsys):
+        config = write_test_setup(tmp_path)
+        path = json.loads(config.read_text())["data"]["path"]
+        Y, _ = load_signals_csv(path)
+        save_signals_csv(Y[:2], path)
+        model = {"statistic": "t_trend_cutoff", "covariate": [0.0, 1.0]}
+        edit_config(config, lambda c: c.update(model=model))
+        assert "at least 3 observations" in run_test(tmp_path, config, capsys)
 
 
 class TestFamilyGuard:

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +26,16 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
     namespace = {}
     exec(f"from {name} import *", namespace)
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # `tessellate` never needs a graph, so start-up must not pay for scipy.sparse
+    code = (
+        "import sys, ballwise.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

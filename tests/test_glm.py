@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,16 +10,14 @@ from scipy import stats
 from ballwise.glm import (
     DesignSpec,
     HypothesisSpec,
+    StatKernel,
     load_signals_bin,
     load_signals_csv,
     save_signals_bin,
     save_signals_csv,
-    slope_sq,
     stat_field,
-    t_trend_cutoff,
-    t_two_sample_sq,
 )
-from oracles import ols_fit
+from oracles import ols_fit, reduced_fit, slope_sq, t_trend_cutoff, t_two_sample_sq
 
 
 class TestOlsFit:
@@ -149,7 +149,9 @@ class TestStatField:
         design = DesignSpec(group_labels=[0, 0, 1, 1])
         field = stat_field(y, design, HypothesisSpec("t_two_sample_sq"))
         assert field.shape == (1,)
-        assert field[0] == t_two_sample_sq(y[:, 0], [0, 0, 1, 1])
+        # means 1.5 and 3.5, pooled variance 0.5: t^2 = 4 / (0.5 * (1/2 + 1/2))
+        assert field[0] == 8.0
+        assert field[0] == pytest.approx(t_two_sample_sq(y[:, 0], [0, 0, 1, 1]), rel=1e-12)
 
     def test_identical_columns_identical_values(self):
         rng = np.random.default_rng(5)
@@ -196,6 +198,149 @@ class TestStatField:
         design = DesignSpec(group_labels=[0, 0, 1, 1])
         with pytest.raises(ValueError, match="non-finite"):
             stat_field(Y, design, HypothesisSpec("t_two_sample_sq"))
+
+
+STATISTIC_DESIGNS = [
+    ("t_two_sample_sq", {"group_labels": [0, 0, 0, 1, 1, 1]}),
+    ("t_trend_cutoff", {"covariates": np.arange(6.0)}),
+    ("slope_sq", {"covariates": np.arange(6.0)}),
+]
+
+
+class TestStatKernel:
+    """The batched kernel against the two-pass reference and exact arithmetic."""
+
+    def test_large_offset(self):
+        # signals around 280 with sd 1: the kernel centres each column before
+        # any sum, so the offset enters no product. The two-pass reference
+        # t_two_sample_sq does not: its group means each carry an absolute
+        # rounding error of up to n eps |offset| (n = 15 terms summed), so its
+        # t^2, proportional to (m1 - m2)^2, is off by a relative
+        # 2 * 2 n eps |offset| / |m1 - m2| at most; the comparison allows that
+        # plus 1e-12. The trend and slope references centre first, like the
+        # kernel, and must agree to 1e-12.
+        rng = np.random.default_rng(21)
+        N, offset = 30, 280.0
+        Y = offset + rng.standard_normal((N, 200))
+        groups = np.repeat([0, 1], N // 2)
+        t = np.arange(float(N))
+        field = stat_field(Y, DesignSpec(group_labels=groups), HypothesisSpec("t_two_sample_sq"))
+        ref = t_two_sample_sq(Y, groups)
+        diff = np.abs(Y[:15].mean(axis=0) - Y[15:].mean(axis=0))
+        eps = np.finfo(float).eps
+        rtol = 1e-12 + 4 * 15 * eps * offset / diff
+        assert np.all(np.abs(field - ref) <= rtol * ref)
+        # against exact rational arithmetic the kernel is within a few ulps
+        for j in range(5):
+            a = [Fraction(v) for v in Y[:15, j]]
+            b = [Fraction(v) for v in Y[15:, j]]
+            ma, mb = sum(a) / 15, sum(b) / 15
+            ss = sum((v - ma) ** 2 for v in a) + sum((v - mb) ** 2 for v in b)
+            exact = float((ma - mb) ** 2 / (ss / (N - 2) * Fraction(2, 15)))
+            assert field[j] == pytest.approx(exact, rel=1e-14)
+        design = DesignSpec(covariates=t)
+        np.testing.assert_allclose(
+            stat_field(Y, design, HypothesisSpec("t_trend_cutoff")),
+            t_trend_cutoff(Y, t), rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            stat_field(Y, design, HypothesisSpec("slope_sq")), slope_sq(Y, t), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("statistic,design_kwargs", STATISTIC_DESIGNS)
+    @pytest.mark.parametrize("null", ["none", "intercept", "covariate", "no_intercept"])
+    def test_rows_match_materialised_permutations(self, statistic, design_kwargs, null):
+        # row b of a chunk is the statistic of signals[perms[b]], or of
+        # F + R[perms[b]] under a reduced design. Both sides sum the same
+        # products in other orders; a statistic's relative rounding error is
+        # about N eps times the column scale over its slope numerator, which
+        # stays below 1e-11 on these draws.
+        rng = np.random.default_rng(5)
+        Y = rng.standard_normal((6, 40)) + 3
+        X0 = {
+            "none": None,
+            "intercept": np.ones((6, 1)),
+            "covariate": np.column_stack([np.ones(6), rng.standard_normal(6)]),
+            "no_intercept": rng.standard_normal((6, 2)),
+        }[null]
+        design, hyp = DesignSpec(**design_kwargs), HypothesisSpec(statistic)
+        perms = np.array([rng.permutation(6) for _ in range(12)])
+        fields = StatKernel(Y, design, hyp, X0).fields(perms)
+        if X0 is None:
+            permuted = [Y[p] for p in perms]
+        else:
+            fits, resid = reduced_fit(Y, X0)
+            permuted = [fits + resid[p] for p in perms]
+        expected = np.stack([stat_field(Yp, design, hyp) for Yp in permuted])
+        np.testing.assert_allclose(fields, expected, rtol=1e-9)
+        np.testing.assert_array_equal(fields == 0, expected == 0)
+
+    def test_same_grouping_gives_bitwise_equal_rows(self):
+        # a within-group shuffle makes the same grouping, so the same
+        # permuted design and the same sums
+        rng = np.random.default_rng(2)
+        Y = rng.standard_normal((8, 30))
+        kernel = StatKernel(
+            Y, DesignSpec(group_labels=[0, 1] * 4), HypothesisSpec("t_two_sample_sq")
+        )
+        p = rng.permutation(8)
+        q = p.copy()
+        q[[0, 2, 4, 6]] = p[[2, 6, 0, 4]]
+        q[[1, 3, 5, 7]] = p[[7, 5, 3, 1]]
+        fields = kernel.fields(np.stack([p, q]))
+        assert fields[0].tobytes() == fields[1].tobytes()
+
+    @pytest.mark.parametrize("null", [None, np.ones((6, 1))])
+    def test_group_constant_columns_raise(self, null):
+        # every group constant with different means, under the identity and
+        # under a within-group permutation (the same grouping)
+        y = np.array([0.3, 0.3, 0.3, 1.7, 1.7, 1.7])
+        Y = np.column_stack([np.random.default_rng(0).standard_normal(6), y])
+        kernel = StatKernel(
+            Y, DesignSpec(group_labels=[0, 0, 0, 1, 1, 1]),
+            HypothesisSpec("t_two_sample_sq"), null,
+        )
+        for perm in ([0, 1, 2, 3, 4, 5], [2, 0, 1, 5, 3, 4]):
+            with pytest.raises(ValueError, match=r"zero residual variance.*\[1\]"):
+                kernel.fields(np.array([perm]))
+        # other groupings have within-group variance
+        assert np.all(kernel.fields(np.array([[0, 3, 1, 4, 2, 5]])) > 0)
+
+    @pytest.mark.parametrize("null", [None, np.ones((6, 1))])
+    def test_perfect_positive_trend_raises(self, null):
+        # tied covariate values: swapping tied rows keeps the perfect fit
+        t = np.array([0.0, 0.0, 1.5, 1.5, 4.0, 4.0])
+        Y = np.column_stack([0.7 + 2.9 * t, -0.2 - 1.3 * t, np.full(6, 0.1)])
+        design, hyp = DesignSpec(covariates=t), HypothesisSpec("t_trend_cutoff")
+        kernel = StatKernel(Y[:, :1], design, hyp, null)
+        for perm in ([0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4]):
+            with pytest.raises(ValueError, match="zero residual variance"):
+                kernel.fields(np.array([perm]))
+        # a perfect negative trend and a constant column are floored to 0
+        kernel = StatKernel(Y[:, 1:], design, hyp, null)
+        np.testing.assert_array_equal(kernel.fields(np.array([[1, 0, 3, 2, 5, 4]])), 0.0)
+
+    def test_constant_column_is_zero_under_every_permutation(self):
+        Y = np.column_stack([np.full(6, 0.1), np.arange(6.0)])
+        rng = np.random.default_rng(4)
+        perms = np.array([rng.permutation(6) for _ in range(10)])
+        for statistic, design_kwargs in STATISTIC_DESIGNS:
+            kernel = StatKernel(Y, DesignSpec(**design_kwargs), HypothesisSpec(statistic))
+            np.testing.assert_array_equal(kernel.fields(perms)[:, 0], 0.0)
+
+    def test_design_checks(self):
+        Y = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="rank deficient"):
+            StatKernel(Y, DesignSpec(covariates=np.arange(4.0)), HypothesisSpec("slope_sq"),
+                       np.ones((4, 2)))
+        with pytest.raises(ValueError, match="3 observations"):
+            StatKernel(Y[:2], DesignSpec(covariates=[0.0, 1.0]), HypothesisSpec("t_trend_cutoff"))
+        with pytest.raises(ValueError, match="non-finite"):
+            StatKernel(Y, DesignSpec(covariates=[0.0, 1.0, np.nan, 2.0]),
+                       HypothesisSpec("slope_sq"))
+        with pytest.raises(ValueError, match="4 observations"):
+            StatKernel(np.zeros((5, 2)), DesignSpec(group_labels=[0, 0, 1, 1]),
+                       HypothesisSpec("t_two_sample_sq"))
 
 
 class TestInvarianceProperties:

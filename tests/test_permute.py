@@ -12,7 +12,7 @@ from ballwise.domain import (
     interval_component,
     mesh_component,
 )
-from ballwise.glm import DesignSpec, HypothesisSpec, stat_field, t_two_sample_sq
+from ballwise.glm import DesignSpec, HypothesisSpec, StatKernel
 from ballwise.permute import (
     PermutationPlan,
     adjusted_from_ballwise,
@@ -28,6 +28,7 @@ from oracles import (
     product_ball,
     pvalues,
     support_indices,
+    t_two_sample_sq,
     weight_matrix,
 )
 
@@ -147,6 +148,11 @@ class TestGeneratePermutations:
         with pytest.raises(ValueError, match="wrong length"):
             generate_permutations(plan, 3)
 
+    def test_non_permutation_rejected(self):
+        plan = PermutationPlan(1, permutations=np.array([[0, 0, 2]]))
+        with pytest.raises(ValueError, match="reorder"):
+            generate_permutations(plan, 3)
+
 
 class TestNullDistribution:
     def test_identity_permutation_reproduces_observed(self, tet_circle_domain):
@@ -176,10 +182,19 @@ class TestNullDistribution:
         plan = PermutationPlan(
             1, scheme="raw_label_permutation", permutations=swap[None, :]
         )
-        nd = null_distribution(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
+        hyp = HypothesisSpec("t_two_sample_sq")
+        nd = null_distribution(Y, design, hyp, fam, plan)
         np.testing.assert_allclose(
             nd.permuted_fields[0], nd.observed_field, rtol=1e-9
         )
+        # the engine permutes the design: the swapped grouping's design vector
+        # is the negated observed one, so its t^2 is bitwise equal and the
+        # swap counts as a tie everywhere
+        fields = StatKernel(Y, design, hyp).fields(np.stack([np.arange(6), swap]))
+        assert fields[1].tobytes() == fields[0].tobytes()
+        p = run_inference(Y, design, hyp, fam, plan).p
+        for arr in (p.pointwise, p.ballwise, p.adjusted):
+            np.testing.assert_array_equal(arr, 1.0)
 
 
 def exhaustive_two_sample_oracle(Y, n1, family):
@@ -235,6 +250,54 @@ class TestExhaustiveOracle:
         for p in (materialised, engine):
             np.testing.assert_array_equal(p.pointwise, p_point_oracle)
             np.testing.assert_array_equal(p.ballwise, p_ball_oracle)
+
+
+class TestTies:
+    """Random permutations never give a p-value below the exhaustive one.
+
+    N = 8 two-sample, 12 circle points with singleton balls, so the 70
+    groupings give the exact p of every point and ball. A grouping and its
+    complement give the same t^2, and with rounded data (two equal rows and
+    values on a 0.1 grid) many more groupings tie. Each tie lost to a one-ulp
+    difference lowers the engine's p, so the engine's p may sit below the
+    exact p by Monte Carlo error only: 4 standard errors, sqrt(p (1 - p) / B).
+    """
+
+    B = 20_000
+
+    @staticmethod
+    def exact_p(Y, labels):
+        obs = t_two_sample_sq(Y, labels)
+        null = []
+        for g1 in itertools.combinations(range(8), 4):
+            relabelled = np.ones(8, dtype=int)
+            relabelled[list(g1)] = 0
+            null.append(t_two_sample_sq(Y, relabelled))
+        null = np.array(null)
+        # equal in exact arithmetic means equal to 1e-9 here: distinct
+        # groupings of these data differ far more
+        return ((null >= obs) | np.isclose(null, obs, rtol=1e-9, atol=0)).mean(axis=0)
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_never_below_exhaustive_p(self, rounded, seed):
+        fam = enumerate_family(ProductDomain([circle_component(12, 12.0, radius_cap=0.5)]))
+        assert fam.n_balls == 12
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((8, 12))
+        if rounded:
+            Y = np.round(Y, 1)
+            Y[7] = Y[0]
+        labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        exact = self.exact_p(Y, labels)
+        plan = PermutationPlan(self.B, seed=seed, scheme="raw_label_permutation")
+        p = run_inference(
+            Y, DesignSpec(group_labels=labels), HypothesisSpec("t_two_sample_sq"), fam, plan
+        ).p
+        floor = exact - 4 * np.sqrt(exact * (1 - exact) / self.B)
+        assert np.all(p.pointwise >= floor)
+        # singleton balls: each ball's statistic is its point's, times a weight
+        assert np.all(p.ballwise >= floor)
 
 
 class TestPValues:
