@@ -95,7 +95,7 @@ class ComponentGrid:
 def _in_cap_rows(n: int, block_rows, cap: float) -> DistanceRows:
     """The sorted in-cap rows of dense distances given a block of rows at a
     time (``block_rows(start, stop)``)."""
-    return DistanceRows.from_blocks(n, block_rows, lambda block: block < cap)
+    return DistanceRows.from_dense_blocks(n, block_rows, lambda block: block < cap)
 
 
 def mesh_component(m: TriangulatedManifold, radius_cap: float = math.inf) -> ComponentGrid:

@@ -4,8 +4,11 @@ graph-geodesic distances and metric balls.
 A mesh is a set of vertices E and triangles T. Each triangle S contributes
 one third of its flat (Heron) area to each of its vertices, giving quadrature
 weights W(e) that turn vertex sums into integral approximations. Distances
-are shortest paths in the weighted edge graph (Dijkstra), which is also what
-defines the metric balls B(x, r) = {e : d(x, e) < r}.
+are shortest paths in the weighted edge graph, which is also what defines the
+metric balls B(x, r) = {e : d(x, e) < r}. They come from a vectorised numpy
+search over a block of sources at a time (``_search``): it gives the same
+float64 values as Dijkstra, and under a finite limit it keeps only the pairs
+it reached, so a bounded row is never dense.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ __all__ = [
 # Relative slack on the triangle inequality before a triangle is rejected.
 DEGENERACY_RTOL = 1e-9
 
-# Elements per block of rows when distances are kept only up to a bound: a
-# bounded Dijkstra or a cache file produces this many dense distances at a
-# time, and each block is compressed before the next one is made.
+# Elements per block of rows: the shortest-path search works on this many
+# (source, vertex) pairs at a time, and a cache file read up to a bound is
+# compressed this many distances at a time.
 DISTANCE_BLOCK = 1 << 20
 
 
@@ -81,30 +84,46 @@ class DistanceRows:
     def from_blocks(
         cls,
         n: int,
-        block_rows: Callable[[int, int], np.ndarray],
-        keep: Callable[[np.ndarray], np.ndarray],
+        block_entries: Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]],
     ) -> "DistanceRows":
-        """Compress dense rows one block at a time.
+        """Gather the rows one block at a time.
 
-        ``block_rows(start, stop)`` returns rows ``start:stop`` of the n x n
-        distances, about ``DISTANCE_BLOCK`` elements per call, and
-        ``keep(block)`` marks the entries to keep.
+        ``block_entries(start, stop)`` returns the entries of rows
+        ``start:stop`` (``_block_size(n)`` rows per call, fewer at the end) as
+        arrays ``(row - start, index, distance)`` in any order.
         """
         counts = np.zeros(n, dtype=np.int64)
         indices, values = [np.empty(0, dtype=np.int32)], [np.empty(0)]
-        step = max(1, DISTANCE_BLOCK // max(n, 1))
+        step = _block_size(n)
         for start in range(0, n, step):
             stop = min(n, start + step)
-            block = block_rows(start, stop)
-            r, c = np.nonzero(keep(block))  # row-major: indices ascend in a row
-            d = block[r, c]
-            s = np.lexsort((d, r))  # stable, so equal distances keep index order
+            r, c, d = block_entries(start, stop)
+            s = np.lexsort((c, d, r))
             indices.append(c[s].astype(np.int32))
             values.append(d[s])
             counts[start:stop] = np.bincount(r, minlength=stop - start)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return cls(indptr, np.concatenate(indices), np.concatenate(values))
+
+    @classmethod
+    def from_dense_blocks(
+        cls,
+        n: int,
+        block_rows: Callable[[int, int], np.ndarray],
+        keep: Callable[[np.ndarray], np.ndarray],
+    ) -> "DistanceRows":
+        """Compress dense rows one block at a time.
+
+        ``block_rows(start, stop)`` returns rows ``start:stop`` of the n x n
+        distances and ``keep(block)`` marks the entries to keep.
+        """
+        def block_entries(start, stop):
+            block = block_rows(start, stop)
+            r, c = np.nonzero(keep(block))
+            return r, c, block[r, c]
+
+        return cls.from_blocks(n, block_entries)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -269,11 +288,9 @@ class TriangulatedManifold:
             self.compute_weights()
         return float(self.weights.sum())
 
-    def adjacency(self, allowed_vertices=None):
-        """Sparse symmetric edge-weight matrix, optionally restricted to
+    def _graph(self, allowed_vertices=None) -> "_Graph":
+        """The edge graph, each edge both ways, optionally restricted to the
         edges with both endpoints in ``allowed_vertices``."""
-        from scipy.sparse import coo_matrix  # imported on use: it is slow to load
-
         i, j = self.edges[:, 0], self.edges[:, 1]
         lengths = self.edge_lengths
         if allowed_vertices is not None:
@@ -281,12 +298,10 @@ class TriangulatedManifold:
             mask[np.asarray(list(allowed_vertices), dtype=np.int64)] = True
             keep = mask[i] & mask[j]
             i, j, lengths = i[keep], j[keep], lengths[keep]
-        n = self.n_vertices
-        return coo_matrix(
-            (np.concatenate([lengths, lengths]),
-             (np.concatenate([i, j]), np.concatenate([j, i]))),
-            shape=(n, n),
-        ).tocsr()
+        return _Graph.from_edges(
+            self.n_vertices, np.concatenate([i, j]), np.concatenate([j, i]),
+            np.concatenate([lengths, lengths]),
+        )
 
     def compute_distances(
         self, allowed_vertices=None, limit: float = np.inf
@@ -294,33 +309,41 @@ class TriangulatedManifold:
         """Populate shortest-path distances over the edge graph.
 
         If ``allowed_vertices`` is given, only edges within that subset are
-        traversed. With an infinite ``limit`` the distances are the all-pairs
-        matrix. With a finite one they are ``DistanceRows`` holding, for each
-        vertex, the vertices within ``limit``: the search runs over blocks of
-        source rows and each block is compressed before the next, so no n x n
-        array is made, and every distance up to and including ``limit`` is
-        the same as in the unbounded run. A ball cap therefore needs only
-        ``limit=cap``. A graph with more than one connected component warns;
-        its cross-component pairs are ``inf`` (or absent) whatever the limit.
+        traversed. The search runs over blocks of ``_block_size(n)`` sources
+        (see ``_search``). With an infinite ``limit`` each block fills its
+        rows of the all-pairs matrix. With a finite one the distances are
+        ``DistanceRows`` holding, for each vertex, the vertices within
+        ``limit``: a block's reached pairs are sorted into rows and no dense
+        row is made. Every distance up to and including ``limit`` is the same
+        float as in the unbounded run, and as Dijkstra's, so a ball cap needs
+        only ``limit=cap``. A graph with more than one connected component
+        warns; its cross-component pairs are ``inf`` (or absent) whatever the
+        limit.
         """
-        from scipy.sparse.csgraph import dijkstra
-
-        graph = self.adjacency(allowed_vertices)
+        graph = self._graph(allowed_vertices)
+        n = self.n_vertices
+        step = _block_size(n)
+        mark = np.empty(step * n, dtype=np.intp)
         if math.isinf(limit):
-            d = dijkstra(graph, directed=False)
-            np.fill_diagonal(d, 0.0)
+            d = np.full((n, n), np.inf)
+            for start in range(0, n, step):
+                stop = min(n, start + step)
+                _search(graph, np.arange(start, stop), limit, d[start:stop].reshape(-1), mark)
+            connected = not np.isinf(d).any()
         else:
-            def block_rows(start, stop):
-                sources = np.arange(start, stop)
-                block = dijkstra(graph, directed=False, indices=sources, limit=limit)
-                block[sources - start, sources] = 0.0
-                return block
+            best = np.full(step * n, np.inf)
 
-            d = DistanceRows.from_blocks(
-                self.n_vertices, block_rows, lambda block: block <= limit
-            )
+            def block_entries(start, stop):
+                reached = _search(graph, np.arange(start, stop), limit, best, mark)
+                values = best[reached]
+                best[reached] = np.inf  # the next block starts from all inf
+                row, index = np.divmod(reached, n)
+                return row, index, values
+
+            d = DistanceRows.from_blocks(n, block_entries)
+            connected = graph.connected()
         self.distance_limit = limit
-        if _n_components(graph) > 1:
+        if not connected:
             warnings.warn(
                 "mesh edge graph is disconnected; distances across components "
                 "are infinite",
@@ -355,6 +378,83 @@ def _unique_edges(triangles: np.ndarray, n: int) -> np.ndarray:
     j = np.concatenate([triangles[:, 1], triangles[:, 2], triangles[:, 2]])
     keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
     return np.stack([keys // n, keys % n], axis=1)
+
+
+def _block_size(n: int) -> int:
+    """Rows per block of an n-point distance computation: about
+    ``DISTANCE_BLOCK`` elements."""
+    return max(1, DISTANCE_BLOCK // max(n, 1))
+
+
+@dataclass(frozen=True)
+class _Graph:
+    """A weighted graph in CSR form: the edges out of vertex v are
+    ``targets[indptr[v]:indptr[v + 1]]`` with lengths ``lengths[...]``.
+    Zero-length edges are edges."""
+
+    indptr: np.ndarray   # (n + 1,) int64
+    targets: np.ndarray  # (m,) int64
+    lengths: np.ndarray  # (m,) float64
+
+    @classmethod
+    def from_edges(cls, n: int, sources, targets, lengths) -> "_Graph":
+        by_source = np.argsort(sources, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+        return cls(indptr, targets[by_source], lengths[by_source])
+
+    def connected(self) -> bool:
+        """Whether every vertex is reachable from vertex 0."""
+        n = len(self.indptr) - 1
+        if n == 0:
+            return True
+        d = np.full(n, np.inf)
+        _search(self, np.zeros(1, dtype=np.intp), np.inf, d, np.empty(n, dtype=np.intp))
+        return not np.isinf(d).any()
+
+
+def _search(graph: _Graph, sources, limit, best, mark) -> np.ndarray:
+    """Shortest-path distances from ``sources`` up to ``limit``.
+
+    ``best`` is a flat array whose ``len(sources) * n`` first entries are
+    ``inf`` on entry; on return entry ``r * n + v`` is the distance from
+    ``sources[r]`` to v, or ``inf`` when that is above ``limit``. ``mark`` is
+    scratch of the same length. Returns the positions of the finite entries,
+    each once, in no particular order.
+
+    Each round relaxes the edges out of every (source, vertex) pair that
+    improved in the round before, keeping the candidates ``d < best`` and
+    ``d <= limit``. The pairs that improved are the next frontier; the search
+    ends when none did. Float addition of ``w >= 0`` is monotone, so every
+    order of relaxation converges to the least left-to-right float sum over
+    all walks, which is the value Dijkstra computes; and a walk's prefix sums
+    never decrease, so stopping at ``limit`` cuts no walk that ends within it.
+    """
+    n = len(graph.indptr) - 1
+    frontier = np.arange(len(sources)) * n + sources
+    best[frontier] = 0.0
+    reached = [frontier]
+    while len(frontier):
+        vertex = frontier % n
+        first = graph.indptr[vertex]
+        degree = graph.indptr[vertex + 1] - first
+        # the edges out of each frontier pair, in CSR order
+        edge = np.repeat(first - (np.cumsum(degree) - degree), degree)
+        edge += np.arange(len(edge))
+        key = np.repeat(frontier - vertex, degree)
+        key += graph.targets[edge]
+        d = np.repeat(best[frontier], degree)
+        d += graph.lengths[edge]
+        # flatnonzero then take: faster than a boolean index on a mixed mask
+        better = np.flatnonzero((d < best[key]) & (d <= limit))
+        key, d = key[better], d[better]
+        # one entry per improved pair, without sorting: the last writer wins
+        stamp = np.arange(len(key))
+        mark[key] = stamp
+        frontier = key[np.flatnonzero(mark[key] == stamp)]
+        reached.append(frontier[np.isinf(best[frontier])])
+        np.minimum.at(best, key, d)
+    return np.concatenate(reached)
 
 
 # --- OFF file I/O ------------------------------------------------------------
@@ -394,16 +494,9 @@ def load_mesh(path, fmt: str = "OFF") -> TriangulatedManifold:
         m = TriangulatedManifold(verts, np.ascontiguousarray(faces[:, 1:]))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if len(m.edges) and _n_components(m.adjacency()) > 1:
+    if len(m.edges) and not m._graph().connected():
         warnings.warn(f"{path}: mesh is disconnected", stacklevel=2)
     return m
-
-
-def _n_components(graph) -> int:
-    from scipy.sparse.csgraph import connected_components
-
-    n, _ = connected_components(graph, directed=False)
-    return n
 
 
 def off_text(m: TriangulatedManifold) -> str:
@@ -457,7 +550,7 @@ def load_distance_cache(path, limit: float = np.inf) -> np.ndarray | DistanceRow
             block = np.fromfile(fh, dtype="<f8", count=(stop - start) * n)
             return block.reshape(stop - start, n)
 
-        return DistanceRows.from_blocks(n, block_rows, lambda block: block <= limit)
+        return DistanceRows.from_dense_blocks(n, block_rows, lambda block: block <= limit)
 
 
 # --- icosphere ---------------------------------------------------------------

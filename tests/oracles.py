@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, kron
+from scipy.sparse import coo_matrix, csr_matrix, kron
 from scipy.sparse.csgraph import dijkstra
 
 from ballwise.domain import mesh_component
@@ -28,9 +28,28 @@ from ballwise.permute import PValueFields, adjusted_from_ballwise, generate_perm
 
 # --- ground-truth distances ------------------------------------------------------
 
-def dense_dijkstra(m) -> np.ndarray:
+def adjacency(m, allowed_vertices=None) -> csr_matrix:
+    """Sparse symmetric edge-weight matrix of a mesh, optionally restricted to
+    edges with both endpoints in ``allowed_vertices``; zero-length edges are
+    kept as explicit entries, which csgraph treats as edges."""
+    i, j = m.edges[:, 0], m.edges[:, 1]
+    lengths = m.edge_lengths
+    if allowed_vertices is not None:
+        mask = np.zeros(m.n_vertices, dtype=bool)
+        mask[np.asarray(list(allowed_vertices), dtype=np.int64)] = True
+        keep = mask[i] & mask[j]
+        i, j, lengths = i[keep], j[keep], lengths[keep]
+    n = m.n_vertices
+    return coo_matrix(
+        (np.concatenate([lengths, lengths]),
+         (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(n, n),
+    ).tocsr()
+
+
+def dense_dijkstra(m, allowed_vertices=None) -> np.ndarray:
     """All-pairs distances of a mesh from one unbounded dense Dijkstra."""
-    d = dijkstra(m.adjacency(), directed=False)
+    d = dijkstra(adjacency(m, allowed_vertices), directed=False)
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -55,6 +74,21 @@ def distances(g) -> np.ndarray:
         k = np.abs(idx[:, None] - idx[None, :])
         return np.minimum(k, g.size - k) * g.weights[0]  # the weight is the step
     return np.abs(g.points[:, None] - g.points[None, :])
+
+
+def dense_to_rows(full: np.ndarray, limit: float):
+    """The entries of ``full`` up to ``limit`` as ``(indptr, indices, values)``
+    of sorted rows, one row at a time: each row's kept points by (distance,
+    index)."""
+    indptr, indices, values = [0], [], []
+    for d in full:
+        kept = np.flatnonzero(d <= limit)
+        kept = kept[np.lexsort((kept, d[kept]))]
+        indptr.append(indptr[-1] + len(kept))
+        indices.append(kept.astype(np.int32))
+        values.append(d[kept])
+    return (np.array(indptr, dtype=np.int64), np.concatenate(indices),
+            np.concatenate(values))
 
 
 def rows_to_dense(rows) -> np.ndarray:

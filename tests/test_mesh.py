@@ -1,7 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ballwise import mesh
@@ -337,6 +340,85 @@ class TestDistances:
         path = tmp_path / "d.bin"
         save_distance_cache(d, path)
         assert path.read_bytes() == np.uint64(6).astype("<u8").tobytes() + d.astype("<f8").tobytes()
+
+
+@st.composite
+def weighted_meshes(draw):
+    """A jittered icosphere with some edge lengths overridden (zero, scaled,
+    or rounded to sixteenths so that distinct paths tie), and optionally a
+    subset of allowed vertices."""
+    base = build_icosphere(draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = TriangulatedManifold(
+        base.vertices + rng.normal(0.0, 0.03, base.vertices.shape), base.triangles
+    )
+    n_edges = len(m.edges)
+    scaled = rng.random(n_edges) < draw(st.floats(0.0, 1.0))
+    m.edge_lengths[scaled] *= rng.uniform(0.0, 2.0, scaled.sum())
+    if draw(st.booleans()):
+        m.edge_lengths[:] = np.round(m.edge_lengths * 16) / 16
+    zero = rng.choice(n_edges, draw(st.integers(0, 12)), replace=False)
+    m.edge_lengths[zero] = 0.0
+    allowed = None
+    if draw(st.booleans()):
+        allowed = np.flatnonzero(rng.random(m.n_vertices) < draw(st.floats(0.5, 1.0)))
+    return m, allowed
+
+
+class TestAgainstDijkstra:
+    """The numpy search equals scipy's Dijkstra bit for bit: the dense matrix,
+    and every array of the bounded rows."""
+
+    @staticmethod
+    def assert_matches(m, allowed, limit, block_rows=None):
+        full = oracles.dense_dijkstra(m, allowed)
+        disconnected = bool(np.isinf(full).any())
+        n = m.n_vertices
+        with mock.patch.object(mesh, "DISTANCE_BLOCK", (block_rows or n + 5) * n):
+            for bound in (np.inf, limit):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    d = m.compute_distances(allowed, limit=bound).distances
+                assert any("disconnected" in str(w.message) for w in caught) == disconnected
+                if np.isinf(bound):
+                    assert d.tobytes() == full.tobytes()
+                    continue
+                indptr, indices, values = oracles.dense_to_rows(full, bound)
+                assert d.indptr.tobytes() == indptr.tobytes()
+                assert d.indices.tobytes() == indices.tobytes()
+                assert d.values.tobytes() == values.tobytes()
+
+    @given(
+        mesh_and_allowed=weighted_meshes(),
+        limit=st.one_of(st.floats(0.0, 3.0), st.integers(0, 200)),
+        block_rows=st.sampled_from([1, 7, None]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_jittered_meshes(self, mesh_and_allowed, limit, block_rows):
+        m, allowed = mesh_and_allowed
+        if isinstance(limit, int):  # a limit equal to a realized distance
+            realized = np.unique(oracles.dense_dijkstra(m, allowed))
+            limit = float(realized[limit % len(realized)])
+        self.assert_matches(m, allowed, limit, block_rows)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, None])
+    def test_disconnected_icospheres(self, block_rows, tmp_path):
+        a, b = build_icosphere(2), build_icosphere(3)
+        m = TriangulatedManifold(
+            np.concatenate([a.vertices, b.vertices + 5.0]),
+            np.concatenate([a.triangles, b.triangles + a.n_vertices]),
+        )
+        limit = float(np.unique(oracles.dense_dijkstra(m)[0])[5])
+        self.assert_matches(m, None, limit, block_rows)
+        save_off(m, tmp_path / "two.off")
+        with pytest.warns(UserWarning, match="disconnected"):
+            load_mesh(tmp_path / "two.off")
+
+    @pytest.mark.slow
+    def test_order16_full_cap(self):
+        m = build_icosphere(16)
+        d = m.compute_distances().distances
+        assert d.tobytes() == oracles.dense_dijkstra(m).tobytes()
 
 
 class TestBall:
