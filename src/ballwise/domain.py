@@ -175,10 +175,11 @@ def interval_component(
 class ComponentBall:
     """A distinct metric-ball support within one component grid.
 
-    ``radius`` is a representative radius realizing the support;
-    ``inner_radius`` is the largest center distance inside the support, so the
-    support is admissible under any cap strictly above it (0 for singletons,
-    which are admissible under every cap).
+    ``center`` is the first center realizing the support and ``radius`` a
+    radius that realizes it around that center. ``inner_radius`` is the least
+    over every center realizing the support of that center's largest distance
+    inside it, so the support is admissible under exactly the caps strictly
+    above it (0 for singletons, which are admissible under every cap).
     """
 
     center: int
@@ -287,7 +288,8 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
     in-cap value, or, for the widest support, the cap (``v + 1`` when the cap
     is infinite and the support is the whole grid). Supports are
     deduplicated across centers, keeping the first center that realizes
-    each: candidates are grouped by size and Zobrist hash, and every
+    each and its radius, and the least inner radius of any center that
+    realizes it: candidates are grouped by size and Zobrist hash, and every
     duplicate is confirmed exactly against its group's first candidate, so a
     hash collision never merges two supports.
     """
@@ -317,13 +319,16 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
     hashes = np.bitwise_xor.accumulate(keys[order], axis=1)[brow, bpos]
     first = _first_equal_support(order, brow, sizes, hashes)
     is_ball = first == np.arange(len(first))
+    # a support is admissible under a cap as soon as any of its centers is
+    least_inner = inner.copy()
+    np.minimum.at(least_inner, first, inner)
     return ComponentBalls(
         order=order,
         weights=g.weights,
         centers=brow[is_ball],
         sizes=sizes[is_ball],
         radii=radius[is_ball],
-        inner_radii=inner[is_ball],
+        inner_radii=least_inner[is_ball],
     )
 
 

@@ -103,7 +103,9 @@ def rows_to_dense(rows) -> np.ndarray:
 
 def component_balls_loop(g):
     """The per-center enumeration loop: (center, radius, inner, support) per
-    distinct support, deduplicated on the support's bytes, first center kept."""
+    distinct support, deduplicated on the support's bytes. The first center
+    and its radius are kept; ``inner`` is the least inner radius over every
+    center that realizes the support."""
     cap = g.radius_cap
     D = distances(g)
     seen = {}
@@ -128,6 +130,8 @@ def component_balls_loop(g):
             key = support.tobytes()
             if key not in seen:
                 seen[key] = (center, radius, inner, support)
+            elif inner < seen[key][2]:
+                seen[key] = seen[key][:2] + (inner,) + seen[key][3:]
     return list(seen.values())
 
 

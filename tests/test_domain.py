@@ -58,10 +58,20 @@ def reference_component_balls(grid):
     """Oracle: the full-row enumeration loop, which needs every distance.
 
     Argsorts each whole row and walks all its prefix boundaries up to the cap.
+    Keeps the first center of each support and its radius, and the least
+    inner radius of any center that realizes the support.
     """
     cap = grid.radius_cap
     D = oracles.distances(grid)
     seen = {}
+
+    def keep(center, radius, inner, support):
+        key = support.tobytes()
+        if key not in seen:
+            seen[key] = (center, radius, inner, support)
+        elif inner < seen[key][2]:
+            seen[key] = (seen[key][0], seen[key][1], inner, support)
+
     for center in range(grid.size):
         d = D[center]
         order = np.argsort(d, kind="stable").astype(np.int32)
@@ -76,17 +86,11 @@ def reference_component_balls(grid):
                     radius = float(cap)
                 else:
                     break
-            support = np.sort(order[:k])
-            key = support.tobytes()
-            if key not in seen:
-                seen[key] = (center, radius, inner, support)
+            keep(center, radius, inner, np.sort(order[:k]))
         full_inner = float(sorted_d[-1])
         if full_inner < cap:
             radius = full_inner + 1.0 if math.isinf(cap) else float(cap)
-            support = np.sort(order)
-            key = support.tobytes()
-            if key not in seen:
-                seen[key] = (center, radius, full_inner, support)
+            keep(center, radius, full_inner, np.sort(order))
     return list(seen.values())
 
 
@@ -181,10 +185,17 @@ class TestEnumerateComponentBalls:
 
     def test_inner_radius_admissibility(self):
         g = interval_component(0.0, 3.0, 4)
+        D = oracles.distances(g)
         for b in enumerate_component_balls(g):
             assert b.inner_radius < b.radius
-            d = oracles.distances(g)[b.center]
-            assert b.inner_radius == pytest.approx(d[b.indices].max())
+            # each center whose closed ball of its farthest support distance
+            # is exactly the support realizes it with that distance
+            realized = [
+                D[c, b.indices].max() for c in range(g.size)
+                if np.array_equal(np.flatnonzero(D[c] <= D[c, b.indices].max()), b.indices)
+            ]
+            assert D[b.center, b.indices].max() in realized
+            assert b.inner_radius == min(realized)
 
 
 class TestBoundedEnumeration:
@@ -415,6 +426,26 @@ class TestAdmissibleMask:
             assert mask.dtype == bool and mask.shape == (fam.n_balls,)
             np.testing.assert_array_equal(mask, admissible_mask(fam, caps))
         assert 0 < fam.admissible_mask(cap_sets[1]).sum() < fam.n_balls
+
+    def test_matches_fresh_enumeration_on_jittered_meshes(self):
+        # a support realized by several centers is admissible under a cap as
+        # soon as one of them is, whichever center the dedup kept
+        def supports(balls, keep=None):
+            keep = np.ones(len(balls), dtype=bool) if keep is None else keep
+            return {
+                np.sort(balls.order[c, :s]).tobytes()
+                for c, s in zip(balls.centers[keep], balls.sizes[keep])
+            }
+
+        ico = build_icosphere(3)
+        for seed in range(20):
+            noise = np.random.default_rng(seed).normal(0.0, 0.03, ico.vertices.shape)
+            m = TriangulatedManifold(ico.vertices + noise, ico.triangles)
+            fam = enumerate_family(ProductDomain([mesh_component(m)]))
+            for cap in (0.3, 0.5, 0.8):
+                fresh = enumerate_component_balls(mesh_component(m, radius_cap=cap))
+                kept = supports(fam.component_balls[0], fam.admissible_mask([cap]))
+                assert kept == supports(fresh), (seed, cap)
 
     def test_one_cap_per_component(self):
         fam = enumerate_family(ProductDomain([circle_component(4)]))
