@@ -298,9 +298,14 @@ class TriangulatedManifold:
             mask[np.asarray(list(allowed_vertices), dtype=np.int64)] = True
             keep = mask[i] & mask[j]
             i, j, lengths = i[keep], j[keep], lengths[keep]
-        return _Graph.from_edges(
-            self.n_vertices, np.concatenate([i, j]), np.concatenate([j, i]),
-            np.concatenate([lengths, lengths]),
+        sources = np.concatenate([i, j])
+        by_source = np.argsort(sources, kind="stable")
+        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=self.n_vertices), out=indptr[1:])
+        return _Graph(
+            indptr,
+            np.concatenate([j, i])[by_source],
+            np.concatenate([lengths, lengths])[by_source],
         )
 
     def compute_distances(
@@ -396,13 +401,6 @@ class _Graph:
     targets: np.ndarray  # (m,) int64
     lengths: np.ndarray  # (m,) float64
 
-    @classmethod
-    def from_edges(cls, n: int, sources, targets, lengths) -> "_Graph":
-        by_source = np.argsort(sources, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
-        return cls(indptr, targets[by_source], lengths[by_source])
-
     def connected(self) -> bool:
         """Whether every vertex is reachable from vertex 0."""
         n = len(self.indptr) - 1
@@ -448,7 +446,8 @@ def _search(graph: _Graph, sources, limit, best, mark) -> np.ndarray:
         # flatnonzero then take: faster than a boolean index on a mixed mask
         better = np.flatnonzero((d < best[key]) & (d <= limit))
         key, d = key[better], d[better]
-        # one entry per improved pair, without sorting: the last writer wins
+        # one entry per improved pair, without sorting: one stamp per pair
+        # survives the scatter, so exactly one of its candidates matches it
         stamp = np.arange(len(key))
         mark[key] = stamp
         frontier = key[np.flatnonzero(mark[key] == stamp)]
