@@ -36,12 +36,7 @@ from .domain import (
     interval_component,
     mesh_component,
 )
-from .evalsim import (
-    ScenarioConfig,
-    cap_region_mask,
-    multi_patch_mask,
-    run_scenario,
-)
+from .evalsim import ScenarioConfig, multi_patch_mask, run_scenario
 from .glm import (
     DesignSpec,
     HypothesisSpec,
@@ -80,6 +75,8 @@ def _atomic_write(path: str, data: str | bytes | Iterable[str]) -> None:
 
 
 def _check_keys(section: dict, allowed: set[str], required: set[str], where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
@@ -98,6 +95,17 @@ def _parse_cap(value, where: str) -> float:
     if not cap > 0:  # also rejects nan
         raise ConfigError(f"{where}: radius_cap must be positive")
     return cap
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a JSON integer (bool is an int subclass: not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive_int(value, what: str) -> int:
+    if not _is_int(value) or value < 1:
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    return value
 
 
 def _load_json(path: str) -> dict:
@@ -187,12 +195,9 @@ def _build_domain(config: dict):
             "limit is max_balls, a number of balls"
         )
     _check_keys(config, {"components", "max_balls"}, {"components"}, "domain")
-    max_balls = config.get("max_balls", DEFAULT_MAX_BALLS)
-    # bool is an int subclass: reject true/false explicitly
-    if isinstance(max_balls, bool) or not isinstance(max_balls, int) or max_balls < 1:
-        raise ConfigError(
-            f"domain: max_balls must be a positive integer, got {max_balls!r}"
-        )
+    max_balls = _positive_int(
+        config.get("max_balls", DEFAULT_MAX_BALLS), "domain: max_balls"
+    )
     comps = [
         _build_component(c, f"domain.components[{i}]")
         for i, c in enumerate(config["components"])
@@ -381,8 +386,7 @@ def cmd_tessellate(args) -> int:
 
 def cmd_distances(args) -> int:
     m = _load_mesh(args.mesh, "", args.edge_lengths)
-    m.compute_distances()
-    save_distance_cache(m.distances, args.out)
+    save_distance_cache(m, args.out)
     print(f"wrote {m.n_vertices}x{m.n_vertices} distance cache -> {args.out}")
     return EXIT_OK
 
@@ -500,6 +504,9 @@ def _scenario_from_config(section: dict, idx: int) -> ScenarioConfig:
         section, SCENARIO_KEYS,
         {"n_samples", "permutations", "replicates", "seed"}, where,
     )
+    order = section.get("icosphere_order")
+    if order is not None:
+        _positive_int(order, f"{where}: icosphere_order")
     try:
         cfg = ScenarioConfig(
             n_samples=int(section["n_samples"]),
@@ -511,12 +518,12 @@ def _scenario_from_config(section: dict, idx: int) -> ScenarioConfig:
             signal_amplitude=float(section.get("signal_amplitude", 0.0)),
             noise_bandwidth=float(section.get("noise_bandwidth", 0.3)),
             noise_sd=float(section.get("noise_sd", 1.0)),
-            icosphere_order=section.get("icosphere_order"),
+            icosphere_order=order,
             icosphere_radius=float(section.get("icosphere_radius", 1.0)),
             mesh_path=section.get("mesh_path"),
             scenario_id=str(section.get("id", idx)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     return cfg
 
@@ -524,20 +531,28 @@ def _scenario_from_config(section: dict, idx: int) -> ScenarioConfig:
 def _apply_truth(cfg: ScenarioConfig, section: dict, mesh, idx: int):
     truth_cfg = section.get("truth", {"type": "none"})
     where = f"scenario[{idx}].truth"
-    _check_keys(truth_cfg, {"type", "center", "centers", "radius"}, {"type"}, where)
+    keys = {"type", "center", "centers", "radius"}
+    _check_keys(truth_cfg, keys, {"type"}, where)
     kind = truth_cfg["type"]
     if kind == "none":
         cfg.truth_mask = np.zeros(mesh.n_vertices, dtype=bool)
-    elif kind == "cap":
-        cfg.truth_mask = cap_region_mask(
-            mesh, int(truth_cfg["center"]), float(truth_cfg["radius"])
-        )
-    elif kind == "patches":
-        cfg.truth_mask = multi_patch_mask(
-            mesh, [int(c) for c in truth_cfg["centers"]], float(truth_cfg["radius"])
-        )
-    else:
+        return
+    if kind not in ("cap", "patches"):
         raise ConfigError(f"{where}: unknown truth type {kind!r}")
+    key = "center" if kind == "cap" else "centers"
+    _check_keys(truth_cfg, keys, {key, "radius"}, where)
+    centers = [truth_cfg[key]] if kind == "cap" else truth_cfg[key]
+    n = mesh.n_vertices
+    if not isinstance(centers, list) or not centers or not all(
+        _is_int(c) and 0 <= c < n for c in centers
+    ):
+        raise ConfigError(
+            f"{where}: {key} must be vertex indices in [0, {n}), got {truth_cfg[key]!r}"
+        )
+    radius = truth_cfg["radius"]
+    if isinstance(radius, bool) or not isinstance(radius, (int, float)) or not radius > 0:
+        raise ConfigError(f"{where}: radius must be a positive number, got {radius!r}")
+    cfg.truth_mask = multi_patch_mask(mesh, centers, float(radius))
 
 
 def cmd_simulate(args) -> int:

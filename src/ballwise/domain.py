@@ -92,32 +92,23 @@ class ComponentGrid:
         return float(self.weights.sum())
 
 
-def _in_cap_rows(n: int, block_rows, cap: float) -> DistanceRows:
-    """The sorted in-cap rows of dense distances given a block of rows at a
-    time (``block_rows(start, stop)``)."""
-    return DistanceRows.from_dense_blocks(n, block_rows, lambda block: block < cap)
-
-
 def mesh_component(m: TriangulatedManifold, radius_cap: float = math.inf) -> ComponentGrid:
     """Wrap a triangulated mesh as a product-domain component.
 
     Distances not yet computed, or computed only out to a limit below
     ``radius_cap``, are computed out to ``radius_cap``: the balls need
-    nothing farther.
+    nothing farther. The component's rows are the mesh's rows below the cap,
+    the very same object when every distance is below it.
     """
     if m.weights is None:
         m.compute_weights()
     if m.distances is None or m.distance_limit < radius_cap:
         m.compute_distances(limit=radius_cap)
-    if isinstance(m.distances, DistanceRows):
-        rows = m.distances.below(radius_cap)
-    else:
-        rows = _in_cap_rows(m.n_vertices, lambda a, b: m.distances[a:b], radius_cap)
     return ComponentGrid(
         kind="mesh",
         points=np.arange(m.n_vertices),
         weights=m.weights,
-        rows=rows,
+        rows=m.distances.below(radius_cap),
         radius_cap=radius_cap,
     )
 
@@ -141,7 +132,7 @@ def circle_component(
         kind="circle",
         points=idx * step,
         weights=np.full(n_points, step),
-        rows=_in_cap_rows(n_points, block_rows, radius_cap),
+        rows=DistanceRows.from_dense_blocks(n_points, block_rows, lambda d: d < radius_cap),
         radius_cap=radius_cap,
     )
 
@@ -166,7 +157,7 @@ def interval_component(
         kind="interval",
         points=pts,
         weights=w,
-        rows=_in_cap_rows(n_points, block_rows, radius_cap),
+        rows=DistanceRows.from_dense_blocks(n_points, block_rows, lambda d: d < radius_cap),
         radius_cap=radius_cap,
     )
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .domain import ProductDomain, enumerate_family, mesh_component
 from .glm import DesignSpec, HypothesisSpec
-from .mesh import TriangulatedManifold, build_icosphere, load_mesh
+from .mesh import DistanceRows, TriangulatedManifold, build_icosphere, load_mesh
 from .permute import PermutationPlan, run_inference
 
 __all__ = [
@@ -34,31 +34,36 @@ __all__ = [
 MAX_NOISE_VERTICES = 2000
 
 
+def _check_noise_vertices(n: int) -> None:
+    if n > MAX_NOISE_VERTICES:
+        raise ValueError(
+            f"dense covariance limited to {MAX_NOISE_VERTICES} vertices, the "
+            f"mesh has {n}; supply your own noise generator for larger meshes"
+        )
+
+
 class GaussianFieldSampler:
     """Zero-mean Gaussian field on mesh vertices with squared-exponential
     covariance sd^2 * exp(-d(x,y)^2 / (2 * bandwidth^2)).
 
     Realized through the symmetric square root of the dense covariance
-    matrix. With graph-geodesic distances on a curved mesh this kernel need
+    matrix, built from all-pairs ``DistanceRows`` (every row holds every
+    vertex). With graph-geodesic distances on a curved mesh this kernel need
     not be positive semidefinite; negative eigenvalues are clamped to zero,
     so the field's covariance is the PSD eigenvalue projection of the kernel
     (``clamped_mass`` reports how much was removed, relative to the trace).
     """
 
-    def __init__(self, distances: np.ndarray, bandwidth: float, sd: float):
+    def __init__(self, distances: DistanceRows, bandwidth: float, sd: float):
         if bandwidth <= 0 or sd <= 0:
             raise ValueError("bandwidth and sd must be positive")
-        d = np.asarray(distances, dtype=float)
-        n = d.shape[0]
-        if d.shape != (n, n):
-            raise ValueError("distance matrix must be square")
-        if n > MAX_NOISE_VERTICES:
-            raise ValueError(
-                f"dense covariance limited to {MAX_NOISE_VERTICES} vertices; "
-                "supply your own noise generator for larger meshes"
-            )
-        if not np.all(np.isfinite(d)):
-            raise ValueError("noise covariance needs finite distances")
+        n = len(distances)
+        _check_noise_vertices(n)
+        if len(distances.values) != n * n:
+            raise ValueError("noise covariance needs finite all-pairs distances")
+        d = np.empty((n, n))
+        rows = np.arange(n)[:, None]
+        d[rows, distances.indices.reshape(n, n)] = distances.values.reshape(n, n)
         cov = sd ** 2 * np.exp(-(d ** 2) / (2.0 * bandwidth ** 2))
         try:
             vals, vecs = np.linalg.eigh(cov)
@@ -136,8 +141,6 @@ def compute_error_rates(
 
 def cap_region_mask(m: TriangulatedManifold, center: int, radius: float) -> np.ndarray:
     """Boolean mask of one connected geodesic patch around ``center``."""
-    if m.distances is None:
-        m.compute_distances()
     mask = np.zeros(m.n_vertices, dtype=bool)
     mask[m.ball(center, radius)] = True
     return mask
@@ -188,10 +191,13 @@ class ScenarioConfig:
             raise ValueError("replicates must be positive")
         if self.noise_bandwidth <= 0 or self.noise_sd <= 0:
             raise ValueError("noise scale parameters must be positive")
+        if self.icosphere_order is not None:
+            _check_noise_vertices(10 * self.icosphere_order ** 2 + 2)
 
     def build_mesh(self) -> TriangulatedManifold:
         if self.mesh_path is not None:
             m = load_mesh(self.mesh_path)
+            _check_noise_vertices(m.n_vertices)
         else:
             m = build_icosphere(self.icosphere_order, self.icosphere_radius)
         m.compute_weights()

@@ -7,8 +7,8 @@ weights W(e) that turn vertex sums into integral approximations. Distances
 are shortest paths in the weighted edge graph, which is also what defines the
 metric balls B(x, r) = {e : d(x, e) < r}. They come from a vectorised numpy
 search over a block of sources at a time (``_search``): it gives the same
-float64 values as Dijkstra, and under a finite limit it keeps only the pairs
-it reached, so a bounded row is never dense.
+float64 values as Dijkstra, and only the pairs it reached are kept, as sorted
+rows (``DistanceRows``); no dense n x n matrix is made.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import os
 import struct
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,23 +81,15 @@ class DistanceRows:
     values: np.ndarray   # (nnz,) float64
 
     @classmethod
-    def from_blocks(
-        cls,
-        n: int,
-        block_entries: Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]],
-    ) -> "DistanceRows":
+    def from_blocks(cls, n: int, blocks: Iterable[tuple]) -> "DistanceRows":
         """Gather the rows one block at a time.
 
-        ``block_entries(start, stop)`` returns the entries of rows
-        ``start:stop`` (``_block_size(n)`` rows per call, fewer at the end) as
-        arrays ``(row - start, index, distance)`` in any order.
+        ``blocks`` yields ``(start, stop, row - start, index, distance)``: the
+        entries of rows ``start:stop`` in any order, the blocks in row order.
         """
         counts = np.zeros(n, dtype=np.int64)
         indices, values = [np.empty(0, dtype=np.int32)], [np.empty(0)]
-        step = _block_size(n)
-        for start in range(0, n, step):
-            stop = min(n, start + step)
-            r, c, d = block_entries(start, stop)
+        for start, stop, r, c, d in blocks:
             s = np.lexsort((c, d, r))
             indices.append(c[s].astype(np.int32))
             values.append(d[s])
@@ -116,14 +108,18 @@ class DistanceRows:
         """Compress dense rows one block at a time.
 
         ``block_rows(start, stop)`` returns rows ``start:stop`` of the n x n
-        distances and ``keep(block)`` marks the entries to keep.
+        distances (``_block_size(n)`` rows per call, fewer at the end) and
+        ``keep(block)`` marks the entries to keep.
         """
-        def block_entries(start, stop):
-            block = block_rows(start, stop)
-            r, c = np.nonzero(keep(block))
-            return r, c, block[r, c]
+        def blocks():
+            step = _block_size(n)
+            for start in range(0, n, step):
+                stop = min(n, start + step)
+                block = block_rows(start, stop)
+                r, c = np.nonzero(keep(block))
+                yield start, stop, r, c, block[r, c]
 
-        return cls.from_blocks(n, block_entries)
+        return cls.from_blocks(n, blocks())
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -160,11 +156,10 @@ class TriangulatedManifold:
         can be overridden (see :meth:`override_edge_lengths`).
     weights : (n,) float array or None
         Vertex quadrature weights, populated by :meth:`compute_weights`.
-    distances : (n, n) float array, DistanceRows or None
-        Graph-geodesic distances, populated by :meth:`compute_distances`.
-        All pairs (an array, ``inf`` across disconnected parts) when
-        ``distance_limit`` is infinite; otherwise each vertex's row of the
-        vertices within ``distance_limit``.
+    distances : DistanceRows or None
+        Graph-geodesic distances, populated by :meth:`compute_distances`:
+        each vertex's row of the vertices within ``distance_limit`` (every
+        vertex it can reach when the limit is infinite).
     distance_limit : float
         The ``limit`` the distances were computed with (``inf``: all pairs).
     """
@@ -173,7 +168,7 @@ class TriangulatedManifold:
     triangles: np.ndarray
     edge_lengths: np.ndarray = field(default=None)  # type: ignore[assignment]
     weights: np.ndarray | None = None
-    distances: np.ndarray | DistanceRows | None = None
+    distances: DistanceRows | None = None
     distance_limit: float = np.inf
 
     def __post_init__(self):
@@ -288,16 +283,9 @@ class TriangulatedManifold:
             self.compute_weights()
         return float(self.weights.sum())
 
-    def _graph(self, allowed_vertices=None) -> "_Graph":
-        """The edge graph, each edge both ways, optionally restricted to the
-        edges with both endpoints in ``allowed_vertices``."""
+    def _graph(self) -> "_Graph":
+        """The edge graph, each edge both ways."""
         i, j = self.edges[:, 0], self.edges[:, 1]
-        lengths = self.edge_lengths
-        if allowed_vertices is not None:
-            mask = np.zeros(self.n_vertices, dtype=bool)
-            mask[np.asarray(list(allowed_vertices), dtype=np.int64)] = True
-            keep = mask[i] & mask[j]
-            i, j, lengths = i[keep], j[keep], lengths[keep]
         sources = np.concatenate([i, j])
         by_source = np.argsort(sources, kind="stable")
         indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
@@ -305,56 +293,36 @@ class TriangulatedManifold:
         return _Graph(
             indptr,
             np.concatenate([j, i])[by_source],
-            np.concatenate([lengths, lengths])[by_source],
+            np.concatenate([self.edge_lengths, self.edge_lengths])[by_source],
         )
 
-    def compute_distances(
-        self, allowed_vertices=None, limit: float = np.inf
-    ) -> "TriangulatedManifold":
-        """Populate shortest-path distances over the edge graph.
+    def compute_distances(self, limit: float = np.inf) -> "TriangulatedManifold":
+        """Populate shortest-path distances over the edge graph: for each
+        vertex, the ``DistanceRows`` row of the vertices within ``limit``.
 
-        If ``allowed_vertices`` is given, only edges within that subset are
-        traversed. The search runs over blocks of ``_block_size(n)`` sources
-        (see ``_search``). With an infinite ``limit`` each block fills its
-        rows of the all-pairs matrix. With a finite one the distances are
-        ``DistanceRows`` holding, for each vertex, the vertices within
-        ``limit``: a block's reached pairs are sorted into rows and no dense
-        row is made. Every distance up to and including ``limit`` is the same
-        float as in the unbounded run, and as Dijkstra's, so a ball cap needs
-        only ``limit=cap``. A graph with more than one connected component
-        warns; its cross-component pairs are ``inf`` (or absent) whatever the
-        limit.
+        The search runs over blocks of sources (``_Graph.search_blocks``) and
+        each block's reached pairs are sorted into rows; no dense row is
+        made. Every distance up to and including ``limit`` is the same float
+        as in the unbounded run, and as Dijkstra's, so a ball cap needs only
+        ``limit=cap``. A graph with more than one connected component warns;
+        its cross-component pairs are absent.
         """
-        graph = self._graph(allowed_vertices)
+        graph = self._graph()
         n = self.n_vertices
-        step = _block_size(n)
-        mark = np.empty(step * n, dtype=np.intp)
-        if math.isinf(limit):
-            d = np.full((n, n), np.inf)
-            for start in range(0, n, step):
-                stop = min(n, start + step)
-                _search(graph, np.arange(start, stop), limit, d[start:stop].reshape(-1), mark)
-            connected = not np.isinf(d).any()
-        else:
-            best = np.full(step * n, np.inf)
 
-            def block_entries(start, stop):
-                reached = _search(graph, np.arange(start, stop), limit, best, mark)
-                values = best[reached]
-                best[reached] = np.inf  # the next block starts from all inf
+        def blocks():
+            for start, stop, best, reached in graph.search_blocks(limit):
                 row, index = np.divmod(reached, n)
-                return row, index, values
+                yield start, stop, row, index, best[reached]
 
-            d = DistanceRows.from_blocks(n, block_entries)
-            connected = graph.connected()
+        self.distances = DistanceRows.from_blocks(n, blocks())
         self.distance_limit = limit
-        if not connected:
+        if not graph.connected():
             warnings.warn(
                 "mesh edge graph is disconnected; distances across components "
                 "are infinite",
                 stacklevel=2,
             )
-        self.distances = d
         return self
 
     def ball(self, center: int, r: float) -> np.ndarray:
@@ -367,14 +335,12 @@ class TriangulatedManifold:
             raise ValueError(
                 f"radius {r} is beyond the distance limit {self.distance_limit}"
             )
-        if isinstance(self.distances, DistanceRows):
-            points, d = self.distances.row(center)
-            return np.sort(points[d < r]).astype(np.intp)
-        if np.isinf(self.distances[center]).any():
+        points, d = self.distances.row(center)
+        if math.isinf(self.distance_limit) and len(points) < self.n_vertices:
             raise ValueError(
                 f"vertex {center} is disconnected from part of the mesh"
             )
-        return np.nonzero(self.distances[center] < r)[0]
+        return np.sort(points[d < r]).astype(np.intp)
 
 
 def _unique_edges(triangles: np.ndarray, n: int) -> np.ndarray:
@@ -387,8 +353,8 @@ def _unique_edges(triangles: np.ndarray, n: int) -> np.ndarray:
 
 def _block_size(n: int) -> int:
     """Rows per block of an n-point distance computation: about
-    ``DISTANCE_BLOCK`` elements."""
-    return max(1, DISTANCE_BLOCK // max(n, 1))
+    ``DISTANCE_BLOCK`` elements, and never more than the n rows there are."""
+    return max(1, min(n, DISTANCE_BLOCK // max(n, 1)))
 
 
 @dataclass(frozen=True)
@@ -400,6 +366,23 @@ class _Graph:
     indptr: np.ndarray   # (n + 1,) int64
     targets: np.ndarray  # (m,) int64
     lengths: np.ndarray  # (m,) float64
+
+    def search_blocks(self, limit: float) -> Iterator[tuple]:
+        """Run ``_search`` from every vertex, ``_block_size(n)`` sources at a
+        time, and yield ``(start, stop, best, reached)`` per block: ``best``
+        holds rows ``start:stop`` of the distances, flat and ``inf`` beyond
+        ``limit``, and ``reached`` the positions of its finite entries. Both
+        are overwritten by the next block.
+        """
+        n = len(self.indptr) - 1
+        step = _block_size(n)
+        best = np.full(step * n, np.inf)
+        mark = np.empty(step * n, dtype=np.intp)
+        for start in range(0, n, step):
+            stop = min(n, start + step)
+            reached = _search(self, np.arange(start, stop), limit, best, mark)
+            yield start, stop, best[:(stop - start) * n], reached
+            best[reached] = np.inf  # the next block starts from all inf
 
     def connected(self) -> bool:
         """Whether every vertex is reachable from vertex 0."""
@@ -512,25 +495,28 @@ def save_off(m: TriangulatedManifold, path) -> None:
 
 # --- distance-matrix cache ---------------------------------------------------
 
-def save_distance_cache(distances: np.ndarray, path) -> None:
-    """Write a distance matrix as little-endian binary: uint64 vertex count
-    followed by the row-major float64 matrix."""
-    d = np.ascontiguousarray(distances, dtype="<f8")
-    n = d.shape[0]
-    if d.shape != (n, n):
-        raise ValueError("distance matrix must be square")
+def save_distance_cache(m: TriangulatedManifold, path) -> None:
+    """Write the mesh's all-pairs shortest-path distances as little-endian
+    binary: uint64 vertex count followed by the row-major float64 n x n
+    matrix, ``inf`` across disconnected parts.
+
+    The rows are written a block at a time, straight from the search's
+    buffer, so no n x n array is made.
+    """
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", n))
-        fh.write(memoryview(d).cast("B"))  # the array's own buffer, not a copy
+        fh.write(struct.pack("<Q", m.n_vertices))
+        for _, _, best, _ in m._graph().search_blocks(np.inf):
+            block = best.astype("<f8", copy=False)
+            fh.write(memoryview(block).cast("B"))  # the buffer, not a copy
 
 
-def load_distance_cache(path, limit: float = np.inf) -> np.ndarray | DistanceRows:
+def load_distance_cache(path, limit: float = np.inf) -> DistanceRows:
     """Read a cache written by ``save_distance_cache``.
 
-    With an infinite ``limit`` this is the n x n matrix. With a finite one it
-    is the ``DistanceRows`` of the entries up to ``limit``, as
-    ``TriangulatedManifold.compute_distances(limit=limit)`` returns them; the
-    file is then read a block of rows at a time and no n x n array is made.
+    Returns the ``DistanceRows`` of the entries up to ``limit``, as
+    ``TriangulatedManifold.compute_distances(limit=limit)`` returns them:
+    ``inf`` entries are left out, as the search leaves them out. The file is
+    read a block of rows at a time and no n x n array is made.
     """
     with open(path, "rb") as fh:
         raw = fh.read(8)
@@ -540,16 +526,14 @@ def load_distance_cache(path, limit: float = np.inf) -> np.ndarray | DistanceRow
         size = os.fstat(fh.fileno()).st_size - 8
         if size != 8 * n * n:
             raise ValueError(f"{path}: expected {n * n} entries, found {size / 8:g}")
-        if math.isinf(limit):
-            return np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n).astype(
-                float, copy=False
-            )
 
         def block_rows(start, stop):
             block = np.fromfile(fh, dtype="<f8", count=(stop - start) * n)
             return block.reshape(stop - start, n)
 
-        return DistanceRows.from_dense_blocks(n, block_rows, lambda block: block <= limit)
+        return DistanceRows.from_dense_blocks(
+            n, block_rows, lambda block: np.isfinite(block) & (block <= limit)
+        )
 
 
 # --- icosphere ---------------------------------------------------------------

@@ -45,6 +45,9 @@ RNG_ALGORITHM = "PCG64"
 # least five fields.
 CHUNK_BYTES = 64 * 2**20
 
+# Permutations per chunk, fewer when CHUNK_BYTES binds.
+CHUNK_PERMUTATIONS = 32
+
 SCHEMES = ("freedman_lane", "raw_label_permutation")
 
 # A permuted statistic at least (1 - TIE_RTOL) times the observed one counts
@@ -157,13 +160,12 @@ def run_inference(
     hypothesis: HypothesisSpec,
     family: AdjustmentFamily,
     plan: PermutationPlan,
-    chunk_size: int = 32,
 ) -> InferenceResult:
     """Full pipeline: permutation null, p-values, sup adjustment.
 
-    Permutations are processed in chunks of at most ``chunk_size``, fewer
-    when the family's integration would need more than ``CHUNK_BYTES`` for
-    them, so only the exceedance counts are kept, never the permuted ball
+    Permutations are processed in chunks of at most ``CHUNK_PERMUTATIONS``,
+    fewer when the family's integration would need more than ``CHUNK_BYTES``
+    for them, so only the exceedance counts are kept, never the permuted ball
     statistics. A chunk's fields come from one ``StatKernel`` call. The
     Freedman-Lane scheme permutes the reduced-model residual rows and adds
     back the reduced-model fits; the raw scheme permutes observation rows.
@@ -181,7 +183,7 @@ def run_inference(
     ball_obs = family.integrated_stats(T_obs)
     point_floor, ball_floor = _tie_floor(T_obs), _tie_floor(ball_obs)[:, None]
 
-    chunk_size = max(1, min(chunk_size, CHUNK_BYTES // family.column_bytes))
+    chunk_size = max(1, min(CHUNK_PERMUTATIONS, CHUNK_BYTES // family.column_bytes))
     point_counts = np.zeros(T_obs.shape[0], dtype=np.int64)
     ball_counts = np.zeros(family.n_balls, dtype=np.int64)
     for start in range(0, B, chunk_size):

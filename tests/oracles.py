@@ -23,22 +23,17 @@ from scipy.sparse.csgraph import dijkstra
 
 from ballwise.domain import mesh_component
 from ballwise.glm import DesignSpec, stat_field
+from ballwise.mesh import DistanceRows
 from ballwise.permute import PValueFields, adjusted_from_ballwise, generate_permutations
 
 
 # --- ground-truth distances ------------------------------------------------------
 
-def adjacency(m, allowed_vertices=None) -> csr_matrix:
-    """Sparse symmetric edge-weight matrix of a mesh, optionally restricted to
-    edges with both endpoints in ``allowed_vertices``; zero-length edges are
+def adjacency(m) -> csr_matrix:
+    """Sparse symmetric edge-weight matrix of a mesh; zero-length edges are
     kept as explicit entries, which csgraph treats as edges."""
     i, j = m.edges[:, 0], m.edges[:, 1]
     lengths = m.edge_lengths
-    if allowed_vertices is not None:
-        mask = np.zeros(m.n_vertices, dtype=bool)
-        mask[np.asarray(list(allowed_vertices), dtype=np.int64)] = True
-        keep = mask[i] & mask[j]
-        i, j, lengths = i[keep], j[keep], lengths[keep]
     n = m.n_vertices
     return coo_matrix(
         (np.concatenate([lengths, lengths]),
@@ -47,9 +42,9 @@ def adjacency(m, allowed_vertices=None) -> csr_matrix:
     ).tocsr()
 
 
-def dense_dijkstra(m, allowed_vertices=None) -> np.ndarray:
+def dense_dijkstra(m) -> np.ndarray:
     """All-pairs distances of a mesh from one unbounded dense Dijkstra."""
-    d = dijkstra(adjacency(m, allowed_vertices), directed=False)
+    d = dijkstra(adjacency(m), directed=False)
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -76,19 +71,30 @@ def distances(g) -> np.ndarray:
     return np.abs(g.points[:, None] - g.points[None, :])
 
 
-def dense_to_rows(full: np.ndarray, limit: float):
-    """The entries of ``full`` up to ``limit`` as ``(indptr, indices, values)``
-    of sorted rows, one row at a time: each row's kept points by (distance,
-    index)."""
+def dense_to_rows(full: np.ndarray, limit: float = math.inf):
+    """The finite entries of ``full`` up to ``limit`` as ``(indptr, indices,
+    values)`` of sorted rows, one row at a time: each row's kept points by
+    (distance, index)."""
     indptr, indices, values = [0], [], []
     for d in full:
-        kept = np.flatnonzero(d <= limit)
+        kept = np.flatnonzero((d <= limit) & np.isfinite(d))
         kept = kept[np.lexsort((kept, d[kept]))]
         indptr.append(indptr[-1] + len(kept))
         indices.append(kept.astype(np.int32))
         values.append(d[kept])
     return (np.array(indptr, dtype=np.int64), np.concatenate(indices),
             np.concatenate(values))
+
+
+def distance_rows(full: np.ndarray) -> DistanceRows:
+    """``DistanceRows`` of every finite entry of ``full``."""
+    return DistanceRows(*dense_to_rows(full))
+
+
+def cache_bytes(full: np.ndarray) -> bytes:
+    """The distance-cache file of the n x n matrix ``full``: uint64 vertex
+    count, then the row-major float64 matrix, both little-endian."""
+    return np.uint64(len(full)).astype("<u8").tobytes() + full.astype("<f8").tobytes()
 
 
 def rows_to_dense(rows) -> np.ndarray:

@@ -184,7 +184,8 @@ def test_no_adjustment_limit(order6_mesh):
     # cap below the minimal vertex spacing: singleton balls only, so the
     # adjusted p behaves pointwise and the FPR sits at the nominal level
     start = time.monotonic()
-    spacing = order6_mesh.distances[order6_mesh.distances > 0].min()
+    d = order6_mesh.distances.values
+    spacing = d[d > 0].min()
     cfg = ScenarioConfig(
         n_samples=20,
         n_permutations=200,

@@ -3,13 +3,14 @@ import functools
 import json
 import math
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy
 
 import oracles
-from ballwise import cli, evalsim
+from ballwise import cli, evalsim, mesh
 from ballwise.cli import _balls_csv, main
 from ballwise.domain import (
     ProductDomain,
@@ -82,10 +83,28 @@ class TestDistances:
         main(["tessellate", "--order", "1", "--out", str(mesh_path)])
         cache = tmp_path / "d.bin"
         assert main(["distances", "--mesh", str(mesh_path), "--out", str(cache)]) == 0
-        d = load_distance_cache(cache)
-        assert d.shape == (12, 12)
-        m = load_mesh(mesh_path).compute_distances()
-        np.testing.assert_array_equal(d, m.distances)
+        assert cache.read_bytes() == oracles.cache_bytes(
+            oracles.dense_dijkstra(load_mesh(mesh_path))
+        )
+        loaded = load_distance_cache(cache)
+        searched = load_mesh(mesh_path).compute_distances().distances
+        for name in ("indptr", "indices", "values"):
+            assert getattr(loaded, name).tobytes() == getattr(searched, name).tobytes()
+
+    def test_never_holds_the_matrix(self, tmp_path, monkeypatch):
+        mesh_path = tmp_path / "m.off"
+        assert main(["tessellate", "--order", "12", "--out", str(mesh_path)]) == 0
+        n = 1442
+        monkeypatch.setattr(mesh, "DISTANCE_BLOCK", 8 * n)  # eight rows a block
+        cache = tmp_path / "d.bin"
+        tracemalloc.start()
+        try:
+            assert main(["distances", "--mesh", str(mesh_path), "--out", str(cache)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache.stat().st_size == 8 + 8 * n * n
+        assert peak < n * n * 8 / 2
 
     def test_missing_mesh(self, tmp_path):
         assert main(
@@ -129,7 +148,7 @@ class TestTestCommand:
             assert main(["tessellate", "--order", str(order), "--out", str(mesh_path)]) == 0
             assert main(["distances", "--mesh", str(mesh_path), "--out", str(cache)]) == 0
             if cap == "exact":  # a cap equal to a realised distance
-                cap = float(np.unique(load_distance_cache(cache)[0])[4])
+                cap = float(np.unique(load_distance_cache(cache).row(0)[1])[4])
             config = write_test_setup(work, cap=cap, order=order)
             cfg = json.loads(config.read_text())
             cfg["domain"]["components"][0]["distance_cache"] = str(cache)
@@ -550,6 +569,73 @@ class TestSimulate:
         cfg = tmp_path / "bad2.json"
         cfg.write_text(json.dumps(sweep))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @staticmethod
+    def run_scenario_json(tmp_path, capsys, scenarios) -> str:
+        """The error of a simulate run that must exit 2."""
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(scenarios))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert not (tmp_path / "o.csv").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda s: s["truth"].pop("center"), "missing key(s) ['center']"),
+            (lambda s: s["truth"].update(center="abc"), "center must be vertex indices"),
+            (lambda s: s["truth"].update(center=2.0), "got 2.0"),
+            (lambda s: s["truth"].update(center=999), "center must be vertex indices in [0, 12)"),
+            (lambda s: s["truth"].update(center=-1), "got -1"),
+            (lambda s: s["truth"].update(radius=-1.0), "radius must be a positive number"),
+            (lambda s: s["truth"].update(radius=math.nan), "radius must be a positive number"),
+            (lambda s: s["truth"].update(radius="abc"), "radius must be a positive number"),
+            (lambda s: s.update(truth={"type": "patches", "centers": [0, 12], "radius": 1.0}),
+             "centers must be vertex indices in [0, 12), got [0, 12]"),
+            (lambda s: s.update(truth={"type": "patches", "centers": 3, "radius": 1.0}),
+             "centers must be vertex indices"),
+            (lambda s: s.update(truth=3), "truth: must be a JSON object"),
+            (lambda s: s.update(icosphere_order="abc"),
+             "icosphere_order must be a positive integer, got 'abc'"),
+            (lambda s: s.update(icosphere_order=2.5),
+             "icosphere_order must be a positive integer, got 2.5"),
+            (lambda s: s.update(n_samples=None), "scenario[0]"),
+        ],
+        ids=["no-center", "center-abc", "center-float", "center-999", "center-negative",
+             "radius-negative", "radius-nan", "radius-abc", "patch-center-12",
+             "centers-not-a-list", "truth-not-an-object", "order-abc", "order-float",
+             "n-samples-null"],
+    )
+    def test_malformed_scenario(self, tmp_path, capsys, change, message):
+        scenario = {"icosphere_order": 1, "n_samples": 8, "permutations": 9,
+                    "replicates": 1, "seed": 1,
+                    "truth": {"type": "cap", "center": 0, "radius": 1.2}}
+        change(scenario)
+        assert message in self.run_scenario_json(tmp_path, capsys, [scenario])
+
+    def test_scenario_not_an_object(self, tmp_path, capsys):
+        err = self.run_scenario_json(tmp_path, capsys, [5])
+        assert "scenario[0]: must be a JSON object, got 5" in err
+
+    @pytest.mark.parametrize(
+        "source, order", [("icosphere_order", 15), ("icosphere_order", 60), ("mesh_path", 15)]
+    )
+    def test_mesh_too_large_for_the_noise(self, tmp_path, capsys, monkeypatch, source, order):
+        scenario = {"n_samples": 8, "permutations": 9, "replicates": 1, "seed": 1}
+        if source == "mesh_path":
+            mesh_path = tmp_path / "big.off"
+            assert main(["tessellate", "--order", str(order), "--out", str(mesh_path)]) == 0
+            scenario["mesh_path"] = str(mesh_path)
+        else:
+            scenario["icosphere_order"] = order
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("distances computed for a mesh the sampler refuses")
+
+        monkeypatch.setattr(mesh.TriangulatedManifold, "compute_distances", refuse)
+        err = self.run_scenario_json(tmp_path, capsys, [scenario])
+        vertices = 10 * order**2 + 2
+        assert f"dense covariance limited to 2000 vertices, the mesh has {vertices}" in err
 
 
 def small_inference(components):

@@ -136,6 +136,15 @@ class TestComponentGrids:
         g = mesh_component(unit_tetrahedron)
         assert g.total_weight() == pytest.approx(np.sqrt(3.0), rel=1e-9)
 
+    def test_full_cap_mesh_component_keeps_one_copy(self):
+        m = build_icosphere(3)
+        g = mesh_component(m)
+        assert g.rows is m.distances
+        assert len(g.rows.values) == m.n_vertices**2
+        capped = mesh_component(m, radius_cap=0.4)
+        assert capped.rows is not m.distances
+        assert capped.rows.values.max() < 0.4
+
     def test_bad_cap(self):
         for cap in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
@@ -294,7 +303,7 @@ def quiet_disconnected(cap=math.inf):
 def mesh_cap_on_a_distance():
     """Octahedron with its cap equal to a realised geodesic distance."""
     m = build_icosphere(1).compute_distances()
-    cap = float(np.unique(m.distances)[2])
+    cap = float(np.unique(m.distances.values)[2])
     return oracles.mesh_grid(m, radius_cap=cap)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from ballwise.evalsim import (
     GaussianFieldSampler,
     ScenarioConfig,
@@ -12,24 +13,25 @@ from ballwise.evalsim import (
     multi_patch_mask,
     run_scenario,
 )
-from ballwise.mesh import build_icosphere
+from ballwise.mesh import DistanceRows, build_icosphere
 
 PATH_DISTANCES = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+PATH_ROWS = oracles.distance_rows(PATH_DISTANCES)
 
 
 class TestGaussianFieldSampler:
     def test_tiny_bandwidth_is_iid(self):
-        s = GaussianFieldSampler(PATH_DISTANCES, bandwidth=1e-4, sd=2.0)
+        s = GaussianFieldSampler(PATH_ROWS, bandwidth=1e-4, sd=2.0)
         cov = s.factor @ s.factor.T
         np.testing.assert_allclose(cov, 4.0 * np.eye(3), atol=1e-8)
 
     def test_huge_bandwidth_is_common_factor(self):
-        s = GaussianFieldSampler(PATH_DISTANCES, bandwidth=1e4, sd=1.0)
+        s = GaussianFieldSampler(PATH_ROWS, bandwidth=1e4, sd=1.0)
         cov = s.factor @ s.factor.T
         np.testing.assert_allclose(cov, np.ones((3, 3)), atol=1e-6)
 
     def test_factor_reproduces_kernel(self):
-        s = GaussianFieldSampler(PATH_DISTANCES, bandwidth=0.7, sd=1.3)
+        s = GaussianFieldSampler(PATH_ROWS, bandwidth=0.7, sd=1.3)
         expected = 1.3 ** 2 * np.exp(-PATH_DISTANCES ** 2 / (2 * 0.7 ** 2))
         np.testing.assert_allclose(s.factor @ s.factor.T, expected, atol=1e-10)
 
@@ -40,7 +42,7 @@ class TestGaussianFieldSampler:
             triangle_strip, bandwidth=1.0, sd=1.0, seed=123, n_draws=100_000
         )
         emp = np.cov(draws[:, :3].T)
-        d = triangle_strip.distances[:3, :3]
+        d = oracles.rows_to_dense(triangle_strip.distances)[:3, :3]
         expected = np.exp(-(d ** 2) / 2.0)
         assert np.abs(emp - expected).max() < 0.02
 
@@ -52,20 +54,30 @@ class TestGaussianFieldSampler:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            GaussianFieldSampler(PATH_DISTANCES, bandwidth=0.0, sd=1.0)
+            GaussianFieldSampler(PATH_ROWS, bandwidth=0.0, sd=1.0)
         with pytest.raises(ValueError):
-            GaussianFieldSampler(PATH_DISTANCES, bandwidth=1.0, sd=-1.0)
+            GaussianFieldSampler(PATH_ROWS, bandwidth=1.0, sd=-1.0)
 
     def test_size_limit(self):
-        d = np.zeros((2001, 2001))
+        # refused on its row count, before any row is read
+        d = DistanceRows(np.zeros(2002, dtype=np.int64), np.empty(0, np.int32), np.empty(0))
         with pytest.raises(ValueError, match="dense covariance"):
             GaussianFieldSampler(d, bandwidth=1.0, sd=1.0)
+
+    def test_covariance_matches_dense_kernel(self):
+        m = build_icosphere(3).compute_distances()
+        s = GaussianFieldSampler(m.distances, bandwidth=0.4, sd=1.0)
+        d = oracles.dense_dijkstra(m)
+        cov = np.exp(-(d**2) / (2 * 0.4**2))
+        vals, vecs = np.linalg.eigh(cov)
+        expected = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        assert s.factor.tobytes() == expected.tobytes()
 
     def test_infinite_distances_rejected(self):
         d = PATH_DISTANCES.copy()
         d[0, 2] = d[2, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            GaussianFieldSampler(d, bandwidth=1.0, sd=1.0)
+            GaussianFieldSampler(oracles.distance_rows(d), bandwidth=1.0, sd=1.0)
 
 
 class TestErrorRates:

@@ -1,3 +1,6 @@
+import os
+import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -120,7 +123,7 @@ class TestOffIO:
             m = load_mesh(path)
         with pytest.warns(UserWarning, match="disconnected"):
             m.compute_distances()
-        assert np.isinf(m.distances[0, 3])
+        assert 3 not in m.distances.row(0)[0]
         with pytest.raises(ValueError, match="disconnected"):
             m.ball(0, 1.0)
 
@@ -218,35 +221,32 @@ class TestWeights:
             triangle_strip.override_edge_lengths(bad)
 
 
+def all_pairs(m) -> np.ndarray:
+    """The mesh's unbounded distances as an n x n matrix."""
+    return oracles.rows_to_dense(m.compute_distances().distances)
+
+
 class TestDistances:
     def test_path_sum(self, triangle_strip):
-        d = triangle_strip.compute_distances().distances
+        d = all_pairs(triangle_strip)
         assert d[0, 3] == pytest.approx(2.0)
 
     def test_zero_diagonal(self, octahedron):
-        d = octahedron.compute_distances().distances
+        d = all_pairs(octahedron)
         np.testing.assert_array_equal(np.diag(d), 0.0)
 
     def test_tetrahedron_all_unit(self, unit_tetrahedron):
-        d = unit_tetrahedron.compute_distances().distances
+        d = all_pairs(unit_tetrahedron)
         off = d[~np.eye(4, dtype=bool)]
         np.testing.assert_allclose(off, 1.0, rtol=1e-12)
 
     def test_metric_axioms_exhaustive(self):
-        m = build_icosphere(2).compute_distances()
-        d = m.distances
+        d = all_pairs(build_icosphere(2))
         np.testing.assert_allclose(d, d.T)
         np.testing.assert_array_equal(np.diag(d), 0.0)
         # triangle inequality over all vertex triples
         viol = d[:, None, :] + d[None, :, :] - d[:, :, None]
         assert viol.min() >= -1e-12
-
-    def test_allowed_vertices_restriction(self, unit_tetrahedron):
-        m = unit_tetrahedron
-        with pytest.warns(UserWarning, match="disconnected"):
-            m.compute_distances(allowed_vertices=[0, 1, 2])
-        assert m.distances[0, 1] == pytest.approx(1.0)
-        assert np.isinf(m.distances[0, 3])
 
     @staticmethod
     def assert_rows_within(rows, full, limit):
@@ -297,7 +297,7 @@ class TestDistances:
         m = build_icosphere(3)
         full = oracles.dense_dijkstra(m)
         path = tmp_path / "d.bin"
-        save_distance_cache(full, path)
+        path.write_bytes(oracles.cache_bytes(full))
         n = m.n_vertices
         monkeypatch.setattr(mesh, "DISTANCE_BLOCK", (block_rows or n + 5) * n)
         cached = load_distance_cache(path, limit=0.4)
@@ -313,11 +313,25 @@ class TestDistances:
             m.compute_distances(limit=0.2)
         assert len(m.distances.values) < m.n_vertices**2
 
+    def test_search_block_fits_the_mesh(self):
+        # one block of every row is 252 x 252 pairs, not DISTANCE_BLOCK of them
+        m = build_icosphere(5)
+        assert mesh._block_size(m.n_vertices) == m.n_vertices
+        tracemalloc.start()
+        try:
+            m.compute_distances(limit=0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # 16 MB at an unclamped block
+
     def test_cache_roundtrip(self, octahedron, tmp_path):
-        d = octahedron.compute_distances().distances
         path = tmp_path / "d.bin"
-        save_distance_cache(d, path)
-        np.testing.assert_array_equal(load_distance_cache(path), d)
+        save_distance_cache(octahedron, path)
+        loaded = load_distance_cache(path)
+        searched = octahedron.compute_distances().distances
+        for name in ("indptr", "indices", "values"):
+            assert getattr(loaded, name).tobytes() == getattr(searched, name).tobytes()
 
     def test_cache_truncated(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -328,7 +342,7 @@ class TestDistances:
     @pytest.mark.parametrize("limit", [np.inf, 1.0])
     def test_cache_wrong_size(self, octahedron, tmp_path, limit):
         path = tmp_path / "d.bin"
-        save_distance_cache(octahedron.compute_distances().distances, path)
+        save_distance_cache(octahedron, path)
         raw = path.read_bytes()
         for bad in (raw[:-8], raw[:-3], raw + bytes(8)):
             path.write_bytes(bad)
@@ -336,70 +350,87 @@ class TestDistances:
                 load_distance_cache(path, limit=limit)
 
     def test_cache_file_is_the_matrix_bytes(self, octahedron, tmp_path):
-        d = octahedron.compute_distances().distances
         path = tmp_path / "d.bin"
-        save_distance_cache(d, path)
-        assert path.read_bytes() == np.uint64(6).astype("<u8").tobytes() + d.astype("<f8").tobytes()
+        save_distance_cache(octahedron, path)
+        assert path.read_bytes() == oracles.cache_bytes(oracles.dense_dijkstra(octahedron))
+
+    def test_disconnected_cache_keeps_inf(self, tmp_path):
+        a, b = build_icosphere(1), build_icosphere(2)
+        m = TriangulatedManifold(
+            np.concatenate([a.vertices, b.vertices + 5.0]),
+            np.concatenate([a.triangles, b.triangles + a.n_vertices]),
+        )
+        path = tmp_path / "d.bin"
+        save_distance_cache(m, path)
+        full = oracles.dense_dijkstra(m)
+        assert np.isinf(full).any()
+        assert path.read_bytes() == oracles.cache_bytes(full)
+        loaded = load_distance_cache(path)  # inf entries are left out
+        indptr, indices, values = oracles.dense_to_rows(full)
+        assert loaded.indptr.tobytes() == indptr.tobytes()
+        assert loaded.indices.tobytes() == indices.tobytes()
+        assert loaded.values.tobytes() == values.tobytes()
 
 
 @st.composite
 def weighted_meshes(draw):
     """A jittered icosphere with some edge lengths overridden (zero, scaled,
-    or rounded to sixteenths so that distinct paths tie), and optionally a
-    subset of allowed vertices."""
+    or rounded to sixteenths so that distinct paths tie), and optionally
+    some of its triangles dropped, which can disconnect it."""
     base = build_icosphere(draw(st.integers(1, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    triangles = base.triangles
+    if draw(st.booleans()):
+        triangles = triangles[rng.random(len(triangles)) < draw(st.floats(0.5, 1.0))]
     m = TriangulatedManifold(
-        base.vertices + rng.normal(0.0, 0.03, base.vertices.shape), base.triangles
+        base.vertices + rng.normal(0.0, 0.03, base.vertices.shape), triangles
     )
     n_edges = len(m.edges)
     scaled = rng.random(n_edges) < draw(st.floats(0.0, 1.0))
     m.edge_lengths[scaled] *= rng.uniform(0.0, 2.0, scaled.sum())
     if draw(st.booleans()):
         m.edge_lengths[:] = np.round(m.edge_lengths * 16) / 16
-    zero = rng.choice(n_edges, draw(st.integers(0, 12)), replace=False)
+    zero = rng.choice(n_edges, min(n_edges, draw(st.integers(0, 12))), replace=False)
     m.edge_lengths[zero] = 0.0
-    allowed = None
-    if draw(st.booleans()):
-        allowed = np.flatnonzero(rng.random(m.n_vertices) < draw(st.floats(0.5, 1.0)))
-    return m, allowed
+    return m
 
 
 class TestAgainstDijkstra:
-    """The numpy search equals scipy's Dijkstra bit for bit: the dense matrix,
-    and every array of the bounded rows."""
+    """The numpy search equals scipy's Dijkstra bit for bit: every array of
+    the rows, bounded or not, and the matrix the cache writer produces."""
 
     @staticmethod
-    def assert_matches(m, allowed, limit, block_rows=None):
-        full = oracles.dense_dijkstra(m, allowed)
+    def assert_matches(m, limit, block_rows=None):
+        full = oracles.dense_dijkstra(m)
         disconnected = bool(np.isinf(full).any())
         n = m.n_vertices
         with mock.patch.object(mesh, "DISTANCE_BLOCK", (block_rows or n + 5) * n):
             for bound in (np.inf, limit):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    d = m.compute_distances(allowed, limit=bound).distances
+                    d = m.compute_distances(limit=bound).distances
                 assert any("disconnected" in str(w.message) for w in caught) == disconnected
-                if np.isinf(bound):
-                    assert d.tobytes() == full.tobytes()
-                    continue
                 indptr, indices, values = oracles.dense_to_rows(full, bound)
                 assert d.indptr.tobytes() == indptr.tobytes()
                 assert d.indices.tobytes() == indices.tobytes()
                 assert d.values.tobytes() == values.tobytes()
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "d.bin")
+                save_distance_cache(m, path)
+                with open(path, "rb") as fh:
+                    assert fh.read() == oracles.cache_bytes(full)
 
     @given(
-        mesh_and_allowed=weighted_meshes(),
+        m=weighted_meshes(),
         limit=st.one_of(st.floats(0.0, 3.0), st.integers(0, 200)),
         block_rows=st.sampled_from([1, 7, None]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_jittered_meshes(self, mesh_and_allowed, limit, block_rows):
-        m, allowed = mesh_and_allowed
+    def test_jittered_meshes(self, m, limit, block_rows):
         if isinstance(limit, int):  # a limit equal to a realized distance
-            realized = np.unique(oracles.dense_dijkstra(m, allowed))
+            realized = np.unique(oracles.dense_dijkstra(m))
             limit = float(realized[limit % len(realized)])
-        self.assert_matches(m, allowed, limit, block_rows)
+        self.assert_matches(m, limit, block_rows)
 
     @pytest.mark.parametrize("block_rows", [1, 7, None])
     def test_disconnected_icospheres(self, block_rows, tmp_path):
@@ -409,7 +440,7 @@ class TestAgainstDijkstra:
             np.concatenate([a.triangles, b.triangles + a.n_vertices]),
         )
         limit = float(np.unique(oracles.dense_dijkstra(m)[0])[5])
-        self.assert_matches(m, None, limit, block_rows)
+        self.assert_matches(m, limit, block_rows)
         save_off(m, tmp_path / "two.off")
         with pytest.warns(UserWarning, match="disconnected"):
             load_mesh(tmp_path / "two.off")
@@ -418,7 +449,10 @@ class TestAgainstDijkstra:
     def test_order16_full_cap(self):
         m = build_icosphere(16)
         d = m.compute_distances().distances
-        assert d.tobytes() == oracles.dense_dijkstra(m).tobytes()
+        indptr, indices, values = oracles.dense_to_rows(oracles.dense_dijkstra(m))
+        assert d.indptr.tobytes() == indptr.tobytes()
+        assert d.indices.tobytes() == indices.tobytes()
+        assert d.values.tobytes() == values.tobytes()
 
 
 class TestBall:
@@ -429,7 +463,8 @@ class TestBall:
     def test_strictness(self, unit_tetrahedron):
         # radius equal to the smallest positive distance keeps only the center
         m = unit_tetrahedron.compute_distances()
-        r = m.distances[2][m.distances[2] > 0].min()
+        d = m.distances.row(2)[1]
+        r = d[d > 0].min()
         np.testing.assert_array_equal(m.ball(2, r), [2])
 
     def test_tetrahedron_r_1_5(self, unit_tetrahedron):

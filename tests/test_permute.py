@@ -406,12 +406,13 @@ class TestEngineProperties:
         b = run_inference(Y, design, hyp, fam, plan).p.tobytes()
         assert a == b
 
-    def test_chunked_matches_materialized(self, tet_circle_domain):
+    def test_chunked_matches_materialized(self, tet_circle_domain, monkeypatch):
         d, fam = tet_circle_domain
         Y = np.random.default_rng(14).standard_normal((8, d.size))
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
         hyp = HypothesisSpec("t_two_sample_sq")
         covariate_null = np.column_stack([np.ones(8), np.arange(8.0)])
+        monkeypatch.setattr(permute, "CHUNK_PERMUTATIONS", 4)
         for scheme, null_design in [
             ("freedman_lane", None),
             ("freedman_lane", covariate_null),
@@ -420,7 +421,7 @@ class TestEngineProperties:
             plan = PermutationPlan(23, seed=5, scheme=scheme, null_design=null_design)
             nd = null_distribution(Y, design, hyp, fam, plan)
             p_ref = pvalues(nd, fam)
-            p_chunk = run_inference(Y, design, hyp, fam, plan, chunk_size=4).p
+            p_chunk = run_inference(Y, design, hyp, fam, plan).p
             assert p_ref.tobytes() == p_chunk.tobytes()
 
     @pytest.mark.parametrize("scheme", ["freedman_lane", "raw_label_permutation"])
@@ -430,9 +431,11 @@ class TestEngineProperties:
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
         hyp = HypothesisSpec("t_two_sample_sq")
         plan = PermutationPlan(45, seed=8, scheme=scheme)
-        ref = run_inference(Y, design, hyp, fam, plan, chunk_size=1).p.tobytes()
+        monkeypatch.setattr(permute, "CHUNK_PERMUTATIONS", 1)
+        ref = run_inference(Y, design, hyp, fam, plan).p.tobytes()
         for chunk in (7, 32):
-            assert run_inference(Y, design, hyp, fam, plan, chunk_size=chunk).p.tobytes() == ref
+            monkeypatch.setattr(permute, "CHUNK_PERMUTATIONS", chunk)
+            assert run_inference(Y, design, hyp, fam, plan).p.tobytes() == ref
         # a budget of three fields' working memory caps every chunk at 3
         stacked = []
         integrate = AdjustmentFamily.integrated_stats
@@ -443,7 +446,7 @@ class TestEngineProperties:
 
         monkeypatch.setattr(AdjustmentFamily, "integrated_stats", spy)
         monkeypatch.setattr(permute, "CHUNK_BYTES", 3 * fam.column_bytes + 7)
-        assert run_inference(Y, design, hyp, fam, plan, chunk_size=32).p.tobytes() == ref
+        assert run_inference(Y, design, hyp, fam, plan).p.tobytes() == ref
         assert stacked == [0] + [3] * 15
 
     def test_superuniform_pointwise_under_null(self):
