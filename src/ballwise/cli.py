@@ -108,6 +108,12 @@ def _positive_int(value, what: str) -> int:
     return value
 
 
+def _seed(value, what: str) -> int:
+    if not _is_int(value) or value < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -170,7 +176,7 @@ def _build_component(section: dict, where: str):
             if "points" not in section:
                 raise ConfigError(f"{where}: circle component needs 'points'")
             return circle_component(
-                int(section["points"]),
+                _positive_int(section["points"], f"{where}: points"),
                 circumference=float(section.get("circumference", 2 * math.pi)),
                 radius_cap=cap,
             )
@@ -181,7 +187,9 @@ def _build_component(section: dict, where: str):
                 )
             a, b = section["bounds"]
             return interval_component(
-                float(a), float(b), int(section["points"]), radius_cap=cap
+                float(a), float(b),
+                _positive_int(section["points"], f"{where}: points"),
+                radius_cap=cap,
             )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -248,6 +256,16 @@ def _build_model(section: dict):
     return design, hyp
 
 
+def _seed_override(flag):
+    """The seed of ``--seed``, else of ``BALLWISE_SEED``, else None."""
+    if flag is not None:
+        return _seed(flag, "--seed")
+    env = os.environ.get("BALLWISE_SEED")
+    if env is None:
+        return None
+    return _seed(int(env) if env.isdecimal() else env, "BALLWISE_SEED")
+
+
 def _build_plan(section: dict, seed_override):
     _check_keys(
         section,
@@ -255,13 +273,17 @@ def _build_plan(section: dict, seed_override):
         {"permutations", "seed"},
         "inference",
     )
-    seed = int(seed_override) if seed_override is not None else int(section["seed"])
-    alpha = float(section.get("alpha", 0.05))
-    if not 0 < alpha < 1:
-        raise ConfigError("inference: alpha must be in (0, 1)")
+    seed = _seed(section["seed"], "inference: seed")
+    if seed_override is not None:
+        seed = seed_override
+    alpha = section.get("alpha", 0.05)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
+        raise ConfigError(f"inference: alpha must be a number in (0, 1), got {alpha!r}")
     try:
         plan = PermutationPlan(
-            n_permutations=int(section["permutations"]),
+            n_permutations=_positive_int(
+                section["permutations"], "inference: permutations"
+            ),
             seed=seed,
             scheme=section.get("scheme", "freedman_lane"),
         )
@@ -397,6 +419,7 @@ TEST_SECTIONS = {"domain", "data", "model", "inference", "output"}
 def _load_test_config(path: str):
     config = _load_json(path)
     _check_keys(config, TEST_SECTIONS, {"domain", "data", "model", "inference"}, "config")
+    _check_keys(config.get("output", {}), {"dir"}, set(), "output")
     return config
 
 
@@ -419,10 +442,7 @@ def cmd_test(args) -> int:
             f"model: the design has {design.n_obs} observations but the signal "
             f"matrix has {Y.shape[0]} rows"
         )
-    seed_env = os.environ.get("BALLWISE_SEED")
-    plan, alpha = _build_plan(
-        config["inference"], args.seed if args.seed is not None else seed_env
-    )
+    plan, alpha = _build_plan(config["inference"], _seed_override(args.seed))
     family = _enumerate_family(domain, max_balls)
     result = run_inference(Y, design, hyp, family, plan)
     elapsed = time.monotonic() - start
@@ -509,10 +529,12 @@ def _scenario_from_config(section: dict, idx: int) -> ScenarioConfig:
         _positive_int(order, f"{where}: icosphere_order")
     try:
         cfg = ScenarioConfig(
-            n_samples=int(section["n_samples"]),
-            n_permutations=int(section["permutations"]),
-            replicates=int(section["replicates"]),
-            seed=int(section["seed"]),
+            n_samples=_positive_int(section["n_samples"], f"{where}: n_samples"),
+            n_permutations=_positive_int(
+                section["permutations"], f"{where}: permutations"
+            ),
+            replicates=_positive_int(section["replicates"], f"{where}: replicates"),
+            seed=_seed(section["seed"], f"{where}: seed"),
             alpha=float(section.get("alpha", 0.05)),
             radius_cap=_parse_cap(section.get("radius_cap", "inf"), where),
             signal_amplitude=float(section.get("signal_amplitude", 0.0)),

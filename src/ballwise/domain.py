@@ -10,7 +10,9 @@ family stores one ball per distinct support.
 Every support of a component is a prefix of one row of that component's
 sorted-distance order (the points nearest a center), so the family is stored
 as one prefix operator per component: integrated statistics are prefix sums
-along those rows, applied one component axis at a time (Fubini).
+along those rows, applied one component axis at a time (Fubini). The
+supports are enumerated size by size, since only supports of equal size can
+coincide.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ DEFAULT_MAX_BALLS = 10_000_000
 # being faulted in afresh on every call.
 TILE_ADD_VALUES = 1 << 12
 TILE_MAX_VALUES = 1 << 22
-
-# Support entries compared at once when duplicate supports are confirmed.
-ENUMERATION_BLOCK = 1 << 20
 
 
 @dataclass
@@ -280,94 +279,68 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
     is infinite and the support is the whole grid). Supports are
     deduplicated across centers, keeping the first center that realizes
     each and its radius, and the least inner radius of any center that
-    realizes it: candidates are grouped by size and Zobrist hash, and every
-    duplicate is confirmed exactly against its group's first candidate, so a
-    hash collision never merges two supports.
+    realizes it.
+
+    Supports are enumerated size by size, so a support can only equal
+    another of the same size: each row keeps a running Zobrist hash of its
+    prefix, and only candidates whose hashes are equal are grouped, exactly,
+    by their sorted points, so a hash collision never merges two supports.
     """
     n, cap, rows = g.size, g.radius_cap, g.rows
     counts = np.diff(rows.indptr)
     L = int(counts.max())
-    row = np.repeat(np.arange(n), counts)
-    pos = np.arange(len(row)) - rows.indptr[row]
     order = np.full((n, L), n, dtype=np.int32)
-    order[row, pos] = rows.indices
-    sorted_d = np.full((n, L + 1), np.inf)
-    sorted_d[row, pos] = rows.values
-    del row, pos
+    order[np.arange(L) < counts[:, None]] = rows.indices
 
-    # a prefix of length j + 1 is a support where the sorted distance grows
-    brow, bpos = np.nonzero(sorted_d[:, 1:] > sorted_d[:, :-1])
-    sizes = bpos + 1
-    inner = sorted_d[brow, bpos]
-    radius = sorted_d[brow, bpos + 1]
-    widest = sizes == counts[brow]
-    radius[widest] = cap
-    if math.isinf(cap):
-        whole = widest & (sizes == n)
-        radius[whole] = inner[whole] + 1.0
+    keys = _zobrist_keys(n)
+    h = np.zeros(n, dtype=np.uint64)
+    live = np.arange(n)
+    parts = []
+    for k in range(1, L + 1):
+        live = live[counts[live] >= k]
+        h[live] ^= keys[order[:, k - 1][live]]
+        at = rows.indptr[live] + (k - 1)
+        inner = rows.values[at]
+        # past a row's last entry ``after`` is another row's (or clipped), but
+        # that prefix is the widest, and its radius does not read it
+        after = rows.values.take(at + 1, mode="clip")
+        widest = counts[live] == k
+        # a prefix of length k is a support where the sorted distance grows
+        grows = widest | (after > inner)
+        c, inner = live[grows], inner[grows]
+        radius = np.where(widest, cap, after)[grows]
+        if math.isinf(cap) and k == n:  # the whole grid
+            radius[:] = inner + 1.0
+        hc = h[c]
+        hs = np.sort(hc)
+        repeated = hs[1:][hs[1:] == hs[:-1]]
+        if len(repeated):
+            # candidates whose hash is shared; all but each support's first go
+            dropped = np.isin(hc, repeated)
+            sub = np.flatnonzero(dropped)
+            prefix = np.sort(order[c[sub], :k], axis=1)
+            # sorted lexicographically, equal supports form runs; lexsort is
+            # stable, so each run starts with the support's first candidate
+            s = np.lexsort(prefix.T[::-1])
+            prefix, sub = prefix[s], sub[s]
+            starts = np.flatnonzero(np.r_[True, (prefix[1:] != prefix[:-1]).any(axis=1)])
+            # a support is admissible under a cap as soon as any of its centers is
+            inner[sub[starts]] = np.minimum.reduceat(inner[sub], starts)
+            dropped[sub[starts]] = False
+            c, radius, inner = c[~dropped], radius[~dropped], inner[~dropped]
+        parts.append((c, np.full(len(c), k), radius, inner))
 
-    keys = np.append(_zobrist_keys(n), np.uint64(0))
-    hashes = np.bitwise_xor.accumulate(keys[order], axis=1)[brow, bpos]
-    first = _first_equal_support(order, brow, sizes, hashes)
-    is_ball = first == np.arange(len(first))
-    # a support is admissible under a cap as soon as any of its centers is
-    least_inner = inner.copy()
-    np.minimum.at(least_inner, first, inner)
+    centers, sizes, radii, inner_radii = map(np.concatenate, zip(*parts))
+    del parts
+    center_major = np.lexsort((sizes, centers))
     return ComponentBalls(
         order=order,
         weights=g.weights,
-        centers=brow[is_ball],
-        sizes=sizes[is_ball],
-        radii=radius[is_ball],
-        inner_radii=least_inner[is_ball],
+        centers=centers[center_major],
+        sizes=sizes[center_major],
+        radii=radii[center_major],
+        inner_radii=inner_radii[center_major],
     )
-
-
-def _first_equal_support(order, rows, sizes, hashes) -> np.ndarray:
-    """For each candidate (prefix ``sizes[i]`` of row ``rows[i]``, in scan
-    order), the index of the first candidate with the same support."""
-    first = np.empty(len(rows), dtype=np.intp)
-    todo = np.arange(len(rows))
-    while len(todo):
-        # lexsort is stable, so each (size, hash) group starts with its
-        # first candidate in scan order
-        perm = np.lexsort((hashes[todo], sizes[todo]))
-        s = todo[perm]
-        starts = np.ones(len(s), dtype=bool)
-        starts[1:] = (sizes[s[1:]] != sizes[s[:-1]]) | (hashes[s[1:]] != hashes[s[:-1]])
-        lead = np.empty_like(todo)
-        lead[perm] = s[np.maximum.accumulate(np.where(starts, np.arange(len(s)), 0))]
-        same = _same_support(order, rows, sizes, lead, todo)
-        first[todo[same]] = lead[same]
-        todo = todo[~same]  # collided with another support: regroup
-    return first
-
-
-def _same_support(order, rows, sizes, lead, cand) -> np.ndarray:
-    """Whether each candidate's support equals its group lead's.
-
-    Both are prefixes of the same size, so they are equal when their points,
-    sorted, are; no distance is needed.
-    """
-    same = lead == cand
-    check = np.flatnonzero(~same)
-    k = sizes[cand[check]]
-    ends = np.cumsum(k)
-    stride = order.shape[0] + 1
-    start = 0
-    while start < len(check):
-        limit = ends[start] - k[start] + ENUMERATION_BLOCK
-        stop = max(start + 1, int(np.searchsorted(ends, limit, "right")))
-        part, kk = check[start:stop], k[start:stop]
-        offsets = np.cumsum(kk) - kk
-        seg = np.repeat(np.arange(len(part)), kk)
-        col = np.arange(len(seg)) - offsets[seg]
-        # points keyed by their pair, so one sort orders every pair's points
-        ours = np.sort(seg * stride + order[rows[cand[part]][seg], col])
-        theirs = np.sort(seg * stride + order[rows[lead[part]][seg], col])
-        same[part] = ~np.logical_or.reduceat(ours != theirs, offsets)
-        start = stop
-    return same
 
 
 @dataclass
@@ -490,6 +463,8 @@ class AdjustmentFamily:
         caps = list(caps)
         if len(caps) != len(self.domain.components):
             raise ValueError("one cap per component required")
+        if not all(cap > 0 for cap in caps):  # also rejects nan
+            raise ValueError("radius caps must be positive (or inf)")
         per_component = [
             balls.inner_radii < cap for balls, cap in zip(self.component_balls, caps)
         ]

@@ -346,6 +346,39 @@ class TestMalformedInputs:
         config = edit_config(write_test_setup(tmp_path), lambda c: c.update(model=model))
         assert message in run_test(tmp_path, config, capsys)
 
+    @pytest.mark.parametrize(
+        "edit, env, message",
+        [
+            (lambda c: c["inference"].update(seed="abc"), None,
+             "inference: seed must be a non-negative integer, got 'abc'"),
+            (lambda c: c["inference"].update(seed=None), None, "seed must be a non-negative"),
+            (lambda c: c["inference"].update(seed=-1), None, "got -1"),
+            (lambda c: c["inference"].update(permutations=None), None,
+             "inference: permutations must be a positive integer, got None"),
+            (lambda c: c["inference"].update(permutations=2.7), None, "got 2.7"),
+            (lambda c: c["inference"].update(alpha="abc"), None,
+             "inference: alpha must be a number in (0, 1), got 'abc'"),
+            (lambda c: c["domain"]["components"].append({"kind": "circle", "points": 2.7}),
+             None, "domain.components[1]: points must be a positive integer, got 2.7"),
+            (lambda c: c["domain"]["components"].append(
+                {"kind": "interval", "bounds": [0, 1], "points": 2.7}),
+             None, "domain.components[1]: points must be a positive integer, got 2.7"),
+            (lambda c: c.update(output={"dir": "x", "format": "csv"}), None,
+             "output: unknown key(s) ['format']"),
+            (lambda c: c.update(output=5), None, "output: must be a JSON object, got 5"),
+            (lambda c: None, "abc", "BALLWISE_SEED must be a non-negative integer, got 'abc'"),
+        ],
+        ids=["seed-abc", "seed-null", "seed-negative", "permutations-null",
+             "permutations-float", "alpha-abc", "circle-points-float",
+             "interval-points-float", "output-unknown-key", "output-not-an-object",
+             "env-seed-abc"],
+    )
+    def test_malformed_numbers(self, tmp_path, capsys, monkeypatch, edit, env, message):
+        if env is not None:
+            monkeypatch.setenv("BALLWISE_SEED", env)
+        config = edit_config(write_test_setup(tmp_path), edit)
+        assert message in run_test(tmp_path, config, capsys)
+
     def test_trend_needs_three_observations(self, tmp_path, capsys):
         config = write_test_setup(tmp_path)
         path = json.loads(config.read_text())["data"]["path"]
@@ -424,6 +457,51 @@ class TestAdjust:
         for g, p in smaller.items():
             assert p <= original[g] + 1e-15
             assert p > 0  # singletons keep every point covered
+
+    @pytest.mark.parametrize("jitter", [None, 0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("cap, new_cap", [("0.8", "0.3"), ("0.8", "0.5"), ("inf", "0.5")])
+    def test_matches_a_fresh_run_at_the_new_cap(self, tmp_path, jitter, cap, new_cap):
+        # the kept center of a support, and with it the summation order of its
+        # statistic, may differ between the two families; p_adj may not
+        ico = build_icosphere(3)
+        vertices = ico.vertices
+        if jitter is not None:
+            scale = 1.0 + np.random.default_rng(jitter).normal(0.0, 0.05, len(vertices))
+            vertices = vertices * scale[:, None]
+        mesh_path = tmp_path / "mesh.off"
+        mesh_path.write_text(mesh.off_text(mesh.TriangulatedManifold(vertices, ico.triangles)))
+        rng = np.random.default_rng(11)
+        Y = rng.standard_normal((12, len(vertices)))
+        Y[6:, :20] += 0.8
+        data_path = tmp_path / "signals.csv"
+        save_signals_csv(Y, data_path)
+
+        def run(radius_cap, out_dir):
+            config = tmp_path / f"config_{radius_cap}.json"
+            config.write_text(json.dumps({
+                "domain": {"components": [
+                    {"kind": "mesh", "path": str(mesh_path), "radius_cap": radius_cap}
+                ]},
+                "data": {"path": str(data_path)},
+                "model": {"statistic": "t_two_sample_sq", "groups": [0] * 6 + [1] * 6},
+                "inference": {"permutations": 300, "seed": 3},
+            }))
+            assert main(["test", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+            return config
+
+        def p_adj(path):
+            with open(path, newline="") as fh:
+                return [row["p_adj"] for row in csv.DictReader(fh)]
+
+        config = run(cap, tmp_path / "wide")
+        run(new_cap, tmp_path / "fresh")
+        assert main(
+            ["adjust", "--config", str(config), "--balls", str(tmp_path / "wide" / "balls.csv"),
+             "--caps", new_cap, "--out-dir", str(tmp_path / "adj")]
+        ) == 0
+        assert p_adj(tmp_path / "adj" / "adjusted.csv") == p_adj(
+            tmp_path / "fresh" / "pointwise.csv"
+        )
 
     def test_cap_count_mismatch(self, tmp_path):
         config = write_test_setup(tmp_path)
@@ -600,11 +678,20 @@ class TestSimulate:
             (lambda s: s.update(icosphere_order=2.5),
              "icosphere_order must be a positive integer, got 2.5"),
             (lambda s: s.update(n_samples=None), "scenario[0]"),
+            (lambda s: s.update(n_samples=8.5),
+             "scenario[0]: n_samples must be a positive integer, got 8.5"),
+            (lambda s: s.update(permutations="9"),
+             "scenario[0]: permutations must be a positive integer, got '9'"),
+            (lambda s: s.update(replicates=1.5),
+             "scenario[0]: replicates must be a positive integer, got 1.5"),
+            (lambda s: s.update(seed=1.5),
+             "scenario[0]: seed must be a non-negative integer, got 1.5"),
         ],
         ids=["no-center", "center-abc", "center-float", "center-999", "center-negative",
              "radius-negative", "radius-nan", "radius-abc", "patch-center-12",
              "centers-not-a-list", "truth-not-an-object", "order-abc", "order-float",
-             "n-samples-null"],
+             "n-samples-null", "n-samples-float", "permutations-string",
+             "replicates-float", "seed-float"],
     )
     def test_malformed_scenario(self, tmp_path, capsys, change, message):
         scenario = {"icosphere_order": 1, "n_samples": 8, "permutations": 9,

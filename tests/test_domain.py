@@ -240,6 +240,18 @@ class TestBoundedEnumeration:
         assert len(balls) == 42_510
         assert peak < 64 * 2**20
 
+    def test_full_cap_peak_within_three_times_the_output(self):
+        # 314,481 balls; candidates are deduplicated one size at a time
+        g = mesh_component(build_icosphere(8))
+        tracemalloc.start()
+        try:
+            balls = enumerate_component_balls(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = (balls.order, balls.centers, balls.sizes, balls.radii, balls.inner_radii)
+        assert peak <= 3 * sum(a.nbytes for a in output)
+
     def test_circle_cap_on_a_distance(self):
         g = circle_component(12, circumference=12.0, radius_cap=2.0)  # 2 steps
         self.assert_same_balls(enumerate_component_balls(g), reference_component_balls(g))
@@ -460,6 +472,13 @@ class TestAdmissibleMask:
         fam = enumerate_family(ProductDomain([circle_component(4)]))
         with pytest.raises(ValueError, match="one cap per component"):
             fam.admissible_mask([1.0, 1.0])
+
+    @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0])
+    def test_caps_must_be_positive(self, cap):
+        # a mask that keeps no ball would adjust every point to p = 0
+        fam = enumerate_family(ProductDomain([circle_component(4), circle_component(3)]))
+        with pytest.raises(ValueError, match="must be positive"):
+            fam.admissible_mask([math.inf, cap])
 
 
 class TestEnumerateFamily:
