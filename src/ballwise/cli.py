@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computation error, 2 configuration/input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -24,7 +25,6 @@ import time
 from collections.abc import Iterable, Iterator
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .domain import (
@@ -63,15 +63,21 @@ class ConfigError(Exception):
 
 
 def _atomic_write(path: str, data: str | bytes | Iterable[str]) -> None:
-    """Write ``data`` (text, bytes, or text chunks in order) via temp + rename."""
+    """Write ``data`` (text, bytes, or text chunks in order) via temp + rename;
+    on any failure the temp file is removed and ``path`` is left as it was."""
     mode = "wb" if isinstance(data, bytes) else "w"
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, mode) as fh:
-        if isinstance(data, (str, bytes)):
-            fh.write(data)
-        else:
-            fh.writelines(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode) as fh:
+            if isinstance(data, (str, bytes)):
+                fh.write(data)
+            else:  # a generator of chunks can raise part way through
+                fh.writelines(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _check_keys(section: dict, allowed: set[str], required: set[str], where: str):
@@ -100,6 +106,11 @@ def _parse_cap(value, where: str) -> float:
 def _is_int(value) -> bool:
     """Whether ``value`` is a JSON integer (bool is an int subclass: not one)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number (bool is an int subclass: not one)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _positive_int(value, what: str) -> int:
@@ -175,9 +186,14 @@ def _build_component(section: dict, where: str):
         if kind == "circle":
             if "points" not in section:
                 raise ConfigError(f"{where}: circle component needs 'points'")
+            circumference = section.get("circumference", 2 * math.pi)
+            if not _is_number(circumference) or not math.isfinite(circumference):
+                raise ConfigError(
+                    f"{where}: circumference must be a finite number, got {circumference!r}"
+                )
             return circle_component(
                 _positive_int(section["points"], f"{where}: points"),
-                circumference=float(section.get("circumference", 2 * math.pi)),
+                circumference=float(circumference),
                 radius_cap=cap,
             )
         if kind == "interval":
@@ -185,7 +201,15 @@ def _build_component(section: dict, where: str):
                 raise ConfigError(
                     f"{where}: interval component needs 'bounds' and 'points'"
                 )
-            a, b = section["bounds"]
+            bounds = section["bounds"]
+            if not (
+                isinstance(bounds, list) and len(bounds) == 2
+                and all(_is_number(v) and math.isfinite(v) for v in bounds)
+            ):
+                raise ConfigError(
+                    f"{where}: bounds must be a list of two finite numbers, got {bounds!r}"
+                )
+            a, b = bounds
             return interval_component(
                 float(a), float(b),
                 _positive_int(section["points"], f"{where}: points"),
@@ -277,7 +301,7 @@ def _build_plan(section: dict, seed_override):
     if seed_override is not None:
         seed = seed_override
     alpha = section.get("alpha", 0.05)
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
+    if not _is_number(alpha) or not 0 < alpha < 1:
         raise ConfigError(f"inference: alpha must be a number in (0, 1), got {alpha!r}")
     try:
         plan = PermutationPlan(
@@ -298,6 +322,8 @@ def _config_hash(config: dict) -> str:
 
 
 def _manifest(config: dict, plan, family, elapsed: float) -> str:
+    import scipy  # only for its version: most commands never need scipy
+
     return json.dumps(
         {
             "config_sha256": _config_hash(config),
@@ -322,74 +348,77 @@ def _manifest(config: dict, plan, family, elapsed: float) -> str:
     )
 
 
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """The ``'%.17g'`` text of each float64 in ``values``, as an object array.
+
+    Each distinct bit pattern is formatted once, in one C-level call, so
+    ``-0.0``, ``0.0`` and every NaN keep their own text.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")
+    return np.array(text[:-1], dtype=object)[inverse]
+
+
+def _rows(columns) -> str:
+    """CSV rows whose fields are ``columns`` (integers or the text of
+    ``_float_text``), written as ``csv.writer`` writes numbers: no quoting,
+    ``\r\n`` line ends. One ``%`` call formats them all."""
+    n = len(columns[0])
+    table = np.empty((n, len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        table[:, j] = column
+    return (",".join(["%s"] * len(columns)) + "\r\n") * n % tuple(table.ravel().tolist())
+
+
 def _pointwise_csv(domain, result, p) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     ncomp = len(domain.components)
-    writer.writerow(
-        ["grid_id"]
-        + [f"coord_{l}" for l in range(ncomp)]
-        + ["T_obs", "p", "p_adj"]
+    header = ",".join(
+        ["grid_id"] + [f"coord_{l}" for l in range(ncomp)] + ["T_obs", "p", "p_adj"]
     )
-    labels = domain.grid_labels()
-    for g, lab in enumerate(labels):
-        writer.writerow(
-            [g]
-            + [f"{v:.17g}" if isinstance(v, float) else v for v in lab]
-            + [
-                f"{result.observed_field[g]:.17g}",
-                f"{p.pointwise[g]:.17g}",
-                f"{p.adjusted[g]:.17g}",
-            ]
-        )
-    return buf.getvalue()
+    columns = [np.arange(domain.size)]
+    for comp, idx in zip(domain.components, np.unravel_index(columns[0], domain.shape)):
+        labels = comp.points[idx]
+        columns.append(_float_text(labels) if labels.dtype.kind == "f" else labels)
+    columns += [_float_text(v) for v in (result.observed_field, p.pointwise, p.adjusted)]
+    return header + "\r\n" + _rows(columns)
 
 
-# rows of balls.csv formatted and written per chunk, so the whole text is
-# never held in memory at once
+def _adjusted_csv(adjusted: np.ndarray) -> str:
+    return "grid_id,p_adj\r\n" + _rows([np.arange(len(adjusted)), _float_text(adjusted)])
+
+
+# rows of balls.csv formatted and written per chunk, so neither the text nor
+# a Python object per ball is ever held for the whole family
 BALLS_CSV_CHUNK = 4096
 
 
 def _balls_csv(family, result) -> Iterator[str]:
     """``balls.csv`` as text chunks: one row per product ball, in ball order.
 
-    Each component ball's center and radii are formatted once and indexed by
-    the unraveled ball index, so no per-ball Python object is built. Every
-    field is a number, so rows are written as ``csv.writer`` would write them
-    (no quoting, ``\\r\\n`` line ends).
+    Each chunk unravels only its own ball ids and formats only the values
+    its rows use, so memory is bounded by the chunk, not by the family.
     """
+    yield ",".join(
+        ["ball_id"]
+        + [f"center_{l},radius_{l},inner_radius_{l}" for l in range(len(family.shape))]
+        + ["T_ball_obs,p_ball\r\n"]
+    )
     n = family.n_balls
-    header = ["ball_id"]
-    columns = []
-    ball_idx = np.unravel_index(np.arange(n), family.shape)
-    for l, (balls, idx) in enumerate(zip(family.component_balls, ball_idx)):
-        header.append(f"center_{l},radius_{l},inner_radius_{l}")
-        fields = np.array(
-            [
-                f"{c},{r:.17g},{i:.17g}"
-                for c, r, i in zip(
-                    balls.centers.tolist(),
-                    balls.radii.tolist(),
-                    balls.inner_radii.tolist(),
-                )
-            ],
-            dtype=object,
-        )
-        columns.append(fields[idx])
-    header.append("T_ball_obs,p_ball")
-    yield ",".join(header) + "\r\n"
-    row = "{}," * (len(columns) + 1) + "{:.17g},{:.17g}\r\n"
     for start in range(0, n, BALLS_CSV_CHUNK):
-        chunk = slice(start, start + BALLS_CSV_CHUNK)
-        yield "".join(
-            row.format(*values)
-            for values in zip(
-                range(n)[chunk],
-                *(c[chunk].tolist() for c in columns),
-                result.observed_ball_stats[chunk].tolist(),
-                result.p.ballwise[chunk].tolist(),
-            )
-        )
+        stop = min(start + BALLS_CSV_CHUNK, n)
+        ids = np.arange(start, stop)
+        columns = [ids]
+        for balls, idx in zip(family.component_balls, np.unravel_index(ids, family.shape)):
+            columns += [
+                balls.centers[idx],
+                _float_text(balls.radii[idx]),
+                _float_text(balls.inner_radii[idx]),
+            ]
+        columns += [
+            _float_text(result.observed_ball_stats[start:stop]),
+            _float_text(result.p.ballwise[start:stop]),
+        ]
+        yield _rows(columns)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -419,7 +448,11 @@ TEST_SECTIONS = {"domain", "data", "model", "inference", "output"}
 def _load_test_config(path: str):
     config = _load_json(path)
     _check_keys(config, TEST_SECTIONS, {"domain", "data", "model", "inference"}, "config")
-    _check_keys(config.get("output", {}), {"dir"}, set(), "output")
+    output = config.get("output", {})
+    _check_keys(output, {"dir"}, set(), "output")
+    out_dir = output.get("dir", ".")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"output: dir must be a non-empty string, got {out_dir!r}")
     return config
 
 
@@ -498,12 +531,7 @@ def cmd_adjust(args) -> int:
 
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["grid_id", "p_adj"])
-    for g in range(domain.size):
-        writer.writerow([g, f"{adjusted[g]:.17g}"])
-    _atomic_write(os.path.join(out_dir, "adjusted.csv"), buf.getvalue())
+    _atomic_write(os.path.join(out_dir, "adjusted.csv"), _adjusted_csv(adjusted))
     print(
         f"re-adjusted with caps {caps}: {int(mask.sum())}/{family.n_balls} balls "
         f"kept -> {os.path.join(out_dir, 'adjusted.csv')}"
@@ -572,7 +600,7 @@ def _apply_truth(cfg: ScenarioConfig, section: dict, mesh, idx: int):
             f"{where}: {key} must be vertex indices in [0, {n}), got {truth_cfg[key]!r}"
         )
     radius = truth_cfg["radius"]
-    if isinstance(radius, bool) or not isinstance(radius, (int, float)) or not radius > 0:
+    if not _is_number(radius) or not radius > 0:
         raise ConfigError(f"{where}: radius must be a positive number, got {radius!r}")
     cfg.truth_mask = multi_patch_mask(mesh, centers, float(radius))
 
@@ -666,15 +694,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # computation failure
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    except Exception as exc:
+        # a MemoryError, for one, has no message of its own
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        if isinstance(exc, (ConfigError, FileNotFoundError, PermissionError)):
+            return EXIT_CONFIG
+        return EXIT_COMPUTE  # computation failure
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,7 +18,6 @@ coincide.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -367,14 +366,6 @@ class ProductDomain:
         for c in self.components[1:]:
             w = np.multiply.outer(w, c.weights)
         return w.ravel()
-
-    def grid_labels(self):
-        """Per-grid-point tuples of component point labels, in flat order."""
-        labels = [c.points for c in self.components]
-        return [
-            tuple(lab[i] for lab, i in zip(labels, multi))
-            for multi in itertools.product(*(range(s) for s in self.shape))
-        ]
 
 
 @dataclass

@@ -225,6 +225,46 @@ def admissible_mask(family, caps) -> np.ndarray:
     )
 
 
+def grid_labels(domain):
+    """Per-grid-point tuples of component point labels, in flat order."""
+    labels = [c.points for c in domain.components]
+    return [
+        tuple(lab[i] for lab, i in zip(labels, multi))
+        for multi in itertools.product(*(range(s) for s in domain.shape))
+    ]
+
+
+def pointwise_csv(domain, result, p) -> str:
+    """Row-by-row ``pointwise.csv`` writer, one ``csv.writer`` row per grid point."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    ncomp = len(domain.components)
+    writer.writerow(
+        ["grid_id"] + [f"coord_{l}" for l in range(ncomp)] + ["T_obs", "p", "p_adj"]
+    )
+    for g, lab in enumerate(grid_labels(domain)):
+        writer.writerow(
+            [g]
+            + [f"{v:.17g}" if isinstance(v, float) else v for v in lab]
+            + [
+                f"{result.observed_field[g]:.17g}",
+                f"{p.pointwise[g]:.17g}",
+                f"{p.adjusted[g]:.17g}",
+            ]
+        )
+    return buf.getvalue()
+
+
+def adjusted_csv(adjusted: np.ndarray) -> str:
+    """Row-by-row ``adjusted.csv`` writer, one ``csv.writer`` row per grid point."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["grid_id", "p_adj"])
+    for g in range(len(adjusted)):
+        writer.writerow([g, f"{adjusted[g]:.17g}"])
+    return buf.getvalue()
+
+
 def balls_csv(family, result) -> str:
     """Row-by-row ``balls.csv`` writer, one ``csv.writer`` row per product ball."""
     buf = io.StringIO()

@@ -27,7 +27,7 @@ from ballwise.glm import (
     save_signals_csv,
 )
 from ballwise.mesh import build_icosphere, load_distance_cache, load_mesh
-from ballwise.permute import PermutationPlan, run_inference
+from ballwise.permute import InferenceResult, PermutationPlan, PValueFields, run_inference
 from oracles import weight_matrix
 
 
@@ -363,6 +363,28 @@ class TestMalformedInputs:
             (lambda c: c["domain"]["components"].append(
                 {"kind": "interval", "bounds": [0, 1], "points": 2.7}),
              None, "domain.components[1]: points must be a positive integer, got 2.7"),
+            (lambda c: c["domain"]["components"].append(
+                {"kind": "circle", "points": 3, "circumference": True}),
+             None, "domain.components[1]: circumference must be a finite number, got True"),
+            (lambda c: c["domain"]["components"].append(
+                {"kind": "circle", "points": 3, "circumference": "1"}),
+             None, "domain.components[1]: circumference must be a finite number, got '1'"),
+            (lambda c: c["domain"]["components"].append(
+                {"kind": "circle", "points": 3, "circumference": math.inf}),
+             None, "domain.components[1]: circumference must be a finite number, got inf"),
+            (lambda c: c["domain"]["components"].append(
+                {"kind": "interval", "bounds": [0, "1"], "points": 3}),
+             None, "domain.components[1]: bounds must be a list of two finite numbers, "
+                   "got [0, '1']"),
+            (lambda c: c["domain"]["components"].append(
+                {"kind": "interval", "bounds": [True, 2], "points": 3}),
+             None, "domain.components[1]: bounds must be a list of two finite numbers"),
+            (lambda c: c["domain"]["components"].append(
+                {"kind": "interval", "bounds": [0, 1, 2], "points": 3}),
+             None, "domain.components[1]: bounds must be a list of two finite numbers"),
+            (lambda c: c["domain"]["components"].append(
+                {"kind": "interval", "bounds": 5, "points": 3}),
+             None, "domain.components[1]: bounds must be a list of two finite numbers, got 5"),
             (lambda c: c.update(output={"dir": "x", "format": "csv"}), None,
              "output: unknown key(s) ['format']"),
             (lambda c: c.update(output=5), None, "output: must be a JSON object, got 5"),
@@ -370,7 +392,9 @@ class TestMalformedInputs:
         ],
         ids=["seed-abc", "seed-null", "seed-negative", "permutations-null",
              "permutations-float", "alpha-abc", "circle-points-float",
-             "interval-points-float", "output-unknown-key", "output-not-an-object",
+             "interval-points-float", "circumference-bool", "circumference-string",
+             "circumference-inf", "bounds-string", "bounds-bool", "bounds-three",
+             "bounds-not-a-list", "output-unknown-key", "output-not-an-object",
              "env-seed-abc"],
     )
     def test_malformed_numbers(self, tmp_path, capsys, monkeypatch, edit, env, message):
@@ -378,6 +402,15 @@ class TestMalformedInputs:
             monkeypatch.setenv("BALLWISE_SEED", env)
         config = edit_config(write_test_setup(tmp_path), edit)
         assert message in run_test(tmp_path, config, capsys)
+
+    @pytest.mark.parametrize("value", [5, "", None, ["o"]])
+    def test_bad_output_dir(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)  # no --out-dir: the config's dir is used
+        config = edit_config(write_test_setup(tmp_path), lambda c: c.update(output={"dir": value}))
+        assert main(["test", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"output: dir must be a non-empty string, got {value!r}" in err
+        assert not (tmp_path / "pointwise.csv").exists()
 
     def test_trend_needs_three_observations(self, tmp_path, capsys):
         config = write_test_setup(tmp_path)
@@ -734,25 +767,36 @@ def small_inference(components):
     return fam, run_inference(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
 
 
-class TestBallsCsv:
-    """The column-wise balls.csv writer is byte-identical to the row-wise one."""
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: [mesh_component(build_icosphere(2), radius_cap=0.7)],
-            lambda: [
-                mesh_component(build_icosphere(1)),
-                circle_component(12, radius_cap=2.5),
-            ],
-            lambda: [
-                mesh_component(build_icosphere(1), radius_cap=1.2),
-                circle_component(5),
-                interval_component(0.0, 1.0, 4),
-            ],
+# the last domain's interval coordinates are floats and go through the formatter
+WRITER_DOMAINS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: [mesh_component(build_icosphere(2), radius_cap=0.7)],
+        lambda: [
+            mesh_component(build_icosphere(1)),
+            circle_component(12, radius_cap=2.5),
         ],
-        ids=["mesh", "mesh-circle-inf", "mesh-circle-interval-inf"],
-    )
+        lambda: [
+            mesh_component(build_icosphere(1), radius_cap=1.2),
+            circle_component(5),
+            interval_component(0.0, 1.0, 4),
+        ],
+    ],
+    ids=["mesh", "mesh-circle-inf", "mesh-circle-interval-inf"],
+)
+
+# floats whose text is easy to get wrong: signed zero, infinities, NaNs with
+# other payloads and signs, the least subnormal, values %.17g must not round
+SPECIAL_FLOATS = np.array(
+    [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 0.1, 1e22, 2**53 + 1.0]
+    + [np.array([0x7FF8_0000_0000_0001], dtype=np.int64).view(np.float64)[0]]
+)
+
+
+class TestBallsCsv:
+    """The column-wise writers are byte-identical to the row-wise ones."""
+
+    @WRITER_DOMAINS
     def test_matches_row_writer(self, make, monkeypatch):
         fam, result = small_inference(make())
         expected = oracles.balls_csv(fam, result).encode()
@@ -760,3 +804,67 @@ class TestBallsCsv:
         assert "".join(_balls_csv(fam, result)).encode() == expected
         monkeypatch.setattr(cli, "BALLS_CSV_CHUNK", 7)  # chunk ends inside the family
         assert "".join(_balls_csv(fam, result)).encode() == expected
+
+    @WRITER_DOMAINS
+    @pytest.mark.parametrize("chunk", [7, 1])
+    def test_every_writer_matches_its_row_writer(self, make, chunk, monkeypatch):
+        monkeypatch.setattr(cli, "BALLS_CSV_CHUNK", chunk)
+        fam, result = small_inference(make())
+        assert_writers_match_oracles(fam, result)
+
+    @WRITER_DOMAINS
+    def test_special_values(self, make, monkeypatch):
+        monkeypatch.setattr(cli, "BALLS_CSV_CHUNK", 7)
+        fam, result = small_inference(make())
+        for values in (result.observed_ball_stats, result.p.ballwise,
+                       result.observed_field, result.p.adjusted):
+            # spread over the array, so each chunk of balls.csv gets some
+            at = np.linspace(0, len(values) - 1, len(SPECIAL_FLOATS)).astype(int)
+            values[at] = SPECIAL_FLOATS
+        assert_writers_match_oracles(fam, result)
+
+    def test_memory_bounded_by_the_chunk(self):
+        # 314,481 balls: the whole family's text is about 28 MB, one chunk's
+        # about 0.36 MB; the writer's peak measured 6.7 chunks of text
+        fam = enumerate_family(ProductDomain([mesh_component(build_icosphere(8))]))
+        rng = np.random.default_rng(0)
+        result = InferenceResult(
+            observed_field=np.zeros(fam.domain.size),
+            observed_ball_stats=rng.standard_normal(fam.n_balls) ** 2,
+            p=PValueFields(np.ones(fam.domain.size), rng.integers(1, 501, fam.n_balls) / 500,
+                           np.ones(fam.domain.size), 499),
+        )
+        longest = 0
+        tracemalloc.start()
+        try:
+            for chunk in _balls_csv(fam, result):  # a null sink
+                longest = max(longest, len(chunk))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fam.n_balls > 70 * cli.BALLS_CSV_CHUNK
+        assert peak < 10 * longest
+
+    def test_failed_writer_leaves_no_partial_output(self, tmp_path, capsys, monkeypatch):
+        def fails_after_one_chunk(family, result):
+            chunks = _balls_csv(family, result)
+            yield next(chunks)  # the header
+            yield next(chunks)
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "BALLS_CSV_CHUNK", 7)
+        monkeypatch.setattr(cli, "_balls_csv", fails_after_one_chunk)
+        config = write_test_setup(tmp_path)
+        out_dir = tmp_path / "o"
+        assert main(["test", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert not [p.name for p in out_dir.iterdir() if p.name.startswith("balls.csv")]
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def assert_writers_match_oracles(fam, result):
+    expected = oracles.balls_csv(fam, result).encode()
+    assert "".join(_balls_csv(fam, result)).encode() == expected
+    expected = oracles.pointwise_csv(fam.domain, result, result.p).encode()
+    assert cli._pointwise_csv(fam.domain, result, result.p).encode() == expected
+    expected = oracles.adjusted_csv(result.p.adjusted).encode()
+    assert cli._adjusted_csv(result.p.adjusted).encode() == expected

@@ -608,5 +608,5 @@ class TestProductDomain:
 
     def test_grid_labels_order(self):
         d = ProductDomain([circle_component(2, circumference=2.0), interval_component(0, 1, 2)])
-        labels = d.grid_labels()
+        labels = oracles.grid_labels(d)
         assert labels == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]

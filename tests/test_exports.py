@@ -46,6 +46,12 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     assert out.strip() == "[]"
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # only the manifest needs scipy, for its version
+    out = run_python("import sys, ballwise.cli; print('scipy' in sys.modules)")
+    assert out.strip() == "False"
+
+
 @pytest.fixture(scope="module")
 def cli_runs(tmp_path_factory):
     """Inputs of a small run of every command that loads a mesh: an order-2
@@ -93,3 +99,13 @@ def test_cli_commands_leave_scipy_sparse_unloaded(cli_runs, args):
         cwd=cli_runs,
     )
     assert out.splitlines()[-1] == "0 []"
+
+
+def test_manifest_records_the_scipy_version(cli_runs):
+    import scipy
+
+    # a fresh process, in which the manifest is the first to import scipy
+    args = ["test", "--config", "run.json", "--out-dir", "o3"]
+    run_python(f"from ballwise.cli import main; assert main({args!r}) == 0", cwd=cli_runs)
+    manifest = json.loads((cli_runs / "o3" / "manifest.json").read_text())
+    assert manifest["scipy"] == scipy.__version__
