@@ -65,18 +65,29 @@ class ConfigError(Exception):
 def _atomic_write(path: str, data: str | bytes | Iterable[str]) -> None:
     """Write ``data`` (text, bytes, or text chunks in order) via temp + rename;
     on any failure the temp file is removed and ``path`` is left as it was."""
-    mode = "wb" if isinstance(data, bytes) else "w"
-    tmp = f"{path}.tmp.{os.getpid()}"
+    _atomic_write_all([(path, data)])
+
+
+def _atomic_write_all(outputs: list[tuple[str, str | bytes | Iterable[str]]]) -> None:
+    """Write each ``(path, data)`` of ``outputs``, all or none: every output
+    goes to a temp file, and the temp files are renamed only once the last is
+    written. On any failure every temp file is removed and every path is left
+    as it was."""
+    tmps = []
     try:
-        with open(tmp, mode) as fh:
-            if isinstance(data, (str, bytes)):
-                fh.write(data)
-            else:  # a generator of chunks can raise part way through
-                fh.writelines(data)
-        os.replace(tmp, path)
+        for path, data in outputs:
+            tmps.append(f"{path}.tmp.{os.getpid()}")
+            with open(tmps[-1], "wb" if isinstance(data, bytes) else "w") as fh:
+                if isinstance(data, (str, bytes)):
+                    fh.write(data)
+                else:  # a generator of chunks can raise part way through
+                    fh.writelines(data)
+        for (path, _), tmp in zip(outputs, tmps):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
 
 
@@ -480,16 +491,15 @@ def cmd_test(args) -> int:
     result = run_inference(Y, design, hyp, family, plan)
     elapsed = time.monotonic() - start
 
-    _atomic_write(
-        os.path.join(out_dir, "pointwise.csv"), _pointwise_csv(domain, result, result.p)
-    )
-    _atomic_write(
-        os.path.join(out_dir, "balls.csv"), _balls_csv(family, result)
-    )
-    _atomic_write(
-        os.path.join(out_dir, "manifest.json"),
-        _manifest(config, plan, family, elapsed),
-    )
+    def manifest():  # formatted last, so its peak RSS covers the other writes
+        yield _manifest(config, plan, family, elapsed)
+
+    outputs = {
+        "pointwise.csv": _pointwise_csv(domain, result, result.p),
+        "balls.csv": _balls_csv(family, result),
+        "manifest.json": manifest(),
+    }
+    _atomic_write_all([(os.path.join(out_dir, name), data) for name, data in outputs.items()])
     n_sig = int(np.sum(result.p.adjusted <= alpha))
     print(
         f"{domain.size} grid points, {family.n_balls} balls; "

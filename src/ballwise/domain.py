@@ -46,12 +46,13 @@ __all__ = [
 # ball, so 10 M balls take on the order of a gigabyte.
 DEFAULT_MAX_BALLS = 10_000_000
 
-# Prefix sums run over tiles of rows with at least TILE_ADD_VALUES values per
-# add, which amortises numpy's per-call cost, and at most TILE_MAX_VALUES in
-# all: a tile of short rows stays in cache and its buffer is reused instead of
-# being faulted in afresh on every call.
+# Prefix sums run over tiles of sorted rows, long rows split into spans of
+# positions, with TILE_ADD_VALUES values per add where the tile allows, which
+# amortises numpy's per-call cost, and at most TILE_MAX_VALUES (2 MiB) in all:
+# a tile stays in cache, and the one buffer that every tile of a call is
+# gathered into stays small however long the rows are.
 TILE_ADD_VALUES = 1 << 12
-TILE_MAX_VALUES = 1 << 22
+TILE_MAX_VALUES = 1 << 18
 
 
 @dataclass
@@ -217,8 +218,21 @@ class ComponentBalls(Sequence):
             np.sort(self.order[center, :size]),
         )
 
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Weighted support sums along axis 0: (n, ...) -> (n_balls, ...)."""
+    def _tiles(self, values: np.ndarray):
+        """Weighted support sums along axis 0 of ``values`` (n, ...), tile by tile.
+
+        Yields ``(balls, block, pick)``: the ids of a run of balls, a slice or
+        an index array, and where their sums are, ``block.take(pick, axis=0)``
+        (len, r) with r the size of a row of ``values``. A tile is ``span``
+        positions of ``rows`` sorted rows, and ``block`` is the buffer that
+        every tile of the call is gathered into. It holds at most
+        TILE_MAX_VALUES values, or one position of one row when that alone is
+        more, and has rows enough for TILE_ADD_VALUES values per add unless
+        their positions, which bound the tile's balls, would exceed
+        TILE_MAX_VALUES. Rows too long for one tile are split into spans, and
+        the running prefix carries from one span into the next, so every sum
+        adds the same values in the same order however the rows are split.
+        """
         n, L = self.order.shape
         rest = values.shape[1:]
         weighted = np.zeros((n + 1,) + rest)  # row n: the sentinel
@@ -227,24 +241,84 @@ class ComponentBalls(Sequence):
         )
         weighted = weighted.reshape(n + 1, -1)
         r = weighted.shape[1]
-        out = np.empty((len(self), r))
-        rows = min(-(-TILE_ADD_VALUES // max(r, 1)), TILE_MAX_VALUES // max(L * r, 1))
+        # enough rows for TILE_ADD_VALUES values per add, unless their
+        # positions alone (a tile's balls at most) exceed TILE_MAX_VALUES
+        rows = -(-TILE_ADD_VALUES // max(r, 1))
+        rows = min(rows, TILE_MAX_VALUES // max(r, 1), TILE_MAX_VALUES // L, n)
         rows = max(rows, 1)
+        span = min(L, max(TILE_MAX_VALUES // max(rows * r, 1), 1))
+        buf = np.empty(span * rows * r)
+        carry = np.empty((rows, r)) if span < L else None
+        # the first position of each span, and the end
+        starts = np.r_[0:L:span, L]
         for top in range(0, n, rows):
             bottom = min(n, top + rows)
-            # the tile's rows by sorted position, accumulation axis
-            # outermost: L - 1 contiguous adds, each value summed in row order
-            block = weighted.take(self.order[top:bottom].T.ravel(), axis=0)
-            block = block.reshape(L, bottom - top, r)
-            for j in range(1, L):
-                block[j] += block[j - 1]
+            k = bottom - top
             first, last = self._ball_start[top], self._ball_start[bottom]
-            pick = (self.sizes[first:last] - 1) * (bottom - top) + (
-                self.centers[first:last] - top
-            )
+            if span < L:
+                # the center-major key is ascending, so row i's balls ending
+                # at positions p0..p1 - 1 are those with keys from
+                # i (L + 1) + p0 + 1 to i (L + 1) + p1
+                key = self.centers[first:last] * (L + 1)
+                key += self.sizes[first:last]
+                bounds = first + np.searchsorted(
+                    key, (np.arange(top, bottom) * (L + 1))[:, None] + starts + 1
+                )
+            for s, (p0, p1) in enumerate(zip(starts[:-1], starts[1:])):
+                # the rows by sorted position, accumulation axis outermost:
+                # contiguous adds, each value summed in row order
+                block = buf[:(p1 - p0) * k * r].reshape(p1 - p0, k, r)
+                # every index is in range; "clip" only spares a buffered copy
+                weighted.take(
+                    self.order[top:bottom, p0:p1].T.ravel(), axis=0,
+                    out=block.reshape(-1, r), mode="clip",
+                )
+                if p0:
+                    block[0] += carry[:k]
+                for j in range(1, p1 - p0):
+                    block[j] += block[j - 1]
+                if p1 < L:
+                    carry[:k] = block[-1]
+                if span < L:
+                    balls, row = _ranges(bounds[:, s], bounds[:, s + 1])
+                else:
+                    balls = slice(first, last)
+                    row = self.centers[balls] - top
+                # a ball's sum is at its last position in its row
+                pick = self.sizes[balls] - (1 + p0)
+                pick *= k
+                pick += row
+                yield balls, block.reshape(-1, r), pick
+
+    def integrate(self, values: np.ndarray) -> np.ndarray:
+        """Weighted support sums along axis 0: (n, ...) -> (n_balls, ...)."""
+        rest = values.shape[1:]
+        out = np.empty((len(self), math.prod(rest)))
+        for balls, block, pick in self._tiles(values):
             # every pick is in range; "clip" only spares take a buffered copy
-            block.reshape(-1, r).take(pick, axis=0, out=out[first:last], mode="clip")
+            if isinstance(balls, slice):
+                block.take(pick, axis=0, out=out[balls], mode="clip")
+            else:
+                out[balls] = block.take(pick, axis=0, mode="clip")
         return out.reshape((len(self),) + rest)
+
+    def count_exceedances(
+        self, values: np.ndarray, floor: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """Add to ``counts`` how many sums along axis 0 reach ``floor``.
+
+        ``values`` is (n, ..., B), B stacked fields; ``floor`` and ``counts``
+        are (n_balls, ...), and ``counts`` is updated in place:
+        ``counts += (integrate(values) >= floor[..., None]).sum(axis=-1)``,
+        tile by tile, so the (n_balls, ..., B) sums are never held.
+        """
+        B = values.shape[-1]
+        for balls, block, pick in self._tiles(values):
+            sums = block.take(pick, axis=0, mode="clip")
+            at_least = floor[balls]
+            counts[balls] += (
+                sums.reshape(at_least.shape + (B,)) >= at_least[..., None]
+            ).sum(axis=-1)
 
     def cover_max(self, ball_values: np.ndarray) -> np.ndarray:
         """Max over the covering balls along axis 0: (n_balls, ...) -> (n, ...).
@@ -261,6 +335,16 @@ class ComponentBalls(Sequence):
         out = np.zeros((n + 1, at_end.shape[2]))
         np.maximum.at(out, self.order.ravel(), covering.reshape(n * L, -1))
         return out[:n].reshape((n,) + rest)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated ranges ``lo[i]:hi[i]``, in order, and the ``i`` of
+    each element."""
+    lengths = hi - lo
+    which = np.repeat(np.arange(len(lo)), lengths)
+    ids = np.arange(len(which))
+    ids += (lo - (np.cumsum(lengths) - lengths))[which]
+    return ids, which
 
 
 def _zobrist_keys(n: int) -> np.ndarray:
@@ -406,15 +490,40 @@ class AdjustmentFamily:
 
     @property
     def column_bytes(self) -> int:
-        """Bytes per stacked field that ``integrated_stats`` may hold at once,
-        an upper estimate: in one component's pass, the input, its weighted
-        copy and gathered rows, the output and its reordered copy, all
-        float64 (the last output is the ball statistics)."""
-        sizes = [self.domain.size]
-        for c in self._integration_axes():
+        """Bytes per stacked field that ``count_exceedances`` may hold at once,
+        an upper estimate, all float64: the field itself, and in each
+        component's pass its input, weighted copy and output. The last pass
+        has no output, since it counts in its tiles. The tiles' buffers are
+        ``tile_bytes`` in all, unless one row of a pass holds more than
+        TILE_MAX_VALUES; four such rows per field are counted here."""
+        m = self.domain.size
+        axes = self._integration_axes()
+        held, a = [], m
+        for i, c in enumerate(axes):
             balls = self.component_balls[c]
-            sizes.append(sizes[-1] // len(balls.order) * len(balls))
-        return 8 * max(3 * a + 2 * b for a, b in zip(sizes, sizes[1:]))
+            row = a // len(balls.order)
+            b = row * len(balls) if i + 1 < len(axes) else 0
+            # the first pass's input is the field
+            held.append((a if i else 0) + a + row + b + 4 * row)
+            a = b
+        return 8 * (m + max(held))
+
+    @property
+    def tile_bytes(self) -> int:
+        """Bytes of the tile buffers of one ``count_exceedances`` call, on top
+        of ``column_bytes`` per field: the gathered block, its carry and its
+        picks, at most TILE_MAX_VALUES float64 each, their index and mask
+        temporaries, and numpy's iteration buffers (at most three)."""
+        return 8 * (4 * TILE_MAX_VALUES + 3 * np.getbufsize())
+
+    def _integrate_axes(self, fields: np.ndarray, axes) -> np.ndarray:
+        """The (n_1, ..., n_L, B) tensor of a stat field (m,) or a stack
+        (B, m), with the components ``axes`` integrated, in that order."""
+        X = fields.T.reshape(self.domain.shape + fields.shape[:-1][::-1])
+        for c in axes:
+            balls = self.component_balls[c]
+            X = np.moveaxis(balls.integrate(np.moveaxis(X, c, 0)), 0, c)
+        return X
 
     def integrated_stats(self, stat_fields: np.ndarray) -> np.ndarray:
         """Weighted support sums of one stat field (m,) or a stack (B, m).
@@ -426,12 +535,30 @@ class AdjustmentFamily:
         element, so it does not depend on how fields are stacked.
         """
         fields = np.asarray(stat_fields, dtype=float)
-        stack = fields.shape[:-1][::-1]
-        X = fields.T.reshape(self.domain.shape + stack)
-        for c in self._integration_axes():
-            balls = self.component_balls[c]
-            X = np.moveaxis(balls.integrate(np.moveaxis(X, c, 0)), 0, c)
-        return X.reshape((self.n_balls,) + stack)
+        X = self._integrate_axes(fields, self._integration_axes())
+        return X.reshape((self.n_balls,) + fields.shape[:-1][::-1])
+
+    def count_exceedances(
+        self, stat_fields: np.ndarray, floor: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """Add to ``counts`` how many fields of a stack (B, m) reach ``floor``.
+
+        ``floor`` and ``counts`` are (n_balls,), and ``counts``, a contiguous
+        int64 array, is updated in place: ``counts += (integrated_stats(
+        stat_fields) >= floor[:, None]).sum(axis=1)``, with bitwise the same
+        statistics. The last component's pass compares each tile with its
+        balls' floors, so the (n_balls, B) statistics are never built.
+        """
+        fields = np.atleast_2d(np.asarray(stat_fields, dtype=float))
+        *axes, last = self._integration_axes()
+        X = self._integrate_axes(fields, axes)
+
+        def by_last(a):  # a view, so counts is updated in place
+            return np.moveaxis(a.reshape(self.shape), last, 0)
+
+        self.component_balls[last].count_exceedances(
+            np.moveaxis(X, last, 0), by_last(floor), by_last(counts)
+        )
 
     def cover_max(self, ball_values: np.ndarray) -> np.ndarray:
         """Per grid point, the max of ``ball_values`` over the balls covering it.

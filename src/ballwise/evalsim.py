@@ -70,7 +70,11 @@ class GaussianFieldSampler:
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"covariance factorization failed: {exc}") from exc
         self.clamped_mass = float(-vals[vals < 0].sum() / np.trace(cov))
-        self.factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        # the symmetric root V sqrt(D) V', not V sqrt(D): eigenvalues of an
+        # icosphere's covariance repeat, and the basis LAPACK picks within a
+        # repeated eigenspace (with it every field drawn through V sqrt(D))
+        # depends on its thread count; the symmetric root does not
+        self.factor = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
         self.n_vertices = n
 
     def sample(self, rng: np.random.Generator, n_draws: int = 1) -> np.ndarray:

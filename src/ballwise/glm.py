@@ -8,7 +8,8 @@ statistics of the slope of each column on one centred design vector x (the
 covariate, or the indicator of the first group): with u = x'y, SS the centred
 sum of squares of y and RSS = SS - u^2 / x'x, the slope is u / x'x and its
 squared t is (N - 2) (u^2 / x'x) / RSS. ``StatKernel`` evaluates them for a
-whole chunk of permutations with one matmul.
+whole chunk of permutations, one product of a permuted x with the signals per
+permutation.
 """
 
 from __future__ import annotations
@@ -132,17 +133,17 @@ class StatKernel:
 
     Permuting the rows of the signals by p is the same as permuting the design
     by the inverse of p and keeping the signals fixed, so every statistic of a
-    chunk comes from the matmul of the (chunk x N) permuted design with the
-    fixed, centred signals, plus column moments that no permutation changes.
-    A permuted design depends only on the grouping (or the covariate order) it
-    makes, so two permutations that make the same grouping give bitwise equal
-    fields.
+    chunk comes from the product of its permuted design row with the fixed,
+    centred signals, plus column moments that no permutation changes. A
+    permuted design depends only on the grouping (or the covariate order) it
+    makes, and each row's product is formed on its own, so two permutations
+    that make the same grouping give bitwise equal fields in any chunks.
 
     With a ``reduced_design`` X0 (N x K) the permuted data are Freedman-Lane's
     ``F + R[p]``: the reduced-model fits F = X0 beta plus the permuted
     residuals R. Their centred sum of squares has a cross term between the
-    centred fits and the permuted residuals, one matmul per non-constant
-    column of X0. Without it the signals themselves are permuted.
+    centred fits and the permuted residuals, one more product per
+    non-constant column of X0. Without it the signals themselves are permuted.
     """
 
     def __init__(
@@ -201,7 +202,7 @@ class StatKernel:
         (B, N) ``perms``; row b is the field of ``signals[perms[b]]`` (of
         ``F + R[perms[b]]`` under a reduced design)."""
         inv = np.argsort(perms, axis=1)
-        U = self.x[inv] @ self.Z
+        U = _row_products(self.x[inv], self.Z)
         if self.fit is not None:
             U += self.fit.u
         if self.statistic == "slope_sq":
@@ -217,7 +218,7 @@ class StatKernel:
             # Fc'(Z[p]) = sum_k coef_k * (X0c_k[inv] @ Z)
             cross = np.zeros_like(U)
             for col, coef in zip(self.fit.cols, self.fit.coef):
-                cross += (col[inv] @ self.Z) * coef
+                cross += _row_products(col[inv], self.Z) * coef
             fixed = self.ss + self.fit.ss
             scale = fixed + 2.0 * np.abs(cross)
             rss = fixed + 2.0 * cross - E
@@ -242,6 +243,16 @@ class StatKernel:
         rss *= self.sxx / (self.n_obs - 2)
         U /= np.sqrt(rss, out=rss)
         return np.maximum(U, 0.0, out=U)
+
+
+def _row_products(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``A @ Z``, one row at a time: BLAS rounds a one-row product and a
+    many-row one differently, so this keeps a row's bits the same in every
+    chunk, the observed field's one-row chunk included."""
+    out = np.empty((len(A), Z.shape[1]))
+    for a, row in zip(A, out):
+        np.dot(a, Z, out=row)
+    return out
 
 
 def _col_ss(A: np.ndarray) -> np.ndarray:

@@ -38,12 +38,14 @@ __all__ = [
 # numpy's default bit generator; recorded in run manifests for reproducibility
 RNG_ALGORITHM = "PCG64"
 
-# Working memory of one chunk of permutations in ball integration (the
-# per-component partial sums and the chunk's ball statistics); larger
-# families get smaller chunks. The stat kernel's temporaries, at most five
-# fields per permutation, fit the same budget: a family's column_bytes is at
-# least five fields.
+# Working memory of one chunk of permutations: the tile buffers of ball
+# counting (the family's tile_bytes, the same for every chunk) and, per
+# permutation, the family's column_bytes or the stat kernel's temporaries (at
+# most five fields), whichever is more. Larger domains get smaller chunks.
 CHUNK_BYTES = 64 * 2**20
+
+# The stat kernel's temporaries per permutation, in fields.
+KERNEL_FIELDS = 5
 
 # Permutations per chunk, fewer when CHUNK_BYTES binds.
 CHUNK_PERMUTATIONS = 32
@@ -164,11 +166,13 @@ def run_inference(
     """Full pipeline: permutation null, p-values, sup adjustment.
 
     Permutations are processed in chunks of at most ``CHUNK_PERMUTATIONS``,
-    fewer when the family's integration would need more than ``CHUNK_BYTES``
-    for them, so only the exceedance counts are kept, never the permuted ball
-    statistics. A chunk's fields come from one ``StatKernel`` call. The
-    Freedman-Lane scheme permutes the reduced-model residual rows and adds
-    back the reduced-model fits; the raw scheme permutes observation rows.
+    fewer when a chunk would need more than ``CHUNK_BYTES``. A chunk's fields
+    come from one ``StatKernel`` call, and ``count_exceedances`` adds them to
+    the ball counts one integration tile at a time: the loop holds the
+    exceedance counts and one tile of at most ``TILE_MAX_VALUES`` values,
+    never a permuted statistic per ball. The Freedman-Lane scheme permutes
+    the reduced-model residual rows and adds back the reduced-model fits; the
+    raw scheme permutes observation rows.
     """
     Y = np.asarray(signals, dtype=float)
     perms = generate_permutations(plan, Y.shape[0])
@@ -181,15 +185,17 @@ def run_inference(
     kernel = StatKernel(Y, design, hypothesis, reduced)
     T_obs = kernel.fields(np.arange(Y.shape[0])[None, :])[0]
     ball_obs = family.integrated_stats(T_obs)
-    point_floor, ball_floor = _tie_floor(T_obs), _tie_floor(ball_obs)[:, None]
+    point_floor, ball_floor = _tie_floor(T_obs), _tie_floor(ball_obs)
 
-    chunk_size = max(1, min(CHUNK_PERMUTATIONS, CHUNK_BYTES // family.column_bytes))
+    per_field = max(family.column_bytes, KERNEL_FIELDS * 8 * T_obs.shape[0])
+    chunk_size = (CHUNK_BYTES - family.tile_bytes) // per_field
+    chunk_size = max(1, min(CHUNK_PERMUTATIONS, chunk_size))
     point_counts = np.zeros(T_obs.shape[0], dtype=np.int64)
     ball_counts = np.zeros(family.n_balls, dtype=np.int64)
     for start in range(0, B, chunk_size):
         fields = kernel.fields(perms[start:start + chunk_size])
         point_counts += (fields >= point_floor).sum(axis=0)
-        ball_counts += (family.integrated_stats(fields) >= ball_floor).sum(axis=1)
+        family.count_exceedances(fields, ball_floor, ball_counts)
 
     p_point = _p_from_counts(point_counts, B)
     p_ball = _p_from_counts(ball_counts, B)

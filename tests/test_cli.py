@@ -858,6 +858,9 @@ class TestBallsCsv:
         out_dir = tmp_path / "o"
         assert main(["test", "--config", str(config), "--out-dir", str(out_dir)]) == 1
         assert not [p.name for p in out_dir.iterdir() if p.name.startswith("balls.csv")]
+        # nor the pointwise.csv written before balls.csv, nor any other output
+        assert not (out_dir / "pointwise.csv").exists()
+        assert list(out_dir.iterdir()) == []
         assert capsys.readouterr().err == "error: MemoryError\n"
 
 

@@ -346,6 +346,13 @@ OPERATOR_DOMAINS = pytest.mark.parametrize(
 )
 
 
+DEFAULT_TILING = (domain.TILE_ADD_VALUES, domain.TILE_MAX_VALUES)
+# (TILE_ADD_VALUES, TILE_MAX_VALUES): one-row, one-position tiles, so every
+# sum carries from span to span; tiles of uneven row counts ending inside a
+# row block; spans of several rows and positions
+TILINGS = [(1, 1), (7, 1 << 22), (1 << 12, 40), (7, 50)]
+
+
 class TestPrefixOperators:
     """Integration and the covering max through the per-component operators
     equal the per-ball oracles."""
@@ -391,26 +398,63 @@ class TestPrefixOperators:
         fam = enumerate_family(ProductDomain(make()))
         fields = np.random.default_rng(5).random((3, fam.domain.size))
         whole = fam.integrated_stats(fields)
-        # tiles of one row, then of uneven row counts ending inside a row block
-        for add_values, max_values in ((1, 1), (7, 1 << 22), (1 << 12, 40)):
+        for add_values, max_values in TILINGS:
             monkeypatch.setattr(domain, "TILE_ADD_VALUES", add_values)
             monkeypatch.setattr(domain, "TILE_MAX_VALUES", max_values)
             assert fam.integrated_stats(fields).tobytes() == whole.tobytes()
 
     @OPERATOR_DOMAINS
+    def test_count_exceedances(self, make, monkeypatch):
+        fam = enumerate_family(ProductDomain(make()))
+        fields = np.random.default_rng(7).random((6, fam.domain.size))
+        stats = fam.integrated_stats(fields)
+        # a floor that one field's statistics tie with, and one between them
+        for floor in (stats[:, 2], np.median(stats, axis=1)):
+            expected = (stats >= floor[:, None]).sum(axis=1)
+            for add_values, max_values in [DEFAULT_TILING] + TILINGS:
+                monkeypatch.setattr(domain, "TILE_ADD_VALUES", add_values)
+                monkeypatch.setattr(domain, "TILE_MAX_VALUES", max_values)
+                # counts are added to what is there
+                counts = np.arange(fam.n_balls, dtype=np.int64)
+                fam.count_exceedances(fields, floor, counts)
+                np.testing.assert_array_equal(counts - np.arange(fam.n_balls), expected)
+
+    @OPERATOR_DOMAINS
     def test_column_bytes(self, make, monkeypatch):
         fam = enumerate_family(ProductDomain(make()))
-        # one-row tiles, so the gathered rows also grow with the stack
+        # one-row, one-position tiles, so the tile buffers grow with the stack;
+        # stacked deep enough that numpy's fixed buffers are a small part
         monkeypatch.setattr(domain, "TILE_ADD_VALUES", 1)
-        fields = np.random.default_rng(6).random((200, fam.domain.size))
+        monkeypatch.setattr(domain, "TILE_MAX_VALUES", 1)
+        fields = np.random.default_rng(6).random((2000, fam.domain.size))
+        floor = fam.integrated_stats(fields[0])
+        counts = np.zeros(fam.n_balls, dtype=np.int64)
         tracemalloc.start()
         try:
-            fam.integrated_stats(fields)
+            fam.count_exceedances(fields, floor, counts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # an upper estimate, but not a loose one
-        assert len(fields) * fam.column_bytes / 3 < peak <= len(fields) * fam.column_bytes
+        per_field = len(fields) * fam.column_bytes
+        assert per_field / 3 < peak <= per_field + fam.tile_bytes
+
+    def test_counting_memory_bounded(self):
+        # 314,481 balls, whose statistics for 32 fields alone are 77 MiB
+        fam = enumerate_family(ProductDomain([mesh_component(build_icosphere(8))]))
+        fields = np.random.default_rng(8).random((32, fam.domain.size))
+        floor = fam.integrated_stats(fields[0])
+        counts = np.zeros(fam.n_balls, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            fam.count_exceedances(fields, floor, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the fields' working memory and the tiles, whatever the ball count
+        bound = len(fields) * fam.column_bytes + fam.tile_bytes
+        assert bound < 12 * 2**20
+        assert peak <= bound
 
     @OPERATOR_DOMAINS
     def test_adjusted_from_ballwise(self, make):

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,8 +75,31 @@ class TestGaussianFieldSampler:
         d = oracles.dense_dijkstra(m)
         cov = np.exp(-(d**2) / (2 * 0.4**2))
         vals, vecs = np.linalg.eigh(cov)
-        expected = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        expected = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
         assert s.factor.tobytes() == expected.tobytes()
+
+    def test_simulate_does_not_depend_on_blas_threads(self, tmp_path):
+        # an icosphere's covariance has eigenvalues of multiplicity 3 and 5,
+        # whose eigenbasis LAPACK picks differently on 1 and 2 threads
+        scenario = {
+            "id": "cap", "icosphere_order": 4, "n_samples": 10, "permutations": 19,
+            "replicates": 2, "seed": 5, "signal_amplitude": 1.5, "radius_cap": 0.5,
+            "truth": {"type": "cap", "center": 7, "radius": 0.6},
+        }
+        (tmp_path / "sweep.json").write_text(json.dumps([scenario]))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        rates = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = tmp_path / f"rates{threads}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "ballwise.cli", "simulate",
+                 "--config", "sweep.json", "--out", out.name],
+                cwd=tmp_path, env=env, check=True, capture_output=True,
+            )
+            rates.append(out.read_bytes())
+        assert rates[0] == rates[1]
 
     def test_infinite_distances_rejected(self):
         d = PATH_DISTANCES.copy()

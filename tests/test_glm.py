@@ -290,6 +290,21 @@ class TestStatKernel:
         fields = kernel.fields(np.stack([p, q]))
         assert fields[0].tobytes() == fields[1].tobytes()
 
+    @pytest.mark.parametrize("null", ["none", "covariate"])
+    def test_rows_do_not_depend_on_the_chunk(self, null):
+        # BLAS rounds a one-row product and a many-row one differently, and
+        # the observed field is a chunk of one row: a permutation making the
+        # observed grouping must give its bits in any chunk, or the tie is lost
+        rng = np.random.default_rng(9)
+        Y = rng.standard_normal((8, 2562))
+        X0 = None if null == "none" else np.column_stack([np.ones(8), np.arange(8.0)])
+        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
+        kernel = StatKernel(Y, design, HypothesisSpec("t_two_sample_sq"), X0)
+        perms = np.array([rng.permutation(8) for _ in range(16)])
+        chunk = kernel.fields(perms)
+        for p, row in zip(perms, chunk):
+            assert kernel.fields(p[None, :])[0].tobytes() == row.tobytes()
+
     @pytest.mark.parametrize("null", [None, np.ones((6, 1))])
     def test_group_constant_columns_raise(self, null):
         # every group constant with different means, under the identity and

@@ -13,6 +13,7 @@ from ballwise.domain import (
     mesh_component,
 )
 from ballwise.glm import DesignSpec, HypothesisSpec, StatKernel
+from ballwise.mesh import build_icosphere
 from ballwise.permute import (
     PermutationPlan,
     adjusted_from_ballwise,
@@ -436,18 +437,49 @@ class TestEngineProperties:
         for chunk in (7, 32):
             monkeypatch.setattr(permute, "CHUNK_PERMUTATIONS", chunk)
             assert run_inference(Y, design, hyp, fam, plan).p.tobytes() == ref
-        # a budget of three fields' working memory caps every chunk at 3
+        # a budget of the tiles and three fields' working memory caps every
+        # chunk at 3: the observed field is integrated alone (0), each chunk
+        # is counted in one call
         stacked = []
         integrate = AdjustmentFamily.integrated_stats
+        count = AdjustmentFamily.count_exceedances
 
-        def spy(self, fields):
+        def spy_integrate(self, fields):
             stacked.append(len(fields) if np.ndim(fields) == 2 else 0)
             return integrate(self, fields)
 
-        monkeypatch.setattr(AdjustmentFamily, "integrated_stats", spy)
-        monkeypatch.setattr(permute, "CHUNK_BYTES", 3 * fam.column_bytes + 7)
+        def spy_count(self, fields, floor, counts):
+            stacked.append(len(fields))
+            return count(self, fields, floor, counts)
+
+        monkeypatch.setattr(AdjustmentFamily, "integrated_stats", spy_integrate)
+        monkeypatch.setattr(AdjustmentFamily, "count_exceedances", spy_count)
+        per_field = max(fam.column_bytes, permute.KERNEL_FIELDS * 8 * d.size)
+        monkeypatch.setattr(permute, "CHUNK_BYTES", fam.tile_bytes + 3 * per_field + 7)
         assert run_inference(Y, design, hyp, fam, plan).p.tobytes() == ref
         assert stacked == [0] + [3] * 15
+
+    @pytest.mark.slow
+    def test_order16_full_cap_runs_chunks_of_32(self, monkeypatch):
+        # 5,961,058 balls, whose statistics for a chunk of 32 alone would be
+        # 1.4 GiB; counting in the tiles holds none of them
+        fam = enumerate_family(ProductDomain([mesh_component(build_icosphere(16))]))
+        Y = np.random.default_rng(17).standard_normal((8, fam.domain.size))
+        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
+        hyp = HypothesisSpec("t_two_sample_sq")
+        plan = PermutationPlan(64, seed=9, scheme="raw_label_permutation")
+        stacked = []
+        count = AdjustmentFamily.count_exceedances
+
+        def spy(self, fields, floor, counts):
+            stacked.append(len(fields))
+            return count(self, fields, floor, counts)
+
+        monkeypatch.setattr(AdjustmentFamily, "count_exceedances", spy)
+        chunked = run_inference(Y, design, hyp, fam, plan).p.tobytes()
+        assert stacked == [32, 32]
+        monkeypatch.setattr(permute, "CHUNK_PERMUTATIONS", 1)
+        assert run_inference(Y, design, hyp, fam, plan).p.tobytes() == chunked
 
     def test_superuniform_pointwise_under_null(self):
         # raw two-sample scheme with iid errors: pointwise p is (super)uniform
