@@ -102,16 +102,19 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], where: str
         raise ConfigError(f"{where}: missing key(s) {sorted(missing)}")
 
 
-def _parse_cap(value, where: str) -> float:
-    if value in ("inf", "Infinity", None):
-        return math.inf
-    try:
-        cap = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: radius_cap must be a number or 'inf'") from None
+def _positive_cap(cap: float, where: str) -> float:
     if not cap > 0:  # also rejects nan
         raise ConfigError(f"{where}: radius_cap must be positive")
     return cap
+
+
+def _parse_cap(value, where: str) -> float:
+    """A config's ``radius_cap``: a JSON number or ``"inf"``."""
+    if value == "inf":
+        return math.inf
+    if not _is_number(value):
+        raise ConfigError(f"{where}: radius_cap must be a number or 'inf', got {value!r}")
+    return _positive_cap(float(value), where)
 
 
 def _is_int(value) -> bool:
@@ -122,6 +125,20 @@ def _is_int(value) -> bool:
 def _is_number(value) -> bool:
     """Whether ``value`` is a JSON number (bool is an int subclass: not one)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a finite JSON number."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _finite_number(value, what: str) -> float:
+    if not _is_finite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _positive_int(value, what: str) -> int:
@@ -197,14 +214,12 @@ def _build_component(section: dict, where: str):
         if kind == "circle":
             if "points" not in section:
                 raise ConfigError(f"{where}: circle component needs 'points'")
-            circumference = section.get("circumference", 2 * math.pi)
-            if not _is_number(circumference) or not math.isfinite(circumference):
-                raise ConfigError(
-                    f"{where}: circumference must be a finite number, got {circumference!r}"
-                )
+            circumference = _finite_number(
+                section.get("circumference", 2 * math.pi), f"{where}: circumference"
+            )
             return circle_component(
                 _positive_int(section["points"], f"{where}: points"),
-                circumference=float(circumference),
+                circumference=circumference,
                 radius_cap=cap,
             )
         if kind == "interval":
@@ -215,7 +230,7 @@ def _build_component(section: dict, where: str):
             bounds = section["bounds"]
             if not (
                 isinstance(bounds, list) and len(bounds) == 2
-                and all(_is_number(v) and math.isfinite(v) for v in bounds)
+                and all(_is_finite(v) for v in bounds)
             ):
                 raise ConfigError(
                     f"{where}: bounds must be a list of two finite numbers, got {bounds!r}"
@@ -420,11 +435,8 @@ def _balls_csv(family, result) -> Iterator[str]:
         ids = np.arange(start, stop)
         columns = [ids]
         for balls, idx in zip(family.component_balls, np.unravel_index(ids, family.shape)):
-            columns += [
-                balls.centers[idx],
-                _float_text(balls.radii[idx]),
-                _float_text(balls.inner_radii[idx]),
-            ]
+            centers, radii, inner_radii = balls.table(idx)
+            columns += [centers, _float_text(radii), _float_text(inner_radii)]
         columns += [
             _float_text(result.observed_ball_stats[start:stop]),
             _float_text(result.p.ballwise[start:stop]),
@@ -514,7 +526,13 @@ def cmd_adjust(args) -> int:
     family = _enumerate_family(domain, max_balls)
     caps = []
     for tok in args.caps.split(","):
-        caps.append(_parse_cap(tok.strip(), "--caps"))
+        try:
+            cap = float(tok)  # also "inf"
+        except ValueError:
+            raise ConfigError(
+                f"--caps: radius_cap must be a number or 'inf', got {tok.strip()!r}"
+            ) from None
+        caps.append(_positive_cap(cap, "--caps"))
     if len(caps) != len(domain.components):
         raise ConfigError(
             f"--caps has {len(caps)} entries but the domain has "
@@ -565,6 +583,9 @@ def _scenario_from_config(section: dict, idx: int) -> ScenarioConfig:
     order = section.get("icosphere_order")
     if order is not None:
         _positive_int(order, f"{where}: icosphere_order")
+
+    def number(key, default):
+        return _finite_number(section.get(key, default), f"{where}: {key}")
     try:
         cfg = ScenarioConfig(
             n_samples=_positive_int(section["n_samples"], f"{where}: n_samples"),
@@ -573,13 +594,13 @@ def _scenario_from_config(section: dict, idx: int) -> ScenarioConfig:
             ),
             replicates=_positive_int(section["replicates"], f"{where}: replicates"),
             seed=_seed(section["seed"], f"{where}: seed"),
-            alpha=float(section.get("alpha", 0.05)),
+            alpha=number("alpha", 0.05),
             radius_cap=_parse_cap(section.get("radius_cap", "inf"), where),
-            signal_amplitude=float(section.get("signal_amplitude", 0.0)),
-            noise_bandwidth=float(section.get("noise_bandwidth", 0.3)),
-            noise_sd=float(section.get("noise_sd", 1.0)),
+            signal_amplitude=number("signal_amplitude", 0.0),
+            noise_bandwidth=number("noise_bandwidth", 0.3),
+            noise_sd=number("noise_sd", 1.0),
             icosphere_order=order,
-            icosphere_radius=float(section.get("icosphere_radius", 1.0)),
+            icosphere_radius=number("icosphere_radius", 1.0),
             mesh_path=section.get("mesh_path"),
             scenario_id=str(section.get("id", idx)),
         )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,6 @@ from .mesh import DistanceRows, TriangulatedManifold
 
 __all__ = [
     "ComponentGrid",
-    "ComponentBall",
     "ComponentBalls",
     "ProductDomain",
     "AdjustmentFamily",
@@ -41,9 +39,9 @@ __all__ = [
 ]
 
 # Cap on the number of product balls of a family. Inference keeps a few
-# float64 values per ball (observed statistic, exceedance count, p-value, the
-# statistics of a chunk of permutations) and balls.csv formats a row per
-# ball, so 10 M balls take on the order of a gigabyte.
+# 8-byte values per ball (observed statistic, its tie floor, exceedance count,
+# p-value) and balls.csv formats a row per ball, so 10 M balls take on the
+# order of a gigabyte.
 DEFAULT_MAX_BALLS = 10_000_000
 
 # Prefix sums run over tiles of sorted rows, long rows split into spans of
@@ -161,62 +159,63 @@ def interval_component(
     )
 
 
-@dataclass(frozen=True)
-class ComponentBall:
-    """A distinct metric-ball support within one component grid.
-
-    ``center`` is the first center realizing the support and ``radius`` a
-    radius that realizes it around that center. ``inner_radius`` is the least
-    over every center realizing the support of that center's largest distance
-    inside it, so the support is admissible under exactly the caps strictly
-    above it (0 for singletons, which are admissible under every cap).
-    """
-
-    center: int
-    radius: float
-    inner_radius: float
-    indices: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
 @dataclass(eq=False)
-class ComponentBalls(Sequence):
+class ComponentBalls:
     """The distinct ball supports of one component, as prefixes of sorted rows.
 
     Row i of ``order`` (n x L) lists the points below the cap around center i
-    by (distance, index), padded with the sentinel n, whose weight is 0. Ball
-    b is the first ``sizes[b]`` points of row ``centers[b]``, so its
-    integrated statistic is a prefix sum along that row and the balls
+    by (distance, index), padded with the sentinel n, whose weight is 0.
+    ``kept[i, j]`` marks the ball that is the first j + 1 points of row i, so
+    its integrated statistic is a prefix sum along that row and the balls
     covering a point are those whose prefix reaches the point's position.
-    Indexing yields the ball as a ``ComponentBall``.
+    Balls are numbered in row-major order of ``kept`` (by center, then by
+    size), the order of ``inner_radii``; ``table`` gives their centers and
+    radii. A ball's center is the first center realizing its support, and
+    its inner radius the least over every center realizing the support of
+    that center's largest distance inside it, so the support is admissible
+    under exactly the caps strictly above it (0 for singletons, which are
+    admissible under every cap).
     """
 
+    grid: ComponentGrid
     order: np.ndarray        # (n, L) int32
-    weights: np.ndarray      # (n,) point weights
-    centers: np.ndarray      # (n_balls,) row of each ball
-    sizes: np.ndarray        # (n_balls,) prefix length of each ball
-    radii: np.ndarray        # (n_balls,)
+    kept: np.ndarray         # (n, L) bool
     inner_radii: np.ndarray  # (n_balls,)
-    # balls are in center order: those of row i are _ball_start[i:i + 2]
-    _ball_start: np.ndarray = field(init=False, repr=False)
+    # the balls of row i are _row_start[i]:_row_start[i + 1]
+    _row_start: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._ball_start = np.searchsorted(self.centers, np.arange(len(self.order) + 1))
+        self._row_start = np.zeros(len(self.order) + 1, dtype=np.int64)
+        np.cumsum(self.kept.sum(axis=1), out=self._row_start[1:])
 
     def __len__(self) -> int:
-        return len(self.centers)
+        return int(self._row_start[-1])
 
-    def __getitem__(self, b) -> ComponentBall:
-        center, size = int(self.centers[b]), int(self.sizes[b])
-        return ComponentBall(
-            center,
-            float(self.radii[b]),
-            float(self.inner_radii[b]),
-            np.sort(self.order[center, :size]),
-        )
+    def table(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Center, radius and inner radius of the balls ``ids``.
+
+        Only the rows of those balls are read. A ball's radius realizes its
+        support around its center: the next in-cap distance of its row, or,
+        for the widest prefix, the cap (the row's own distance there plus 1
+        when the cap is infinite and the prefix is the whole grid).
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        centers = np.searchsorted(self._row_start, ids, side="right") - 1
+        read, which = np.unique(centers, return_inverse=True)
+        # the kept slots of the rows read, row after row, and where each
+        # row's first ball is among them
+        slots = np.flatnonzero(self.kept[read])
+        counts = self._row_start[read + 1] - self._row_start[read]
+        at = (np.cumsum(counts) - counts)[which] + ids - self._row_start[centers]
+        positions = slots[at] % self.kept.shape[1]
+        rows, cap = self.grid.rows, self.grid.radius_cap
+        at = rows.indptr[centers] + positions
+        widest = at + 1 == rows.indptr[centers + 1]
+        radii = np.where(widest, cap, rows.values.take(at + 1, mode="clip"))
+        if math.isinf(cap):
+            whole = positions + 1 == self.grid.size
+            radii[whole] = rows.values[at[whole]] + 1.0
+        return centers, radii, self.inner_radii[ids]
 
     def _tiles(self, values: np.ndarray):
         """Weighted support sums along axis 0 of ``values`` (n, ...), tile by tile.
@@ -237,7 +236,7 @@ class ComponentBalls(Sequence):
         rest = values.shape[1:]
         weighted = np.zeros((n + 1,) + rest)  # row n: the sentinel
         np.multiply(
-            self.weights.reshape((n,) + (1,) * len(rest)), values, out=weighted[:n]
+            self.grid.weights.reshape((n,) + (1,) * len(rest)), values, out=weighted[:n]
         )
         weighted = weighted.reshape(n + 1, -1)
         r = weighted.shape[1]
@@ -254,17 +253,9 @@ class ComponentBalls(Sequence):
         for top in range(0, n, rows):
             bottom = min(n, top + rows)
             k = bottom - top
-            first, last = self._ball_start[top], self._ball_start[bottom]
-            if span < L:
-                # the center-major key is ascending, so row i's balls ending
-                # at positions p0..p1 - 1 are those with keys from
-                # i (L + 1) + p0 + 1 to i (L + 1) + p1
-                key = self.centers[first:last] * (L + 1)
-                key += self.sizes[first:last]
-                bounds = first + np.searchsorted(
-                    key, (np.arange(top, bottom) * (L + 1))[:, None] + starts + 1
-                )
-            for s, (p0, p1) in enumerate(zip(starts[:-1], starts[1:])):
+            # per row, the id of its last ball before the span
+            last = self._row_start[top:bottom, None] - 1
+            for p0, p1 in zip(starts[:-1], starts[1:]):
                 # the rows by sorted position, accumulation axis outermost:
                 # contiguous adds, each value summed in row order
                 block = buf[:(p1 - p0) * k * r].reshape(p1 - p0, k, r)
@@ -279,15 +270,23 @@ class ComponentBalls(Sequence):
                     block[j] += block[j - 1]
                 if p1 < L:
                     carry[:k] = block[-1]
+                # the span's kept slots in ball order, each at row (p1 - p0) + pos
+                kept = self.kept[top:bottom, p0:p1]
+                pick = np.flatnonzero(kept)
                 if span < L:
-                    balls, row = _ranges(bounds[:, s], bounds[:, s + 1])
+                    # the id of the ball at each slot of the span
+                    ids = np.cumsum(kept, axis=1)
+                    ids += last
+                    last = ids[:, -1:]
+                    balls = ids.ravel()[pick]
                 else:
-                    balls = slice(first, last)
-                    row = self.centers[balls] - top
-                # a ball's sum is at its last position in its row
-                pick = self.sizes[balls] - (1 + p0)
+                    balls = slice(self._row_start[top], self._row_start[bottom])
+                # a ball's sum is at its last position in its row, which is
+                # pos k + row of the block
+                row = pick // (p1 - p0)
                 pick *= k
-                pick += row
+                row *= (p1 - p0) * k - 1
+                pick -= row
                 yield balls, block.reshape(-1, r), pick
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
@@ -328,23 +327,13 @@ class ComponentBalls(Sequence):
         n, L = self.order.shape
         rest = ball_values.shape[1:]
         at_end = np.zeros((n, L, math.prod(rest)))
-        at_end[self.centers, self.sizes - 1] = ball_values.reshape(len(self), -1)
+        at_end[self.kept] = ball_values.reshape(len(self), -1)
         # the point at position j of a row lies in every prefix of that row
         # ending at or after j
         covering = np.maximum.accumulate(at_end[:, ::-1], axis=1)[:, ::-1]
         out = np.zeros((n + 1, at_end.shape[2]))
         np.maximum.at(out, self.order.ravel(), covering.reshape(n * L, -1))
         return out[:n].reshape((n,) + rest)
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The concatenated ranges ``lo[i]:hi[i]``, in order, and the ``i`` of
-    each element."""
-    lengths = hi - lo
-    which = np.repeat(np.arange(len(lo)), lengths)
-    ids = np.arange(len(which))
-    ids += (lo - (np.cumsum(lengths) - lengths))[which]
-    return ids, which
 
 
 def _zobrist_keys(n: int) -> np.ndarray:
@@ -357,19 +346,17 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
     """All distinct ball supports of one component under its radius cap.
 
     Only the in-cap rows are read. Each distinct in-cap value v of a row
-    gives the support {d <= v} with inner radius v; its radius is the next
-    in-cap value, or, for the widest support, the cap (``v + 1`` when the cap
-    is infinite and the support is the whole grid). Supports are
-    deduplicated across centers, keeping the first center that realizes
-    each and its radius, and the least inner radius of any center that
-    realizes it.
+    gives the support {d <= v} with inner radius v, the prefix of the row
+    up to the last v. Supports are deduplicated across centers, keeping the
+    first center that realizes each, and the least inner radius of any
+    center that realizes it.
 
     Supports are enumerated size by size, so a support can only equal
     another of the same size: each row keeps a running Zobrist hash of its
     prefix, and only candidates whose hashes are equal are grouped, exactly,
     by their sorted points, so a hash collision never merges two supports.
     """
-    n, cap, rows = g.size, g.radius_cap, g.rows
+    n, rows = g.size, g.rows
     counts = np.diff(rows.indptr)
     L = int(counts.max())
     order = np.full((n, L), n, dtype=np.int32)
@@ -378,22 +365,19 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
     keys = _zobrist_keys(n)
     h = np.zeros(n, dtype=np.uint64)
     live = np.arange(n)
-    parts = []
+    kept = np.zeros((n, L), dtype=bool)
+    inner_at = np.empty((n, L))  # read only where kept
     for k in range(1, L + 1):
         live = live[counts[live] >= k]
         h[live] ^= keys[order[:, k - 1][live]]
         at = rows.indptr[live] + (k - 1)
         inner = rows.values[at]
         # past a row's last entry ``after`` is another row's (or clipped), but
-        # that prefix is the widest, and its radius does not read it
+        # that prefix is the widest, a support whatever ``after`` is
         after = rows.values.take(at + 1, mode="clip")
-        widest = counts[live] == k
         # a prefix of length k is a support where the sorted distance grows
-        grows = widest | (after > inner)
+        grows = (counts[live] == k) | (after > inner)
         c, inner = live[grows], inner[grows]
-        radius = np.where(widest, cap, after)[grows]
-        if math.isinf(cap) and k == n:  # the whole grid
-            radius[:] = inner + 1.0
         hc = h[c]
         hs = np.sort(hc)
         repeated = hs[1:][hs[1:] == hs[:-1]]
@@ -410,20 +394,10 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
             # a support is admissible under a cap as soon as any of its centers is
             inner[sub[starts]] = np.minimum.reduceat(inner[sub], starts)
             dropped[sub[starts]] = False
-            c, radius, inner = c[~dropped], radius[~dropped], inner[~dropped]
-        parts.append((c, np.full(len(c), k), radius, inner))
-
-    centers, sizes, radii, inner_radii = map(np.concatenate, zip(*parts))
-    del parts
-    center_major = np.lexsort((sizes, centers))
-    return ComponentBalls(
-        order=order,
-        weights=g.weights,
-        centers=centers[center_major],
-        sizes=sizes[center_major],
-        radii=radii[center_major],
-        inner_radii=inner_radii[center_major],
-    )
+            c, inner = c[~dropped], inner[~dropped]
+        kept[c, k - 1] = True
+        inner_at[c, k - 1] = inner
+    return ComponentBalls(grid=g, order=order, kept=kept, inner_radii=inner_at[kept])
 
 
 @dataclass
@@ -477,7 +451,10 @@ class AdjustmentFamily:
     @property
     def n_memberships(self) -> int:
         """Total (ball, grid point) support memberships of the product balls."""
-        return math.prod(int(balls.sizes.sum()) for balls in self.component_balls)
+        return math.prod(
+            int(balls.kept.sum(axis=0) @ np.arange(1, balls.kept.shape[1] + 1))
+            for balls in self.component_balls
+        )
 
     def _integration_axes(self) -> list[int]:
         # shortest sorted rows first: a component's pass gathers L_c values

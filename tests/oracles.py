@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +142,49 @@ def component_balls_loop(g):
     return list(seen.values())
 
 
+@dataclass(frozen=True)
+class ComponentBall:
+    """One ball of a component: its center, a radius that realizes its
+    support around that center, its inner radius and its sorted points."""
+
+    center: int
+    radius: float
+    inner_radius: float
+    indices: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.indices)
+
+
+_BALL_LISTS = weakref.WeakKeyDictionary()
+
+
+def ball_list(balls) -> list[ComponentBall]:
+    """A ``ComponentBalls`` as one ``ComponentBall`` per ball, in ball order,
+    read from its whole kept mask at once. A ball's radius is the next
+    distance of its center's row, or, for the row's widest prefix, the cap
+    (the row's own distance there plus 1 for the whole grid under an
+    infinite cap)."""
+    if balls not in _BALL_LISTS:
+        g = balls.grid
+        listed = []
+        for center, pos, inner in zip(*np.nonzero(balls.kept), balls.inner_radii):
+            row = g.rows.values[g.rows.indptr[center]:g.rows.indptr[center + 1]]
+            if pos + 1 < len(row):
+                radius = row[pos + 1]
+            elif pos + 1 == g.size and math.isinf(g.radius_cap):
+                radius = row[pos] + 1.0
+            else:
+                radius = g.radius_cap
+            listed.append(ComponentBall(
+                int(center), float(radius), float(inner),
+                np.sort(balls.order[center, :pos + 1]),
+            ))
+        _BALL_LISTS[balls] = listed
+    return _BALL_LISTS[balls]
+
+
 # --- the whole family as one sparse matrix --------------------------------------
 
 def weight_matrix(family) -> csr_matrix:
@@ -148,7 +192,7 @@ def weight_matrix(family) -> csr_matrix:
     the per-component (balls x points) weight matrices."""
     W = None
     for comp, balls in zip(family.domain.components, family.component_balls):
-        balls = list(balls)
+        balls = ball_list(balls)
         indptr = np.zeros(len(balls) + 1, dtype=np.int64)
         np.cumsum([b.size for b in balls], out=indptr[1:])
         indices = np.concatenate([b.indices for b in balls])
@@ -178,7 +222,7 @@ def cover_max(ball_values, family, ball_mask=None) -> np.ndarray:
 def product_ball(family, k: int):
     """The per-component balls of product ball k."""
     idx = np.unravel_index(k, family.shape)
-    return tuple(balls[i] for balls, i in zip(family.component_balls, idx))
+    return tuple(ball_list(balls)[i] for balls, i in zip(family.component_balls, idx))
 
 
 def support_indices(family, k: int) -> np.ndarray:
@@ -220,7 +264,7 @@ def admissible_mask(family, caps) -> np.ndarray:
     return np.array(
         [
             all(b.inner_radius < cap for b, cap in zip(combo, caps))
-            for combo in itertools.product(*family.component_balls)
+            for combo in itertools.product(*map(ball_list, family.component_balls))
         ]
     )
 
@@ -274,7 +318,7 @@ def balls_csv(family, result) -> str:
         header += [f"center_{l}", f"radius_{l}", f"inner_radius_{l}"]
     header += ["T_ball_obs", "p_ball"]
     writer.writerow(header)
-    for k, combo in enumerate(itertools.product(*family.component_balls)):
+    for k, combo in enumerate(itertools.product(*map(ball_list, family.component_balls))):
         row = [k]
         for b in combo:
             row += [b.center, f"{b.radius:.17g}", f"{b.inner_radius:.17g}"]

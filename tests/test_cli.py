@@ -380,6 +380,9 @@ class TestMalformedInputs:
                 {"kind": "interval", "bounds": [True, 2], "points": 3}),
              None, "domain.components[1]: bounds must be a list of two finite numbers"),
             (lambda c: c["domain"]["components"].append(
+                {"kind": "interval", "bounds": [0, 10**400], "points": 3}),
+             None, "domain.components[1]: bounds must be a list of two finite numbers"),
+            (lambda c: c["domain"]["components"].append(
                 {"kind": "interval", "bounds": [0, 1, 2], "points": 3}),
              None, "domain.components[1]: bounds must be a list of two finite numbers"),
             (lambda c: c["domain"]["components"].append(
@@ -393,7 +396,7 @@ class TestMalformedInputs:
         ids=["seed-abc", "seed-null", "seed-negative", "permutations-null",
              "permutations-float", "alpha-abc", "circle-points-float",
              "interval-points-float", "circumference-bool", "circumference-string",
-             "circumference-inf", "bounds-string", "bounds-bool", "bounds-three",
+             "circumference-inf", "bounds-string", "bounds-bool", "bounds-huge-int", "bounds-three",
              "bounds-not-a-list", "output-unknown-key", "output-not-an-object",
              "env-seed-abc"],
     )
@@ -423,13 +426,17 @@ class TestMalformedInputs:
 
 
 class TestFamilyGuard:
-    """domain.max_balls: a positive integer; over-limit families exit 2."""
+    """domain.max_balls: a positive integer; over-limit families exit 2. A
+    component's radius_cap: a JSON number or "inf"."""
 
     @staticmethod
-    def run_with_domain_key(tmp_path, key, value, command="test"):
+    def run_with_domain_key(tmp_path, key, value, command="test", component=None):
+        """Exit code of a run whose ``domain`` (or ``domain.components``
+        entry ``component``) has ``key`` set to ``value``."""
         config = write_test_setup(tmp_path)
         cfg = json.loads(config.read_text())
-        cfg["domain"][key] = value
+        section = cfg["domain"] if component is None else cfg["domain"]["components"][component]
+        section[key] = value
         config.write_text(json.dumps(cfg))
         if command == "test":
             return main(["test", "--config", str(config), "--out-dir", str(tmp_path / "o")])
@@ -452,6 +459,16 @@ class TestFamilyGuard:
 
     def test_at_limit_runs(self, tmp_path):
         assert self.run_with_domain_key(tmp_path, "max_balls", 37) == 0
+
+    @pytest.mark.parametrize("command", ["test", "adjust"])
+    @pytest.mark.parametrize("value", [True, "0.5", None, "Infinity", "nan"])
+    def test_bad_radius_cap(self, tmp_path, value, command, capsys):
+        # a cap is a JSON number or "inf"; true used to run as cap 1.0
+        assert self.run_with_domain_key(tmp_path, "radius_cap", value, command, 0) == 2
+        assert (
+            f"domain.components[0]: radius_cap must be a number or 'inf', got {value!r}"
+            in capsys.readouterr().err
+        )
 
     def test_old_key_rejected(self, tmp_path, capsys):
         assert self.run_with_domain_key(tmp_path, "max_memberships", 50_000_000) == 2
@@ -511,9 +528,11 @@ class TestAdjust:
 
         def run(radius_cap, out_dir):
             config = tmp_path / f"config_{radius_cap}.json"
+            # a config's cap is a JSON number or "inf"; --caps takes the text
+            json_cap = radius_cap if radius_cap == "inf" else float(radius_cap)
             config.write_text(json.dumps({
                 "domain": {"components": [
-                    {"kind": "mesh", "path": str(mesh_path), "radius_cap": radius_cap}
+                    {"kind": "mesh", "path": str(mesh_path), "radius_cap": json_cap}
                 ]},
                 "data": {"path": str(data_path)},
                 "model": {"statistic": "t_two_sample_sq", "groups": [0] * 6 + [1] * 6},
@@ -719,12 +738,40 @@ class TestSimulate:
              "scenario[0]: replicates must be a positive integer, got 1.5"),
             (lambda s: s.update(seed=1.5),
              "scenario[0]: seed must be a non-negative integer, got 1.5"),
+            (lambda s: s.update(noise_bandwidth=math.nan),
+             "scenario[0]: noise_bandwidth must be a finite number, got nan"),
+            (lambda s: s.update(noise_bandwidth="0.3"),
+             "scenario[0]: noise_bandwidth must be a finite number, got '0.3'"),
+            (lambda s: s.update(noise_bandwidth=True),
+             "scenario[0]: noise_bandwidth must be a finite number, got True"),
+            (lambda s: s.update(noise_bandwidth=math.inf),
+             "scenario[0]: noise_bandwidth must be a finite number, got inf"),
+            (lambda s: s.update(signal_amplitude="0.05"),
+             "scenario[0]: signal_amplitude must be a finite number, got '0.05'"),
+            (lambda s: s.update(signal_amplitude=True),
+             "scenario[0]: signal_amplitude must be a finite number, got True"),
+            (lambda s: s.update(signal_amplitude=math.nan),
+             "scenario[0]: signal_amplitude must be a finite number, got nan"),
+            (lambda s: s.update(alpha="0.05"),
+             "scenario[0]: alpha must be a finite number, got '0.05'"),
+            (lambda s: s.update(noise_sd=None),
+             "scenario[0]: noise_sd must be a finite number, got None"),
+            (lambda s: s.update(noise_sd=10**400),
+             "scenario[0]: noise_sd must be a finite number, got 1000"),
+            (lambda s: s.update(icosphere_radius=True),
+             "scenario[0]: icosphere_radius must be a finite number, got True"),
+            (lambda s: s.update(radius_cap=True),
+             "scenario[0]: radius_cap must be a number or 'inf', got True"),
         ],
         ids=["no-center", "center-abc", "center-float", "center-999", "center-negative",
              "radius-negative", "radius-nan", "radius-abc", "patch-center-12",
              "centers-not-a-list", "truth-not-an-object", "order-abc", "order-float",
              "n-samples-null", "n-samples-float", "permutations-string",
-             "replicates-float", "seed-float"],
+             "replicates-float", "seed-float", "bandwidth-nan", "bandwidth-string",
+             "bandwidth-bool", "bandwidth-inf", "amplitude-string", "amplitude-bool",
+             "amplitude-nan", "alpha-string", "noise-sd-null", "noise-sd-huge-int",
+             "icosphere-radius-bool",
+             "cap-bool"],
     )
     def test_malformed_scenario(self, tmp_path, capsys, change, message):
         scenario = {"icosphere_order": 1, "n_samples": 8, "permutations": 9,

@@ -22,6 +22,7 @@ from ballwise.mesh import TriangulatedManifold, build_icosphere
 from ballwise.permute import adjusted_from_ballwise
 from oracles import (
     admissible_mask,
+    ball_list,
     ball_weight,
     integrated_stat,
     product_ball,
@@ -114,7 +115,7 @@ def disconnected_mesh():
 
 
 def family_supports(balls):
-    return {frozenset(b.indices.tolist()) for b in balls}
+    return {frozenset(b.indices.tolist()) for b in ball_list(balls)}
 
 
 class TestComponentGrids:
@@ -195,7 +196,7 @@ class TestEnumerateComponentBalls:
     def test_inner_radius_admissibility(self):
         g = interval_component(0.0, 3.0, 4)
         D = oracles.distances(g)
-        for b in enumerate_component_balls(g):
+        for b in ball_list(enumerate_component_balls(g)):
             assert b.inner_radius < b.radius
             # each center whose closed ball of its farthest support distance
             # is exactly the support realizes it with that distance
@@ -213,7 +214,7 @@ class TestBoundedEnumeration:
     @staticmethod
     def assert_same_balls(balls, reference):
         assert len(balls) == len(reference)
-        for b, (center, radius, inner, support) in zip(balls, reference):
+        for b, (center, radius, inner, support) in zip(ball_list(balls), reference):
             assert (b.center, b.radius, b.inner_radius) == (center, radius, inner)
             assert b.indices.dtype == support.dtype
             np.testing.assert_array_equal(b.indices, support)
@@ -249,8 +250,22 @@ class TestBoundedEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        output = (balls.order, balls.centers, balls.sizes, balls.radii, balls.inner_radii)
+        output = (balls.order, balls.kept, balls.inner_radii)
         assert peak <= 3 * sum(a.nbytes for a in output)
+
+    @pytest.mark.slow
+    def test_full_cap_order16_peak_within_two_and_a_half_times_the_output(self):
+        # 5,961,058 balls in 77 MiB; the peak measured 1.99 times that
+        g = mesh_component(build_icosphere(16))
+        tracemalloc.start()
+        try:
+            balls = enumerate_component_balls(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(balls) == 5_961_058
+        output = (balls.order, balls.kept, balls.inner_radii)
+        assert peak <= 2.5 * sum(a.nbytes for a in output)
 
     def test_circle_cap_on_a_distance(self):
         g = circle_component(12, circumference=12.0, radius_cap=2.0)  # 2 steps
@@ -363,6 +378,21 @@ class TestPrefixOperators:
             TestBoundedEnumeration.assert_same_balls(
                 enumerate_component_balls(g), oracles.component_balls_loop(g)
             )
+
+    @OPERATOR_DOMAINS
+    def test_table_of_shuffled_and_repeated_ids(self, make):
+        rng = np.random.default_rng(9)
+        for g in make():
+            balls = enumerate_component_balls(g)
+            listed = ball_list(balls)
+            ids = np.concatenate(
+                [rng.permutation(len(balls)), rng.integers(0, len(balls), 20)]
+            )
+            centers, radii, inner = balls.table(ids)
+            assert list(zip(centers.tolist(), radii.tolist(), inner.tolist())) == [
+                (listed[b].center, listed[b].radius, listed[b].inner_radius) for b in ids
+            ]
+            assert all(len(column) == 0 for column in balls.table([]))
 
     @OPERATOR_DOMAINS
     def test_forced_hash_collisions(self, make, monkeypatch):
@@ -478,7 +508,9 @@ class TestAdmissibleMask:
     @PRODUCT_DOMAINS
     def test_matches_per_ball_loop(self, make):
         fam = enumerate_family(ProductDomain(make()))
-        inner = [sorted({b.inner_radius for b in balls}) for balls in fam.component_balls]
+        inner = [
+            sorted({b.inner_radius for b in ball_list(balls)}) for balls in fam.component_balls
+        ]
         cap_sets = [
             [math.inf] * len(inner),
             # caps equal to realised inner radii: those balls must drop out
@@ -497,9 +529,10 @@ class TestAdmissibleMask:
         # soon as one of them is, whichever center the dedup kept
         def supports(balls, keep=None):
             keep = np.ones(len(balls), dtype=bool) if keep is None else keep
+            centers, positions = np.nonzero(balls.kept)
             return {
-                np.sort(balls.order[c, :s]).tobytes()
-                for c, s in zip(balls.centers[keep], balls.sizes[keep])
+                np.sort(balls.order[c, :p + 1]).tobytes()
+                for c, p in zip(centers[keep], positions[keep])
             }
 
         ico = build_icosphere(3)
@@ -625,7 +658,7 @@ class TestBallWeight:
         g = interval_component(0.0, 4.0, 5)
         balls = enumerate_component_balls(g)
         by_center: dict = {}
-        for b in balls:
+        for b in ball_list(balls):
             by_center.setdefault(b.center, []).append(b)
         for center, bs in by_center.items():
             bs.sort(key=lambda b: b.radius)
