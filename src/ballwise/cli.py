@@ -62,6 +62,35 @@ class ConfigError(Exception):
     """Invalid configuration or unreadable input."""
 
 
+class Stages:
+    """Wall time per stage of a command, in the order the stages ran.
+
+    ``with stages("inference"):`` times one stage; a ``MemoryError`` raised
+    inside it leaves as a ``MemoryError`` whose message names the stage.
+    """
+
+    def __init__(self):
+        self._spans: dict[str, list] = {}  # name: [start, end or None]
+
+    @contextlib.contextmanager
+    def __call__(self, name: str):
+        span = self._spans[name] = [time.monotonic(), None]
+        try:
+            yield
+        except MemoryError:
+            raise MemoryError(f"out of memory during {name}") from None
+        finally:
+            span[1] = time.monotonic()
+
+    def seconds(self) -> dict[str, float]:
+        """Seconds per stage, a running stage's up to now."""
+        now = time.monotonic()
+        return {
+            name: round((now if end is None else end) - start, 3)
+            for name, (start, end) in self._spans.items()
+        }
+
+
 def _atomic_write(path: str, data: str | bytes | Iterable[str]) -> None:
     """Write ``data`` (text, bytes, or text chunks in order) via temp + rename;
     on any failure the temp file is removed and ``path`` is left as it was."""
@@ -347,9 +376,10 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _manifest(config: dict, plan, family, elapsed: float) -> str:
+def _manifest(config: dict, plan, family, stages: Stages) -> str:
     import scipy  # only for its version: most commands never need scipy
 
+    seconds = stages.seconds()
     return json.dumps(
         {
             "config_sha256": _config_hash(config),
@@ -364,7 +394,12 @@ def _manifest(config: dict, plan, family, elapsed: float) -> str:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "wall_time_s": round(elapsed, 3),
+            # from the build to the end of inference
+            "wall_time_s": round(
+                sum(seconds[name] for name in ("build", "enumerate", "inference")), 3
+            ),
+            # the write stage up to the manifest, which is formatted last
+            "stages": seconds,
             # ru_maxrss is in KiB on Linux
             "peak_rss_mb": round(
                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
@@ -484,34 +519,39 @@ def cmd_test(args) -> int:
     out_dir = args.out_dir or config.get("output", {}).get("dir", ".")
     os.makedirs(out_dir, exist_ok=True)
 
-    start = time.monotonic()
-    domain, max_balls = _build_domain(config["domain"])
-    Y = _load_signals(config["data"])
-    if Y.shape[1] != domain.size:
-        raise ConfigError(
-            f"signal matrix has {Y.shape[1]} columns but the domain has "
-            f"{domain.size} grid points"
-        )
-    design, hyp = _build_model(config["model"])
-    if design.n_obs != Y.shape[0]:
-        raise ConfigError(
-            f"model: the design has {design.n_obs} observations but the signal "
-            f"matrix has {Y.shape[0]} rows"
-        )
-    plan, alpha = _build_plan(config["inference"], _seed_override(args.seed))
-    family = _enumerate_family(domain, max_balls)
-    result = run_inference(Y, design, hyp, family, plan)
-    elapsed = time.monotonic() - start
+    stages = Stages()
+    with stages("build"):
+        domain, max_balls = _build_domain(config["domain"])
+        Y = _load_signals(config["data"])
+        if Y.shape[1] != domain.size:
+            raise ConfigError(
+                f"signal matrix has {Y.shape[1]} columns but the domain has "
+                f"{domain.size} grid points"
+            )
+        design, hyp = _build_model(config["model"])
+        if design.n_obs != Y.shape[0]:
+            raise ConfigError(
+                f"model: the design has {design.n_obs} observations but the signal "
+                f"matrix has {Y.shape[0]} rows"
+            )
+        plan, alpha = _build_plan(config["inference"], _seed_override(args.seed))
+    with stages("enumerate"):
+        family = _enumerate_family(domain, max_balls)
+    with stages("inference"):
+        result = run_inference(Y, design, hyp, family, plan)
 
     def manifest():  # formatted last, so its peak RSS covers the other writes
-        yield _manifest(config, plan, family, elapsed)
+        yield _manifest(config, plan, family, stages)
 
-    outputs = {
-        "pointwise.csv": _pointwise_csv(domain, result, result.p),
-        "balls.csv": _balls_csv(family, result),
-        "manifest.json": manifest(),
-    }
-    _atomic_write_all([(os.path.join(out_dir, name), data) for name, data in outputs.items()])
+    with stages("write"):
+        outputs = {
+            "pointwise.csv": _pointwise_csv(domain, result, result.p),
+            "balls.csv": _balls_csv(family, result),
+            "manifest.json": manifest(),
+        }
+        _atomic_write_all(
+            [(os.path.join(out_dir, name), data) for name, data in outputs.items()]
+        )
     n_sig = int(np.sum(result.p.adjusted <= alpha))
     print(
         f"{domain.size} grid points, {family.n_balls} balls; "
@@ -522,8 +562,11 @@ def cmd_test(args) -> int:
 
 def cmd_adjust(args) -> int:
     config = _load_test_config(args.config)
-    domain, max_balls = _build_domain(config["domain"])
-    family = _enumerate_family(domain, max_balls)
+    stages = Stages()
+    with stages("build"):
+        domain, max_balls = _build_domain(config["domain"])
+    with stages("enumerate"):
+        family = _enumerate_family(domain, max_balls)
     caps = []
     for tok in args.caps.split(","):
         try:
@@ -540,26 +583,28 @@ def cmd_adjust(args) -> int:
         )
     if not os.path.exists(args.balls):
         raise ConfigError(f"ball p-value file not found: {args.balls}")
-    with open(args.balls, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if "p_ball" not in (reader.fieldnames or []):
-            raise ConfigError(f"{args.balls}: no p_ball column")
-        rows = list(reader)
-    if len(rows) != family.n_balls:
-        raise ConfigError(
-            f"{args.balls}: {len(rows)} balls but the re-enumerated family has "
-            f"{family.n_balls}; config/caps mismatch"
-        )
-    try:
-        p_ball = np.array([float(r["p_ball"]) for r in rows])
-    except (TypeError, ValueError):  # TypeError: a short row reads as None
-        raise ConfigError(f"{args.balls}: p_ball values must be numbers") from None
-    mask = family.admissible_mask(caps)
-    adjusted = adjusted_from_ballwise(p_ball, family, ball_mask=mask)
+    with stages("adjust"):
+        with open(args.balls, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if "p_ball" not in (reader.fieldnames or []):
+                raise ConfigError(f"{args.balls}: no p_ball column")
+            rows = list(reader)
+        if len(rows) != family.n_balls:
+            raise ConfigError(
+                f"{args.balls}: {len(rows)} balls but the re-enumerated family has "
+                f"{family.n_balls}; config/caps mismatch"
+            )
+        try:
+            p_ball = np.array([float(r["p_ball"]) for r in rows])
+        except (TypeError, ValueError):  # TypeError: a short row reads as None
+            raise ConfigError(f"{args.balls}: p_ball values must be numbers") from None
+        mask = family.admissible_mask(caps)
+        adjusted = adjusted_from_ballwise(p_ball, family, ball_mask=mask)
 
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "adjusted.csv"), _adjusted_csv(adjusted))
+    with stages("write"):
+        _atomic_write(os.path.join(out_dir, "adjusted.csv"), _adjusted_csv(adjusted))
     print(
         f"re-adjusted with caps {caps}: {int(mask.sum())}/{family.n_balls} balls "
         f"kept -> {os.path.join(out_dir, 'adjusted.csv')}"
@@ -644,18 +689,21 @@ def cmd_simulate(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(["scenario", "sensitivity", "fwer", "fpr", "fdr", "replicates"])
     mesh_cache: dict = {}
+    stages = Stages()
     for idx, section in enumerate(config):
         cfg = _scenario_from_config(section, idx)
         key = (cfg.mesh_path, cfg.icosphere_order, cfg.icosphere_radius)
         if key not in mesh_cache:
             try:
-                mesh_cache[key] = cfg.build_mesh()
+                with stages("build"):
+                    mesh_cache[key] = cfg.build_mesh()
             except ValueError as exc:
                 raise ConfigError(f"scenario[{idx}]: {exc}") from None
         mesh = mesh_cache[key]
         _apply_truth(cfg, section, mesh, idx)
         try:
-            rates = run_scenario(cfg, mesh=mesh)
+            with stages("simulation"):
+                rates = run_scenario(cfg, mesh=mesh)
         except FamilyTooLargeError as exc:
             raise ConfigError(f"scenario[{idx}]: {exc}") from None
         writer.writerow(
@@ -670,7 +718,8 @@ def cmd_simulate(args) -> int:
         )
         print(f"scenario {cfg.scenario_id}: fwer={rates.fwer:.3f}")
     out = args.out or "simulation_results.csv"
-    _atomic_write(out, buf.getvalue())
+    with stages("write"):
+        _atomic_write(out, buf.getvalue())
     print(f"wrote {len(config)} scenario rows -> {out}")
     return EXIT_OK
 
@@ -726,7 +775,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        # a MemoryError, for one, has no message of its own
+        # a MemoryError outside a stage, for one, has no message of its own
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         if isinstance(exc, (ConfigError, FileNotFoundError, PermissionError)):
             return EXIT_CONFIG

@@ -39,9 +39,10 @@ __all__ = [
 ]
 
 # Cap on the number of product balls of a family. Inference keeps a few
-# 8-byte values per ball (observed statistic, its tie floor, exceedance count,
-# p-value) and balls.csv formats a row per ball, so 10 M balls take on the
-# order of a gigabyte.
+# 8-byte values per ball (observed statistic, p-value) and two per slot of the
+# last integrated component's sorted rows (tie floor, exceedance count), one
+# to two slots per ball on the meshes measured, and balls.csv formats a row per
+# ball, so 10 M balls take on the order of a gigabyte.
 DEFAULT_MAX_BALLS = 10_000_000
 
 # Prefix sums run over tiles of sorted rows, long rows split into spans of
@@ -217,20 +218,20 @@ class ComponentBalls:
             radii[whole] = rows.values[at[whole]] + 1.0
         return centers, radii, self.inner_radii[ids]
 
-    def _tiles(self, values: np.ndarray):
+    def _prefix_blocks(self, values: np.ndarray):
         """Weighted support sums along axis 0 of ``values`` (n, ...), tile by tile.
 
-        Yields ``(balls, block, pick)``: the ids of a run of balls, a slice or
-        an index array, and where their sums are, ``block.take(pick, axis=0)``
-        (len, r) with r the size of a row of ``values``. A tile is ``span``
-        positions of ``rows`` sorted rows, and ``block`` is the buffer that
-        every tile of the call is gathered into. It holds at most
-        TILE_MAX_VALUES values, or one position of one row when that alone is
-        more, and has rows enough for TILE_ADD_VALUES values per add unless
-        their positions, which bound the tile's balls, would exceed
-        TILE_MAX_VALUES. Rows too long for one tile are split into spans, and
-        the running prefix carries from one span into the next, so every sum
-        adds the same values in the same order however the rows are split.
+        Yields ``(top, p0, block)``: ``block[j, i]`` (span, rows, r), with r
+        the size of a row of ``values``, is the running sum of row ``top + i``
+        through its position ``p0 + j``, the sum of the ball in that slot
+        when the slot is kept. ``block`` is the buffer that every tile of the
+        call is gathered into. It holds at most TILE_MAX_VALUES values, or one
+        position of one row when that alone is more, and has rows enough for
+        TILE_ADD_VALUES values per add unless their positions, which bound
+        the tile's balls, would exceed TILE_MAX_VALUES. Rows too long for one
+        tile are split into spans, and the running prefix carries from one
+        span into the next, so every sum adds the same values in the same
+        order however the rows are split.
         """
         n, L = self.order.shape
         rest = values.shape[1:]
@@ -247,56 +248,57 @@ class ComponentBalls:
         rows = max(rows, 1)
         span = min(L, max(TILE_MAX_VALUES // max(rows * r, 1), 1))
         buf = np.empty(span * rows * r)
+        index = np.empty(span * rows, dtype=np.intp)
         carry = np.empty((rows, r)) if span < L else None
-        # the first position of each span, and the end
-        starts = np.r_[0:L:span, L]
         for top in range(0, n, rows):
-            bottom = min(n, top + rows)
-            k = bottom - top
-            # per row, the id of its last ball before the span
-            last = self._row_start[top:bottom, None] - 1
-            for p0, p1 in zip(starts[:-1], starts[1:]):
+            k = min(n, top + rows) - top
+            for p0 in range(0, L, span):
+                width = min(span, L - p0)
                 # the rows by sorted position, accumulation axis outermost:
                 # contiguous adds, each value summed in row order
-                block = buf[:(p1 - p0) * k * r].reshape(p1 - p0, k, r)
+                at = index[:width * k].reshape(width, k)
+                np.copyto(at, self.order[top:top + k, p0:p0 + width].T)
+                block = buf[:width * k * r].reshape(width, k, r)
                 # every index is in range; "clip" only spares a buffered copy
-                weighted.take(
-                    self.order[top:bottom, p0:p1].T.ravel(), axis=0,
-                    out=block.reshape(-1, r), mode="clip",
-                )
+                weighted.take(at.ravel(), axis=0, out=block.reshape(-1, r), mode="clip")
                 if p0:
                     block[0] += carry[:k]
-                for j in range(1, p1 - p0):
+                for j in range(1, width):
                     block[j] += block[j - 1]
-                if p1 < L:
+                if p0 + width < L:
                     carry[:k] = block[-1]
-                # the span's kept slots in ball order, each at row (p1 - p0) + pos
-                kept = self.kept[top:bottom, p0:p1]
-                pick = np.flatnonzero(kept)
-                if span < L:
-                    # the id of the ball at each slot of the span
-                    ids = np.cumsum(kept, axis=1)
-                    ids += last
-                    last = ids[:, -1:]
-                    balls = ids.ravel()[pick]
-                else:
-                    balls = slice(self._row_start[top], self._row_start[bottom])
-                # a ball's sum is at its last position in its row, which is
-                # pos k + row of the block
-                row = pick // (p1 - p0)
-                pick *= k
-                row *= (p1 - p0) * k - 1
-                pick -= row
-                yield balls, block.reshape(-1, r), pick
+                yield top, p0, block
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Weighted support sums along axis 0: (n, ...) -> (n_balls, ...)."""
+        L = self.order.shape[1]
         rest = values.shape[1:]
         out = np.empty((len(self), math.prod(rest)))
-        for balls, block, pick in self._tiles(values):
+        for top, p0, block in self._prefix_blocks(values):
+            span, k = block.shape[:2]
+            # the tile's kept slots in ball order
+            kept = self.kept[top:top + k, p0:p0 + span]
+            pick = np.flatnonzero(kept)
+            if span == L:
+                balls = out[self._row_start[top]:self._row_start[top + k]]
+            else:
+                if p0 == 0:  # per row, the id of its last ball before the span
+                    last = self._row_start[top:top + k, None] - 1
+                # the id of the ball at each slot of the span
+                ids = np.cumsum(kept, axis=1)
+                ids += last
+                last = ids[:, -1:]
+                balls = ids.ravel()[pick]
+            # a ball's sum is at its last position in its row, which is
+            # pos k + row of the block
+            row = pick // span
+            pick *= k
+            row *= span * k - 1
+            pick -= row
+            block = block.reshape(span * k, -1)
             # every pick is in range; "clip" only spares take a buffered copy
-            if isinstance(balls, slice):
-                block.take(pick, axis=0, out=out[balls], mode="clip")
+            if span == L:
+                block.take(pick, axis=0, out=balls, mode="clip")
             else:
                 out[balls] = block.take(pick, axis=0, mode="clip")
         return out.reshape((len(self),) + rest)
@@ -306,18 +308,49 @@ class ComponentBalls:
     ) -> None:
         """Add to ``counts`` how many sums along axis 0 reach ``floor``.
 
-        ``values`` is (n, ..., B), B stacked fields; ``floor`` and ``counts``
-        are (n_balls, ...), and ``counts`` is updated in place:
-        ``counts += (integrate(values) >= floor[..., None]).sum(axis=-1)``,
-        tile by tile, so the (n_balls, ..., B) sums are never held.
+        ``values`` is (n, ..., B), B stacked fields. ``floor`` and ``counts``
+        are on the slot grid (L, n, ...): slot (j, i) is the prefix of the
+        first j + 1 points of row i, a ball where ``kept[i, j]``. ``counts``,
+        a contiguous int64 array, is updated in place; at a kept slot it gains
+        how many of the B sums of its ball reach its floor, and other slots
+        gain what their prefixes would. Each tile's running sums are compared
+        where they lie with the floors of their slots, so neither the
+        (n_balls, ..., B) sums nor a pick of the kept ones is ever built.
+
+        The B comparisons of a slot go to zero-padded bytes, added as 8-byte
+        words, so each byte lane counts at most one comparison per word, and
+        multiplying by 0x0101010101010101 sums the eight lanes into the top
+        byte; a sum of at most 31 words (248 fields) stays below 256, so
+        wider stacks are folded 31 words at a time.
         """
         B = values.shape[-1]
-        for balls, block, pick in self._tiles(values):
-            sums = block.take(pick, axis=0, mode="clip")
-            at_least = floor[balls]
-            counts[balls] += (
-                sums.reshape(at_least.shape + (B,)) >= at_least[..., None]
-            ).sum(axis=-1)
+        words = -(-B // 8)
+        # the most words whose lane sums fit one byte: 8 * 31 = 248 <= 255
+        fold = 255 // 8
+        L, n = counts.shape[:2]
+        floor = floor.reshape(L, n, -1)
+        counts = counts.reshape(L, n, -1)
+        others = counts.shape[2]
+        lanes = None
+        for top, p0, block in self._prefix_blocks(values):
+            span, k = block.shape[:2]
+            tile = np.s_[p0:p0 + span, top:top + k]
+            size = block.size // B * words
+            if lanes is None:  # the first tile is the largest; its padding stays 0
+                lanes = np.zeros(size, dtype=np.uint64)
+            word = lanes[:size].reshape(-1, words)
+            np.greater_equal(
+                block.reshape(span, k, others, B),
+                floor[tile][..., None],
+                out=word.view(bool).reshape(span, k, others, 8 * words)[..., :B],
+            )
+            for w0 in range(0, words, fold):
+                total = word[:, w0].copy()
+                for w in range(w0 + 1, min(words, w0 + fold)):
+                    total += word[:, w]
+                total *= np.uint64(0x0101010101010101)
+                total >>= np.uint64(56)
+                counts[tile] += total.view(np.int64).reshape(span, k, others)
 
     def cover_max(self, ball_values: np.ndarray) -> np.ndarray:
         """Max over the covering balls along axis 0: (n_balls, ...) -> (n, ...).
@@ -488,10 +521,21 @@ class AdjustmentFamily:
     @property
     def tile_bytes(self) -> int:
         """Bytes of the tile buffers of one ``count_exceedances`` call, on top
-        of ``column_bytes`` per field: the gathered block, its carry and its
-        picks, at most TILE_MAX_VALUES float64 each, their index and mask
-        temporaries, and numpy's iteration buffers (at most three)."""
-        return 8 * (4 * TILE_MAX_VALUES + 3 * np.getbufsize())
+        of ``column_bytes`` per field, in units of TILE_MAX_VALUES 8-byte
+        values. The last pass holds five: the gathered block, its carry, the
+        index copy, the comparison padded to whole words (8 bytes per value
+        for a single field) and the lane words. An earlier pass of a product
+        domain holds the block, its carry and the picked sums, and the index
+        copy and four pick temporaries of one entry per row position: fewer
+        than the values, by at least the other components' points. numpy's
+        iteration buffers (at most three) come on top."""
+        n_values, m = TILE_MAX_VALUES, self.domain.size
+        *axes, _ = self._integration_axes()
+        held = [5 * n_values] + [
+            3 * n_values + 5 * -(-n_values * self.domain.components[c].size // m)
+            for c in axes
+        ]
+        return 8 * (max(held) + 3 * np.getbufsize())
 
     def _integrate_axes(self, fields: np.ndarray, axes) -> np.ndarray:
         """The (n_1, ..., n_L, B) tensor of a stat field (m,) or a stack
@@ -515,26 +559,44 @@ class AdjustmentFamily:
         X = self._integrate_axes(fields, self._integration_axes())
         return X.reshape((self.n_balls,) + fields.shape[:-1][::-1])
 
-    def count_exceedances(
-        self, stat_fields: np.ndarray, floor: np.ndarray, counts: np.ndarray
-    ) -> None:
-        """Add to ``counts`` how many fields of a stack (B, m) reach ``floor``.
+    def slot_floor(self, ball_floor: np.ndarray) -> np.ndarray:
+        """``ball_floor`` (n_balls,) on the slot grid of ``count_exceedances``.
 
-        ``floor`` and ``counts`` are (n_balls,), and ``counts``, a contiguous
-        int64 array, is updated in place: ``counts += (integrated_stats(
-        stat_fields) >= floor[:, None]).sum(axis=1)``, with bitwise the same
-        statistics. The last component's pass compares each tile with its
-        balls' floors, so the (n_balls, B) statistics are never built.
+        The grid is (L, n, ...) over the last integrated component's sorted
+        rows, its other axes the other components' balls; slots that are not
+        balls hold 0, compared but never read back.
+        """
+        last = self._integration_axes()[-1]
+        kept = self.component_balls[last].kept
+        floor = np.moveaxis(np.reshape(ball_floor, self.shape), last, 0)
+        slots = np.zeros(kept.shape[::-1] + floor.shape[1:])
+        slots.swapaxes(0, 1)[kept] = floor
+        return slots
+
+    def ball_counts(self, count_slots: np.ndarray) -> np.ndarray:
+        """The (n_balls,) counts, in family order, of a slot grid of counts."""
+        last = self._integration_axes()[-1]
+        kept = self.component_balls[last].kept
+        return np.moveaxis(count_slots.swapaxes(0, 1)[kept], 0, last).ravel()
+
+    def count_exceedances(
+        self, stat_fields: np.ndarray, floor_slots: np.ndarray, count_slots: np.ndarray
+    ) -> None:
+        """Add to ``count_slots`` how many fields of a stack (B, m) reach
+        ``floor_slots``.
+
+        Both are on the slot grid of ``slot_floor``, and ``count_slots``, a
+        contiguous int64 array, is updated in place, so that
+        ``ball_counts(count_slots)`` gains ``(integrated_stats(stat_fields) >=
+        ball_floor[:, None]).sum(axis=1)``, with bitwise the same statistics.
+        The last component's pass compares each tile of running sums with the
+        floors of its slots, so the (n_balls, B) statistics are never built.
         """
         fields = np.atleast_2d(np.asarray(stat_fields, dtype=float))
         *axes, last = self._integration_axes()
         X = self._integrate_axes(fields, axes)
-
-        def by_last(a):  # a view, so counts is updated in place
-            return np.moveaxis(a.reshape(self.shape), last, 0)
-
         self.component_balls[last].count_exceedances(
-            np.moveaxis(X, last, 0), by_last(floor), by_last(counts)
+            np.moveaxis(X, last, 0), floor_slots, count_slots
         )
 
     def cover_max(self, ball_values: np.ndarray) -> np.ndarray:

@@ -168,11 +168,13 @@ def run_inference(
     Permutations are processed in chunks of at most ``CHUNK_PERMUTATIONS``,
     fewer when a chunk would need more than ``CHUNK_BYTES``. A chunk's fields
     come from one ``StatKernel`` call, and ``count_exceedances`` adds them to
-    the ball counts one integration tile at a time: the loop holds the
-    exceedance counts and one tile of at most ``TILE_MAX_VALUES`` values,
-    never a permuted statistic per ball. The Freedman-Lane scheme permutes
-    the reduced-model residual rows and adds back the reduced-model fits; the
-    raw scheme permutes observation rows.
+    the counts one integration tile at a time. Tie floors and counts live on
+    the slot grid of the family's last integrated component (``slot_floor``),
+    where each tile's running sums lie, and are read back in ball order once
+    (``ball_counts``): the loop holds them and one tile of at most
+    ``TILE_MAX_VALUES`` values, never a permuted statistic per ball. The
+    Freedman-Lane scheme permutes the reduced-model residual rows and adds
+    back the reduced-model fits; the raw scheme permutes observation rows.
     """
     Y = np.asarray(signals, dtype=float)
     perms = generate_permutations(plan, Y.shape[0])
@@ -185,20 +187,21 @@ def run_inference(
     kernel = StatKernel(Y, design, hypothesis, reduced)
     T_obs = kernel.fields(np.arange(Y.shape[0])[None, :])[0]
     ball_obs = family.integrated_stats(T_obs)
-    point_floor, ball_floor = _tie_floor(T_obs), _tie_floor(ball_obs)
+    point_floor = _tie_floor(T_obs)
+    floor_slots = family.slot_floor(_tie_floor(ball_obs))
 
     per_field = max(family.column_bytes, KERNEL_FIELDS * 8 * T_obs.shape[0])
     chunk_size = (CHUNK_BYTES - family.tile_bytes) // per_field
     chunk_size = max(1, min(CHUNK_PERMUTATIONS, chunk_size))
     point_counts = np.zeros(T_obs.shape[0], dtype=np.int64)
-    ball_counts = np.zeros(family.n_balls, dtype=np.int64)
+    count_slots = np.zeros(floor_slots.shape, dtype=np.int64)
     for start in range(0, B, chunk_size):
         fields = kernel.fields(perms[start:start + chunk_size])
         point_counts += (fields >= point_floor).sum(axis=0)
-        family.count_exceedances(fields, ball_floor, ball_counts)
+        family.count_exceedances(fields, floor_slots, count_slots)
 
     p_point = _p_from_counts(point_counts, B)
-    p_ball = _p_from_counts(ball_counts, B)
+    p_ball = _p_from_counts(family.ball_counts(count_slots), B)
     fields_out = PValueFields(
         p_point, p_ball, adjusted_from_ballwise(p_ball, family), B
     )

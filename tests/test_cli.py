@@ -129,6 +129,56 @@ class TestTestCommand:
         assert manifest["seed"] == 5
         assert manifest["family_balls"] > 12
 
+    def test_manifest_stages(self, tmp_path):
+        config = write_test_setup(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(["test", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        stages = manifest["stages"]
+        assert list(stages) == ["build", "enumerate", "inference", "write"]
+        assert all(seconds >= 0 for seconds in stages.values())
+        assert manifest["wall_time_s"] == pytest.approx(
+            stages["build"] + stages["enumerate"] + stages["inference"], abs=0.002
+        )
+
+    @pytest.mark.parametrize(
+        "command, name, stage",
+        [
+            ("test", "_enumerate_family", "enumerate"),
+            ("test", "run_inference", "inference"),
+            ("test", "_pointwise_csv", "write"),
+            ("adjust", "_build_domain", "build"),
+            ("adjust", "adjusted_from_ballwise", "adjust"),
+            ("simulate", "run_scenario", "simulation"),
+        ],
+    )
+    def test_out_of_memory_names_the_stage(
+        self, tmp_path, capsys, monkeypatch, command, name, stage
+    ):
+        config = write_test_setup(tmp_path)
+        if command == "test":
+            argv = ["test", "--config", str(config), "--out-dir", str(tmp_path / "o")]
+        elif command == "adjust":
+            assert main(["test", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 0
+            argv = ["adjust", "--config", str(config), "--balls",
+                    str(tmp_path / "o" / "balls.csv"), "--caps", "inf",
+                    "--out-dir", str(tmp_path / "a")]
+        else:
+            sweep = tmp_path / "sweep.json"
+            sweep.write_text(json.dumps(
+                [{"icosphere_order": 1, "n_samples": 8, "permutations": 9,
+                  "replicates": 1, "seed": 1}]
+            ))
+            argv = ["simulate", "--config", str(sweep), "--out", str(tmp_path / "r.csv")]
+        capsys.readouterr()
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, name, out_of_memory)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: out of memory during {stage}\n"
+
     def test_rerun_byte_identical(self, tmp_path):
         config = write_test_setup(tmp_path)
         d1, d2 = tmp_path / "o1", tmp_path / "o2"
@@ -908,7 +958,7 @@ class TestBallsCsv:
         # nor the pointwise.csv written before balls.csv, nor any other output
         assert not (out_dir / "pointwise.csv").exists()
         assert list(out_dir.iterdir()) == []
-        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert capsys.readouterr().err == "error: out of memory during write\n"
 
 
 def assert_writers_match_oracles(fam, result):

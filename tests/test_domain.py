@@ -8,7 +8,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 import oracles
-from ballwise import domain
+from ballwise import domain, permute
 from ballwise.domain import (
     FamilyTooLargeError,
     ProductDomain,
@@ -353,10 +353,17 @@ OPERATOR_DOMAINS = pytest.mark.parametrize(
             interval_component(0.0, 1.0, 4),
             quiet_disconnected(),
         ],
+        # the circle's rows are the longest, so it is integrated last though
+        # it is the domain's first component
+        lambda: [
+            circle_component(12, circumference=12.0),
+            interval_component(0.0, 3.0, 7, radius_cap=1.0),
+        ],
     ],
     ids=[
         "mesh-cap", "mesh-inf", "mesh-cap-on-distance", "disconnected",
         "circle-ties", "interval", "mesh-circle", "circle-interval-disconnected",
+        "circle-first-interval",
     ],
 )
 
@@ -433,21 +440,40 @@ class TestPrefixOperators:
             monkeypatch.setattr(domain, "TILE_MAX_VALUES", max_values)
             assert fam.integrated_stats(fields).tobytes() == whole.tobytes()
 
+    @staticmethod
+    def count(fam, fields, floor, counts):
+        """``counts`` (n_balls,) plus the fields of ``fields`` whose
+        statistics reach ``floor``, through the slot grid."""
+        count_slots = fam.slot_floor(counts).astype(np.int64)
+        fam.count_exceedances(fields, fam.slot_floor(floor), count_slots)
+        return fam.ball_counts(count_slots)
+
     @OPERATOR_DOMAINS
     def test_count_exceedances(self, make, monkeypatch):
         fam = enumerate_family(ProductDomain(make()))
-        fields = np.random.default_rng(7).random((6, fam.domain.size))
-        stats = fam.integrated_stats(fields)
-        # a floor that one field's statistics tie with, and one between them
-        for floor in (stats[:, 2], np.median(stats, axis=1)):
-            expected = (stats >= floor[:, None]).sum(axis=1)
-            for add_values, max_values in [DEFAULT_TILING] + TILINGS:
-                monkeypatch.setattr(domain, "TILE_ADD_VALUES", add_values)
-                monkeypatch.setattr(domain, "TILE_MAX_VALUES", max_values)
-                # counts are added to what is there
-                counts = np.arange(fam.n_balls, dtype=np.int64)
-                fam.count_exceedances(fields, floor, counts)
-                np.testing.assert_array_equal(counts - np.arange(fam.n_balls), expected)
+        rng = np.random.default_rng(7)
+        start = np.arange(fam.n_balls, dtype=np.int64)
+        # widest first, so each narrower call follows one whose comparisons
+        # filled more byte lanes; 300 fields need two folds of 31 words
+        for B in (300, 33, 9, 7, 1):
+            fields = rng.random((B, fam.domain.size))
+            stats = fam.integrated_stats(fields)
+            floors = (
+                # every field reaches it, one of them by a tie
+                stats.min(axis=1),
+                # every field reaches it, one of them within the tie tolerance
+                permute._tie_floor(stats.min(axis=1) * (1 + permute.TIE_RTOL / 2)),
+                np.median(stats, axis=1),
+            )
+            assert ((stats >= floors[1][:, None]).sum(axis=1) == B).all()
+            for floor in floors:
+                expected = (stats >= floor[:, None]).sum(axis=1)
+                for add_values, max_values in [DEFAULT_TILING] + TILINGS:
+                    monkeypatch.setattr(domain, "TILE_ADD_VALUES", add_values)
+                    monkeypatch.setattr(domain, "TILE_MAX_VALUES", max_values)
+                    # counts are added to what is there
+                    counts = self.count(fam, fields, floor, start)
+                    np.testing.assert_array_equal(counts - start, expected)
 
     @OPERATOR_DOMAINS
     def test_column_bytes(self, make, monkeypatch):
@@ -457,11 +483,11 @@ class TestPrefixOperators:
         monkeypatch.setattr(domain, "TILE_ADD_VALUES", 1)
         monkeypatch.setattr(domain, "TILE_MAX_VALUES", 1)
         fields = np.random.default_rng(6).random((2000, fam.domain.size))
-        floor = fam.integrated_stats(fields[0])
-        counts = np.zeros(fam.n_balls, dtype=np.int64)
+        floor_slots = fam.slot_floor(fam.integrated_stats(fields[0]))
+        count_slots = np.zeros(floor_slots.shape, dtype=np.int64)
         tracemalloc.start()
         try:
-            fam.count_exceedances(fields, floor, counts)
+            fam.count_exceedances(fields, floor_slots, count_slots)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -472,19 +498,22 @@ class TestPrefixOperators:
     def test_counting_memory_bounded(self):
         # 314,481 balls, whose statistics for 32 fields alone are 77 MiB
         fam = enumerate_family(ProductDomain([mesh_component(build_icosphere(8))]))
-        fields = np.random.default_rng(8).random((32, fam.domain.size))
-        floor = fam.integrated_stats(fields[0])
-        counts = np.zeros(fam.n_balls, dtype=np.int64)
-        tracemalloc.start()
-        try:
-            fam.count_exceedances(fields, floor, counts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the fields' working memory and the tiles, whatever the ball count
-        bound = len(fields) * fam.column_bytes + fam.tile_bytes
-        assert bound < 12 * 2**20
-        assert peak <= bound
+        rng = np.random.default_rng(8)
+        # a single field pads its comparisons most, 8 bytes per value
+        for B in (1, 2, 7, 32):
+            fields = rng.random((B, fam.domain.size))
+            floor_slots = fam.slot_floor(fam.integrated_stats(fields[0]))
+            count_slots = np.zeros(floor_slots.shape, dtype=np.int64)
+            tracemalloc.start()
+            try:
+                fam.count_exceedances(fields, floor_slots, count_slots)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the fields' working memory and the tiles, whatever the ball count
+            bound = len(fields) * fam.column_bytes + fam.tile_bytes
+            assert bound < 12 * 2**20
+            assert peak <= bound, B
 
     @OPERATOR_DOMAINS
     def test_adjusted_from_ballwise(self, make):

@@ -448,9 +448,9 @@ class TestEngineProperties:
             stacked.append(len(fields) if np.ndim(fields) == 2 else 0)
             return integrate(self, fields)
 
-        def spy_count(self, fields, floor, counts):
+        def spy_count(self, fields, floor_slots, count_slots):
             stacked.append(len(fields))
-            return count(self, fields, floor, counts)
+            return count(self, fields, floor_slots, count_slots)
 
         monkeypatch.setattr(AdjustmentFamily, "integrated_stats", spy_integrate)
         monkeypatch.setattr(AdjustmentFamily, "count_exceedances", spy_count)
@@ -471,9 +471,9 @@ class TestEngineProperties:
         stacked = []
         count = AdjustmentFamily.count_exceedances
 
-        def spy(self, fields, floor, counts):
+        def spy(self, fields, floor_slots, count_slots):
             stacked.append(len(fields))
-            return count(self, fields, floor, counts)
+            return count(self, fields, floor_slots, count_slots)
 
         monkeypatch.setattr(AdjustmentFamily, "count_exceedances", spy)
         chunked = run_inference(Y, design, hyp, fam, plan).p.tobytes()
