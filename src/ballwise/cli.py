@@ -308,12 +308,16 @@ def _load_signals(section: dict):
     if fmt not in ("csv", "bin"):
         raise ConfigError(f"data.format must be 'csv' or 'bin', got {fmt!r}")
     try:
-        if fmt == "csv":
-            Y, _ = load_signals_csv(path)
-            return Y
-        return load_signals_bin(path)
+        Y = load_signals_csv(path)[0] if fmt == "csv" else load_signals_bin(path)
     except ValueError as exc:
         raise ConfigError(f"data: {exc}") from None
+    if not np.isfinite(Y).all():
+        obs, point = np.argwhere(~np.isfinite(Y))[0]
+        raise ConfigError(
+            f"data: {path}: observation {obs}, point {point} is {Y[obs, point]}; "
+            "signals must be finite"
+        )
+    return Y
 
 
 def _build_model(section: dict):
@@ -598,6 +602,13 @@ def cmd_adjust(args) -> int:
             p_ball = np.array([float(r["p_ball"]) for r in rows])
         except (TypeError, ValueError):  # TypeError: a short row reads as None
             raise ConfigError(f"{args.balls}: p_ball values must be numbers") from None
+        # a p-value is finite and in (0, 1]; nan fails both comparisons
+        bad = np.flatnonzero(~((p_ball > 0) & (p_ball <= 1)))
+        if len(bad):
+            raise ConfigError(
+                f"{args.balls}: row {bad[0] + 1} (line {bad[0] + 2}): p_ball must be "
+                f"in (0, 1], got {rows[bad[0]]['p_ball']!r}"
+            )
         mask = family.admissible_mask(caps)
         adjusted = adjusted_from_ballwise(p_ball, family, ball_mask=mask)
 

@@ -40,9 +40,10 @@ __all__ = [
 
 # Cap on the number of product balls of a family. Inference keeps a few
 # 8-byte values per ball (observed statistic, p-value) and two per slot of the
-# last integrated component's sorted rows (tie floor, exceedance count), one
-# to two slots per ball on the meshes measured, and balls.csv formats a row per
-# ball, so 10 M balls take on the order of a gigabyte.
+# (L, n, ...) slot grid of the last integrated component's sorted rows (the
+# observed sums, turned into tie floors in place, and the exceedance counts),
+# one to two slots per ball on the meshes measured, and balls.csv formats a
+# row per ball, so 10 M balls take on the order of a gigabyte.
 DEFAULT_MAX_BALLS = 10_000_000
 
 # Prefix sums run over tiles of sorted rows, long rows split into spans of
@@ -169,13 +170,15 @@ class ComponentBalls:
     ``kept[i, j]`` marks the ball that is the first j + 1 points of row i, so
     its integrated statistic is a prefix sum along that row and the balls
     covering a point are those whose prefix reaches the point's position.
-    Balls are numbered in row-major order of ``kept`` (by center, then by
-    size), the order of ``inner_radii``; ``table`` gives their centers and
-    radii. A ball's center is the first center realizing its support, and
-    its inner radius the least over every center realizing the support of
-    that center's largest distance inside it, so the support is admissible
-    under exactly the caps strictly above it (0 for singletons, which are
-    admissible under every cap).
+    Sums, tie floors, counts and the covering max all lie on one slot grid
+    (L, n, ...), slot (j, i) for the first j + 1 points of row i, whose kept
+    slots ``ball_values`` reads. Balls are numbered in row-major order of
+    ``kept`` (by center, then by size), the order of ``inner_radii``;
+    ``table`` gives their centers and radii. A ball's center is the first
+    center realizing its support, and its inner radius the least over every
+    center realizing the support of that center's largest distance inside
+    it, so the support is admissible under exactly the caps strictly above
+    it (0 for singletons, which are admissible under every cap).
     """
 
     grid: ComponentGrid
@@ -269,39 +272,19 @@ class ComponentBalls:
                     carry[:k] = block[-1]
                 yield top, p0, block
 
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Weighted support sums along axis 0: (n, ...) -> (n_balls, ...)."""
-        L = self.order.shape[1]
+    def prefix_sums(self, values: np.ndarray) -> np.ndarray:
+        """Weighted prefix sums along axis 0, (n, ...) -> slots (L, n, ...)."""
+        n, L = self.order.shape
         rest = values.shape[1:]
-        out = np.empty((len(self), math.prod(rest)))
+        out = np.empty((L, n, math.prod(rest)))
         for top, p0, block in self._prefix_blocks(values):
             span, k = block.shape[:2]
-            # the tile's kept slots in ball order
-            kept = self.kept[top:top + k, p0:p0 + span]
-            pick = np.flatnonzero(kept)
-            if span == L:
-                balls = out[self._row_start[top]:self._row_start[top + k]]
-            else:
-                if p0 == 0:  # per row, the id of its last ball before the span
-                    last = self._row_start[top:top + k, None] - 1
-                # the id of the ball at each slot of the span
-                ids = np.cumsum(kept, axis=1)
-                ids += last
-                last = ids[:, -1:]
-                balls = ids.ravel()[pick]
-            # a ball's sum is at its last position in its row, which is
-            # pos k + row of the block
-            row = pick // span
-            pick *= k
-            row *= span * k - 1
-            pick -= row
-            block = block.reshape(span * k, -1)
-            # every pick is in range; "clip" only spares take a buffered copy
-            if span == L:
-                block.take(pick, axis=0, out=balls, mode="clip")
-            else:
-                out[balls] = block.take(pick, axis=0, mode="clip")
-        return out.reshape((len(self),) + rest)
+            out[p0:p0 + span, top:top + k] = block
+        return out.reshape((L, n) + rest)
+
+    def ball_values(self, slots: np.ndarray) -> np.ndarray:
+        """The balls' entries of a slot grid (L, n, ...), in ball order."""
+        return slots.swapaxes(0, 1)[self.kept]
 
     def count_exceedances(
         self, values: np.ndarray, floor: np.ndarray, counts: np.ndarray
@@ -359,13 +342,13 @@ class ComponentBalls:
         """
         n, L = self.order.shape
         rest = ball_values.shape[1:]
-        at_end = np.zeros((n, L, math.prod(rest)))
-        at_end[self.kept] = ball_values.reshape(len(self), -1)
+        at_end = np.zeros((L, n, math.prod(rest)))
+        at_end.swapaxes(0, 1)[self.kept] = ball_values.reshape(len(self), -1)
         # the point at position j of a row lies in every prefix of that row
         # ending at or after j
-        covering = np.maximum.accumulate(at_end[:, ::-1], axis=1)[:, ::-1]
+        covering = np.maximum.accumulate(at_end[::-1], axis=0)[::-1]
         out = np.zeros((n + 1, at_end.shape[2]))
-        np.maximum.at(out, self.order.ravel(), covering.reshape(n * L, -1))
+        np.maximum.at(out, self.order.T.ravel(), covering.reshape(L * n, -1))
         return out[:n].reshape((n,) + rest)
 
 
@@ -502,40 +485,30 @@ class AdjustmentFamily:
     def column_bytes(self) -> int:
         """Bytes per stacked field that ``count_exceedances`` may hold at once,
         an upper estimate, all float64: the field itself, and in each
-        component's pass its input, weighted copy and output. The last pass
-        has no output, since it counts in its tiles. The tiles' buffers are
-        ``tile_bytes`` in all, unless one row of a pass holds more than
-        TILE_MAX_VALUES; four such rows per field are counted here."""
+        component's pass its input, weighted copy, slot grid and ball sums,
+        the last pass having no output, since it counts in its tiles. The
+        tiles' buffers are ``tile_bytes`` in all, unless one row of a pass
+        holds more than TILE_MAX_VALUES; four such rows per field count here."""
         m = self.domain.size
         axes = self._integration_axes()
         held, a = [], m
         for i, c in enumerate(axes):
             balls = self.component_balls[c]
             row = a // len(balls.order)
-            b = row * len(balls) if i + 1 < len(axes) else 0
+            b = row * (balls.order.size + len(balls)) if i + 1 < len(axes) else 0
             # the first pass's input is the field
             held.append((a if i else 0) + a + row + b + 4 * row)
-            a = b
+            a = row * len(balls)
         return 8 * (m + max(held))
 
     @property
     def tile_bytes(self) -> int:
         """Bytes of the tile buffers of one ``count_exceedances`` call, on top
-        of ``column_bytes`` per field, in units of TILE_MAX_VALUES 8-byte
-        values. The last pass holds five: the gathered block, its carry, the
-        index copy, the comparison padded to whole words (8 bytes per value
-        for a single field) and the lane words. An earlier pass of a product
-        domain holds the block, its carry and the picked sums, and the index
-        copy and four pick temporaries of one entry per row position: fewer
-        than the values, by at least the other components' points. numpy's
-        iteration buffers (at most three) come on top."""
-        n_values, m = TILE_MAX_VALUES, self.domain.size
-        *axes, _ = self._integration_axes()
-        held = [5 * n_values] + [
-            3 * n_values + 5 * -(-n_values * self.domain.components[c].size // m)
-            for c in axes
-        ]
-        return 8 * (max(held) + 3 * np.getbufsize())
+        of ``column_bytes`` per field: five of TILE_MAX_VALUES 8-byte values
+        (the gathered block, its carry, the index copy, the comparison padded
+        to whole words, 8 bytes per value for a single field, and the lane
+        words), and numpy's iteration buffers, at most three."""
+        return 8 * (5 * TILE_MAX_VALUES + 3 * np.getbufsize())
 
     def _integrate_axes(self, fields: np.ndarray, axes) -> np.ndarray:
         """The (n_1, ..., n_L, B) tensor of a stat field (m,) or a stack
@@ -543,41 +516,34 @@ class AdjustmentFamily:
         X = fields.T.reshape(self.domain.shape + fields.shape[:-1][::-1])
         for c in axes:
             balls = self.component_balls[c]
-            X = np.moveaxis(balls.integrate(np.moveaxis(X, c, 0)), 0, c)
+            sums = balls.prefix_sums(np.moveaxis(X, c, 0))
+            X = np.moveaxis(balls.ball_values(sums), 0, c)
         return X
 
-    def integrated_stats(self, stat_fields: np.ndarray) -> np.ndarray:
+    def integrated_slots(self, stat_fields: np.ndarray) -> np.ndarray:
         """Weighted support sums of one stat field (m,) or a stack (B, m).
 
-        Returns (n_balls,) or (n_balls, B). The sum over a product ball is
-        the iterated sum over its component supports (Fubini), so each
-        component's prefix operator runs along its own axis of the
-        (n_1, ..., n_L, B) field tensor. Every value is computed element by
-        element, so it does not depend on how fields are stacked.
+        The sum over a product ball is the iterated sum over its component
+        supports (Fubini), so each component's prefix operator runs along its
+        own axis of the (n_1, ..., n_L, B) field tensor. The result is the
+        last one's slot grid (L, n, ..., B), the other components' balls on
+        its middle axes. Every value is computed element by element, so it
+        does not depend on how fields are stacked.
         """
         fields = np.asarray(stat_fields, dtype=float)
-        X = self._integrate_axes(fields, self._integration_axes())
-        return X.reshape((self.n_balls,) + fields.shape[:-1][::-1])
+        *axes, last = self._integration_axes()
+        X = self._integrate_axes(fields, axes)
+        return self.component_balls[last].prefix_sums(np.moveaxis(X, last, 0))
 
-    def slot_floor(self, ball_floor: np.ndarray) -> np.ndarray:
-        """``ball_floor`` (n_balls,) on the slot grid of ``count_exceedances``.
-
-        The grid is (L, n, ...) over the last integrated component's sorted
-        rows, its other axes the other components' balls; slots that are not
-        balls hold 0, compared but never read back.
-        """
+    def ball_values(self, slots: np.ndarray) -> np.ndarray:
+        """The (n_balls, ...) entries, in family order, of a slot grid."""
         last = self._integration_axes()[-1]
-        kept = self.component_balls[last].kept
-        floor = np.moveaxis(np.reshape(ball_floor, self.shape), last, 0)
-        slots = np.zeros(kept.shape[::-1] + floor.shape[1:])
-        slots.swapaxes(0, 1)[kept] = floor
-        return slots
+        values = np.moveaxis(self.component_balls[last].ball_values(slots), 0, last)
+        return values.reshape((self.n_balls,) + slots.shape[len(self.shape) + 1:])
 
-    def ball_counts(self, count_slots: np.ndarray) -> np.ndarray:
-        """The (n_balls,) counts, in family order, of a slot grid of counts."""
-        last = self._integration_axes()[-1]
-        kept = self.component_balls[last].kept
-        return np.moveaxis(count_slots.swapaxes(0, 1)[kept], 0, last).ravel()
+    def integrated_stats(self, stat_fields: np.ndarray) -> np.ndarray:
+        """Weighted support sums: (m,) -> (n_balls,), (B, m) -> (n_balls, B)."""
+        return self.ball_values(self.integrated_slots(stat_fields))
 
     def count_exceedances(
         self, stat_fields: np.ndarray, floor_slots: np.ndarray, count_slots: np.ndarray
@@ -585,12 +551,12 @@ class AdjustmentFamily:
         """Add to ``count_slots`` how many fields of a stack (B, m) reach
         ``floor_slots``.
 
-        Both are on the slot grid of ``slot_floor``, and ``count_slots``, a
-        contiguous int64 array, is updated in place, so that
-        ``ball_counts(count_slots)`` gains ``(integrated_stats(stat_fields) >=
-        ball_floor[:, None]).sum(axis=1)``, with bitwise the same statistics.
-        The last component's pass compares each tile of running sums with the
-        floors of its slots, so the (n_balls, B) statistics are never built.
+        Both are on the slot grid of ``integrated_slots``, field axis aside,
+        and ``count_slots``, a contiguous int64 array, is updated in place:
+        ``ball_values`` of it gains how many of the bitwise same sums reach
+        ``ball_values(floor_slots)``. The last component's pass compares each
+        tile of running sums with the floors of its slots, so the (n_balls,
+        B) statistics are never built.
         """
         fields = np.atleast_2d(np.asarray(stat_fields, dtype=float))
         *axes, last = self._integration_axes()

@@ -151,9 +151,11 @@ class InferenceResult:
     p: PValueFields
 
 
-def _tie_floor(observed: np.ndarray) -> np.ndarray:
+def _tie_floor(observed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The least permuted statistic that counts as at least ``observed``."""
-    return observed - np.abs(TIE_RTOL * observed)
+    tolerance = np.multiply(TIE_RTOL, observed)
+    np.abs(tolerance, out=tolerance)
+    return np.subtract(observed, tolerance, out=out)
 
 
 def run_inference(
@@ -168,13 +170,14 @@ def run_inference(
     Permutations are processed in chunks of at most ``CHUNK_PERMUTATIONS``,
     fewer when a chunk would need more than ``CHUNK_BYTES``. A chunk's fields
     come from one ``StatKernel`` call, and ``count_exceedances`` adds them to
-    the counts one integration tile at a time. Tie floors and counts live on
-    the slot grid of the family's last integrated component (``slot_floor``),
-    where each tile's running sums lie, and are read back in ball order once
-    (``ball_counts``): the loop holds them and one tile of at most
-    ``TILE_MAX_VALUES`` values, never a permuted statistic per ball. The
-    Freedman-Lane scheme permutes the reduced-model residual rows and adds
-    back the reduced-model fits; the raw scheme permutes observation rows.
+    the counts one integration tile at a time. The observed sums, their tie
+    floors (built in place) and the counts lie on the slot grid of the
+    family's last integrated component (``integrated_slots``), as each
+    tile's running sums do, and are read in ball order once (``ball_values``):
+    the loop holds them and one tile of at most ``TILE_MAX_VALUES`` values,
+    never a permuted statistic per ball. The Freedman-Lane scheme permutes
+    the reduced-model residual rows and adds back the reduced-model fits;
+    the raw scheme permutes observation rows.
     """
     Y = np.asarray(signals, dtype=float)
     perms = generate_permutations(plan, Y.shape[0])
@@ -186,9 +189,10 @@ def run_inference(
             reduced = np.ones((Y.shape[0], 1))
     kernel = StatKernel(Y, design, hypothesis, reduced)
     T_obs = kernel.fields(np.arange(Y.shape[0])[None, :])[0]
-    ball_obs = family.integrated_stats(T_obs)
+    obs_slots = family.integrated_slots(T_obs)
+    ball_obs = family.ball_values(obs_slots)
     point_floor = _tie_floor(T_obs)
-    floor_slots = family.slot_floor(_tie_floor(ball_obs))
+    floor_slots = _tie_floor(obs_slots, out=obs_slots)
 
     per_field = max(family.column_bytes, KERNEL_FIELDS * 8 * T_obs.shape[0])
     chunk_size = (CHUNK_BYTES - family.tile_bytes) // per_field
@@ -201,7 +205,7 @@ def run_inference(
         family.count_exceedances(fields, floor_slots, count_slots)
 
     p_point = _p_from_counts(point_counts, B)
-    p_ball = _p_from_counts(family.ball_counts(count_slots), B)
+    p_ball = _p_from_counts(family.ball_values(count_slots), B)
     fields_out = PValueFields(
         p_point, p_ball, adjusted_from_ballwise(p_ball, family), B
     )

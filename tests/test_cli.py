@@ -355,6 +355,19 @@ class TestMalformedInputs:
         edit_config(config, lambda c: c.update(data={"path": str(signals), "format": "bin"}))
         assert "expected 96 entries" in run_test(tmp_path, config, capsys)
 
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal(self, tmp_path, capsys, fmt, value):
+        config = write_test_setup(tmp_path)
+        Y = np.random.default_rng(1).standard_normal((8, 12))
+        Y[5, 7] = value
+        signals = tmp_path / f"bad.{fmt}"
+        (save_signals_csv if fmt == "csv" else save_signals_bin)(Y, signals)
+        edit_config(config, lambda c: c.update(data={"path": str(signals), "format": fmt}))
+        err = run_test(tmp_path, config, capsys)
+        assert err.startswith(f"error: data: {signals}: observation 5, point 7 is")
+        assert "signals must be finite" in err
+
     def test_non_numeric_signal_csv(self, tmp_path, capsys):
         config = write_test_setup(tmp_path)
         path = json.loads(config.read_text())["data"]["path"]
@@ -646,6 +659,18 @@ class TestAdjust:
             return [r[:-1] for r in rows]
 
         assert self.adjust_rewritten_balls(tmp_path, drop_last_column) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "2", "0", "-1", "1.0000000000000002"])
+    def test_out_of_range_p_ball(self, tmp_path, capsys, value):
+        def corrupt(rows):
+            rows[3][-1] = value
+            rows[5][-1] = "nan"
+            return rows
+
+        assert self.adjust_rewritten_balls(tmp_path, corrupt) == 2
+        err = capsys.readouterr().err
+        assert f"bad_balls.csv: row 3 (line 4): p_ball must be in (0, 1], got '{value}'" in err
+        assert not (tmp_path / "adj" / "adjusted.csv").exists()
 
     def test_non_numeric_p_ball(self, tmp_path):
         def corrupt(rows):

@@ -440,13 +440,45 @@ class TestPrefixOperators:
             monkeypatch.setattr(domain, "TILE_MAX_VALUES", max_values)
             assert fam.integrated_stats(fields).tobytes() == whole.tobytes()
 
+    @OPERATOR_DOMAINS
+    def test_integrated_slots(self, make, monkeypatch):
+        fam = enumerate_family(ProductDomain(make()))
+        T = np.random.default_rng(11).random(fam.domain.size)
+        expected = [integrated_stat(T, fam, k) for k in range(fam.n_balls)]
+        whole = fam.integrated_slots(T)
+        last = fam.component_balls[fam._integration_axes()[-1]]
+        assert whole.shape[:2] == last.kept.T.shape
+        # (1, 1) splits every row of more than one point into spans shorter
+        # than the row, each carrying its running sum into the next
+        for add_values, max_values in TILINGS:
+            monkeypatch.setattr(domain, "TILE_ADD_VALUES", add_values)
+            monkeypatch.setattr(domain, "TILE_MAX_VALUES", max_values)
+            slots = fam.integrated_slots(T)
+            assert slots.tobytes() == whole.tobytes()
+            np.testing.assert_allclose(fam.ball_values(slots), expected, rtol=1e-13, atol=0)
+
+    @OPERATOR_DOMAINS
+    def test_unkept_slots_never_read(self, make):
+        fam = enumerate_family(ProductDomain(make()))
+        fields = np.random.default_rng(12).random((9, fam.domain.size))
+        stats = fam.integrated_stats(fields)
+        floor = np.median(stats, axis=1)
+        expected = (stats >= floor[:, None]).sum(axis=1)
+        unkept = ~fam.component_balls[fam._integration_axes()[-1]].kept.T
+        for fill in (-np.inf, np.inf):
+            floor_slots = oracles.slot_floor(fam, floor)
+            floor_slots[unkept] = fill
+            count_slots = np.zeros(floor_slots.shape, dtype=np.int64)
+            fam.count_exceedances(fields, floor_slots, count_slots)
+            np.testing.assert_array_equal(fam.ball_values(count_slots), expected)
+
     @staticmethod
     def count(fam, fields, floor, counts):
         """``counts`` (n_balls,) plus the fields of ``fields`` whose
         statistics reach ``floor``, through the slot grid."""
-        count_slots = fam.slot_floor(counts).astype(np.int64)
-        fam.count_exceedances(fields, fam.slot_floor(floor), count_slots)
-        return fam.ball_counts(count_slots)
+        count_slots = oracles.slot_floor(fam, counts)
+        fam.count_exceedances(fields, oracles.slot_floor(fam, floor), count_slots)
+        return fam.ball_values(count_slots)
 
     @OPERATOR_DOMAINS
     def test_count_exceedances(self, make, monkeypatch):
@@ -483,7 +515,7 @@ class TestPrefixOperators:
         monkeypatch.setattr(domain, "TILE_ADD_VALUES", 1)
         monkeypatch.setattr(domain, "TILE_MAX_VALUES", 1)
         fields = np.random.default_rng(6).random((2000, fam.domain.size))
-        floor_slots = fam.slot_floor(fam.integrated_stats(fields[0]))
+        floor_slots = fam.integrated_slots(fields[0])
         count_slots = np.zeros(floor_slots.shape, dtype=np.int64)
         tracemalloc.start()
         try:
@@ -502,7 +534,7 @@ class TestPrefixOperators:
         # a single field pads its comparisons most, 8 bytes per value
         for B in (1, 2, 7, 32):
             fields = rng.random((B, fam.domain.size))
-            floor_slots = fam.slot_floor(fam.integrated_stats(fields[0]))
+            floor_slots = fam.integrated_slots(fields[0])
             count_slots = np.zeros(floor_slots.shape, dtype=np.int64)
             tracemalloc.start()
             try:

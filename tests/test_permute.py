@@ -441,7 +441,7 @@ class TestEngineProperties:
         # chunk at 3: the observed field is integrated alone (0), each chunk
         # is counted in one call
         stacked = []
-        integrate = AdjustmentFamily.integrated_stats
+        integrate = AdjustmentFamily.integrated_slots
         count = AdjustmentFamily.count_exceedances
 
         def spy_integrate(self, fields):
@@ -452,7 +452,7 @@ class TestEngineProperties:
             stacked.append(len(fields))
             return count(self, fields, floor_slots, count_slots)
 
-        monkeypatch.setattr(AdjustmentFamily, "integrated_stats", spy_integrate)
+        monkeypatch.setattr(AdjustmentFamily, "integrated_slots", spy_integrate)
         monkeypatch.setattr(AdjustmentFamily, "count_exceedances", spy_count)
         per_field = max(fam.column_bytes, permute.KERNEL_FIELDS * 8 * d.size)
         monkeypatch.setattr(permute, "CHUNK_BYTES", fam.tile_bytes + 3 * per_field + 7)
