@@ -39,11 +39,12 @@ __all__ = [
 ]
 
 # Cap on the number of product balls of a family. Inference keeps a few
-# 8-byte values per ball (observed statistic, p-value) and two per slot of the
-# (L, n, ...) slot grid of the last integrated component's sorted rows (the
-# observed sums, turned into tie floors in place, and the exceedance counts),
-# one to two slots per ball on the meshes measured, and balls.csv formats a
-# row per ball, so 10 M balls take on the order of a gigabyte.
+# 8-byte values per ball (observed statistic, p-value) and up to 12 bytes per
+# slot of the (L, n, ...) slot grid of the last integrated component's sorted
+# rows (the observed sums, turned into tie floors in place, and the int32
+# exceedance counts; then the p-values), one to two slots per ball on the
+# meshes measured, and balls.csv formats a row per ball, so 10 M balls take
+# on the order of a gigabyte.
 DEFAULT_MAX_BALLS = 10_000_000
 
 # Prefix sums run over tiles of sorted rows, long rows split into spans of
@@ -172,13 +173,13 @@ class ComponentBalls:
     covering a point are those whose prefix reaches the point's position.
     Sums, tie floors, counts and the covering max all lie on one slot grid
     (L, n, ...), slot (j, i) for the first j + 1 points of row i, whose kept
-    slots ``ball_values`` reads. Balls are numbered in row-major order of
-    ``kept`` (by center, then by size), the order of ``inner_radii``;
-    ``table`` gives their centers and radii. A ball's center is the first
-    center realizing its support, and its inner radius the least over every
-    center realizing the support of that center's largest distance inside
-    it, so the support is admissible under exactly the caps strictly above
-    it (0 for singletons, which are admissible under every cap).
+    slots ``ball_values`` reads and ``to_slots`` writes. Balls are numbered
+    in row-major order of ``kept`` (by center, then by size), the order of
+    ``inner_radii``; ``table`` gives their centers and radii. A ball's center
+    is the first center realizing its support, and its inner radius the least
+    over every center realizing the support of that center's largest distance
+    inside it, so the support is admissible under exactly the caps strictly
+    above it (0 for singletons, which are admissible under every cap).
     """
 
     grid: ComponentGrid
@@ -286,6 +287,14 @@ class ComponentBalls:
         """The balls' entries of a slot grid (L, n, ...), in ball order."""
         return slots.swapaxes(0, 1)[self.kept]
 
+    def to_slots(self, ball_values: np.ndarray) -> np.ndarray:
+        """The inverse of ``ball_values``: (n_balls, ...) onto a slot grid of
+        the same dtype, 0 in the slots that are not balls."""
+        n, L = self.order.shape
+        slots = np.zeros((L, n) + ball_values.shape[1:], dtype=ball_values.dtype)
+        slots.swapaxes(0, 1)[self.kept] = ball_values
+        return slots
+
     def count_exceedances(
         self, values: np.ndarray, floor: np.ndarray, counts: np.ndarray
     ) -> None:
@@ -294,11 +303,12 @@ class ComponentBalls:
         ``values`` is (n, ..., B), B stacked fields. ``floor`` and ``counts``
         are on the slot grid (L, n, ...): slot (j, i) is the prefix of the
         first j + 1 points of row i, a ball where ``kept[i, j]``. ``counts``,
-        a contiguous int64 array, is updated in place; at a kept slot it gains
-        how many of the B sums of its ball reach its floor, and other slots
-        gain what their prefixes would. Each tile's running sums are compared
-        where they lie with the floors of their slots, so neither the
-        (n_balls, ..., B) sums nor a pick of the kept ones is ever built.
+        a contiguous integer array (int32 in ``run_inference``), is updated
+        in place; at a kept slot it gains how many of the B sums of its ball
+        reach its floor, and other slots gain what their prefixes would. Each
+        tile's running sums are compared where they lie with the floors of
+        their slots, so neither the (n_balls, ..., B) sums nor a pick of the
+        kept ones is ever built.
 
         The B comparisons of a slot go to zero-padded bytes, added as 8-byte
         words, so each byte lane counts at most one comparison per word, and
@@ -335,21 +345,21 @@ class ComponentBalls:
                 total >>= np.uint64(56)
                 counts[tile] += total.view(np.int64).reshape(span, k, others)
 
-    def cover_max(self, ball_values: np.ndarray) -> np.ndarray:
-        """Max over the covering balls along axis 0: (n_balls, ...) -> (n, ...).
+    def cover(self, slots: np.ndarray) -> np.ndarray:
+        """Max over the covering balls of a slot grid: (L, n, ...) -> (n, ...).
 
+        Only the kept slots are read; ``slots``, if contiguous, is overwritten.
         Points covered by no ball get 0, the floor of any p-value.
         """
         n, L = self.order.shape
-        rest = ball_values.shape[1:]
-        at_end = np.zeros((L, n, math.prod(rest)))
-        at_end.swapaxes(0, 1)[self.kept] = ball_values.reshape(len(self), -1)
+        slots.swapaxes(0, 1)[~self.kept] = 0
+        flat = slots.reshape(L, n, -1)
         # the point at position j of a row lies in every prefix of that row
         # ending at or after j
-        covering = np.maximum.accumulate(at_end[::-1], axis=0)[::-1]
-        out = np.zeros((n + 1, at_end.shape[2]))
-        np.maximum.at(out, self.order.T.ravel(), covering.reshape(L * n, -1))
-        return out[:n].reshape((n,) + rest)
+        np.maximum.accumulate(flat[::-1], axis=0, out=flat[::-1])
+        out = np.zeros((n + 1, flat.shape[2]), dtype=slots.dtype)
+        np.maximum.at(out, self.order.T.ravel(), flat.reshape(L * n, -1))
+        return out[:n].reshape((n,) + slots.shape[2:])
 
 
 def _zobrist_keys(n: int) -> np.ndarray:
@@ -541,6 +551,13 @@ class AdjustmentFamily:
         values = np.moveaxis(self.component_balls[last].ball_values(slots), 0, last)
         return values.reshape((self.n_balls,) + slots.shape[len(self.shape) + 1:])
 
+    def to_slots(self, ball_values: np.ndarray) -> np.ndarray:
+        """The inverse of ``ball_values``: (n_balls, ...) onto the slot grid,
+        same dtype, 0 in the slots that are not balls."""
+        last = self._integration_axes()[-1]
+        V = ball_values.reshape(self.shape + ball_values.shape[1:])
+        return self.component_balls[last].to_slots(np.moveaxis(V, last, 0))
+
     def integrated_stats(self, stat_fields: np.ndarray) -> np.ndarray:
         """Weighted support sums: (m,) -> (n_balls,), (B, m) -> (n_balls, B)."""
         return self.ball_values(self.integrated_slots(stat_fields))
@@ -552,7 +569,7 @@ class AdjustmentFamily:
         ``floor_slots``.
 
         Both are on the slot grid of ``integrated_slots``, field axis aside,
-        and ``count_slots``, a contiguous int64 array, is updated in place:
+        and ``count_slots``, a contiguous integer array, is updated in place:
         ``ball_values`` of it gains how many of the bitwise same sums reach
         ``ball_values(floor_slots)``. The last component's pass compares each
         tile of running sums with the floors of its slots, so the (n_balls,
@@ -565,16 +582,20 @@ class AdjustmentFamily:
             np.moveaxis(X, last, 0), floor_slots, count_slots
         )
 
-    def cover_max(self, ball_values: np.ndarray) -> np.ndarray:
-        """Per grid point, the max of ``ball_values`` over the balls covering it.
+    def cover(self, slots: np.ndarray) -> np.ndarray:
+        """Per grid point, the max over the balls covering it of a slot grid
+        (``integrated_slots``' layout, no field axis), which is overwritten.
 
         A max over a product of sets is an iterated max, so each component's
-        operator maps its ball axis to its point axis in turn. Points covered
-        by no ball get 0.
+        operator maps its ball axis to its point axis in turn: the last
+        integrated one on the slot grid itself, the others on ``to_slots`` of
+        their ball axes. Points covered by no ball get 0.
         """
-        V = np.asarray(ball_values, dtype=float).reshape(self.shape)
-        for c, balls in enumerate(self.component_balls):
-            V = np.moveaxis(balls.cover_max(np.moveaxis(V, c, 0)), 0, c)
+        *axes, last = self._integration_axes()
+        V = np.moveaxis(self.component_balls[last].cover(slots), 0, last)
+        for c in axes:
+            balls = self.component_balls[c]
+            V = np.moveaxis(balls.cover(balls.to_slots(np.moveaxis(V, c, 0))), 0, c)
         return V.ravel()
 
     def admissible_mask(self, caps) -> np.ndarray:

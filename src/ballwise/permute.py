@@ -130,12 +130,14 @@ def adjusted_from_ballwise(
     ``ball_mask`` restricts the sup to a sub-family (cap re-adjustment): the
     p-values of the other balls are zeroed, and p-values are never below 0.
     Grid points not covered by any selected ball get 0; with singletons in
-    the family every point is covered.
+    the family every point is covered. The p-values in family order go onto
+    the slot grid (``to_slots``) for the covering max (``cover``);
+    ``run_inference`` forms them there and covers them in place.
     """
     p = np.asarray(ballwise_p, dtype=float)
     if ball_mask is not None:
         p = np.where(np.asarray(ball_mask, dtype=bool), p, 0.0)
-    return family.cover_max(p)
+    return family.cover(family.to_slots(p))
 
 
 def _p_from_counts(counts: np.ndarray, n_permutations: int) -> np.ndarray:
@@ -170,14 +172,17 @@ def run_inference(
     Permutations are processed in chunks of at most ``CHUNK_PERMUTATIONS``,
     fewer when a chunk would need more than ``CHUNK_BYTES``. A chunk's fields
     come from one ``StatKernel`` call, and ``count_exceedances`` adds them to
-    the counts one integration tile at a time. The observed sums, their tie
-    floors (built in place) and the counts lie on the slot grid of the
-    family's last integrated component (``integrated_slots``), as each
-    tile's running sums do, and are read in ball order once (``ball_values``):
-    the loop holds them and one tile of at most ``TILE_MAX_VALUES`` values,
-    never a permuted statistic per ball. The Freedman-Lane scheme permutes
-    the reduced-model residual rows and adds back the reduced-model fits;
-    the raw scheme permutes observation rows.
+    the counts one integration tile at a time. Everything per ball lies on
+    the slot grid of the family's last integrated component
+    (``integrated_slots``), as each tile's running sums do: the observed
+    sums, turned into tie floors in place one slot position at a time, the
+    int32 counts, then the p-values, which ``cover`` turns into the adjusted
+    field in place. The observed sums and the p-values are each read in ball
+    order once (``ball_values``); nothing goes back from ball order to the
+    grid. The loop holds the floors, the counts and one tile of at most
+    ``TILE_MAX_VALUES`` values, never a permuted statistic per ball. The
+    Freedman-Lane scheme permutes the reduced-model residual rows and adds
+    back the reduced-model fits; the raw scheme permutes observation rows.
     """
     Y = np.asarray(signals, dtype=float)
     perms = generate_permutations(plan, Y.shape[0])
@@ -189,24 +194,28 @@ def run_inference(
             reduced = np.ones((Y.shape[0], 1))
     kernel = StatKernel(Y, design, hypothesis, reduced)
     T_obs = kernel.fields(np.arange(Y.shape[0])[None, :])[0]
-    obs_slots = family.integrated_slots(T_obs)
-    ball_obs = family.ball_values(obs_slots)
+    floor_slots = family.integrated_slots(T_obs)
+    ball_obs = family.ball_values(floor_slots)
     point_floor = _tie_floor(T_obs)
-    floor_slots = _tie_floor(obs_slots, out=obs_slots)
+    # one position at a time, so the tolerance is never a whole grid
+    for j in range(len(floor_slots)):
+        _tie_floor(floor_slots[j], out=floor_slots[j])
 
     per_field = max(family.column_bytes, KERNEL_FIELDS * 8 * T_obs.shape[0])
     chunk_size = (CHUNK_BYTES - family.tile_bytes) // per_field
     chunk_size = max(1, min(CHUNK_PERMUTATIONS, chunk_size))
     point_counts = np.zeros(T_obs.shape[0], dtype=np.int64)
-    count_slots = np.zeros(floor_slots.shape, dtype=np.int64)
+    # B < 2**31: the (B, N) permutations could not be held long before that
+    count_slots = np.zeros(floor_slots.shape, dtype=np.int32)
     for start in range(0, B, chunk_size):
         fields = kernel.fields(perms[start:start + chunk_size])
         point_counts += (fields >= point_floor).sum(axis=0)
         family.count_exceedances(fields, floor_slots, count_slots)
+    del floor_slots
 
     p_point = _p_from_counts(point_counts, B)
-    p_ball = _p_from_counts(family.ball_values(count_slots), B)
-    fields_out = PValueFields(
-        p_point, p_ball, adjusted_from_ballwise(p_ball, family), B
-    )
+    p_slots = _p_from_counts(count_slots, B)
+    del count_slots
+    p_ball = family.ball_values(p_slots)
+    fields_out = PValueFields(p_point, p_ball, family.cover(p_slots), B)
     return InferenceResult(T_obs, ball_obs, fields_out)

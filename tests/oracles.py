@@ -204,18 +204,6 @@ def weight_matrix(family) -> csr_matrix:
     return W
 
 
-def slot_floor(family, ball_floor) -> np.ndarray:
-    """``ball_floor`` (n_balls,) on the family's slot grid: (L, n, ...) over
-    the last integrated component's sorted rows, its other axes the other
-    components' balls. Slots that are not balls hold 0."""
-    last = family._integration_axes()[-1]
-    kept = family.component_balls[last].kept
-    floor = np.moveaxis(np.reshape(ball_floor, family.shape), last, 0)
-    slots = np.zeros(kept.shape[::-1] + floor.shape[1:], dtype=floor.dtype)
-    slots.swapaxes(0, 1)[kept] = floor
-    return slots
-
-
 def cover_max(ball_values, family, ball_mask=None) -> np.ndarray:
     """Row-wise scatter-max of ball values into the grid points of each ball's
     CSR row; 0 where no (selected) ball covers a point."""

@@ -18,6 +18,7 @@ from ballwise.domain import (
     interval_component,
     mesh_component,
 )
+from ballwise.glm import DesignSpec, HypothesisSpec
 from ballwise.mesh import TriangulatedManifold, build_icosphere
 from ballwise.permute import adjusted_from_ballwise
 from oracles import (
@@ -458,6 +459,22 @@ class TestPrefixOperators:
             np.testing.assert_allclose(fam.ball_values(slots), expected, rtol=1e-13, atol=0)
 
     @OPERATOR_DOMAINS
+    def test_to_slots_inverts_ball_values(self, make):
+        fam = enumerate_family(ProductDomain(make()))
+        rng = np.random.default_rng(13)
+        unkept = ~fam.component_balls[fam._integration_axes()[-1]].kept.T
+        for values in (
+            rng.random(fam.n_balls),
+            rng.random((fam.n_balls, 3)),
+            rng.integers(1, 2**31, fam.n_balls, dtype=np.int32),
+            rng.integers(1, 2**62, (fam.n_balls, 2)),
+        ):
+            slots = fam.to_slots(values)
+            assert slots.dtype == values.dtype
+            assert fam.ball_values(slots).tobytes() == values.tobytes()
+            assert not slots[unkept].any()
+
+    @OPERATOR_DOMAINS
     def test_unkept_slots_never_read(self, make):
         fam = enumerate_family(ProductDomain(make()))
         fields = np.random.default_rng(12).random((9, fam.domain.size))
@@ -466,7 +483,7 @@ class TestPrefixOperators:
         expected = (stats >= floor[:, None]).sum(axis=1)
         unkept = ~fam.component_balls[fam._integration_axes()[-1]].kept.T
         for fill in (-np.inf, np.inf):
-            floor_slots = oracles.slot_floor(fam, floor)
+            floor_slots = fam.to_slots(floor)
             floor_slots[unkept] = fill
             count_slots = np.zeros(floor_slots.shape, dtype=np.int64)
             fam.count_exceedances(fields, floor_slots, count_slots)
@@ -476,8 +493,8 @@ class TestPrefixOperators:
     def count(fam, fields, floor, counts):
         """``counts`` (n_balls,) plus the fields of ``fields`` whose
         statistics reach ``floor``, through the slot grid."""
-        count_slots = oracles.slot_floor(fam, counts)
-        fam.count_exceedances(fields, oracles.slot_floor(fam, floor), count_slots)
+        count_slots = fam.to_slots(counts)
+        fam.count_exceedances(fields, fam.to_slots(floor), count_slots)
         return fam.ball_values(count_slots)
 
     @OPERATOR_DOMAINS
@@ -561,6 +578,22 @@ class TestPrefixOperators:
                 adjusted_from_ballwise(p_ball, fam, ball_mask=mask),
                 oracles.cover_max(p_ball, fam, ball_mask=mask),
             )
+
+    @OPERATOR_DOMAINS
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_inference_covers_its_p_value_grid(self, make, seed):
+        fam = enumerate_family(ProductDomain(make()))
+        Y = np.random.default_rng(seed).standard_normal((8, fam.domain.size))
+        res = permute.run_inference(
+            Y,
+            DesignSpec(group_labels=[0] * 4 + [1] * 4),
+            HypothesisSpec("t_two_sample_sq"),
+            fam,
+            permute.PermutationPlan(19, seed=seed, scheme="raw_label_permutation"),
+        )
+        adjusted = res.p.adjusted.tobytes()
+        assert adjusted == adjusted_from_ballwise(res.p.ballwise, fam).tobytes()
+        assert adjusted == oracles.cover_max(res.p.ballwise, fam).tobytes()
 
 
 class TestAdmissibleMask:

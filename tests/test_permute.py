@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -480,6 +481,25 @@ class TestEngineProperties:
         assert stacked == [32, 32]
         monkeypatch.setattr(permute, "CHUNK_PERMUTATIONS", 1)
         assert run_inference(Y, design, hyp, fam, plan).p.tobytes() == chunked
+
+    @pytest.mark.slow
+    def test_order16_full_cap_peak_within_three_and_a_half_slot_grids(self):
+        # 5,961,058 balls on a 2562 x 2562 slot grid of 50 MiB; the peak
+        # measured 3.34 grids: the observed sums and the p-values in ball
+        # order, the p-value grid, and the cover's point index per slot
+        fam = enumerate_family(ProductDomain([mesh_component(build_icosphere(16))]))
+        Y = np.random.default_rng(18).standard_normal((12, fam.domain.size))
+        design = DesignSpec(group_labels=[0] * 6 + [1] * 6)
+        hyp = HypothesisSpec("t_two_sample_sq")
+        plan = PermutationPlan(32, seed=10, scheme="raw_label_permutation")
+        tracemalloc.start()
+        try:
+            run_inference(Y, design, hyp, fam, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fam.n_balls == 5_961_058
+        assert peak <= 3.5 * 8 * fam.domain.size**2
 
     def test_superuniform_pointwise_under_null(self):
         # raw two-sample scheme with iid errors: pointwise p is (super)uniform
