@@ -486,11 +486,10 @@ def _balls_csv(family, result) -> Iterator[str]:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_tessellate(args) -> int:
-    if args.order < 1:
-        raise ConfigError("tessellation order must be a positive integer")
-    if args.radius <= 0:
-        raise ConfigError("radius must be positive")
-    m = build_icosphere(args.order, args.radius)
+    try:
+        m = build_icosphere(args.order, args.radius)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     _atomic_write(args.out, off_text(m))
     print(f"wrote icosphere order {args.order}: {m.n_vertices} vertices, "
           f"{len(m.triangles)} faces -> {args.out}")

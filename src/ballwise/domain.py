@@ -358,7 +358,7 @@ class ComponentBalls:
         # ending at or after j
         np.maximum.accumulate(flat[::-1], axis=0, out=flat[::-1])
         out = np.zeros((n + 1, flat.shape[2]), dtype=slots.dtype)
-        np.maximum.at(out, self.order.T.ravel(), flat.reshape(L * n, -1))
+        np.maximum.at(out, self.order.T, flat)
         return out[:n].reshape((n,) + slots.shape[2:])
 
 

@@ -482,10 +482,12 @@ def load_mesh(path, fmt: str = "OFF") -> TriangulatedManifold:
 
 
 def off_text(m: TriangulatedManifold) -> str:
-    lines = ["OFF", f"{m.n_vertices} {len(m.triangles)} 0"]
-    lines += [f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in m.vertices]
-    lines += [f"3 {t[0]} {t[1]} {t[2]}" for t in m.triangles]
-    return "\n".join(lines) + "\n"
+    nv, nf = m.n_vertices, len(m.triangles)
+    return (
+        f"OFF\n{nv} {nf} 0\n"
+        + "%.17g %.17g %.17g\n" * nv % tuple(m.vertices.ravel().tolist())
+        + "3 %d %d %d\n" * nf % tuple(m.triangles.ravel().tolist())
+    )
 
 
 def save_off(m: TriangulatedManifold, path) -> None:
@@ -565,55 +567,52 @@ def build_icosphere(order: int, radius: float = 1.0) -> TriangulatedManifold:
 
     Each of the 20 icosahedron faces is split into ``order**2`` triangles by
     barycentric subdivision and the new vertices are projected radially onto
-    the sphere. Vertices shared between faces are merged by construction
-    (index maps on corners and edges), giving exactly ``10*order**2 + 2``
-    vertices and ``20*order**2`` faces.
+    the sphere. Vertices shared between faces are merged (a corner or edge
+    point has one key whichever face reaches it), giving exactly
+    ``10*order**2 + 2`` vertices and ``20*order**2`` faces. Vertices are
+    numbered by first appearance over the faces, then i, then j of each
+    face's grid, and take their point from that appearance.
     """
     if order < 1:
         raise ValueError("icosphere order must be a positive integer")
-    if radius <= 0:
-        raise ValueError("icosphere radius must be positive")
+    if not 0 < radius < np.inf:  # also rejects nan
+        raise ValueError(f"icosphere radius must be positive and finite, got {radius}")
     n = int(order)
+    # a face's grid points (i, j), i + j <= n, by i then j; row i starts at
+    # i(n + 1) - i(i - 1)/2
+    i = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
+    j = np.arange(len(i)) - (i * (n + 1) - i * (i - 1) // 2)
+    a, b, c = (_ICO_FACES[:, k, None] for k in range(3))
+    pa, pb, pc = (_ICO_VERTICES[_ICO_FACES[:, k], None, :] for k in range(3))
+    points = ((n - i - j)[:, None] * pa + i[:, None] * pb + j[:, None] * pc) / n
 
-    coords: list[np.ndarray] = []
-    index: dict[tuple, int] = {}
+    # a point on an edge is s steps from p towards q: a-b (j = 0), then a-c
+    # (i = 0), then b-c; its key counts from the lower corner, and the
+    # corners (0 or n steps) key as their vertex
+    on_ab, on_ac = j == 0, i == 0
+    p = np.where(on_ab | on_ac, a, b)
+    q = np.where(on_ab, b, c)
+    s = np.where(on_ab, i, j)
+    lo, hi, t = np.minimum(p, q), np.maximum(p, q), np.where(p < q, s, n - s)
+    nc = len(_ICO_VERTICES)
+    key = nc + (lo * nc + hi) * (n + 1) + t
+    key = np.where(t == 0, lo, np.where(t == n, hi, key))
+    face = np.arange(len(_ICO_FACES))[:, None]
+    face_key = (face * (n + 1) + i) * (n + 1) + j + nc * (nc + 1) * (n + 1)
+    key = np.where(on_ab | on_ac | (i + j == n), key, face_key)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    number = np.argsort(np.argsort(first))  # the rank of each first appearance
+    local = number[inverse].reshape(len(_ICO_FACES), -1)
+    P = points.reshape(-1, 3)[np.sort(first)]
+    # the matmul, unlike norm(axis=1), sums each vertex's squares as
+    # norm(point) does, to the last bit
+    coords = P / np.sqrt(P[:, None, :] @ P[:, :, None])[:, 0] * radius
 
-    def vertex_at(key, point) -> int:
-        if key not in index:
-            index[key] = len(coords)
-            coords.append(point / np.linalg.norm(point) * radius)
-        return index[key]
-
-    def grid_key(face_id, corners, i, j):
-        a, b, c = corners
-        if i == 0 and j == 0:
-            return ("v", a)
-        if i == n and j == 0:
-            return ("v", b)
-        if j == n and i == 0:
-            return ("v", c)
-        if j == 0:  # edge a-b, parameter i from a
-            return ("e", a, b, i) if a < b else ("e", b, a, n - i)
-        if i == 0:  # edge a-c, parameter j from a
-            return ("e", a, c, j) if a < c else ("e", c, a, n - j)
-        if i + j == n:  # edge b-c, parameter j from b
-            return ("e", b, c, j) if b < c else ("e", c, b, n - j)
-        return ("f", face_id, i, j)
-
-    faces = []
-    for face_id, (a, b, c) in enumerate(_ICO_FACES):
-        pa, pb, pc = _ICO_VERTICES[a], _ICO_VERTICES[b], _ICO_VERTICES[c]
-        local = {}
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                point = ((n - i - j) * pa + i * pb + j * pc) / n
-                local[(i, j)] = vertex_at(grid_key(face_id, (a, b, c), i, j), point)
-        for i in range(n):
-            for j in range(n - i):
-                faces.append([local[(i, j)], local[(i + 1, j)], local[(i, j + 1)]])
-                if i + j < n - 1:
-                    faces.append(
-                        [local[(i + 1, j)], local[(i + 1, j + 1)], local[(i, j + 1)]]
-                    )
-
-    return TriangulatedManifold(np.array(coords), np.array(faces, dtype=np.int64))
+    # the "up" triangle at each (i, j) with i + j < n, then the "down" one
+    # where i + j < n - 1; (i + 1, j) is n + 1 - i positions after (i, j)
+    u = np.flatnonzero(i + j < n)
+    below = u + n + 1 - i[u]
+    down = i[u] + j[u] < n - 1
+    cells = np.stack([u, below, u + 1, below, below + 1, u + 1], axis=1).reshape(-1, 3)
+    cells = cells[np.column_stack([np.ones_like(down), down]).ravel()]
+    return TriangulatedManifold(coords, local[:, cells].reshape(-1, 3))

@@ -24,8 +24,67 @@ from scipy.sparse.csgraph import dijkstra
 
 from ballwise.domain import mesh_component
 from ballwise.glm import DesignSpec, stat_field
-from ballwise.mesh import DistanceRows
+from ballwise.mesh import _ICO_FACES, _ICO_VERTICES, DistanceRows, TriangulatedManifold
 from ballwise.permute import PValueFields, adjusted_from_ballwise, generate_permutations
+
+
+# --- icosphere -------------------------------------------------------------------
+
+def icosphere_reference(order: int, radius: float = 1.0) -> TriangulatedManifold:
+    """The icosphere built one grid point at a time: each point of each face's
+    barycentric grid is looked up by a key naming the corner, edge point or
+    face point it is, and a new key gets the next vertex number and its point
+    scaled to ``radius`` by its own ``np.linalg.norm``."""
+    n = int(order)
+    coords: list[np.ndarray] = []
+    index: dict[tuple, int] = {}
+
+    def vertex_at(key, point) -> int:
+        if key not in index:
+            index[key] = len(coords)
+            coords.append(point / np.linalg.norm(point) * radius)
+        return index[key]
+
+    def grid_key(face_id, corners, i, j):
+        a, b, c = corners
+        if i == 0 and j == 0:
+            return ("v", a)
+        if i == n and j == 0:
+            return ("v", b)
+        if j == n and i == 0:
+            return ("v", c)
+        if j == 0:  # edge a-b, parameter i from a
+            return ("e", a, b, i) if a < b else ("e", b, a, n - i)
+        if i == 0:  # edge a-c, parameter j from a
+            return ("e", a, c, j) if a < c else ("e", c, a, n - j)
+        if i + j == n:  # edge b-c, parameter j from b
+            return ("e", b, c, j) if b < c else ("e", c, b, n - j)
+        return ("f", face_id, i, j)
+
+    faces = []
+    for face_id, (a, b, c) in enumerate(_ICO_FACES):
+        pa, pb, pc = _ICO_VERTICES[a], _ICO_VERTICES[b], _ICO_VERTICES[c]
+        local = {}
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                point = ((n - i - j) * pa + i * pb + j * pc) / n
+                local[(i, j)] = vertex_at(grid_key(face_id, (a, b, c), i, j), point)
+        for i in range(n):
+            for j in range(n - i):
+                faces.append([local[(i, j)], local[(i + 1, j)], local[(i, j + 1)]])
+                if i + j < n - 1:
+                    faces.append(
+                        [local[(i + 1, j)], local[(i + 1, j + 1)], local[(i, j + 1)]]
+                    )
+    return TriangulatedManifold(np.array(coords), np.array(faces, dtype=np.int64))
+
+
+def off_text_reference(m) -> str:
+    """OFF text with one f-string per vertex and per face."""
+    lines = ["OFF", f"{m.n_vertices} {len(m.triangles)} 0"]
+    lines += [f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in m.vertices]
+    lines += [f"3 {t[0]} {t[1]} {t[2]}" for t in m.triangles]
+    return "\n".join(lines) + "\n"
 
 
 # --- ground-truth distances ------------------------------------------------------

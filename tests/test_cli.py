@@ -76,6 +76,13 @@ class TestTessellate:
         assert main(["tessellate", "--order", "0", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_non_finite_radius_usage_error(self, tmp_path, capsys, radius):
+        out = tmp_path / "bad.off"
+        assert main(["tessellate", "--order", "2", "--radius", radius, "--out", str(out)]) == 2
+        assert f"radius must be positive and finite, got {radius}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDistances:
     def test_cache_roundtrip(self, tmp_path):

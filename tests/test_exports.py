@@ -90,7 +90,8 @@ def cli_runs(tmp_path_factory):
      "--out-dir", "adj"],
     ["simulate", "--config", "sim.json", "--out", "rates.csv"],
     ["distances", "--mesh", "m.off", "--out", "d2.bin"],
-], ids=["test", "test-cached", "adjust", "simulate", "distances"])
+    ["tessellate", "--order", "3", "--out", "m3.off"],
+], ids=["test", "test-cached", "adjust", "simulate", "distances", "tessellate"])
 def test_cli_commands_leave_scipy_sparse_unloaded(cli_runs, args):
     # the shortest paths and connectivity checks are numpy; scipy.sparse
     # would cost every run a slow import

@@ -17,6 +17,7 @@ from ballwise.mesh import (
     build_icosphere,
     load_distance_cache,
     load_mesh,
+    off_text,
     save_distance_cache,
     save_off,
     triangle_area,
@@ -111,6 +112,27 @@ class TestOffIO:
         np.testing.assert_allclose(m.vertices, unit_tetrahedron.vertices)
         np.testing.assert_array_equal(m.triangles, unit_tetrahedron.triangles)
 
+    @pytest.mark.parametrize("order", [1, 5, 25])
+    def test_icosphere_roundtrip_is_bitwise(self, tmp_path, order):
+        m = build_icosphere(order, radius=2.5)
+        path = tmp_path / "ico.off"
+        path.write_text(off_text(m))
+        loaded = load_mesh(path)
+        assert loaded.vertices.tobytes() == m.vertices.tobytes()
+        np.testing.assert_array_equal(loaded.triangles, m.triangles)
+
+    def test_signed_zero_and_subnormal_roundtrip(self, tmp_path):
+        base = build_icosphere(2)
+        v = base.vertices + np.random.default_rng(3).normal(0, 1e-3, base.vertices.shape)
+        v[0] = [-0.0, 5e-324, 0.0]
+        v[1, 2] = -5e-324
+        m = TriangulatedManifold(v, base.triangles)
+        path = tmp_path / "jitter.off"
+        path.write_text(off_text(m))
+        loaded = load_mesh(path)
+        assert loaded.vertices.tobytes() == m.vertices.tobytes()
+        np.testing.assert_array_equal(loaded.triangles, m.triangles)
+
     def test_disconnected_warns(self, tmp_path):
         path = tmp_path / "disc.off"
         path.write_text(
@@ -150,8 +172,22 @@ class TestIcosphere:
             build_icosphere(0)
 
     def test_invalid_radius(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive and finite"):
             build_icosphere(1, radius=0.0)
+
+    @pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_icosphere(1, radius=radius)
+
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    @pytest.mark.parametrize("order", list(range(1, 13)) + [25, 30])
+    def test_matches_the_point_by_point_build(self, order, radius):
+        m = build_icosphere(order, radius)
+        ref = oracles.icosphere_reference(order, radius)
+        assert m.vertices.tobytes() == ref.vertices.tobytes()
+        np.testing.assert_array_equal(m.triangles, ref.triangles)
+        assert off_text(m) == oracles.off_text_reference(ref)
 
     def test_no_duplicate_vertices(self):
         m = build_icosphere(4)
