@@ -1,49 +1,40 @@
 """Ball-wise local inference for functional data on triangulated manifold
 domains: permutation p-values, ball-product adjustment families and the
-sup-adjusted p-value function."""
+sup-adjusted p-value function.
+
+The public names are imported from their submodule on first access (PEP 562),
+so a process that uses one layer never compiles or runs the others.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .domain import (
-    AdjustmentFamily,
-    ComponentGrid,
-    ProductDomain,
-    circle_component,
-    enumerate_component_balls,
-    enumerate_family,
-    interval_component,
-    mesh_component,
-)
-from .glm import (
-    DesignSpec,
-    HypothesisSpec,
-    StatKernel,
-    stat_field,
-)
-from .mesh import (
-    TriangulatedManifold,
-    build_icosphere,
-    load_mesh,
-    save_off,
-    triangle_area,
-)
-from .permute import PermutationPlan, PValueFields, run_inference
-from .evalsim import (
-    ErrorRates,
-    ScenarioConfig,
-    compute_error_rates,
-    gaussian_kernel_noise,
-    run_scenario,
-)
+_EXPORTS = {
+    "domain": [
+        "AdjustmentFamily", "ComponentGrid", "ProductDomain",
+        "circle_component", "enumerate_component_balls",
+        "enumerate_family", "interval_component", "mesh_component",
+    ],
+    "glm": ["DesignSpec", "HypothesisSpec", "StatKernel", "stat_field"],
+    "mesh": [
+        "TriangulatedManifold", "build_icosphere", "load_mesh", "save_off",
+        "triangle_area",
+    ],
+    "permute": ["PermutationPlan", "PValueFields", "run_inference"],
+    "evalsim": [
+        "ErrorRates", "ScenarioConfig", "compute_error_rates",
+        "gaussian_kernel_noise", "run_scenario",
+    ],
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "AdjustmentFamily", "ComponentGrid", "ProductDomain",
-    "circle_component", "enumerate_component_balls",
-    "enumerate_family", "interval_component", "mesh_component",
-    "DesignSpec", "HypothesisSpec", "StatKernel", "stat_field",
-    "TriangulatedManifold", "build_icosphere", "load_mesh", "save_off",
-    "triangle_area",
-    "PermutationPlan", "PValueFields", "run_inference",
-    "ErrorRates", "ScenarioConfig", "compute_error_rates",
-    "gaussian_kernel_noise", "run_scenario",
-]
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

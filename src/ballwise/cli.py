@@ -13,13 +13,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import hashlib
+import importlib.util
 import io
+import itertools
 import json
 import math
 import os
 import platform
 import resource
+import runpy
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -27,23 +31,8 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .domain import (
-    DEFAULT_MAX_BALLS,
-    FamilyTooLargeError,
-    ProductDomain,
-    circle_component,
-    enumerate_family,
-    interval_component,
-    mesh_component,
-)
-from .evalsim import ScenarioConfig, multi_patch_mask, run_scenario
-from .glm import (
-    DesignSpec,
-    HypothesisSpec,
-    design_vector,
-    load_signals_bin,
-    load_signals_csv,
-)
+# the other layers (domain, glm, permute, evalsim) are imported by the commands
+# that run them, so tessellate and distances never compile or load them
 from .mesh import (
     build_icosphere,
     load_distance_cache,
@@ -51,7 +40,6 @@ from .mesh import (
     off_text,
     save_distance_cache,
 )
-from .permute import RNG_ALGORITHM, PermutationPlan, adjusted_from_ballwise, run_inference
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -212,6 +200,8 @@ def _load_mesh(path: str, where: str, edge_lengths=None):
 
 
 def _build_component(section: dict, where: str):
+    from .domain import circle_component, interval_component, mesh_component
+
     _check_keys(
         section,
         {"kind", "path", "edge_lengths", "distance_cache", "points",
@@ -229,8 +219,14 @@ def _build_component(section: dict, where: str):
             m.compute_weights()
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        cache = section.get("distance_cache")
-        if cache and os.path.exists(cache):
+        if "distance_cache" in section:
+            cache = section["distance_cache"]
+            if not isinstance(cache, str) or not cache:
+                raise ConfigError(
+                    f"{where}: distance_cache must be a file path, got {cache!r}"
+                )
+            if not os.path.exists(cache):
+                raise ConfigError(f"{where}: distance_cache file not found: {cache}")
             try:
                 m.distances = load_distance_cache(cache, limit=cap)
             except ValueError as exc:
@@ -276,6 +272,8 @@ def _build_component(section: dict, where: str):
 
 
 def _build_domain(config: dict):
+    from .domain import DEFAULT_MAX_BALLS, ProductDomain
+
     if "max_memberships" in config:
         raise ConfigError(
             "domain: max_memberships is no longer supported; the family size "
@@ -293,6 +291,8 @@ def _build_domain(config: dict):
 
 
 def _enumerate_family(domain, max_balls: int):
+    from .domain import FamilyTooLargeError, enumerate_family
+
     try:
         return enumerate_family(domain, max_balls)
     except FamilyTooLargeError as exc:
@@ -300,6 +300,8 @@ def _enumerate_family(domain, max_balls: int):
 
 
 def _load_signals(section: dict):
+    from .glm import load_signals_bin, load_signals_csv
+
     _check_keys(section, {"path", "format"}, {"path"}, "data")
     path = section["path"]
     if not os.path.exists(path):
@@ -321,6 +323,8 @@ def _load_signals(section: dict):
 
 
 def _build_model(section: dict):
+    from .glm import DesignSpec, HypothesisSpec, design_vector
+
     _check_keys(section, {"statistic", "groups", "covariate"}, {"statistic"}, "model")
     stat = section["statistic"]
     try:
@@ -350,6 +354,8 @@ def _seed_override(flag):
 
 
 def _build_plan(section: dict, seed_override):
+    from .permute import PermutationPlan
+
     _check_keys(
         section,
         {"permutations", "seed", "alpha", "scheme"},
@@ -380,8 +386,17 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _scipy_version() -> str:
+    """``scipy.__version__``, read from ``scipy/version.py``: importing scipy
+    itself would cost a run more than a small command's own work."""
+    spec = importlib.util.find_spec("scipy")
+    return runpy.run_path(
+        os.path.join(spec.submodule_search_locations[0], "version.py")
+    )["version"]
+
+
 def _manifest(config: dict, plan, family, stages: Stages) -> str:
-    import scipy  # only for its version: most commands never need scipy
+    from .permute import RNG_ALGORITHM
 
     seconds = stages.seconds()
     return json.dumps(
@@ -397,7 +412,7 @@ def _manifest(config: dict, plan, family, stages: Stages) -> str:
             "ballwise_version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             # from the build to the end of inference
             "wall_time_s": round(
                 sum(seconds[name] for name in ("build", "enumerate", "inference")), 3
@@ -518,6 +533,8 @@ def _load_test_config(path: str):
 
 
 def cmd_test(args) -> int:
+    from .permute import run_inference
+
     config = _load_test_config(args.config)
     out_dir = args.out_dir or config.get("output", {}).get("dir", ".")
     os.makedirs(out_dir, exist_ok=True)
@@ -563,7 +580,58 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
+def _p_ball_texts(path: str) -> Iterator[str | None]:
+    """The ``p_ball`` field of each row of a balls file, None for a row too
+    short to have one. A blank line is not a row, and of two ``p_ball``
+    columns the last counts."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if "p_ball" not in header:
+            raise ConfigError(f"{path}: no p_ball column")
+        col = {name: j for j, name in enumerate(header)}["p_ball"]
+        for row in reader:
+            if row:
+                yield row[col] if col < len(row) else None
+
+
+def _read_p_ball(path: str, n_balls: int) -> np.ndarray:
+    """The ``p_ball`` column of a balls file of ``n_balls`` rows, as float64.
+
+    The file is read a row at a time into the array, so memory is the array's
+    8 bytes per ball. A file that fails a check is read again to find out
+    which check: the row count first, then the numbers, then their range.
+    """
+    texts = _p_ball_texts(path)
+    try:
+        # a file of fewer rows raises ValueError; rows past n_balls are left
+        p_ball = np.fromiter(map(float, texts), np.float64, count=n_balls)
+        n_rows = n_balls + sum(1 for _ in texts)
+    except (TypeError, ValueError):  # TypeError: a short row's None
+        p_ball = None
+        n_rows = sum(1 for _ in _p_ball_texts(path))
+    if n_rows != n_balls:
+        raise ConfigError(
+            f"{path}: {n_rows} balls but the re-enumerated family has "
+            f"{n_balls}; config/caps mismatch"
+        )
+    if p_ball is None:
+        raise ConfigError(f"{path}: p_ball values must be numbers")
+    # a p-value is finite and in (0, 1]; nan fails both comparisons
+    bad = np.flatnonzero(~((p_ball > 0) & (p_ball <= 1)))
+    if len(bad):
+        row = int(bad[0])
+        text = next(itertools.islice(_p_ball_texts(path), row, None))
+        raise ConfigError(
+            f"{path}: row {row + 1} (line {row + 2}): p_ball must be "
+            f"in (0, 1], got {text!r}"
+        )
+    return p_ball
+
+
 def cmd_adjust(args) -> int:
+    from .permute import adjusted_from_ballwise
+
     config = _load_test_config(args.config)
     stages = Stages()
     with stages("build"):
@@ -587,27 +655,7 @@ def cmd_adjust(args) -> int:
     if not os.path.exists(args.balls):
         raise ConfigError(f"ball p-value file not found: {args.balls}")
     with stages("adjust"):
-        with open(args.balls, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if "p_ball" not in (reader.fieldnames or []):
-                raise ConfigError(f"{args.balls}: no p_ball column")
-            rows = list(reader)
-        if len(rows) != family.n_balls:
-            raise ConfigError(
-                f"{args.balls}: {len(rows)} balls but the re-enumerated family has "
-                f"{family.n_balls}; config/caps mismatch"
-            )
-        try:
-            p_ball = np.array([float(r["p_ball"]) for r in rows])
-        except (TypeError, ValueError):  # TypeError: a short row reads as None
-            raise ConfigError(f"{args.balls}: p_ball values must be numbers") from None
-        # a p-value is finite and in (0, 1]; nan fails both comparisons
-        bad = np.flatnonzero(~((p_ball > 0) & (p_ball <= 1)))
-        if len(bad):
-            raise ConfigError(
-                f"{args.balls}: row {bad[0] + 1} (line {bad[0] + 2}): p_ball must be "
-                f"in (0, 1], got {rows[bad[0]]['p_ball']!r}"
-            )
+        p_ball = _read_p_ball(args.balls, family.n_balls)
         mask = family.admissible_mask(caps)
         adjusted = adjusted_from_ballwise(p_ball, family, ball_mask=mask)
 
@@ -629,7 +677,9 @@ SCENARIO_KEYS = {
 }
 
 
-def _scenario_from_config(section: dict, idx: int) -> ScenarioConfig:
+def _scenario_from_config(section: dict, idx: int):
+    from .evalsim import ScenarioConfig
+
     where = f"scenario[{idx}]"
     _check_keys(
         section, SCENARIO_KEYS,
@@ -664,7 +714,9 @@ def _scenario_from_config(section: dict, idx: int) -> ScenarioConfig:
     return cfg
 
 
-def _apply_truth(cfg: ScenarioConfig, section: dict, mesh, idx: int):
+def _apply_truth(cfg, section: dict, mesh, idx: int):
+    from .evalsim import multi_patch_mask
+
     truth_cfg = section.get("truth", {"type": "none"})
     where = f"scenario[{idx}].truth"
     keys = {"type", "center", "centers", "radius"}
@@ -692,6 +744,9 @@ def _apply_truth(cfg: ScenarioConfig, section: dict, mesh, idx: int):
 
 
 def cmd_simulate(args) -> int:
+    from .domain import FamilyTooLargeError
+    from .evalsim import run_scenario
+
     config = _load_json(args.config)
     if not isinstance(config, list) or not config:
         raise ConfigError("simulate config must be a non-empty JSON list of scenarios")
@@ -792,5 +847,14 @@ def main(argv=None) -> int:
         return EXIT_COMPUTE  # computation failure
 
 
-if __name__ == "__main__":  # pragma: no cover
+def entry_point() -> None:
+    """The process entry of ``python -m ballwise.cli`` and the ``ballwise``
+    script: freeze the objects of every module loaded so far, so that no
+    later garbage collection (the one at exit included) walks them, and exit
+    with ``main``'s code. ``main`` itself changes no process-wide state."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":  # pragma: no cover
+    entry_point()

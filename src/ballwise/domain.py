@@ -408,8 +408,11 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
         hs = np.sort(hc)
         repeated = hs[1:][hs[1:] == hs[:-1]]
         if len(repeated):
-            # candidates whose hash is shared; all but each support's first go
-            dropped = np.isin(hc, repeated)
+            # candidates whose hash is shared; all but each support's first go.
+            # A lookup in the sorted ``repeated``: np.isin would sort it again
+            # and import numpy.ma
+            pos = np.searchsorted(repeated, hc).clip(max=len(repeated) - 1)
+            dropped = repeated[pos] == hc
             sub = np.flatnonzero(dropped)
             prefix = np.sort(order[c[sub], :k], axis=1)
             # sorted lexicographically, equal supports form runs; lexsort is

@@ -347,7 +347,9 @@ def _unique_edges(triangles: np.ndarray, n: int) -> np.ndarray:
     """The sorted (i < j) vertex pairs joined by a triangle side, ascending."""
     i = np.concatenate([triangles[:, 0], triangles[:, 1], triangles[:, 0]])
     j = np.concatenate([triangles[:, 1], triangles[:, 2], triangles[:, 2]])
-    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    # sorted, then repeats dropped: a plain np.unique would import numpy.ma
+    keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     return np.stack([keys // n, keys % n], axis=1)
 
 

@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import oracles
-from ballwise import cli, evalsim, mesh
+from ballwise import cli, evalsim, mesh, permute
 from ballwise.cli import _balls_csv, main
 from ballwise.domain import (
     ProductDomain,
@@ -182,7 +182,11 @@ class TestTestCommand:
         def out_of_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, name, out_of_memory)
+        # patched in the module the CLI looks the name up in when it runs
+        module = {
+            "run_inference": permute, "adjusted_from_ballwise": permute, "run_scenario": evalsim
+        }.get(name, cli)
+        monkeypatch.setattr(module, name, out_of_memory)
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: out of memory during {stage}\n"
 
@@ -353,6 +357,22 @@ class TestMalformedInputs:
         )
         err = run_test(tmp_path, config, capsys)
         assert "truncated" in err or "expected 144 entries" in err
+
+    @pytest.mark.parametrize("value, message", [
+        ("nope.bin", "distance_cache file not found: nope.bin"),
+        (5, "distance_cache must be a file path, got 5"),
+        ("", "distance_cache must be a file path, got ''"),
+        (None, "distance_cache must be a file path, got None"),
+    ], ids=["missing-file", "int", "empty", "null"])
+    def test_unusable_distance_cache(self, tmp_path, capsys, monkeypatch, value, message):
+        # such a cache used to be skipped (every distance recomputed, exit 0),
+        # and os.path.exists took an integer for an open file descriptor
+        monkeypatch.chdir(tmp_path)
+        config = edit_config(
+            write_test_setup(tmp_path),
+            lambda c: c["domain"]["components"][0].update(distance_cache=value),
+        )
+        assert f"error: domain.components[0]: {message}\n" == run_test(tmp_path, config, capsys)
 
     def test_truncated_signal_bin(self, tmp_path, capsys):
         config = write_test_setup(tmp_path)
@@ -685,6 +705,42 @@ class TestAdjust:
             return rows
 
         assert self.adjust_rewritten_balls(tmp_path, corrupt) == 2
+
+    def test_p_ball_parse_holds_no_object_per_ball(self, tmp_path):
+        # one dict per ball took about 700 bytes a ball; the float64 column
+        # itself is 8
+        n = 100_000
+        path = tmp_path / "balls.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("ball_id,center_0,radius_0,inner_radius_0,T_ball_obs,p_ball\r\n")
+            fh.writelines(
+                f"{i},{i % 97},0.25,0.125,1.5,{(i + 1) / n!r}\r\n" for i in range(n)
+            )
+        tracemalloc.start()
+        try:
+            p_ball = cli._read_p_ball(str(path), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(p_ball, (np.arange(n) + 1) / n)
+        assert peak <= 24 * n
+
+    @pytest.mark.parametrize("rewrite, message", [
+        (lambda rows: rows[:-1], "36 balls but the re-enumerated family has 37"),
+        (lambda rows: rows + [rows[-1]], "38 balls but the re-enumerated family has 37"),
+        # a count mismatch is named before a bad number
+        (lambda rows: rows[:3] + [rows[3][:-1]] + rows[4:-1], "36 balls"),
+        (lambda rows: rows[:3] + [rows[3][:-1]] + rows[4:], "p_ball values must be numbers"),
+        # blank lines are not rows
+        (lambda rows: rows[:5] + [[]] + rows[5:], None),
+    ], ids=["short-file", "long-file", "short-row-and-file", "short-row", "blank-line"])
+    def test_balls_file_shape(self, tmp_path, capsys, rewrite, message):
+        code = self.adjust_rewritten_balls(tmp_path, rewrite)
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and message in err
 
 
 class TestSimulate:

@@ -31,13 +31,22 @@ def test_every_exported_name_resolves(name):
 
 
 SPARSE_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy.sparse'))"
+# the layers past the mesh, which the commands that only need a mesh must not load
+LAYER_MODULES = {"ballwise.domain", "ballwise.glm", "ballwise.permute", "ballwise.evalsim"}
+
+
+def python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with this checkout's ``src`` on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd)
 
 
 def run_python(code: str, cwd=None) -> str:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, cwd=cwd, check=True).stdout
+    done = python("-c", code, cwd=cwd)
+    done.check_returncode()
+    return done.stdout
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
@@ -47,7 +56,7 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only the manifest needs scipy, for its version
+    # no command imports scipy: the manifest reads its version from a file
     out = run_python("import sys, ballwise.cli; print('scipy' in sys.modules)")
     assert out.strip() == "False"
 
@@ -93,13 +102,32 @@ def cli_runs(tmp_path_factory):
     ["tessellate", "--order", "3", "--out", "m3.off"],
 ], ids=["test", "test-cached", "adjust", "simulate", "distances", "tessellate"])
 def test_cli_commands_leave_scipy_sparse_unloaded(cli_runs, args):
-    # the shortest paths and connectivity checks are numpy; scipy.sparse
-    # would cost every run a slow import
+    # the shortest paths are numpy, the manifest reads scipy's version from a
+    # file, and np.unique and np.isin (which import numpy.ma) are avoided:
+    # each of these imports would cost every run more than a small command
     out = run_python(
-        f"import sys; from ballwise.cli import main; print(main({args!r}), {SPARSE_MODULES})",
+        f"import json, sys; from ballwise.cli import main; "
+        f"print(json.dumps([main({args!r}), list(sys.modules)]))",
         cwd=cli_runs,
     )
-    assert out.splitlines()[-1] == "0 []"
+    code, loaded = json.loads(out.splitlines()[-1])
+    assert code == 0
+    assert [m for m in loaded if m.split(".")[0] == "scipy" or m == "numpy.ma"] == []
+    if args[0] in ("tessellate", "distances"):
+        assert not LAYER_MODULES & set(loaded)
+
+
+def test_cli_entry_point(tmp_path):
+    # python -m ballwise.cli, which freezes the GC before main, as the
+    # installed script does
+    done = python("-m", "ballwise.cli", "tessellate", "--order", "2", "--out", "m.off",
+                  cwd=tmp_path)
+    assert done.returncode == 0
+    assert done.stdout == "wrote icosphere order 2: 42 vertices, 80 faces -> m.off\n"
+    assert (tmp_path / "m.off").exists()
+    failed = python("-m", "ballwise.cli", "test", "--config", "missing.json", cwd=tmp_path)
+    assert failed.returncode == 2
+    assert failed.stderr == "error: config file not found: missing.json\n"
 
 
 def test_manifest_records_the_scipy_version(cli_runs):
