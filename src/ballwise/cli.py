@@ -14,11 +14,9 @@ import argparse
 import contextlib
 import csv
 import gc
-import hashlib
 import importlib.util
 import io
 import itertools
-import json
 import math
 import os
 import platform
@@ -171,6 +169,8 @@ def _seed(value, what: str) -> int:
 
 
 def _load_json(path: str) -> dict:
+    import json
+
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -189,7 +189,7 @@ def _load_mesh(path: str, where: str, edge_lengths=None):
         m = load_mesh(path)
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from None
-    if edge_lengths:
+    if edge_lengths is not None:
         if not os.path.exists(edge_lengths):
             raise ConfigError(f"{where}edge-length file not found: {edge_lengths}")
         try:
@@ -197,6 +197,19 @@ def _load_mesh(path: str, where: str, edge_lengths=None):
         except ValueError as exc:
             raise ConfigError(f"{where}{exc}") from None
     return m
+
+
+def _file_key(section: dict, key: str, where: str) -> str | None:
+    """The path a component's optional file key names, None without the key;
+    anything but the path of an existing file is a ``ConfigError``."""
+    if key not in section:
+        return None
+    path = section[key]
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"{where}: {key} must be a file path, got {path!r}")
+    if not os.path.exists(path):
+        raise ConfigError(f"{where}: {key} file not found: {path}")
+    return path
 
 
 def _build_component(section: dict, where: str):
@@ -214,19 +227,14 @@ def _build_component(section: dict, where: str):
     if kind == "mesh":
         if "path" not in section:
             raise ConfigError(f"{where}: mesh component needs a 'path'")
-        m = _load_mesh(section["path"], f"{where}: ", section.get("edge_lengths"))
+        edge_lengths = _file_key(section, "edge_lengths", where)
+        m = _load_mesh(section["path"], f"{where}: ", edge_lengths)
         try:
             m.compute_weights()
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        if "distance_cache" in section:
-            cache = section["distance_cache"]
-            if not isinstance(cache, str) or not cache:
-                raise ConfigError(
-                    f"{where}: distance_cache must be a file path, got {cache!r}"
-                )
-            if not os.path.exists(cache):
-                raise ConfigError(f"{where}: distance_cache file not found: {cache}")
+        cache = _file_key(section, "distance_cache", where)
+        if cache is not None:
             try:
                 m.distances = load_distance_cache(cache, limit=cap)
             except ValueError as exc:
@@ -272,31 +280,20 @@ def _build_component(section: dict, where: str):
 
 
 def _build_domain(config: dict):
-    from .domain import DEFAULT_MAX_BALLS, ProductDomain
+    from .domain import ProductDomain
 
-    if "max_memberships" in config:
-        raise ConfigError(
-            "domain: max_memberships is no longer supported; the family size "
-            "limit is max_balls, a number of balls"
-        )
-    _check_keys(config, {"components", "max_balls"}, {"components"}, "domain")
-    max_balls = _positive_int(
-        config.get("max_balls", DEFAULT_MAX_BALLS), "domain: max_balls"
-    )
-    comps = [
+    retired = ("max_balls", "max_memberships")
+    _check_keys(config, {"components", *retired}, {"components"}, "domain")
+    for key in retired:
+        if key in config:
+            raise ConfigError(
+                f"domain: {key} is no longer supported; the family's memory "
+                "limit is now worked out from the machine's memory"
+            )
+    return ProductDomain([
         _build_component(c, f"domain.components[{i}]")
         for i, c in enumerate(config["components"])
-    ]
-    return ProductDomain(comps), max_balls
-
-
-def _enumerate_family(domain, max_balls: int):
-    from .domain import FamilyTooLargeError, enumerate_family
-
-    try:
-        return enumerate_family(domain, max_balls)
-    except FamilyTooLargeError as exc:
-        raise ConfigError(f"{exc}, or raise domain.max_balls") from None
+    ])
 
 
 def _load_signals(section: dict):
@@ -381,11 +378,6 @@ def _build_plan(section: dict, seed_override):
     return plan, alpha
 
 
-def _config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 def _scipy_version() -> str:
     """``scipy.__version__``, read from ``scipy/version.py``: importing scipy
     itself would cost a run more than a small command's own work."""
@@ -396,12 +388,16 @@ def _scipy_version() -> str:
 
 
 def _manifest(config: dict, plan, family, stages: Stages) -> str:
+    import hashlib
+    import json
+
     from .permute import RNG_ALGORITHM
 
     seconds = stages.seconds()
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return json.dumps(
         {
-            "config_sha256": _config_hash(config),
+            "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
             "seed": plan.seed,
             "permutations": plan.n_permutations,
             "scheme": plan.scheme,
@@ -533,6 +529,7 @@ def _load_test_config(path: str):
 
 
 def cmd_test(args) -> int:
+    from .domain import enumerate_family
     from .permute import run_inference
 
     config = _load_test_config(args.config)
@@ -541,7 +538,7 @@ def cmd_test(args) -> int:
 
     stages = Stages()
     with stages("build"):
-        domain, max_balls = _build_domain(config["domain"])
+        domain = _build_domain(config["domain"])
         Y = _load_signals(config["data"])
         if Y.shape[1] != domain.size:
             raise ConfigError(
@@ -556,7 +553,7 @@ def cmd_test(args) -> int:
             )
         plan, alpha = _build_plan(config["inference"], _seed_override(args.seed))
     with stages("enumerate"):
-        family = _enumerate_family(domain, max_balls)
+        family = enumerate_family(domain)
     with stages("inference"):
         result = run_inference(Y, design, hyp, family, plan)
 
@@ -630,14 +627,15 @@ def _read_p_ball(path: str, n_balls: int) -> np.ndarray:
 
 
 def cmd_adjust(args) -> int:
+    from .domain import enumerate_family
     from .permute import adjusted_from_ballwise
 
     config = _load_test_config(args.config)
     stages = Stages()
     with stages("build"):
-        domain, max_balls = _build_domain(config["domain"])
+        domain = _build_domain(config["domain"])
     with stages("enumerate"):
-        family = _enumerate_family(domain, max_balls)
+        family = enumerate_family(domain)
     caps = []
     for tok in args.caps.split(","):
         try:
@@ -688,6 +686,10 @@ def _scenario_from_config(section: dict, idx: int):
     order = section.get("icosphere_order")
     if order is not None:
         _positive_int(order, f"{where}: icosphere_order")
+    if "mesh_path" in section and "icosphere_radius" in section:
+        raise ConfigError(
+            f"{where}: icosphere_radius applies to an icosphere_order mesh, not to mesh_path"
+        )
 
     def number(key, default):
         return _finite_number(section.get(key, default), f"{where}: {key}")
@@ -744,7 +746,6 @@ def _apply_truth(cfg, section: dict, mesh, idx: int):
 
 
 def cmd_simulate(args) -> int:
-    from .domain import FamilyTooLargeError
     from .evalsim import run_scenario
 
     config = _load_json(args.config)
@@ -766,11 +767,8 @@ def cmd_simulate(args) -> int:
                 raise ConfigError(f"scenario[{idx}]: {exc}") from None
         mesh = mesh_cache[key]
         _apply_truth(cfg, section, mesh, idx)
-        try:
-            with stages("simulation"):
-                rates = run_scenario(cfg, mesh=mesh)
-        except FamilyTooLargeError as exc:
-            raise ConfigError(f"scenario[{idx}]: {exc}") from None
+        with stages("simulation"):
+            rates = run_scenario(cfg, mesh=mesh)
         writer.writerow(
             [
                 cfg.scenario_id,
@@ -844,7 +842,10 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         if isinstance(exc, (ConfigError, FileNotFoundError, PermissionError)):
             return EXIT_CONFIG
-        return EXIT_COMPUTE  # computation failure
+        # raised only by a command that enumerates a family, and so loaded domain
+        from .domain import FamilyTooLargeError
+
+        return EXIT_CONFIG if isinstance(exc, FamilyTooLargeError) else EXIT_COMPUTE
 
 
 def entry_point() -> None:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import resource
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,17 +37,17 @@ __all__ = [
     "interval_component",
     "enumerate_component_balls",
     "enumerate_family",
+    "memory_bound",
+    "memory_limit",
     "FamilyTooLargeError",
 ]
 
-# Cap on the number of product balls of a family. Inference keeps a few
-# 8-byte values per ball (observed statistic, p-value) and up to 12 bytes per
-# slot of the (L, n, ...) slot grid of the last integrated component's sorted
-# rows (the observed sums, turned into tie floors in place, and the int32
-# exceedance counts; then the p-values), one to two slots per ball on the
-# meshes measured, and balls.csv formats a row per ball, so 10 M balls take
-# on the order of a gigabyte.
-DEFAULT_MAX_BALLS = 10_000_000
+# Working memory of one chunk of permutations: the tile buffers of ball
+# counting (tile_bytes(), the same for every chunk) and, per permutation,
+# column_bytes or the stat kernel's temporaries (KERNEL_FIELDS fields),
+# whichever is more. Larger domains get smaller chunks.
+CHUNK_BYTES = 64 * 2**20
+KERNEL_FIELDS = 5
 
 # Prefix sums run over tiles of sorted rows, long rows split into spans of
 # positions, with TILE_ADD_VALUES values per add where the tile allows, which
@@ -500,28 +502,16 @@ class AdjustmentFamily:
         an upper estimate, all float64: the field itself, and in each
         component's pass its input, weighted copy, slot grid and ball sums,
         the last pass having no output, since it counts in its tiles. The
-        tiles' buffers are ``tile_bytes`` in all, unless one row of a pass
+        tiles' buffers are ``tile_bytes()`` in all, unless one row of a pass
         holds more than TILE_MAX_VALUES; four such rows per field count here."""
-        m = self.domain.size
-        axes = self._integration_axes()
-        held, a = [], m
-        for i, c in enumerate(axes):
-            balls = self.component_balls[c]
-            row = a // len(balls.order)
-            b = row * (balls.order.size + len(balls)) if i + 1 < len(axes) else 0
-            # the first pass's input is the field
-            held.append((a if i else 0) + a + row + b + 4 * row)
-            a = row * len(balls)
-        return 8 * (m + max(held))
+        balls = [self.component_balls[c] for c in self._integration_axes()]
+        return _column_bytes(self.domain.size, [(*b.order.shape, len(b)) for b in balls])
 
-    @property
-    def tile_bytes(self) -> int:
-        """Bytes of the tile buffers of one ``count_exceedances`` call, on top
-        of ``column_bytes`` per field: five of TILE_MAX_VALUES 8-byte values
-        (the gathered block, its carry, the index copy, the comparison padded
-        to whole words, 8 bytes per value for a single field, and the lane
-        words), and numpy's iteration buffers, at most three."""
-        return 8 * (5 * TILE_MAX_VALUES + 3 * np.getbufsize())
+    def chunk_size(self, most: int) -> int:
+        """Permutations per chunk: ``most``, fewer when their working memory
+        and the tiles would pass CHUNK_BYTES, and at least one."""
+        per_field = max(self.column_bytes, KERNEL_FIELDS * 8 * self.domain.size)
+        return max(1, min(most, (CHUNK_BYTES - tile_bytes()) // per_field))
 
     def _integrate_axes(self, fields: np.ndarray, axes) -> np.ndarray:
         """The (n_1, ..., n_L, B) tensor of a stat field (m,) or a stack
@@ -618,24 +608,84 @@ class AdjustmentFamily:
         return functools.reduce(np.logical_and.outer, per_component).ravel()
 
 
+def _column_bytes(m: int, parts: list[tuple[int, int, int]]) -> int:
+    """``column_bytes`` on m points of components (rows, row length, balls),
+    in integration order."""
+    held, a = [], m
+    for i, (n, L, balls) in enumerate(parts):
+        row = a // n
+        b = row * (n * L + balls) if i + 1 < len(parts) else 0
+        # the first pass's input is the field
+        held.append((a if i else 0) + a + row + b + 4 * row)
+        a = row * balls
+    return 8 * (m + max(held))
+
+
+def tile_bytes() -> int:
+    """Bytes of the tile buffers of one ``count_exceedances`` call, on top of
+    ``column_bytes`` per field: five of TILE_MAX_VALUES 8-byte values (the
+    gathered block, its carry, the index copy, the comparison padded to whole
+    words, 8 bytes per value for a single field, and the lane words), and
+    numpy's iteration buffers, at most three."""
+    return 8 * (5 * TILE_MAX_VALUES + 3 * np.getbufsize())
+
+
+def memory_bound(d: ProductDomain) -> int:
+    """An upper bound, worked out before anything is enumerated, on the bytes
+    that the family of ``d`` and inference on it hold at once.
+
+    A component's balls are at most its slots where a row's distance grows.
+    Its family holds 12 bytes per row entry, 13 per slot (``order``, ``kept``,
+    enumeration's inner radii) and 8 per ball. On the last integrated
+    component's slot grid, counting holds 12 bytes per slot (tie floors, int32
+    counts) and a chunk of permutations, covering 9 (p-values, unkept mask);
+    both hold 8 or 16 bytes per product ball in ball order.
+    """
+    parts, family = [], 0
+    for g in d.components:
+        values = g.rows.values
+        # every row end, and at most every rise between two entries
+        balls = g.size + int(np.count_nonzero(values[1:] > values[:-1]))
+        L = int(np.diff(g.rows.indptr).max())
+        parts.append((g.size, L, balls))
+        family += 12 * len(values) + 13 * g.size * L + 8 * balls
+    parts.sort(key=lambda part: part[1])  # integration order: shortest rows first
+    n_balls = math.prod(balls for _, _, balls in parts)
+    n, L, balls = parts[-1]
+    slots = n * L * (n_balls // balls)
+    per_field = max(_column_bytes(d.size, parts), KERNEL_FIELDS * 8 * d.size)
+    chunk = max(CHUNK_BYTES, per_field + tile_bytes())
+    return family + max(12 * slots + 8 * n_balls + chunk, 9 * slots + 16 * n_balls)
+
+
+def memory_limit() -> int:
+    """The most bytes a family and inference on it may need: half of
+    physical memory, or half of the soft address-space limit when lower."""
+    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    return limit // 2
+
+
 class FamilyTooLargeError(ValueError):
-    """The adjustment family has more balls than the limit allows."""
+    """The family and inference on it would need more memory than the limit."""
 
 
-def enumerate_family(
-    d: ProductDomain, max_balls: int = DEFAULT_MAX_BALLS
-) -> AdjustmentFamily:
+def enumerate_family(d: ProductDomain) -> AdjustmentFamily:
     """Cartesian products of the per-component ball supports.
 
     Component supports are already deduplicated and products of distinct
-    supports are distinct, so no cross-component dedup is needed. Raises if
-    the family would have more than ``max_balls`` balls.
+    supports are distinct, so no cross-component dedup is needed. Raises,
+    before enumerating anything, when ``memory_bound`` exceeds
+    ``memory_limit``.
     """
-    per_component = [enumerate_component_balls(c) for c in d.components]
-    n_balls = math.prod(len(balls) for balls in per_component)
-    if n_balls > max_balls:
+    need, limit = memory_bound(d), memory_limit()
+    if need > limit:
         raise FamilyTooLargeError(
-            f"adjustment family would have {n_balls} balls (limit {max_balls}); "
-            "use smaller radius caps or a coarser grid"
+            f"the adjustment family and inference on it would need up to "
+            f"{need / 1e6:,.1f} MB, over the limit of {limit / 1e6:,.1f} MB (half of "
+            "physical memory or of the address-space limit); use smaller radius "
+            "caps or a coarser grid"
         )
-    return AdjustmentFamily(d, per_component)
+    return AdjustmentFamily(d, [enumerate_component_balls(c) for c in d.components])

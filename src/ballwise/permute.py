@@ -38,16 +38,7 @@ __all__ = [
 # numpy's default bit generator; recorded in run manifests for reproducibility
 RNG_ALGORITHM = "PCG64"
 
-# Working memory of one chunk of permutations: the tile buffers of ball
-# counting (the family's tile_bytes, the same for every chunk) and, per
-# permutation, the family's column_bytes or the stat kernel's temporaries (at
-# most five fields), whichever is more. Larger domains get smaller chunks.
-CHUNK_BYTES = 64 * 2**20
-
-# The stat kernel's temporaries per permutation, in fields.
-KERNEL_FIELDS = 5
-
-# Permutations per chunk, fewer when CHUNK_BYTES binds.
+# Permutations per chunk, fewer when the family's chunk_size says so.
 CHUNK_PERMUTATIONS = 32
 
 SCHEMES = ("freedman_lane", "raw_label_permutation")
@@ -62,9 +53,9 @@ class PermutationPlan:
     """How to generate the permutation null.
 
     ``null_design`` is the reduced design matrix under the null for the
-    Freedman-Lane scheme (defaults to intercept-only). ``permutations`` may
-    carry explicit row permutations (B x N), overriding random generation;
-    used for exhaustive enumeration on small problems.
+    Freedman-Lane scheme (defaults to intercept-only), and only for it.
+    ``permutations`` may carry explicit row permutations (B x N), overriding
+    random generation; used for exhaustive enumeration on small problems.
     """
 
     n_permutations: int
@@ -82,6 +73,8 @@ class PermutationPlan:
         if self.n_permutations < 1:
             raise ValueError("need at least one permutation")
         if self.null_design is not None:
+            if self.scheme != "freedman_lane":
+                raise ValueError("null_design applies only to the freedman_lane scheme")
             self.null_design = np.asarray(self.null_design, dtype=float)
 
 
@@ -141,7 +134,10 @@ def adjusted_from_ballwise(
 
 
 def _p_from_counts(counts: np.ndarray, n_permutations: int) -> np.ndarray:
-    return (1.0 + counts) / (n_permutations + 1.0)
+    # in place, so a slot grid of counts gets no temporary beside p
+    p = np.add(counts, 1.0)
+    p /= n_permutations + 1.0
+    return p
 
 
 @dataclass
@@ -170,19 +166,20 @@ def run_inference(
     """Full pipeline: permutation null, p-values, sup adjustment.
 
     Permutations are processed in chunks of at most ``CHUNK_PERMUTATIONS``,
-    fewer when a chunk would need more than ``CHUNK_BYTES``. A chunk's fields
-    come from one ``StatKernel`` call, and ``count_exceedances`` adds them to
-    the counts one integration tile at a time. Everything per ball lies on
-    the slot grid of the family's last integrated component
-    (``integrated_slots``), as each tile's running sums do: the observed
-    sums, turned into tie floors in place one slot position at a time, the
-    int32 counts, then the p-values, which ``cover`` turns into the adjusted
-    field in place. The observed sums and the p-values are each read in ball
-    order once (``ball_values``); nothing goes back from ball order to the
-    grid. The loop holds the floors, the counts and one tile of at most
-    ``TILE_MAX_VALUES`` values, never a permuted statistic per ball. The
-    Freedman-Lane scheme permutes the reduced-model residual rows and adds
-    back the reduced-model fits; the raw scheme permutes observation rows.
+    fewer when a chunk would need more than ``domain.CHUNK_BYTES``
+    (``family.chunk_size``). A chunk's fields come from one ``StatKernel``
+    call, and ``count_exceedances`` adds them to the counts one integration
+    tile at a time. Everything per ball lies on the slot grid of the family's
+    last integrated component (``integrated_slots``), as each tile's running
+    sums do: the observed sums, turned into tie floors in place one slot
+    position at a time, the int32 counts, then the p-values, which ``cover``
+    turns into the adjusted field in place. The observed sums and the
+    p-values are each read in ball order once (``ball_values``); nothing goes
+    back from ball order to the grid. The loop holds the floors, the counts
+    and one tile of at most ``TILE_MAX_VALUES`` values, never a permuted
+    statistic per ball. The Freedman-Lane scheme permutes the reduced-model
+    residual rows and adds back the reduced-model fits; the raw scheme
+    permutes observation rows.
     """
     Y = np.asarray(signals, dtype=float)
     perms = generate_permutations(plan, Y.shape[0])
@@ -201,9 +198,7 @@ def run_inference(
     for j in range(len(floor_slots)):
         _tie_floor(floor_slots[j], out=floor_slots[j])
 
-    per_field = max(family.column_bytes, KERNEL_FIELDS * 8 * T_obs.shape[0])
-    chunk_size = (CHUNK_BYTES - family.tile_bytes) // per_field
-    chunk_size = max(1, min(CHUNK_PERMUTATIONS, chunk_size))
+    chunk_size = family.chunk_size(CHUNK_PERMUTATIONS)
     point_counts = np.zeros(T_obs.shape[0], dtype=np.int64)
     # B < 2**31: the (B, N) permutations could not be held long before that
     count_slots = np.zeros(floor_slots.shape, dtype=np.int32)

@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 import math
 import platform
@@ -10,7 +9,7 @@ import pytest
 import scipy
 
 import oracles
-from ballwise import cli, evalsim, mesh, permute
+from ballwise import cli, domain, evalsim, mesh, permute
 from ballwise.cli import _balls_csv, main
 from ballwise.domain import (
     ProductDomain,
@@ -151,7 +150,7 @@ class TestTestCommand:
     @pytest.mark.parametrize(
         "command, name, stage",
         [
-            ("test", "_enumerate_family", "enumerate"),
+            ("test", "enumerate_family", "enumerate"),
             ("test", "run_inference", "inference"),
             ("test", "_pointwise_csv", "write"),
             ("adjust", "_build_domain", "build"),
@@ -184,7 +183,8 @@ class TestTestCommand:
 
         # patched in the module the CLI looks the name up in when it runs
         module = {
-            "run_inference": permute, "adjusted_from_ballwise": permute, "run_scenario": evalsim
+            "enumerate_family": domain, "run_inference": permute,
+            "adjusted_from_ballwise": permute, "run_scenario": evalsim,
         }.get(name, cli)
         monkeypatch.setattr(module, name, out_of_memory)
         assert main(argv) == 1
@@ -374,6 +374,24 @@ class TestMalformedInputs:
         )
         assert f"error: domain.components[0]: {message}\n" == run_test(tmp_path, config, capsys)
 
+    @pytest.mark.parametrize("value, message", [
+        ("nope.csv", "edge_lengths file not found: nope.csv"),
+        (5, "edge_lengths must be a file path, got 5"),
+        (0, "edge_lengths must be a file path, got 0"),
+        ("", "edge_lengths must be a file path, got ''"),
+        (False, "edge_lengths must be a file path, got False"),
+        (None, "edge_lengths must be a file path, got None"),
+    ], ids=["missing-file", "int", "zero", "empty", "false", "null"])
+    def test_unusable_edge_lengths(self, tmp_path, capsys, monkeypatch, value, message):
+        # 0, "" and false used to be skipped (the OFF lengths used, exit 0),
+        # and os.path.exists took a non-zero integer for an open file descriptor
+        monkeypatch.chdir(tmp_path)
+        config = edit_config(
+            write_test_setup(tmp_path),
+            lambda c: c["domain"]["components"][0].update(edge_lengths=value),
+        )
+        assert f"error: domain.components[0]: {message}\n" == run_test(tmp_path, config, capsys)
+
     def test_truncated_signal_bin(self, tmp_path, capsys):
         config = write_test_setup(tmp_path)
         signals = tmp_path / "signals.bin"
@@ -515,9 +533,18 @@ class TestMalformedInputs:
         assert "at least 3 observations" in run_test(tmp_path, config, capsys)
 
 
+def limit_memory(monkeypatch, fraction):
+    """Set the family's memory limit to ``fraction`` of the bound of the
+    order-1 full-cap domain of ``write_test_setup``, and return the bound."""
+    bound = domain.memory_bound(ProductDomain([mesh_component(build_icosphere(1))]))
+    monkeypatch.setattr(domain, "memory_limit", lambda: int(bound * fraction))
+    return bound
+
+
 class TestFamilyGuard:
-    """domain.max_balls: a positive integer; over-limit families exit 2. A
-    component's radius_cap: a JSON number or "inf"."""
+    """The family's memory limit, worked out from the machine: over-limit
+    families exit 2 before anything is enumerated, and the retired size keys
+    exit 2. A component's radius_cap: a JSON number or "inf"."""
 
     @staticmethod
     def run_with_domain_key(tmp_path, key, value, command="test", component=None):
@@ -535,20 +562,42 @@ class TestFamilyGuard:
              "--caps", "inf", "--out-dir", str(tmp_path / "a")]
         )
 
-    @pytest.mark.parametrize("value", ["abc", -5, 0, True, 2.5, None])
+    @pytest.mark.parametrize("value", ["abc", -5, 0, True, 2.5, None, 10_000_000])
     def test_bad_value(self, tmp_path, value, capsys):
+        # max_balls is retired: no value of it is accepted
         assert self.run_with_domain_key(tmp_path, "max_balls", value) == 2
-        assert "max_balls must be a positive integer" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: domain: max_balls is no longer supported; the family's memory "
+            "limit is now worked out from the machine's memory\n"
+        )
 
     @pytest.mark.parametrize("command", ["test", "adjust"])
-    def test_over_limit_family(self, tmp_path, command, capsys):
-        # the order-1 full-cap family has 37 balls
-        assert self.run_with_domain_key(tmp_path, "max_balls", 36, command) == 2
+    def test_over_limit_family(self, tmp_path, command, capsys, monkeypatch):
+        bound = limit_memory(monkeypatch, 0.5)
+        assert self.run_with_domain_key(tmp_path, "radius_cap", "inf", command, 0) == 2
         err = capsys.readouterr().err
-        assert "37 balls (limit 36)" in err and "domain.max_balls" in err
+        assert f"would need up to {bound / 1e6:,.1f} MB" in err
+        assert f"over the limit of {int(bound * 0.5) / 1e6:,.1f} MB" in err
 
-    def test_at_limit_runs(self, tmp_path):
-        assert self.run_with_domain_key(tmp_path, "max_balls", 37) == 0
+    def test_at_limit_runs(self, tmp_path, monkeypatch):
+        limit_memory(monkeypatch, 1.0)
+        assert self.run_with_domain_key(tmp_path, "radius_cap", "inf", component=0) == 0
+
+    @pytest.mark.parametrize("command", ["test", "adjust", "simulate"])
+    def test_refused_before_enumeration(self, tmp_path, command, capsys, monkeypatch):
+        enumerated = []
+        monkeypatch.setattr(domain, "enumerate_component_balls", enumerated.append)
+        limit_memory(monkeypatch, 0.99)
+        if command == "simulate":
+            sweep = tmp_path / "sweep.json"
+            sweep.write_text(json.dumps([{"icosphere_order": 1, "n_samples": 8,
+                                          "permutations": 9, "replicates": 1, "seed": 1}]))
+            code = main(["simulate", "--config", str(sweep), "--out", str(tmp_path / "r.csv")])
+        else:
+            code = self.run_with_domain_key(tmp_path, "radius_cap", "inf", command, 0)
+        assert code == 2
+        assert "over the limit of" in capsys.readouterr().err
+        assert enumerated == []
 
     @pytest.mark.parametrize("command", ["test", "adjust"])
     @pytest.mark.parametrize("value", [True, "0.5", None, "Infinity", "nan"])
@@ -562,7 +611,9 @@ class TestFamilyGuard:
 
     def test_old_key_rejected(self, tmp_path, capsys):
         assert self.run_with_domain_key(tmp_path, "max_memberships", 50_000_000) == 2
-        assert "max_balls" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "domain: max_memberships is no longer supported" in err
+        assert "worked out from the machine's memory" in err
 
 
 class TestAdjust:
@@ -768,16 +819,16 @@ class TestSimulate:
             assert 0.0 <= float(rows[0][key]) <= 1.0
 
     def test_over_limit_family(self, tmp_path, monkeypatch, capsys):
-        # the order-1 full-cap family has 37 balls
-        monkeypatch.setattr(
-            evalsim, "enumerate_family", functools.partial(enumerate_family, max_balls=5)
-        )
+        bound = limit_memory(monkeypatch, 0.5)
         sweep = [{"icosphere_order": 1, "n_samples": 8, "permutations": 9,
                   "replicates": 1, "seed": 1}]
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(sweep))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
-        assert "37 balls (limit 5)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"would need up to {bound / 1e6:,.1f} MB" in err
+        assert f"over the limit of {int(bound * 0.5) / 1e6:,.1f} MB" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_twelve_scenario_sweep(self, tmp_path):
         sweep = []
@@ -917,6 +968,18 @@ class TestSimulate:
                     "truth": {"type": "cap", "center": 0, "radius": 1.2}}
         change(scenario)
         assert message in self.run_scenario_json(tmp_path, capsys, [scenario])
+
+    def test_icosphere_radius_with_a_mesh_path(self, tmp_path, capsys):
+        # the radius only scales an icosphere the scenario builds; a mesh file
+        # used to run at its own size with the radius ignored
+        mesh_path = tmp_path / "m.off"
+        assert main(["tessellate", "--order", "1", "--out", str(mesh_path)]) == 0
+        scenario = {"mesh_path": str(mesh_path), "icosphere_radius": 2.0, "n_samples": 8,
+                    "permutations": 9, "replicates": 1, "seed": 1}
+        assert self.run_scenario_json(tmp_path, capsys, [scenario]) == (
+            "error: scenario[0]: icosphere_radius applies to an icosphere_order "
+            "mesh, not to mesh_path\n"
+        )
 
     def test_scenario_not_an_object(self, tmp_path, capsys):
         err = self.run_scenario_json(tmp_path, capsys, [5])

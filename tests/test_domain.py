@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import resource
 import tracemalloc
 import warnings
 
@@ -542,7 +544,7 @@ class TestPrefixOperators:
             tracemalloc.stop()
         # an upper estimate, but not a loose one
         per_field = len(fields) * fam.column_bytes
-        assert per_field / 3 < peak <= per_field + fam.tile_bytes
+        assert per_field / 3 < peak <= per_field + domain.tile_bytes()
 
     def test_counting_memory_bounded(self):
         # 314,481 balls, whose statistics for 32 fields alone are 77 MiB
@@ -560,7 +562,7 @@ class TestPrefixOperators:
             finally:
                 tracemalloc.stop()
             # the fields' working memory and the tiles, whatever the ball count
-            bound = len(fields) * fam.column_bytes + fam.tile_bytes
+            bound = len(fields) * fam.column_bytes + domain.tile_bytes()
             assert bound < 12 * 2**20
             assert peak <= bound, B
 
@@ -681,12 +683,24 @@ class TestEnumerateFamily:
             assert key not in seen
             seen.add(key)
 
-    def test_ball_limit(self):
+    def test_memory_limit(self, monkeypatch):
         d = ProductDomain([circle_component(12), interval_component(0.0, 1.0, 3)])
         n_balls = enumerate_family(d).n_balls
-        assert enumerate_family(d, max_balls=n_balls).n_balls == n_balls
-        with pytest.raises(FamilyTooLargeError, match=f"{n_balls} balls"):
-            enumerate_family(d, max_balls=n_balls - 1)
+        bound = domain.memory_bound(d)
+        monkeypatch.setattr(domain, "memory_limit", lambda: bound)
+        assert enumerate_family(d).n_balls == n_balls
+        monkeypatch.setattr(domain, "memory_limit", lambda: bound // 2)
+        with pytest.raises(FamilyTooLargeError, match=f"up to {bound / 1e6:,.1f} MB"):
+            enumerate_family(d)
+
+    def test_memory_limit_from_the_machine(self, monkeypatch):
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        unlimited = resource.RLIM_INFINITY
+        monkeypatch.setattr(resource, "getrlimit", lambda _: (unlimited, unlimited))
+        assert domain.memory_limit() == physical // 2
+        # a soft address-space limit below physical memory binds
+        monkeypatch.setattr(resource, "getrlimit", lambda _: (physical // 3, unlimited))
+        assert domain.memory_limit() == physical // 6
 
     def test_every_point_covered_by_singleton(self, octahedron):
         d = ProductDomain([mesh_component(octahedron), circle_component(3)])

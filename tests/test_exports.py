@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -105,16 +106,18 @@ def test_cli_commands_leave_scipy_sparse_unloaded(cli_runs, args):
     # the shortest paths are numpy, the manifest reads scipy's version from a
     # file, and np.unique and np.isin (which import numpy.ma) are avoided:
     # each of these imports would cost every run more than a small command
+    # the probe prints a Python literal, so that it imports no json itself
     out = run_python(
-        f"import json, sys; from ballwise.cli import main; "
-        f"print(json.dumps([main({args!r}), list(sys.modules)]))",
+        f"import sys; from ballwise.cli import main; "
+        f"print([main({args!r}), list(sys.modules)])",
         cwd=cli_runs,
     )
-    code, loaded = json.loads(out.splitlines()[-1])
+    code, loaded = ast.literal_eval(out.splitlines()[-1])
     assert code == 0
     assert [m for m in loaded if m.split(".")[0] == "scipy" or m == "numpy.ma"] == []
     if args[0] in ("tessellate", "distances"):
-        assert not LAYER_MODULES & set(loaded)
+        # nor do they read a config or write a manifest
+        assert not (LAYER_MODULES | {"json", "hashlib"}) & set(loaded)
 
 
 def test_cli_entry_point(tmp_path):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ballwise import permute
+from ballwise import domain, permute
 from ballwise.domain import (
     AdjustmentFamily,
     ProductDomain,
@@ -120,6 +120,12 @@ class TestPermuteOnce:
             Y, PermutationPlan(1, null_design=np.ones((6, 1))), perm
         )
         np.testing.assert_allclose(default, explicit, atol=1e-12)
+
+    def test_null_design_needs_freedman_lane(self):
+        # the raw scheme permutes the signals themselves; a reduced design
+        # given with it used to be dropped without a word
+        with pytest.raises(ValueError, match="only to the freedman_lane scheme"):
+            PermutationPlan(1, scheme="raw_label_permutation", null_design=np.ones((4, 1)))
 
     def test_rank_deficient_null_design(self):
         Y = np.zeros((4, 2))
@@ -455,8 +461,8 @@ class TestEngineProperties:
 
         monkeypatch.setattr(AdjustmentFamily, "integrated_slots", spy_integrate)
         monkeypatch.setattr(AdjustmentFamily, "count_exceedances", spy_count)
-        per_field = max(fam.column_bytes, permute.KERNEL_FIELDS * 8 * d.size)
-        monkeypatch.setattr(permute, "CHUNK_BYTES", fam.tile_bytes + 3 * per_field + 7)
+        per_field = max(fam.column_bytes, domain.KERNEL_FIELDS * 8 * d.size)
+        monkeypatch.setattr(domain, "CHUNK_BYTES", domain.tile_bytes() + 3 * per_field + 7)
         assert run_inference(Y, design, hyp, fam, plan).p.tobytes() == ref
         assert stacked == [0] + [3] * 15
 
@@ -501,6 +507,42 @@ class TestEngineProperties:
             tracemalloc.stop()
         assert fam.n_balls == 5_961_058
         assert peak <= 3.0 * 8 * fam.domain.size**2
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("shape", [
+        "mesh_circle", "sphere25", "simulate_fullcap", "order16_full_cap"
+    ])
+    def test_memory_bound_holds_the_peak(self, shape):
+        # the benchmark's domain shapes, statistics and schemes, and the full
+        # cap at order 16; B = 64 runs two full chunks
+        N, statistic, scheme = 20, "t_two_sample_sq", "raw_label_permutation"
+        if shape == "mesh_circle":
+            components = [mesh_component(build_icosphere(4), 0.5), circle_component(12, 12.0, 2.5)]
+        elif shape == "sphere25":
+            components = [mesh_component(build_icosphere(25), 0.06)]
+            N, statistic, scheme = 30, "t_trend_cutoff", "freedman_lane"
+        else:
+            components = [mesh_component(build_icosphere(5 if shape == "simulate_fullcap" else 16))]
+        d = ProductDomain(components)
+        bound = domain.memory_bound(d)
+        Y = np.random.default_rng(19).standard_normal((N, d.size))
+        if statistic == "t_trend_cutoff":
+            design = DesignSpec(covariates=np.arange(float(N)))
+        else:
+            design = DesignSpec(group_labels=[0] * (N // 2) + [1] * (N // 2))
+        plan = PermutationPlan(64, seed=11, scheme=scheme)
+        tracemalloc.start()
+        try:
+            fam = enumerate_family(d)
+            run_inference(Y, design, HypothesisSpec(statistic), fam, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the rows were built before tracing began, and the bound counts them
+        peak += sum(c.rows.indices.nbytes + c.rows.values.nbytes for c in components)
+        assert peak <= bound
+        if shape == "order16_full_cap":
+            assert bound <= 2 * peak
 
     def test_superuniform_pointwise_under_null(self):
         # raw two-sample scheme with iid errors: pointwise p is (super)uniform
