@@ -77,27 +77,21 @@ class Stages:
         }
 
 
-def _atomic_write(path: str, data: str | bytes | Iterable[str]) -> None:
-    """Write ``data`` (text, bytes, or text chunks in order) via temp + rename;
-    on any failure the temp file is removed and ``path`` is left as it was."""
-    _atomic_write_all([(path, data)])
-
-
-def _atomic_write_all(outputs: list[tuple[str, str | bytes | Iterable[str]]]) -> None:
-    """Write each ``(path, data)`` of ``outputs``, all or none: every output
-    goes to a temp file, and the temp files are renamed only once the last is
-    written. On any failure every temp file is removed and every path is left
-    as it was."""
+def _atomic_write(outputs: dict[str, str | bytes | Iterable[str]]) -> None:
+    """Write each path's data (text, bytes, or text chunks in order) of
+    ``outputs``, all or none: every output goes to a temp file, and the temp
+    files are renamed only once the last is written. On any failure every
+    temp file is removed and every path is left as it was."""
     tmps = []
     try:
-        for path, data in outputs:
+        for path, data in outputs.items():
             tmps.append(f"{path}.tmp.{os.getpid()}")
             with open(tmps[-1], "wb" if isinstance(data, bytes) else "w") as fh:
                 if isinstance(data, (str, bytes)):
                     fh.write(data)
                 else:  # a generator of chunks can raise part way through
                     fh.writelines(data)
-        for (path, _), tmp in zip(outputs, tmps):
+        for path, tmp in zip(outputs, tmps):
             os.replace(tmp, path)
     except BaseException:
         for tmp in tmps:
@@ -501,7 +495,7 @@ def cmd_tessellate(args) -> int:
         m = build_icosphere(args.order, args.radius)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _atomic_write(args.out, off_text(m))
+    _atomic_write({args.out: off_text(m)})
     print(f"wrote icosphere order {args.order}: {m.n_vertices} vertices, "
           f"{len(m.triangles)} faces -> {args.out}")
     return EXIT_OK
@@ -512,6 +506,26 @@ def cmd_distances(args) -> int:
     save_distance_cache(m, args.out)
     print(f"wrote {m.n_vertices}x{m.n_vertices} distance cache -> {args.out}")
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _output_dir(path: str):
+    """Make the directory ``path`` and its missing parents, a ``ConfigError``
+    if it cannot be one; if the block raises, remove those made, if empty."""
+    made = [os.path.abspath(path)]
+    while not os.path.lexists(made[-1]):
+        made.append(os.path.dirname(made[-1]))
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror or exc}") from None
+    try:
+        yield
+    except BaseException:
+        for d in made[:-1]:  # deepest first; the last one was there
+            with contextlib.suppress(OSError):
+                os.rmdir(d)
+        raise
 
 
 TEST_SECTIONS = {"domain", "data", "model", "inference", "output"}
@@ -534,41 +548,38 @@ def cmd_test(args) -> int:
 
     config = _load_test_config(args.config)
     out_dir = args.out_dir or config.get("output", {}).get("dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
+    with _output_dir(out_dir):
+        stages = Stages()
+        with stages("build"):
+            domain = _build_domain(config["domain"])
+            Y = _load_signals(config["data"])
+            if Y.shape[1] != domain.size:
+                raise ConfigError(
+                    f"signal matrix has {Y.shape[1]} columns but the domain has "
+                    f"{domain.size} grid points"
+                )
+            design, hyp = _build_model(config["model"])
+            if design.n_obs != Y.shape[0]:
+                raise ConfigError(
+                    f"model: the design has {design.n_obs} observations but the signal "
+                    f"matrix has {Y.shape[0]} rows"
+                )
+            plan, alpha = _build_plan(config["inference"], _seed_override(args.seed))
+        with stages("enumerate"):
+            family = enumerate_family(domain)
+        with stages("inference"):
+            result = run_inference(Y, design, hyp, family, plan)
 
-    stages = Stages()
-    with stages("build"):
-        domain = _build_domain(config["domain"])
-        Y = _load_signals(config["data"])
-        if Y.shape[1] != domain.size:
-            raise ConfigError(
-                f"signal matrix has {Y.shape[1]} columns but the domain has "
-                f"{domain.size} grid points"
-            )
-        design, hyp = _build_model(config["model"])
-        if design.n_obs != Y.shape[0]:
-            raise ConfigError(
-                f"model: the design has {design.n_obs} observations but the signal "
-                f"matrix has {Y.shape[0]} rows"
-            )
-        plan, alpha = _build_plan(config["inference"], _seed_override(args.seed))
-    with stages("enumerate"):
-        family = enumerate_family(domain)
-    with stages("inference"):
-        result = run_inference(Y, design, hyp, family, plan)
+        def manifest():  # formatted last, so its peak RSS covers the other writes
+            yield _manifest(config, plan, family, stages)
 
-    def manifest():  # formatted last, so its peak RSS covers the other writes
-        yield _manifest(config, plan, family, stages)
-
-    with stages("write"):
-        outputs = {
-            "pointwise.csv": _pointwise_csv(domain, result, result.p),
-            "balls.csv": _balls_csv(family, result),
-            "manifest.json": manifest(),
-        }
-        _atomic_write_all(
-            [(os.path.join(out_dir, name), data) for name, data in outputs.items()]
-        )
+        with stages("write"):
+            outputs = {
+                "pointwise.csv": _pointwise_csv(domain, result, result.p),
+                "balls.csv": _balls_csv(family, result),
+                "manifest.json": manifest(),
+            }
+            _atomic_write({os.path.join(out_dir, k): v for k, v in outputs.items()})
     n_sig = int(np.sum(result.p.adjusted <= alpha))
     print(
         f"{domain.size} grid points, {family.n_balls} balls; "
@@ -631,11 +642,6 @@ def cmd_adjust(args) -> int:
     from .permute import adjusted_from_ballwise
 
     config = _load_test_config(args.config)
-    stages = Stages()
-    with stages("build"):
-        domain = _build_domain(config["domain"])
-    with stages("enumerate"):
-        family = enumerate_family(domain)
     caps = []
     for tok in args.caps.split(","):
         try:
@@ -645,24 +651,28 @@ def cmd_adjust(args) -> int:
                 f"--caps: radius_cap must be a number or 'inf', got {tok.strip()!r}"
             ) from None
         caps.append(_positive_cap(cap, "--caps"))
-    if len(caps) != len(domain.components):
-        raise ConfigError(
-            f"--caps has {len(caps)} entries but the domain has "
-            f"{len(domain.components)} components"
-        )
     if not os.path.exists(args.balls):
         raise ConfigError(f"ball p-value file not found: {args.balls}")
-    with stages("adjust"):
-        p_ball = _read_p_ball(args.balls, family.n_balls)
-        mask = family.admissible_mask(caps)
-        adjusted = adjusted_from_ballwise(p_ball, family, ball_mask=mask)
-
     out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with stages("write"):
-        _atomic_write(os.path.join(out_dir, "adjusted.csv"), _adjusted_csv(adjusted))
+    stages = Stages()
+    with _output_dir(out_dir):
+        with stages("build"):
+            domain = _build_domain(config["domain"])
+        if len(caps) != len(domain.components):
+            raise ConfigError(
+                f"--caps has {len(caps)} entries but the domain has "
+                f"{len(domain.components)} components"
+            )
+        with stages("enumerate"):
+            family = enumerate_family(domain)
+        with stages("adjust"):
+            p_ball = _read_p_ball(args.balls, family.n_balls)
+            adjusted = adjusted_from_ballwise(p_ball, family, caps)
+        with stages("write"):
+            _atomic_write({os.path.join(out_dir, "adjusted.csv"): _adjusted_csv(adjusted)})
+    kept = math.prod(int((b.inner_radii < c).sum()) for b, c in zip(family.component_balls, caps))
     print(
-        f"re-adjusted with caps {caps}: {int(mask.sum())}/{family.n_balls} balls "
+        f"re-adjusted with caps {caps}: {kept}/{family.n_balls} balls "
         f"kept -> {os.path.join(out_dir, 'adjusted.csv')}"
     )
     return EXIT_OK
@@ -691,8 +701,6 @@ def _scenario_from_config(section: dict, idx: int):
             f"{where}: icosphere_radius applies to an icosphere_order mesh, not to mesh_path"
         )
 
-    def number(key, default):
-        return _finite_number(section.get(key, default), f"{where}: {key}")
     try:
         cfg = ScenarioConfig(
             n_samples=_positive_int(section["n_samples"], f"{where}: n_samples"),
@@ -701,15 +709,17 @@ def _scenario_from_config(section: dict, idx: int):
             ),
             replicates=_positive_int(section["replicates"], f"{where}: replicates"),
             seed=_seed(section["seed"], f"{where}: seed"),
-            alpha=number("alpha", 0.05),
-            radius_cap=_parse_cap(section.get("radius_cap", "inf"), where),
-            signal_amplitude=number("signal_amplitude", 0.0),
-            noise_bandwidth=number("noise_bandwidth", 0.3),
-            noise_sd=number("noise_sd", 1.0),
             icosphere_order=order,
-            icosphere_radius=number("icosphere_radius", 1.0),
             mesh_path=section.get("mesh_path"),
             scenario_id=str(section.get("id", idx)),
+            # the keys the scenario leaves out take ScenarioConfig's defaults
+            **{
+                key: _parse_cap(value, where) if key == "radius_cap"
+                else _finite_number(value, f"{where}: {key}")
+                for key, value in section.items()
+                if key in ("alpha", "radius_cap", "signal_amplitude", "noise_bandwidth",
+                           "noise_sd", "icosphere_radius")
+            },
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -782,7 +792,7 @@ def cmd_simulate(args) -> int:
         print(f"scenario {cfg.scenario_id}: fwer={rates.fwer:.3f}")
     out = args.out or "simulation_results.csv"
     with stages("write"):
-        _atomic_write(out, buf.getvalue())
+        _atomic_write({out: buf.getvalue()})
     print(f"wrote {len(config)} scenario rows -> {out}")
     return EXIT_OK
 

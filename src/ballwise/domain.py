@@ -17,7 +17,6 @@ coincide.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import resource
@@ -347,14 +346,18 @@ class ComponentBalls:
                 total >>= np.uint64(56)
                 counts[tile] += total.view(np.int64).reshape(span, k, others)
 
-    def cover(self, slots: np.ndarray) -> np.ndarray:
+    def cover(self, slots: np.ndarray, cap: float) -> np.ndarray:
         """Max over the covering balls of a slot grid: (L, n, ...) -> (n, ...).
 
-        Only the kept slots are read; ``slots``, if contiguous, is overwritten.
-        Points covered by no ball get 0, the floor of any p-value.
+        Only the slots of balls whose inner radius is below ``cap`` are read;
+        ``slots``, if contiguous, is overwritten. Points covered by no such
+        ball get 0, the floor of any p-value.
         """
         n, L = self.order.shape
-        slots.swapaxes(0, 1)[~self.kept] = 0
+        dropped = ~self.kept
+        if cap < math.inf:  # else no ball goes, and no bool per ball is made
+            dropped[self.kept] = self.inner_radii >= cap
+        slots[dropped.T] = 0  # in the grid's own order: a cap may drop most slots
         flat = slots.reshape(L, n, -1)
         # the point at position j of a row lies in every prefix of that row
         # ending at or after j
@@ -575,37 +578,29 @@ class AdjustmentFamily:
             np.moveaxis(X, last, 0), floor_slots, count_slots
         )
 
-    def cover(self, slots: np.ndarray) -> np.ndarray:
+    def cover(self, slots: np.ndarray, caps=None) -> np.ndarray:
         """Per grid point, the max over the balls covering it of a slot grid
         (``integrated_slots``' layout, no field axis), which is overwritten.
 
         A max over a product of sets is an iterated max, so each component's
         operator maps its ball axis to its point axis in turn: the last
         integrated one on the slot grid itself, the others on ``to_slots`` of
-        their ball axes. Points covered by no ball get 0.
+        their ball axes. Points covered by no ball get 0. With ``caps``, one
+        per component, each operator drops its balls whose inner radius is not
+        below its cap: as no value is below 0, that drops every product ball
+        that is not admissible under the caps.
         """
-        *axes, last = self._integration_axes()
-        V = np.moveaxis(self.component_balls[last].cover(slots), 0, last)
-        for c in axes:
-            balls = self.component_balls[c]
-            V = np.moveaxis(balls.cover(balls.to_slots(np.moveaxis(V, c, 0))), 0, c)
-        return V.ravel()
-
-    def admissible_mask(self, caps) -> np.ndarray:
-        """Which balls survive under new per-component radius caps.
-
-        A product ball survives when every component's inner radius is
-        strictly below that component's cap.
-        """
-        caps = list(caps)
-        if len(caps) != len(self.domain.components):
+        caps = [math.inf] * len(self.component_balls) if caps is None else list(caps)
+        if len(caps) != len(self.component_balls):
             raise ValueError("one cap per component required")
         if not all(cap > 0 for cap in caps):  # also rejects nan
             raise ValueError("radius caps must be positive (or inf)")
-        per_component = [
-            balls.inner_radii < cap for balls, cap in zip(self.component_balls, caps)
-        ]
-        return functools.reduce(np.logical_and.outer, per_component).ravel()
+        *axes, last = self._integration_axes()
+        V = np.moveaxis(self.component_balls[last].cover(slots, caps[last]), 0, last)
+        for c in axes:
+            balls = self.component_balls[c]
+            V = np.moveaxis(balls.cover(balls.to_slots(np.moveaxis(V, c, 0)), caps[c]), 0, c)
+        return V.ravel()
 
 
 def _column_bytes(m: int, parts: list[tuple[int, int, int]]) -> int:

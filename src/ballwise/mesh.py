@@ -443,14 +443,12 @@ def _search(graph: _Graph, sources, limit, best, mark) -> np.ndarray:
 
 # --- OFF file I/O ------------------------------------------------------------
 
-def load_mesh(path, fmt: str = "OFF") -> TriangulatedManifold:
+def load_mesh(path) -> TriangulatedManifold:
     """Read a mesh from an ASCII OFF file.
 
     Only triangular faces are accepted. Edge lengths default to the embedded
     Euclidean lengths; weights and distances are left uncomputed.
     """
-    if fmt.upper() != "OFF":
-        raise ValueError(f"unsupported mesh format: {fmt}")
     with open(path) as fh:
         text = fh.read()
     if "#" in text:

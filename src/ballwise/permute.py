@@ -12,8 +12,9 @@ tie (``null >= obs - |100 eps obs|``, the rule of scipy's
 ``permutation_test``): ties count as extreme, so statistics that are equal in
 exact arithmetic but were summed in another order are never lost, and p is
 never zero. The adjusted value at a grid point is the maximum ball-wise p over
-all family balls containing the point; since the family always contains every
-singleton, adjusted >= pointwise holds by construction.
+all family balls containing the point. Every point has a singleton ball unless
+another point lies at distance 0 from it, so adjusted >= pointwise holds by
+construction at every point but such coincident ones.
 """
 
 from __future__ import annotations
@@ -116,21 +117,16 @@ class PValueFields:
 
 
 def adjusted_from_ballwise(
-    ballwise_p: np.ndarray, family: AdjustmentFamily, ball_mask: np.ndarray | None = None
+    ballwise_p: np.ndarray, family: AdjustmentFamily, caps=None
 ) -> np.ndarray:
     """Max of the ball-wise p-values over the balls covering each grid point.
 
-    ``ball_mask`` restricts the sup to a sub-family (cap re-adjustment): the
-    p-values of the other balls are zeroed, and p-values are never below 0.
-    Grid points not covered by any selected ball get 0; with singletons in
-    the family every point is covered. The p-values in family order go onto
-    the slot grid (``to_slots``) for the covering max (``cover``);
+    ``caps``, one radius cap per component, restricts the sup to the balls
+    admissible under them (cap re-adjustment). The p-values in family order
+    go onto the slot grid (``to_slots``) for the covering max (``cover``);
     ``run_inference`` forms them there and covers them in place.
     """
-    p = np.asarray(ballwise_p, dtype=float)
-    if ball_mask is not None:
-        p = np.where(np.asarray(ball_mask, dtype=bool), p, 0.0)
-    return family.cover(family.to_slots(p))
+    return family.cover(family.to_slots(np.asarray(ballwise_p, dtype=float)), caps)
 
 
 def _p_from_counts(counts: np.ndarray, n_permutations: int) -> np.ndarray:

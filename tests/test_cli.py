@@ -298,6 +298,32 @@ class TestTestCommand:
         with open(out_dir / "balls.csv", newline="") as fh:
             assert sum(1 for _ in fh) == 314_481 + 1
 
+    @pytest.mark.parametrize("existing", [".", "kept"])
+    def test_refused_run_removes_the_directories_it_made(self, tmp_path, existing):
+        config = write_test_setup(tmp_path, cap="nan")
+        (tmp_path / existing).mkdir(exist_ok=True)
+        out_dir = tmp_path / existing / "new" / "o"
+        assert main(["test", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+        assert not (tmp_path / existing / "new").exists()
+        assert (tmp_path / existing).is_dir()
+
+    @pytest.mark.parametrize("command", ["test", "adjust"])
+    def test_output_path_that_is_a_file(self, tmp_path, capsys, monkeypatch, command):
+        config = write_test_setup(tmp_path)
+        balls = tmp_path / "b.csv"
+        balls.touch()
+        built = []
+        monkeypatch.setattr(cli, "_build_domain", built.append)
+        out = tmp_path / "o"
+        out.write_text("kept")
+        for out_dir in (out, out / "sub"):
+            argv = [command, "--config", str(config), "--out-dir", str(out_dir)]
+            if command == "adjust":
+                argv += ["--balls", str(balls), "--caps", "inf"]
+            assert main(argv) == 2
+            assert f"error: output directory {out_dir}: " in capsys.readouterr().err
+        assert built == [] and out.read_text() == "kept"
+
     def test_column_mismatch(self, tmp_path):
         config = write_test_setup(tmp_path)
         cfg = json.loads(config.read_text())
@@ -557,8 +583,11 @@ class TestFamilyGuard:
         config.write_text(json.dumps(cfg))
         if command == "test":
             return main(["test", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        # adjust checks that the balls file exists before it builds the domain
+        balls = tmp_path / "b.csv"
+        balls.touch()
         return main(
-            ["adjust", "--config", str(config), "--balls", str(tmp_path / "b.csv"),
+            ["adjust", "--config", str(config), "--balls", str(balls),
              "--caps", "inf", "--out-dir", str(tmp_path / "a")]
         )
 
@@ -695,6 +724,35 @@ class TestAdjust:
         assert p_adj(tmp_path / "adj" / "adjusted.csv") == p_adj(
             tmp_path / "fresh" / "pointwise.csv"
         )
+
+    @pytest.mark.parametrize("caps, balls, message", [
+        ("0.5,x", "b.csv", "--caps: radius_cap must be a number or 'inf', got 'x'"),
+        ("0.5,inf", "b.csv", "--caps has 2 entries but the domain has 1 components"),
+        ("0.5", "gone.csv", "ball p-value file not found: "),
+    ], ids=["malformed-cap", "cap-count", "missing-balls"])
+    def test_arguments_checked_before_enumeration(
+        self, tmp_path, capsys, monkeypatch, caps, balls, message
+    ):
+        config = write_test_setup(tmp_path)
+        (tmp_path / "b.csv").touch()
+        built, enumerated = [], []
+        build = cli._build_domain
+
+        def spy_build(section):
+            built.append(section)
+            return build(section)
+
+        monkeypatch.setattr(cli, "_build_domain", spy_build)
+        monkeypatch.setattr(domain, "enumerate_component_balls", enumerated.append)
+        assert main(
+            ["adjust", "--config", str(config), "--balls", str(tmp_path / balls),
+             "--caps", caps, "--out-dir", str(tmp_path / "a")]
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert enumerated == []
+        # only the cap count needs the domain
+        assert len(built) == (caps == "0.5,inf")
+        assert not (tmp_path / "a").exists()
 
     def test_cap_count_mismatch(self, tmp_path):
         config = write_test_setup(tmp_path)
@@ -1104,6 +1162,8 @@ class TestBallsCsv:
         monkeypatch.setattr(cli, "_balls_csv", fails_after_one_chunk)
         config = write_test_setup(tmp_path)
         out_dir = tmp_path / "o"
+        # made before the run, so the failed run leaves it in place
+        out_dir.mkdir()
         assert main(["test", "--config", str(config), "--out-dir", str(out_dir)]) == 1
         assert not [p.name for p in out_dir.iterdir() if p.name.startswith("balls.csv")]
         # nor the pointwise.csv written before balls.csv, nor any other output

@@ -574,12 +574,17 @@ class TestPrefixOperators:
         np.testing.assert_array_equal(
             adjusted_from_ballwise(p_ball, fam), oracles.cover_max(p_ball, fam)
         )
+        # any sub-family: the p-values of the other balls zeroed
         for keep in (0.5, 0.05):
             mask = rng.random(fam.n_balls) < keep
             np.testing.assert_array_equal(
-                adjusted_from_ballwise(p_ball, fam, ball_mask=mask),
+                adjusted_from_ballwise(np.where(mask, p_ball, 0.0), fam),
                 oracles.cover_max(p_ball, fam, ball_mask=mask),
             )
+        for caps in cap_sets(fam):
+            assert adjusted_from_ballwise(p_ball, fam, caps).tobytes() == oracles.cover_max(
+                p_ball, fam, ball_mask=admissible_mask(fam, caps)
+            ).tobytes(), caps
 
     @OPERATOR_DOMAINS
     @pytest.mark.parametrize("seed", [3, 7])
@@ -598,27 +603,32 @@ class TestPrefixOperators:
         assert adjusted == oracles.cover_max(res.p.ballwise, fam).tobytes()
 
 
+def cap_sets(fam):
+    """Caps of every kind for a family: inf, realised inner radii and 1e-9."""
+    inner = [sorted({b.inner_radius for b in ball_list(balls)}) for balls in fam.component_balls]
+    return [
+        [math.inf] * len(inner),
+        # caps equal to realised inner radii: those balls must drop out
+        [radii[len(radii) // 2] for radii in inner],
+        [radii[-1] for radii in inner],
+        [1e-9] + [math.inf] * (len(inner) - 1),
+    ]
+
+
 class TestAdmissibleMask:
-    """The vectorised mask equals the per-ball loop."""
+    """The cover under caps equals the cover of the balls that the per-ball
+    loop finds admissible."""
 
     @PRODUCT_DOMAINS
     def test_matches_per_ball_loop(self, make):
         fam = enumerate_family(ProductDomain(make()))
-        inner = [
-            sorted({b.inner_radius for b in ball_list(balls)}) for balls in fam.component_balls
-        ]
-        cap_sets = [
-            [math.inf] * len(inner),
-            # caps equal to realised inner radii: those balls must drop out
-            [radii[len(radii) // 2] for radii in inner],
-            [radii[-1] for radii in inner],
-            [1e-9] + [math.inf] * (len(inner) - 1),
-        ]
-        for caps in cap_sets:
-            mask = fam.admissible_mask(caps)
-            assert mask.dtype == bool and mask.shape == (fam.n_balls,)
-            np.testing.assert_array_equal(mask, admissible_mask(fam, caps))
-        assert 0 < fam.admissible_mask(cap_sets[1]).sum() < fam.n_balls
+        p_ball = np.random.default_rng(5).random(fam.n_balls)
+        caps = cap_sets(fam)
+        for c in caps:
+            assert adjusted_from_ballwise(p_ball, fam, c).tobytes() == oracles.cover_max(
+                p_ball, fam, ball_mask=admissible_mask(fam, c)
+            ).tobytes(), c
+        assert 0 < admissible_mask(fam, caps[1]).sum() < fam.n_balls
 
     def test_matches_fresh_enumeration_on_jittered_meshes(self):
         # a support realized by several centers is admissible under a cap as
@@ -638,20 +648,21 @@ class TestAdmissibleMask:
             fam = enumerate_family(ProductDomain([mesh_component(m)]))
             for cap in (0.3, 0.5, 0.8):
                 fresh = enumerate_component_balls(mesh_component(m, radius_cap=cap))
-                kept = supports(fam.component_balls[0], fam.admissible_mask([cap]))
+                balls = fam.component_balls[0]
+                kept = supports(balls, balls.inner_radii < cap)
                 assert kept == supports(fresh), (seed, cap)
 
     def test_one_cap_per_component(self):
         fam = enumerate_family(ProductDomain([circle_component(4)]))
         with pytest.raises(ValueError, match="one cap per component"):
-            fam.admissible_mask([1.0, 1.0])
+            fam.cover(fam.to_slots(np.ones(fam.n_balls)), [1.0, 1.0])
 
     @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0])
     def test_caps_must_be_positive(self, cap):
-        # a mask that keeps no ball would adjust every point to p = 0
+        # caps that keep no ball would adjust every point to p = 0
         fam = enumerate_family(ProductDomain([circle_component(4), circle_component(3)]))
         with pytest.raises(ValueError, match="must be positive"):
-            fam.admissible_mask([math.inf, cap])
+            fam.cover(fam.to_slots(np.ones(fam.n_balls)), [math.inf, cap])
 
 
 class TestEnumerateFamily:

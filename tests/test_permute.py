@@ -14,7 +14,7 @@ from ballwise.domain import (
     mesh_component,
 )
 from ballwise.glm import DesignSpec, HypothesisSpec, StatKernel
-from ballwise.mesh import build_icosphere
+from ballwise.mesh import TriangulatedManifold, build_icosphere
 from ballwise.permute import (
     PermutationPlan,
     adjusted_from_ballwise,
@@ -365,7 +365,7 @@ class TestPValues:
         )
         assert full_mask.sum() == 1
         p_ball = np.linspace(0.1, 0.9, fam.n_balls)
-        adj = adjusted_from_ballwise(p_ball, fam, ball_mask=full_mask)
+        adj = adjusted_from_ballwise(np.where(full_mask, p_ball, 0.0), fam)
         np.testing.assert_allclose(adj, p_ball[full_mask][0])
 
     def test_adjusted_is_max_over_covering_balls(self, tet_circle_domain):
@@ -389,6 +389,31 @@ class TestEngineProperties:
         plan = PermutationPlan(40, seed=2, scheme="raw_label_permutation")
         res = run_inference(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
         assert np.all(res.p.adjusted >= res.p.pointwise)
+
+    def test_coincident_vertices_have_no_singleton(self):
+        # a 4 x 4 planar grid whose vertex 5 has a twin, 16, at the same place:
+        # the triangles right of 5 use the twin, and a flat triangle joins them
+        grid = np.array([(i, j, 0.0) for j in range(4) for i in range(4)])
+        tris = np.array([
+            t for a in (4 * j + i for j in range(3) for i in range(3))
+            for t in ((a, a + 1, a + 5), (a, a + 5, a + 4))
+        ])
+        right = (tris == 5).any(axis=1) & (grid[tris][:, :, 0].max(axis=1) > 1)
+        tris[right] = np.where(tris[right] == 5, 16, tris[right])
+        m = TriangulatedManifold(np.vstack([grid, grid[5]]), np.vstack([tris, [(5, 16, 1)]]))
+        fam = enumerate_family(ProductDomain([mesh_component(m)]))
+        assert m.distances.row(5)[1][:2].tolist() == [0.0, 0.0]
+        # a singleton is the first slot of a row, and every other row starts
+        # at its own center
+        assert np.flatnonzero(~fam.component_balls[0].kept[:, 0]).tolist() == [5, 16]
+        others = np.arange(m.n_vertices) != 5
+        others[16] = False
+        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
+        for seed in range(5):
+            Y = np.random.default_rng(seed).standard_normal((8, m.n_vertices))
+            plan = PermutationPlan(60, seed=seed, scheme="raw_label_permutation")
+            res = run_inference(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
+            assert np.all(res.p.adjusted[others] >= res.p.pointwise[others]), seed
 
     def test_cap_enlargement_never_decreases_adjusted(self, octahedron):
         rng = np.random.default_rng(12)
@@ -507,6 +532,20 @@ class TestEngineProperties:
             tracemalloc.stop()
         assert fam.n_balls == 5_961_058
         assert peak <= 3.0 * 8 * fam.domain.size**2
+
+    @pytest.mark.slow
+    def test_order16_full_cap_cover_under_caps_within_1_5_slot_grids(self):
+        # the p-values on the slot grid and the cover's bool mask of one
+        # component's slots; no copy of the p-values per product ball
+        fam = enumerate_family(ProductDomain([mesh_component(build_icosphere(16))]))
+        p_ball = np.random.default_rng(20).random(fam.n_balls)
+        tracemalloc.start()
+        try:
+            adjusted_from_ballwise(p_ball, fam, [0.3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * fam.domain.size**2
 
     @pytest.mark.slow
     @pytest.mark.parametrize("shape", [
