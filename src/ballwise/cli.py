@@ -33,10 +33,10 @@ from . import __version__
 # that run them, so tessellate and distances never compile or load them
 from .mesh import (
     build_icosphere,
+    distance_cache_chunks,
     load_distance_cache,
     load_mesh,
     off_text,
-    save_distance_cache,
 )
 
 EXIT_OK = 0
@@ -77,20 +77,20 @@ class Stages:
         }
 
 
-def _atomic_write(outputs: dict[str, str | bytes | Iterable[str]]) -> None:
-    """Write each path's data (text, bytes, or text chunks in order) of
-    ``outputs``, all or none: every output goes to a temp file, and the temp
-    files are renamed only once the last is written. On any failure every
-    temp file is removed and every path is left as it was."""
+def _atomic_write(outputs: dict[str, str | bytes | Iterable[str | bytes]]) -> None:
+    """Write each path's data (text, bytes, or such chunks in order, each
+    written before the next is drawn) of ``outputs``, all or none: every
+    output goes to a temp file, and the temp files are renamed only once the
+    last is written. On any failure every temp file is removed and every
+    path is left as it was."""
     tmps = []
     try:
         for path, data in outputs.items():
             tmps.append(f"{path}.tmp.{os.getpid()}")
-            with open(tmps[-1], "wb" if isinstance(data, bytes) else "w") as fh:
-                if isinstance(data, (str, bytes)):
-                    fh.write(data)
-                else:  # a generator of chunks can raise part way through
-                    fh.writelines(data)
+            with open(tmps[-1], "wb") as fh:
+                # a generator of chunks can raise part way through
+                for chunk in [data] if isinstance(data, (str, bytes)) else data:
+                    fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
         for path, tmp in zip(outputs, tmps):
             os.replace(tmp, path)
     except BaseException:
@@ -334,17 +334,7 @@ def _build_model(section: dict):
     return design, hyp
 
 
-def _seed_override(flag):
-    """The seed of ``--seed``, else of ``BALLWISE_SEED``, else None."""
-    if flag is not None:
-        return _seed(flag, "--seed")
-    env = os.environ.get("BALLWISE_SEED")
-    if env is None:
-        return None
-    return _seed(int(env) if env.isdecimal() else env, "BALLWISE_SEED")
-
-
-def _build_plan(section: dict, seed_override):
+def _build_plan(section: dict, seed_flag):
     from .permute import PermutationPlan
 
     _check_keys(
@@ -354,8 +344,8 @@ def _build_plan(section: dict, seed_override):
         "inference",
     )
     seed = _seed(section["seed"], "inference: seed")
-    if seed_override is not None:
-        seed = seed_override
+    if seed_flag is not None:
+        seed = _seed(seed_flag, "--seed")
     alpha = section.get("alpha", 0.05)
     if not _is_number(alpha) or not 0 < alpha < 1:
         raise ConfigError(f"inference: alpha must be a number in (0, 1), got {alpha!r}")
@@ -372,10 +362,13 @@ def _build_plan(section: dict, seed_override):
     return plan, alpha
 
 
-def _scipy_version() -> str:
+def _scipy_version() -> str | None:
     """``scipy.__version__``, read from ``scipy/version.py``: importing scipy
-    itself would cost a run more than a small command's own work."""
+    itself would cost a run more than a small command's own work. None when
+    scipy is not installed: no command needs it."""
     spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        return None
     return runpy.run_path(
         os.path.join(spec.submodule_search_locations[0], "version.py")
     )["version"]
@@ -479,8 +472,8 @@ def _balls_csv(family, result) -> Iterator[str]:
         ids = np.arange(start, stop)
         columns = [ids]
         for balls, idx in zip(family.component_balls, np.unravel_index(ids, family.shape)):
-            centers, radii, inner_radii = balls.table(idx)
-            columns += [centers, _float_text(radii), _float_text(inner_radii)]
+            centers, radii, inner = balls.table(idx)
+            columns += [centers, _float_text(radii), _float_text(inner)]
         columns += [
             _float_text(result.observed_ball_stats[start:stop]),
             _float_text(result.p.ballwise[start:stop]),
@@ -503,7 +496,7 @@ def cmd_tessellate(args) -> int:
 
 def cmd_distances(args) -> int:
     m = _load_mesh(args.mesh, "", args.edge_lengths)
-    save_distance_cache(m, args.out)
+    _atomic_write({args.out: distance_cache_chunks(m)})
     print(f"wrote {m.n_vertices}x{m.n_vertices} distance cache -> {args.out}")
     return EXIT_OK
 
@@ -531,7 +524,9 @@ def _output_dir(path: str):
 TEST_SECTIONS = {"domain", "data", "model", "inference", "output"}
 
 
-def _load_test_config(path: str):
+def _load_test_config(path: str, out_dir_flag: str | None):
+    """The config of ``test`` and ``adjust`` and their output directory:
+    ``--out-dir``, else the config's ``output.dir``, else ``.``."""
     config = _load_json(path)
     _check_keys(config, TEST_SECTIONS, {"domain", "data", "model", "inference"}, "config")
     output = config.get("output", {})
@@ -539,15 +534,14 @@ def _load_test_config(path: str):
     out_dir = output.get("dir", ".")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"output: dir must be a non-empty string, got {out_dir!r}")
-    return config
+    return config, out_dir_flag or out_dir
 
 
 def cmd_test(args) -> int:
     from .domain import enumerate_family
     from .permute import run_inference
 
-    config = _load_test_config(args.config)
-    out_dir = args.out_dir or config.get("output", {}).get("dir", ".")
+    config, out_dir = _load_test_config(args.config, args.out_dir)
     with _output_dir(out_dir):
         stages = Stages()
         with stages("build"):
@@ -564,7 +558,7 @@ def cmd_test(args) -> int:
                     f"model: the design has {design.n_obs} observations but the signal "
                     f"matrix has {Y.shape[0]} rows"
                 )
-            plan, alpha = _build_plan(config["inference"], _seed_override(args.seed))
+            plan, alpha = _build_plan(config["inference"], args.seed)
         with stages("enumerate"):
             family = enumerate_family(domain)
         with stages("inference"):
@@ -641,7 +635,7 @@ def cmd_adjust(args) -> int:
     from .domain import enumerate_family
     from .permute import adjusted_from_ballwise
 
-    config = _load_test_config(args.config)
+    config, out_dir = _load_test_config(args.config, args.out_dir)
     caps = []
     for tok in args.caps.split(","):
         try:
@@ -653,7 +647,6 @@ def cmd_adjust(args) -> int:
         caps.append(_positive_cap(cap, "--caps"))
     if not os.path.exists(args.balls):
         raise ConfigError(f"ball p-value file not found: {args.balls}")
-    out_dir = args.out_dir or "."
     stages = Stages()
     with _output_dir(out_dir):
         with stages("build"):
@@ -670,7 +663,7 @@ def cmd_adjust(args) -> int:
             adjusted = adjusted_from_ballwise(p_ball, family, caps)
         with stages("write"):
             _atomic_write({os.path.join(out_dir, "adjusted.csv"): _adjusted_csv(adjusted)})
-    kept = math.prod(int((b.inner_radii < c).sum()) for b, c in zip(family.component_balls, caps))
+    kept = math.prod(int((b.inner < c).sum()) for b, c in zip(family.component_balls, caps))
     print(
         f"re-adjusted with caps {caps}: {kept}/{family.n_balls} balls "
         f"kept -> {os.path.join(out_dir, 'adjusted.csv')}"

@@ -141,22 +141,23 @@ def circle_component(
 def interval_component(
     a: float, b: float, n_points: int, radius_cap: float = math.inf
 ) -> ComponentGrid:
-    """Equally spaced grid on [a, b] with trapezoid quadrature weights."""
+    """Equally spaced grid on [a, b] with trapezoid quadrature weights; the
+    distance of points i and j is |i - j| steps, so equal gaps tie exactly."""
     if n_points < 2:
         raise ValueError("interval grid needs at least two points")
     if not b > a:
         raise ValueError("interval must have b > a")
-    pts = np.linspace(a, b, n_points)
     h = (b - a) / (n_points - 1)
     w = np.full(n_points, h)
     w[0] = w[-1] = h / 2
+    idx = np.arange(n_points)
 
     def block_rows(start, stop):
-        return np.abs(pts[start:stop, None] - pts[None, :])
+        return np.abs(idx[start:stop, None] - idx[None, :]) * h
 
     return ComponentGrid(
         kind="interval",
-        points=pts,
+        points=np.linspace(a, b, n_points),
         weights=w,
         rows=DistanceRows.from_dense_blocks(n_points, block_rows, lambda d: d < radius_cap),
         radius_cap=radius_cap,
@@ -169,30 +170,36 @@ class ComponentBalls:
 
     Row i of ``order`` (n x L) lists the points below the cap around center i
     by (distance, index), padded with the sentinel n, whose weight is 0.
-    ``kept[i, j]`` marks the ball that is the first j + 1 points of row i, so
-    its integrated statistic is a prefix sum along that row and the balls
+    ``inner[i, j]`` is the inner radius of the ball that is the first j + 1
+    points of row i, ``inf`` where that prefix is no ball: the balls are
+    ``kept``, ``inner < inf``, and a cap keeps ``inner < cap``. A ball's
+    integrated statistic is a prefix sum along its row, and the balls
     covering a point are those whose prefix reaches the point's position.
     Sums, tie floors, counts and the covering max all lie on one slot grid
     (L, n, ...), slot (j, i) for the first j + 1 points of row i, whose kept
     slots ``ball_values`` reads and ``to_slots`` writes. Balls are numbered
-    in row-major order of ``kept`` (by center, then by size), the order of
-    ``inner_radii``; ``table`` gives their centers and radii. A ball's center
-    is the first center realizing its support, and its inner radius the least
-    over every center realizing the support of that center's largest distance
-    inside it, so the support is admissible under exactly the caps strictly
-    above it (0 for singletons, which are admissible under every cap).
+    in row-major order of ``kept`` (by center, then by size); ``table`` gives
+    their centers, radii and inner radii. A ball's center is the first center
+    realizing its support, and its inner radius the least over every center
+    realizing the support of that center's largest distance inside it, so
+    the support is admissible under exactly the caps strictly above it (0
+    for singletons, which are admissible under every cap).
     """
 
     grid: ComponentGrid
-    order: np.ndarray        # (n, L) int32
-    kept: np.ndarray         # (n, L) bool
-    inner_radii: np.ndarray  # (n_balls,)
+    order: np.ndarray  # (n, L) int32
+    inner: np.ndarray  # (n, L) float64, inf where no ball
     # the balls of row i are _row_start[i]:_row_start[i + 1]
     _row_start: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self._row_start = np.zeros(len(self.order) + 1, dtype=np.int64)
         np.cumsum(self.kept.sum(axis=1), out=self._row_start[1:])
+
+    @property
+    def kept(self) -> np.ndarray:
+        """(n, L) bool: the slots that are balls, worked out on each call."""
+        return self.inner < math.inf
 
     def __len__(self) -> int:
         return int(self._row_start[-1])
@@ -210,10 +217,10 @@ class ComponentBalls:
         read, which = np.unique(centers, return_inverse=True)
         # the kept slots of the rows read, row after row, and where each
         # row's first ball is among them
-        slots = np.flatnonzero(self.kept[read])
+        slots = np.flatnonzero(self.inner[read] < math.inf)
         counts = self._row_start[read + 1] - self._row_start[read]
         at = (np.cumsum(counts) - counts)[which] + ids - self._row_start[centers]
-        positions = slots[at] % self.kept.shape[1]
+        positions = slots[at] % self.order.shape[1]
         rows, cap = self.grid.rows, self.grid.radius_cap
         at = rows.indptr[centers] + positions
         widest = at + 1 == rows.indptr[centers + 1]
@@ -221,7 +228,7 @@ class ComponentBalls:
         if math.isinf(cap):
             whole = positions + 1 == self.grid.size
             radii[whole] = rows.values[at[whole]] + 1.0
-        return centers, radii, self.inner_radii[ids]
+        return centers, radii, self.inner[centers, positions]
 
     def _prefix_blocks(self, values: np.ndarray):
         """Weighted support sums along axis 0 of ``values`` (n, ...), tile by tile.
@@ -354,10 +361,9 @@ class ComponentBalls:
         ball get 0, the floor of any p-value.
         """
         n, L = self.order.shape
-        dropped = ~self.kept
-        if cap < math.inf:  # else no ball goes, and no bool per ball is made
-            dropped[self.kept] = self.inner_radii >= cap
-        slots[dropped.T] = 0  # in the grid's own order: a cap may drop most slots
+        # not balls (inf) and balls not below the cap alike; in the grid's own
+        # order, as a cap may drop most slots
+        slots[np.greater_equal(self.inner, cap).T] = 0
         flat = slots.reshape(L, n, -1)
         # the point at position j of a row lies in every prefix of that row
         # ending at or after j
@@ -396,8 +402,7 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
     keys = _zobrist_keys(n)
     h = np.zeros(n, dtype=np.uint64)
     live = np.arange(n)
-    kept = np.zeros((n, L), dtype=bool)
-    inner_at = np.empty((n, L))  # read only where kept
+    inner_at = np.full((n, L), np.inf)
     for k in range(1, L + 1):
         live = live[counts[live] >= k]
         h[live] ^= keys[order[:, k - 1][live]]
@@ -429,9 +434,8 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
             inner[sub[starts]] = np.minimum.reduceat(inner[sub], starts)
             dropped[sub[starts]] = False
             c, inner = c[~dropped], inner[~dropped]
-        kept[c, k - 1] = True
         inner_at[c, k - 1] = inner
-    return ComponentBalls(grid=g, order=order, kept=kept, inner_radii=inner_at[kept])
+    return ComponentBalls(grid=g, order=order, inner=inner_at)
 
 
 @dataclass
@@ -486,7 +490,7 @@ class AdjustmentFamily:
     def n_memberships(self) -> int:
         """Total (ball, grid point) support memberships of the product balls."""
         return math.prod(
-            int(balls.kept.sum(axis=0) @ np.arange(1, balls.kept.shape[1] + 1))
+            int(balls.kept.sum(axis=0) @ np.arange(1, balls.order.shape[1] + 1))
             for balls in self.component_balls
         )
 
@@ -630,8 +634,8 @@ def memory_bound(d: ProductDomain) -> int:
     that the family of ``d`` and inference on it hold at once.
 
     A component's balls are at most its slots where a row's distance grows.
-    Its family holds 12 bytes per row entry, 13 per slot (``order``, ``kept``,
-    enumeration's inner radii) and 8 per ball. On the last integrated
+    Its family holds 12 bytes per row entry and 13 per slot (``order``,
+    ``inner`` and one transient bool). On the last integrated
     component's slot grid, counting holds 12 bytes per slot (tie floors, int32
     counts) and a chunk of permutations, covering 9 (p-values, unkept mask);
     both hold 8 or 16 bytes per product ball in ball order.
@@ -643,7 +647,7 @@ def memory_bound(d: ProductDomain) -> int:
         balls = g.size + int(np.count_nonzero(values[1:] > values[:-1]))
         L = int(np.diff(g.rows.indptr).max())
         parts.append((g.size, L, balls))
-        family += 12 * len(values) + 13 * g.size * L + 8 * balls
+        family += 12 * len(values) + 13 * g.size * L
     parts.sort(key=lambda part: part[1])  # integration order: shortest rows first
     n_balls = math.prod(balls for _, _, balls in parts)
     n, L, balls = parts[-1]

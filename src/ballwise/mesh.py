@@ -30,7 +30,7 @@ __all__ = [
     "load_mesh",
     "save_off",
     "build_icosphere",
-    "save_distance_cache",
+    "distance_cache_chunks",
     "load_distance_cache",
 ]
 
@@ -497,23 +497,22 @@ def save_off(m: TriangulatedManifold, path) -> None:
 
 # --- distance-matrix cache ---------------------------------------------------
 
-def save_distance_cache(m: TriangulatedManifold, path) -> None:
-    """Write the mesh's all-pairs shortest-path distances as little-endian
-    binary: uint64 vertex count followed by the row-major float64 n x n
-    matrix, ``inf`` across disconnected parts.
+def distance_cache_chunks(m: TriangulatedManifold) -> Iterator[bytes | memoryview]:
+    """The mesh's all-pairs shortest-path distances as little-endian binary:
+    uint64 vertex count followed by the row-major float64 n x n matrix,
+    ``inf`` across disconnected parts.
 
-    The rows are written a block at a time, straight from the search's
-    buffer, so no n x n array is made.
+    The rows come a block at a time, each a view of the search's buffer that
+    the next block overwrites, so no n x n array is made: write each chunk
+    before drawing the next.
     """
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", m.n_vertices))
-        for _, _, best, _ in m._graph().search_blocks(np.inf):
-            block = best.astype("<f8", copy=False)
-            fh.write(memoryview(block).cast("B"))  # the buffer, not a copy
+    yield struct.pack("<Q", m.n_vertices)
+    for _, _, best, _ in m._graph().search_blocks(np.inf):
+        yield memoryview(best.astype("<f8", copy=False)).cast("B")
 
 
 def load_distance_cache(path, limit: float = np.inf) -> DistanceRows:
-    """Read a cache written by ``save_distance_cache``.
+    """Read a cache of ``distance_cache_chunks``.
 
     Returns the ``DistanceRows`` of the entries up to ``limit``, as
     ``TriangulatedManifold.compute_distances(limit=limit)`` returns them:

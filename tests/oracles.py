@@ -124,11 +124,11 @@ def distances(g) -> np.ndarray:
     or an interval."""
     if g.kind == "mesh":
         return g.truth
+    idx = np.arange(g.size)
+    k = np.abs(idx[:, None] - idx[None, :])
     if g.kind == "circle":
-        idx = np.arange(g.size)
-        k = np.abs(idx[:, None] - idx[None, :])
         return np.minimum(k, g.size - k) * g.weights[0]  # the weight is the step
-    return np.abs(g.points[:, None] - g.points[None, :])
+    return k * (2 * g.weights[0])  # twice an end weight is the step
 
 
 def dense_to_rows(full: np.ndarray, limit: float = math.inf):
@@ -228,7 +228,7 @@ def ball_list(balls) -> list[ComponentBall]:
     if balls not in _BALL_LISTS:
         g = balls.grid
         listed = []
-        for center, pos, inner in zip(*np.nonzero(balls.kept), balls.inner_radii):
+        for center, pos, inner in zip(*np.nonzero(balls.kept), balls.inner[balls.kept]):
             row = g.rows.values[g.rows.indptr[center]:g.rows.indptr[center + 1]]
             if pos + 1 < len(row):
                 radius = row[pos + 1]

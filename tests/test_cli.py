@@ -117,6 +117,25 @@ class TestDistances:
             ["distances", "--mesh", str(tmp_path / "no.off"), "--out", str(tmp_path / "d.bin")]
         ) == 2
 
+    def test_failed_run_leaves_the_target(self, tmp_path, monkeypatch):
+        # the cache goes out a block at a time, through a temp file
+        mesh_path = tmp_path / "m.off"
+        assert main(["tessellate", "--order", "2", "--out", str(mesh_path)]) == 0
+        monkeypatch.setattr(mesh, "DISTANCE_BLOCK", 8 * 42)  # eight rows a block
+        search_blocks = mesh._Graph.search_blocks
+
+        def fail_after_one(self, limit):
+            blocks = search_blocks(self, limit)
+            yield next(blocks)
+            raise RuntimeError("search failed")
+
+        monkeypatch.setattr(mesh._Graph, "search_blocks", fail_after_one)
+        cache = tmp_path / "d.bin"
+        cache.write_bytes(b"an earlier cache")
+        assert main(["distances", "--mesh", str(mesh_path), "--out", str(cache)]) != 0
+        assert cache.read_bytes() == b"an earlier cache"
+        assert list(tmp_path.glob("*.tmp.*")) == []
+
 
 class TestTestCommand:
     def test_minimal_run(self, tmp_path):
@@ -481,62 +500,58 @@ class TestMalformedInputs:
         assert message in run_test(tmp_path, config, capsys)
 
     @pytest.mark.parametrize(
-        "edit, env, message",
+        "edit, message",
         [
-            (lambda c: c["inference"].update(seed="abc"), None,
+            (lambda c: c["inference"].update(seed="abc"),
              "inference: seed must be a non-negative integer, got 'abc'"),
-            (lambda c: c["inference"].update(seed=None), None, "seed must be a non-negative"),
-            (lambda c: c["inference"].update(seed=-1), None, "got -1"),
-            (lambda c: c["inference"].update(permutations=None), None,
+            (lambda c: c["inference"].update(seed=None), "seed must be a non-negative"),
+            (lambda c: c["inference"].update(seed=-1), "got -1"),
+            (lambda c: c["inference"].update(permutations=None),
              "inference: permutations must be a positive integer, got None"),
-            (lambda c: c["inference"].update(permutations=2.7), None, "got 2.7"),
-            (lambda c: c["inference"].update(alpha="abc"), None,
+            (lambda c: c["inference"].update(permutations=2.7), "got 2.7"),
+            (lambda c: c["inference"].update(alpha="abc"),
              "inference: alpha must be a number in (0, 1), got 'abc'"),
             (lambda c: c["domain"]["components"].append({"kind": "circle", "points": 2.7}),
-             None, "domain.components[1]: points must be a positive integer, got 2.7"),
+             "domain.components[1]: points must be a positive integer, got 2.7"),
             (lambda c: c["domain"]["components"].append(
                 {"kind": "interval", "bounds": [0, 1], "points": 2.7}),
-             None, "domain.components[1]: points must be a positive integer, got 2.7"),
+             "domain.components[1]: points must be a positive integer, got 2.7"),
             (lambda c: c["domain"]["components"].append(
                 {"kind": "circle", "points": 3, "circumference": True}),
-             None, "domain.components[1]: circumference must be a finite number, got True"),
+             "domain.components[1]: circumference must be a finite number, got True"),
             (lambda c: c["domain"]["components"].append(
                 {"kind": "circle", "points": 3, "circumference": "1"}),
-             None, "domain.components[1]: circumference must be a finite number, got '1'"),
+             "domain.components[1]: circumference must be a finite number, got '1'"),
             (lambda c: c["domain"]["components"].append(
                 {"kind": "circle", "points": 3, "circumference": math.inf}),
-             None, "domain.components[1]: circumference must be a finite number, got inf"),
+             "domain.components[1]: circumference must be a finite number, got inf"),
             (lambda c: c["domain"]["components"].append(
                 {"kind": "interval", "bounds": [0, "1"], "points": 3}),
-             None, "domain.components[1]: bounds must be a list of two finite numbers, "
-                   "got [0, '1']"),
+             "domain.components[1]: bounds must be a list of two finite numbers, "
+             "got [0, '1']"),
             (lambda c: c["domain"]["components"].append(
                 {"kind": "interval", "bounds": [True, 2], "points": 3}),
-             None, "domain.components[1]: bounds must be a list of two finite numbers"),
+             "domain.components[1]: bounds must be a list of two finite numbers"),
             (lambda c: c["domain"]["components"].append(
                 {"kind": "interval", "bounds": [0, 10**400], "points": 3}),
-             None, "domain.components[1]: bounds must be a list of two finite numbers"),
+             "domain.components[1]: bounds must be a list of two finite numbers"),
             (lambda c: c["domain"]["components"].append(
                 {"kind": "interval", "bounds": [0, 1, 2], "points": 3}),
-             None, "domain.components[1]: bounds must be a list of two finite numbers"),
+             "domain.components[1]: bounds must be a list of two finite numbers"),
             (lambda c: c["domain"]["components"].append(
                 {"kind": "interval", "bounds": 5, "points": 3}),
-             None, "domain.components[1]: bounds must be a list of two finite numbers, got 5"),
-            (lambda c: c.update(output={"dir": "x", "format": "csv"}), None,
+             "domain.components[1]: bounds must be a list of two finite numbers, got 5"),
+            (lambda c: c.update(output={"dir": "x", "format": "csv"}),
              "output: unknown key(s) ['format']"),
-            (lambda c: c.update(output=5), None, "output: must be a JSON object, got 5"),
-            (lambda c: None, "abc", "BALLWISE_SEED must be a non-negative integer, got 'abc'"),
+            (lambda c: c.update(output=5), "output: must be a JSON object, got 5"),
         ],
         ids=["seed-abc", "seed-null", "seed-negative", "permutations-null",
              "permutations-float", "alpha-abc", "circle-points-float",
              "interval-points-float", "circumference-bool", "circumference-string",
              "circumference-inf", "bounds-string", "bounds-bool", "bounds-huge-int", "bounds-three",
-             "bounds-not-a-list", "output-unknown-key", "output-not-an-object",
-             "env-seed-abc"],
+             "bounds-not-a-list", "output-unknown-key", "output-not-an-object"],
     )
-    def test_malformed_numbers(self, tmp_path, capsys, monkeypatch, edit, env, message):
-        if env is not None:
-            monkeypatch.setenv("BALLWISE_SEED", env)
+    def test_malformed_numbers(self, tmp_path, capsys, edit, message):
         config = edit_config(write_test_setup(tmp_path), edit)
         assert message in run_test(tmp_path, config, capsys)
 
@@ -646,6 +661,17 @@ class TestFamilyGuard:
 
 
 class TestAdjust:
+    def test_writes_under_the_config_output_dir(self, tmp_path, monkeypatch):
+        # without --out-dir, adjust writes where test does
+        monkeypatch.chdir(tmp_path)
+        config = edit_config(write_test_setup(tmp_path), lambda c: c.update(output={"dir": "res"}))
+        assert main(["test", "--config", str(config)]) == 0
+        assert main(
+            ["adjust", "--config", str(config), "--balls", "res/balls.csv", "--caps", "inf"]
+        ) == 0
+        assert (tmp_path / "res" / "adjusted.csv").exists()
+        assert not (tmp_path / "adjusted.csv").exists()
+
     def test_readjust_with_original_caps_matches(self, tmp_path):
         config = write_test_setup(tmp_path)
         out_dir = tmp_path / "out"

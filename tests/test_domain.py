@@ -180,6 +180,18 @@ class TestEnumerateComponentBalls:
         g = interval_component(0.0, 3.0, 4, radius_cap=cap)
         assert family_supports(enumerate_component_balls(g)) == brute_force_supports(g)
 
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.1, 0.7), (-3.0, 5.0), (1e-3, 1e3)])
+    @pytest.mark.parametrize("n, count", [(6, 17), (20, 129)])
+    def test_interval_supports_are_index_windows(self, bounds, n, count):
+        # distances are whole steps, so no rounding of the bounds splits a tie
+        windows = {
+            frozenset(range(max(0, i - k), min(n - 1, i + k) + 1))
+            for i in range(n) for k in range(n)
+        }
+        assert len(windows) == count
+        g = interval_component(*bounds, n)
+        assert family_supports(enumerate_component_balls(g)) == windows
+
     def test_mesh_matches_brute_force(self, octahedron):
         g = oracles.mesh_grid(octahedron, radius_cap=2.5)
         assert family_supports(enumerate_component_balls(g)) == brute_force_supports(g)
@@ -253,12 +265,14 @@ class TestBoundedEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        output = (balls.order, balls.kept, balls.inner_radii)
+        output = (balls.order, balls.kept, balls.inner[balls.kept])
         assert peak <= 3 * sum(a.nbytes for a in output)
 
     @pytest.mark.slow
     def test_full_cap_order16_peak_within_two_and_a_half_times_the_output(self):
-        # 5,961,058 balls in 77 MiB; the peak measured 1.99 times that
+        # 5,961,058 balls in 77 MiB as order, kept mask and inner radius per
+        # ball; the peak measured 1.72 times that, and 2.64 of the 2562 x 2562
+        # slot grid's 50 MiB
         g = mesh_component(build_icosphere(16))
         tracemalloc.start()
         try:
@@ -267,8 +281,9 @@ class TestBoundedEnumeration:
         finally:
             tracemalloc.stop()
         assert len(balls) == 5_961_058
-        output = (balls.order, balls.kept, balls.inner_radii)
+        output = (balls.order, balls.kept, balls.inner[balls.kept])
         assert peak <= 2.5 * sum(a.nbytes for a in output)
+        assert peak <= 2.75 * 8 * g.size**2
 
     def test_circle_cap_on_a_distance(self):
         g = circle_component(12, circumference=12.0, radius_cap=2.0)  # 2 steps
@@ -649,7 +664,7 @@ class TestAdmissibleMask:
             for cap in (0.3, 0.5, 0.8):
                 fresh = enumerate_component_balls(mesh_component(m, radius_cap=cap))
                 balls = fam.component_balls[0]
-                kept = supports(balls, balls.inner_radii < cap)
+                kept = supports(balls, balls.inner[balls.kept] < cap)
                 assert kept == supports(fresh), (seed, cap)
 
     def test_one_cap_per_component(self):

@@ -141,3 +141,17 @@ def test_manifest_records_the_scipy_version(cli_runs):
     run_python(f"from ballwise.cli import main; assert main({args!r}) == 0", cwd=cli_runs)
     manifest = json.loads((cli_runs / "o3" / "manifest.json").read_text())
     assert manifest["scipy"] == scipy.__version__
+
+
+def test_manifest_without_scipy(cli_runs, monkeypatch):
+    # scipy is a dependency of the tests only; without it the field is null
+    import importlib.util
+
+    from ballwise.cli import main
+
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+    monkeypatch.chdir(cli_runs)
+    assert main(["test", "--config", "run.json", "--out-dir", "o4"]) == 0
+    assert json.loads((cli_runs / "o4" / "manifest.json").read_text())["scipy"] is None

@@ -15,13 +15,21 @@ from ballwise.mesh import (
     DistanceRows,
     TriangulatedManifold,
     build_icosphere,
+    distance_cache_chunks,
     load_distance_cache,
     load_mesh,
     off_text,
-    save_distance_cache,
     save_off,
     triangle_area,
 )
+
+
+def save_distance_cache(m, path):
+    """Write the cache file of ``m``, each chunk before the next is drawn."""
+    with open(path, "wb") as fh:
+        for chunk in distance_cache_chunks(m):
+            fh.write(chunk)
+
 
 SINGLE_TRIANGLE_OFF = """OFF
 3 1 0

@@ -439,6 +439,29 @@ class TestEngineProperties:
         b = run_inference(Y, design, hyp, fam, plan).p.tobytes()
         assert a == b
 
+    @pytest.mark.parametrize("statistic", ["t_two_sample_sq", "t_trend_cutoff", "slope_sq"])
+    def test_intercept_only_schemes_give_the_same_p_values(self, statistic):
+        # under an intercept-only null, Freedman-Lane's fits plus permuted
+        # residuals are the permuted signals in exact arithmetic; the observed
+        # field may differ in its last bits, the p-values may not
+        fam = enumerate_family(
+            ProductDomain([mesh_component(build_icosphere(6), 0.3), circle_component(6)])
+        )
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            Y = rng.standard_normal((30, fam.domain.size))
+            Y = Y * rng.uniform(0.1, 100.0) + rng.uniform(-1000.0, 1000.0)
+            if statistic == "t_two_sample_sq":
+                design = DesignSpec(group_labels=[0] * 15 + [1] * 15)
+            else:
+                design = DesignSpec(covariates=rng.standard_normal(30))
+            p = [
+                run_inference(Y, design, HypothesisSpec(statistic), fam,
+                              PermutationPlan(100, seed=seed, scheme=scheme)).p.tobytes()
+                for scheme in ("freedman_lane", "raw_label_permutation")
+            ]
+            assert p[0] == p[1], seed
+
     def test_chunked_matches_materialized(self, tet_circle_domain, monkeypatch):
         d, fam = tet_circle_domain
         Y = np.random.default_rng(14).standard_normal((8, d.size))
