@@ -5,7 +5,8 @@ All outputs are written atomically (temp file + rename) and every run emits
 a manifest with the config hash, seed and RNG algorithm so reruns are
 byte-for-byte reproducible.
 
-Exit codes: 0 success, 1 computation error, 2 configuration/input error.
+Exit codes: 0 success, 2 when the input is at fault (a ``ValueError`` or an
+``OSError``), 1 for any other error; see ``main``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from . import __version__
 from .mesh import (
     build_icosphere,
     distance_cache_chunks,
+    icosphere_bytes,
     load_distance_cache,
     load_mesh,
+    memory_limit,
     off_text,
 )
 
@@ -44,8 +47,22 @@ EXIT_COMPUTE = 1
 EXIT_CONFIG = 2
 
 
-class ConfigError(Exception):
-    """Invalid configuration or unreadable input."""
+class ConfigError(ValueError):
+    """A config value or input file that the CLI's own checks refuse."""
+
+
+@contextlib.contextmanager
+def _located(where: str):
+    """Name the input that a ``ValueError`` or ``OSError`` raised in the
+    block is about: ``main`` prints ``where: `` before its message. Nested
+    blocks join their names with ``.``, the outermost first, as in
+    ``scenario[0].truth: ...``."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        inner = getattr(exc, "where", None)
+        exc.where = where if inner is None else f"{where}.{inner}"
+        raise
 
 
 class Stages:
@@ -82,7 +99,8 @@ def _atomic_write(outputs: dict[str, str | bytes | Iterable[str | bytes]]) -> No
     written before the next is drawn) of ``outputs``, all or none: every
     output goes to a temp file, and the temp files are renamed only once the
     last is written. On any failure every temp file is removed and every
-    path is left as it was."""
+    path is left as it was. An ``OSError`` leaves as a ``ConfigError``
+    that names the output it hit, not its temp file."""
     tmps = []
     try:
         for path, data in outputs.items():
@@ -93,37 +111,39 @@ def _atomic_write(outputs: dict[str, str | bytes | Iterable[str | bytes]]) -> No
                     fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
         for path, tmp in zip(outputs, tmps):
             os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         for tmp in tmps:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"output {path}: {exc.strerror or exc}") from None
         raise
 
 
-def _check_keys(section: dict, allowed: set[str], required: set[str], where: str):
+def _check_keys(section: dict, allowed: set[str], required: set[str]):
     if not isinstance(section, dict):
-        raise ConfigError(f"{where}: must be a JSON object, got {section!r}")
+        raise ConfigError(f"must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) {sorted(unknown)}")
     missing = required - set(section)
     if missing:
-        raise ConfigError(f"{where}: missing key(s) {sorted(missing)}")
+        raise ConfigError(f"missing key(s) {sorted(missing)}")
 
 
-def _positive_cap(cap: float, where: str) -> float:
+def _positive_cap(cap: float) -> float:
     if not cap > 0:  # also rejects nan
-        raise ConfigError(f"{where}: radius_cap must be positive")
+        raise ConfigError("radius_cap must be positive")
     return cap
 
 
-def _parse_cap(value, where: str) -> float:
+def _parse_cap(value) -> float:
     """A config's ``radius_cap``: a JSON number or ``"inf"``."""
     if value == "inf":
         return math.inf
     if not _is_number(value):
-        raise ConfigError(f"{where}: radius_cap must be a number or 'inf', got {value!r}")
-    return _positive_cap(float(value), where)
+        raise ConfigError(f"radius_cap must be a number or 'inf', got {value!r}")
+    return _positive_cap(float(value))
 
 
 def _is_int(value) -> bool:
@@ -174,39 +194,29 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
-def _load_mesh(path: str, where: str, edge_lengths=None):
-    """The mesh of an OFF file with optional edge-length overrides; a file
-    that does not describe a valid mesh is a ``ConfigError``."""
-    if not os.path.exists(path):
-        raise ConfigError(f"{where}mesh file not found: {path}")
-    try:
-        m = load_mesh(path)
-    except ValueError as exc:
-        raise ConfigError(f"{where}{exc}") from None
+def _load_mesh(path: str, edge_lengths=None):
+    """The mesh of an OFF file with optional edge-length overrides."""
+    m = load_mesh(path)
     if edge_lengths is not None:
-        if not os.path.exists(edge_lengths):
-            raise ConfigError(f"{where}edge-length file not found: {edge_lengths}")
-        try:
-            m.override_edge_lengths(edge_lengths)
-        except ValueError as exc:
-            raise ConfigError(f"{where}{exc}") from None
+        m.override_edge_lengths(edge_lengths)
     return m
 
 
-def _file_key(section: dict, key: str, where: str) -> str | None:
-    """The path a component's optional file key names, None without the key;
-    anything but the path of an existing file is a ``ConfigError``."""
+def _file_key(section: dict, key: str, what: str | None = None) -> str | None:
+    """The path a section's optional file key names, None without the key;
+    anything but the path of an existing file is a ``ConfigError``, which
+    calls the file ``what`` (by default the key)."""
     if key not in section:
         return None
     path = section[key]
     if not isinstance(path, str) or not path:
-        raise ConfigError(f"{where}: {key} must be a file path, got {path!r}")
+        raise ConfigError(f"{key} must be a file path, got {path!r}")
     if not os.path.exists(path):
-        raise ConfigError(f"{where}: {key} file not found: {path}")
+        raise ConfigError(f"{what or key} file not found: {path}")
     return path
 
 
-def _build_component(section: dict, where: str):
+def _build_component(section: dict):
     from .domain import circle_component, interval_component, mesh_component
 
     _check_keys(
@@ -214,151 +224,138 @@ def _build_component(section: dict, where: str):
         {"kind", "path", "edge_lengths", "distance_cache", "points",
          "circumference", "bounds", "radius_cap"},
         {"kind"},
-        where,
     )
     kind = section["kind"]
-    cap = _parse_cap(section.get("radius_cap", "inf"), where)
+    cap = _parse_cap(section.get("radius_cap", "inf"))
     if kind == "mesh":
-        if "path" not in section:
-            raise ConfigError(f"{where}: mesh component needs a 'path'")
-        edge_lengths = _file_key(section, "edge_lengths", where)
-        m = _load_mesh(section["path"], f"{where}: ", edge_lengths)
-        try:
-            m.compute_weights()
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        cache = _file_key(section, "distance_cache", where)
+        path = _file_key(section, "path", "mesh")
+        if path is None:
+            raise ConfigError("mesh component needs a 'path'")
+        m = _load_mesh(path, _file_key(section, "edge_lengths"))
+        m.compute_weights()
+        cache = _file_key(section, "distance_cache")
         if cache is not None:
-            try:
-                m.distances = load_distance_cache(cache, limit=cap)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
+            m.distances = load_distance_cache(cache, limit=cap)
             m.distance_limit = cap
             if len(m.distances) != m.n_vertices:
-                raise ConfigError(f"{where}: distance cache does not match the mesh")
+                raise ConfigError("distance cache does not match the mesh")
         return mesh_component(m, radius_cap=cap)
-    try:
-        if kind == "circle":
-            if "points" not in section:
-                raise ConfigError(f"{where}: circle component needs 'points'")
-            circumference = _finite_number(
-                section.get("circumference", 2 * math.pi), f"{where}: circumference"
-            )
-            return circle_component(
-                _positive_int(section["points"], f"{where}: points"),
-                circumference=circumference,
-                radius_cap=cap,
-            )
-        if kind == "interval":
-            if "bounds" not in section or "points" not in section:
-                raise ConfigError(
-                    f"{where}: interval component needs 'bounds' and 'points'"
-                )
-            bounds = section["bounds"]
-            if not (
-                isinstance(bounds, list) and len(bounds) == 2
-                and all(_is_finite(v) for v in bounds)
-            ):
-                raise ConfigError(
-                    f"{where}: bounds must be a list of two finite numbers, got {bounds!r}"
-                )
-            a, b = bounds
-            return interval_component(
-                float(a), float(b),
-                _positive_int(section["points"], f"{where}: points"),
-                radius_cap=cap,
-            )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where}: unknown component kind {kind!r}")
+    if kind == "circle":
+        if "points" not in section:
+            raise ConfigError("circle component needs 'points'")
+        circumference = _finite_number(
+            section.get("circumference", 2 * math.pi), "circumference"
+        )
+        return circle_component(
+            _positive_int(section["points"], "points"),
+            circumference=circumference,
+            radius_cap=cap,
+        )
+    if kind == "interval":
+        if "bounds" not in section or "points" not in section:
+            raise ConfigError("interval component needs 'bounds' and 'points'")
+        bounds = section["bounds"]
+        if not (
+            isinstance(bounds, list) and len(bounds) == 2
+            and all(_is_finite(v) for v in bounds)
+        ):
+            raise ConfigError(f"bounds must be a list of two finite numbers, got {bounds!r}")
+        a, b = bounds
+        return interval_component(
+            float(a), float(b), _positive_int(section["points"], "points"), radius_cap=cap
+        )
+    raise ConfigError(f"unknown component kind {kind!r}")
 
 
 def _build_domain(config: dict):
     from .domain import ProductDomain
 
     retired = ("max_balls", "max_memberships")
-    _check_keys(config, {"components", *retired}, {"components"}, "domain")
-    for key in retired:
-        if key in config:
-            raise ConfigError(
-                f"domain: {key} is no longer supported; the family's memory "
-                "limit is now worked out from the machine's memory"
-            )
-    return ProductDomain([
-        _build_component(c, f"domain.components[{i}]")
-        for i, c in enumerate(config["components"])
-    ])
+    with _located("domain"):
+        _check_keys(config, {"components", *retired}, {"components"})
+        for key in retired:
+            if key in config:
+                raise ConfigError(
+                    f"{key} is no longer supported; the family's memory "
+                    "limit is now worked out from the machine's memory"
+                )
+        components = config["components"]
+        if not isinstance(components, list) or not components:
+            raise ConfigError(f"components must be a non-empty list, got {components!r}")
+        grids = []
+        for i, section in enumerate(components):
+            with _located(f"components[{i}]"):
+                grids.append(_build_component(section))
+        return ProductDomain(grids)
 
 
 def _load_signals(section: dict):
     from .glm import load_signals_bin, load_signals_csv
 
-    _check_keys(section, {"path", "format"}, {"path"}, "data")
+    with _located("data"):
+        _check_keys(section, {"path", "format"}, {"path"})
     path = section["path"]
     if not os.path.exists(path):
         raise ConfigError(f"data file not found: {path}")
     fmt = section.get("format", "csv")
     if fmt not in ("csv", "bin"):
         raise ConfigError(f"data.format must be 'csv' or 'bin', got {fmt!r}")
-    try:
+    with _located("data"):
         Y = load_signals_csv(path)[0] if fmt == "csv" else load_signals_bin(path)
-    except ValueError as exc:
-        raise ConfigError(f"data: {exc}") from None
-    if not np.isfinite(Y).all():
-        obs, point = np.argwhere(~np.isfinite(Y))[0]
-        raise ConfigError(
-            f"data: {path}: observation {obs}, point {point} is {Y[obs, point]}; "
-            "signals must be finite"
-        )
+        if not np.isfinite(Y).all():
+            obs, point = np.argwhere(~np.isfinite(Y))[0]
+            raise ConfigError(
+                f"{path}: observation {obs}, point {point} is {Y[obs, point]}; "
+                "signals must be finite"
+            )
     return Y
 
 
 def _build_model(section: dict):
     from .glm import DesignSpec, HypothesisSpec, design_vector
 
-    _check_keys(section, {"statistic", "groups", "covariate"}, {"statistic"}, "model")
-    stat = section["statistic"]
-    try:
+    with _located("model"):
+        _check_keys(section, {"statistic", "groups", "covariate"}, {"statistic"})
+        stat = section["statistic"]
         hyp = HypothesisSpec(statistic=stat)
-        if stat == "t_two_sample_sq":
-            if "groups" not in section:
-                raise ConfigError("model: t_two_sample_sq needs 'groups'")
-            design = DesignSpec(group_labels=np.asarray(section["groups"]))
+        key = "groups" if stat == "t_two_sample_sq" else "covariate"
+        if key not in section:
+            raise ConfigError(f"{stat} needs '{key}'")
+        # numbers, or group labels that are strings: null or an object would
+        # reach numpy as an object array
+        if key == "groups":
+            kinds, ndim, what = "biufU", 1, "a list of labels"
         else:
-            if "covariate" not in section:
-                raise ConfigError(f"model: {stat} needs 'covariate'")
-            design = DesignSpec(covariates=np.asarray(section["covariate"], dtype=float))
+            kinds, ndim, what = "biuf", 2, "a list of numbers or of lists of numbers"
+        values = np.asarray(section[key])
+        if not 1 <= values.ndim <= ndim or values.dtype.kind not in kinds:
+            raise ConfigError(f"{key} must be {what}, got {section[key]!r}")
+        if key == "groups":
+            design = DesignSpec(group_labels=values)
+        else:
+            design = DesignSpec(covariates=values.astype(float))
         design_vector(design, hyp)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from None
     return design, hyp
 
 
 def _build_plan(section: dict, seed_flag):
     from .permute import PermutationPlan
 
-    _check_keys(
-        section,
-        {"permutations", "seed", "alpha", "scheme"},
-        {"permutations", "seed"},
-        "inference",
-    )
-    seed = _seed(section["seed"], "inference: seed")
     if seed_flag is not None:
-        seed = _seed(seed_flag, "--seed")
-    alpha = section.get("alpha", 0.05)
-    if not _is_number(alpha) or not 0 < alpha < 1:
-        raise ConfigError(f"inference: alpha must be a number in (0, 1), got {alpha!r}")
-    try:
+        _seed(seed_flag, "--seed")
+    with _located("inference"):
+        _check_keys(
+            section, {"permutations", "seed", "alpha", "scheme"}, {"permutations", "seed"}
+        )
+        seed = _seed(section["seed"], "seed")
+        alpha = section.get("alpha", 0.05)
+        if not _is_number(alpha) or not 0 < alpha < 1:
+            raise ConfigError(f"alpha must be a number in (0, 1), got {alpha!r}")
         plan = PermutationPlan(
-            n_permutations=_positive_int(
-                section["permutations"], "inference: permutations"
-            ),
-            seed=seed,
+            n_permutations=_positive_int(section["permutations"], "permutations"),
+            seed=seed if seed_flag is None else seed_flag,
             scheme=section.get("scheme", "freedman_lane"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"inference: {exc}") from None
     return plan, alpha
 
 
@@ -484,10 +481,14 @@ def _balls_csv(family, result) -> Iterator[str]:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_tessellate(args) -> int:
-    try:
-        m = build_icosphere(args.order, args.radius)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    need, limit = icosphere_bytes(args.order), memory_limit()
+    if need > limit:
+        raise ConfigError(
+            f"an order-{args.order} icosphere and its OFF text would need up to "
+            f"{need / 1e6:,.1f} MB, over the limit of {limit / 1e6:,.1f} MB (half of "
+            "physical memory or of the address-space limit)"
+        )
+    m = build_icosphere(args.order, args.radius)
     _atomic_write({args.out: off_text(m)})
     print(f"wrote icosphere order {args.order}: {m.n_vertices} vertices, "
           f"{len(m.triangles)} faces -> {args.out}")
@@ -495,7 +496,7 @@ def cmd_tessellate(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    m = _load_mesh(args.mesh, "", args.edge_lengths)
+    m = _load_mesh(args.mesh, args.edge_lengths)
     _atomic_write({args.out: distance_cache_chunks(m)})
     print(f"wrote {m.n_vertices}x{m.n_vertices} distance cache -> {args.out}")
     return EXIT_OK
@@ -528,12 +529,14 @@ def _load_test_config(path: str, out_dir_flag: str | None):
     """The config of ``test`` and ``adjust`` and their output directory:
     ``--out-dir``, else the config's ``output.dir``, else ``.``."""
     config = _load_json(path)
-    _check_keys(config, TEST_SECTIONS, {"domain", "data", "model", "inference"}, "config")
+    with _located("config"):
+        _check_keys(config, TEST_SECTIONS, {"domain", "data", "model", "inference"})
     output = config.get("output", {})
-    _check_keys(output, {"dir"}, set(), "output")
-    out_dir = output.get("dir", ".")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(f"output: dir must be a non-empty string, got {out_dir!r}")
+    with _located("output"):
+        _check_keys(output, {"dir"}, set())
+        out_dir = output.get("dir", ".")
+        if not isinstance(out_dir, str) or not out_dir:
+            raise ConfigError(f"dir must be a non-empty string, got {out_dir!r}")
     return config, out_dir_flag or out_dir
 
 
@@ -637,14 +640,15 @@ def cmd_adjust(args) -> int:
 
     config, out_dir = _load_test_config(args.config, args.out_dir)
     caps = []
-    for tok in args.caps.split(","):
-        try:
-            cap = float(tok)  # also "inf"
-        except ValueError:
-            raise ConfigError(
-                f"--caps: radius_cap must be a number or 'inf', got {tok.strip()!r}"
-            ) from None
-        caps.append(_positive_cap(cap, "--caps"))
+    with _located("--caps"):
+        for tok in args.caps.split(","):
+            try:
+                cap = float(tok)  # also "inf"
+            except ValueError:
+                raise ConfigError(
+                    f"radius_cap must be a number or 'inf', got {tok.strip()!r}"
+                ) from None
+            caps.append(_positive_cap(cap))
     if not os.path.exists(args.balls):
         raise ConfigError(f"ball p-value file not found: {args.balls}")
     stages = Stages()
@@ -681,70 +685,57 @@ SCENARIO_KEYS = {
 def _scenario_from_config(section: dict, idx: int):
     from .evalsim import ScenarioConfig
 
-    where = f"scenario[{idx}]"
-    _check_keys(
-        section, SCENARIO_KEYS,
-        {"n_samples", "permutations", "replicates", "seed"}, where,
-    )
+    _check_keys(section, SCENARIO_KEYS, {"n_samples", "permutations", "replicates", "seed"})
     order = section.get("icosphere_order")
     if order is not None:
-        _positive_int(order, f"{where}: icosphere_order")
+        _positive_int(order, "icosphere_order")
     if "mesh_path" in section and "icosphere_radius" in section:
         raise ConfigError(
-            f"{where}: icosphere_radius applies to an icosphere_order mesh, not to mesh_path"
+            "icosphere_radius applies to an icosphere_order mesh, not to mesh_path"
         )
-
-    try:
-        cfg = ScenarioConfig(
-            n_samples=_positive_int(section["n_samples"], f"{where}: n_samples"),
-            n_permutations=_positive_int(
-                section["permutations"], f"{where}: permutations"
-            ),
-            replicates=_positive_int(section["replicates"], f"{where}: replicates"),
-            seed=_seed(section["seed"], f"{where}: seed"),
-            icosphere_order=order,
-            mesh_path=section.get("mesh_path"),
-            scenario_id=str(section.get("id", idx)),
-            # the keys the scenario leaves out take ScenarioConfig's defaults
-            **{
-                key: _parse_cap(value, where) if key == "radius_cap"
-                else _finite_number(value, f"{where}: {key}")
-                for key, value in section.items()
-                if key in ("alpha", "radius_cap", "signal_amplitude", "noise_bandwidth",
-                           "noise_sd", "icosphere_radius")
-            },
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    return cfg
+    return ScenarioConfig(
+        n_samples=_positive_int(section["n_samples"], "n_samples"),
+        n_permutations=_positive_int(section["permutations"], "permutations"),
+        replicates=_positive_int(section["replicates"], "replicates"),
+        seed=_seed(section["seed"], "seed"),
+        icosphere_order=order,
+        mesh_path=_file_key(section, "mesh_path", "mesh"),
+        scenario_id=str(section.get("id", idx)),
+        # the keys the scenario leaves out take ScenarioConfig's defaults
+        **{
+            key: _parse_cap(value) if key == "radius_cap" else _finite_number(value, key)
+            for key, value in section.items()
+            if key in ("alpha", "radius_cap", "signal_amplitude", "noise_bandwidth",
+                       "noise_sd", "icosphere_radius")
+        },
+    )
 
 
-def _apply_truth(cfg, section: dict, mesh, idx: int):
+def _apply_truth(cfg, section: dict, mesh):
     from .evalsim import multi_patch_mask
 
     truth_cfg = section.get("truth", {"type": "none"})
-    where = f"scenario[{idx}].truth"
     keys = {"type", "center", "centers", "radius"}
-    _check_keys(truth_cfg, keys, {"type"}, where)
+    _check_keys(truth_cfg, keys, {"type"})
     kind = truth_cfg["type"]
     if kind == "none":
         cfg.truth_mask = np.zeros(mesh.n_vertices, dtype=bool)
         return
     if kind not in ("cap", "patches"):
-        raise ConfigError(f"{where}: unknown truth type {kind!r}")
+        raise ConfigError(f"unknown truth type {kind!r}")
     key = "center" if kind == "cap" else "centers"
-    _check_keys(truth_cfg, keys, {key, "radius"}, where)
+    _check_keys(truth_cfg, keys, {key, "radius"})
     centers = [truth_cfg[key]] if kind == "cap" else truth_cfg[key]
     n = mesh.n_vertices
     if not isinstance(centers, list) or not centers or not all(
         _is_int(c) and 0 <= c < n for c in centers
     ):
         raise ConfigError(
-            f"{where}: {key} must be vertex indices in [0, {n}), got {truth_cfg[key]!r}"
+            f"{key} must be vertex indices in [0, {n}), got {truth_cfg[key]!r}"
         )
     radius = truth_cfg["radius"]
     if not _is_number(radius) or not radius > 0:
-        raise ConfigError(f"{where}: radius must be a positive number, got {radius!r}")
+        raise ConfigError(f"radius must be a positive number, got {radius!r}")
     cfg.truth_mask = multi_patch_mask(mesh, centers, float(radius))
 
 
@@ -760,18 +751,17 @@ def cmd_simulate(args) -> int:
     mesh_cache: dict = {}
     stages = Stages()
     for idx, section in enumerate(config):
-        cfg = _scenario_from_config(section, idx)
-        key = (cfg.mesh_path, cfg.icosphere_order, cfg.icosphere_radius)
-        if key not in mesh_cache:
-            try:
+        with _located(f"scenario[{idx}]"):
+            cfg = _scenario_from_config(section, idx)
+            key = (cfg.mesh_path, cfg.icosphere_order, cfg.icosphere_radius)
+            if key not in mesh_cache:
                 with stages("build"):
                     mesh_cache[key] = cfg.build_mesh()
-            except ValueError as exc:
-                raise ConfigError(f"scenario[{idx}]: {exc}") from None
-        mesh = mesh_cache[key]
-        _apply_truth(cfg, section, mesh, idx)
-        with stages("simulation"):
-            rates = run_scenario(cfg, mesh=mesh)
+            mesh = mesh_cache[key]
+            with _located("truth"):
+                _apply_truth(cfg, section, mesh)
+            with stages("simulation"):
+                rates = run_scenario(cfg, mesh=mesh)
         writer.writerow(
             [
                 cfg.scenario_id,
@@ -836,19 +826,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command of ``argv``; its exit code is 0 on success, else 2
+    when the input is at fault: a ``ValueError``, as every check on a config,
+    file or data raises (``ConfigError``, ``FamilyTooLargeError`` and numpy's
+    ``LinAlgError`` among them), or an ``OSError``, a given path that cannot
+    be read or written. Any other error, such as a ``MemoryError`` (named by
+    its stage), exits 1. The message goes to stderr, after the name of the
+    input that a ``_located`` block gave it."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:
         # a MemoryError outside a stage, for one, has no message of its own
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        if isinstance(exc, (ConfigError, FileNotFoundError, PermissionError)):
-            return EXIT_CONFIG
-        # raised only by a command that enumerates a family, and so loaded domain
-        from .domain import FamilyTooLargeError
-
-        return EXIT_CONFIG if isinstance(exc, FamilyTooLargeError) else EXIT_COMPUTE
+        message = str(exc) or type(exc).__name__
+        if isinstance(exc, OSError) and exc.filename is not None:
+            message = f"{exc.filename}: {exc.strerror}"
+        if getattr(exc, "where", None) is not None:
+            message = f"{exc.where}: {message}"
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_CONFIG if isinstance(exc, (ValueError, OSError)) else EXIT_COMPUTE
 
 
 def entry_point() -> None:

@@ -18,13 +18,11 @@ coincide.
 from __future__ import annotations
 
 import math
-import os
-import resource
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import DistanceRows, TriangulatedManifold
+from .mesh import DistanceRows, TriangulatedManifold, memory_limit
 
 __all__ = [
     "ComponentGrid",
@@ -655,16 +653,6 @@ def memory_bound(d: ProductDomain) -> int:
     per_field = max(_column_bytes(d.size, parts), KERNEL_FIELDS * 8 * d.size)
     chunk = max(CHUNK_BYTES, per_field + tile_bytes())
     return family + max(12 * slots + 8 * n_balls + chunk, 9 * slots + 16 * n_balls)
-
-
-def memory_limit() -> int:
-    """The most bytes a family and inference on it may need: half of
-    physical memory, or half of the soft address-space limit when lower."""
-    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if soft != resource.RLIM_INFINITY:
-        limit = min(limit, soft)
-    return limit // 2
 
 
 class FamilyTooLargeError(ValueError):

@@ -1,6 +1,8 @@
 import csv
+import errno
 import json
 import math
+import os
 import platform
 import tracemalloc
 
@@ -493,6 +495,13 @@ class TestMalformedInputs:
                 {"statistic": "t_trend_cutoff", "covariate": [[i, -i] for i in range(8)]},
                 "exactly one scalar covariate",
             ),
+            # values numpy would take as an object array
+            ({"statistic": "slope_sq", "covariate": {"a": 1}},
+             "model: covariate must be a list of numbers or of lists of numbers, got {'a': 1}"),
+            ({"statistic": "t_two_sample_sq", "groups": [[0]] * 4 + [[1]] * 4},
+             "model: groups must be a list of labels, got [[0], [0], [0], [0], [1]"),
+            ({"statistic": "t_two_sample_sq", "groups": [None] * 8},
+             "model: groups must be a list of labels, got [None, "),
         ],
     )
     def test_design_does_not_fit_the_signals(self, tmp_path, capsys, model, message):
@@ -572,6 +581,141 @@ class TestMalformedInputs:
         model = {"statistic": "t_trend_cutoff", "covariate": [0.0, 1.0]}
         edit_config(config, lambda c: c.update(model=model))
         assert "at least 3 observations" in run_test(tmp_path, config, capsys)
+
+
+def run_argv(tmp_path, edit=None):
+    """``test`` on ``write_test_setup``'s config, after ``edit`` if given."""
+    config = write_test_setup(tmp_path)
+    if edit is not None:
+        edit_config(config, edit)
+    return ["test", "--config", str(config), "--out-dir", str(tmp_path / "o")]
+
+
+def non_finite_vertex(tmp_path, value):
+    """``write_test_setup``'s mesh with ``value`` as vertex 1's x coordinate."""
+    path = tmp_path / "ico.off"
+    lines = path.read_text().split("\n")
+    lines[3] = f"{value} 0 0"  # after "OFF", the counts and vertex 0
+    path.write_text("\n".join(lines))
+    return path
+
+
+def empty_components(tmp_path, monkeypatch):
+    argv = run_argv(tmp_path, lambda c: c["domain"].update(components=[]))
+    return argv, "domain: components must be a non-empty list, got []"
+
+
+def object_components(tmp_path, monkeypatch):
+    # an object used to be iterated by its keys
+    argv = run_argv(tmp_path, lambda c: c["domain"].update(components={"a": 1}))
+    return argv, "domain: components must be a non-empty list, got {'a': 1}"
+
+
+def zero_variance(tmp_path, monkeypatch):
+    argv = run_argv(tmp_path)
+    Y = np.random.default_rng(0).standard_normal((8, 12))
+    Y[:, 3] = [0.0] * 4 + [1.0] * 4  # constant within each group
+    save_signals_csv(Y, tmp_path / "signals.csv")
+    return argv, "zero residual variance with nonzero effect at grid point(s) [3]"
+
+
+def nan_vertex_distances(tmp_path, monkeypatch):
+    write_test_setup(tmp_path)
+    path = non_finite_vertex(tmp_path, "nan")
+    argv = ["distances", "--mesh", str(path), "--out", str(tmp_path / "d.bin")]
+    return argv, f"{path}: vertex 1 is not finite: [nan, 0.0, 0.0]"
+
+
+def nan_vertex_test(tmp_path, monkeypatch):
+    argv = run_argv(tmp_path)
+    path = non_finite_vertex(tmp_path, "nan")
+    return argv, f"domain.components[0]: {path}: vertex 1 is not finite: [nan, 0.0, 0.0]"
+
+
+def overflowing_vertex_test(tmp_path, monkeypatch):
+    argv = run_argv(tmp_path)
+    path = non_finite_vertex(tmp_path, "1e400")
+    return argv, f"domain.components[0]: {path}: vertex 1 is not finite: [inf, 0.0, 0.0]"
+
+
+def nan_edge_length(tmp_path, monkeypatch):
+    lengths = tmp_path / "lengths.csv"
+    lengths.write_text("0,1,nan\n")
+    argv = run_argv(
+        tmp_path, lambda c: c["domain"]["components"][0].update(edge_lengths=str(lengths))
+    )
+    return argv, (
+        f"domain.components[0]: {lengths}: override length nan (negative or not "
+        "finite) for edge (0, 1)"
+    )
+
+
+def zero_area_mesh(tmp_path, monkeypatch):
+    argv = run_argv(tmp_path)
+    (tmp_path / "ico.off").write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n")
+    return argv, "domain.components[0]: component weights must be positive and finite"
+
+
+def directory_as_mesh(tmp_path, monkeypatch):
+    (tmp_path / "dir").mkdir()
+    argv = ["distances", "--mesh", str(tmp_path / "dir"), "--out", str(tmp_path / "d.bin")]
+    return argv, f"{tmp_path / 'dir'}: {os.strerror(errno.EISDIR)}"
+
+
+def directory_as_data(tmp_path, monkeypatch):
+    (tmp_path / "dir").mkdir()
+    argv = run_argv(tmp_path, lambda c: c["data"].update(path=str(tmp_path / "dir")))
+    return argv, f"data: {tmp_path / 'dir'}: {os.strerror(errno.EISDIR)}"
+
+
+def out_in_missing_directory(tmp_path, monkeypatch):
+    out = tmp_path / "missing" / "m.off"
+    argv = ["tessellate", "--order", "2", "--out", str(out)]
+    return argv, f"output {out}: {os.strerror(errno.ENOENT)}"
+
+
+def out_names_a_directory(tmp_path, monkeypatch):
+    (tmp_path / "dir").mkdir()
+    argv = ["tessellate", "--order", "2", "--out", str(tmp_path / "dir")]
+    return argv, f"output {tmp_path / 'dir'}: {os.strerror(errno.EISDIR)}"
+
+
+def icosphere_over_the_limit(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built an icosphere over the limit")
+
+    monkeypatch.setattr(cli, "memory_limit", lambda: 5_000_000)
+    monkeypatch.setattr(cli, "build_icosphere", refuse)
+    assert mesh.icosphere_bytes(40) == 9_601_200
+    argv = ["tessellate", "--order", "40", "--out", str(tmp_path / "m.off")]
+    return argv, (
+        "an order-40 icosphere and its OFF text would need up to 9.6 MB, over the "
+        "limit of 5.0 MB (half of physical memory or of the address-space limit)"
+    )
+
+
+def missing_scenario_mesh(tmp_path, monkeypatch):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps([{"mesh_path": str(tmp_path / "nope.off"), "n_samples": 8,
+                                  "permutations": 9, "replicates": 1, "seed": 1}]))
+    argv = ["simulate", "--config", str(sweep), "--out", str(tmp_path / "r.csv")]
+    return argv, f"scenario[0]: mesh file not found: {tmp_path / 'nope.off'}"
+
+
+@pytest.mark.parametrize("make", [
+    empty_components, object_components, zero_variance, nan_vertex_distances,
+    nan_vertex_test, overflowing_vertex_test, nan_edge_length, zero_area_mesh,
+    directory_as_mesh, directory_as_data, out_in_missing_directory, out_names_a_directory,
+    icosphere_over_the_limit, missing_scenario_mesh,
+], ids=lambda make: make.__name__.replace("_", "-"))
+def test_degenerate_input(tmp_path, capsys, monkeypatch, make):
+    # each exits 2 naming the input, and writes nothing, not even a temp file
+    argv, message = make(tmp_path, monkeypatch)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def limit_memory(monkeypatch, fraction):

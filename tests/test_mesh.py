@@ -264,6 +264,22 @@ class TestWeights:
         with pytest.raises(ValueError, match="non-existent edge"):
             triangle_strip.override_edge_lengths(bad)
 
+    @pytest.mark.parametrize("length", ["nan", "inf", "1e400", "-1"])
+    def test_override_length_must_be_finite_and_non_negative(
+        self, triangle_strip, tmp_path, length
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"0,1,1.0\n1,2,{length}\n")
+        with pytest.raises(ValueError, match=r"\(negative or not finite\) for edge \(1, 2\)"):
+            triangle_strip.override_edge_lengths(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected(self, value):
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float)
+        verts[2, 1] = value
+        with pytest.raises(ValueError, match=r"vertex 2 is not finite"):
+            TriangulatedManifold(verts, [[0, 1, 2]])
+
 
 def all_pairs(m) -> np.ndarray:
     """The mesh's unbounded distances as an n x n matrix."""
