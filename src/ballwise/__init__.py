@@ -16,7 +16,7 @@ _EXPORTS = {
         "circle_component", "enumerate_component_balls",
         "enumerate_family", "interval_component", "mesh_component",
     ],
-    "glm": ["DesignSpec", "HypothesisSpec", "StatKernel", "stat_field"],
+    "glm": ["DesignSpec", "HypothesisSpec", "StatKernel"],
     "mesh": [
         "TriangulatedManifold", "build_icosphere", "load_mesh", "save_off",
         "triangle_area",

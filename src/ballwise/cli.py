@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import gc
 import importlib.util
 import io
@@ -96,13 +97,18 @@ class Stages:
 
 def _atomic_write(outputs: dict[str, str | bytes | Iterable[str | bytes]]) -> None:
     """Write each path's data (text, bytes, or such chunks in order, each
-    written before the next is drawn) of ``outputs``, all or none: every
-    output goes to a temp file, and the temp files are renamed only once the
-    last is written. On any failure every temp file is removed and every
-    path is left as it was. An ``OSError`` leaves as a ``ConfigError``
-    that names the output it hit, not its temp file."""
+    written before the next is drawn) of ``outputs``, all or none: a path
+    that is a directory, which no rename could replace, is refused before
+    anything is written, every output goes to a temp file, and the temp
+    files are renamed only once the last is written. On any failure every
+    temp file is removed and every path is left as it was. An ``OSError``
+    leaves as a ``ConfigError`` that names the output it hit, not its temp
+    file."""
     tmps = []
     try:
+        for path in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for path, data in outputs.items():
             tmps.append(f"{path}.tmp.{os.getpid()}")
             with open(tmps[-1], "wb") as fh:
@@ -203,7 +209,7 @@ def _load_mesh(path: str, edge_lengths=None):
 
 
 def _file_key(section: dict, key: str, what: str | None = None) -> str | None:
-    """The path a section's optional file key names, None without the key;
+    """The path a section's file key names, None without the key;
     anything but the path of an existing file is a ``ConfigError``, which
     calls the file ``what`` (by default the key)."""
     if key not in section:
@@ -216,22 +222,34 @@ def _file_key(section: dict, key: str, what: str | None = None) -> str | None:
     return path
 
 
+def _check_kind_keys(section: dict, key: str, table: dict, what: str) -> str:
+    """``section[key]``, the kind of ``section``, once ``section`` has every
+    key its kind requires and no other key than its kind takes: ``table``
+    gives each kind's (required, optional) keys. A key of no kind is refused
+    before the kind is read."""
+    _check_keys(section, set().union(*(r | o for r, o in table.values())), {key})
+    kind = section[key]
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {what} {kind!r}")
+    required, optional = table[kind]
+    _check_keys(section, required | optional, required)
+    return kind
+
+
+COMPONENT_KEYS = {  # kind: (required keys, optional keys)
+    "mesh": ({"kind", "path"}, {"radius_cap", "edge_lengths", "distance_cache"}),
+    "circle": ({"kind", "points"}, {"radius_cap", "circumference"}),
+    "interval": ({"kind", "bounds", "points"}, {"radius_cap"}),
+}
+
+
 def _build_component(section: dict):
     from .domain import circle_component, interval_component, mesh_component
 
-    _check_keys(
-        section,
-        {"kind", "path", "edge_lengths", "distance_cache", "points",
-         "circumference", "bounds", "radius_cap"},
-        {"kind"},
-    )
-    kind = section["kind"]
+    kind = _check_kind_keys(section, "kind", COMPONENT_KEYS, "component kind")
     cap = _parse_cap(section.get("radius_cap", "inf"))
     if kind == "mesh":
-        path = _file_key(section, "path", "mesh")
-        if path is None:
-            raise ConfigError("mesh component needs a 'path'")
-        m = _load_mesh(path, _file_key(section, "edge_lengths"))
+        m = _load_mesh(_file_key(section, "path", "mesh"), _file_key(section, "edge_lengths"))
         m.compute_weights()
         cache = _file_key(section, "distance_cache")
         if cache is not None:
@@ -241,8 +259,6 @@ def _build_component(section: dict):
                 raise ConfigError("distance cache does not match the mesh")
         return mesh_component(m, radius_cap=cap)
     if kind == "circle":
-        if "points" not in section:
-            raise ConfigError("circle component needs 'points'")
         circumference = _finite_number(
             section.get("circumference", 2 * math.pi), "circumference"
         )
@@ -251,20 +267,17 @@ def _build_component(section: dict):
             circumference=circumference,
             radius_cap=cap,
         )
-    if kind == "interval":
-        if "bounds" not in section or "points" not in section:
-            raise ConfigError("interval component needs 'bounds' and 'points'")
-        bounds = section["bounds"]
-        if not (
-            isinstance(bounds, list) and len(bounds) == 2
-            and all(_is_finite(v) for v in bounds)
-        ):
-            raise ConfigError(f"bounds must be a list of two finite numbers, got {bounds!r}")
-        a, b = bounds
-        return interval_component(
-            float(a), float(b), _positive_int(section["points"], "points"), radius_cap=cap
-        )
-    raise ConfigError(f"unknown component kind {kind!r}")
+    # an interval
+    bounds = section["bounds"]
+    if not (
+        isinstance(bounds, list) and len(bounds) == 2
+        and all(_is_finite(v) for v in bounds)
+    ):
+        raise ConfigError(f"bounds must be a list of two finite numbers, got {bounds!r}")
+    a, b = bounds
+    return interval_component(
+        float(a), float(b), _positive_int(section["points"], "points"), radius_cap=cap
+    )
 
 
 def _build_domain(config: dict):
@@ -294,9 +307,7 @@ def _load_signals(section: dict):
 
     with _located("data"):
         _check_keys(section, {"path", "format"}, {"path"})
-    path = section["path"]
-    if not os.path.exists(path):
-        raise ConfigError(f"data file not found: {path}")
+        path = _file_key(section, "path", "data")
     fmt = section.get("format", "csv")
     if fmt not in ("csv", "bin"):
         raise ConfigError(f"data.format must be 'csv' or 'bin', got {fmt!r}")
@@ -316,11 +327,10 @@ def _build_model(section: dict):
 
     with _located("model"):
         _check_keys(section, {"statistic", "groups", "covariate"}, {"statistic"})
-        stat = section["statistic"]
-        hyp = HypothesisSpec(statistic=stat)
-        key = "groups" if stat == "t_two_sample_sq" else "covariate"
-        if key not in section:
-            raise ConfigError(f"{stat} needs '{key}'")
+        hyp = HypothesisSpec(statistic=section["statistic"])
+        # the one key that the statistic reads
+        key = "groups" if hyp.statistic == "t_two_sample_sq" else "covariate"
+        _check_keys(section, {"statistic", key}, {"statistic", key})
         # numbers, or group labels that are strings: null or an object would
         # reach numpy as an object array
         if key == "groups":
@@ -636,7 +646,6 @@ def _read_p_ball(path: str, n_balls: int) -> np.ndarray:
 
 def cmd_adjust(args) -> int:
     from .domain import enumerate_family
-    from .permute import adjusted_from_ballwise
 
     config, out_dir = _load_test_config(args.config, args.out_dir)
     caps = []
@@ -664,7 +673,7 @@ def cmd_adjust(args) -> int:
             family = enumerate_family(domain)
         with stages("adjust"):
             p_ball = _read_p_ball(args.balls, family.n_balls)
-            adjusted = adjusted_from_ballwise(p_ball, family, caps)
+            adjusted = family.cover(family.to_slots(p_ball), caps)
         with stages("write"):
             _atomic_write({os.path.join(out_dir, "adjusted.csv"): _adjusted_csv(adjusted)})
     kept = math.prod(int((b.inner < c).sum()) for b, c in zip(family.component_balls, caps))
@@ -711,20 +720,22 @@ def _scenario_from_config(section: dict, idx: int):
     )
 
 
+TRUTH_KEYS = {  # type: (required keys, optional keys)
+    "none": ({"type"}, set()),
+    "cap": ({"type", "center", "radius"}, set()),
+    "patches": ({"type", "centers", "radius"}, set()),
+}
+
+
 def _apply_truth(cfg, section: dict, mesh):
     from .evalsim import multi_patch_mask
 
     truth_cfg = section.get("truth", {"type": "none"})
-    keys = {"type", "center", "centers", "radius"}
-    _check_keys(truth_cfg, keys, {"type"})
-    kind = truth_cfg["type"]
+    kind = _check_kind_keys(truth_cfg, "type", TRUTH_KEYS, "truth type")
     if kind == "none":
         cfg.truth_mask = np.zeros(mesh.n_vertices, dtype=bool)
         return
-    if kind not in ("cap", "patches"):
-        raise ConfigError(f"unknown truth type {kind!r}")
     key = "center" if kind == "cap" else "centers"
-    _check_keys(truth_cfg, keys, {key, "radius"})
     centers = [truth_cfg[key]] if kind == "cap" else truth_cfg[key]
     n = mesh.n_vertices
     if not isinstance(centers, list) or not centers or not all(

@@ -39,10 +39,12 @@ __all__ = [
     "FamilyTooLargeError",
 ]
 
-# Working memory of one chunk of permutations: the tile buffers of ball
-# counting (tile_bytes(), the same for every chunk) and, per permutation,
-# column_bytes or the stat kernel's temporaries (KERNEL_FIELDS fields),
-# whichever is more. Larger domains get smaller chunks.
+# A chunk of permutations is CHUNK_PERMUTATIONS, fewer when its working
+# memory would pass CHUNK_BYTES: the tile buffers of ball counting
+# (tile_bytes(), the same for every chunk) and, per permutation, column_bytes
+# or the stat kernel's temporaries (KERNEL_FIELDS fields), whichever is more.
+# Larger domains get smaller chunks.
+CHUNK_PERMUTATIONS = 32
 CHUNK_BYTES = 64 * 2**20
 KERNEL_FIELDS = 5
 
@@ -319,13 +321,13 @@ class ComponentBalls:
         The B comparisons of a slot go to zero-padded bytes, added as 8-byte
         words, so each byte lane counts at most one comparison per word, and
         multiplying by 0x0101010101010101 sums the eight lanes into the top
-        byte; a sum of at most 31 words (248 fields) stays below 256, so
-        wider stacks are folded 31 words at a time.
+        byte, which holds the count while it stays below 256: B is at most
+        248, 31 words.
         """
         B = values.shape[-1]
+        if B > 8 * 31:
+            raise ValueError(f"at most 248 fields are counted at once, got {B}")
         words = -(-B // 8)
-        # the most words whose lane sums fit one byte: 8 * 31 = 248 <= 255
-        fold = 255 // 8
         L, n = counts.shape[:2]
         floor = floor.reshape(L, n, -1)
         counts = counts.reshape(L, n, -1)
@@ -343,20 +345,19 @@ class ComponentBalls:
                 floor[tile][..., None],
                 out=word.view(bool).reshape(span, k, others, 8 * words)[..., :B],
             )
-            for w0 in range(0, words, fold):
-                total = word[:, w0].copy()
-                for w in range(w0 + 1, min(words, w0 + fold)):
-                    total += word[:, w]
-                total *= np.uint64(0x0101010101010101)
-                total >>= np.uint64(56)
-                counts[tile] += total.view(np.int64).reshape(span, k, others)
+            total = word[:, 0].copy()
+            for w in range(1, words):
+                total += word[:, w]
+            total *= np.uint64(0x0101010101010101)
+            total >>= np.uint64(56)
+            counts[tile] += total.view(np.int64).reshape(span, k, others)
 
     def cover(self, slots: np.ndarray, cap: float) -> np.ndarray:
         """Max over the covering balls of a slot grid: (L, n, ...) -> (n, ...).
 
         Only the slots of balls whose inner radius is below ``cap`` are read;
         ``slots``, if contiguous, is overwritten. Points covered by no such
-        ball get 0, the floor of any p-value.
+        ball get 0, below any p-value and any count numerator.
         """
         n, L = self.order.shape
         # not balls (inf) and balls not below the cap alike; in the grid's own
@@ -512,11 +513,11 @@ class AdjustmentFamily:
         balls = [self.component_balls[c] for c in self._integration_axes()]
         return _column_bytes(self.domain.size, [(*b.order.shape, len(b)) for b in balls])
 
-    def chunk_size(self, most: int) -> int:
-        """Permutations per chunk: ``most``, fewer when their working memory
-        and the tiles would pass CHUNK_BYTES, and at least one."""
+    def chunk_size(self) -> int:
+        """Permutations per chunk: CHUNK_PERMUTATIONS, fewer when their
+        working memory and the tiles would pass CHUNK_BYTES, and at least one."""
         per_field = max(self.column_bytes, KERNEL_FIELDS * 8 * self.domain.size)
-        return max(1, min(most, (CHUNK_BYTES - tile_bytes()) // per_field))
+        return max(1, min(CHUNK_PERMUTATIONS, (CHUNK_BYTES - tile_bytes()) // per_field))
 
     def _integrate_axes(self, fields: np.ndarray, axes) -> np.ndarray:
         """The (n_1, ..., n_L, B) tensor of a stat field (m,) or a stack
@@ -555,10 +556,6 @@ class AdjustmentFamily:
         last = self._integration_axes()[-1]
         V = ball_values.reshape(self.shape + ball_values.shape[1:])
         return self.component_balls[last].to_slots(np.moveaxis(V, last, 0))
-
-    def integrated_stats(self, stat_fields: np.ndarray) -> np.ndarray:
-        """Weighted support sums: (m,) -> (n_balls,), (B, m) -> (n_balls, B)."""
-        return self.ball_values(self.integrated_slots(stat_fields))
 
     def count_exceedances(
         self, stat_fields: np.ndarray, floor_slots: np.ndarray, count_slots: np.ndarray
@@ -633,10 +630,12 @@ def memory_bound(d: ProductDomain) -> int:
 
     A component's balls are at most its slots where a row's distance grows.
     Its family holds 12 bytes per row entry and 13 per slot (``order``,
-    ``inner`` and one transient bool). On the last integrated
-    component's slot grid, counting holds 12 bytes per slot (tie floors, int32
-    counts) and a chunk of permutations, covering 9 (p-values, unkept mask);
-    both hold 8 or 16 bytes per product ball in ball order.
+    ``inner`` and one transient bool). On the last integrated component's
+    slot grid, counting holds 12 bytes per slot (tie floors, int32 counts)
+    and a chunk of permutations, and 8 bytes per product ball (the observed
+    sums); covering holds 5 per slot (the counts, the unkept mask) and 20
+    per product ball (the observed sums, the p-values and the counts they
+    are read from).
     """
     parts, family = [], 0
     for g in d.components:
@@ -652,7 +651,7 @@ def memory_bound(d: ProductDomain) -> int:
     slots = n * L * (n_balls // balls)
     per_field = max(_column_bytes(d.size, parts), KERNEL_FIELDS * 8 * d.size)
     chunk = max(CHUNK_BYTES, per_field + tile_bytes())
-    return family + max(12 * slots + 8 * n_balls + chunk, 9 * slots + 16 * n_balls)
+    return family + max(12 * slots + 8 * n_balls + chunk, 5 * slots + 20 * n_balls)
 
 
 class FamilyTooLargeError(ValueError):

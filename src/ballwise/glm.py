@@ -27,7 +27,6 @@ __all__ = [
     "HypothesisSpec",
     "StatKernel",
     "design_vector",
-    "stat_field",
     "load_signals_csv",
     "save_signals_csv",
     "load_signals_bin",
@@ -257,18 +256,6 @@ def _row_products(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def _col_ss(A: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", A, A)
-
-
-def stat_field(
-    signals: np.ndarray, design: DesignSpec, hypothesis: HypothesisSpec
-) -> np.ndarray:
-    """Evaluate the selected statistic at every product-grid point.
-
-    ``signals`` is N x m; the result is a nonnegative length-m vector, the
-    identity row of a ``StatKernel``.
-    """
-    kernel = StatKernel(signals, design, hypothesis)
-    return kernel.fields(np.arange(kernel.n_obs)[None, :])[0]
 
 
 # --- signal matrix I/O -------------------------------------------------------

@@ -32,15 +32,11 @@ __all__ = [
     "PValueFields",
     "InferenceResult",
     "generate_permutations",
-    "adjusted_from_ballwise",
     "run_inference",
 ]
 
 # numpy's default bit generator; recorded in run manifests for reproducibility
 RNG_ALGORITHM = "PCG64"
-
-# Permutations per chunk, fewer when the family's chunk_size says so.
-CHUNK_PERMUTATIONS = 32
 
 SCHEMES = ("freedman_lane", "raw_label_permutation")
 
@@ -116,26 +112,6 @@ class PValueFields:
         )
 
 
-def adjusted_from_ballwise(
-    ballwise_p: np.ndarray, family: AdjustmentFamily, caps=None
-) -> np.ndarray:
-    """Max of the ball-wise p-values over the balls covering each grid point.
-
-    ``caps``, one radius cap per component, restricts the sup to the balls
-    admissible under them (cap re-adjustment). The p-values in family order
-    go onto the slot grid (``to_slots``) for the covering max (``cover``);
-    ``run_inference`` forms them there and covers them in place.
-    """
-    return family.cover(family.to_slots(np.asarray(ballwise_p, dtype=float)), caps)
-
-
-def _p_from_counts(counts: np.ndarray, n_permutations: int) -> np.ndarray:
-    # in place, so a slot grid of counts gets no temporary beside p
-    p = np.add(counts, 1.0)
-    p /= n_permutations + 1.0
-    return p
-
-
 @dataclass
 class InferenceResult:
     """Observed statistics and the resulting p-value fields."""
@@ -161,21 +137,23 @@ def run_inference(
 ) -> InferenceResult:
     """Full pipeline: permutation null, p-values, sup adjustment.
 
-    Permutations are processed in chunks of at most ``CHUNK_PERMUTATIONS``,
-    fewer when a chunk would need more than ``domain.CHUNK_BYTES``
-    (``family.chunk_size``). A chunk's fields come from one ``StatKernel``
+    Permutations are processed in chunks of ``family.chunk_size()``
+    (``domain.CHUNK_PERMUTATIONS``, fewer when a chunk would need more than
+    ``domain.CHUNK_BYTES``). A chunk's fields come from one ``StatKernel``
     call, and ``count_exceedances`` adds them to the counts one integration
     tile at a time. Everything per ball lies on the slot grid of the family's
     last integrated component (``integrated_slots``), as each tile's running
     sums do: the observed sums, turned into tie floors in place one slot
-    position at a time, the int32 counts, then the p-values, which ``cover``
-    turns into the adjusted field in place. The observed sums and the
-    p-values are each read in ball order once (``ball_values``); nothing goes
-    back from ball order to the grid. The loop holds the floors, the counts
-    and one tile of at most ``TILE_MAX_VALUES`` values, never a permuted
-    statistic per ball. The Freedman-Lane scheme permutes the reduced-model
-    residual rows and adds back the reduced-model fits; the raw scheme
-    permutes observation rows.
+    position at a time, then the int32 counts. A p-value (1 + k) / (B + 1)
+    rises with its count k, so the counts plus one, in place, are read in
+    ball order once (``ball_values``) and covered in place (``cover``), and
+    only then divided by B + 1: the same bits as covering the p-values, as
+    c + 1 converts to float exactly and the division is monotone. Nothing
+    goes back from ball order to the grid. The loop holds the floors, the
+    counts and one tile of at most ``TILE_MAX_VALUES`` values, never a
+    permuted statistic per ball. The Freedman-Lane scheme permutes the
+    reduced-model residual rows and adds back the reduced-model fits; the raw
+    scheme permutes observation rows.
     """
     Y = np.asarray(signals, dtype=float)
     perms = generate_permutations(plan, Y.shape[0])
@@ -194,9 +172,9 @@ def run_inference(
     for j in range(len(floor_slots)):
         _tie_floor(floor_slots[j], out=floor_slots[j])
 
-    chunk_size = family.chunk_size(CHUNK_PERMUTATIONS)
+    chunk_size = family.chunk_size()
     point_counts = np.zeros(T_obs.shape[0], dtype=np.int64)
-    # B < 2**31: the (B, N) permutations could not be held long before that
+    # B + 1 < 2**31: the (B, N) permutations could not be held long before that
     count_slots = np.zeros(floor_slots.shape, dtype=np.int32)
     for start in range(0, B, chunk_size):
         fields = kernel.fields(perms[start:start + chunk_size])
@@ -204,9 +182,8 @@ def run_inference(
         family.count_exceedances(fields, floor_slots, count_slots)
     del floor_slots
 
-    p_point = _p_from_counts(point_counts, B)
-    p_slots = _p_from_counts(count_slots, B)
-    del count_slots
-    p_ball = family.ball_values(p_slots)
-    fields_out = PValueFields(p_point, p_ball, family.cover(p_slots), B)
+    count_slots += 1
+    p_ball = family.ball_values(count_slots) / (B + 1.0)
+    p_adjusted = family.cover(count_slots) / (B + 1.0)
+    fields_out = PValueFields((point_counts + 1) / (B + 1.0), p_ball, p_adjusted, B)
     return InferenceResult(T_obs, ball_obs, fields_out)

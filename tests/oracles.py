@@ -23,9 +23,9 @@ from scipy.sparse import coo_matrix, csr_matrix, kron
 from scipy.sparse.csgraph import dijkstra
 
 from ballwise.domain import mesh_component
-from ballwise.glm import DesignSpec, stat_field
+from ballwise.glm import DesignSpec, StatKernel
 from ballwise.mesh import _ICO_FACES, _ICO_VERTICES, DistanceRows, TriangulatedManifold
-from ballwise.permute import PValueFields, adjusted_from_ballwise, generate_permutations
+from ballwise.permute import PValueFields, generate_permutations
 
 
 # --- icosphere -------------------------------------------------------------------
@@ -429,16 +429,22 @@ class NullDistribution:
         return self.permuted_fields.shape[0]
 
 
+def observed_field(signals, design, hypothesis) -> np.ndarray:
+    """The statistic at every grid point: a ``StatKernel``'s identity row."""
+    kernel = StatKernel(signals, design, hypothesis)
+    return kernel.fields(np.arange(kernel.n_obs)[None, :])[0]
+
+
 def null_distribution(signals, design, hypothesis, family, plan) -> NullDistribution:
     """The full permutation null, every permuted field and ball statistic."""
     Y = np.asarray(signals, dtype=float)
     perms = generate_permutations(plan, Y.shape[0])
-    T_obs = stat_field(Y, design, hypothesis)
-    ball_obs = family.integrated_stats(T_obs)
+    T_obs = observed_field(Y, design, hypothesis)
+    ball_obs = family.ball_values(family.integrated_slots(T_obs))
     T_perm = np.stack(
-        [stat_field(permute_once(Y, plan, p), design, hypothesis) for p in perms]
+        [observed_field(permute_once(Y, plan, p), design, hypothesis) for p in perms]
     )
-    ball_perm = family.integrated_stats(T_perm).T
+    ball_perm = family.ball_values(family.integrated_slots(T_perm)).T
     return NullDistribution(T_obs, ball_obs, T_perm, ball_perm)
 
 
@@ -456,7 +462,7 @@ def pvalues(nd: NullDistribution, family):
     ball_counts = at_least(nd.permuted_ball_stats, nd.observed_ball_stats).sum(axis=0)
     p_point = (1.0 + point_counts) / (B + 1.0)
     p_ball = (1.0 + ball_counts) / (B + 1.0)
-    return PValueFields(p_point, p_ball, adjusted_from_ballwise(p_ball, family), B)
+    return PValueFields(p_point, p_ball, cover_max(p_ball, family), B)
 
 
 # --- two-pass column statistics ------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import errno
 import json
@@ -175,7 +176,7 @@ class TestTestCommand:
             ("test", "run_inference", "inference"),
             ("test", "_pointwise_csv", "write"),
             ("adjust", "_build_domain", "build"),
-            ("adjust", "adjusted_from_ballwise", "adjust"),
+            ("adjust", "cover", "adjust"),
             ("simulate", "run_scenario", "simulation"),
         ],
     )
@@ -205,7 +206,7 @@ class TestTestCommand:
         # patched in the module the CLI looks the name up in when it runs
         module = {
             "enumerate_family": domain, "run_inference": permute,
-            "adjusted_from_ballwise": permute, "run_scenario": evalsim,
+            "cover": domain.AdjustmentFamily, "run_scenario": evalsim,
         }.get(name, cli)
         monkeypatch.setattr(module, name, out_of_memory)
         assert main(argv) == 1
@@ -668,6 +669,19 @@ def directory_as_data(tmp_path, monkeypatch):
     return argv, f"data: {tmp_path / 'dir'}: {os.strerror(errno.EISDIR)}"
 
 
+def data_path_not_a_string(tmp_path, monkeypatch):
+    # 0 would be taken as a file descriptor: standard input
+    argv = run_argv(tmp_path, lambda c: c["data"].update(path=0))
+    return argv, "data: path must be a file path, got 0"
+
+
+def output_among_directories(tmp_path, monkeypatch):
+    # balls.csv is a directory: pointwise.csv, renamed first, must not appear
+    argv = run_argv(tmp_path)
+    (tmp_path / "o" / "balls.csv").mkdir(parents=True)
+    return argv, f"output {tmp_path / 'o' / 'balls.csv'}: {os.strerror(errno.EISDIR)}"
+
+
 def out_in_missing_directory(tmp_path, monkeypatch):
     out = tmp_path / "missing" / "m.off"
     argv = ["tessellate", "--order", "2", "--out", str(out)]
@@ -705,17 +719,76 @@ def missing_scenario_mesh(tmp_path, monkeypatch):
 @pytest.mark.parametrize("make", [
     empty_components, object_components, zero_variance, nan_vertex_distances,
     nan_vertex_test, overflowing_vertex_test, nan_edge_length, zero_area_mesh,
-    directory_as_mesh, directory_as_data, out_in_missing_directory, out_names_a_directory,
-    icosphere_over_the_limit, missing_scenario_mesh,
+    directory_as_mesh, directory_as_data, data_path_not_a_string, output_among_directories,
+    out_in_missing_directory, out_names_a_directory, icosphere_over_the_limit,
+    missing_scenario_mesh,
 ], ids=lambda make: make.__name__.replace("_", "-"))
 def test_degenerate_input(tmp_path, capsys, monkeypatch, make):
-    # each exits 2 naming the input, and writes nothing, not even a temp file
+    # each exits 2 naming the input, and writes nothing, not even a temp file;
+    # standard input is /dev/null, so a run that reads it ends at once
     argv, message = make(tmp_path, monkeypatch)
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
-    assert main(argv) == 2
+    with stdin_from_devnull():
+        assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@contextlib.contextmanager
+def stdin_from_devnull():
+    """File descriptor 0 reads /dev/null inside the block."""
+    saved = os.dup(0)
+    try:
+        with open(os.devnull, "rb") as null:
+            os.dup2(null.fileno(), 0)
+        yield
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+
+
+def scenario_argv(tmp_path, truth):
+    """``simulate`` on one order-1 scenario with ``truth``."""
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps([{"icosphere_order": 1, "n_samples": 8, "permutations": 9,
+                                  "replicates": 1, "seed": 1, "truth": truth}]))
+    return ["simulate", "--config", str(sweep), "--out", str(tmp_path / "r.csv")]
+
+
+def with_component(component):
+    """An edit that adds ``component`` to the domain, as component 1."""
+    return lambda c: c["domain"]["components"].append(component)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda t: run_argv(t, with_component({"kind": "circle", "points": 3, "path": "m.off"})),
+     "domain.components[1]: unknown key(s) ['path']"),
+    (lambda t: run_argv(t, with_component(
+        {"kind": "interval", "bounds": [0, 1], "points": 3, "circumference": 2.0})),
+     "domain.components[1]: unknown key(s) ['circumference']"),
+    (lambda t: run_argv(t, lambda c: c["domain"]["components"][0].update(points=3)),
+     "domain.components[0]: unknown key(s) ['points']"),
+    (lambda t: run_argv(t, lambda c: c["domain"]["components"][0].pop("path")),
+     "domain.components[0]: missing key(s) ['path']"),
+    (lambda t: run_argv(t, with_component({"kind": "interval", "points": 3})),
+     "domain.components[1]: missing key(s) ['bounds']"),
+    (lambda t: run_argv(t, lambda c: c["model"].update(covariate=list(range(8)))),
+     "model: unknown key(s) ['covariate']"),
+    (lambda t: run_argv(t, lambda c: c.update(model={"statistic": "slope_sq"})),
+     "model: missing key(s) ['covariate']"),
+    (lambda t: scenario_argv(t, {"type": "cap", "center": 0, "centers": [1], "radius": 0.5}),
+     "scenario[0].truth: unknown key(s) ['centers']"),
+    (lambda t: scenario_argv(t, {"type": "none", "radius": 0.5}),
+     "scenario[0].truth: unknown key(s) ['radius']"),
+], ids=["circle-path", "interval-circumference", "mesh-points", "mesh-without-path",
+        "interval-without-bounds", "two-sample-covariate", "slope-without-covariate",
+        "cap-centers", "none-radius"])
+def test_keys_are_those_of_the_kind(tmp_path, capsys, argv, message):
+    # a key that only another kind reads would be ignored: each exits 2
+    # naming where it is and the key
+    assert main(argv(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def limit_memory(monkeypatch, fraction):

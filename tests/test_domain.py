@@ -22,7 +22,6 @@ from ballwise.domain import (
 )
 from ballwise.glm import DesignSpec, HypothesisSpec
 from ballwise.mesh import TriangulatedManifold, build_icosphere
-from ballwise.permute import adjusted_from_ballwise
 from oracles import (
     admissible_mask,
     ball_list,
@@ -334,7 +333,7 @@ class TestKroneckerWeightMatrix:
         assert fam.n_memberships == ref.nnz
         # the unit fields integrate to each ball's point weights; products of
         # three weights may associate differently, hence the 1e-15
-        dense = fam.integrated_stats(np.eye(fam.domain.size))
+        dense = fam.ball_values(fam.integrated_slots(np.eye(fam.domain.size)))
         np.testing.assert_array_equal(dense != 0, ref.toarray() != 0)
         np.testing.assert_allclose(dense, ref.toarray(), rtol=1e-15, atol=0)
 
@@ -437,10 +436,10 @@ class TestPrefixOperators:
         fam = enumerate_family(ProductDomain(make()))
         rng = np.random.default_rng(3)
         fields = rng.random((5, fam.domain.size))
-        stacked = fam.integrated_stats(fields)
+        stacked = fam.ball_values(fam.integrated_slots(fields))
         assert stacked.shape == (fam.n_balls, 5)
         for i, T in enumerate(fields):
-            single = fam.integrated_stats(T)
+            single = fam.ball_values(fam.integrated_slots(T))
             assert single.shape == (fam.n_balls,)
             # element by element: the same bytes however the fields are stacked
             assert single.tobytes() == stacked[:, i].tobytes()
@@ -452,11 +451,11 @@ class TestPrefixOperators:
     def test_row_tiles(self, make, monkeypatch):
         fam = enumerate_family(ProductDomain(make()))
         fields = np.random.default_rng(5).random((3, fam.domain.size))
-        whole = fam.integrated_stats(fields)
+        whole = fam.integrated_slots(fields)
         for add_values, max_values in TILINGS:
             monkeypatch.setattr(domain, "TILE_ADD_VALUES", add_values)
             monkeypatch.setattr(domain, "TILE_MAX_VALUES", max_values)
-            assert fam.integrated_stats(fields).tobytes() == whole.tobytes()
+            assert fam.integrated_slots(fields).tobytes() == whole.tobytes()
 
     @OPERATOR_DOMAINS
     def test_integrated_slots(self, make, monkeypatch):
@@ -495,7 +494,7 @@ class TestPrefixOperators:
     def test_unkept_slots_never_read(self, make):
         fam = enumerate_family(ProductDomain(make()))
         fields = np.random.default_rng(12).random((9, fam.domain.size))
-        stats = fam.integrated_stats(fields)
+        stats = fam.ball_values(fam.integrated_slots(fields))
         floor = np.median(stats, axis=1)
         expected = (stats >= floor[:, None]).sum(axis=1)
         unkept = ~fam.component_balls[fam._integration_axes()[-1]].kept.T
@@ -520,10 +519,10 @@ class TestPrefixOperators:
         rng = np.random.default_rng(7)
         start = np.arange(fam.n_balls, dtype=np.int64)
         # widest first, so each narrower call follows one whose comparisons
-        # filled more byte lanes; 300 fields need two folds of 31 words
-        for B in (300, 33, 9, 7, 1):
+        # filled more byte lanes; 248 fields are 31 words, the most counted
+        for B in (248, 33, 9, 7, 1):
             fields = rng.random((B, fam.domain.size))
-            stats = fam.integrated_stats(fields)
+            stats = fam.ball_values(fam.integrated_slots(fields))
             floors = (
                 # every field reaches it, one of them by a tie
                 stats.min(axis=1),
@@ -540,15 +539,20 @@ class TestPrefixOperators:
                     # counts are added to what is there
                     counts = self.count(fam, fields, floor, start)
                     np.testing.assert_array_equal(counts - start, expected)
+        # 249 would carry out of a byte lane
+        fields = rng.random((249, fam.domain.size))
+        with pytest.raises(ValueError, match="at most 248 fields"):
+            self.count(fam, fields, np.zeros(fam.n_balls), start)
 
     @OPERATOR_DOMAINS
     def test_column_bytes(self, make, monkeypatch):
         fam = enumerate_family(ProductDomain(make()))
         # one-row, one-position tiles, so the tile buffers grow with the stack;
-        # stacked deep enough that numpy's fixed buffers are a small part
+        # the deepest stack counted at once, so numpy's fixed buffers are a
+        # small part
         monkeypatch.setattr(domain, "TILE_ADD_VALUES", 1)
         monkeypatch.setattr(domain, "TILE_MAX_VALUES", 1)
-        fields = np.random.default_rng(6).random((2000, fam.domain.size))
+        fields = np.random.default_rng(6).random((248, fam.domain.size))
         floor_slots = fam.integrated_slots(fields[0])
         count_slots = np.zeros(floor_slots.shape, dtype=np.int64)
         tracemalloc.start()
@@ -587,19 +591,24 @@ class TestPrefixOperators:
         rng = np.random.default_rng(4)
         p_ball = rng.random(fam.n_balls)
         np.testing.assert_array_equal(
-            adjusted_from_ballwise(p_ball, fam), oracles.cover_max(p_ball, fam)
+            fam.cover(fam.to_slots(p_ball)), oracles.cover_max(p_ball, fam)
         )
         # any sub-family: the p-values of the other balls zeroed
         for keep in (0.5, 0.05):
             mask = rng.random(fam.n_balls) < keep
             np.testing.assert_array_equal(
-                adjusted_from_ballwise(np.where(mask, p_ball, 0.0), fam),
+                fam.cover(fam.to_slots(np.where(mask, p_ball, 0.0))),
                 oracles.cover_max(p_ball, fam, ball_mask=mask),
             )
         for caps in cap_sets(fam):
-            assert adjusted_from_ballwise(p_ball, fam, caps).tobytes() == oracles.cover_max(
+            assert fam.cover(fam.to_slots(p_ball), caps).tobytes() == oracles.cover_max(
                 p_ball, fam, ball_mask=admissible_mask(fam, caps)
             ).tobytes(), caps
+        # integer counts cover as their p-values do
+        counts = rng.integers(1, 2**31, fam.n_balls, dtype=np.int32)
+        np.testing.assert_array_equal(
+            fam.cover(fam.to_slots(counts)), oracles.cover_max(counts, fam)
+        )
 
     @OPERATOR_DOMAINS
     @pytest.mark.parametrize("seed", [3, 7])
@@ -614,7 +623,7 @@ class TestPrefixOperators:
             permute.PermutationPlan(19, seed=seed, scheme="raw_label_permutation"),
         )
         adjusted = res.p.adjusted.tobytes()
-        assert adjusted == adjusted_from_ballwise(res.p.ballwise, fam).tobytes()
+        assert adjusted == fam.cover(fam.to_slots(res.p.ballwise)).tobytes()
         assert adjusted == oracles.cover_max(res.p.ballwise, fam).tobytes()
 
 
@@ -640,7 +649,7 @@ class TestAdmissibleMask:
         p_ball = np.random.default_rng(5).random(fam.n_balls)
         caps = cap_sets(fam)
         for c in caps:
-            assert adjusted_from_ballwise(p_ball, fam, c).tobytes() == oracles.cover_max(
+            assert fam.cover(fam.to_slots(p_ball), c).tobytes() == oracles.cover_max(
                 p_ball, fam, ball_mask=admissible_mask(fam, c)
             ).tobytes(), c
         assert 0 < admissible_mask(fam, caps[1]).sum() < fam.n_balls

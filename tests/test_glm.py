@@ -15,9 +15,15 @@ from ballwise.glm import (
     load_signals_csv,
     save_signals_bin,
     save_signals_csv,
-    stat_field,
 )
-from oracles import ols_fit, reduced_fit, slope_sq, t_trend_cutoff, t_two_sample_sq
+from oracles import (
+    observed_field,
+    ols_fit,
+    reduced_fit,
+    slope_sq,
+    t_trend_cutoff,
+    t_two_sample_sq,
+)
 
 
 class TestOlsFit:
@@ -147,7 +153,7 @@ class TestStatField:
     def test_single_column_wraps_scalar(self):
         y = np.array([[1.0], [2.0], [3.0], [4.0]])
         design = DesignSpec(group_labels=[0, 0, 1, 1])
-        field = stat_field(y, design, HypothesisSpec("t_two_sample_sq"))
+        field = observed_field(y, design, HypothesisSpec("t_two_sample_sq"))
         assert field.shape == (1,)
         # means 1.5 and 3.5, pooled variance 0.5: t^2 = 4 / (0.5 * (1/2 + 1/2))
         assert field[0] == 8.0
@@ -158,7 +164,7 @@ class TestStatField:
         col = rng.standard_normal(6)
         Y = np.column_stack([col, col])
         design = DesignSpec(group_labels=[0, 0, 0, 1, 1, 1])
-        field = stat_field(Y, design, HypothesisSpec("t_two_sample_sq"))
+        field = observed_field(Y, design, HypothesisSpec("t_two_sample_sq"))
         assert field[0] == field[1]
 
     @pytest.mark.parametrize(
@@ -173,7 +179,7 @@ class TestStatField:
         rng = np.random.default_rng(7)
         Y = rng.standard_normal((6, 4))
         design = DesignSpec(**design_kwargs)
-        field = stat_field(Y, design, HypothesisSpec(statistic))
+        field = observed_field(Y, design, HypothesisSpec(statistic))
         for j in range(4):
             if statistic == "t_two_sample_sq":
                 expected = t_two_sample_sq(Y[:, j], design.group_labels)
@@ -187,7 +193,7 @@ class TestStatField:
         rng = np.random.default_rng(11)
         Y = rng.standard_normal((8, 10))
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
-        assert np.all(stat_field(Y, design, HypothesisSpec("t_two_sample_sq")) >= 0)
+        assert np.all(observed_field(Y, design, HypothesisSpec("t_two_sample_sq")) >= 0)
 
     def test_unknown_statistic(self):
         with pytest.raises(ValueError, match="unknown statistic"):
@@ -197,7 +203,7 @@ class TestStatField:
         Y = np.array([[1.0, np.nan], [2.0, 3.0], [0.0, 1.0], [1.0, 2.0]])
         design = DesignSpec(group_labels=[0, 0, 1, 1])
         with pytest.raises(ValueError, match="non-finite"):
-            stat_field(Y, design, HypothesisSpec("t_two_sample_sq"))
+            observed_field(Y, design, HypothesisSpec("t_two_sample_sq"))
 
 
 STATISTIC_DESIGNS = [
@@ -224,7 +230,9 @@ class TestStatKernel:
         Y = offset + rng.standard_normal((N, 200))
         groups = np.repeat([0, 1], N // 2)
         t = np.arange(float(N))
-        field = stat_field(Y, DesignSpec(group_labels=groups), HypothesisSpec("t_two_sample_sq"))
+        field = observed_field(
+            Y, DesignSpec(group_labels=groups), HypothesisSpec("t_two_sample_sq")
+        )
         ref = t_two_sample_sq(Y, groups)
         diff = np.abs(Y[:15].mean(axis=0) - Y[15:].mean(axis=0))
         eps = np.finfo(float).eps
@@ -240,11 +248,11 @@ class TestStatKernel:
             assert field[j] == pytest.approx(exact, rel=1e-14)
         design = DesignSpec(covariates=t)
         np.testing.assert_allclose(
-            stat_field(Y, design, HypothesisSpec("t_trend_cutoff")),
+            observed_field(Y, design, HypothesisSpec("t_trend_cutoff")),
             t_trend_cutoff(Y, t), rtol=1e-12,
         )
         np.testing.assert_allclose(
-            stat_field(Y, design, HypothesisSpec("slope_sq")), slope_sq(Y, t), rtol=1e-12
+            observed_field(Y, design, HypothesisSpec("slope_sq")), slope_sq(Y, t), rtol=1e-12
         )
 
     @pytest.mark.parametrize("statistic,design_kwargs", STATISTIC_DESIGNS)
@@ -271,7 +279,7 @@ class TestStatKernel:
         else:
             fits, resid = reduced_fit(Y, X0)
             permuted = [fits + resid[p] for p in perms]
-        expected = np.stack([stat_field(Yp, design, hyp) for Yp in permuted])
+        expected = np.stack([observed_field(Yp, design, hyp) for Yp in permuted])
         np.testing.assert_allclose(fields, expected, rtol=1e-9)
         np.testing.assert_array_equal(fields == 0, expected == 0)
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ballwise import domain, permute
+from ballwise import domain
 from ballwise.domain import (
     AdjustmentFamily,
     ProductDomain,
@@ -15,12 +15,7 @@ from ballwise.domain import (
 )
 from ballwise.glm import DesignSpec, HypothesisSpec, StatKernel
 from ballwise.mesh import TriangulatedManifold, build_icosphere
-from ballwise.permute import (
-    PermutationPlan,
-    adjusted_from_ballwise,
-    generate_permutations,
-    run_inference,
-)
+from ballwise.permute import PermutationPlan, generate_permutations, run_inference
 from oracles import (
     NullDistribution,
     ball_weight,
@@ -80,7 +75,7 @@ class TestIntegratedStat:
         d, fam = tet_circle_domain
         rng = np.random.default_rng(2)
         T = rng.random(d.size)
-        stacked = fam.integrated_stats(T)
+        stacked = fam.ball_values(fam.integrated_slots(T))
         for k in range(fam.n_balls):
             assert stacked[k] == pytest.approx(integrated_stat(T, fam, k), rel=1e-12)
 
@@ -365,14 +360,14 @@ class TestPValues:
         )
         assert full_mask.sum() == 1
         p_ball = np.linspace(0.1, 0.9, fam.n_balls)
-        adj = adjusted_from_ballwise(np.where(full_mask, p_ball, 0.0), fam)
+        adj = fam.cover(fam.to_slots(np.where(full_mask, p_ball, 0.0)))
         np.testing.assert_allclose(adj, p_ball[full_mask][0])
 
     def test_adjusted_is_max_over_covering_balls(self, tet_circle_domain):
         d, fam = tet_circle_domain
         rng = np.random.default_rng(10)
         p_ball = rng.random(fam.n_balls)
-        adj = adjusted_from_ballwise(p_ball, fam)
+        adj = fam.cover(fam.to_slots(p_ball))
         for g in rng.integers(0, d.size, size=5):
             covering = [
                 p_ball[k] for k in range(fam.n_balls) if g in support_indices(fam, k)
@@ -468,7 +463,7 @@ class TestEngineProperties:
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
         hyp = HypothesisSpec("t_two_sample_sq")
         covariate_null = np.column_stack([np.ones(8), np.arange(8.0)])
-        monkeypatch.setattr(permute, "CHUNK_PERMUTATIONS", 4)
+        monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", 4)
         for scheme, null_design in [
             ("freedman_lane", None),
             ("freedman_lane", covariate_null),
@@ -487,10 +482,10 @@ class TestEngineProperties:
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
         hyp = HypothesisSpec("t_two_sample_sq")
         plan = PermutationPlan(45, seed=8, scheme=scheme)
-        monkeypatch.setattr(permute, "CHUNK_PERMUTATIONS", 1)
+        monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", 1)
         ref = run_inference(Y, design, hyp, fam, plan).p.tobytes()
         for chunk in (7, 32):
-            monkeypatch.setattr(permute, "CHUNK_PERMUTATIONS", chunk)
+            monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", chunk)
             assert run_inference(Y, design, hyp, fam, plan).p.tobytes() == ref
         # a budget of the tiles and three fields' working memory caps every
         # chunk at 3: the observed field is integrated alone (0), each chunk
@@ -533,15 +528,16 @@ class TestEngineProperties:
         monkeypatch.setattr(AdjustmentFamily, "count_exceedances", spy)
         chunked = run_inference(Y, design, hyp, fam, plan).p.tobytes()
         assert stacked == [32, 32]
-        monkeypatch.setattr(permute, "CHUNK_PERMUTATIONS", 1)
+        monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", 1)
         assert run_inference(Y, design, hyp, fam, plan).p.tobytes() == chunked
 
     @pytest.mark.slow
-    def test_order16_full_cap_peak_within_three_slot_grids(self):
+    def test_order16_full_cap_peak_within_2_85_slot_grids(self):
         # 5,961,058 balls on a 2562 x 2562 slot grid of 50 MiB; the peak
-        # measured 2.96 grids: the observed sums and the p-values in ball
-        # order, and the p-value grid; the cover scatters through a view of
-        # the rows' point order, so it copies no point index per slot
+        # measured 2.79 grids, after the loop: the observed sums, the
+        # p-values and the counts they are divided from in ball order, and
+        # the int32 count grid; the cover scatters through a view of the
+        # rows' point order, so it copies no point index per slot
         fam = enumerate_family(ProductDomain([mesh_component(build_icosphere(16))]))
         Y = np.random.default_rng(18).standard_normal((12, fam.domain.size))
         design = DesignSpec(group_labels=[0] * 6 + [1] * 6)
@@ -554,7 +550,7 @@ class TestEngineProperties:
         finally:
             tracemalloc.stop()
         assert fam.n_balls == 5_961_058
-        assert peak <= 3.0 * 8 * fam.domain.size**2
+        assert peak <= 2.85 * 8 * fam.domain.size**2
 
     @pytest.mark.slow
     def test_order16_full_cap_cover_under_caps_within_1_5_slot_grids(self):
@@ -564,7 +560,7 @@ class TestEngineProperties:
         p_ball = np.random.default_rng(20).random(fam.n_balls)
         tracemalloc.start()
         try:
-            adjusted_from_ballwise(p_ball, fam, [0.3])
+            fam.cover(fam.to_slots(p_ball), [0.3])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
