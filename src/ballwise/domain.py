@@ -168,33 +168,38 @@ def interval_component(
 class ComponentBalls:
     """The distinct ball supports of one component, as prefixes of sorted rows.
 
-    Row i of ``order`` (n x L) lists the points below the cap around center i
-    by (distance, index), padded with the sentinel n, whose weight is 0.
-    ``inner[i, j]`` is the inner radius of the ball that is the first j + 1
-    points of row i, ``inf`` where that prefix is no ball: the balls are
-    ``kept``, ``inner < inf``, and a cap keeps ``inner < cap``. A ball's
-    integrated statistic is a prefix sum along its row, and the balls
-    covering a point are those whose prefix reaches the point's position.
-    Sums, tie floors, counts and the covering max all lie on one slot grid
-    (L, n, ...), slot (j, i) for the first j + 1 points of row i, whose kept
-    slots ``ball_values`` reads and ``to_slots`` writes. Balls are numbered
-    in row-major order of ``kept`` (by center, then by size); ``table`` gives
-    their centers, radii and inner radii. A ball's center is the first center
-    realizing its support, and its inner radius the least over every center
-    realizing the support of that center's largest distance inside it, so
-    the support is admissible under exactly the caps strictly above it (0
-    for singletons, which are admissible under every cap).
+    ``order`` is the grid's own sorted rows, ``grid.rows.indices``: row i
+    (n x L) lists the points below the cap around center i by (distance,
+    index), padded with the point n, which weighs 0 here. ``inner[i, j]`` is
+    the inner radius of the ball that is the first j + 1 points of row i,
+    ``inf`` where that prefix is no ball: the balls are ``kept``, ``inner <
+    inf``, and a cap keeps ``inner < cap``. A ball's integrated statistic is
+    a prefix sum along its row, and the balls covering a point are those
+    whose prefix reaches the point's position. Sums, tie floors, counts and
+    the covering max all lie on one slot grid (L, n, ...), slot (j, i) for
+    the first j + 1 points of row i, whose kept slots ``ball_values`` reads
+    and ``to_slots`` writes. Balls are numbered in row-major order of
+    ``kept`` (by center, then by size); ``table`` gives their centers, radii
+    and inner radii. A ball's center is the first center realizing its
+    support, and its inner radius the least over every center realizing the
+    support of that center's largest distance inside it, so the support is
+    admissible under exactly the caps strictly above it (0 for singletons,
+    which are admissible under every cap).
     """
 
     grid: ComponentGrid
-    order: np.ndarray  # (n, L) int32
     inner: np.ndarray  # (n, L) float64, inf where no ball
     # the balls of row i are _row_start[i]:_row_start[i + 1]
     _row_start: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._row_start = np.zeros(len(self.order) + 1, dtype=np.int64)
+        self._row_start = np.zeros(len(self.inner) + 1, dtype=np.int64)
         np.cumsum(self.kept.sum(axis=1), out=self._row_start[1:])
+
+    @property
+    def order(self) -> np.ndarray:
+        """(n, L) int32: the sorted rows, ``grid.rows.indices`` itself."""
+        return self.grid.rows.indices
 
     @property
     def kept(self) -> np.ndarray:
@@ -208,9 +213,9 @@ class ComponentBalls:
         """Center, radius and inner radius of the balls ``ids``.
 
         Only the rows of those balls are read. A ball's radius realizes its
-        support around its center: the next in-cap distance of its row, or,
-        for the widest prefix, the cap (the row's own distance there plus 1
-        when the cap is infinite and the prefix is the whole grid).
+        support around its center: the next distance of its row, or the cap
+        past the row's last entry (the row's own distance there plus 1 when
+        the cap is infinite and the prefix is the whole grid).
         """
         ids = np.asarray(ids, dtype=np.int64)
         centers = np.searchsorted(self._row_start, ids, side="right") - 1
@@ -220,14 +225,12 @@ class ComponentBalls:
         slots = np.flatnonzero(self.inner[read] < math.inf)
         counts = self._row_start[read + 1] - self._row_start[read]
         at = (np.cumsum(counts) - counts)[which] + ids - self._row_start[centers]
-        positions = slots[at] % self.order.shape[1]
+        positions = slots[at] % self.inner.shape[1]
         rows, cap = self.grid.rows, self.grid.radius_cap
-        at = rows.indptr[centers] + positions
-        widest = at + 1 == rows.indptr[centers + 1]
-        radii = np.where(widest, cap, rows.values.take(at + 1, mode="clip"))
+        radii = np.minimum(rows.next_distance(centers, positions), cap)
         if math.isinf(cap):
             whole = positions + 1 == self.grid.size
-            radii[whole] = rows.values[at[whole]] + 1.0
+            radii[whole] = rows.values[centers[whole], positions[whole]] + 1.0
         return centers, radii, self.inner[centers, positions]
 
     def _prefix_blocks(self, values: np.ndarray):
@@ -245,7 +248,7 @@ class ComponentBalls:
         span into the next, so every sum adds the same values in the same
         order however the rows are split.
         """
-        n, L = self.order.shape
+        n, L = self.inner.shape
         rest = values.shape[1:]
         weighted = np.zeros((n + 1,) + rest)  # row n: the sentinel
         np.multiply(
@@ -283,7 +286,7 @@ class ComponentBalls:
 
     def prefix_sums(self, values: np.ndarray) -> np.ndarray:
         """Weighted prefix sums along axis 0, (n, ...) -> slots (L, n, ...)."""
-        n, L = self.order.shape
+        n, L = self.inner.shape
         rest = values.shape[1:]
         out = np.empty((L, n, math.prod(rest)))
         for top, p0, block in self._prefix_blocks(values):
@@ -298,7 +301,7 @@ class ComponentBalls:
     def to_slots(self, ball_values: np.ndarray) -> np.ndarray:
         """The inverse of ``ball_values``: (n_balls, ...) onto a slot grid of
         the same dtype, 0 in the slots that are not balls."""
-        n, L = self.order.shape
+        n, L = self.inner.shape
         slots = np.zeros((L, n) + ball_values.shape[1:], dtype=ball_values.dtype)
         slots.swapaxes(0, 1)[self.kept] = ball_values
         return slots
@@ -359,7 +362,7 @@ class ComponentBalls:
         ``slots``, if contiguous, is overwritten. Points covered by no such
         ball get 0, below any p-value and any count numerator.
         """
-        n, L = self.order.shape
+        n, L = self.inner.shape
         # not balls (inf) and balls not below the cap alike; in the grid's own
         # order, as a cap may drop most slots
         slots[np.greater_equal(self.inner, cap).T] = 0
@@ -392,27 +395,17 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
     prefix, and only candidates whose hashes are equal are grouped, exactly,
     by their sorted points, so a hash collision never merges two supports.
     """
-    n, rows = g.size, g.rows
-    counts = np.diff(rows.indptr)
-    L = int(counts.max())
-    order = np.full((n, L), n, dtype=np.int32)
-    order[np.arange(L) < counts[:, None]] = rows.indices
-
-    keys = _zobrist_keys(n)
-    h = np.zeros(n, dtype=np.uint64)
-    live = np.arange(n)
-    inner_at = np.full((n, L), np.inf)
-    for k in range(1, L + 1):
-        live = live[counts[live] >= k]
-        h[live] ^= keys[order[:, k - 1][live]]
-        at = rows.indptr[live] + (k - 1)
-        inner = rows.values[at]
-        # past a row's last entry ``after`` is another row's (or clipped), but
-        # that prefix is the widest, a support whatever ``after`` is
-        after = rows.values.take(at + 1, mode="clip")
-        # a prefix of length k is a support where the sorted distance grows
-        grows = (counts[live] == k) | (after > inner)
-        c, inner = live[grows], inner[grows]
+    order, values = g.rows.indices, g.rows.values
+    keys = np.append(_zobrist_keys(g.size), np.uint64(0))  # the padding point n: 0
+    h = np.zeros(g.size, dtype=np.uint64)
+    inner_at = np.full(values.shape, np.inf)
+    for k in range(1, values.shape[1] + 1):
+        h ^= keys[order[:, k - 1]]
+        # a prefix of length k is a support where the sorted distance grows,
+        # as it does past a row's last entry, and never inside its padding
+        grows = g.rows.next_distance(slice(None), k - 1) > values[:, k - 1]
+        c = np.flatnonzero(grows)
+        inner = values[c, k - 1]
         hc = h[c]
         hs = np.sort(hc)
         repeated = hs[1:][hs[1:] == hs[:-1]]
@@ -434,7 +427,7 @@ def enumerate_component_balls(g: ComponentGrid) -> ComponentBalls:
             dropped[sub[starts]] = False
             c, inner = c[~dropped], inner[~dropped]
         inner_at[c, k - 1] = inner
-    return ComponentBalls(grid=g, order=order, inner=inner_at)
+    return ComponentBalls(grid=g, inner=inner_at)
 
 
 @dataclass
@@ -489,7 +482,7 @@ class AdjustmentFamily:
     def n_memberships(self) -> int:
         """Total (ball, grid point) support memberships of the product balls."""
         return math.prod(
-            int(balls.kept.sum(axis=0) @ np.arange(1, balls.order.shape[1] + 1))
+            int(balls.kept.sum(axis=0) @ np.arange(1, balls.inner.shape[1] + 1))
             for balls in self.component_balls
         )
 
@@ -499,7 +492,7 @@ class AdjustmentFamily:
         # gather smallest
         return sorted(
             range(len(self.component_balls)),
-            key=lambda c: self.component_balls[c].order.shape[1],
+            key=lambda c: self.component_balls[c].inner.shape[1],
         )
 
     @property
@@ -511,7 +504,7 @@ class AdjustmentFamily:
         tiles' buffers are ``tile_bytes()`` in all, unless one row of a pass
         holds more than TILE_MAX_VALUES; four such rows per field count here."""
         balls = [self.component_balls[c] for c in self._integration_axes()]
-        return _column_bytes(self.domain.size, [(*b.order.shape, len(b)) for b in balls])
+        return _column_bytes(self.domain.size, [(*b.inner.shape, len(b)) for b in balls])
 
     def chunk_size(self) -> int:
         """Permutations per chunk: CHUNK_PERMUTATIONS, fewer when their
@@ -629,22 +622,22 @@ def memory_bound(d: ProductDomain) -> int:
     that the family of ``d`` and inference on it hold at once.
 
     A component's balls are at most its slots where a row's distance grows.
-    Its family holds 12 bytes per row entry and 13 per slot (``order``,
-    ``inner`` and one transient bool). On the last integrated component's
-    slot grid, counting holds 12 bytes per slot (tie floors, int32 counts)
-    and a chunk of permutations, and 8 bytes per product ball (the observed
-    sums); covering holds 5 per slot (the counts, the unkept mask) and 20
-    per product ball (the observed sums, the p-values and the counts they
-    are read from).
+    Its sorted rows hold 12 bytes per slot (the points, which the balls read
+    as ``order``, and their distances) and its family 9 (``inner`` and one
+    transient bool). On the last integrated component's slot grid, counting
+    holds 12 bytes per slot (tie floors, int32 counts) and a chunk of
+    permutations, and 8 bytes per product ball (the observed sums); covering
+    holds 5 per slot (the counts, the unkept mask) and 20 per product ball
+    (the observed sums, the p-values and the counts they are read from).
     """
     parts, family = [], 0
     for g in d.components:
         values = g.rows.values
-        # every row end, and at most every rise between two entries
-        balls = g.size + int(np.count_nonzero(values[1:] > values[:-1]))
-        L = int(np.diff(g.rows.indptr).max())
-        parts.append((g.size, L, balls))
-        family += 12 * len(values) + 13 * g.size * L
+        n, L = values.shape
+        # every row end, and at most every rise along a row, into its padding too
+        balls = n + int(np.count_nonzero(values[:, 1:] > values[:, :-1]))
+        parts.append((n, L, balls))
+        family += (12 + 9) * n * L
     parts.sort(key=lambda part: part[1])  # integration order: shortest rows first
     n_balls = math.prod(balls for _, _, balls in parts)
     n, L, balls = parts[-1]

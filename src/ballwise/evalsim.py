@@ -59,11 +59,10 @@ class GaussianFieldSampler:
             raise ValueError("bandwidth and sd must be positive")
         n = len(distances)
         _check_noise_vertices(n)
-        if len(distances.values) != n * n:
+        if distances.values.shape != (n, n) or np.isinf(distances.values).any():
             raise ValueError("noise covariance needs finite all-pairs distances")
         d = np.empty((n, n))
-        rows = np.arange(n)[:, None]
-        d[rows, distances.indices.reshape(n, n)] = distances.values.reshape(n, n)
+        d[np.arange(n)[:, None], distances.indices] = distances.values
         cov = sd ** 2 * np.exp(-(d ** 2) / (2.0 * bandwidth ** 2))
         try:
             vals, vecs = np.linalg.eigh(cov)

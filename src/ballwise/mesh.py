@@ -8,7 +8,7 @@ are shortest paths in the weighted edge graph, which is also what defines the
 metric balls B(x, r) = {e : d(x, e) < r}. They come from a vectorised numpy
 search over a block of sources at a time (``_search``): it gives the same
 float64 values as Dijkstra, and only the pairs it reached are kept, as sorted
-rows (``DistanceRows``); no dense n x n matrix is made.
+rows padded to the longest (``DistanceRows``), which a bound keeps short.
 """
 
 from __future__ import annotations
@@ -71,17 +71,16 @@ def triangle_area(l1: float, l2: float, l3: float) -> float:
 
 @dataclass(frozen=True)
 class DistanceRows:
-    """Distances from each center to the points near it, as sorted CSR rows.
+    """Distances from each center to the points near it, as sorted rows.
 
-    Row i holds the points ``indices[indptr[i]:indptr[i + 1]]`` ordered by
-    (distance, index), and ``values`` their distances at the same positions.
-    Which points a row keeps (those within a search bound, or below a ball
-    cap) is up to whoever builds it.
+    Row i of ``indices`` (n x L) holds the points near center i by (distance,
+    index), and of ``values`` their distances, a shorter row than the longest
+    padded with the point n at ``inf``. Which points a row keeps (those within
+    a search bound, or below a ball cap) is up to whoever builds it.
     """
 
-    indptr: np.ndarray   # (n + 1,) int64
-    indices: np.ndarray  # (nnz,) int32
-    values: np.ndarray   # (nnz,) float64
+    indices: np.ndarray  # (n, L) int32, padded with n
+    values: np.ndarray   # (n, L) float64, padded with inf
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[tuple]) -> "DistanceRows":
@@ -90,16 +89,18 @@ class DistanceRows:
         ``blocks`` yields ``(start, stop, row - start, index, distance)``: the
         entries of rows ``start:stop`` in any order, the blocks in row order.
         """
-        counts = np.zeros(n, dtype=np.int64)
-        indices, values = [np.empty(0, dtype=np.int32)], [np.empty(0)]
+        parts, counts = [], np.zeros(n, dtype=np.int64)
         for start, stop, r, c, d in blocks:
             s = np.lexsort((c, d, r))
-            indices.append(c[s].astype(np.int32))
-            values.append(d[s])
+            parts.append((start, stop, c[s].astype(np.int32), d[s]))
             counts[start:stop] = np.bincount(r, minlength=stop - start)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, np.concatenate(indices), np.concatenate(values))
+        # each entry at its position in its row, the rest padding
+        filled = np.arange(counts.max(initial=0)) < counts[:, None]
+        rows = cls(np.full(filled.shape, n, dtype=np.int32), np.full(filled.shape, np.inf))
+        for start, stop, c, d in parts:
+            rows.indices[start:stop][filled[start:stop]] = c
+            rows.values[start:stop][filled[start:stop]] = d
+        return rows
 
     @classmethod
     def from_dense_blocks(
@@ -125,21 +126,27 @@ class DistanceRows:
         return cls.from_blocks(n, blocks())
 
     def __len__(self) -> int:
-        return len(self.indptr) - 1
+        return len(self.indices)
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Points and distances of row i, by (distance, index)."""
-        span = slice(self.indptr[i], self.indptr[i + 1])
-        return self.indices[span], self.values[span]
+        k = np.count_nonzero(self.values[i] < np.inf)
+        return self.indices[i, :k], self.values[i, :k]
+
+    def next_distance(self, i, j) -> np.ndarray:
+        """The distances at position j + 1 of rows i, ``inf`` past a row's end."""
+        L = self.values.shape[1]
+        return np.where(j + 1 < L, self.values[i, np.minimum(j + 1, L - 1)], np.inf)
 
     def below(self, bound: float) -> "DistanceRows":
-        """The entries with distance < ``bound``: a prefix of every row."""
+        """The entries with distance < ``bound``, a prefix of every row."""
         keep = self.values < bound
-        if keep.all():
+        if np.array_equal(keep, self.values < np.inf):
             return self
-        kept = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept[1:])
-        return DistanceRows(kept[self.indptr], self.indices[keep], self.values[keep])
+        L = int(keep.sum(axis=1).max(initial=0))
+        keep = keep[:, :L]
+        return DistanceRows(np.where(keep, self.indices[:, :L], len(self)),
+                            np.where(keep, self.values[:, :L], np.inf))
 
 
 @dataclass
@@ -193,6 +200,7 @@ class TriangulatedManifold:
         self.edges = _unique_edges(self.triangles, n)
         # the edges' keys i * n + j, ascending, then a key no edge has
         self._edge_keys = np.append(self.edges[:, 0] * n + self.edges[:, 1], n * n)
+        self._connectivity_checked = False  # see _warn_if_disconnected
         if self.edge_lengths is None:
             diffs = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
             self.edge_lengths = np.linalg.norm(diffs, axis=1)
@@ -311,8 +319,8 @@ class TriangulatedManifold:
         each block's reached pairs are sorted into rows; no dense row is
         made. Every distance up to and including ``limit`` is the same float
         as in the unbounded run, and as Dijkstra's, so a ball cap needs only
-        ``limit=cap``. A graph with more than one connected component warns;
-        its cross-component pairs are absent.
+        ``limit=cap``. A disconnected graph warns, once per mesh; its
+        cross-component pairs are absent.
         """
         graph = self._graph()
         n = self.n_vertices
@@ -324,13 +332,17 @@ class TriangulatedManifold:
 
         self.distances = DistanceRows.from_blocks(n, blocks())
         self.distance_limit = limit
-        if not graph.connected():
-            warnings.warn(
-                "mesh edge graph is disconnected; distances across components "
-                "are infinite",
-                stacklevel=2,
-            )
+        self._warn_if_disconnected(
+            "mesh edge graph is disconnected; distances across components are infinite"
+        )
         return self
+
+    def _warn_if_disconnected(self, message: str) -> None:
+        """Warn ``message`` to the caller's caller if the edge graph is
+        disconnected, on a mesh's first call only (overrides keep the edges)."""
+        checked, self._connectivity_checked = self._connectivity_checked, True
+        if not checked and not self._graph().connected():
+            warnings.warn(message, stacklevel=3)
 
     def ball(self, center: int, r: float) -> np.ndarray:
         """Vertex indices of the metric ball {e : d(center, e) < r}."""
@@ -483,8 +495,7 @@ def load_mesh(path) -> TriangulatedManifold:
         m = TriangulatedManifold(verts, np.ascontiguousarray(faces[:, 1:]))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if len(m.edges) and not m._graph().connected():
-        warnings.warn(f"{path}: mesh is disconnected", stacklevel=2)
+    m._warn_if_disconnected(f"{path}: mesh is disconnected")
     return m
 
 
@@ -524,7 +535,7 @@ def load_distance_cache(path, limit: float = np.inf) -> DistanceRows:
     Returns the ``DistanceRows`` of the entries up to ``limit``, as
     ``TriangulatedManifold.compute_distances(limit=limit)`` returns them:
     ``inf`` entries are left out, as the search leaves them out. The file is
-    read a block of rows at a time and no n x n array is made.
+    read a block of rows at a time, so no n x n array is made beside the rows.
     """
     with open(path, "rb") as fh:
         raw = fh.read(8)

@@ -132,18 +132,21 @@ def distances(g) -> np.ndarray:
 
 
 def dense_to_rows(full: np.ndarray, limit: float = math.inf):
-    """The finite entries of ``full`` up to ``limit`` as ``(indptr, indices,
-    values)`` of sorted rows, one row at a time: each row's kept points by
-    (distance, index)."""
-    indptr, indices, values = [0], [], []
+    """The finite entries of ``full`` up to ``limit`` as ``(indices, values)``
+    of sorted rows padded to the longest, one row at a time: each row's kept
+    points by (distance, index), then the point n at distance ``inf``."""
+    n = len(full)
+    rows = []
     for d in full:
         kept = np.flatnonzero((d <= limit) & np.isfinite(d))
-        kept = kept[np.lexsort((kept, d[kept]))]
-        indptr.append(indptr[-1] + len(kept))
-        indices.append(kept.astype(np.int32))
-        values.append(d[kept])
-    return (np.array(indptr, dtype=np.int64), np.concatenate(indices),
-            np.concatenate(values))
+        rows.append(kept[np.lexsort((kept, d[kept]))])
+    L = max((len(kept) for kept in rows), default=0)
+    indices = np.full((n, L), n, dtype=np.int32)
+    values = np.full((n, L), np.inf)
+    for i, kept in enumerate(rows):
+        indices[i, :len(kept)] = kept
+        values[i, :len(kept)] = full[i, kept]
+    return indices, values
 
 
 def distance_rows(full: np.ndarray) -> DistanceRows:
@@ -160,9 +163,18 @@ def cache_bytes(full: np.ndarray) -> bytes:
 def rows_to_dense(rows) -> np.ndarray:
     """``DistanceRows`` as an n x n matrix, ``inf`` where a row has no entry."""
     n = len(rows)
-    d = np.full((n, n), np.inf)
-    d[np.repeat(np.arange(n), np.diff(rows.indptr)), rows.indices] = rows.values
-    return d
+    d = np.full((n, n + 1), np.inf)  # the padding lands in column n
+    d[np.arange(n)[:, None], rows.indices] = rows.values
+    return d[:, :n]
+
+
+def row_arrays(rows) -> list[tuple]:
+    """The dtype, shape and bytes of the arrays of sorted rows, a
+    ``DistanceRows`` or the pair ``dense_to_rows`` returns, to compare them
+    bit for bit."""
+    if isinstance(rows, DistanceRows):
+        rows = rows.indices, rows.values
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in rows]
 
 
 # --- one component ---------------------------------------------------------------
@@ -229,7 +241,8 @@ def ball_list(balls) -> list[ComponentBall]:
         g = balls.grid
         listed = []
         for center, pos, inner in zip(*np.nonzero(balls.kept), balls.inner[balls.kept]):
-            row = g.rows.values[g.rows.indptr[center]:g.rows.indptr[center + 1]]
+            row = g.rows.values[center]
+            row = row[row < math.inf]
             if pos + 1 < len(row):
                 radius = row[pos + 1]
             elif pos + 1 == g.size and math.isinf(g.radius_cap):

@@ -6,6 +6,8 @@ import math
 import os
 import platform
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,8 +99,7 @@ class TestDistances:
         )
         loaded = load_distance_cache(cache)
         searched = load_mesh(mesh_path).compute_distances().distances
-        for name in ("indptr", "indices", "values"):
-            assert getattr(loaded, name).tobytes() == getattr(searched, name).tobytes()
+        assert oracles.row_arrays(loaded) == oracles.row_arrays(searched)
 
     def test_never_holds_the_matrix(self, tmp_path, monkeypatch):
         mesh_path = tmp_path / "m.off"
@@ -211,6 +212,37 @@ class TestTestCommand:
         monkeypatch.setattr(module, name, out_of_memory)
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: out of memory during {stage}\n"
+
+    def test_disconnected_mesh_warns_once(self, tmp_path):
+        # one warning and one search of the edge graph for one mesh, though
+        # both the load and the distance search would report it
+        a, b = build_icosphere(1), build_icosphere(1)
+        two = mesh.TriangulatedManifold(
+            np.concatenate([a.vertices, b.vertices + 5.0]),
+            np.concatenate([a.triangles, b.triangles + a.n_vertices]),
+        )
+        config = write_test_setup(tmp_path)
+        mesh.save_off(two, tmp_path / "ico.off")
+        save_signals_csv(
+            np.random.default_rng(0).standard_normal((8, two.n_vertices)),
+            tmp_path / "signals.csv",
+        )
+        connected = mesh._Graph.connected
+        searches = []
+
+        def counted(graph):
+            searches.append(graph)
+            return connected(graph)
+
+        with mock.patch.object(mesh._Graph, "connected", counted), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["test", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        assert code == 0
+        assert [str(w.message) for w in caught] == [
+            f"{tmp_path / 'ico.off'}: mesh is disconnected"
+        ]
+        assert len(searches) == 1
 
     def test_rerun_byte_identical(self, tmp_path):
         config = write_test_setup(tmp_path)

@@ -65,7 +65,7 @@ class TestGaussianFieldSampler:
 
     def test_size_limit(self):
         # refused on its row count, before any row is read
-        d = DistanceRows(np.zeros(2002, dtype=np.int64), np.empty(0, np.int32), np.empty(0))
+        d = DistanceRows(np.empty((2001, 0), np.int32), np.empty((2001, 0)))
         with pytest.raises(ValueError, match="dense covariance"):
             GaussianFieldSampler(d, bandwidth=1.0, sd=1.0)
 

@@ -149,10 +149,12 @@ class TestOffIO:
             "5 5 0\n6 5 0\n5 6 0\n"
             "3 0 1 2\n3 3 4 5\n"
         )
-        with pytest.warns(UserWarning, match="disconnected"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             m = load_mesh(path)
-        with pytest.warns(UserWarning, match="disconnected"):
             m.compute_distances()
+        # one warning for one mesh, from the load
+        assert [str(w.message) for w in caught] == [f"{path}: mesh is disconnected"]
         assert 3 not in m.distances.row(0)[0]
         with pytest.raises(ValueError, match="disconnected"):
             m.ball(0, 1.0)
@@ -314,13 +316,17 @@ class TestDistances:
         row by (distance, index)."""
         assert isinstance(rows, DistanceRows)
         inside = full <= limit
-        assert len(rows.values) == inside.sum()
+        assert np.isfinite(rows.values).sum() == inside.sum()
         bounded = oracles.rows_to_dense(rows)
         np.testing.assert_array_equal(bounded[inside], full[inside])
         assert np.all(np.isinf(bounded[~inside]))
-        row = np.repeat(np.arange(len(rows)), np.diff(rows.indptr))
+        # padded with the point n at inf, to the longest row
+        n, L = rows.indices.shape
+        np.testing.assert_array_equal(rows.indices == n, np.isinf(rows.values))
+        assert L == inside.sum(axis=1).max()
+        row = np.repeat(np.arange(n), L)
         np.testing.assert_array_equal(
-            np.lexsort((rows.indices, rows.values, row)), np.arange(len(row))
+            np.lexsort((rows.indices.ravel(), rows.values.ravel(), row)), np.arange(n * L)
         )
 
     # rows per block: one, seven, and one block larger than the mesh
@@ -363,15 +369,14 @@ class TestDistances:
         cached = load_distance_cache(path, limit=0.4)
         self.assert_rows_within(cached, full, 0.4)
         searched = m.compute_distances(limit=0.4).distances
-        for name in ("indptr", "indices", "values"):
-            assert getattr(cached, name).tobytes() == getattr(searched, name).tobytes()
+        assert oracles.row_arrays(cached) == oracles.row_arrays(searched)
 
     def test_capped_connected_mesh_does_not_warn(self):
         m = build_icosphere(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m.compute_distances(limit=0.2)
-        assert len(m.distances.values) < m.n_vertices**2
+        assert np.isfinite(m.distances.values).sum() < m.n_vertices**2
 
     def test_search_block_fits_the_mesh(self):
         # one block of every row is 252 x 252 pairs, not DISTANCE_BLOCK of them
@@ -390,8 +395,7 @@ class TestDistances:
         save_distance_cache(octahedron, path)
         loaded = load_distance_cache(path)
         searched = octahedron.compute_distances().distances
-        for name in ("indptr", "indices", "values"):
-            assert getattr(loaded, name).tobytes() == getattr(searched, name).tobytes()
+        assert oracles.row_arrays(loaded) == oracles.row_arrays(searched)
 
     def test_cache_truncated(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -426,10 +430,7 @@ class TestDistances:
         assert np.isinf(full).any()
         assert path.read_bytes() == oracles.cache_bytes(full)
         loaded = load_distance_cache(path)  # inf entries are left out
-        indptr, indices, values = oracles.dense_to_rows(full)
-        assert loaded.indptr.tobytes() == indptr.tobytes()
-        assert loaded.indices.tobytes() == indices.tobytes()
-        assert loaded.values.tobytes() == values.tobytes()
+        assert oracles.row_arrays(loaded) == oracles.row_arrays(oracles.dense_to_rows(full))
 
 
 @st.composite
@@ -465,15 +466,16 @@ class TestAgainstDijkstra:
         disconnected = bool(np.isinf(full).any())
         n = m.n_vertices
         with mock.patch.object(mesh, "DISTANCE_BLOCK", (block_rows or n + 5) * n):
-            for bound in (np.inf, limit):
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for bound in (np.inf, limit):
                     d = m.compute_distances(limit=bound).distances
-                assert any("disconnected" in str(w.message) for w in caught) == disconnected
-                indptr, indices, values = oracles.dense_to_rows(full, bound)
-                assert d.indptr.tobytes() == indptr.tobytes()
-                assert d.indices.tobytes() == indices.tobytes()
-                assert d.values.tobytes() == values.tobytes()
+                    assert oracles.row_arrays(d) == oracles.row_arrays(
+                        oracles.dense_to_rows(full, bound)
+                    )
+            # a disconnected mesh warns once, however often it is searched
+            warned = sum("disconnected" in str(w.message) for w in caught)
+            assert warned == disconnected
             with tempfile.TemporaryDirectory() as tmp:
                 path = os.path.join(tmp, "d.bin")
                 save_distance_cache(m, path)
@@ -509,10 +511,8 @@ class TestAgainstDijkstra:
     def test_order16_full_cap(self):
         m = build_icosphere(16)
         d = m.compute_distances().distances
-        indptr, indices, values = oracles.dense_to_rows(oracles.dense_dijkstra(m))
-        assert d.indptr.tobytes() == indptr.tobytes()
-        assert d.indices.tobytes() == indices.tobytes()
-        assert d.values.tobytes() == values.tobytes()
+        rows = oracles.dense_to_rows(oracles.dense_dijkstra(m))
+        assert oracles.row_arrays(d) == oracles.row_arrays(rows)
 
 
 class TestBall:
