@@ -80,8 +80,10 @@ class ComponentGrid:
         n = len(self.points)
         if self.weights.shape != (n,) or len(self.rows) != n:
             raise ValueError("component arrays have inconsistent sizes")
-        if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
-            raise ValueError("component weights must be positive and finite")
+        bad = np.flatnonzero(~((self.weights > 0) & (self.weights < np.inf)))  # nan fails both
+        if len(bad):
+            raise ValueError(f"point {bad[0]} has weight {self.weights[bad[0]]}; "
+                             "component weights must be positive and finite")
         if not self.radius_cap > 0:  # also rejects nan
             raise ValueError("radius_cap must be positive (or inf)")
 

@@ -7,8 +7,8 @@ weights W(e) that turn vertex sums into integral approximations. Distances
 are shortest paths in the weighted edge graph, which is also what defines the
 metric balls B(x, r) = {e : d(x, e) < r}. They come from a vectorised numpy
 search over a block of sources at a time (``_search``): it gives the same
-float64 values as Dijkstra, and only the pairs it reached are kept, as sorted
-rows padded to the longest (``DistanceRows``), which a bound keeps short.
+float64 values as Dijkstra, and only the pairs it reached are kept, in rows
+that a bound keeps short, each stably sorted by distance (``DistanceRows``).
 """
 
 from __future__ import annotations
@@ -86,20 +86,24 @@ class DistanceRows:
     def from_blocks(cls, n: int, blocks: Iterable[tuple]) -> "DistanceRows":
         """Gather the rows one block at a time.
 
-        ``blocks`` yields ``(start, stop, row - start, index, distance)``: the
-        entries of rows ``start:stop`` in any order, the blocks in row order.
+        ``blocks`` yields ``(start, stop, distances, kept)`` in row order:
+        rows ``start:stop`` of the n x n distances, flat, and the positions in
+        them of the entries to keep, ascending, so each row comes in index
+        order. One stable sort by distance then orders it by (distance, index).
         """
         parts, counts = [], np.zeros(n, dtype=np.int64)
-        for start, stop, r, c, d in blocks:
-            s = np.lexsort((c, d, r))
-            parts.append((start, stop, c[s].astype(np.int32), d[s]))
-            counts[start:stop] = np.bincount(r, minlength=stop - start)
-        # each entry at its position in its row, the rest padding
+        for start, stop, distances, kept in blocks:
+            parts.append((start, stop, (kept % n).astype(np.int32), distances[kept]))
+            counts[start:stop] = np.diff(np.searchsorted(kept, np.arange(stop - start + 1) * n))
+        # each entry at its position in its row, in index order, the rest padding
         filled = np.arange(counts.max(initial=0)) < counts[:, None]
         rows = cls(np.full(filled.shape, n, dtype=np.int32), np.full(filled.shape, np.inf))
         for start, stop, c, d in parts:
-            rows.indices[start:stop][filled[start:stop]] = c
-            rows.values[start:stop][filled[start:stop]] = d
+            indices, values = rows.indices[start:stop], rows.values[start:stop]
+            indices[filled[start:stop]], values[filled[start:stop]] = c, d
+            s = np.argsort(values, axis=1, kind="stable")
+            indices[:] = np.take_along_axis(indices, s, 1)
+            values[:] = np.take_along_axis(values, s, 1)
         return rows
 
     @classmethod
@@ -112,16 +116,15 @@ class DistanceRows:
         """Compress dense rows one block at a time.
 
         ``block_rows(start, stop)`` returns rows ``start:stop`` of the n x n
-        distances (``_block_size(n)`` rows per call, fewer at the end) and
-        ``keep(block)`` marks the entries to keep.
+        distances, flat or not (``_block_size(n)`` rows per call, fewer at the
+        end), and ``keep(block)`` marks the entries to keep.
         """
         def blocks():
             step = _block_size(n)
             for start in range(0, n, step):
                 stop = min(n, start + step)
                 block = block_rows(start, stop)
-                r, c = np.nonzero(keep(block))
-                yield start, stop, r, c, block[r, c]
+                yield start, stop, block.ravel(), np.flatnonzero(keep(block))
 
         return cls.from_blocks(n, blocks())
 
@@ -315,22 +318,18 @@ class TriangulatedManifold:
         """Populate shortest-path distances over the edge graph: for each
         vertex, the ``DistanceRows`` row of the vertices within ``limit``.
 
-        The search runs over blocks of sources (``_Graph.search_blocks``) and
-        each block's reached pairs are sorted into rows; no dense row is
-        made. Every distance up to and including ``limit`` is the same float
-        as in the unbounded run, and as Dijkstra's, so a ball cap needs only
-        ``limit=cap``. A disconnected graph warns, once per mesh; its
-        cross-component pairs are absent.
+        The search runs over blocks of sources (``_Graph.search_blocks``),
+        whose reached positions, sorted, ``DistanceRows.from_blocks`` gathers
+        into rows; no dense row is made. Every distance up to and including
+        ``limit`` is the same float as in the unbounded run, and as
+        Dijkstra's, so a ball cap needs only ``limit=cap``. A disconnected
+        graph warns, once per mesh; its cross-component pairs are absent.
         """
-        graph = self._graph()
-        n = self.n_vertices
-
-        def blocks():
-            for start, stop, best, reached in graph.search_blocks(limit):
-                row, index = np.divmod(reached, n)
-                yield start, stop, row, index, best[reached]
-
-        self.distances = DistanceRows.from_blocks(n, blocks())
+        blocks = (
+            (start, stop, best, np.sort(reached))
+            for start, stop, best, reached in self._graph().search_blocks(limit)
+        )
+        self.distances = DistanceRows.from_blocks(self.n_vertices, blocks)
         self.distance_limit = limit
         self._warn_if_disconnected(
             "mesh edge graph is disconnected; distances across components are infinite"
@@ -546,9 +545,8 @@ def load_distance_cache(path, limit: float = np.inf) -> DistanceRows:
         if size != 8 * n * n:
             raise ValueError(f"{path}: expected {n * n} entries, found {size / 8:g}")
 
-        def block_rows(start, stop):
-            block = np.fromfile(fh, dtype="<f8", count=(stop - start) * n)
-            return block.reshape(stop - start, n)
+        def block_rows(start, stop):  # flat, as from_blocks reads them
+            return np.fromfile(fh, dtype="<f8", count=(stop - start) * n)
 
         return DistanceRows.from_dense_blocks(
             n, block_rows, lambda block: np.isfinite(block) & (block <= limit)

@@ -686,7 +686,23 @@ def nan_edge_length(tmp_path, monkeypatch):
 def zero_area_mesh(tmp_path, monkeypatch):
     argv = run_argv(tmp_path)
     (tmp_path / "ico.off").write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n")
-    return argv, "domain.components[0]: component weights must be positive and finite"
+    return argv, (
+        "domain.components[0]: point 0 has weight 0.0; "
+        "component weights must be positive and finite"
+    )
+
+
+def isolated_vertex(tmp_path, monkeypatch):
+    # vertex 42 is in no triangle, so it weighs nothing
+    argv = run_argv(tmp_path)
+    path = tmp_path / "ico.off"
+    m = build_icosphere(2)
+    m.vertices = np.vstack([m.vertices, [2.0, 0.0, 0.0]])
+    path.write_text(mesh.off_text(m))
+    return argv, (
+        "domain.components[0]: point 42 has weight 0.0; "
+        "component weights must be positive and finite"
+    )
 
 
 def directory_as_mesh(tmp_path, monkeypatch):
@@ -751,6 +767,8 @@ def missing_scenario_mesh(tmp_path, monkeypatch):
 @pytest.mark.parametrize("make", [
     empty_components, object_components, zero_variance, nan_vertex_distances,
     nan_vertex_test, overflowing_vertex_test, nan_edge_length, zero_area_mesh,
+    # the mesh is disconnected, and says so before the weights are checked
+    pytest.param(isolated_vertex, marks=pytest.mark.filterwarnings("ignore:.*disconnected")),
     directory_as_mesh, directory_as_data, data_path_not_a_string, output_among_directories,
     out_in_missing_directory, out_names_a_directory, icosphere_over_the_limit,
     missing_scenario_mesh,

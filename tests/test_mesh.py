@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ballwise import mesh
+from ballwise.domain import circle_component, interval_component
 from ballwise.mesh import (
     DistanceRows,
     TriangulatedManifold,
@@ -370,6 +371,28 @@ class TestDistances:
         self.assert_rows_within(cached, full, 0.4)
         searched = m.compute_distances(limit=0.4).distances
         assert oracles.row_arrays(cached) == oracles.row_arrays(searched)
+
+    @BLOCK_ROWS
+    @pytest.mark.parametrize("producer, n, cap", [
+        ("circle", 12, 2.5), ("interval", 20, 0.3), ("cache", 12, 2.5),
+    ])
+    def test_equal_distances_in_index_order(self, producer, n, cap, block_rows,
+                                            monkeypatch, tmp_path):
+        # points i - k and i + k are at one distance on a circle and on an
+        # interval; the cache holds the circle's distances
+        monkeypatch.setattr(mesh, "DISTANCE_BLOCK", (block_rows or n + 5) * n)
+        if producer == "interval":
+            g = interval_component(0.0, 1.0, n, radius_cap=cap)
+        else:
+            g = circle_component(n, radius_cap=cap)
+        full = oracles.distances(g)
+        rows = g.rows
+        if producer == "cache":
+            path = tmp_path / "d.bin"
+            path.write_bytes(oracles.cache_bytes(full))
+            rows = load_distance_cache(path, limit=cap)
+        # no distance equals the cap, so "< cap" and "<= cap" keep the same
+        assert oracles.row_arrays(rows) == oracles.row_arrays(oracles.dense_to_rows(full, cap))
 
     def test_capped_connected_mesh_does_not_warn(self):
         m = build_icosphere(3)
