@@ -19,12 +19,10 @@ _EXPORTS = {
     "glm": ["DesignSpec", "HypothesisSpec", "StatKernel"],
     "mesh": [
         "TriangulatedManifold", "build_icosphere", "load_mesh", "save_off",
-        "triangle_area",
     ],
     "permute": ["PermutationPlan", "PValueFields", "run_inference"],
     "evalsim": [
-        "ErrorRates", "ScenarioConfig", "compute_error_rates",
-        "gaussian_kernel_noise", "run_scenario",
+        "ErrorRates", "ScenarioConfig", "compute_error_rates", "run_scenario",
     ],
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -364,8 +364,13 @@ def _build_plan(section: dict, seed_flag):
         plan = PermutationPlan(
             n_permutations=_positive_int(section["permutations"], "permutations"),
             seed=seed if seed_flag is None else seed_flag,
-            scheme=section.get("scheme", "freedman_lane"),
         )
+        # under the intercept-only null, the only one a config states, both
+        # schemes permute the same data, so both take the one path
+        schemes = ("freedman_lane", "raw_label_permutation")
+        scheme = section.get("scheme", schemes[0])
+        if scheme not in schemes:
+            raise ConfigError(f"unknown scheme {scheme!r}; choose from {schemes}")
     return plan, alpha
 
 
@@ -394,7 +399,6 @@ def _manifest(config: dict, plan, family, stages: Stages) -> str:
             "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
             "seed": plan.seed,
             "permutations": plan.n_permutations,
-            "scheme": plan.scheme,
             "rng_algorithm": RNG_ALGORITHM,
             "family_balls": family.n_balls,
             "family_shape": list(family.shape),
@@ -480,7 +484,10 @@ def _balls_csv(family, result) -> Iterator[str]:
         columns = [ids]
         for balls, idx in zip(family.component_balls, np.unravel_index(ids, family.shape)):
             centers, radii, inner = balls.table(idx)
-            columns += [centers, _float_text(radii), _float_text(inner)]
+            # a ball's radius is mostly the next one's inner radius: the two
+            # columns share their distinct values, formatted once
+            texts = _float_text(np.concatenate([radii, inner]))
+            columns += [centers, texts[:len(idx)], texts[len(idx):]]
         columns += [
             _float_text(result.observed_ball_stats[start:stop]),
             _float_text(result.p.ballwise[start:stop]),

@@ -63,7 +63,9 @@ class ComponentGrid:
 
     ``points`` carries a scalar label per grid point (mesh: vertex index;
     circle: arc-length position; interval: coordinate). ``weights`` are the
-    per-point quadrature weights and ``rows`` the metric below the cap: for
+    per-point quadrature weights, positive and finite (a mesh's
+    ``compute_weights`` checks its own; a circle's or an interval's follow
+    from its checked parameters), and ``rows`` the metric below the cap: for
     each center, the points at distance < ``radius_cap`` by (distance,
     index), with their distances. Nothing farther is ever needed.
     """
@@ -80,10 +82,6 @@ class ComponentGrid:
         n = len(self.points)
         if self.weights.shape != (n,) or len(self.rows) != n:
             raise ValueError("component arrays have inconsistent sizes")
-        bad = np.flatnonzero(~((self.weights > 0) & (self.weights < np.inf)))  # nan fails both
-        if len(bad):
-            raise ValueError(f"point {bad[0]} has weight {self.weights[bad[0]]}; "
-                             "component weights must be positive and finite")
         if not self.radius_cap > 0:  # also rejects nan
             raise ValueError("radius_cap must be positive (or inf)")
 
@@ -122,9 +120,9 @@ def circle_component(
     """n equally spaced points on a circle; distance is arc length."""
     if n_points < 1:
         raise ValueError("circle grid needs at least one point")
-    if circumference <= 0:
-        raise ValueError("circumference must be positive")
     step = circumference / n_points
+    if not 0 < step < math.inf:  # the weights; nan fails too
+        raise ValueError("circumference must be positive and finite")
     idx = np.arange(n_points)
 
     def block_rows(start, stop):
@@ -147,9 +145,9 @@ def interval_component(
     distance of points i and j is |i - j| steps, so equal gaps tie exactly."""
     if n_points < 2:
         raise ValueError("interval grid needs at least two points")
-    if not b > a:
-        raise ValueError("interval must have b > a")
     h = (b - a) / (n_points - 1)
+    if not 0 < h < math.inf:  # the weights; nan fails too
+        raise ValueError("interval must have finite bounds with b > a")
     w = np.full(n_points, h)
     w[0] = w[-1] = h / 2
     idx = np.arange(n_points)

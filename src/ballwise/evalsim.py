@@ -22,7 +22,6 @@ __all__ = [
     "ScenarioConfig",
     "ErrorRates",
     "GaussianFieldSampler",
-    "gaussian_kernel_noise",
     "compute_error_rates",
     "run_scenario",
     "cap_region_mask",
@@ -80,16 +79,6 @@ class GaussianFieldSampler:
         """(n_draws, n_vertices) independent field realizations."""
         z = rng.standard_normal((n_draws, self.n_vertices))
         return z @ self.factor.T
-
-
-def gaussian_kernel_noise(
-    m: TriangulatedManifold, bandwidth: float, sd: float, seed: int, n_draws: int = 1
-) -> np.ndarray:
-    """Draw Gaussian-kernel noise fields on the vertices of a mesh."""
-    if m.distances is None:
-        m.compute_distances()
-    sampler = GaussianFieldSampler(m.distances, bandwidth, sd)
-    return sampler.sample(np.random.default_rng(seed), n_draws)
 
 
 @dataclass
@@ -245,11 +234,7 @@ def run_scenario(
         rng = np.random.default_rng(stream)
         Y = sampler.sample(rng, cfg.n_samples)
         Y[groups == 1] += base
-        plan = PermutationPlan(
-            n_permutations=cfg.n_permutations,
-            seed=int(rng.integers(2 ** 63)),
-            scheme="raw_label_permutation",
-        )
+        plan = PermutationPlan(n_permutations=cfg.n_permutations, seed=int(rng.integers(2 ** 63)))
         result = run_inference(Y, design, hyp, family, plan)
         masks[r] = result.p.adjusted <= cfg.alpha
 

@@ -8,8 +8,8 @@ statistics of the slope of each column on one centred design vector x (the
 covariate, or the indicator of the first group): with u = x'y, SS the centred
 sum of squares of y and RSS = SS - u^2 / x'x, the slope is u / x'x and its
 squared t is (N - 2) (u^2 / x'x) / RSS. ``StatKernel`` evaluates them for a
-whole chunk of permutations, one product of a permuted x with the signals per
-permutation.
+whole chunk of permutations of the signals' rows, one product of a permuted x
+with the centred signals per permutation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import csv
 import os
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,42 +111,23 @@ def design_vector(design: DesignSpec, hypothesis: HypothesisSpec) -> np.ndarray:
     return x - x.mean()
 
 
-class _CentredFits(NamedTuple):
-    """The non-constant centred columns of a reduced design and what the
-    kernel needs of their fits: ``cols`` (K, N), ``coef`` (K, m), the fits'
-    x'F (m,) and their centred sums of squares (m,)."""
-
-    cols: np.ndarray
-    coef: np.ndarray
-    u: np.ndarray
-    ss: np.ndarray
-
-
 class StatKernel:
     """The statistic field of permuted copies of the signals, a chunk at a time.
 
-    Permuting the rows of the signals by p is the same as permuting the design
-    by the inverse of p and keeping the signals fixed, so every statistic of a
-    chunk comes from the product of its permuted design row with the fixed,
-    centred signals, plus column moments that no permutation changes. A
-    permuted design depends only on the grouping (or the covariate order) it
-    makes, and each row's product is formed on its own, so two permutations
-    that make the same grouping give bitwise equal fields in any chunks.
-
-    With a ``reduced_design`` X0 (N x K) the permuted data are Freedman-Lane's
-    ``F + R[p]``: the reduced-model fits F = X0 beta plus the permuted
-    residuals R. Their centred sum of squares has a cross term between the
-    centred fits and the permuted residuals, one more product per
-    non-constant column of X0. Without it the signals themselves are permuted.
+    The signals are centred once and permuted by their rows. Permuting the
+    rows of the signals by p is the same as permuting the design by the
+    inverse of p and keeping the signals fixed, so every statistic of a chunk
+    comes from the product of its permuted design row with the fixed, centred
+    signals, plus column moments that no permutation changes. A permuted
+    design depends only on the grouping (or the covariate order) it makes,
+    and each row's product is formed on its own, so two permutations that
+    make the same grouping give bitwise equal fields in any chunks. Under the
+    intercept-only null, the only one a config states, this is also
+    Freedman-Lane's scheme: the intercept's fits plus the permuted residuals
+    are the permuted signals.
     """
 
-    def __init__(
-        self,
-        signals: np.ndarray,
-        design: DesignSpec,
-        hypothesis: HypothesisSpec,
-        reduced_design: np.ndarray | None = None,
-    ):
+    def __init__(self, signals: np.ndarray, design: DesignSpec, hypothesis: HypothesisSpec):
         Y = np.asarray(signals, dtype=float)
         if Y.ndim != 2:
             raise ValueError("signal matrix must be 2-D (observations x grid points)")
@@ -161,32 +141,16 @@ class StatKernel:
             )
         self.statistic = hypothesis.statistic
         self.sxx = self.x @ self.x
-        # a residual sum of squares within this fraction of the sums it is
-        # formed from is a perfect fit: the rounding error of the one-pass
-        # SS - u^2 / x'x grows with N (up to about N eps / 2 on exactly
-        # degenerate columns), so below it the residual carries no information
-        self.perfect_fit_rtol = 4 * len(self.x) * np.finfo(float).eps
-        self.fit = None
-        resid = Y
-        if reduced_design is not None:
-            X0 = np.asarray(reduced_design, dtype=float)
-            X0 = X0[:, None] if X0.ndim == 1 else X0
-            if np.linalg.matrix_rank(X0) < X0.shape[1]:
-                raise ValueError("reduced design is rank deficient")
-            beta, *_ = np.linalg.lstsq(X0, Y, rcond=None)
-            resid = Y - X0 @ beta
-            # the intercept centres to exact zeros and drops out
-            X0c = X0 - X0.mean(axis=0)
-            varying = np.any(X0c != 0, axis=0)
-            if varying.any():
-                X0c, beta = X0c[:, varying], beta[varying]
-                fits = X0c @ beta
-                self.fit = _CentredFits(X0c.T.copy(), beta, self.x @ fits, _col_ss(fits))
         # a constant column has no centred variation in exact arithmetic;
         # zeroing it keeps its statistic equal under every permutation
-        self.Z = resid - resid.mean(axis=0)
-        self.Z[:, resid.min(axis=0) == resid.max(axis=0)] = 0.0
+        self.Z = Y - Y.mean(axis=0)
+        self.Z[:, Y.min(axis=0) == Y.max(axis=0)] = 0.0
         self.ss = _col_ss(self.Z)
+        # a residual sum of squares within this share of SS is a perfect fit:
+        # the rounding error of the one-pass SS - u^2 / x'x grows with N (up to
+        # about N eps / 2 on exactly degenerate columns), so below it the
+        # residual carries no information
+        self.perfect_fit_tol = 4 * len(self.x) * np.finfo(float).eps * self.ss
 
     @property
     def n_obs(self) -> int:
@@ -194,33 +158,18 @@ class StatKernel:
 
     def fields(self, perms: np.ndarray) -> np.ndarray:
         """(B, m) statistic fields of the signals permuted by each row of the
-        (B, N) ``perms``; row b is the field of ``signals[perms[b]]`` (of
-        ``F + R[perms[b]]`` under a reduced design)."""
+        (B, N) ``perms``; row b is the field of ``signals[perms[b]]``."""
         inv = np.argsort(perms, axis=1)
         U = _row_products(self.x[inv], self.Z)
-        if self.fit is not None:
-            U += self.fit.u
         if self.statistic == "slope_sq":
             U /= self.sxx
             return np.square(U, out=U)
         E = np.square(U)
         E /= self.sxx
-        if self.fit is None:
-            scale = self.ss
-            rss = self.ss - E
-        else:
-            # SS of the centred F + R[p]: |Fc|^2 + |Z|^2 + 2 Fc'(Z[p]), with
-            # Fc'(Z[p]) = sum_k coef_k * (X0c_k[inv] @ Z)
-            cross = np.zeros_like(U)
-            for col, coef in zip(self.fit.cols, self.fit.coef):
-                cross += _row_products(col[inv], self.Z) * coef
-            fixed = self.ss + self.fit.ss
-            scale = fixed + 2.0 * np.abs(cross)
-            rss = fixed + 2.0 * cross - E
-        tol = self.perfect_fit_rtol * scale
-        perfect = rss <= tol
+        rss = self.ss - E
+        perfect = rss <= self.perfect_fit_tol
         if perfect.any():
-            effect = E > tol
+            effect = E > self.perfect_fit_tol
             if self.statistic == "t_trend_cutoff":
                 effect &= U > 0
             bad = perfect & effect

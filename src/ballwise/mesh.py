@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "TriangulatedManifold",
     "DistanceRows",
-    "triangle_area",
     "load_mesh",
     "save_off",
     "build_icosphere",
@@ -44,29 +43,6 @@ DEGENERACY_RTOL = 1e-9
 # (source, vertex) pairs at a time, and a cache file read up to a bound is
 # compressed this many distances at a time.
 DISTANCE_BLOCK = 1 << 20
-
-
-def triangle_area(l1: float, l2: float, l3: float) -> float:
-    """Area of the flat triangle with side lengths ``l1, l2, l3`` (Heron).
-
-    Degenerate triangles (triangle inequality violated within
-    ``DEGENERACY_RTOL`` of the perimeter) get area 0; larger violations
-    raise ``ValueError``.
-    """
-    sides = sorted((float(l1), float(l2), float(l3)))
-    if sides[0] < 0:
-        raise ValueError(f"negative side length in {(l1, l2, l3)}")
-    perimeter = sides[0] + sides[1] + sides[2]
-    violation = sides[2] - (sides[0] + sides[1])
-    if violation > 0:
-        if violation > DEGENERACY_RTOL * perimeter:
-            raise ValueError(
-                f"side lengths {(l1, l2, l3)} violate the triangle inequality"
-            )
-        return 0.0
-    s = 0.5 * perimeter
-    rad = s * (s - sides[0]) * (s - sides[1]) * (s - sides[2])
-    return float(np.sqrt(max(rad, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -264,8 +240,14 @@ class TriangulatedManifold:
         self.distances = None
 
     def triangle_areas(self) -> np.ndarray:
-        """Flat areas of all triangles from their (possibly overridden) edge
-        lengths: ``triangle_area`` on every triangle at once."""
+        """Flat (Heron) areas of all triangles from their (possibly
+        overridden) edge lengths.
+
+        Degenerate triangles (triangle inequality violated within
+        ``DEGENERACY_RTOL`` of the perimeter) get area 0; a larger violation
+        or a negative side raises ``ValueError`` naming the first such
+        triangle.
+        """
         a, b, c = self.triangles.T
         sides_of = [self._edge_ids(a, b), self._edge_ids(b, c), self._edge_ids(a, c)]
         lengths = self.edge_lengths[np.stack(sides_of, axis=1)]
@@ -275,24 +257,30 @@ class TriangulatedManifold:
         bad = (sides[:, 0] < 0) | (violation > DEGENERACY_RTOL * perimeter)
         if bad.any():
             k = int(np.argmax(bad))
-            try:
-                triangle_area(*lengths[k].tolist())
-            except ValueError as exc:
-                raise ValueError(
-                    f"triangle #{k} ({a[k]},{b[k]},{c[k]}): {exc}"
-                ) from exc
+            given = tuple(lengths[k].tolist())
+            what = (
+                f"negative side length in {given}" if sides[k, 0] < 0
+                else f"side lengths {given} violate the triangle inequality"
+            )
+            raise ValueError(f"triangle #{k} ({a[k]},{b[k]},{c[k]}): {what}")
         s = 0.5 * perimeter
         rad = s * (s - sides[:, 0]) * (s - sides[:, 1]) * (s - sides[:, 2])
-        # max(rad, 0.0) as triangle_area takes it: nan and -0.0 pass through
+        # a negative product of rounding is 0; nan and -0.0 pass through
         area = np.sqrt(np.where(rad < 0, 0.0, rad))
         return np.where(violation > 0, 0.0, area)
 
     def compute_weights(self) -> "TriangulatedManifold":
         """Populate vertex quadrature weights: one third of the total area of
-        the triangles incident to each vertex."""
+        the triangles incident to each vertex. A vertex in no triangle of
+        positive area weighs 0 and is refused (``ValueError``), as is a
+        weight that overflows, before any distance work on the mesh."""
         areas = self.triangle_areas()
         w = np.zeros(self.n_vertices)
         np.add.at(w, self.triangles.ravel(), np.repeat(areas / 3.0, 3))
+        bad = np.flatnonzero(~((w > 0) & (w < np.inf)))  # nan fails both
+        if len(bad):
+            raise ValueError(f"point {bad[0]} has weight {w[bad[0]]}; "
+                             "component weights must be positive and finite")
         self.weights = w
         return self
 

@@ -2,10 +2,12 @@
 
 One permutation is shared across the whole domain within a replicate, so the
 joint null distribution of the ball-wise integrated statistics is preserved.
-Permuting the rows of the signals (or of the Freedman-Lane residuals) is done
-by permuting the design by the inverse permutation, with the signals fixed
-(``glm.StatKernel``), so two permutations that make the same grouping give
-bitwise equal statistics and the observed field is the kernel's identity row.
+The rows of the signals are permuted, which is done by permuting the design
+by the inverse permutation, with the signals fixed (``glm.StatKernel``), so
+two permutations that make the same grouping give bitwise equal statistics
+and the observed field is the kernel's identity row. Under the
+intercept-only null model this is also the Freedman-Lane scheme, whose fits
+plus permuted residuals are the permuted signals.
 p-values use the (1 + #{permuted >= observed}) / (B + 1) convention, where a
 permuted statistic within a relative 100 eps of the observed one counts as a
 tie (``null >= obs - |100 eps obs|``, the rule of scipy's
@@ -38,8 +40,6 @@ __all__ = [
 # numpy's default bit generator; recorded in run manifests for reproducibility
 RNG_ALGORITHM = "PCG64"
 
-SCHEMES = ("freedman_lane", "raw_label_permutation")
-
 # A permuted statistic at least (1 - TIE_RTOL) times the observed one counts
 # as a tie.
 TIE_RTOL = 100 * np.finfo(float).eps
@@ -49,30 +49,20 @@ TIE_RTOL = 100 * np.finfo(float).eps
 class PermutationPlan:
     """How to generate the permutation null.
 
-    ``null_design`` is the reduced design matrix under the null for the
-    Freedman-Lane scheme (defaults to intercept-only), and only for it.
     ``permutations`` may carry explicit row permutations (B x N), overriding
     random generation; used for exhaustive enumeration on small problems.
     """
 
     n_permutations: int
     seed: int = 0
-    scheme: str = "freedman_lane"
-    null_design: np.ndarray | None = None
     permutations: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.permutations is not None:
             self.permutations = np.asarray(self.permutations, dtype=np.int64)
             self.n_permutations = self.permutations.shape[0]
         if self.n_permutations < 1:
             raise ValueError("need at least one permutation")
-        if self.null_design is not None:
-            if self.scheme != "freedman_lane":
-                raise ValueError("null_design applies only to the freedman_lane scheme")
-            self.null_design = np.asarray(self.null_design, dtype=float)
 
 
 def generate_permutations(plan: PermutationPlan, n_obs: int) -> np.ndarray:
@@ -151,19 +141,12 @@ def run_inference(
     c + 1 converts to float exactly and the division is monotone. Nothing
     goes back from ball order to the grid. The loop holds the floors, the
     counts and one tile of at most ``TILE_MAX_VALUES`` values, never a
-    permuted statistic per ball. The Freedman-Lane scheme permutes the
-    reduced-model residual rows and adds back the reduced-model fits; the raw
-    scheme permutes observation rows.
+    permuted statistic per ball.
     """
     Y = np.asarray(signals, dtype=float)
     perms = generate_permutations(plan, Y.shape[0])
     B = perms.shape[0]
-    reduced = None
-    if plan.scheme == "freedman_lane":
-        reduced = plan.null_design
-        if reduced is None:
-            reduced = np.ones((Y.shape[0], 1))
-    kernel = StatKernel(Y, design, hypothesis, reduced)
+    kernel = StatKernel(Y, design, hypothesis)
     T_obs = kernel.fields(np.arange(Y.shape[0])[None, :])[0]
     floor_slots = family.integrated_slots(T_obs)
     ball_obs = family.ball_values(floor_slots)

@@ -24,8 +24,31 @@ from scipy.sparse.csgraph import dijkstra
 
 from ballwise.domain import mesh_component
 from ballwise.glm import DesignSpec, StatKernel
-from ballwise.mesh import _ICO_FACES, _ICO_VERTICES, DistanceRows, TriangulatedManifold
+from ballwise.mesh import (
+    _ICO_FACES,
+    _ICO_VERTICES,
+    DEGENERACY_RTOL,
+    DistanceRows,
+    TriangulatedManifold,
+)
 from ballwise.permute import PValueFields, generate_permutations
+
+
+# --- triangle areas --------------------------------------------------------------
+
+def heron_area(l1: float, l2: float, l3: float) -> float:
+    """Area of the flat triangle with side lengths ``l1, l2, l3`` by Heron's
+    formula, one triangle at a time: 0 when the triangle inequality is
+    violated within ``DEGENERACY_RTOL`` of the perimeter."""
+    sides = sorted((float(l1), float(l2), float(l3)))
+    perimeter = sides[0] + sides[1] + sides[2]
+    violation = sides[2] - (sides[0] + sides[1])
+    assert sides[0] >= 0 and violation <= DEGENERACY_RTOL * perimeter
+    if violation > 0:
+        return 0.0
+    s = 0.5 * perimeter
+    rad = s * (s - sides[0]) * (s - sides[1]) * (s - sides[2])
+    return float(np.sqrt(max(rad, 0.0)))
 
 
 # --- icosphere -------------------------------------------------------------------
@@ -401,31 +424,22 @@ def balls_csv(family, result) -> str:
 
 # --- the materialised permutation null -----------------------------------------
 
-def reduced_fit(Y: np.ndarray, null_design):
-    """Fitted values and residuals of the null (reduced) model, columnwise."""
-    if null_design is None:
-        fits = np.broadcast_to(Y.mean(axis=0), Y.shape)
-        return np.array(fits), Y - fits
-    X0 = null_design[:, None] if null_design.ndim == 1 else null_design
-    if np.linalg.matrix_rank(X0) < X0.shape[1]:
-        raise ValueError("reduced design is rank deficient")
-    beta, *_ = np.linalg.lstsq(X0, Y, rcond=None)
-    fits = X0 @ beta
-    return fits, Y - fits
+def permute_once(signals: np.ndarray, scheme: str, perm: np.ndarray) -> np.ndarray:
+    """One permuted copy of the signal matrix under a reference scheme.
 
-
-def permute_once(signals: np.ndarray, plan, perm: np.ndarray) -> np.ndarray:
-    """One permuted copy of the signal matrix.
-
-    Freedman-Lane permutes the reduced-model residual rows and adds back the
-    reduced-model fits; the raw scheme permutes observation rows directly.
+    ``"freedman_lane"`` under the intercept-only null model adds the permuted
+    residual rows back to the model's fits, the column means;
+    ``"raw_label_permutation"`` permutes the observation rows directly. The
+    two are equal in exact arithmetic.
     """
     Y = np.asarray(signals, dtype=float)
     perm = np.asarray(perm, dtype=np.int64)
-    if plan.scheme == "raw_label_permutation":
+    if scheme == "raw_label_permutation":
         return Y[perm]
-    fits, resid = reduced_fit(Y, plan.null_design)
-    return fits + resid[perm]
+    if scheme != "freedman_lane":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    fits = Y.mean(axis=0)
+    return fits + (Y - fits)[perm]
 
 
 @dataclass
@@ -448,14 +462,18 @@ def observed_field(signals, design, hypothesis) -> np.ndarray:
     return kernel.fields(np.arange(kernel.n_obs)[None, :])[0]
 
 
-def null_distribution(signals, design, hypothesis, family, plan) -> NullDistribution:
-    """The full permutation null, every permuted field and ball statistic."""
+def null_distribution(
+    signals, design, hypothesis, family, plan, scheme="raw_label_permutation"
+) -> NullDistribution:
+    """The full permutation null, every permuted field and ball statistic,
+    each permuted copy of the signals made by ``permute_once`` under
+    ``scheme``."""
     Y = np.asarray(signals, dtype=float)
     perms = generate_permutations(plan, Y.shape[0])
     T_obs = observed_field(Y, design, hypothesis)
     ball_obs = family.ball_values(family.integrated_slots(T_obs))
     T_perm = np.stack(
-        [observed_field(permute_once(Y, plan, p), design, hypothesis) for p in perms]
+        [observed_field(permute_once(Y, scheme, p), design, hypothesis) for p in perms]
     )
     ball_perm = family.ball_values(family.integrated_slots(T_perm)).T
     return NullDistribution(T_obs, ball_obs, T_perm, ball_perm)

@@ -128,7 +128,7 @@ def test_exhaustive_permutation_oracle(octahedron):
     perms = np.array(
         [list(g1) + [i for i in range(4) if i not in g1] for g1 in relabelings]
     )
-    plan = PermutationPlan(B, scheme="raw_label_permutation", permutations=perms)
+    plan = PermutationPlan(B, permutations=perms)
     design, hyp = DesignSpec(group_labels=[0, 0, 1, 1]), HypothesisSpec("t_two_sample_sq")
     materialised = pvalues(null_distribution(Y, design, hyp, fam, plan), fam)
     engine = run_inference(Y, design, hyp, fam, plan).p
@@ -272,7 +272,7 @@ def test_structural_invariants(unit_tetrahedron):
             [mesh_component(mesh, radius_cap=cap), circle_component(6)]
         )
         fam = enumerate_family(dom)
-        plan = PermutationPlan(B, seed=17, scheme="raw_label_permutation")
+        plan = PermutationPlan(B, seed=17)
         res = run_inference(Y, design, hyp, fam, plan)
         p = res.p
         checks.append(np.all(p.adjusted >= p.pointwise))

@@ -158,6 +158,25 @@ class TestTestCommand:
         assert manifest["seed"] == 5
         assert manifest["family_balls"] > 12
 
+    def test_scheme_names_take_one_path(self, tmp_path, capsys):
+        # under the intercept-only null both names permute the same data, so
+        # the outputs are the same bytes and the manifest records neither
+        config = write_test_setup(tmp_path)
+        outputs = []
+        for scheme in ("freedman_lane", "raw_label_permutation"):
+            edit_config(config, lambda c: c["inference"].update(scheme=scheme))
+            out_dir = tmp_path / scheme
+            assert main(["test", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+            outputs.append([(out_dir / f).read_bytes() for f in ("pointwise.csv", "balls.csv")])
+            assert "scheme" not in json.loads((out_dir / "manifest.json").read_text())
+        assert outputs[0] == outputs[1]
+        edit_config(config, lambda c: c["inference"].update(scheme="wild_bootstrap"))
+        err = run_test(tmp_path, config, capsys)
+        assert err == (
+            "error: inference: unknown scheme 'wild_bootstrap'; "
+            "choose from ('freedman_lane', 'raw_label_permutation')\n"
+        )
+
     def test_manifest_stages(self, tmp_path):
         config = write_test_setup(tmp_path)
         out_dir = tmp_path / "out"
@@ -767,7 +786,7 @@ def missing_scenario_mesh(tmp_path, monkeypatch):
 @pytest.mark.parametrize("make", [
     empty_components, object_components, zero_variance, nan_vertex_distances,
     nan_vertex_test, overflowing_vertex_test, nan_edge_length, zero_area_mesh,
-    # the mesh is disconnected, and says so before the weights are checked
+    # the mesh is disconnected, and says so when it is loaded
     pytest.param(isolated_vertex, marks=pytest.mark.filterwarnings("ignore:.*disconnected")),
     directory_as_mesh, directory_as_data, data_path_not_a_string, output_among_directories,
     out_in_missing_directory, out_names_a_directory, icosphere_over_the_limit,
@@ -783,6 +802,32 @@ def test_degenerate_input(tmp_path, capsys, monkeypatch, make):
         assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.filterwarnings("ignore:.*disconnected")
+@pytest.mark.parametrize("command", ["test", "simulate"])
+def test_zero_weight_refused_before_distances(tmp_path, capsys, monkeypatch, command):
+    # the weights are checked before any distance is computed or read
+    def refuse(*args, **kwargs):
+        raise AssertionError("distance work before the weight check")
+
+    argv, message = isolated_vertex(tmp_path, monkeypatch)
+    if command == "test":
+        cache = tmp_path / "d.bin"
+        cache.write_bytes(b"")
+        edit_config(tmp_path / "config.json",
+                    lambda c: c["domain"]["components"][0].update(distance_cache=str(cache)))
+    else:
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps([{"mesh_path": str(tmp_path / "ico.off"), "n_samples": 8,
+                                      "permutations": 9, "replicates": 1, "seed": 1}]))
+        argv = ["simulate", "--config", str(sweep), "--out", str(tmp_path / "r.csv")]
+        message = message.replace("domain.components[0]", "scenario[0]")
+    monkeypatch.setattr(mesh.TriangulatedManifold, "compute_distances", refuse)
+    monkeypatch.setattr(cli, "load_distance_cache", refuse)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @contextlib.contextmanager
@@ -1361,7 +1406,7 @@ def small_inference(components):
     """A family on ``components`` and a run_inference result on random data."""
     fam = enumerate_family(ProductDomain(components))
     Y = np.random.default_rng(0).standard_normal((8, fam.domain.size))
-    plan = PermutationPlan(9, seed=1, scheme="raw_label_permutation")
+    plan = PermutationPlan(9, seed=1)
     design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
     return fam, run_inference(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
 

@@ -154,6 +154,17 @@ class TestComponentGrids:
             with pytest.raises(ValueError):
                 circle_component(3, radius_cap=cap)
 
+    def test_parameters_that_give_no_positive_finite_weights(self):
+        # a circle's or an interval's weights follow from its parameters,
+        # so these are refused before any weight is made
+        for circumference in (0.0, -1.0, math.inf, math.nan, 5e-324):
+            with pytest.raises(ValueError, match="circumference must be positive and finite"):
+                circle_component(3, circumference=circumference)
+        for a, b in ((1.0, 0.0), (0.0, 0.0), (0.0, math.inf), (-math.inf, 0.0),
+                     (math.nan, 1.0), (-1e308, 1e308), (0.0, 5e-324)):
+            with pytest.raises(ValueError, match="interval must have finite bounds with b > a"):
+                interval_component(a, b, 3)
+
 
 class TestEnumerateComponentBalls:
     def test_three_point_path(self):
@@ -628,7 +639,7 @@ class TestPrefixOperators:
             DesignSpec(group_labels=[0] * 4 + [1] * 4),
             HypothesisSpec("t_two_sample_sq"),
             fam,
-            permute.PermutationPlan(19, seed=seed, scheme="raw_label_permutation"),
+            permute.PermutationPlan(19, seed=seed),
         )
         adjusted = res.p.adjusted.tobytes()
         assert adjusted == fam.cover(fam.to_slots(res.p.ballwise)).tobytes()

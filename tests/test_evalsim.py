@@ -14,7 +14,6 @@ from ballwise.evalsim import (
     ScenarioConfig,
     cap_region_mask,
     compute_error_rates,
-    gaussian_kernel_noise,
     multi_patch_mask,
     run_scenario,
 )
@@ -43,18 +42,16 @@ class TestGaussianFieldSampler:
     def test_monte_carlo_covariance(self, triangle_strip):
         # 3-vertex sub-check on a real mesh: empirical covariance of 1e5
         # draws within 0.02 of the closed-form kernel
-        draws = gaussian_kernel_noise(
-            triangle_strip, bandwidth=1.0, sd=1.0, seed=123, n_draws=100_000
-        )
+        s = GaussianFieldSampler(triangle_strip.compute_distances().distances, 1.0, 1.0)
+        draws = s.sample(np.random.default_rng(123), 100_000)
         emp = np.cov(draws[:, :3].T)
         d = oracles.rows_to_dense(triangle_strip.distances)[:3, :3]
         expected = np.exp(-(d ** 2) / 2.0)
         assert np.abs(emp - expected).max() < 0.02
 
     def test_zero_mean(self, triangle_strip):
-        draws = gaussian_kernel_noise(
-            triangle_strip, bandwidth=0.5, sd=1.0, seed=7, n_draws=50_000
-        )
+        s = GaussianFieldSampler(triangle_strip.compute_distances().distances, 0.5, 1.0)
+        draws = s.sample(np.random.default_rng(7), 50_000)
         assert np.abs(draws.mean(axis=0)).max() < 0.02
 
     def test_invalid_parameters(self):

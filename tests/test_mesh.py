@@ -21,7 +21,6 @@ from ballwise.mesh import (
     load_mesh,
     off_text,
     save_off,
-    triangle_area,
 )
 
 
@@ -62,27 +61,43 @@ QUAD_OFF = """OFF
 """
 
 
+def single_triangle_area(l1, l2, l3):
+    """``triangle_areas`` of the one triangle whose sides (0, 1), (1, 2) and
+    (0, 2) are ``l1``, ``l2`` and ``l3`` long."""
+    m = TriangulatedManifold(np.eye(3), np.array([[0, 1, 2]]))
+    for side, length in zip([[0, 1], [1, 2], [0, 2]], (l1, l2, l3)):
+        m.edge_lengths[m.edges.tolist().index(side)] = length
+    return m.triangle_areas()[0]
+
+
 class TestTriangleArea:
     def test_right_triangle(self):
-        assert triangle_area(3, 4, 5) == pytest.approx(6.0)
+        assert single_triangle_area(3, 4, 5) == pytest.approx(6.0)
 
     def test_equilateral(self):
         # Heron: s = 3, area = sqrt(3 * 1 * 1 * 1)
-        assert triangle_area(2, 2, 2) == pytest.approx(np.sqrt(3.0), rel=1e-12)
+        assert single_triangle_area(2, 2, 2) == pytest.approx(np.sqrt(3.0), rel=1e-12)
 
     def test_degenerate_collinear(self):
-        assert triangle_area(1, 1, 2) == 0.0
+        assert single_triangle_area(1, 1, 2) == 0.0
 
     def test_violation_raises(self):
-        with pytest.raises(ValueError, match="triangle inequality"):
-            triangle_area(1, 1, 3)
+        with pytest.raises(
+            ValueError,
+            match=r"triangle #0 \(0,1,2\): side lengths \(1\.0, 1\.0, 3\.0\) violate "
+            "the triangle inequality",
+        ):
+            single_triangle_area(1, 1, 3)
 
     def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            triangle_area(-1, 1, 1)
+        with pytest.raises(
+            ValueError,
+            match=r"triangle #0 \(0,1,2\): negative side length in \(-1\.0, 1\.0, 1\.0\)",
+        ):
+            single_triangle_area(-1, 1, 1)
 
     def test_tiny_violation_clamps_to_zero(self):
-        assert triangle_area(1, 1, 2 + 1e-12) == 0.0
+        assert single_triangle_area(1, 1, 2 + 1e-12) == 0.0
 
 
 class TestOffIO:
@@ -239,7 +254,7 @@ class TestWeights:
     def test_areas_match_scalar_heron(self, order):
         m = build_icosphere(order)
         expected = [
-            triangle_area(m.edge_length(a, b), m.edge_length(b, c), m.edge_length(a, c))
+            oracles.heron_area(m.edge_length(a, b), m.edge_length(b, c), m.edge_length(a, c))
             for a, b, c in m.triangles
         ]
         assert m.triangle_areas().tobytes() == np.array(expected).tobytes()
@@ -252,7 +267,7 @@ class TestWeights:
         m.edge_lengths[m.edges.tolist().index([1, 3])] = 2.0 + 1e-10  # 1 + 1 + slack
         areas = m.triangle_areas()
         expected = [
-            triangle_area(m.edge_length(a, b), m.edge_length(b, c), m.edge_length(a, c))
+            oracles.heron_area(m.edge_length(a, b), m.edge_length(b, c), m.edge_length(a, c))
             for a, b, c in tris
         ]
         assert areas.tobytes() == np.array(expected).tobytes()

@@ -84,53 +84,25 @@ class TestPermuteOnce:
     def test_identity_is_noop(self):
         rng = np.random.default_rng(3)
         Y = rng.standard_normal((5, 3))
-        plan = PermutationPlan(1, scheme="freedman_lane")
-        np.testing.assert_allclose(permute_once(Y, plan, np.arange(5)), Y)
-        plan_raw = PermutationPlan(1, scheme="raw_label_permutation")
-        np.testing.assert_array_equal(permute_once(Y, plan_raw, np.arange(5)), Y)
+        np.testing.assert_allclose(permute_once(Y, "freedman_lane", np.arange(5)), Y)
+        np.testing.assert_array_equal(
+            permute_once(Y, "raw_label_permutation", np.arange(5)), Y
+        )
 
     def test_intercept_null_preserves_column_means(self):
         rng = np.random.default_rng(4)
         Y = rng.standard_normal((6, 4))
-        plan = PermutationPlan(1, scheme="freedman_lane")
         for _ in range(5):
             perm = rng.permutation(6)
-            Yp = permute_once(Y, plan, perm)
+            Yp = permute_once(Y, "freedman_lane", perm)
             np.testing.assert_allclose(Yp.mean(axis=0), Y.mean(axis=0), atol=1e-12)
 
     def test_reversal_formula(self):
         # intercept-only reduced model: output = mean + reversed residuals
         y = np.array([[1.0], [4.0], [2.0], [7.0]])
-        plan = PermutationPlan(1, scheme="freedman_lane")
-        out = permute_once(y, plan, np.array([3, 2, 1, 0]))
+        out = permute_once(y, "freedman_lane", np.array([3, 2, 1, 0]))
         expected = y.mean() + (y - y.mean())[::-1]
         np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_explicit_null_design_matches_default(self):
-        rng = np.random.default_rng(5)
-        Y = rng.standard_normal((6, 2))
-        perm = rng.permutation(6)
-        default = permute_once(Y, PermutationPlan(1), perm)
-        explicit = permute_once(
-            Y, PermutationPlan(1, null_design=np.ones((6, 1))), perm
-        )
-        np.testing.assert_allclose(default, explicit, atol=1e-12)
-
-    def test_null_design_needs_freedman_lane(self):
-        # the raw scheme permutes the signals themselves; a reduced design
-        # given with it used to be dropped without a word
-        with pytest.raises(ValueError, match="only to the freedman_lane scheme"):
-            PermutationPlan(1, scheme="raw_label_permutation", null_design=np.ones((4, 1)))
-
-    def test_rank_deficient_null_design(self):
-        Y = np.zeros((4, 2))
-        plan = PermutationPlan(1, null_design=np.ones((4, 2)))
-        with pytest.raises(ValueError, match="rank deficient"):
-            permute_once(Y, plan, np.arange(4))
-        fam = enumerate_family(ProductDomain([interval_component(0.0, 1.0, 2)]))
-        design = DesignSpec(covariates=np.arange(4.0))
-        with pytest.raises(ValueError, match="rank deficient"):
-            run_inference(Y, design, HypothesisSpec("slope_sq"), fam, plan)
 
 
 class TestGeneratePermutations:
@@ -163,10 +135,7 @@ class TestNullDistribution:
         rng = np.random.default_rng(6)
         Y = rng.standard_normal((8, d.size))
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
-        plan = PermutationPlan(
-            1, scheme="raw_label_permutation",
-            permutations=np.arange(8)[None, :],
-        )
+        plan = PermutationPlan(1, permutations=np.arange(8)[None, :])
         hyp = HypothesisSpec("t_two_sample_sq")
         nd = null_distribution(Y, design, hyp, fam, plan)
         np.testing.assert_array_equal(nd.permuted_fields[0], nd.observed_field)
@@ -182,9 +151,7 @@ class TestNullDistribution:
         Y = rng.standard_normal((6, d.size))
         design = DesignSpec(group_labels=[0, 0, 0, 1, 1, 1])
         swap = np.array([3, 4, 5, 0, 1, 2])
-        plan = PermutationPlan(
-            1, scheme="raw_label_permutation", permutations=swap[None, :]
-        )
+        plan = PermutationPlan(1, permutations=swap[None, :])
         hyp = HypothesisSpec("t_two_sample_sq")
         nd = null_distribution(Y, design, hyp, fam, plan)
         np.testing.assert_allclose(
@@ -244,9 +211,7 @@ class TestExhaustiveOracle:
             [list(g1) + [i for i in range(4) if i not in g1] for g1 in relabelings]
         )
         design = DesignSpec(group_labels=[0, 0, 1, 1])
-        plan = PermutationPlan(
-            len(perms), scheme="raw_label_permutation", permutations=perms
-        )
+        plan = PermutationPlan(len(perms), permutations=perms)
         hyp = HypothesisSpec("t_two_sample_sq")
         materialised = pvalues(null_distribution(Y, design, hyp, fam, plan), fam)
         engine = run_inference(Y, design, hyp, fam, plan).p
@@ -293,7 +258,7 @@ class TestTies:
             Y[7] = Y[0]
         labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         exact = self.exact_p(Y, labels)
-        plan = PermutationPlan(self.B, seed=seed, scheme="raw_label_permutation")
+        plan = PermutationPlan(self.B, seed=seed)
         p = run_inference(
             Y, DesignSpec(group_labels=labels), HypothesisSpec("t_two_sample_sq"), fam, plan
         ).p
@@ -344,7 +309,7 @@ class TestPValues:
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((8, d.size))
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
-        plan = PermutationPlan(25, seed=1, scheme="raw_label_permutation")
+        plan = PermutationPlan(25, seed=1)
         res = run_inference(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
         B = 25
         for arr in (res.p.pointwise, res.p.ballwise, res.p.adjusted):
@@ -381,7 +346,7 @@ class TestEngineProperties:
         rng = np.random.default_rng(11)
         Y = rng.standard_normal((10, d.size))
         design = DesignSpec(group_labels=[0] * 5 + [1] * 5)
-        plan = PermutationPlan(40, seed=2, scheme="raw_label_permutation")
+        plan = PermutationPlan(40, seed=2)
         res = run_inference(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
         assert np.all(res.p.adjusted >= res.p.pointwise)
 
@@ -406,7 +371,7 @@ class TestEngineProperties:
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
         for seed in range(5):
             Y = np.random.default_rng(seed).standard_normal((8, m.n_vertices))
-            plan = PermutationPlan(60, seed=seed, scheme="raw_label_permutation")
+            plan = PermutationPlan(60, seed=seed)
             res = run_inference(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
             assert np.all(res.p.adjusted[others] >= res.p.pointwise[others]), seed
 
@@ -419,7 +384,7 @@ class TestEngineProperties:
             dom = ProductDomain([mesh_component(octahedron, radius_cap=cap)])
             fam = enumerate_family(dom)
             Y = np.random.default_rng(99).standard_normal((10, dom.size))
-            plan = PermutationPlan(30, seed=3, scheme="raw_label_permutation")
+            plan = PermutationPlan(30, seed=3)
             results[cap] = run_inference(Y, design, hyp, fam, plan).p.adjusted
         assert np.all(results[1.8] >= results[0.5] - 1e-15)
         assert np.all(results[np.inf] >= results[1.8] - 1e-15)
@@ -429,7 +394,7 @@ class TestEngineProperties:
         Y = np.random.default_rng(13).standard_normal((8, d.size))
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
         hyp = HypothesisSpec("t_two_sample_sq")
-        plan = PermutationPlan(20, seed=7, scheme="freedman_lane")
+        plan = PermutationPlan(20, seed=7)
         a = run_inference(Y, design, hyp, fam, plan).p.tobytes()
         b = run_inference(Y, design, hyp, fam, plan).p.tobytes()
         assert a == b
@@ -437,8 +402,9 @@ class TestEngineProperties:
     @pytest.mark.parametrize("statistic", ["t_two_sample_sq", "t_trend_cutoff", "slope_sq"])
     def test_intercept_only_schemes_give_the_same_p_values(self, statistic):
         # under an intercept-only null, Freedman-Lane's fits plus permuted
-        # residuals are the permuted signals in exact arithmetic; the observed
-        # field may differ in its last bits, the p-values may not
+        # residuals are the permuted signals in exact arithmetic; the
+        # engine's permuted signals and that reference may differ in their
+        # last bits, the p-values may not
         fam = enumerate_family(
             ProductDomain([mesh_component(build_icosphere(6), 0.3), circle_component(6)])
         )
@@ -450,10 +416,11 @@ class TestEngineProperties:
                 design = DesignSpec(group_labels=[0] * 15 + [1] * 15)
             else:
                 design = DesignSpec(covariates=rng.standard_normal(30))
+            hyp, plan = HypothesisSpec(statistic), PermutationPlan(100, seed=seed)
+            nd = null_distribution(Y, design, hyp, fam, plan, "freedman_lane")
             p = [
-                run_inference(Y, design, HypothesisSpec(statistic), fam,
-                              PermutationPlan(100, seed=seed, scheme=scheme)).p.tobytes()
-                for scheme in ("freedman_lane", "raw_label_permutation")
+                pvalues(nd, fam).tobytes(),
+                run_inference(Y, design, hyp, fam, plan).p.tobytes(),
             ]
             assert p[0] == p[1], seed
 
@@ -462,26 +429,19 @@ class TestEngineProperties:
         Y = np.random.default_rng(14).standard_normal((8, d.size))
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
         hyp = HypothesisSpec("t_two_sample_sq")
-        covariate_null = np.column_stack([np.ones(8), np.arange(8.0)])
         monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", 4)
-        for scheme, null_design in [
-            ("freedman_lane", None),
-            ("freedman_lane", covariate_null),
-            ("raw_label_permutation", None),
-        ]:
-            plan = PermutationPlan(23, seed=5, scheme=scheme, null_design=null_design)
-            nd = null_distribution(Y, design, hyp, fam, plan)
-            p_ref = pvalues(nd, fam)
-            p_chunk = run_inference(Y, design, hyp, fam, plan).p
-            assert p_ref.tobytes() == p_chunk.tobytes()
+        plan = PermutationPlan(23, seed=5)
+        p_chunk = run_inference(Y, design, hyp, fam, plan).p
+        for scheme in ("freedman_lane", "raw_label_permutation"):
+            nd = null_distribution(Y, design, hyp, fam, plan, scheme)
+            assert pvalues(nd, fam).tobytes() == p_chunk.tobytes()
 
-    @pytest.mark.parametrize("scheme", ["freedman_lane", "raw_label_permutation"])
-    def test_chunk_size_and_byte_budget(self, tet_circle_domain, scheme, monkeypatch):
+    def test_chunk_size_and_byte_budget(self, tet_circle_domain, monkeypatch):
         d, fam = tet_circle_domain
         Y = np.random.default_rng(16).standard_normal((8, d.size))
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
         hyp = HypothesisSpec("t_two_sample_sq")
-        plan = PermutationPlan(45, seed=8, scheme=scheme)
+        plan = PermutationPlan(45, seed=8)
         monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", 1)
         ref = run_inference(Y, design, hyp, fam, plan).p.tobytes()
         for chunk in (7, 32):
@@ -517,7 +477,7 @@ class TestEngineProperties:
         Y = np.random.default_rng(17).standard_normal((8, fam.domain.size))
         design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
         hyp = HypothesisSpec("t_two_sample_sq")
-        plan = PermutationPlan(64, seed=9, scheme="raw_label_permutation")
+        plan = PermutationPlan(64, seed=9)
         stacked = []
         count = AdjustmentFamily.count_exceedances
 
@@ -542,7 +502,7 @@ class TestEngineProperties:
         Y = np.random.default_rng(18).standard_normal((12, fam.domain.size))
         design = DesignSpec(group_labels=[0] * 6 + [1] * 6)
         hyp = HypothesisSpec("t_two_sample_sq")
-        plan = PermutationPlan(32, seed=10, scheme="raw_label_permutation")
+        plan = PermutationPlan(32, seed=10)
         tracemalloc.start()
         try:
             run_inference(Y, design, hyp, fam, plan)
@@ -571,14 +531,14 @@ class TestEngineProperties:
         "mesh_circle", "sphere25", "simulate_fullcap", "order16_full_cap"
     ])
     def test_memory_bound_holds_the_peak(self, shape):
-        # the benchmark's domain shapes, statistics and schemes, and the full
-        # cap at order 16; B = 64 runs two full chunks
-        N, statistic, scheme = 20, "t_two_sample_sq", "raw_label_permutation"
+        # the benchmark's domain shapes and statistics, and the full cap at
+        # order 16; B = 64 runs two full chunks
+        N, statistic = 20, "t_two_sample_sq"
         if shape == "mesh_circle":
             components = [mesh_component(build_icosphere(4), 0.5), circle_component(12, 12.0, 2.5)]
         elif shape == "sphere25":
             components = [mesh_component(build_icosphere(25), 0.06)]
-            N, statistic, scheme = 30, "t_trend_cutoff", "freedman_lane"
+            N, statistic = 30, "t_trend_cutoff"
         else:
             components = [mesh_component(build_icosphere(5 if shape == "simulate_fullcap" else 16))]
         d = ProductDomain(components)
@@ -588,7 +548,7 @@ class TestEngineProperties:
             design = DesignSpec(covariates=np.arange(float(N)))
         else:
             design = DesignSpec(group_labels=[0] * (N // 2) + [1] * (N // 2))
-        plan = PermutationPlan(64, seed=11, scheme=scheme)
+        plan = PermutationPlan(64, seed=11)
         tracemalloc.start()
         try:
             fam = enumerate_family(d)
@@ -603,7 +563,7 @@ class TestEngineProperties:
             assert bound <= 2 * peak
 
     def test_superuniform_pointwise_under_null(self):
-        # raw two-sample scheme with iid errors: pointwise p is (super)uniform
+        # two-sample test with iid errors: pointwise p is (super)uniform
         g = interval_component(0.0, 1.0, 2)
         dom = ProductDomain([g])
         fam = enumerate_family(dom)
@@ -616,9 +576,7 @@ class TestEngineProperties:
         n_rep = 400
         for r in range(n_rep):
             Y = rng.standard_normal((10, dom.size))
-            plan = PermutationPlan(
-                B, seed=int(rng.integers(2 ** 63)), scheme="raw_label_permutation"
-            )
+            plan = PermutationPlan(B, seed=int(rng.integers(2 ** 63)))
             res = run_inference(Y, design, hyp, fam, plan)
             hits += res.p.pointwise[0] <= alpha
         rate = hits / n_rep
