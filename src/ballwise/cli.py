@@ -238,26 +238,37 @@ def _check_kind_keys(section: dict, key: str, table: dict, what: str) -> str:
 
 COMPONENT_KEYS = {  # kind: (required keys, optional keys)
     "mesh": ({"kind", "path"}, {"radius_cap", "edge_lengths", "distance_cache"}),
+    "icosphere": ({"kind", "order"}, {"radius_cap", "radius"}),
     "circle": ({"kind", "points"}, {"radius_cap", "circumference"}),
     "interval": ({"kind", "bounds", "points"}, {"radius_cap"}),
 }
 
 
-def _build_component(section: dict):
+def _component_mesh(section: dict, cap: float):
+    """The weighed mesh of a checked mesh or icosphere component, with the
+    distances of its ``distance_cache``, if any, up to ``cap``."""
+    if section["kind"] == "icosphere":
+        radius = _finite_number(section.get("radius", 1.0), "radius")
+        m = _icosphere(_positive_int(section["order"], "order"), radius)
+    else:
+        m = _load_mesh(_file_key(section, "path", "mesh"), _file_key(section, "edge_lengths"))
+    m.compute_weights()
+    cache = _file_key(section, "distance_cache")
+    if cache is not None:
+        m.distances = load_distance_cache(cache, limit=cap)
+        m.distance_limit = cap
+        if len(m.distances) != m.n_vertices:
+            raise ConfigError("distance cache does not match the mesh")
+    return m
+
+
+def _build_component(section: dict, mesh_of):
     from .domain import circle_component, interval_component, mesh_component
 
     kind = _check_kind_keys(section, "kind", COMPONENT_KEYS, "component kind")
     cap = _parse_cap(section.get("radius_cap", "inf"))
-    if kind == "mesh":
-        m = _load_mesh(_file_key(section, "path", "mesh"), _file_key(section, "edge_lengths"))
-        m.compute_weights()
-        cache = _file_key(section, "distance_cache")
-        if cache is not None:
-            m.distances = load_distance_cache(cache, limit=cap)
-            m.distance_limit = cap
-            if len(m.distances) != m.n_vertices:
-                raise ConfigError("distance cache does not match the mesh")
-        return mesh_component(m, radius_cap=cap)
+    if kind in ("mesh", "icosphere"):
+        return mesh_component(mesh_of(section, cap), radius_cap=cap)
     if kind == "circle":
         circumference = _finite_number(
             section.get("circumference", 2 * math.pi), "circumference"
@@ -280,7 +291,7 @@ def _build_component(section: dict):
     )
 
 
-def _build_domain(config: dict):
+def _build_domain(config: dict, mesh_of=_component_mesh):
     from .domain import ProductDomain
 
     retired = ("max_balls", "max_memberships")
@@ -298,7 +309,7 @@ def _build_domain(config: dict):
         grids = []
         for i, section in enumerate(components):
             with _located(f"components[{i}]"):
-                grids.append(_build_component(section))
+                grids.append(_build_component(section, mesh_of))
         return ProductDomain(grids)
 
 
@@ -497,15 +508,20 @@ def _balls_csv(family, result) -> Iterator[str]:
 
 # --- subcommands -------------------------------------------------------------
 
-def cmd_tessellate(args) -> int:
-    need, limit = icosphere_bytes(args.order), memory_limit()
+def _icosphere(order: int, radius: float):
+    """``build_icosphere(order, radius)``, refused first if over the limit."""
+    need, limit = icosphere_bytes(order), memory_limit()
     if need > limit:
         raise ConfigError(
-            f"an order-{args.order} icosphere and its OFF text would need up to "
+            f"an order-{order} icosphere and its OFF text would need up to "
             f"{need / 1e6:,.1f} MB, over the limit of {limit / 1e6:,.1f} MB (half of "
             "physical memory or of the address-space limit)"
         )
-    m = build_icosphere(args.order, args.radius)
+    return build_icosphere(order, radius)
+
+
+def cmd_tessellate(args) -> int:
+    m = _icosphere(args.order, args.radius)
     _atomic_write({args.out: off_text(m)})
     print(f"wrote icosphere order {args.order}: {m.n_vertices} vertices, "
           f"{len(m.triangles)} faces -> {args.out}")
@@ -691,40 +707,37 @@ def cmd_adjust(args) -> int:
     return EXIT_OK
 
 
+# shorthand for a domain of one mesh: each scenario key's component key
+MESH_SHORTHAND = {"mesh_path": "path", "icosphere_order": "order",
+                  "icosphere_radius": "radius", "radius_cap": "radius_cap"}
 SCENARIO_KEYS = {
-    "id", "icosphere_order", "icosphere_radius", "mesh_path", "n_samples",
-    "permutations", "replicates", "seed", "alpha", "radius_cap",
-    "signal_amplitude", "noise_bandwidth", "noise_sd", "truth",
+    "id", "domain", "n_samples", "permutations", "replicates", "seed", "alpha",
+    "signal_amplitude", "noise_bandwidth", "noise_sd", "truth", *MESH_SHORTHAND,
 }
 
 
 def _scenario_from_config(section: dict, idx: int):
+    """A scenario's ``ScenarioConfig`` and ``domain`` section: its own, or the
+    one of its shorthand keys, a mesh with ``mesh_path``, else an icosphere."""
     from .evalsim import ScenarioConfig
 
     _check_keys(section, SCENARIO_KEYS, {"n_samples", "permutations", "replicates", "seed"})
-    order = section.get("icosphere_order")
-    if order is not None:
-        _positive_int(order, "icosphere_order")
-    if "mesh_path" in section and "icosphere_radius" in section:
-        raise ConfigError(
-            "icosphere_radius applies to an icosphere_order mesh, not to mesh_path"
-        )
-    return ScenarioConfig(
+    given = [key for key in MESH_SHORTHAND if key in section]
+    if "domain" in section and given:
+        raise ConfigError(f"give a domain section or the key(s) {given}, not both")
+    mesh = {"kind": "mesh" if "mesh_path" in section else "icosphere"}
+    mesh.update((MESH_SHORTHAND[key], section[key]) for key in given)
+    cfg = ScenarioConfig(
         n_samples=_positive_int(section["n_samples"], "n_samples"),
         n_permutations=_positive_int(section["permutations"], "permutations"),
         replicates=_positive_int(section["replicates"], "replicates"),
         seed=_seed(section["seed"], "seed"),
-        icosphere_order=order,
-        mesh_path=_file_key(section, "mesh_path", "mesh"),
         scenario_id=str(section.get("id", idx)),
         # the keys the scenario leaves out take ScenarioConfig's defaults
-        **{
-            key: _parse_cap(value) if key == "radius_cap" else _finite_number(value, key)
-            for key, value in section.items()
-            if key in ("alpha", "radius_cap", "signal_amplitude", "noise_bandwidth",
-                       "noise_sd", "icosphere_radius")
-        },
+        **{key: _finite_number(value, key) for key, value in section.items()
+           if key in ("alpha", "signal_amplitude", "noise_bandwidth", "noise_sd")},
     )
+    return cfg, section.get("domain", {"components": [mesh]})
 
 
 TRUTH_KEYS = {  # type: (required keys, optional keys)
@@ -734,14 +747,13 @@ TRUTH_KEYS = {  # type: (required keys, optional keys)
 }
 
 
-def _apply_truth(cfg, section: dict, mesh):
+def _truth_mask(section: dict, mesh) -> np.ndarray:
     from .evalsim import multi_patch_mask
 
     truth_cfg = section.get("truth", {"type": "none"})
     kind = _check_kind_keys(truth_cfg, "type", TRUTH_KEYS, "truth type")
     if kind == "none":
-        cfg.truth_mask = np.zeros(mesh.n_vertices, dtype=bool)
-        return
+        return np.zeros(mesh.n_vertices, dtype=bool)
     key = "center" if kind == "cap" else "centers"
     centers = [truth_cfg[key]] if kind == "cap" else truth_cfg[key]
     n = mesh.n_vertices
@@ -754,11 +766,11 @@ def _apply_truth(cfg, section: dict, mesh):
     radius = truth_cfg["radius"]
     if not _is_number(radius) or not radius > 0:
         raise ConfigError(f"radius must be a positive number, got {radius!r}")
-    cfg.truth_mask = multi_patch_mask(mesh, centers, float(radius))
+    return multi_patch_mask(mesh, centers, float(radius))
 
 
 def cmd_simulate(args) -> int:
-    from .evalsim import run_scenario
+    from .evalsim import noise_mesh, run_scenario, scenario_mesh
 
     config = _load_json(args.config)
     if not isinstance(config, list) or not config:
@@ -766,30 +778,30 @@ def cmd_simulate(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["scenario", "sensitivity", "fwer", "fpr", "fdr", "replicates"])
-    mesh_cache: dict = {}
+    meshes: dict = {}
+
+    def mesh_of(section, cap):
+        # one mesh per source, its section less the cap, searched in full once
+        key = repr(sorted((k, v) for k, v in section.items() if k != "radius_cap"))
+        if key not in meshes:
+            meshes[key] = noise_mesh(_component_mesh(section, math.inf))
+        return meshes[key]
+
     stages = Stages()
     for idx, section in enumerate(config):
         with _located(f"scenario[{idx}]"):
-            cfg = _scenario_from_config(section, idx)
-            key = (cfg.mesh_path, cfg.icosphere_order, cfg.icosphere_radius)
-            if key not in mesh_cache:
-                with stages("build"):
-                    mesh_cache[key] = cfg.build_mesh()
-            mesh = mesh_cache[key]
+            cfg, domain_section = _scenario_from_config(section, idx)
+            with stages("build"):
+                domain = _build_domain(domain_section, mesh_of)
+                mesh = scenario_mesh(domain)
             with _located("truth"):
-                _apply_truth(cfg, section, mesh)
+                truth = _truth_mask(section, mesh)
             with stages("simulation"):
-                rates = run_scenario(cfg, mesh=mesh)
-        writer.writerow(
-            [
-                cfg.scenario_id,
-                "" if rates.sensitivity is None else f"{rates.sensitivity:.6f}",
-                f"{rates.fwer:.6f}",
-                f"{rates.false_positive_rate:.6f}",
-                f"{rates.false_discovery_rate:.6f}",
-                rates.n_replicates,
-            ]
-        )
+                rates = run_scenario(cfg, domain, truth)
+        errors = [rates.fwer, rates.false_positive_rate, rates.false_discovery_rate]
+        sensitivity = "" if rates.sensitivity is None else f"{rates.sensitivity:.6f}"
+        writer.writerow([cfg.scenario_id, sensitivity, *(f"{v:.6f}" for v in errors),
+                         rates.n_replicates])
         print(f"scenario {cfg.scenario_id}: fwer={rates.fwer:.3f}")
     out = args.out or "simulation_results.csv"
     with stages("write"):

@@ -75,6 +75,7 @@ class ComponentGrid:
     weights: np.ndarray
     rows: DistanceRows
     radius_cap: float = math.inf
+    mesh: TriangulatedManifold | None = None  # a mesh's; its distances may pass the cap
 
     def __post_init__(self):
         self.points = np.asarray(self.points)
@@ -111,6 +112,7 @@ def mesh_component(m: TriangulatedManifold, radius_cap: float = math.inf) -> Com
         weights=m.weights,
         rows=m.distances.below(radius_cap),
         radius_cap=radius_cap,
+        mesh=m,
     )
 
 

@@ -1,9 +1,9 @@
 """Monte Carlo evaluation: two-sample signals with spatially correlated
-Gaussian noise on a mesh, scenario sweeps over sample size and radius cap,
-and the resulting error-rate metrics.
+Gaussian noise on a one-mesh domain, scenario sweeps over sample size and
+radius cap, and the resulting error-rate metrics.
 
-Error rates are measure-weighted: denominators use the vertex quadrature
-weights, so rates approximate area fractions rather than vertex counts.
+Error rates are measure-weighted: denominators use the domain's quadrature
+weights, so rates approximate area fractions rather than point counts.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ProductDomain, enumerate_family, mesh_component
+from .domain import ProductDomain, enumerate_family
 from .glm import DesignSpec, HypothesisSpec
-from .mesh import DistanceRows, TriangulatedManifold, build_icosphere, load_mesh
+from .mesh import DistanceRows, TriangulatedManifold
 from .permute import PermutationPlan, run_inference
 
 __all__ = [
@@ -24,6 +24,8 @@ __all__ = [
     "GaussianFieldSampler",
     "compute_error_rates",
     "run_scenario",
+    "noise_mesh",
+    "scenario_mesh",
     "cap_region_mask",
     "multi_patch_mask",
 ]
@@ -150,31 +152,19 @@ def multi_patch_mask(
 
 @dataclass
 class ScenarioConfig:
-    """One simulation scenario: two-sample signals on a mesh.
-
-    Exactly one of ``mesh_path`` / ``icosphere_order`` selects the domain.
-    ``truth_mask`` is the vertex set carrying the base signal (the region
-    where the null is false); empty means a global null.
-    """
+    """One simulation scenario: two-sample signals, run by ``run_scenario``."""
 
     n_samples: int
     n_permutations: int
     replicates: int
     seed: int
     alpha: float = 0.05
-    radius_cap: float = math.inf
     signal_amplitude: float = 0.0
     noise_bandwidth: float = 0.3
     noise_sd: float = 1.0
-    icosphere_order: int | None = None
-    icosphere_radius: float = 1.0
-    mesh_path: str | None = None
-    truth_mask: np.ndarray | None = None
     scenario_id: str = ""
 
     def __post_init__(self):
-        if (self.icosphere_order is None) == (self.mesh_path is None):
-            raise ValueError("specify exactly one of icosphere_order and mesh_path")
         if self.n_samples % 2 != 0 or self.n_samples < 4:
             raise ValueError("n_samples must be even and at least 4")
         if not 0 < self.alpha < 1:
@@ -183,43 +173,39 @@ class ScenarioConfig:
             raise ValueError("replicates must be positive")
         if self.noise_bandwidth <= 0 or self.noise_sd <= 0:
             raise ValueError("noise scale parameters must be positive")
-        if self.icosphere_order is not None:
-            _check_noise_vertices(10 * self.icosphere_order ** 2 + 2)
 
-    def build_mesh(self) -> TriangulatedManifold:
-        if self.mesh_path is not None:
-            m = load_mesh(self.mesh_path)
-            _check_noise_vertices(m.n_vertices)
-        else:
-            m = build_icosphere(self.icosphere_order, self.icosphere_radius)
-        m.compute_weights()
+
+def noise_mesh(m: TriangulatedManifold) -> TriangulatedManifold:
+    """``m`` with all-pairs distances, refused first if too large for the noise."""
+    _check_noise_vertices(m.n_vertices)
+    if m.distances is None or m.distance_limit < math.inf:
         m.compute_distances()
-        return m
+    return m
 
 
-def run_scenario(
-    cfg: ScenarioConfig,
-    mesh: TriangulatedManifold | None = None,
-    return_masks: bool = False,
-):
+def scenario_mesh(domain: ProductDomain) -> TriangulatedManifold:
+    """The ``noise_mesh`` of a one-mesh domain; the noise has no product form."""
+    if len(domain.components) != 1 or domain.components[0].mesh is None:
+        raise ValueError("the noise sampler needs a domain of exactly one mesh component")
+    return noise_mesh(domain.components[0].mesh)
+
+
+def run_scenario(cfg: ScenarioConfig, domain: ProductDomain, truth: np.ndarray,
+                 return_masks: bool = False):
     """Run one scenario: simulate, test, threshold the adjusted p-values.
 
-    Half the observations carry the base signal on the truth region, half
-    are pure noise; inference is the two-sample pipeline with raw label
-    permutations (exact under the exchangeable null). Returns ``ErrorRates``,
-    or ``(ErrorRates, masks)`` with the (replicates, n) rejection masks when
-    ``return_masks`` is set.
+    Half the observations carry the base signal on ``truth``, the grid mask
+    where the null is false (none: a global null), half are pure noise;
+    inference is the two-sample pipeline with raw label permutations (exact
+    under the exchangeable null). Returns ``ErrorRates``, or ``(ErrorRates,
+    masks)`` with the (replicates, n) rejection masks when ``return_masks``
+    is set.
     """
-    m = mesh if mesh is not None else cfg.build_mesh()
-    truth = (
-        np.zeros(m.n_vertices, dtype=bool)
-        if cfg.truth_mask is None
-        else np.asarray(cfg.truth_mask, dtype=bool)
-    )
-    if truth.shape != (m.n_vertices,):
-        raise ValueError("truth_mask does not match the mesh vertex set")
+    m = scenario_mesh(domain)
+    truth = np.asarray(truth, dtype=bool)
+    if truth.shape != (domain.size,):
+        raise ValueError(f"truth mask of shape {truth.shape} does not match the domain")
 
-    domain = ProductDomain([mesh_component(m, radius_cap=cfg.radius_cap)])
     family = enumerate_family(domain)
     sampler = GaussianFieldSampler(m.distances, cfg.noise_bandwidth, cfg.noise_sd)
 
@@ -229,7 +215,7 @@ def run_scenario(
     base = np.where(truth, cfg.signal_amplitude, 0.0)
 
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
-    masks = np.zeros((cfg.replicates, m.n_vertices), dtype=bool)
+    masks = np.zeros((cfg.replicates, domain.size), dtype=bool)
     for r, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         Y = sampler.sample(rng, cfg.n_samples)
@@ -238,5 +224,5 @@ def run_scenario(
         result = run_inference(Y, design, hyp, family, plan)
         masks[r] = result.p.adjusted <= cfg.alpha
 
-    rates = compute_error_rates(masks, truth, m.weights)
+    rates = compute_error_rates(masks, truth, domain.grid_weights())
     return (rates, masks) if return_masks else rates

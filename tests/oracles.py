@@ -30,6 +30,7 @@ from ballwise.mesh import (
     DEGENERACY_RTOL,
     DistanceRows,
     TriangulatedManifold,
+    build_icosphere,
 )
 from ballwise.permute import PValueFields, generate_permutations
 
@@ -100,6 +101,35 @@ def icosphere_reference(order: int, radius: float = 1.0) -> TriangulatedManifold
                         [local[(i + 1, j)], local[(i + 1, j + 1)], local[(i, j + 1)]]
                     )
     return TriangulatedManifold(np.array(coords), np.array(faces, dtype=np.int64))
+
+
+def cut_mesh(m: TriangulatedManifold, keep: np.ndarray) -> TriangulatedManifold:
+    """The part of ``m`` made of the triangles whose three vertices are all
+    in ``keep`` (a vertex mask), its vertices renumbered in their order in
+    ``m``; a kept vertex in no kept triangle is dropped."""
+    triangles = m.triangles[keep[m.triangles].all(axis=1)]
+    used = np.unique(triangles)
+    number = np.full(m.n_vertices, -1)
+    number[used] = np.arange(len(used))
+    return TriangulatedManifold(m.vertices[used], number[triangles])
+
+
+def notched_band(order: int = 6) -> TriangulatedManifold:
+    """An icosphere cut by a vertex predicate: the band z > -0.3 less the
+    notch |longitude| < 0.6, z < 0.5. A non-convex domain with a boundary;
+    at order 6 it has 203 vertices and an area of 6.187."""
+    m = build_icosphere(order)
+    x, y, z = m.vertices.T
+    notch = (np.abs(np.arctan2(y, x)) < 0.6) & (z < 0.5)
+    return cut_mesh(m, (z > -0.3) & ~notch)
+
+
+def boundary_vertices(m: TriangulatedManifold) -> np.ndarray:
+    """The vertices of the edges that lie in one triangle only, ascending."""
+    t = m.triangles
+    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]]), axis=1)
+    unique, count = np.unique(edges, axis=0, return_counts=True)
+    return np.unique(unique[count == 1])
 
 
 def off_text_reference(m) -> str:

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line. Run with ``pytest tests/test_acceptance.py -v -s``.
 
-The two Monte Carlo criteria (error control under the global null and the
-power/error trade-off sweep) take a few minutes combined; everything else is
-seconds.
+The Monte Carlo criteria (error control under the global null and under
+two partial nulls, and the power/error trade-off sweep) take a few minutes
+combined; everything else is seconds.
 """
 
 import itertools
@@ -16,6 +16,7 @@ from scipy import stats
 from ballwise.domain import (
     ProductDomain,
     circle_component,
+    enumerate_component_balls,
     enumerate_family,
     mesh_component,
 )
@@ -24,7 +25,9 @@ from ballwise.glm import DesignSpec, HypothesisSpec
 from ballwise.mesh import build_icosphere
 from ballwise.permute import PermutationPlan, run_inference
 from oracles import (
+    boundary_vertices,
     integrated_stat,
+    notched_band,
     null_distribution,
     product_ball,
     pvalues,
@@ -162,13 +165,12 @@ def test_ballwise_error_control(order6_mesh):
         n_permutations=200,
         replicates=replicates,
         seed=20240,
-        icosphere_order=6,
-        radius_cap=np.inf,
         signal_amplitude=0.0,
         noise_bandwidth=0.2,
         noise_sd=1.0,
     )
-    rates = run_scenario(cfg, mesh=order6_mesh)
+    domain = ProductDomain([mesh_component(order6_mesh, radius_cap=np.inf)])
+    rates = run_scenario(cfg, domain, np.zeros(domain.size, dtype=bool))
     bound = ALPHA + 3 * np.sqrt(ALPHA * (1 - ALPHA) / replicates)
     elapsed = time.monotonic() - start
     ok = rates.fwer <= bound
@@ -191,13 +193,12 @@ def test_no_adjustment_limit(order6_mesh):
         n_permutations=200,
         replicates=250,
         seed=20241,
-        icosphere_order=6,
-        radius_cap=spacing / 2,
         signal_amplitude=0.0,
         noise_bandwidth=0.2,
         noise_sd=1.0,
     )
-    rates = run_scenario(cfg, mesh=order6_mesh)
+    domain = ProductDomain([mesh_component(order6_mesh, radius_cap=spacing / 2)])
+    rates = run_scenario(cfg, domain, np.zeros(domain.size, dtype=bool))
     elapsed = time.monotonic() - start
     ok = abs(rates.false_positive_rate - ALPHA) <= 0.015
     report(
@@ -223,14 +224,11 @@ def test_tradeoff_trends():
             n_permutations=100,
             replicates=100,
             seed=11,
-            icosphere_order=3,
-            radius_cap=cap,
             signal_amplitude=2.0,
             noise_bandwidth=0.3,
             noise_sd=1.0,
-            truth_mask=truth,
         )
-        return run_scenario(cfg, mesh=m)
+        return run_scenario(cfg, ProductDomain([mesh_component(m, radius_cap=cap)]), truth)
 
     by_n = [scenario(n, np.inf) for n in (10, 20, 40)]
     by_cap = [by_n[1]] + [scenario(20, cap) for cap in (0.7, 0.1)]
@@ -250,6 +248,66 @@ def test_tradeoff_trends():
         f"sens by N {['%.3f' % s for s in sens_n]}, "
         f"sens by cap {['%.3f' % s for s in sens_cap]}, "
         f"FWER by cap {['%.3f' % f for f in fwer_cap]}, {elapsed:.0f}s",
+    )
+
+
+# Partial nulls under a finite cap: the null holds on a family ball B0 =
+# mesh.ball(c, r) and a signal of amplitude 2 lies everywhere else, so the
+# FWER of the rates is P(any rejection inside B0), which the ball-wise
+# guarantee bounds by alpha
+PARTIAL_CAP = 0.7
+
+
+def partial_null(setting: str):
+    """A mesh searched in full, the center c and the radius r of its B0: an
+    order-6 icosphere with c = 0, r = 0.6, or the notched band (a boundary)
+    with c its boundary vertex of least index, r = 0.5."""
+    if setting == "icosphere":
+        return build_icosphere(6).compute_distances(), 0, 0.6
+    m = notched_band(6).compute_distances()
+    return m, int(boundary_vertices(m)[0]), 0.5
+
+
+@pytest.mark.parametrize("setting", ["icosphere", "notched-band"])
+def test_null_ball_is_in_the_family(setting):
+    # without it the partial-null gates would be vacuous: B0 is the first
+    # |B0| points of row c, and that prefix is a ball kept under the cap
+    m, c, r = partial_null(setting)
+    b0 = m.ball(c, r)
+    balls = enumerate_component_balls(mesh_component(m, radius_cap=PARTIAL_CAP))
+    k = len(b0)
+    inner = balls.inner[c, k - 1]
+    ok = inner < PARTIAL_CAP and np.array_equal(np.sort(balls.order[c, :k]), b0)
+    report(f"B0 in the family on the {setting}", ok,
+           f"|B0| = {k} of {m.n_vertices}, inner radius {inner:.4f} < {PARTIAL_CAP}")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("setting, seed", [("icosphere", 20242), ("notched-band", 20243)])
+def test_partial_null_error_control(setting, seed):
+    start = time.monotonic()
+    replicates = 250
+    m, c, r = partial_null(setting)
+    truth = np.ones(m.n_vertices, dtype=bool)
+    truth[m.ball(c, r)] = False
+    cfg = ScenarioConfig(
+        n_samples=20,
+        n_permutations=200,
+        replicates=replicates,
+        seed=seed,
+        signal_amplitude=2.0,
+        noise_bandwidth=0.2,
+        noise_sd=1.0,
+    )
+    domain = ProductDomain([mesh_component(m, radius_cap=PARTIAL_CAP)])
+    rates = run_scenario(cfg, domain, truth)
+    bound = ALPHA + 3 * np.sqrt(ALPHA * (1 - ALPHA) / replicates)
+    elapsed = time.monotonic() - start
+    report(
+        f"ball-wise error control under a partial null on the {setting}",
+        rates.fwer <= bound,
+        f"P(reject in B0) {rates.fwer:.4f} <= {bound:.4f}, "
+        f"sensitivity {rates.sensitivity:.3f}, {elapsed:.1f}s",
     )
 
 

@@ -294,6 +294,18 @@ class TestTestCommand:
             for name in ("pointwise.csv", "balls.csv"):
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_icosphere_component_matches_its_off_file(self, tmp_path):
+        # the OFF text of tessellate reads back the same vertices and triangles
+        # as the icosphere it wrote, so an icosphere component is that mesh
+        config = write_test_setup(tmp_path, cap=0.6, order=3)
+        d1, d2 = tmp_path / "off", tmp_path / "icosphere"
+        assert main(["test", "--config", str(config), "--out-dir", str(d1)]) == 0
+        icosphere = {"kind": "icosphere", "order": 3, "radius_cap": 0.6}
+        edit_config(config, lambda c: c["domain"].update(components=[icosphere]))
+        assert main(["test", "--config", str(config), "--out-dir", str(d2)]) == 0
+        for name in ("pointwise.csv", "balls.csv"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
     def test_manifest_environment_and_byte_identical_reruns(self, tmp_path):
         config = write_test_setup(tmp_path, cap=1.2)
         d1, d2 = tmp_path / "o1", tmp_path / "o2"
@@ -780,7 +792,7 @@ def missing_scenario_mesh(tmp_path, monkeypatch):
     sweep.write_text(json.dumps([{"mesh_path": str(tmp_path / "nope.off"), "n_samples": 8,
                                   "permutations": 9, "replicates": 1, "seed": 1}]))
     argv = ["simulate", "--config", str(sweep), "--out", str(tmp_path / "r.csv")]
-    return argv, f"scenario[0]: mesh file not found: {tmp_path / 'nope.off'}"
+    return argv, f"scenario[0].domain.components[0]: mesh file not found: {tmp_path / 'nope.off'}"
 
 
 @pytest.mark.parametrize("make", [
@@ -822,7 +834,7 @@ def test_zero_weight_refused_before_distances(tmp_path, capsys, monkeypatch, com
         sweep.write_text(json.dumps([{"mesh_path": str(tmp_path / "ico.off"), "n_samples": 8,
                                       "permutations": 9, "replicates": 1, "seed": 1}]))
         argv = ["simulate", "--config", str(sweep), "--out", str(tmp_path / "r.csv")]
-        message = message.replace("domain.components[0]", "scenario[0]")
+        message = f"scenario[0].{message}"
     monkeypatch.setattr(mesh.TriangulatedManifold, "compute_distances", refuse)
     monkeypatch.setattr(cli, "load_distance_cache", refuse)
     capsys.readouterr()
@@ -1311,9 +1323,9 @@ class TestSimulate:
              "centers must be vertex indices"),
             (lambda s: s.update(truth=3), "truth: must be a JSON object"),
             (lambda s: s.update(icosphere_order="abc"),
-             "icosphere_order must be a positive integer, got 'abc'"),
+             "scenario[0].domain.components[0]: order must be a positive integer, got 'abc'"),
             (lambda s: s.update(icosphere_order=2.5),
-             "icosphere_order must be a positive integer, got 2.5"),
+             "scenario[0].domain.components[0]: order must be a positive integer, got 2.5"),
             (lambda s: s.update(n_samples=None), "scenario[0]"),
             (lambda s: s.update(n_samples=8.5),
              "scenario[0]: n_samples must be a positive integer, got 8.5"),
@@ -1344,9 +1356,9 @@ class TestSimulate:
             (lambda s: s.update(noise_sd=10**400),
              "scenario[0]: noise_sd must be a finite number, got 1000"),
             (lambda s: s.update(icosphere_radius=True),
-             "scenario[0]: icosphere_radius must be a finite number, got True"),
+             "scenario[0].domain.components[0]: radius must be a finite number, got True"),
             (lambda s: s.update(radius_cap=True),
-             "scenario[0]: radius_cap must be a number or 'inf', got True"),
+             "scenario[0].domain.components[0]: radius_cap must be a number or 'inf', got True"),
         ],
         ids=["no-center", "center-abc", "center-float", "center-999", "center-negative",
              "radius-negative", "radius-nan", "radius-abc", "patch-center-12",
@@ -1367,22 +1379,87 @@ class TestSimulate:
 
     def test_icosphere_radius_with_a_mesh_path(self, tmp_path, capsys):
         # the radius only scales an icosphere the scenario builds; a mesh file
-        # used to run at its own size with the radius ignored
+        # used to run at its own size with the radius ignored. The shorthand
+        # stands for a mesh component, whose kind takes no radius
         mesh_path = tmp_path / "m.off"
         assert main(["tessellate", "--order", "1", "--out", str(mesh_path)]) == 0
         scenario = {"mesh_path": str(mesh_path), "icosphere_radius": 2.0, "n_samples": 8,
                     "permutations": 9, "replicates": 1, "seed": 1}
         assert self.run_scenario_json(tmp_path, capsys, [scenario]) == (
-            "error: scenario[0]: icosphere_radius applies to an icosphere_order "
-            "mesh, not to mesh_path\n"
+            "error: scenario[0].domain.components[0]: unknown key(s) ['radius']\n"
         )
+
+    @staticmethod
+    def rates(tmp_path, name, scenarios) -> bytes:
+        """The rates file of a simulate run that must succeed."""
+        cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        cfg.write_text(json.dumps(scenarios))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("form", ["mesh_path", "icosphere_order"])
+    def test_domain_section_matches_its_shorthand(self, tmp_path, form):
+        mesh_path = tmp_path / "m.off"
+        assert main(["tessellate", "--order", "2", "--out", str(mesh_path)]) == 0
+        base = {"id": "s", "n_samples": 8, "permutations": 19, "replicates": 2, "seed": 3,
+                "signal_amplitude": 1.5, "truth": {"type": "cap", "center": 4, "radius": 0.7}}
+        if form == "mesh_path":
+            shorthand = {"mesh_path": str(mesh_path), "radius_cap": 0.8}
+            component = {"kind": "mesh", "path": str(mesh_path), "radius_cap": 0.8}
+        else:
+            shorthand = {"icosphere_order": 2, "icosphere_radius": 1.0, "radius_cap": 0.8}
+            component = {"kind": "icosphere", "order": 2, "radius": 1.0, "radius_cap": 0.8}
+        expected = self.rates(tmp_path, "shorthand", [{**base, **shorthand}])
+        domain = {"domain": {"components": [component]}}
+        assert self.rates(tmp_path, "domain", [{**base, **domain}]) == expected
+
+    def test_domain_and_shorthand_exit_2(self, tmp_path, capsys):
+        scenario = {"domain": {"components": [{"kind": "icosphere", "order": 1}]},
+                    "icosphere_order": 1, "radius_cap": 0.5, "n_samples": 8,
+                    "permutations": 9, "replicates": 1, "seed": 1}
+        assert self.run_scenario_json(tmp_path, capsys, [scenario]) == (
+            "error: scenario[0]: give a domain section or the key(s) "
+            "['icosphere_order', 'radius_cap'], not both\n"
+        )
+
+    @pytest.mark.parametrize("components", [
+        [{"kind": "icosphere", "order": 1}, {"kind": "circle", "points": 4}],
+        [{"kind": "circle", "points": 12}],
+    ], ids=["mesh-by-circle", "circle"])
+    def test_only_one_mesh(self, tmp_path, capsys, components):
+        # the noise sampler draws fields on one mesh; the truth is never read
+        scenario = {"domain": {"components": components}, "n_samples": 8,
+                    "permutations": 9, "replicates": 1, "seed": 1,
+                    "truth": {"type": "cap", "center": 0, "radius": 0.5}}
+        assert self.run_scenario_json(tmp_path, capsys, [scenario]) == (
+            "error: scenario[0]: the noise sampler needs a domain of exactly one "
+            "mesh component\n"
+        )
+
+    def test_one_search_per_mesh(self, tmp_path, monkeypatch):
+        # scenarios on one mesh at different caps, by shorthand or by a
+        # domain section, share one load and one full search
+        mesh_path = tmp_path / "m.off"
+        assert main(["tessellate", "--order", "2", "--out", str(mesh_path)]) == 0
+        calls = []
+        search = mesh.TriangulatedManifold.compute_distances
+        monkeypatch.setattr(mesh.TriangulatedManifold, "compute_distances",
+                            lambda self, *a, **k: calls.append(k) or search(self, *a, **k))
+        base = {"n_samples": 8, "permutations": 9, "replicates": 1, "seed": 1}
+        component = {"kind": "mesh", "path": str(mesh_path), "radius_cap": 1.0}
+        self.rates(tmp_path, "sweep", [
+            {**base, "mesh_path": str(mesh_path), "radius_cap": 0.5},
+            {**base, "domain": {"components": [component]}},
+        ])
+        assert calls == [{}]
 
     def test_scenario_not_an_object(self, tmp_path, capsys):
         err = self.run_scenario_json(tmp_path, capsys, [5])
         assert "scenario[0]: must be a JSON object, got 5" in err
 
     @pytest.mark.parametrize(
-        "source, order", [("icosphere_order", 15), ("icosphere_order", 60), ("mesh_path", 15)]
+        "source, order",
+        [("icosphere_order", 15), ("icosphere_order", 60), ("mesh_path", 15), ("domain", 15)],
     )
     def test_mesh_too_large_for_the_noise(self, tmp_path, capsys, monkeypatch, source, order):
         scenario = {"n_samples": 8, "permutations": 9, "replicates": 1, "seed": 1}
@@ -1390,6 +1467,8 @@ class TestSimulate:
             mesh_path = tmp_path / "big.off"
             assert main(["tessellate", "--order", str(order), "--out", str(mesh_path)]) == 0
             scenario["mesh_path"] = str(mesh_path)
+        elif source == "domain":
+            scenario["domain"] = {"components": [{"kind": "icosphere", "order": order}]}
         else:
             scenario["icosphere_order"] = order
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ballwise.domain import ProductDomain, circle_component, mesh_component
 from ballwise.evalsim import (
     GaussianFieldSampler,
     ScenarioConfig,
@@ -180,21 +181,25 @@ class TestRunScenario:
             n_permutations=20,
             replicates=3,
             seed=42,
-            icosphere_order=1,
             noise_bandwidth=0.5,
             noise_sd=1.0,
         )
         defaults.update(kwargs)
         return ScenarioConfig(**defaults)
 
+    @staticmethod
+    def _domain(cap=math.inf):
+        return ProductDomain([mesh_component(build_icosphere(1), radius_cap=cap)])
+
     def test_determinism(self):
         cfg = self._base_cfg()
-        r1 = run_scenario(cfg)
-        r2 = run_scenario(cfg)
+        null = np.zeros(12, dtype=bool)
+        r1 = run_scenario(cfg, self._domain(), null)
+        r2 = run_scenario(cfg, self._domain(), null)
         assert r1 == r2
 
     def test_global_null_reports_no_sensitivity(self):
-        rates = run_scenario(self._base_cfg())
+        rates = run_scenario(self._base_cfg(), self._domain(), np.zeros(12, dtype=bool))
         assert rates.sensitivity is None
         assert 0.0 <= rates.fwer <= 1.0
 
@@ -203,26 +208,43 @@ class TestRunScenario:
         m = build_icosphere(1)
         m.compute_weights().compute_distances()
         truth = cap_region_mask(m, 0, 1.2)
-        cfg = self._base_cfg(
-            replicates=2,
-            radius_cap=0.05,
-            signal_amplitude=50.0,
-            truth_mask=truth,
-        )
-        rates = run_scenario(cfg, mesh=m)
+        cfg = self._base_cfg(replicates=2, signal_amplitude=50.0)
+        domain = ProductDomain([mesh_component(m, radius_cap=0.05)])
+        rates = run_scenario(cfg, domain, truth)
         assert rates.sensitivity == pytest.approx(1.0)
+
+    def test_mesh_searched_to_the_cap_is_searched_in_full(self):
+        # the noise needs every pair: a component whose mesh was searched only
+        # to its cap gives the rates of one searched in full first
+        cfg = self._base_cfg(replicates=2, signal_amplitude=2.0)
+        full = build_icosphere(1).compute_distances()
+        truth = cap_region_mask(full, 0, 1.2)
+        capped = self._domain(cap=0.8)
+        assert capped.components[0].mesh.distance_limit == 0.8
+        rates = run_scenario(cfg, capped, truth)
+        assert capped.components[0].mesh.distance_limit == math.inf
+        assert rates == run_scenario(cfg, ProductDomain([mesh_component(full, 0.8)]), truth)
+
+    @pytest.mark.parametrize("components", [
+        lambda: [mesh_component(build_icosphere(1)), circle_component(4)],
+        lambda: [circle_component(12)],
+    ], ids=["mesh-by-circle", "circle"])
+    def test_only_one_mesh(self, components):
+        domain = ProductDomain(components())
+        truth = np.zeros(domain.size, dtype=bool)
+        with pytest.raises(ValueError, match="exactly one mesh component"):
+            run_scenario(self._base_cfg(), domain, truth)
 
     def test_odd_samples_rejected(self):
         with pytest.raises(ValueError, match="even"):
             self._base_cfg(n_samples=7)
 
     def test_mask_shape_checked(self):
-        cfg = self._base_cfg(truth_mask=np.zeros(5, dtype=bool))
-        with pytest.raises(ValueError, match="truth_mask"):
-            run_scenario(cfg)
+        with pytest.raises(ValueError, match="truth mask"):
+            run_scenario(self._base_cfg(), self._domain(), np.zeros(5, dtype=bool))
 
     def test_masks_returned(self):
         cfg = self._base_cfg(replicates=2)
-        rates, masks = run_scenario(cfg, return_masks=True)
+        rates, masks = run_scenario(cfg, self._domain(), np.zeros(12, dtype=bool), return_masks=True)
         assert masks.shape == (2, 12)
         assert rates.n_replicates == 2
