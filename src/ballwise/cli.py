@@ -244,22 +244,26 @@ COMPONENT_KEYS = {  # kind: (required keys, optional keys)
 }
 
 
-def _component_mesh(section: dict, cap: float):
-    """The weighed mesh of a checked mesh or icosphere component, with the
-    distances of its ``distance_cache``, if any, up to ``cap``."""
+def _component_mesh(section: dict, cap: float, check=None):
+    """The weighed mesh of a checked mesh or icosphere component and the
+    rows of its ``distance_cache`` up to ``cap``, None without a cache.
+    ``check``, if given, sees the vertex count before the weights and the
+    cache are."""
     if section["kind"] == "icosphere":
         radius = _finite_number(section.get("radius", 1.0), "radius")
         m = _icosphere(_positive_int(section["order"], "order"), radius)
     else:
         m = _load_mesh(_file_key(section, "path", "mesh"), _file_key(section, "edge_lengths"))
+    if check is not None:
+        check(m.n_vertices)
     m.compute_weights()
     cache = _file_key(section, "distance_cache")
-    if cache is not None:
-        m.distances = load_distance_cache(cache, limit=cap)
-        m.distance_limit = cap
-        if len(m.distances) != m.n_vertices:
-            raise ConfigError("distance cache does not match the mesh")
-    return m
+    if cache is None:
+        return m, None
+    rows = load_distance_cache(cache, limit=cap)
+    if len(rows) != m.n_vertices:
+        raise ConfigError("distance cache does not match the mesh")
+    return m, rows
 
 
 def _build_component(section: dict, mesh_of):
@@ -268,7 +272,8 @@ def _build_component(section: dict, mesh_of):
     kind = _check_kind_keys(section, "kind", COMPONENT_KEYS, "component kind")
     cap = _parse_cap(section.get("radius_cap", "inf"))
     if kind in ("mesh", "icosphere"):
-        return mesh_component(mesh_of(section, cap), radius_cap=cap)
+        m, rows = mesh_of(section, cap)
+        return mesh_component(m, radius_cap=cap, rows=rows)
     if kind == "circle":
         circumference = _finite_number(
             section.get("circumference", 2 * math.pi), "circumference"
@@ -508,12 +513,13 @@ def _balls_csv(family, result) -> Iterator[str]:
 
 # --- subcommands -------------------------------------------------------------
 
-def _icosphere(order: int, radius: float):
-    """``build_icosphere(order, radius)``, refused first if over the limit."""
+def _icosphere(order: int, radius: float, off: bool = False):
+    """``build_icosphere(order, radius)``, refused first if it and, with
+    ``off``, its OFF text could pass the limit."""
     need, limit = icosphere_bytes(order), memory_limit()
     if need > limit:
         raise ConfigError(
-            f"an order-{order} icosphere and its OFF text would need up to "
+            f"an order-{order} icosphere{' and its OFF text' if off else ''} would need up to "
             f"{need / 1e6:,.1f} MB, over the limit of {limit / 1e6:,.1f} MB (half of "
             "physical memory or of the address-space limit)"
         )
@@ -521,7 +527,7 @@ def _icosphere(order: int, radius: float):
 
 
 def cmd_tessellate(args) -> int:
-    m = _icosphere(args.order, args.radius)
+    m = _icosphere(args.order, args.radius, off=True)
     _atomic_write({args.out: off_text(m)})
     print(f"wrote icosphere order {args.order}: {m.n_vertices} vertices, "
           f"{len(m.triangles)} faces -> {args.out}")
@@ -770,7 +776,7 @@ def _truth_mask(section: dict, mesh) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    from .evalsim import noise_mesh, run_scenario, scenario_mesh
+    from .evalsim import _check_noise_vertices, _check_one_mesh, run_scenario
 
     config = _load_json(args.config)
     if not isinstance(config, list) or not config:
@@ -780,11 +786,14 @@ def cmd_simulate(args) -> int:
     writer.writerow(["scenario", "sensitivity", "fwer", "fpr", "fdr", "replicates"])
     meshes: dict = {}
 
-    def mesh_of(section, cap):
-        # one mesh per source, its section less the cap, searched in full once
+    def mesh_of(section, cap=None):
+        # one mesh per source, its section less the cap, with every pair's
+        # distance, which the noise and the truth read and each cap cuts;
+        # refused first if too large for the noise
         key = repr(sorted((k, v) for k, v in section.items() if k != "radius_cap"))
         if key not in meshes:
-            meshes[key] = noise_mesh(_component_mesh(section, math.inf))
+            m, rows = _component_mesh(section, math.inf, _check_noise_vertices)
+            meshes[key] = m, m.compute_distances() if rows is None else rows
         return meshes[key]
 
     stages = Stages()
@@ -793,11 +802,12 @@ def cmd_simulate(args) -> int:
             cfg, domain_section = _scenario_from_config(section, idx)
             with stages("build"):
                 domain = _build_domain(domain_section, mesh_of)
-                mesh = scenario_mesh(domain)
+                _check_one_mesh(domain)
+                mesh, distances = mesh_of(domain_section["components"][0])
             with _located("truth"):
                 truth = _truth_mask(section, mesh)
             with stages("simulation"):
-                rates = run_scenario(cfg, domain, truth)
+                rates = run_scenario(cfg, domain, truth, distances)
         errors = [rates.fwer, rates.false_positive_rate, rates.false_discovery_rate]
         sensitivity = "" if rates.sensitivity is None else f"{rates.sensitivity:.6f}"
         writer.writerow([cfg.scenario_id, sensitivity, *(f"{v:.6f}" for v in errors),

@@ -75,7 +75,6 @@ class ComponentGrid:
     weights: np.ndarray
     rows: DistanceRows
     radius_cap: float = math.inf
-    mesh: TriangulatedManifold | None = None  # a mesh's; its distances may pass the cap
 
     def __post_init__(self):
         self.points = np.asarray(self.points)
@@ -94,25 +93,26 @@ class ComponentGrid:
         return float(self.weights.sum())
 
 
-def mesh_component(m: TriangulatedManifold, radius_cap: float = math.inf) -> ComponentGrid:
+def mesh_component(
+    m: TriangulatedManifold, radius_cap: float = math.inf, rows: DistanceRows | None = None
+) -> ComponentGrid:
     """Wrap a triangulated mesh as a product-domain component.
 
-    Distances not yet computed, or computed only out to a limit below
-    ``radius_cap``, are computed out to ``radius_cap``: the balls need
-    nothing farther. The component's rows are the mesh's rows below the cap,
-    the very same object when every distance is below it.
+    The component's rows are ``rows`` below the cap, the very same object
+    when every distance is below it: the mesh's distances out to at least
+    ``radius_cap``, read from a cache or searched. Without ``rows`` the mesh
+    is searched out to ``radius_cap``: the balls need nothing farther.
     """
     if m.weights is None:
         m.compute_weights()
-    if m.distances is None or m.distance_limit < radius_cap:
-        m.compute_distances(limit=radius_cap)
+    if rows is None:
+        rows = m.compute_distances(limit=radius_cap)
     return ComponentGrid(
         kind="mesh",
         points=np.arange(m.n_vertices),
         weights=m.weights,
-        rows=m.distances.below(radius_cap),
+        rows=rows.below(radius_cap),
         radius_cap=radius_cap,
-        mesh=m,
     )
 
 

@@ -8,7 +8,6 @@ weights, so rates approximate area fractions rather than point counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ __all__ = [
     "GaussianFieldSampler",
     "compute_error_rates",
     "run_scenario",
-    "noise_mesh",
-    "scenario_mesh",
     "cap_region_mask",
     "multi_patch_mask",
 ]
@@ -41,6 +38,13 @@ def _check_noise_vertices(n: int) -> None:
             f"dense covariance limited to {MAX_NOISE_VERTICES} vertices, the "
             f"mesh has {n}; supply your own noise generator for larger meshes"
         )
+
+
+def _check_one_mesh(domain: ProductDomain) -> None:
+    """Refuse a domain that is not one mesh component: the noise has no
+    product form."""
+    if len(domain.components) != 1 or domain.components[0].kind != "mesh":
+        raise ValueError("the noise sampler needs a domain of exactly one mesh component")
 
 
 class GaussianFieldSampler:
@@ -175,39 +179,27 @@ class ScenarioConfig:
             raise ValueError("noise scale parameters must be positive")
 
 
-def noise_mesh(m: TriangulatedManifold) -> TriangulatedManifold:
-    """``m`` with all-pairs distances, refused first if too large for the noise."""
-    _check_noise_vertices(m.n_vertices)
-    if m.distances is None or m.distance_limit < math.inf:
-        m.compute_distances()
-    return m
-
-
-def scenario_mesh(domain: ProductDomain) -> TriangulatedManifold:
-    """The ``noise_mesh`` of a one-mesh domain; the noise has no product form."""
-    if len(domain.components) != 1 or domain.components[0].mesh is None:
-        raise ValueError("the noise sampler needs a domain of exactly one mesh component")
-    return noise_mesh(domain.components[0].mesh)
-
-
 def run_scenario(cfg: ScenarioConfig, domain: ProductDomain, truth: np.ndarray,
-                 return_masks: bool = False):
+                 distances: DistanceRows, return_masks: bool = False):
     """Run one scenario: simulate, test, threshold the adjusted p-values.
 
     Half the observations carry the base signal on ``truth``, the grid mask
-    where the null is false (none: a global null), half are pure noise;
+    where the null is false (none: a global null), half are pure noise,
+    drawn on the domain's one mesh from its all-pairs ``distances``;
     inference is the two-sample pipeline with raw label permutations (exact
     under the exchangeable null). Returns ``ErrorRates``, or ``(ErrorRates,
     masks)`` with the (replicates, n) rejection masks when ``return_masks``
     is set.
     """
-    m = scenario_mesh(domain)
+    _check_one_mesh(domain)
     truth = np.asarray(truth, dtype=bool)
     if truth.shape != (domain.size,):
         raise ValueError(f"truth mask of shape {truth.shape} does not match the domain")
+    if len(distances) != domain.size:
+        raise ValueError(f"distances of {len(distances)} rows do not match the domain")
 
+    sampler = GaussianFieldSampler(distances, cfg.noise_bandwidth, cfg.noise_sd)
     family = enumerate_family(domain)
-    sampler = GaussianFieldSampler(m.distances, cfg.noise_bandwidth, cfg.noise_sd)
 
     groups = np.repeat([0, 1], cfg.n_samples // 2)
     design = DesignSpec(group_labels=groups)

@@ -14,7 +14,6 @@ that a bound keeps short, each stably sorted by distance (``DistanceRows``).
 from __future__ import annotations
 
 import csv
-import math
 import os
 import resource
 import struct
@@ -145,20 +144,14 @@ class TriangulatedManifold:
         can be overridden (see :meth:`override_edge_lengths`).
     weights : (n,) float array or None
         Vertex quadrature weights, populated by :meth:`compute_weights`.
-    distances : DistanceRows or None
-        Graph-geodesic distances, populated by :meth:`compute_distances`:
-        each vertex's row of the vertices within ``distance_limit`` (every
-        vertex it can reach when the limit is infinite).
-    distance_limit : float
-        The ``limit`` the distances were computed with (``inf``: all pairs).
+
+    Distances are not kept: :meth:`compute_distances` returns them.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     edge_lengths: np.ndarray = field(default=None)  # type: ignore[assignment]
     weights: np.ndarray | None = None
-    distances: DistanceRows | None = None
-    distance_limit: float = np.inf
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
@@ -214,7 +207,7 @@ class TriangulatedManifold:
     def override_edge_lengths(self, path) -> None:
         """Apply per-edge length overrides from a CSV of ``i,j,length`` rows.
 
-        Invalidates previously computed weights and distances.
+        Invalidates previously computed weights.
         """
         with open(path, newline="") as fh:
             rows = [
@@ -237,7 +230,6 @@ class TriangulatedManifold:
             raise ValueError(f"{path}: {what} ({i[k]}, {j[k]})")
         self.edge_lengths[ids] = length
         self.weights = None
-        self.distances = None
 
     def triangle_areas(self) -> np.ndarray:
         """Flat (Heron) areas of all triangles from their (possibly
@@ -302,9 +294,9 @@ class TriangulatedManifold:
             np.concatenate([self.edge_lengths, self.edge_lengths])[by_source],
         )
 
-    def compute_distances(self, limit: float = np.inf) -> "TriangulatedManifold":
-        """Populate shortest-path distances over the edge graph: for each
-        vertex, the ``DistanceRows`` row of the vertices within ``limit``.
+    def compute_distances(self, limit: float = np.inf) -> DistanceRows:
+        """Shortest-path distances over the edge graph: for each vertex, the
+        ``DistanceRows`` row of the vertices within ``limit``.
 
         The search runs over blocks of sources (``_Graph.search_blocks``),
         whose reached positions, sorted, ``DistanceRows.from_blocks`` gathers
@@ -317,12 +309,11 @@ class TriangulatedManifold:
             (start, stop, best, np.sort(reached))
             for start, stop, best, reached in self._graph().search_blocks(limit)
         )
-        self.distances = DistanceRows.from_blocks(self.n_vertices, blocks)
-        self.distance_limit = limit
+        rows = DistanceRows.from_blocks(self.n_vertices, blocks)
         self._warn_if_disconnected(
             "mesh edge graph is disconnected; distances across components are infinite"
         )
-        return self
+        return rows
 
     def _warn_if_disconnected(self, message: str) -> None:
         """Warn ``message`` to the caller's caller if the edge graph is
@@ -332,21 +323,18 @@ class TriangulatedManifold:
             warnings.warn(message, stacklevel=3)
 
     def ball(self, center: int, r: float) -> np.ndarray:
-        """Vertex indices of the metric ball {e : d(center, e) < r}."""
-        if self.distances is None:
-            self.compute_distances()
-        if not 0 <= center < self.n_vertices:
+        """Vertex indices of the metric ball {e : d(center, e) < r}, ascending.
+
+        One search from ``center`` stops at ``r``; its distances up to ``r``
+        are those of the unbounded search. A vertex that ``center`` cannot
+        reach is at distance ``inf``, in no ball.
+        """
+        n = self.n_vertices
+        if not 0 <= center < n:
             raise IndexError(f"vertex index {center} out of range")
-        if r > self.distance_limit:
-            raise ValueError(
-                f"radius {r} is beyond the distance limit {self.distance_limit}"
-            )
-        points, d = self.distances.row(center)
-        if math.isinf(self.distance_limit) and len(points) < self.n_vertices:
-            raise ValueError(
-                f"vertex {center} is disconnected from part of the mesh"
-            )
-        return np.sort(points[d < r]).astype(np.intp)
+        d = np.full(n, np.inf)
+        reached = _search(self._graph(), np.array([center]), r, d, np.empty(n, dtype=np.intp))
+        return np.sort(reached[d[reached] < r])
 
 
 def _unique_edges(triangles: np.ndarray, n: int) -> np.ndarray:
@@ -453,7 +441,7 @@ def load_mesh(path) -> TriangulatedManifold:
     """Read a mesh from an ASCII OFF file.
 
     Only triangular faces are accepted. Edge lengths default to the embedded
-    Euclidean lengths; weights and distances are left uncomputed.
+    Euclidean lengths; weights are left uncomputed.
     """
     with open(path) as fh:
         text = fh.read()

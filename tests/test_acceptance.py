@@ -149,10 +149,10 @@ def test_exhaustive_permutation_oracle(octahedron):
 
 @pytest.fixture(scope="module")
 def order6_mesh():
+    """The order-6 icosphere, weighed, and its all-pairs distance rows."""
     m = build_icosphere(6)
     m.compute_weights()
-    m.compute_distances()
-    return m
+    return m, m.compute_distances()
 
 
 @pytest.mark.slow
@@ -169,8 +169,9 @@ def test_ballwise_error_control(order6_mesh):
         noise_bandwidth=0.2,
         noise_sd=1.0,
     )
-    domain = ProductDomain([mesh_component(order6_mesh, radius_cap=np.inf)])
-    rates = run_scenario(cfg, domain, np.zeros(domain.size, dtype=bool))
+    m, rows = order6_mesh
+    domain = ProductDomain([mesh_component(m, radius_cap=np.inf, rows=rows)])
+    rates = run_scenario(cfg, domain, np.zeros(domain.size, dtype=bool), rows)
     bound = ALPHA + 3 * np.sqrt(ALPHA * (1 - ALPHA) / replicates)
     elapsed = time.monotonic() - start
     ok = rates.fwer <= bound
@@ -186,7 +187,8 @@ def test_no_adjustment_limit(order6_mesh):
     # cap below the minimal vertex spacing: singleton balls only, so the
     # adjusted p behaves pointwise and the FPR sits at the nominal level
     start = time.monotonic()
-    d = order6_mesh.distances.values
+    m, rows = order6_mesh
+    d = rows.values
     spacing = d[d > 0].min()
     cfg = ScenarioConfig(
         n_samples=20,
@@ -197,8 +199,8 @@ def test_no_adjustment_limit(order6_mesh):
         noise_bandwidth=0.2,
         noise_sd=1.0,
     )
-    domain = ProductDomain([mesh_component(order6_mesh, radius_cap=spacing / 2)])
-    rates = run_scenario(cfg, domain, np.zeros(domain.size, dtype=bool))
+    domain = ProductDomain([mesh_component(m, radius_cap=spacing / 2, rows=rows)])
+    rates = run_scenario(cfg, domain, np.zeros(domain.size, dtype=bool), rows)
     elapsed = time.monotonic() - start
     ok = abs(rates.false_positive_rate - ALPHA) <= 0.015
     report(
@@ -215,7 +217,7 @@ def test_tradeoff_trends():
     start = time.monotonic()
     m = build_icosphere(3)
     m.compute_weights()
-    m.compute_distances()
+    rows = m.compute_distances()
     truth = cap_region_mask(m, 0, 0.65)
 
     def scenario(n_samples, cap):
@@ -228,7 +230,8 @@ def test_tradeoff_trends():
             noise_bandwidth=0.3,
             noise_sd=1.0,
         )
-        return run_scenario(cfg, ProductDomain([mesh_component(m, radius_cap=cap)]), truth)
+        domain = ProductDomain([mesh_component(m, radius_cap=cap, rows=rows)])
+        return run_scenario(cfg, domain, truth, rows)
 
     by_n = [scenario(n, np.inf) for n in (10, 20, 40)]
     by_cap = [by_n[1]] + [scenario(20, cap) for cap in (0.7, 0.1)]
@@ -259,22 +262,24 @@ PARTIAL_CAP = 0.7
 
 
 def partial_null(setting: str):
-    """A mesh searched in full, the center c and the radius r of its B0: an
-    order-6 icosphere with c = 0, r = 0.6, or the notched band (a boundary)
-    with c its boundary vertex of least index, r = 0.5."""
+    """A mesh, its all-pairs distance rows, and the center c and the radius r
+    of its B0: an order-6 icosphere with c = 0, r = 0.6, or the notched band
+    (a boundary) with c its boundary vertex of least index, r = 0.5."""
     if setting == "icosphere":
-        return build_icosphere(6).compute_distances(), 0, 0.6
-    m = notched_band(6).compute_distances()
-    return m, int(boundary_vertices(m)[0]), 0.5
+        m, c, r = build_icosphere(6), 0, 0.6
+    else:
+        m = notched_band(6)
+        c, r = int(boundary_vertices(m)[0]), 0.5
+    return m, m.compute_distances(), c, r
 
 
 @pytest.mark.parametrize("setting", ["icosphere", "notched-band"])
 def test_null_ball_is_in_the_family(setting):
     # without it the partial-null gates would be vacuous: B0 is the first
     # |B0| points of row c, and that prefix is a ball kept under the cap
-    m, c, r = partial_null(setting)
+    m, rows, c, r = partial_null(setting)
     b0 = m.ball(c, r)
-    balls = enumerate_component_balls(mesh_component(m, radius_cap=PARTIAL_CAP))
+    balls = enumerate_component_balls(mesh_component(m, radius_cap=PARTIAL_CAP, rows=rows))
     k = len(b0)
     inner = balls.inner[c, k - 1]
     ok = inner < PARTIAL_CAP and np.array_equal(np.sort(balls.order[c, :k]), b0)
@@ -287,7 +292,7 @@ def test_null_ball_is_in_the_family(setting):
 def test_partial_null_error_control(setting, seed):
     start = time.monotonic()
     replicates = 250
-    m, c, r = partial_null(setting)
+    m, rows, c, r = partial_null(setting)
     truth = np.ones(m.n_vertices, dtype=bool)
     truth[m.ball(c, r)] = False
     cfg = ScenarioConfig(
@@ -299,8 +304,8 @@ def test_partial_null_error_control(setting, seed):
         noise_bandwidth=0.2,
         noise_sd=1.0,
     )
-    domain = ProductDomain([mesh_component(m, radius_cap=PARTIAL_CAP)])
-    rates = run_scenario(cfg, domain, truth)
+    domain = ProductDomain([mesh_component(m, radius_cap=PARTIAL_CAP, rows=rows)])
+    rates = run_scenario(cfg, domain, truth, rows)
     bound = ALPHA + 3 * np.sqrt(ALPHA * (1 - ALPHA) / replicates)
     elapsed = time.monotonic() - start
     report(
@@ -321,7 +326,6 @@ def test_structural_invariants(unit_tetrahedron):
     # one product-domain run under each cap; shared data
     mesh = unit_tetrahedron
     mesh.compute_weights()
-    mesh.compute_distances()
     Y = rng.standard_normal((10, 4 * 6))
     adj = {}
     checks = []

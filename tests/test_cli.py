@@ -98,7 +98,7 @@ class TestDistances:
             oracles.dense_dijkstra(load_mesh(mesh_path))
         )
         loaded = load_distance_cache(cache)
-        searched = load_mesh(mesh_path).compute_distances().distances
+        searched = load_mesh(mesh_path).compute_distances()
         assert oracles.row_arrays(loaded) == oracles.row_arrays(searched)
 
     def test_never_holds_the_matrix(self, tmp_path, monkeypatch):
@@ -787,6 +787,16 @@ def icosphere_over_the_limit(tmp_path, monkeypatch):
     )
 
 
+def icosphere_component_over_the_limit(tmp_path, monkeypatch):
+    # a component writes no OFF text, and its message says none
+    argv, message = icosphere_over_the_limit(tmp_path, monkeypatch)
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps([{"icosphere_order": 40, "n_samples": 8,
+                                  "permutations": 9, "replicates": 1, "seed": 1}]))
+    argv = ["simulate", "--config", str(sweep), "--out", str(tmp_path / "r.csv")]
+    return argv, "scenario[0].domain.components[0]: " + message.replace(" and its OFF text", "")
+
+
 def missing_scenario_mesh(tmp_path, monkeypatch):
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps([{"mesh_path": str(tmp_path / "nope.off"), "n_samples": 8,
@@ -802,7 +812,7 @@ def missing_scenario_mesh(tmp_path, monkeypatch):
     pytest.param(isolated_vertex, marks=pytest.mark.filterwarnings("ignore:.*disconnected")),
     directory_as_mesh, directory_as_data, data_path_not_a_string, output_among_directories,
     out_in_missing_directory, out_names_a_directory, icosphere_over_the_limit,
-    missing_scenario_mesh,
+    icosphere_component_over_the_limit, missing_scenario_mesh,
 ], ids=lambda make: make.__name__.replace("_", "-"))
 def test_degenerate_input(tmp_path, capsys, monkeypatch, make):
     # each exits 2 naming the input, and writes nothing, not even a temp file;
@@ -1479,6 +1489,31 @@ class TestSimulate:
         err = self.run_scenario_json(tmp_path, capsys, [scenario])
         vertices = 10 * order**2 + 2
         assert f"dense covariance limited to 2000 vertices, the mesh has {vertices}" in err
+
+    def test_mesh_too_large_for_the_noise_is_refused_before_its_cache(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the refusal comes as soon as the mesh is loaded: its weights, its
+        # 40.6 MB cache and a search are never reached
+        mesh_path, cache = tmp_path / "big.off", tmp_path / "d.bin"
+        assert main(["tessellate", "--order", "15", "--out", str(mesh_path)]) == 0
+        assert main(["distances", "--mesh", str(mesh_path), "--out", str(cache)]) == 0
+        calls = []
+
+        def spy(name):
+            return lambda *args, **kwargs: calls.append(name)
+
+        monkeypatch.setattr(cli, "load_distance_cache", spy("load_distance_cache"))
+        for name in ("compute_distances", "compute_weights"):
+            monkeypatch.setattr(mesh.TriangulatedManifold, name, spy(name))
+        component = {"kind": "mesh", "path": str(mesh_path), "distance_cache": str(cache)}
+        scenario = {"domain": {"components": [component]}, "n_samples": 8,
+                    "permutations": 9, "replicates": 1, "seed": 1}
+        assert self.run_scenario_json(tmp_path, capsys, [scenario]) == (
+            "error: scenario[0].domain.components[0]: dense covariance limited to 2000 "
+            "vertices, the mesh has 2252; supply your own noise generator for larger meshes\n"
+        )
+        assert calls == []
 
 
 def small_inference(components):

@@ -141,13 +141,23 @@ class TestComponentGrids:
 
     def test_full_cap_mesh_component_keeps_one_copy(self):
         m = build_icosphere(3)
-        g = mesh_component(m)
-        assert g.rows is m.distances
+        rows = m.compute_distances()
+        g = mesh_component(m, rows=rows)
+        assert g.rows is rows
         assert g.rows.values.shape == (m.n_vertices, m.n_vertices)
         assert np.isfinite(g.rows.values).all()
-        capped = mesh_component(m, radius_cap=0.4)
-        assert capped.rows is not m.distances
+        capped = mesh_component(m, radius_cap=0.4, rows=rows)
+        assert capped.rows is not rows
         assert capped.rows.values[np.isfinite(capped.rows.values)].max() < 0.4
+
+    @pytest.mark.parametrize("cap", [0.4, 1.0, math.inf])
+    def test_given_rows_match_the_search_to_the_cap(self, cap):
+        # rows read or searched past the cap are cut to the rows of a search
+        # that stops at it
+        m = build_icosphere(3)
+        given = mesh_component(m, radius_cap=cap, rows=m.compute_distances())
+        searched = mesh_component(m, radius_cap=cap)
+        assert oracles.row_arrays(given.rows) == oracles.row_arrays(searched.rows)
 
     def test_bad_cap(self):
         for cap in (0.0, -1.0, math.nan):
@@ -356,8 +366,8 @@ def quiet_disconnected(cap=math.inf):
 
 def mesh_cap_on_a_distance():
     """Octahedron with its cap equal to a realised geodesic distance."""
-    m = build_icosphere(1).compute_distances()
-    cap = float(np.unique(m.distances.values)[2])
+    m = build_icosphere(1)
+    cap = float(np.unique(m.compute_distances().values)[2])
     return oracles.mesh_grid(m, radius_cap=cap)
 
 

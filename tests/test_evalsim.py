@@ -43,15 +43,16 @@ class TestGaussianFieldSampler:
     def test_monte_carlo_covariance(self, triangle_strip):
         # 3-vertex sub-check on a real mesh: empirical covariance of 1e5
         # draws within 0.02 of the closed-form kernel
-        s = GaussianFieldSampler(triangle_strip.compute_distances().distances, 1.0, 1.0)
+        rows = triangle_strip.compute_distances()
+        s = GaussianFieldSampler(rows, 1.0, 1.0)
         draws = s.sample(np.random.default_rng(123), 100_000)
         emp = np.cov(draws[:, :3].T)
-        d = oracles.rows_to_dense(triangle_strip.distances)[:3, :3]
+        d = oracles.rows_to_dense(rows)[:3, :3]
         expected = np.exp(-(d ** 2) / 2.0)
         assert np.abs(emp - expected).max() < 0.02
 
     def test_zero_mean(self, triangle_strip):
-        s = GaussianFieldSampler(triangle_strip.compute_distances().distances, 0.5, 1.0)
+        s = GaussianFieldSampler(triangle_strip.compute_distances(), 0.5, 1.0)
         draws = s.sample(np.random.default_rng(7), 50_000)
         assert np.abs(draws.mean(axis=0)).max() < 0.02
 
@@ -68,8 +69,8 @@ class TestGaussianFieldSampler:
             GaussianFieldSampler(d, bandwidth=1.0, sd=1.0)
 
     def test_covariance_matches_dense_kernel(self):
-        m = build_icosphere(3).compute_distances()
-        s = GaussianFieldSampler(m.distances, bandwidth=0.4, sd=1.0)
+        m = build_icosphere(3)
+        s = GaussianFieldSampler(m.compute_distances(), bandwidth=0.4, sd=1.0)
         d = oracles.dense_dijkstra(m)
         cov = np.exp(-(d**2) / (2 * 0.4**2))
         vals, vecs = np.linalg.eigh(cov)
@@ -162,13 +163,13 @@ class TestErrorRates:
 
 class TestTruthMasks:
     def test_cap_region_connected(self):
-        m = build_icosphere(2).compute_distances()
+        m = build_icosphere(2)
         mask = cap_region_mask(m, 0, 0.9)
         assert mask[0]
         assert 1 < mask.sum() < m.n_vertices
 
     def test_multi_patch_union(self):
-        m = build_icosphere(2).compute_distances()
+        m = build_icosphere(2)
         a = cap_region_mask(m, 0, 0.5)
         b = cap_region_mask(m, 11, 0.5)
         np.testing.assert_array_equal(multi_patch_mask(m, [0, 11], 0.5), a | b)
@@ -187,43 +188,45 @@ class TestRunScenario:
         defaults.update(kwargs)
         return ScenarioConfig(**defaults)
 
-    @staticmethod
-    def _domain(cap=math.inf):
-        return ProductDomain([mesh_component(build_icosphere(1), radius_cap=cap)])
+    # the order-1 icosphere's all-pairs rows, which the noise reads
+    ROWS = build_icosphere(1).compute_distances()
+
+    def _domain(self, cap=math.inf):
+        m = build_icosphere(1)
+        return ProductDomain([mesh_component(m, radius_cap=cap, rows=self.ROWS)])
 
     def test_determinism(self):
         cfg = self._base_cfg()
         null = np.zeros(12, dtype=bool)
-        r1 = run_scenario(cfg, self._domain(), null)
-        r2 = run_scenario(cfg, self._domain(), null)
+        r1 = run_scenario(cfg, self._domain(), null, self.ROWS)
+        r2 = run_scenario(cfg, self._domain(), null, self.ROWS)
         assert r1 == r2
 
     def test_global_null_reports_no_sensitivity(self):
-        rates = run_scenario(self._base_cfg(), self._domain(), np.zeros(12, dtype=bool))
+        rates = run_scenario(self._base_cfg(), self._domain(), np.zeros(12, dtype=bool),
+                             self.ROWS)
         assert rates.sensitivity is None
         assert 0.0 <= rates.fwer <= 1.0
 
     def test_separation_limit(self):
         # huge amplitude, cap below vertex spacing: every truth vertex found
         m = build_icosphere(1)
-        m.compute_weights().compute_distances()
         truth = cap_region_mask(m, 0, 1.2)
         cfg = self._base_cfg(replicates=2, signal_amplitude=50.0)
         domain = ProductDomain([mesh_component(m, radius_cap=0.05)])
-        rates = run_scenario(cfg, domain, truth)
+        rates = run_scenario(cfg, domain, truth, self.ROWS)
         assert rates.sensitivity == pytest.approx(1.0)
 
     def test_mesh_searched_to_the_cap_is_searched_in_full(self):
-        # the noise needs every pair: a component whose mesh was searched only
-        # to its cap gives the rates of one searched in full first
+        # the noise reads every pair: a component searched only to its cap,
+        # with the all-pairs rows beside it, gives the rates of one cut from
+        # those rows
         cfg = self._base_cfg(replicates=2, signal_amplitude=2.0)
-        full = build_icosphere(1).compute_distances()
-        truth = cap_region_mask(full, 0, 1.2)
-        capped = self._domain(cap=0.8)
-        assert capped.components[0].mesh.distance_limit == 0.8
-        rates = run_scenario(cfg, capped, truth)
-        assert capped.components[0].mesh.distance_limit == math.inf
-        assert rates == run_scenario(cfg, ProductDomain([mesh_component(full, 0.8)]), truth)
+        truth = cap_region_mask(build_icosphere(1), 0, 1.2)
+        searched = ProductDomain([mesh_component(build_icosphere(1), radius_cap=0.8)])
+        assert np.isfinite(searched.components[0].rows.values).sum() < 12 * 12
+        rates = run_scenario(cfg, searched, truth, self.ROWS)
+        assert rates == run_scenario(cfg, self._domain(cap=0.8), truth, self.ROWS)
 
     @pytest.mark.parametrize("components", [
         lambda: [mesh_component(build_icosphere(1)), circle_component(4)],
@@ -233,7 +236,7 @@ class TestRunScenario:
         domain = ProductDomain(components())
         truth = np.zeros(domain.size, dtype=bool)
         with pytest.raises(ValueError, match="exactly one mesh component"):
-            run_scenario(self._base_cfg(), domain, truth)
+            run_scenario(self._base_cfg(), domain, truth, self.ROWS)
 
     def test_odd_samples_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -241,10 +244,17 @@ class TestRunScenario:
 
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError, match="truth mask"):
-            run_scenario(self._base_cfg(), self._domain(), np.zeros(5, dtype=bool))
+            run_scenario(self._base_cfg(), self._domain(), np.zeros(5, dtype=bool), self.ROWS)
+
+    def test_distances_checked(self):
+        # the noise's rows must be the domain's mesh's: twelve points here
+        rows = build_icosphere(2).compute_distances()
+        with pytest.raises(ValueError, match="distances of 42 rows"):
+            run_scenario(self._base_cfg(), self._domain(), np.zeros(12, dtype=bool), rows)
 
     def test_masks_returned(self):
         cfg = self._base_cfg(replicates=2)
-        rates, masks = run_scenario(cfg, self._domain(), np.zeros(12, dtype=bool), return_masks=True)
+        rates, masks = run_scenario(cfg, self._domain(), np.zeros(12, dtype=bool), self.ROWS,
+                                    return_masks=True)
         assert masks.shape == (2, 12)
         assert rates.n_replicates == 2

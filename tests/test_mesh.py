@@ -168,12 +168,10 @@ class TestOffIO:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             m = load_mesh(path)
-            m.compute_distances()
+            rows = m.compute_distances()
         # one warning for one mesh, from the load
         assert [str(w.message) for w in caught] == [f"{path}: mesh is disconnected"]
-        assert 3 not in m.distances.row(0)[0]
-        with pytest.raises(ValueError, match="disconnected"):
-            m.ball(0, 1.0)
+        assert 3 not in rows.row(0)[0]
 
 
 class TestIcosphere:
@@ -246,7 +244,7 @@ class TestWeights:
         lines = [f"{i},{j},{2 * m.edge_length(i, j)}" for i, j in m.edges]
         override.write_text("\n".join(lines) + "\n")
         m.override_edge_lengths(override)
-        assert m.weights is None and m.distances is None
+        assert m.weights is None
         m.compute_weights()
         assert m.total_weight() == pytest.approx(4 * base_total, rel=1e-12)
 
@@ -301,7 +299,7 @@ class TestWeights:
 
 def all_pairs(m) -> np.ndarray:
     """The mesh's unbounded distances as an n x n matrix."""
-    return oracles.rows_to_dense(m.compute_distances().distances)
+    return oracles.rows_to_dense(m.compute_distances())
 
 
 class TestDistances:
@@ -358,7 +356,7 @@ class TestDistances:
         assert (full <= limit).sum() > n
         for block_rows in (1, 7, n + 5):
             monkeypatch.setattr(mesh, "DISTANCE_BLOCK", block_rows * n)
-            self.assert_rows_within(m.compute_distances(limit=limit).distances, full, limit)
+            self.assert_rows_within(m.compute_distances(limit=limit), full, limit)
 
     @BLOCK_ROWS
     def test_bounded_disconnected_mesh(self, block_rows, monkeypatch):
@@ -371,7 +369,7 @@ class TestDistances:
         n = m.n_vertices
         monkeypatch.setattr(mesh, "DISTANCE_BLOCK", (block_rows or n + 5) * n)
         with pytest.warns(UserWarning, match="disconnected"):
-            rows = m.compute_distances(limit=0.8).distances
+            rows = m.compute_distances(limit=0.8)
         self.assert_rows_within(rows, full, 0.8)
 
     @BLOCK_ROWS
@@ -384,7 +382,7 @@ class TestDistances:
         monkeypatch.setattr(mesh, "DISTANCE_BLOCK", (block_rows or n + 5) * n)
         cached = load_distance_cache(path, limit=0.4)
         self.assert_rows_within(cached, full, 0.4)
-        searched = m.compute_distances(limit=0.4).distances
+        searched = m.compute_distances(limit=0.4)
         assert oracles.row_arrays(cached) == oracles.row_arrays(searched)
 
     @BLOCK_ROWS
@@ -413,8 +411,8 @@ class TestDistances:
         m = build_icosphere(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            m.compute_distances(limit=0.2)
-        assert np.isfinite(m.distances.values).sum() < m.n_vertices**2
+            rows = m.compute_distances(limit=0.2)
+        assert np.isfinite(rows.values).sum() < m.n_vertices**2
 
     def test_search_block_fits_the_mesh(self):
         # one block of every row is 252 x 252 pairs, not DISTANCE_BLOCK of them
@@ -432,7 +430,7 @@ class TestDistances:
         path = tmp_path / "d.bin"
         save_distance_cache(octahedron, path)
         loaded = load_distance_cache(path)
-        searched = octahedron.compute_distances().distances
+        searched = octahedron.compute_distances()
         assert oracles.row_arrays(loaded) == oracles.row_arrays(searched)
 
     def test_cache_truncated(self, tmp_path):
@@ -507,7 +505,7 @@ class TestAgainstDijkstra:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 for bound in (np.inf, limit):
-                    d = m.compute_distances(limit=bound).distances
+                    d = m.compute_distances(limit=bound)
                     assert oracles.row_arrays(d) == oracles.row_arrays(
                         oracles.dense_to_rows(full, bound)
                     )
@@ -548,49 +546,78 @@ class TestAgainstDijkstra:
     @pytest.mark.slow
     def test_order16_full_cap(self):
         m = build_icosphere(16)
-        d = m.compute_distances().distances
+        d = m.compute_distances()
         rows = oracles.dense_to_rows(oracles.dense_dijkstra(m))
         assert oracles.row_arrays(d) == oracles.row_arrays(rows)
 
 
 class TestBall:
     def test_full_cover(self, unit_tetrahedron):
-        m = unit_tetrahedron.compute_distances()
-        assert len(m.ball(0, 10.0)) == 4
+        assert len(unit_tetrahedron.ball(0, 10.0)) == 4
 
     def test_strictness(self, unit_tetrahedron):
         # radius equal to the smallest positive distance keeps only the center
-        m = unit_tetrahedron.compute_distances()
-        d = m.distances.row(2)[1]
+        d = unit_tetrahedron.compute_distances().row(2)[1]
         r = d[d > 0].min()
-        np.testing.assert_array_equal(m.ball(2, r), [2])
+        np.testing.assert_array_equal(unit_tetrahedron.ball(2, r), [2])
 
     def test_tetrahedron_r_1_5(self, unit_tetrahedron):
-        m = unit_tetrahedron.compute_distances()
-        np.testing.assert_array_equal(m.ball(1, 1.5), [0, 1, 2, 3])
+        np.testing.assert_array_equal(unit_tetrahedron.ball(1, 1.5), [0, 1, 2, 3])
 
     def test_invalid_center(self, unit_tetrahedron):
-        m = unit_tetrahedron.compute_distances()
         with pytest.raises(IndexError):
-            m.ball(7, 1.0)
+            unit_tetrahedron.ball(7, 1.0)
 
     def test_bounded_distances(self):
-        full = build_icosphere(4).compute_distances()
-        bounded = build_icosphere(4).compute_distances(limit=0.5)
-        for r in (0.2, 0.5):
-            np.testing.assert_array_equal(bounded.ball(3, r), full.ball(3, r))
-        with pytest.raises(ValueError, match="distance limit"):
-            bounded.ball(3, 0.6)
+        # the ball's own search stops at its radius: it matches the ball of
+        # the full search within a bound and past it
+        m = build_icosphere(4)
+        rows = m.compute_distances()
+        for r in (0.2, 0.5, 0.6):
+            points, d = rows.row(3)
+            np.testing.assert_array_equal(m.ball(3, r), np.sort(points[d < r]))
 
     def test_monotone_in_radius(self, octahedron):
-        m = octahedron.compute_distances()
         radii = np.linspace(0.1, 3.0, 15)
-        for center in range(m.n_vertices):
+        for center in range(octahedron.n_vertices):
             prev: set = set()
             for r in radii:
-                cur = set(m.ball(center, r).tolist())
+                cur = set(octahedron.ball(center, r).tolist())
                 assert prev <= cur
                 prev = cur
+
+    @pytest.mark.filterwarnings("ignore:.*disconnected")
+    @pytest.mark.parametrize("mesh_kind", ["jittered", "disconnected"])
+    def test_matches_the_all_pairs_ball(self, mesh_kind):
+        # every radius that is a row's distance, its neighbours a step either
+        # side, and radii past the row's end: the filter d < r on the
+        # all-pairs row, a disconnected mesh's row missing the other part
+        if mesh_kind == "jittered":
+            base = build_icosphere(6)
+            rng = np.random.default_rng(5)
+            m = TriangulatedManifold(
+                base.vertices + rng.normal(0.0, 0.01, base.vertices.shape), base.triangles
+            )
+            centers = [0, 17, 361]
+        else:
+            a, b = build_icosphere(2), build_icosphere(2)
+            m = TriangulatedManifold(
+                np.concatenate([a.vertices, b.vertices + 5.0]),
+                np.concatenate([a.triangles, b.triangles + a.n_vertices]),
+            )
+            centers = [0, 41, 42, 83]
+        rows = m.compute_distances()
+        for c in centers:
+            points, d = rows.row(c)
+            if mesh_kind == "disconnected":
+                assert len(points) < m.n_vertices
+            radii = np.unique(d)[::7]
+            radii = np.concatenate([radii, np.nextafter(radii, np.inf),
+                                    np.nextafter(radii, -np.inf), [d.max() + 1.0, np.inf]])
+            for r in radii:
+                ball = m.ball(c, r)
+                assert ball.dtype == np.intp
+                np.testing.assert_array_equal(ball, np.sort(points[d < r]))
 
 
 class TestInvariants:

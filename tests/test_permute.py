@@ -362,7 +362,7 @@ class TestEngineProperties:
         tris[right] = np.where(tris[right] == 5, 16, tris[right])
         m = TriangulatedManifold(np.vstack([grid, grid[5]]), np.vstack([tris, [(5, 16, 1)]]))
         fam = enumerate_family(ProductDomain([mesh_component(m)]))
-        assert m.distances.row(5)[1][:2].tolist() == [0.0, 0.0]
+        assert fam.domain.components[0].rows.row(5)[1][:2].tolist() == [0.0, 0.0]
         # a singleton is the first slot of a row, and every other row starts
         # at its own center
         assert np.flatnonzero(~fam.component_balls[0].kept[:, 0]).tolist() == [5, 16]
