@@ -16,11 +16,11 @@ _EXPORTS = {
         "circle_component", "enumerate_component_balls",
         "enumerate_family", "interval_component", "mesh_component",
     ],
-    "glm": ["DesignSpec", "HypothesisSpec", "StatKernel"],
+    "glm": ["StatKernel"],
     "mesh": [
         "TriangulatedManifold", "build_icosphere", "load_mesh", "save_off",
     ],
-    "permute": ["PermutationPlan", "PValueFields", "run_inference"],
+    "permute": ["PValueFields", "generate_permutations", "run_inference"],
     "evalsim": [
         "ErrorRates", "ScenarioConfig", "compute_error_rates", "run_scenario",
     ],

@@ -35,6 +35,7 @@ from . import __version__
 # that run them, so tessellate and distances never compile or load them
 from .mesh import (
     build_icosphere,
+    check_memory,
     distance_cache_chunks,
     icosphere_bytes,
     load_distance_cache,
@@ -339,33 +340,27 @@ def _load_signals(section: dict):
 
 
 def _build_model(section: dict):
-    from .glm import DesignSpec, HypothesisSpec, design_vector
+    """The statistic, the one vector it reads and that vector's length."""
+    from .glm import check_statistic, design_vector
 
     with _located("model"):
         _check_keys(section, {"statistic", "groups", "covariate"}, {"statistic"})
-        hyp = HypothesisSpec(statistic=section["statistic"])
-        # the one key that the statistic reads
-        key = "groups" if hyp.statistic == "t_two_sample_sq" else "covariate"
+        statistic = check_statistic(section["statistic"])
+        key = "groups" if statistic == "t_two_sample_sq" else "covariate"
         _check_keys(section, {"statistic", key}, {"statistic", key})
         # numbers, or group labels that are strings: null or an object would
         # reach numpy as an object array
-        if key == "groups":
-            kinds, ndim, what = "biufU", 1, "a list of labels"
-        else:
-            kinds, ndim, what = "biuf", 2, "a list of numbers or of lists of numbers"
-        values = np.asarray(section[key])
-        if not 1 <= values.ndim <= ndim or values.dtype.kind not in kinds:
+        kinds, ndim, what = ("biufU", 1, "a list of labels") if key == "groups" else (
+            "biuf", 2, "a list of numbers or of lists of numbers")
+        design = np.asarray(section[key])
+        if not 1 <= design.ndim <= ndim or design.dtype.kind not in kinds:
             raise ConfigError(f"{key} must be {what}, got {section[key]!r}")
-        if key == "groups":
-            design = DesignSpec(group_labels=values)
-        else:
-            design = DesignSpec(covariates=values.astype(float))
-        design_vector(design, hyp)
-    return design, hyp
+        return statistic, design, len(design_vector(statistic, design))
 
 
-def _build_plan(section: dict, seed_flag):
-    from .permute import PermutationPlan
+def _build_inference(section: dict, seed_flag, n_obs: int):
+    """The permutations of ``n_obs`` observations, the seed they are drawn from and alpha."""
+    from .permute import generate_permutations
 
     if seed_flag is not None:
         _seed(seed_flag, "--seed")
@@ -374,20 +369,18 @@ def _build_plan(section: dict, seed_flag):
             section, {"permutations", "seed", "alpha", "scheme"}, {"permutations", "seed"}
         )
         seed = _seed(section["seed"], "seed")
+        seed = seed if seed_flag is None else seed_flag
         alpha = section.get("alpha", 0.05)
         if not _is_number(alpha) or not 0 < alpha < 1:
             raise ConfigError(f"alpha must be a number in (0, 1), got {alpha!r}")
-        plan = PermutationPlan(
-            n_permutations=_positive_int(section["permutations"], "permutations"),
-            seed=seed if seed_flag is None else seed_flag,
-        )
+        n_permutations = _positive_int(section["permutations"], "permutations")
         # under the intercept-only null, the only one a config states, both
         # schemes permute the same data, so both take the one path
         schemes = ("freedman_lane", "raw_label_permutation")
         scheme = section.get("scheme", schemes[0])
         if scheme not in schemes:
             raise ConfigError(f"unknown scheme {scheme!r}; choose from {schemes}")
-    return plan, alpha
+        return generate_permutations(n_permutations, seed, n_obs), seed, alpha
 
 
 def _scipy_version() -> str | None:
@@ -402,7 +395,7 @@ def _scipy_version() -> str | None:
     )["version"]
 
 
-def _manifest(config: dict, plan, family, stages: Stages) -> str:
+def _manifest(config: dict, seed: int, perms: np.ndarray, family, stages: Stages) -> str:
     import hashlib
     import json
 
@@ -413,8 +406,8 @@ def _manifest(config: dict, plan, family, stages: Stages) -> str:
     return json.dumps(
         {
             "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
-            "seed": plan.seed,
-            "permutations": plan.n_permutations,
+            "seed": seed,
+            "permutations": len(perms),
             "rng_algorithm": RNG_ALGORITHM,
             "family_balls": family.n_balls,
             "family_shape": list(family.shape),
@@ -516,13 +509,8 @@ def _balls_csv(family, result) -> Iterator[str]:
 def _icosphere(order: int, radius: float, off: bool = False):
     """``build_icosphere(order, radius)``, refused first if it and, with
     ``off``, its OFF text could pass the limit."""
-    need, limit = icosphere_bytes(order), memory_limit()
-    if need > limit:
-        raise ConfigError(
-            f"an order-{order} icosphere{' and its OFF text' if off else ''} would need up to "
-            f"{need / 1e6:,.1f} MB, over the limit of {limit / 1e6:,.1f} MB (half of "
-            "physical memory or of the address-space limit)"
-        )
+    what = f"an order-{order} icosphere{' and its OFF text' if off else ''}"
+    check_memory(what, icosphere_bytes(order), memory_limit(), error=ConfigError)
     return build_icosphere(order, radius)
 
 
@@ -581,6 +569,7 @@ def _load_test_config(path: str, out_dir_flag: str | None):
 
 def cmd_test(args) -> int:
     from .domain import enumerate_family
+    from .glm import StatKernel
     from .permute import run_inference
 
     config, out_dir = _load_test_config(args.config, args.out_dir)
@@ -594,20 +583,20 @@ def cmd_test(args) -> int:
                     f"signal matrix has {Y.shape[1]} columns but the domain has "
                     f"{domain.size} grid points"
                 )
-            design, hyp = _build_model(config["model"])
-            if design.n_obs != Y.shape[0]:
+            statistic, design, n_obs = _build_model(config["model"])
+            if n_obs != Y.shape[0]:
                 raise ConfigError(
-                    f"model: the design has {design.n_obs} observations but the signal "
+                    f"model: the design has {n_obs} observations but the signal "
                     f"matrix has {Y.shape[0]} rows"
                 )
-            plan, alpha = _build_plan(config["inference"], args.seed)
+            perms, seed, alpha = _build_inference(config["inference"], args.seed, n_obs)
         with stages("enumerate"):
             family = enumerate_family(domain)
         with stages("inference"):
-            result = run_inference(Y, design, hyp, family, plan)
+            result = run_inference(StatKernel(Y, statistic, design), family, perms)
 
         def manifest():  # formatted last, so its peak RSS covers the other writes
-            yield _manifest(config, plan, family, stages)
+            yield _manifest(config, seed, perms, family, stages)
 
         with stages("write"):
             outputs = {

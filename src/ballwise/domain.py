@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import DistanceRows, TriangulatedManifold, memory_limit
+from .mesh import DistanceRows, TriangulatedManifold, check_memory, memory_limit
 
 __all__ = [
     "ComponentGrid",
@@ -661,12 +661,6 @@ def enumerate_family(d: ProductDomain) -> AdjustmentFamily:
     before enumerating anything, when ``memory_bound`` exceeds
     ``memory_limit``.
     """
-    need, limit = memory_bound(d), memory_limit()
-    if need > limit:
-        raise FamilyTooLargeError(
-            f"the adjustment family and inference on it would need up to "
-            f"{need / 1e6:,.1f} MB, over the limit of {limit / 1e6:,.1f} MB (half of "
-            "physical memory or of the address-space limit); use smaller radius "
-            "caps or a coarser grid"
-        )
+    check_memory("the adjustment family and inference on it", memory_bound(d), memory_limit(),
+                 "; use smaller radius caps or a coarser grid", FamilyTooLargeError)
     return AdjustmentFamily(d, [enumerate_component_balls(c) for c in d.components])

@@ -17,14 +17,12 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DesignSpec",
-    "HypothesisSpec",
     "StatKernel",
+    "check_statistic",
     "design_vector",
     "load_signals_csv",
     "save_signals_csv",
@@ -35,72 +33,38 @@ __all__ = [
 STATISTICS = ("t_two_sample_sq", "t_trend_cutoff", "slope_sq")
 
 
-@dataclass
-class DesignSpec:
-    """Scalar covariates and/or a two-group partition for N observations.
+def check_statistic(statistic) -> str:
+    """``statistic``, once it is one of ``STATISTICS``."""
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+    return statistic
 
-    ``covariates`` is N x K (no intercept column; the intercept is implicit).
-    ``group_labels`` is a length-N 0/1 vector for the two-sample shortcut.
+
+def design_vector(statistic: str, design) -> np.ndarray:
+    """The centred vector x that ``statistic`` regresses every column on, of
+    the one vector ``design`` that it reads: for the two-sample t the group
+    labels, two groups of two or more, whose first group's indicator is x (the
+    pooled two-sample t is the t of the slope on it), otherwise the covariate,
+    N numbers flat, N x 1 or 1 x N. Raises ``ValueError`` if it does not suit.
     """
-
-    covariates: np.ndarray | None = None
-    group_labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.covariates is not None:
-            self.covariates = np.atleast_2d(np.asarray(self.covariates, dtype=float))
-            if self.covariates.shape[0] == 1 and self.covariates.shape[1] > 1:
-                self.covariates = self.covariates.T
-        if self.group_labels is not None:
-            self.group_labels = np.asarray(self.group_labels)
-            _, sizes = np.unique(self.group_labels, return_counts=True)
-            if len(sizes) != 2:
-                raise ValueError("group_labels must define exactly two groups")
-            if sizes.min() < 2:
-                raise ValueError("both groups need at least two observations")
-
-    @property
-    def n_obs(self) -> int:
-        if self.covariates is not None:
-            return self.covariates.shape[0]
-        if self.group_labels is not None:
-            return len(self.group_labels)
-        raise ValueError("empty design")
-
-
-@dataclass
-class HypothesisSpec:
-    """Which statistic to evaluate pointwise (one of ``STATISTICS``)."""
-
-    statistic: str
-
-    def __post_init__(self):
-        if self.statistic not in STATISTICS:
-            raise ValueError(
-                f"unknown statistic {self.statistic!r}; choose from {STATISTICS}"
-            )
-
-
-def design_vector(design: DesignSpec, hypothesis: HypothesisSpec) -> np.ndarray:
-    """The centred vector x that the statistic regresses every column on.
-
-    Raises ``ValueError`` when the design does not suit the statistic. For the
-    covariate statistics x is the centred covariate; for the two-sample t it
-    is the centred indicator of the first group, since the pooled two-sample
-    t is the t of the slope on a group indicator.
-    """
-    if hypothesis.statistic == "t_two_sample_sq":
-        if design.group_labels is None:
+    check_statistic(statistic)
+    if statistic == "t_two_sample_sq":
+        if design is None:
             raise ValueError("t_two_sample_sq requires group_labels")
-        # DesignSpec checked the two groups; np.unique would import numpy.ma
-        x = (design.group_labels == np.sort(design.group_labels)[0]).astype(float)
+        labels = np.asarray(design)
+        groups, sizes = np.unique(labels, return_counts=True)
+        if len(sizes) != 2:
+            raise ValueError("group_labels must define exactly two groups")
+        if sizes.min() < 2:
+            raise ValueError("both groups need at least two observations")
+        x = (labels == groups[0]).astype(float)
     else:
-        if design.covariates is None or design.covariates.shape[1] != 1:
-            raise ValueError(
-                f"{hypothesis.statistic} requires exactly one scalar covariate"
-            )
-        x = design.covariates[:, 0]
-        if hypothesis.statistic == "t_trend_cutoff" and len(x) < 3:
+        x = np.empty((0, 0)) if design is None else np.atleast_2d(np.asarray(design, float))
+        x = x.T if x.shape[0] == 1 else x
+        if x.shape[1] != 1:
+            raise ValueError(f"{statistic} requires exactly one scalar covariate")
+        x = x[:, 0]
+        if statistic == "t_trend_cutoff" and len(x) < 3:
             raise ValueError("trend t statistic needs at least 3 observations")
         if len(x) < 2:
             raise ValueError("slope needs at least 2 observations")
@@ -114,32 +78,33 @@ def design_vector(design: DesignSpec, hypothesis: HypothesisSpec) -> np.ndarray:
 class StatKernel:
     """The statistic field of permuted copies of the signals, a chunk at a time.
 
-    The signals are centred once and permuted by their rows. Permuting the
-    rows of the signals by p is the same as permuting the design by the
-    inverse of p and keeping the signals fixed, so every statistic of a chunk
-    comes from the product of its permuted design row with the fixed, centred
-    signals, plus column moments that no permutation changes. A permuted
-    design depends only on the grouping (or the covariate order) it makes,
-    and each row's product is formed on its own, so two permutations that
-    make the same grouping give bitwise equal fields in any chunks. Under the
-    intercept-only null, the only one a config states, this is also
-    Freedman-Lane's scheme: the intercept's fits plus the permuted residuals
-    are the permuted signals.
+    ``design`` is the one vector that ``statistic`` reads, the group labels
+    or the covariate (``design_vector``). The signals are centred once and
+    permuted by their rows. Permuting the rows of the signals by p is the
+    same as permuting the design by the inverse of p and keeping the signals
+    fixed, so every statistic of a chunk comes from the product of its
+    permuted design row with the fixed, centred signals, plus column moments
+    that no permutation changes. A permuted design depends only on the
+    grouping (or the covariate order) it makes, and each row's product is
+    formed on its own, so two permutations that make the same grouping give
+    bitwise equal fields in any chunks. Under the intercept-only null, the
+    only one a config states, this is also Freedman-Lane's scheme: the
+    intercept's fits plus the permuted residuals are the permuted signals.
     """
 
-    def __init__(self, signals: np.ndarray, design: DesignSpec, hypothesis: HypothesisSpec):
+    def __init__(self, signals: np.ndarray, statistic: str, design):
         Y = np.asarray(signals, dtype=float)
         if Y.ndim != 2:
             raise ValueError("signal matrix must be 2-D (observations x grid points)")
         if not np.all(np.isfinite(Y)):
             raise ValueError("signal matrix contains non-finite entries")
-        self.x = design_vector(design, hypothesis)
+        self.x = design_vector(statistic, design)
         if len(self.x) != Y.shape[0]:
             raise ValueError(
                 f"the design has {len(self.x)} observations but the signal "
                 f"matrix has {Y.shape[0]} rows"
             )
-        self.statistic = hypothesis.statistic
+        self.statistic = statistic
         self.sxx = self.x @ self.x
         # a constant column has no centred variation in exact arithmetic;
         # zeroing it keeps its statistic equal under every permutation

@@ -32,6 +32,7 @@ __all__ = [
     "distance_cache_chunks",
     "load_distance_cache",
     "memory_limit",
+    "check_memory",
     "icosphere_bytes",
 ]
 
@@ -65,13 +66,18 @@ class DistanceRows:
         rows ``start:stop`` of the n x n distances, flat, and the positions in
         them of the entries to keep, ascending, so each row comes in index
         order. One stable sort by distance then orders it by (distance, index).
+        Raises ``ValueError`` once the padded rows, 12 bytes a slot for n rows
+        as long as the longest so far, would pass ``memory_limit()``.
         """
-        parts, counts = [], np.zeros(n, dtype=np.int64)
+        parts, counts, longest, limit = [], np.zeros(n, dtype=np.int64), 0, memory_limit()
         for start, stop, distances, kept in blocks:
-            parts.append((start, stop, (kept % n).astype(np.int32), distances[kept]))
             counts[start:stop] = np.diff(np.searchsorted(kept, np.arange(stop - start + 1) * n))
+            longest = max(longest, int(counts[start:stop].max(initial=0)))
+            check_memory(f"distance rows of {n} points", 12 * n * longest, limit,
+                         "; use a smaller radius_cap or a coarser grid")
+            parts.append((start, stop, (kept % n).astype(np.int32), distances[kept]))
         # each entry at its position in its row, in index order, the rest padding
-        filled = np.arange(counts.max(initial=0)) < counts[:, None]
+        filled = np.arange(longest) < counts[:, None]
         rows = cls(np.full(filled.shape, n, dtype=np.int32), np.full(filled.shape, np.inf))
         for start, stop, c, d in parts:
             indices, values = rows.indices[start:stop], rows.values[start:stop]
@@ -561,6 +567,16 @@ def memory_limit() -> int:
     if soft != resource.RLIM_INFINITY:
         limit = min(limit, soft)
     return limit // 2
+
+
+def check_memory(what: str, need: int, limit: int, advice="", error=ValueError) -> None:
+    """Raise ``error`` if ``what`` would need ``need`` bytes, past ``limit``,
+    the caller's ``memory_limit()``; ``advice`` ends the message."""
+    if need > limit:
+        raise error(
+            f"{what} would need up to {need / 1e6:,.1f} MB, over the limit of {limit / 1e6:,.1f} "
+            f"MB (half of physical memory or of the address-space limit){advice}"
+        )
 
 
 def icosphere_bytes(order: int) -> int:

@@ -1,22 +1,17 @@
 """Permutation inference: pointwise, ball-wise and sup-adjusted p-values.
 
-One permutation is shared across the whole domain within a replicate, so the
-joint null distribution of the ball-wise integrated statistics is preserved.
-The rows of the signals are permuted, which is done by permuting the design
-by the inverse permutation, with the signals fixed (``glm.StatKernel``), so
-two permutations that make the same grouping give bitwise equal statistics
-and the observed field is the kernel's identity row. Under the
-intercept-only null model this is also the Freedman-Lane scheme, whose fits
-plus permuted residuals are the permuted signals.
-p-values use the (1 + #{permuted >= observed}) / (B + 1) convention, where a
-permuted statistic within a relative 100 eps of the observed one counts as a
-tie (``null >= obs - |100 eps obs|``, the rule of scipy's
-``permutation_test``): ties count as extreme, so statistics that are equal in
-exact arithmetic but were summed in another order are never lost, and p is
-never zero. The adjusted value at a grid point is the maximum ball-wise p over
-all family balls containing the point. Every point has a singleton ball unless
-another point lies at distance 0 from it, so adjusted >= pointwise holds by
-construction at every point but such coincident ones.
+One permutation of the signals' rows (``glm.StatKernel``) is shared across
+the whole domain within a replicate, so the joint null distribution of the
+ball-wise integrated statistics is preserved. p-values use the (1 +
+#{permuted >= observed}) / (B + 1) convention, where a permuted statistic
+within a relative 100 eps of the observed one counts as a tie (``null >= obs
+- |100 eps obs|``, the rule of scipy's ``permutation_test``): ties count as
+extreme, so statistics that are equal in exact arithmetic but were summed in
+another order are never lost, and p is never zero. The adjusted value at a
+grid point is the maximum ball-wise p over all family balls containing the
+point. Every point has a singleton ball unless another point lies at distance
+0 from it, so adjusted >= pointwise holds by construction at every point but
+such coincident ones.
 """
 
 from __future__ import annotations
@@ -26,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import AdjustmentFamily
-from .glm import DesignSpec, HypothesisSpec, StatKernel
+from .glm import StatKernel
+from .mesh import check_memory, memory_limit
 
 __all__ = [
     "RNG_ALGORITHM",
-    "PermutationPlan",
+    "MAX_PERMUTATIONS",
     "PValueFields",
     "InferenceResult",
+    "check_permutations",
     "generate_permutations",
     "run_inference",
 ]
@@ -44,41 +41,32 @@ RNG_ALGORITHM = "PCG64"
 # as a tie.
 TIE_RTOL = 100 * np.finfo(float).eps
 
-
-@dataclass
-class PermutationPlan:
-    """How to generate the permutation null.
-
-    ``permutations`` may carry explicit row permutations (B x N), overriding
-    random generation; used for exhaustive enumeration on small problems.
-    """
-
-    n_permutations: int
-    seed: int = 0
-    permutations: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.permutations is not None:
-            self.permutations = np.asarray(self.permutations, dtype=np.int64)
-            self.n_permutations = self.permutations.shape[0]
-        if self.n_permutations < 1:
-            raise ValueError("need at least one permutation")
+# B + 1 must fit the int32 count grid of ``run_inference``
+MAX_PERMUTATIONS = 2**31 - 2
 
 
-def generate_permutations(plan: PermutationPlan, n_obs: int) -> np.ndarray:
-    """The (B, N) permutation array for a plan, deterministic in the seed."""
-    if plan.permutations is not None:
-        perms = plan.permutations
-        if perms.shape[1] != n_obs:
-            raise ValueError("explicit permutations have the wrong length")
-        # the engine inverts each row, so each must be a permutation
-        if not (np.sort(perms, axis=1) == np.arange(n_obs)).all():
-            raise ValueError("explicit permutations must each reorder 0..N-1")
-        return perms
-    rng = np.random.default_rng(plan.seed)
-    return np.array(
-        [rng.permutation(n_obs) for _ in range(plan.n_permutations)], dtype=np.int64
-    )
+def check_permutations(n_permutations: int, n_obs: int) -> None:
+    """Refuse B permutations of N observations that could not be counted or
+    held: B past ``MAX_PERMUTATIONS``, or a (B, N) int64 array past
+    ``memory_limit()``."""
+    if n_permutations < 1:
+        raise ValueError("need at least one permutation")
+    if n_permutations > MAX_PERMUTATIONS:
+        raise ValueError(f"permutations must be at most {MAX_PERMUTATIONS}, the most "
+                         f"that the int32 counts hold, got {n_permutations}")
+    check_memory(f"permutations = {n_permutations} of {n_obs} observations",
+                 8 * n_permutations * n_obs, memory_limit())
+
+
+def generate_permutations(n_permutations: int, seed: int, n_obs: int) -> np.ndarray:
+    """The (B, N) array of B random permutations of 0..N-1, drawn one row at
+    a time from the seed's PCG64 stream, after ``check_permutations``."""
+    check_permutations(n_permutations, n_obs)
+    rng = np.random.default_rng(seed)
+    perms = np.empty((n_permutations, n_obs), dtype=np.int64)
+    for row in perms:
+        row[:] = rng.permutation(n_obs)
+    return perms
 
 
 @dataclass
@@ -119,14 +107,14 @@ def _tie_floor(observed: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 
 def run_inference(
-    signals: np.ndarray,
-    design: DesignSpec,
-    hypothesis: HypothesisSpec,
-    family: AdjustmentFamily,
-    plan: PermutationPlan,
+    kernel: StatKernel, family: AdjustmentFamily, perms: np.ndarray
 ) -> InferenceResult:
     """Full pipeline: permutation null, p-values, sup adjustment.
 
+    ``kernel`` gives the fields of the signals permuted by each row of the
+    (B, N) ``perms`` (``generate_permutations``), the observed field being
+    its identity row. The shape is checked (``check_permutations``), then
+    that each row reorders 0..N-1, before any field is computed.
     Permutations are processed in chunks of ``family.chunk_size()``
     (``domain.CHUNK_PERMUTATIONS``, fewer when a chunk would need more than
     ``domain.CHUNK_BYTES``). A chunk's fields come from one ``StatKernel``
@@ -143,11 +131,17 @@ def run_inference(
     counts and one tile of at most ``TILE_MAX_VALUES`` values, never a
     permuted statistic per ball.
     """
-    Y = np.asarray(signals, dtype=float)
-    perms = generate_permutations(plan, Y.shape[0])
-    B = perms.shape[0]
-    kernel = StatKernel(Y, design, hypothesis)
-    T_obs = kernel.fields(np.arange(Y.shape[0])[None, :])[0]
+    N, perms = kernel.n_obs, np.asarray(perms)
+    if perms.ndim != 2 or perms.shape[1] != N:
+        raise ValueError("explicit permutations have the wrong length")
+    B = len(perms)
+    check_permutations(B, N)
+    # the kernel inverts each row, so each must be a permutation; a few rows
+    # at a time, so the check never copies the whole array
+    if not all((np.sort(perms[s:s + 4096], axis=1) == np.arange(N)).all()
+               for s in range(0, B, 4096)):
+        raise ValueError("explicit permutations must each reorder 0..N-1")
+    T_obs = kernel.fields(np.arange(N)[None, :])[0]
     floor_slots = family.integrated_slots(T_obs)
     ball_obs = family.ball_values(floor_slots)
     point_floor = _tie_floor(T_obs)
@@ -157,7 +151,6 @@ def run_inference(
 
     chunk_size = family.chunk_size()
     point_counts = np.zeros(T_obs.shape[0], dtype=np.int64)
-    # B + 1 < 2**31: the (B, N) permutations could not be held long before that
     count_slots = np.zeros(floor_slots.shape, dtype=np.int32)
     for start in range(0, B, chunk_size):
         fields = kernel.fields(perms[start:start + chunk_size])

@@ -23,7 +23,7 @@ from scipy.sparse import coo_matrix, csr_matrix, kron
 from scipy.sparse.csgraph import dijkstra
 
 from ballwise.domain import mesh_component
-from ballwise.glm import DesignSpec, StatKernel
+from ballwise.glm import StatKernel
 from ballwise.mesh import (
     _ICO_FACES,
     _ICO_VERTICES,
@@ -32,7 +32,7 @@ from ballwise.mesh import (
     TriangulatedManifold,
     build_icosphere,
 )
-from ballwise.permute import PValueFields, generate_permutations
+from ballwise.permute import PValueFields
 
 
 # --- triangle areas --------------------------------------------------------------
@@ -486,24 +486,23 @@ class NullDistribution:
         return self.permuted_fields.shape[0]
 
 
-def observed_field(signals, design, hypothesis) -> np.ndarray:
+def observed_field(signals, statistic, design) -> np.ndarray:
     """The statistic at every grid point: a ``StatKernel``'s identity row."""
-    kernel = StatKernel(signals, design, hypothesis)
+    kernel = StatKernel(signals, statistic, design)
     return kernel.fields(np.arange(kernel.n_obs)[None, :])[0]
 
 
 def null_distribution(
-    signals, design, hypothesis, family, plan, scheme="raw_label_permutation"
+    signals, statistic, design, family, perms, scheme="raw_label_permutation"
 ) -> NullDistribution:
     """The full permutation null, every permuted field and ball statistic,
-    each permuted copy of the signals made by ``permute_once`` under
-    ``scheme``."""
+    one per row of the (B, N) ``perms``, each permuted copy of the signals
+    made by ``permute_once`` under ``scheme``."""
     Y = np.asarray(signals, dtype=float)
-    perms = generate_permutations(plan, Y.shape[0])
-    T_obs = observed_field(Y, design, hypothesis)
+    T_obs = observed_field(Y, statistic, design)
     ball_obs = family.ball_values(family.integrated_slots(T_obs))
     T_perm = np.stack(
-        [observed_field(permute_once(Y, scheme, p), design, hypothesis) for p in perms]
+        [observed_field(permute_once(Y, scheme, p), statistic, design) for p in perms]
     )
     ball_perm = family.ball_values(family.integrated_slots(T_perm)).T
     return NullDistribution(T_obs, ball_obs, T_perm, ball_perm)
@@ -629,26 +628,23 @@ def slope_sq(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 # --- least squares ----------------------------------------------------------------
 
-def design_matrix(design: DesignSpec) -> np.ndarray:
-    """Intercept column plus covariates; must be full column rank."""
-    cols = [np.ones(design.n_obs)]
-    if design.covariates is not None:
-        cols.extend(design.covariates.T)
-    X = np.column_stack(cols)
+def design_matrix(covariates) -> np.ndarray:
+    """Intercept column plus the covariates, N numbers or N x K; must be full
+    column rank."""
+    c = np.asarray(covariates, dtype=float)
+    X = np.column_stack([np.ones(len(c)), c])
     if np.linalg.matrix_rank(X) < X.shape[1]:
         raise ValueError("design matrix is rank deficient")
     return X
 
 
 def ols_fit(y: np.ndarray, X, compute_se: bool = True):
-    """Ordinary least squares of y on the columns of X.
+    """Ordinary least squares of y on the columns of the design matrix X
+    (``design_matrix`` puts the intercept beside covariates).
 
-    ``X`` is a design matrix or a ``DesignSpec`` (intercept implied).
     Returns (coefficients, residuals, standard_errors); standard errors are
     None when ``compute_se`` is False.
     """
-    if isinstance(X, DesignSpec):
-        X = design_matrix(X)
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     n, k = X.shape

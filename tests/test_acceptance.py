@@ -21,9 +21,9 @@ from ballwise.domain import (
     mesh_component,
 )
 from ballwise.evalsim import ScenarioConfig, cap_region_mask, run_scenario
-from ballwise.glm import DesignSpec, HypothesisSpec
+from ballwise.glm import StatKernel
 from ballwise.mesh import build_icosphere
-from ballwise.permute import PermutationPlan, run_inference
+from ballwise.permute import generate_permutations, run_inference
 from oracles import (
     boundary_vertices,
     integrated_stat,
@@ -131,10 +131,9 @@ def test_exhaustive_permutation_oracle(octahedron):
     perms = np.array(
         [list(g1) + [i for i in range(4) if i not in g1] for g1 in relabelings]
     )
-    plan = PermutationPlan(B, permutations=perms)
-    design, hyp = DesignSpec(group_labels=[0, 0, 1, 1]), HypothesisSpec("t_two_sample_sq")
-    materialised = pvalues(null_distribution(Y, design, hyp, fam, plan), fam)
-    engine = run_inference(Y, design, hyp, fam, plan).p
+    design, statistic = [0, 0, 1, 1], "t_two_sample_sq"
+    materialised = pvalues(null_distribution(Y, statistic, design, fam, perms), fam)
+    engine = run_inference(StatKernel(Y, statistic, design), fam, perms).p
     elapsed = time.monotonic() - start
     ok = elapsed < 1.0
     for p in (materialised, engine):
@@ -319,8 +318,8 @@ def test_partial_null_error_control(setting, seed):
 def test_structural_invariants(unit_tetrahedron):
     start = time.monotonic()
     rng = np.random.default_rng(3)
-    design = DesignSpec(group_labels=[0] * 5 + [1] * 5)
-    hyp = HypothesisSpec("t_two_sample_sq")
+    design = [0] * 5 + [1] * 5
+    statistic = "t_two_sample_sq"
     B = 60
 
     # one product-domain run under each cap; shared data
@@ -334,8 +333,8 @@ def test_structural_invariants(unit_tetrahedron):
             [mesh_component(mesh, radius_cap=cap), circle_component(6)]
         )
         fam = enumerate_family(dom)
-        plan = PermutationPlan(B, seed=17)
-        res = run_inference(Y, design, hyp, fam, plan)
+        perms = generate_permutations(B, 17, len(Y))
+        res = run_inference(StatKernel(Y, statistic, design), fam, perms)
         p = res.p
         checks.append(np.all(p.adjusted >= p.pointwise))
         for arr in (p.pointwise, p.ballwise, p.adjusted):
@@ -344,7 +343,7 @@ def test_structural_invariants(unit_tetrahedron):
             checks.append(np.all((k >= 1) & (k <= B + 1)))
         adj[cap] = p.adjusted
         # fixed-seed rerun is byte-identical
-        rerun = run_inference(Y, design, hyp, fam, plan)
+        rerun = run_inference(StatKernel(Y, statistic, design), fam, perms)
         checks.append(p.tobytes() == rerun.p.tobytes())
     checks.append(np.all(adj[1.2] >= adj[0.5] - 1e-15))
     checks.append(np.all(adj[np.inf] >= adj[1.2] - 1e-15))

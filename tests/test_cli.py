@@ -24,14 +24,13 @@ from ballwise.domain import (
     mesh_component,
 )
 from ballwise.glm import (
-    DesignSpec,
-    HypothesisSpec,
+    StatKernel,
     load_signals_csv,
     save_signals_bin,
     save_signals_csv,
 )
 from ballwise.mesh import build_icosphere, load_distance_cache, load_mesh
-from ballwise.permute import InferenceResult, PermutationPlan, PValueFields, run_inference
+from ballwise.permute import InferenceResult, PValueFields, generate_permutations, run_inference
 from oracles import weight_matrix
 
 
@@ -805,6 +804,67 @@ def missing_scenario_mesh(tmp_path, monkeypatch):
     return argv, f"scenario[0].domain.components[0]: mesh file not found: {tmp_path / 'nope.off'}"
 
 
+def refuse_past_the_build(monkeypatch):
+    """Fail if the family is enumerated or the noise sampler is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past the refusal")
+
+    for module, name in ((domain, "enumerate_family"), (evalsim, "enumerate_family"),
+                         (evalsim, "GaussianFieldSampler")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def permutations_past_the_counts(tmp_path, monkeypatch):
+    # B + 1 must fit the int32 count grid; nothing is drawn
+    refuse_past_the_build(monkeypatch)
+    argv = run_argv(tmp_path, lambda c: c["inference"].update(permutations=2**31 - 1))
+    return argv, ("inference: permutations must be at most 2147483646, the most that the "
+                  "int32 counts hold, got 2147483647")
+
+
+def permutations_over_the_limit(tmp_path, monkeypatch):
+    refuse_past_the_build(monkeypatch)
+    monkeypatch.setattr(permute, "memory_limit", lambda: 1_000_000)
+    argv = run_argv(tmp_path, lambda c: c["inference"].update(permutations=100_000))
+    return argv, ("inference: permutations = 100000 of 8 observations would need up to "
+                  "6.4 MB, over the limit of 1.0 MB (half of physical memory or of the "
+                  "address-space limit)")
+
+
+def distance_rows_over_the_limit(component, message):
+    """A ``test`` run whose one component is ``component``, with the mesh
+    layer's limit at 1 MB: its distance rows are refused while gathered."""
+    def make(tmp_path, monkeypatch):
+        refuse_past_the_build(monkeypatch)
+        monkeypatch.setattr(mesh, "memory_limit", lambda: 1_000_000)
+        argv = run_argv(tmp_path, lambda c: c["domain"].update(components=[component]))
+        return argv, (f"domain.components[0]: distance rows of {message}, over the limit "
+                      "of 1.0 MB (half of physical memory or of the address-space limit); "
+                      "use a smaller radius_cap or a coarser grid")
+
+    make.__name__ = f"{component['kind']}_rows_over_the_limit"
+    return make
+
+
+def scenario_over_the_limit(key, value, message):
+    """A one-scenario ``simulate`` run on an order-1 icosphere with ``key``
+    set to ``value``, with the scenario's limits at 1 MB."""
+    def make(tmp_path, monkeypatch):
+        refuse_past_the_build(monkeypatch)
+        monkeypatch.setattr(evalsim, "memory_limit", lambda: 1_000_000)
+        monkeypatch.setattr(permute, "memory_limit", lambda: 1_000_000)
+        scenario = {"icosphere_order": 1, "n_samples": 8, "permutations": 9,
+                    "replicates": 1, "seed": 1, key: value}
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps([scenario]))
+        argv = ["simulate", "--config", str(sweep), "--out", str(tmp_path / "r.csv")]
+        return argv, (f"scenario[0]: {key} = {value} {message}, over the limit of 1.0 MB "
+                      "(half of physical memory or of the address-space limit)")
+
+    make.__name__ = f"scenario_{key}_over_the_limit"
+    return make
+
+
 @pytest.mark.parametrize("make", [
     empty_components, object_components, zero_variance, nan_vertex_distances,
     nan_vertex_test, overflowing_vertex_test, nan_edge_length, zero_area_mesh,
@@ -813,6 +873,18 @@ def missing_scenario_mesh(tmp_path, monkeypatch):
     directory_as_mesh, directory_as_data, data_path_not_a_string, output_among_directories,
     out_in_missing_directory, out_names_a_directory, icosphere_over_the_limit,
     icosphere_component_over_the_limit, missing_scenario_mesh,
+    permutations_past_the_counts, permutations_over_the_limit,
+    # 12 bytes a slot: 362 rows of 362, and a first block of 1000-long rows
+    distance_rows_over_the_limit({"kind": "icosphere", "order": 6},
+                                 "362 points would need up to 1.6 MB"),
+    distance_rows_over_the_limit({"kind": "circle", "points": 1000},
+                                 "1000 points would need up to 12.0 MB"),
+    # 17 bytes a point per sample, 11 a point and 400 per replicate, 8 per
+    # permuted observation
+    scenario_over_the_limit("n_samples", 10_000, "on 12 points would need up to 2.0 MB"),
+    scenario_over_the_limit("replicates", 10_000, "on 12 points would need up to 5.3 MB"),
+    scenario_over_the_limit("permutations", 100_000,
+                            "of 8 observations would need up to 6.4 MB"),
 ], ids=lambda make: make.__name__.replace("_", "-"))
 def test_degenerate_input(tmp_path, capsys, monkeypatch, make):
     # each exits 2 naming the input, and writes nothing, not even a temp file;
@@ -1520,9 +1592,8 @@ def small_inference(components):
     """A family on ``components`` and a run_inference result on random data."""
     fam = enumerate_family(ProductDomain(components))
     Y = np.random.default_rng(0).standard_normal((8, fam.domain.size))
-    plan = PermutationPlan(9, seed=1)
-    design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
-    return fam, run_inference(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
+    kernel = StatKernel(Y, "t_two_sample_sq", [0] * 4 + [1] * 4)
+    return fam, run_inference(kernel, fam, generate_permutations(9, 1, len(Y)))
 
 
 # the last domain's interval coordinates are floats and go through the formatter

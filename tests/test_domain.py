@@ -20,7 +20,7 @@ from ballwise.domain import (
     interval_component,
     mesh_component,
 )
-from ballwise.glm import DesignSpec, HypothesisSpec
+from ballwise.glm import StatKernel
 from ballwise.mesh import TriangulatedManifold, build_icosphere
 from oracles import (
     admissible_mask,
@@ -645,11 +645,9 @@ class TestPrefixOperators:
         fam = enumerate_family(ProductDomain(make()))
         Y = np.random.default_rng(seed).standard_normal((8, fam.domain.size))
         res = permute.run_inference(
-            Y,
-            DesignSpec(group_labels=[0] * 4 + [1] * 4),
-            HypothesisSpec("t_two_sample_sq"),
+            StatKernel(Y, "t_two_sample_sq", [0] * 4 + [1] * 4),
             fam,
-            permute.PermutationPlan(19, seed=seed),
+            permute.generate_permutations(19, seed, len(Y)),
         )
         adjusted = res.p.adjusted.tobytes()
         assert adjusted == fam.cover(fam.to_slots(res.p.ballwise)).tobytes()

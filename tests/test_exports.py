@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,3 +156,17 @@ def test_manifest_without_scipy(cli_runs, monkeypatch):
     monkeypatch.chdir(cli_runs)
     assert main(["test", "--config", "run.json", "--out-dir", "o4"]) == 0
     assert json.loads((cli_runs / "o4" / "manifest.json").read_text())["scipy"] is None
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # README's library examples, in order in one namespace, as a reader runs
+    # them: a renamed or re-signed call fails here
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
+    assert namespace["result"].p.adjusted.shape == (namespace["domain"].size,)
+    assert 0 <= namespace["rates"].fwer <= 1

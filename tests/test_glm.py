@@ -8,15 +8,15 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from ballwise.glm import (
-    DesignSpec,
-    HypothesisSpec,
     StatKernel,
+    design_vector,
     load_signals_bin,
     load_signals_csv,
     save_signals_bin,
     save_signals_csv,
 )
 from oracles import (
+    design_matrix,
     observed_field,
     ols_fit,
     permute_once,
@@ -66,7 +66,7 @@ class TestOlsFit:
             ols_fit(np.array([1.0, 2.0]), X)
 
     def test_accepts_design_spec(self):
-        d = DesignSpec(covariates=np.array([0.0, 1.0, 2.0]))
+        d = design_matrix(np.array([0.0, 1.0, 2.0]))
         beta, _, _ = ols_fit(np.array([0.0, 1.0, 3.0]), d)
         assert beta[1] == pytest.approx(1.5)
 
@@ -152,8 +152,8 @@ class TestSlopeSq:
 class TestStatField:
     def test_single_column_wraps_scalar(self):
         y = np.array([[1.0], [2.0], [3.0], [4.0]])
-        design = DesignSpec(group_labels=[0, 0, 1, 1])
-        field = observed_field(y, design, HypothesisSpec("t_two_sample_sq"))
+        design = [0, 0, 1, 1]
+        field = observed_field(y, "t_two_sample_sq", design)
         assert field.shape == (1,)
         # means 1.5 and 3.5, pooled variance 0.5: t^2 = 4 / (0.5 * (1/2 + 1/2))
         assert field[0] == 8.0
@@ -163,53 +163,53 @@ class TestStatField:
         rng = np.random.default_rng(5)
         col = rng.standard_normal(6)
         Y = np.column_stack([col, col])
-        design = DesignSpec(group_labels=[0, 0, 0, 1, 1, 1])
-        field = observed_field(Y, design, HypothesisSpec("t_two_sample_sq"))
+        design = [0, 0, 0, 1, 1, 1]
+        field = observed_field(Y, "t_two_sample_sq", design)
         assert field[0] == field[1]
 
     @pytest.mark.parametrize(
         "statistic,design_kwargs",
         [
-            ("t_two_sample_sq", {"group_labels": [0, 0, 0, 1, 1, 1]}),
-            ("t_trend_cutoff", {"covariates": np.arange(6.0)}),
-            ("slope_sq", {"covariates": np.arange(6.0)}),
+            ("t_two_sample_sq", {"design": [0, 0, 0, 1, 1, 1]}),
+            ("t_trend_cutoff", {"design": np.arange(6.0)}),
+            ("slope_sq", {"design": np.arange(6.0)}),
         ],
     )
     def test_columnwise_matches_scalar_calls(self, statistic, design_kwargs):
         rng = np.random.default_rng(7)
         Y = rng.standard_normal((6, 4))
-        design = DesignSpec(**design_kwargs)
-        field = observed_field(Y, design, HypothesisSpec(statistic))
+        design = design_kwargs["design"]
+        field = observed_field(Y, statistic, **design_kwargs)
         for j in range(4):
             if statistic == "t_two_sample_sq":
-                expected = t_two_sample_sq(Y[:, j], design.group_labels)
+                expected = t_two_sample_sq(Y[:, j], design)
             elif statistic == "t_trend_cutoff":
-                expected = t_trend_cutoff(Y[:, j], design.covariates[:, 0])
+                expected = t_trend_cutoff(Y[:, j], design)
             else:
-                expected = slope_sq(Y[:, j], design.covariates[:, 0])
+                expected = slope_sq(Y[:, j], design)
             assert field[j] == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegativity(self):
         rng = np.random.default_rng(11)
         Y = rng.standard_normal((8, 10))
-        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
-        assert np.all(observed_field(Y, design, HypothesisSpec("t_two_sample_sq")) >= 0)
+        design = [0] * 4 + [1] * 4
+        assert np.all(observed_field(Y, "t_two_sample_sq", design) >= 0)
 
     def test_unknown_statistic(self):
         with pytest.raises(ValueError, match="unknown statistic"):
-            HypothesisSpec("wilcoxon")
+            StatKernel(np.zeros((4, 2)), "wilcoxon", [0, 0, 1, 1])
 
     def test_nonfinite_rejected(self):
         Y = np.array([[1.0, np.nan], [2.0, 3.0], [0.0, 1.0], [1.0, 2.0]])
-        design = DesignSpec(group_labels=[0, 0, 1, 1])
+        design = [0, 0, 1, 1]
         with pytest.raises(ValueError, match="non-finite"):
-            observed_field(Y, design, HypothesisSpec("t_two_sample_sq"))
+            observed_field(Y, "t_two_sample_sq", design)
 
 
 STATISTIC_DESIGNS = [
-    ("t_two_sample_sq", {"group_labels": [0, 0, 0, 1, 1, 1]}),
-    ("t_trend_cutoff", {"covariates": np.arange(6.0)}),
-    ("slope_sq", {"covariates": np.arange(6.0)}),
+    ("t_two_sample_sq", {"design": [0, 0, 0, 1, 1, 1]}),
+    ("t_trend_cutoff", {"design": np.arange(6.0)}),
+    ("slope_sq", {"design": np.arange(6.0)}),
 ]
 
 
@@ -230,9 +230,7 @@ class TestStatKernel:
         Y = offset + rng.standard_normal((N, 200))
         groups = np.repeat([0, 1], N // 2)
         t = np.arange(float(N))
-        field = observed_field(
-            Y, DesignSpec(group_labels=groups), HypothesisSpec("t_two_sample_sq")
-        )
+        field = observed_field(Y, "t_two_sample_sq", groups)
         ref = t_two_sample_sq(Y, groups)
         diff = np.abs(Y[:15].mean(axis=0) - Y[15:].mean(axis=0))
         eps = np.finfo(float).eps
@@ -246,14 +244,10 @@ class TestStatKernel:
             ss = sum((v - ma) ** 2 for v in a) + sum((v - mb) ** 2 for v in b)
             exact = float((ma - mb) ** 2 / (ss / (N - 2) * Fraction(2, 15)))
             assert field[j] == pytest.approx(exact, rel=1e-14)
-        design = DesignSpec(covariates=t)
         np.testing.assert_allclose(
-            observed_field(Y, design, HypothesisSpec("t_trend_cutoff")),
-            t_trend_cutoff(Y, t), rtol=1e-12,
+            observed_field(Y, "t_trend_cutoff", t), t_trend_cutoff(Y, t), rtol=1e-12
         )
-        np.testing.assert_allclose(
-            observed_field(Y, design, HypothesisSpec("slope_sq")), slope_sq(Y, t), rtol=1e-12
-        )
+        np.testing.assert_allclose(observed_field(Y, "slope_sq", t), slope_sq(Y, t), rtol=1e-12)
 
     @pytest.mark.parametrize("statistic,design_kwargs", STATISTIC_DESIGNS)
     @pytest.mark.parametrize("null", ["none", "intercept"])
@@ -266,11 +260,11 @@ class TestStatKernel:
         rng = np.random.default_rng(5)
         Y = rng.standard_normal((6, 40)) + 3
         scheme = {"none": "raw_label_permutation", "intercept": "freedman_lane"}[null]
-        design, hyp = DesignSpec(**design_kwargs), HypothesisSpec(statistic)
         perms = np.array([rng.permutation(6) for _ in range(12)])
-        fields = StatKernel(Y, design, hyp).fields(perms)
+        fields = StatKernel(Y, statistic, **design_kwargs).fields(perms)
         expected = np.stack(
-            [observed_field(permute_once(Y, scheme, p), design, hyp) for p in perms]
+            [observed_field(permute_once(Y, scheme, p), statistic, **design_kwargs)
+             for p in perms]
         )
         np.testing.assert_allclose(fields, expected, rtol=1e-9)
         np.testing.assert_array_equal(fields == 0, expected == 0)
@@ -280,9 +274,7 @@ class TestStatKernel:
         # permuted design and the same sums
         rng = np.random.default_rng(2)
         Y = rng.standard_normal((8, 30))
-        kernel = StatKernel(
-            Y, DesignSpec(group_labels=[0, 1] * 4), HypothesisSpec("t_two_sample_sq")
-        )
+        kernel = StatKernel(Y, "t_two_sample_sq", [0, 1] * 4)
         p = rng.permutation(8)
         q = p.copy()
         q[[0, 2, 4, 6]] = p[[2, 6, 0, 4]]
@@ -296,8 +288,8 @@ class TestStatKernel:
         # observed grouping must give its bits in any chunk, or the tie is lost
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((8, 2562))
-        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
-        kernel = StatKernel(Y, design, HypothesisSpec("t_two_sample_sq"))
+        design = [0] * 4 + [1] * 4
+        kernel = StatKernel(Y, "t_two_sample_sq", design)
         perms = np.array([rng.permutation(8) for _ in range(16)])
         chunk = kernel.fields(perms)
         for p, row in zip(perms, chunk):
@@ -308,10 +300,7 @@ class TestStatKernel:
         # under a within-group permutation (the same grouping)
         y = np.array([0.3, 0.3, 0.3, 1.7, 1.7, 1.7])
         Y = np.column_stack([np.random.default_rng(0).standard_normal(6), y])
-        kernel = StatKernel(
-            Y, DesignSpec(group_labels=[0, 0, 0, 1, 1, 1]),
-            HypothesisSpec("t_two_sample_sq"),
-        )
+        kernel = StatKernel(Y, "t_two_sample_sq", [0, 0, 0, 1, 1, 1])
         for perm in ([0, 1, 2, 3, 4, 5], [2, 0, 1, 5, 3, 4]):
             with pytest.raises(ValueError, match=r"zero residual variance.*\[1\]"):
                 kernel.fields(np.array([perm]))
@@ -322,13 +311,12 @@ class TestStatKernel:
         # tied covariate values: swapping tied rows keeps the perfect fit
         t = np.array([0.0, 0.0, 1.5, 1.5, 4.0, 4.0])
         Y = np.column_stack([0.7 + 2.9 * t, -0.2 - 1.3 * t, np.full(6, 0.1)])
-        design, hyp = DesignSpec(covariates=t), HypothesisSpec("t_trend_cutoff")
-        kernel = StatKernel(Y[:, :1], design, hyp)
+        kernel = StatKernel(Y[:, :1], "t_trend_cutoff", t)
         for perm in ([0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4]):
             with pytest.raises(ValueError, match="zero residual variance"):
                 kernel.fields(np.array([perm]))
         # a perfect negative trend and a constant column are floored to 0
-        kernel = StatKernel(Y[:, 1:], design, hyp)
+        kernel = StatKernel(Y[:, 1:], "t_trend_cutoff", t)
         np.testing.assert_array_equal(kernel.fields(np.array([[1, 0, 3, 2, 5, 4]])), 0.0)
 
     def test_constant_column_is_zero_under_every_permutation(self):
@@ -336,19 +324,38 @@ class TestStatKernel:
         rng = np.random.default_rng(4)
         perms = np.array([rng.permutation(6) for _ in range(10)])
         for statistic, design_kwargs in STATISTIC_DESIGNS:
-            kernel = StatKernel(Y, DesignSpec(**design_kwargs), HypothesisSpec(statistic))
+            kernel = StatKernel(Y, statistic, **design_kwargs)
             np.testing.assert_array_equal(kernel.fields(perms)[:, 0], 0.0)
 
     def test_design_checks(self):
         Y = np.zeros((4, 2))
         with pytest.raises(ValueError, match="3 observations"):
-            StatKernel(Y[:2], DesignSpec(covariates=[0.0, 1.0]), HypothesisSpec("t_trend_cutoff"))
+            StatKernel(Y[:2], "t_trend_cutoff", [0.0, 1.0])
         with pytest.raises(ValueError, match="non-finite"):
-            StatKernel(Y, DesignSpec(covariates=[0.0, 1.0, np.nan, 2.0]),
-                       HypothesisSpec("slope_sq"))
+            StatKernel(Y, "slope_sq", [0.0, 1.0, np.nan, 2.0])
         with pytest.raises(ValueError, match="4 observations"):
-            StatKernel(np.zeros((5, 2)), DesignSpec(group_labels=[0, 0, 1, 1]),
-                       HypothesisSpec("t_two_sample_sq"))
+            StatKernel(np.zeros((5, 2)), "t_two_sample_sq", [0, 0, 1, 1])
+
+    def test_design_vector_takes_one_vector(self):
+        # a covariate as N numbers, N x 1 or 1 x N is the same centred vector
+        t = [0.0, 1.0, 3.0, 4.0]
+        for given in (t, [[v] for v in t], [t]):
+            np.testing.assert_array_equal(design_vector("slope_sq", given), [-2, -1, 1, 2])
+        np.testing.assert_array_equal(
+            design_vector("t_two_sample_sq", ["b", "a", "a", "b"]), [-0.5, 0.5, 0.5, -0.5]
+        )
+        refused = [
+            ("slope_sq", [[0.0, 1.0]] * 4, "exactly one scalar covariate"),
+            ("slope_sq", None, "exactly one scalar covariate"),
+            ("t_two_sample_sq", None, "requires group_labels"),
+            ("t_two_sample_sq", [0, 1, 2, 2], "exactly two groups"),
+            ("t_two_sample_sq", [0, 1, 1, 1], "at least two observations"),
+            ("slope_sq", [1.0, 1.0, 1.0], "constant"),
+            ("wilcoxon", [0, 0, 1, 1], "unknown statistic"),
+        ]
+        for statistic, design, message in refused:
+            with pytest.raises(ValueError, match=message):
+                design_vector(statistic, design)
 
 
 class TestInvarianceProperties:

@@ -13,9 +13,10 @@ from ballwise.domain import (
     interval_component,
     mesh_component,
 )
-from ballwise.glm import DesignSpec, HypothesisSpec, StatKernel
+from ballwise import permute
+from ballwise.glm import StatKernel
 from ballwise.mesh import TriangulatedManifold, build_icosphere
-from ballwise.permute import PermutationPlan, generate_permutations, run_inference
+from ballwise.permute import generate_permutations, run_inference
 from oracles import (
     NullDistribution,
     ball_weight,
@@ -106,27 +107,47 @@ class TestPermuteOnce:
 
 
 class TestGeneratePermutations:
+    FAMILY = enumerate_family(ProductDomain([circle_component(4)]))
+
+    @staticmethod
+    def kernel():
+        Y = np.random.default_rng(0).standard_normal((3, 4))
+        return StatKernel(Y, "slope_sq", [0.0, 1.0, 2.0])
+
     def test_deterministic(self):
-        plan = PermutationPlan(10, seed=42)
         np.testing.assert_array_equal(
-            generate_permutations(plan, 8), generate_permutations(plan, 8)
+            generate_permutations(10, 42, 8), generate_permutations(10, 42, 8)
         )
 
-    def test_explicit_override(self):
-        perms = np.array([[1, 0, 2], [2, 1, 0]])
-        plan = PermutationPlan(99, permutations=perms)
-        assert plan.n_permutations == 2
-        np.testing.assert_array_equal(generate_permutations(plan, 3), perms)
+    def test_rows_come_from_the_seed_stream(self):
+        rng = np.random.default_rng(42)
+        expected = np.array([rng.permutation(8) for _ in range(10)], dtype=np.int64)
+        perms = generate_permutations(10, 42, 8)
+        assert perms.dtype == np.int64 and perms.tobytes() == expected.tobytes()
 
     def test_wrong_length_rejected(self):
-        plan = PermutationPlan(1, permutations=np.array([[0, 1]]))
         with pytest.raises(ValueError, match="wrong length"):
-            generate_permutations(plan, 3)
+            run_inference(self.kernel(), self.FAMILY, np.array([[0, 1]]))
 
     def test_non_permutation_rejected(self):
-        plan = PermutationPlan(1, permutations=np.array([[0, 0, 2]]))
         with pytest.raises(ValueError, match="reorder"):
-            generate_permutations(plan, 3)
+            run_inference(self.kernel(), self.FAMILY, np.array([[0, 0, 2]]))
+
+    def test_more_than_the_counts_hold_rejected_before_any_field(self, monkeypatch):
+        # B + 1 must fit the int32 count grid; the view allocates nothing
+        perms = np.broadcast_to(np.arange(3), (2**31 - 1, 3))
+        kernel = self.kernel()
+        monkeypatch.setattr(StatKernel, "fields", lambda *args: pytest.fail("a field"))
+        with pytest.raises(ValueError, match="at most 2147483646"):
+            run_inference(kernel, self.FAMILY, perms)
+        with pytest.raises(ValueError, match="at most 2147483646"):
+            generate_permutations(2**31 - 1, 0, 3)
+
+    def test_array_over_the_memory_limit_rejected(self, monkeypatch):
+        monkeypatch.setattr(permute, "memory_limit", lambda: 8 * 10 * 8)
+        assert generate_permutations(10, 0, 8).shape == (10, 8)
+        with pytest.raises(ValueError, match="permutations = 11 of 8 observations"):
+            generate_permutations(11, 0, 8)
 
 
 class TestNullDistribution:
@@ -134,14 +155,14 @@ class TestNullDistribution:
         d, fam = tet_circle_domain
         rng = np.random.default_rng(6)
         Y = rng.standard_normal((8, d.size))
-        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
-        plan = PermutationPlan(1, permutations=np.arange(8)[None, :])
-        hyp = HypothesisSpec("t_two_sample_sq")
-        nd = null_distribution(Y, design, hyp, fam, plan)
+        design = [0] * 4 + [1] * 4
+        perms = np.arange(8)[None, :]
+        statistic = "t_two_sample_sq"
+        nd = null_distribution(Y, statistic, design, fam, perms)
         np.testing.assert_array_equal(nd.permuted_fields[0], nd.observed_field)
         np.testing.assert_array_equal(nd.permuted_ball_stats[0], nd.observed_ball_stats)
         # the engine counts the identity as a tie everywhere: p = 2 / 2
-        p = run_inference(Y, design, hyp, fam, plan).p
+        p = run_inference(StatKernel(Y, statistic, design), fam, perms).p
         for arr in (p.pointwise, p.ballwise, p.adjusted):
             np.testing.assert_array_equal(arr, 1.0)
 
@@ -149,20 +170,20 @@ class TestNullDistribution:
         d, fam = tet_circle_domain
         rng = np.random.default_rng(7)
         Y = rng.standard_normal((6, d.size))
-        design = DesignSpec(group_labels=[0, 0, 0, 1, 1, 1])
+        design = [0, 0, 0, 1, 1, 1]
         swap = np.array([3, 4, 5, 0, 1, 2])
-        plan = PermutationPlan(1, permutations=swap[None, :])
-        hyp = HypothesisSpec("t_two_sample_sq")
-        nd = null_distribution(Y, design, hyp, fam, plan)
+        perms = swap[None, :]
+        statistic = "t_two_sample_sq"
+        nd = null_distribution(Y, statistic, design, fam, perms)
         np.testing.assert_allclose(
             nd.permuted_fields[0], nd.observed_field, rtol=1e-9
         )
         # the engine permutes the design: the swapped grouping's design vector
         # is the negated observed one, so its t^2 is bitwise equal and the
         # swap counts as a tie everywhere
-        fields = StatKernel(Y, design, hyp).fields(np.stack([np.arange(6), swap]))
+        fields = StatKernel(Y, statistic, design).fields(np.stack([np.arange(6), swap]))
         assert fields[1].tobytes() == fields[0].tobytes()
-        p = run_inference(Y, design, hyp, fam, plan).p
+        p = run_inference(StatKernel(Y, statistic, design), fam, perms).p
         for arr in (p.pointwise, p.ballwise, p.adjusted):
             np.testing.assert_array_equal(arr, 1.0)
 
@@ -210,11 +231,10 @@ class TestExhaustiveOracle:
         perms = np.array(
             [list(g1) + [i for i in range(4) if i not in g1] for g1 in relabelings]
         )
-        design = DesignSpec(group_labels=[0, 0, 1, 1])
-        plan = PermutationPlan(len(perms), permutations=perms)
-        hyp = HypothesisSpec("t_two_sample_sq")
-        materialised = pvalues(null_distribution(Y, design, hyp, fam, plan), fam)
-        engine = run_inference(Y, design, hyp, fam, plan).p
+        design = [0, 0, 1, 1]
+        statistic = "t_two_sample_sq"
+        materialised = pvalues(null_distribution(Y, statistic, design, fam, perms), fam)
+        engine = run_inference(StatKernel(Y, statistic, design), fam, perms).p
         for p in (materialised, engine):
             np.testing.assert_array_equal(p.pointwise, p_point_oracle)
             np.testing.assert_array_equal(p.ballwise, p_ball_oracle)
@@ -258,10 +278,8 @@ class TestTies:
             Y[7] = Y[0]
         labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         exact = self.exact_p(Y, labels)
-        plan = PermutationPlan(self.B, seed=seed)
-        p = run_inference(
-            Y, DesignSpec(group_labels=labels), HypothesisSpec("t_two_sample_sq"), fam, plan
-        ).p
+        perms = generate_permutations(self.B, seed, len(Y))
+        p = run_inference(StatKernel(Y, "t_two_sample_sq", labels), fam, perms).p
         floor = exact - 4 * np.sqrt(exact * (1 - exact) / self.B)
         assert np.all(p.pointwise >= floor)
         # singleton balls: each ball's statistic is its point's, times a weight
@@ -308,9 +326,9 @@ class TestPValues:
         d, fam = tet_circle_domain
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((8, d.size))
-        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
-        plan = PermutationPlan(25, seed=1)
-        res = run_inference(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
+        design = [0] * 4 + [1] * 4
+        perms = generate_permutations(25, 1, len(Y))
+        res = run_inference(StatKernel(Y, "t_two_sample_sq", design), fam, perms)
         B = 25
         for arr in (res.p.pointwise, res.p.ballwise, res.p.adjusted):
             k = np.round(arr * (B + 1))
@@ -345,9 +363,9 @@ class TestEngineProperties:
         d, fam = tet_circle_domain
         rng = np.random.default_rng(11)
         Y = rng.standard_normal((10, d.size))
-        design = DesignSpec(group_labels=[0] * 5 + [1] * 5)
-        plan = PermutationPlan(40, seed=2)
-        res = run_inference(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
+        design = [0] * 5 + [1] * 5
+        perms = generate_permutations(40, 2, len(Y))
+        res = run_inference(StatKernel(Y, "t_two_sample_sq", design), fam, perms)
         assert np.all(res.p.adjusted >= res.p.pointwise)
 
     def test_coincident_vertices_have_no_singleton(self):
@@ -368,35 +386,35 @@ class TestEngineProperties:
         assert np.flatnonzero(~fam.component_balls[0].kept[:, 0]).tolist() == [5, 16]
         others = np.arange(m.n_vertices) != 5
         others[16] = False
-        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
+        design = [0] * 4 + [1] * 4
         for seed in range(5):
             Y = np.random.default_rng(seed).standard_normal((8, m.n_vertices))
-            plan = PermutationPlan(60, seed=seed)
-            res = run_inference(Y, design, HypothesisSpec("t_two_sample_sq"), fam, plan)
+            perms = generate_permutations(60, seed, len(Y))
+            res = run_inference(StatKernel(Y, "t_two_sample_sq", design), fam, perms)
             assert np.all(res.p.adjusted[others] >= res.p.pointwise[others]), seed
 
     def test_cap_enlargement_never_decreases_adjusted(self, octahedron):
         rng = np.random.default_rng(12)
-        design = DesignSpec(group_labels=[0] * 5 + [1] * 5)
-        hyp = HypothesisSpec("t_two_sample_sq")
+        design = [0] * 5 + [1] * 5
+        statistic = "t_two_sample_sq"
         results = {}
         for cap in [0.5, 1.8, np.inf]:
             dom = ProductDomain([mesh_component(octahedron, radius_cap=cap)])
             fam = enumerate_family(dom)
             Y = np.random.default_rng(99).standard_normal((10, dom.size))
-            plan = PermutationPlan(30, seed=3)
-            results[cap] = run_inference(Y, design, hyp, fam, plan).p.adjusted
+            perms = generate_permutations(30, 3, len(Y))
+            results[cap] = run_inference(StatKernel(Y, statistic, design), fam, perms).p.adjusted
         assert np.all(results[1.8] >= results[0.5] - 1e-15)
         assert np.all(results[np.inf] >= results[1.8] - 1e-15)
 
     def test_seed_determinism_bit_identical(self, tet_circle_domain):
         d, fam = tet_circle_domain
         Y = np.random.default_rng(13).standard_normal((8, d.size))
-        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
-        hyp = HypothesisSpec("t_two_sample_sq")
-        plan = PermutationPlan(20, seed=7)
-        a = run_inference(Y, design, hyp, fam, plan).p.tobytes()
-        b = run_inference(Y, design, hyp, fam, plan).p.tobytes()
+        design = [0] * 4 + [1] * 4
+        statistic = "t_two_sample_sq"
+        perms = generate_permutations(20, 7, len(Y))
+        a = run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes()
+        b = run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes()
         assert a == b
 
     @pytest.mark.parametrize("statistic", ["t_two_sample_sq", "t_trend_cutoff", "slope_sq"])
@@ -413,40 +431,40 @@ class TestEngineProperties:
             Y = rng.standard_normal((30, fam.domain.size))
             Y = Y * rng.uniform(0.1, 100.0) + rng.uniform(-1000.0, 1000.0)
             if statistic == "t_two_sample_sq":
-                design = DesignSpec(group_labels=[0] * 15 + [1] * 15)
+                design = [0] * 15 + [1] * 15
             else:
-                design = DesignSpec(covariates=rng.standard_normal(30))
-            hyp, plan = HypothesisSpec(statistic), PermutationPlan(100, seed=seed)
-            nd = null_distribution(Y, design, hyp, fam, plan, "freedman_lane")
+                design = rng.standard_normal(30)
+            perms = generate_permutations(100, seed, len(Y))
+            nd = null_distribution(Y, statistic, design, fam, perms, "freedman_lane")
             p = [
                 pvalues(nd, fam).tobytes(),
-                run_inference(Y, design, hyp, fam, plan).p.tobytes(),
+                run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes(),
             ]
             assert p[0] == p[1], seed
 
     def test_chunked_matches_materialized(self, tet_circle_domain, monkeypatch):
         d, fam = tet_circle_domain
         Y = np.random.default_rng(14).standard_normal((8, d.size))
-        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
-        hyp = HypothesisSpec("t_two_sample_sq")
+        design = [0] * 4 + [1] * 4
+        statistic = "t_two_sample_sq"
         monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", 4)
-        plan = PermutationPlan(23, seed=5)
-        p_chunk = run_inference(Y, design, hyp, fam, plan).p
+        perms = generate_permutations(23, 5, len(Y))
+        p_chunk = run_inference(StatKernel(Y, statistic, design), fam, perms).p
         for scheme in ("freedman_lane", "raw_label_permutation"):
-            nd = null_distribution(Y, design, hyp, fam, plan, scheme)
+            nd = null_distribution(Y, statistic, design, fam, perms, scheme)
             assert pvalues(nd, fam).tobytes() == p_chunk.tobytes()
 
     def test_chunk_size_and_byte_budget(self, tet_circle_domain, monkeypatch):
         d, fam = tet_circle_domain
         Y = np.random.default_rng(16).standard_normal((8, d.size))
-        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
-        hyp = HypothesisSpec("t_two_sample_sq")
-        plan = PermutationPlan(45, seed=8)
+        design = [0] * 4 + [1] * 4
+        statistic = "t_two_sample_sq"
+        perms = generate_permutations(45, 8, len(Y))
         monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", 1)
-        ref = run_inference(Y, design, hyp, fam, plan).p.tobytes()
+        ref = run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes()
         for chunk in (7, 32):
             monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", chunk)
-            assert run_inference(Y, design, hyp, fam, plan).p.tobytes() == ref
+            assert run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes() == ref
         # a budget of the tiles and three fields' working memory caps every
         # chunk at 3: the observed field is integrated alone (0), each chunk
         # is counted in one call
@@ -466,7 +484,7 @@ class TestEngineProperties:
         monkeypatch.setattr(AdjustmentFamily, "count_exceedances", spy_count)
         per_field = max(fam.column_bytes, domain.KERNEL_FIELDS * 8 * d.size)
         monkeypatch.setattr(domain, "CHUNK_BYTES", domain.tile_bytes() + 3 * per_field + 7)
-        assert run_inference(Y, design, hyp, fam, plan).p.tobytes() == ref
+        assert run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes() == ref
         assert stacked == [0] + [3] * 15
 
     @pytest.mark.slow
@@ -475,9 +493,9 @@ class TestEngineProperties:
         # 1.4 GiB; counting in the tiles holds none of them
         fam = enumerate_family(ProductDomain([mesh_component(build_icosphere(16))]))
         Y = np.random.default_rng(17).standard_normal((8, fam.domain.size))
-        design = DesignSpec(group_labels=[0] * 4 + [1] * 4)
-        hyp = HypothesisSpec("t_two_sample_sq")
-        plan = PermutationPlan(64, seed=9)
+        design = [0] * 4 + [1] * 4
+        statistic = "t_two_sample_sq"
+        perms = generate_permutations(64, 9, len(Y))
         stacked = []
         count = AdjustmentFamily.count_exceedances
 
@@ -486,10 +504,10 @@ class TestEngineProperties:
             return count(self, fields, floor_slots, count_slots)
 
         monkeypatch.setattr(AdjustmentFamily, "count_exceedances", spy)
-        chunked = run_inference(Y, design, hyp, fam, plan).p.tobytes()
+        chunked = run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes()
         assert stacked == [32, 32]
         monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", 1)
-        assert run_inference(Y, design, hyp, fam, plan).p.tobytes() == chunked
+        assert run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes() == chunked
 
     @pytest.mark.slow
     def test_order16_full_cap_peak_within_2_85_slot_grids(self):
@@ -500,12 +518,12 @@ class TestEngineProperties:
         # rows' point order, so it copies no point index per slot
         fam = enumerate_family(ProductDomain([mesh_component(build_icosphere(16))]))
         Y = np.random.default_rng(18).standard_normal((12, fam.domain.size))
-        design = DesignSpec(group_labels=[0] * 6 + [1] * 6)
-        hyp = HypothesisSpec("t_two_sample_sq")
-        plan = PermutationPlan(32, seed=10)
+        design = [0] * 6 + [1] * 6
+        statistic = "t_two_sample_sq"
+        perms = generate_permutations(32, 10, len(Y))
         tracemalloc.start()
         try:
-            run_inference(Y, design, hyp, fam, plan)
+            run_inference(StatKernel(Y, statistic, design), fam, perms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -545,14 +563,14 @@ class TestEngineProperties:
         bound = domain.memory_bound(d)
         Y = np.random.default_rng(19).standard_normal((N, d.size))
         if statistic == "t_trend_cutoff":
-            design = DesignSpec(covariates=np.arange(float(N)))
+            design = np.arange(float(N))
         else:
-            design = DesignSpec(group_labels=[0] * (N // 2) + [1] * (N // 2))
-        plan = PermutationPlan(64, seed=11)
+            design = [0] * (N // 2) + [1] * (N // 2)
+        perms = generate_permutations(64, 11, len(Y))
         tracemalloc.start()
         try:
             fam = enumerate_family(d)
-            run_inference(Y, design, HypothesisSpec(statistic), fam, plan)
+            run_inference(StatKernel(Y, statistic, design), fam, perms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -567,8 +585,8 @@ class TestEngineProperties:
         g = interval_component(0.0, 1.0, 2)
         dom = ProductDomain([g])
         fam = enumerate_family(dom)
-        design = DesignSpec(group_labels=[0] * 5 + [1] * 5)
-        hyp = HypothesisSpec("t_two_sample_sq")
+        design = [0] * 5 + [1] * 5
+        statistic = "t_two_sample_sq"
         rng = np.random.default_rng(15)
         alpha = 0.25
         B = 19
@@ -576,8 +594,8 @@ class TestEngineProperties:
         n_rep = 400
         for r in range(n_rep):
             Y = rng.standard_normal((10, dom.size))
-            plan = PermutationPlan(B, seed=int(rng.integers(2 ** 63)))
-            res = run_inference(Y, design, hyp, fam, plan)
+            perms = generate_permutations(B, int(rng.integers(2 ** 63)), len(Y))
+            res = run_inference(StatKernel(Y, statistic, design), fam, perms)
             hits += res.p.pointwise[0] <= alpha
         rate = hits / n_rep
         mc_err = np.sqrt(alpha * (1 - alpha) / n_rep)
