@@ -48,13 +48,10 @@ CHUNK_PERMUTATIONS = 32
 CHUNK_BYTES = 64 * 2**20
 KERNEL_FIELDS = 5
 
-# Prefix sums run over tiles of sorted rows, long rows split into spans of
-# positions, with TILE_ADD_VALUES values per add where the tile allows, which
-# amortises numpy's per-call cost, and at most TILE_MAX_VALUES (2 MiB) in all:
-# a tile stays in cache, and the one buffer that every tile of a call is
-# gathered into stays small however long the rows are.
-TILE_ADD_VALUES = 1 << 12
-TILE_MAX_VALUES = 1 << 18
+# Prefix sums run over tiles of at most TILE_VALUES values (512 KiB) of the
+# sorted rows: as many rows as fit at one position each, then as many positions
+# as fit beside them, so adds are long and the tile buffers stay in cache.
+TILE_VALUES = 1 << 16
 
 
 @dataclass
@@ -242,13 +239,12 @@ class ComponentBalls:
         the size of a row of ``values``, is the running sum of row ``top + i``
         through its position ``p0 + j``, the sum of the ball in that slot
         when the slot is kept. ``block`` is the buffer that every tile of the
-        call is gathered into. It holds at most TILE_MAX_VALUES values, or one
-        position of one row when that alone is more, and has rows enough for
-        TILE_ADD_VALUES values per add unless their positions, which bound
-        the tile's balls, would exceed TILE_MAX_VALUES. Rows too long for one
-        tile are split into spans, and the running prefix carries from one
-        span into the next, so every sum adds the same values in the same
-        order however the rows are split.
+        call is gathered into: as many rows as fit TILE_VALUES values at one
+        position each, then as many positions as fit beside them, or one
+        position of one row when that alone is more. Longer rows are split
+        into spans, and the running prefix carries from one span into the
+        next, so every sum adds the same values in the same order however the
+        rows are split.
         """
         n, L = self.inner.shape
         rest = values.shape[1:]
@@ -258,12 +254,8 @@ class ComponentBalls:
         )
         weighted = weighted.reshape(n + 1, -1)
         r = weighted.shape[1]
-        # enough rows for TILE_ADD_VALUES values per add, unless their
-        # positions alone (a tile's balls at most) exceed TILE_MAX_VALUES
-        rows = -(-TILE_ADD_VALUES // max(r, 1))
-        rows = min(rows, TILE_MAX_VALUES // max(r, 1), TILE_MAX_VALUES // L, n)
-        rows = max(rows, 1)
-        span = min(L, max(TILE_MAX_VALUES // max(rows * r, 1), 1))
+        rows = min(n, max(TILE_VALUES // r, 1))
+        span = min(L, max(TILE_VALUES // (rows * r), 1))
         buf = np.empty(span * rows * r)
         index = np.empty(span * rows, dtype=np.intp)
         carry = np.empty((rows, r)) if span < L else None
@@ -319,8 +311,8 @@ class ComponentBalls:
         a contiguous integer array (int32 in ``run_inference``), is updated
         in place; at a kept slot it gains how many of the B sums of its ball
         reach its floor, and other slots gain what their prefixes would. Each
-        tile's running sums are compared where they lie with the floors of
-        their slots, so neither the (n_balls, ..., B) sums nor a pick of the
+        tile (TILE_VALUES sums at most) is compared in place with the floors
+        of its slots, so neither the (n_balls, ..., B) sums nor a pick of the
         kept ones is ever built.
 
         The B comparisons of a slot go to zero-padded bytes, added as 8-byte
@@ -503,8 +495,8 @@ class AdjustmentFamily:
         an upper estimate, all float64: the field itself, and in each
         component's pass its input, weighted copy, slot grid and ball sums,
         the last pass having no output, since it counts in its tiles. The
-        tiles' buffers are ``tile_bytes()`` in all, unless one row of a pass
-        holds more than TILE_MAX_VALUES; four such rows per field count here."""
+        tiles' buffers are ``tile_bytes()`` in all, unless one position holds
+        more than TILE_VALUES; four such positions per field count here."""
         balls = [self.component_balls[c] for c in self._integration_axes()]
         return _column_bytes(self.domain.size, [(*b.inner.shape, len(b)) for b in balls])
 
@@ -612,11 +604,11 @@ def _column_bytes(m: int, parts: list[tuple[int, int, int]]) -> int:
 
 def tile_bytes() -> int:
     """Bytes of the tile buffers of one ``count_exceedances`` call, on top of
-    ``column_bytes`` per field: five of TILE_MAX_VALUES 8-byte values (the
+    ``column_bytes`` per field: five of TILE_VALUES 8-byte values (the
     gathered block, its carry, the index copy, the comparison padded to whole
     words, 8 bytes per value for a single field, and the lane words), and
     numpy's iteration buffers, at most three."""
-    return 8 * (5 * TILE_MAX_VALUES + 3 * np.getbufsize())
+    return 8 * (5 * TILE_VALUES + 3 * np.getbufsize())
 
 
 def memory_bound(d: ProductDomain) -> int:

@@ -32,10 +32,10 @@ __all__ = [
 MAX_NOISE_VERTICES = 2000
 
 # Bytes per domain point for each sample (the noise draw and its field) and
-# replicate (its rejection mask, weighted), and per replicate for its seed:
-# run_scenario's tracemalloc peak grows by 16.2, 10.0 and 367-376 at m = 642.
+# replicate (its rejection mask), and per replicate for its seed:
+# run_scenario's tracemalloc peak grows by 16.2, 1.0 and 367-376 at m = 642.
 SAMPLE_BYTES = 17
-REPLICATE_BYTES = 11
+REPLICATE_BYTES = 1
 SEED_BYTES = 400
 
 
@@ -124,11 +124,14 @@ def compute_error_rates(
     if R.shape[1] != truth.shape[0] or truth.shape[0] != w.shape[0]:
         raise ValueError("masks and weights must cover the same vertex set")
 
-    truth_w = w[truth].sum()
-    null_w = w[~truth].sum()
-    true_pos = (R[:, truth] * w[truth]).sum(axis=1)
-    false_pos = (R[:, ~truth] * w[~truth]).sum(axis=1)
-    total_rej = (R * w).sum(axis=1)
+    w_true, w_null = w[truth], w[~truth]
+    truth_w, null_w = w_true.sum(), w_null.sum()
+    # one replicate at a time, so no (replicates, n) float product is held
+    true_pos, false_pos, total_rej = np.empty((3, len(R)))
+    for r, row in enumerate(R):
+        true_pos[r] = (row[truth] * w_true).sum()
+        false_pos[r] = (row[~truth] * w_null).sum()
+        total_rej[r] = (row * w).sum()
 
     sensitivity = float(np.mean(true_pos / truth_w)) if truth_w > 0 else None
     fwer = float(np.mean(false_pos > 0))

@@ -66,14 +66,17 @@ class DistanceRows:
         rows ``start:stop`` of the n x n distances, flat, and the positions in
         them of the entries to keep, ascending, so each row comes in index
         order. One stable sort by distance then orders it by (distance, index).
-        Raises ``ValueError`` once the padded rows, 12 bytes a slot for n rows
-        as long as the longest so far, would pass ``memory_limit()``.
+        Raises ``ValueError`` once what is held at the end would pass
+        ``memory_limit()``: the padded rows and their ``filled`` mask, 13
+        bytes a slot for n rows as long as the longest so far, and the kept
+        entries of the blocks so far, 12 bytes each.
         """
         parts, counts, longest, limit = [], np.zeros(n, dtype=np.int64), 0, memory_limit()
         for start, stop, distances, kept in blocks:
             counts[start:stop] = np.diff(np.searchsorted(kept, np.arange(stop - start + 1) * n))
             longest = max(longest, int(counts[start:stop].max(initial=0)))
-            check_memory(f"distance rows of {n} points", 12 * n * longest, limit,
+            need = 13 * n * longest + 12 * int(counts[:stop].sum())
+            check_memory(f"distance rows of {n} points", need, limit,
                          "; use a smaller radius_cap or a coarser grid")
             parts.append((start, stop, (kept % n).astype(np.int32), distances[kept]))
         # each entry at its position in its row, in index order, the rest padding

@@ -59,14 +59,13 @@ def check_permutations(n_permutations: int, n_obs: int) -> None:
 
 
 def generate_permutations(n_permutations: int, seed: int, n_obs: int) -> np.ndarray:
-    """The (B, N) array of B random permutations of 0..N-1, drawn one row at
-    a time from the seed's PCG64 stream, after ``check_permutations``."""
+    """The (B, N) array of B random permutations of 0..N-1, after
+    ``check_permutations``: one draw from the seed's PCG64 stream that leaves
+    the rows and the stream as B calls of ``rng.permutation(N)`` would."""
     check_permutations(n_permutations, n_obs)
-    rng = np.random.default_rng(seed)
     perms = np.empty((n_permutations, n_obs), dtype=np.int64)
-    for row in perms:
-        row[:] = rng.permutation(n_obs)
-    return perms
+    identity = np.broadcast_to(np.arange(n_obs, dtype=np.int64), perms.shape)
+    return np.random.default_rng(seed).permuted(identity, axis=1, out=perms)
 
 
 @dataclass
@@ -128,7 +127,7 @@ def run_inference(
     only then divided by B + 1: the same bits as covering the p-values, as
     c + 1 converts to float exactly and the division is monotone. Nothing
     goes back from ball order to the grid. The loop holds the floors, the
-    counts and one tile of at most ``TILE_MAX_VALUES`` values, never a
+    counts and one tile of at most ``domain.TILE_VALUES`` values, never a
     permuted statistic per ball.
     """
     N, perms = kernel.n_obs, np.asarray(perms)

@@ -454,6 +454,13 @@ def balls_csv(family, result) -> str:
 
 # --- the materialised permutation null -----------------------------------------
 
+def permutations_loop(n_permutations: int, seed: int, n_obs: int):
+    """B permutations of 0..N-1, one ``rng.permutation`` call per row from
+    the seed's generator, and that generator after the last row."""
+    rng = np.random.default_rng(seed)
+    return np.array([rng.permutation(n_obs) for _ in range(n_permutations)]), rng
+
+
 def permute_once(signals: np.ndarray, scheme: str, perm: np.ndarray) -> np.ndarray:
     """One permuted copy of the signal matrix under a reference scheme.
 
@@ -523,6 +530,20 @@ def pvalues(nd: NullDistribution, family):
     p_point = (1.0 + point_counts) / (B + 1.0)
     p_ball = (1.0 + ball_counts) / (B + 1.0)
     return PValueFields(p_point, p_ball, cover_max(p_ball, family), B)
+
+
+# --- error rates ---------------------------------------------------------------
+
+def error_rates_whole(rejections, truth, weights):
+    """Sensitivity, FWER, FPR and FDR from float products of the whole
+    (replicates, n) masks with the weights."""
+    R, w = np.atleast_2d(rejections), np.asarray(weights, dtype=float)
+    true_pos = (R[:, truth] * w[truth]).sum(axis=1)
+    false_pos = (R[:, ~truth] * w[~truth]).sum(axis=1)
+    total_rej = (R * w).sum(axis=1)
+    fdr = np.where(total_rej > 0, false_pos / np.where(total_rej > 0, total_rej, 1.0), 0.0)
+    return (np.mean(true_pos / w[truth].sum()), np.mean(false_pos > 0),
+            np.mean(false_pos / w[~truth].sum()), np.mean(fdr))
 
 
 # --- two-pass column statistics ------------------------------------------------

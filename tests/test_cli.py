@@ -831,18 +831,21 @@ def permutations_over_the_limit(tmp_path, monkeypatch):
                   "address-space limit)")
 
 
-def distance_rows_over_the_limit(component, message):
+def distance_rows_over_the_limit(component, message, limit=1_000_000):
     """A ``test`` run whose one component is ``component``, with the mesh
-    layer's limit at 1 MB: its distance rows are refused while gathered."""
+    layer's limit at ``limit`` bytes: its distance rows are refused while
+    gathered."""
     def make(tmp_path, monkeypatch):
         refuse_past_the_build(monkeypatch)
-        monkeypatch.setattr(mesh, "memory_limit", lambda: 1_000_000)
+        monkeypatch.setattr(mesh, "memory_limit", lambda: limit)
         argv = run_argv(tmp_path, lambda c: c["domain"].update(components=[component]))
         return argv, (f"domain.components[0]: distance rows of {message}, over the limit "
-                      "of 1.0 MB (half of physical memory or of the address-space limit); "
-                      "use a smaller radius_cap or a coarser grid")
+                      f"of {limit / 1e6:.1f} MB (half of physical memory or of the "
+                      "address-space limit); use a smaller radius_cap or a coarser grid")
 
     make.__name__ = f"{component['kind']}_rows_over_the_limit"
+    if limit != 1_000_000:
+        make.__name__ += f"_of_{limit}"
     return make
 
 
@@ -874,15 +877,19 @@ def scenario_over_the_limit(key, value, message):
     out_in_missing_directory, out_names_a_directory, icosphere_over_the_limit,
     icosphere_component_over_the_limit, missing_scenario_mesh,
     permutations_past_the_counts, permutations_over_the_limit,
-    # 12 bytes a slot: 362 rows of 362, and a first block of 1000-long rows
+    # 13 bytes a slot and 12 an entry: one block of 362 full rows of 362, and
+    # one of 1000 rows of 1000
     distance_rows_over_the_limit({"kind": "icosphere", "order": 6},
-                                 "362 points would need up to 1.6 MB"),
+                                 "362 points would need up to 3.3 MB"),
     distance_rows_over_the_limit({"kind": "circle", "points": 1000},
-                                 "1000 points would need up to 12.0 MB"),
-    # 17 bytes a point per sample, 11 a point and 400 per replicate, 8 per
+                                 "1000 points would need up to 25.0 MB"),
+    # the rows alone (1.6 MB) fit 2 MB; the entries gathered beside them do not
+    distance_rows_over_the_limit({"kind": "icosphere", "order": 6},
+                                 "362 points would need up to 3.3 MB", limit=2_000_000),
+    # 17 bytes a point per sample, 1 a point and 400 per replicate, 8 per
     # permuted observation
     scenario_over_the_limit("n_samples", 10_000, "on 12 points would need up to 2.0 MB"),
-    scenario_over_the_limit("replicates", 10_000, "on 12 points would need up to 5.3 MB"),
+    scenario_over_the_limit("replicates", 10_000, "on 12 points would need up to 4.1 MB"),
     scenario_over_the_limit("permutations", 100_000,
                             "of 8 observations would need up to 6.4 MB"),
 ], ids=lambda make: make.__name__.replace("_", "-"))

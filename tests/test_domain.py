@@ -376,6 +376,9 @@ OPERATOR_DOMAINS = pytest.mark.parametrize(
     [
         lambda: [oracles.mesh_grid(build_icosphere(2), radius_cap=0.7)],
         lambda: [oracles.mesh_grid(build_icosphere(2))],
+        # at the default budget a stack of 248 fields tiles all 92 rows two
+        # positions at a time
+        lambda: [oracles.mesh_grid(build_icosphere(3))],
         lambda: [mesh_cap_on_a_distance()],
         lambda: [quiet_disconnected(1.2)],
         # ties on both sides of every center; the cap is 2 steps exactly
@@ -398,18 +401,43 @@ OPERATOR_DOMAINS = pytest.mark.parametrize(
         ],
     ],
     ids=[
-        "mesh-cap", "mesh-inf", "mesh-cap-on-distance", "disconnected",
+        "mesh-cap", "mesh-inf", "mesh-inf-order-3", "mesh-cap-on-distance", "disconnected",
         "circle-ties", "interval", "mesh-circle", "circle-interval-disconnected",
         "circle-first-interval",
     ],
 )
 
 
-DEFAULT_TILING = (domain.TILE_ADD_VALUES, domain.TILE_MAX_VALUES)
-# (TILE_ADD_VALUES, TILE_MAX_VALUES): one-row, one-position tiles, so every
-# sum carries from span to span; tiles of uneven row counts ending inside a
-# row block; spans of several rows and positions
-TILINGS = [(1, 1), (7, 1 << 22), (1 << 12, 40), (7, 50)]
+DEFAULT_TILING = domain.TILE_VALUES
+
+
+def tilings(fam, n_fields):
+    """Tile budgets (``TILE_VALUES``) for the last integrated pass of
+    ``n_fields`` stacked fields, r values a position: one row and one
+    position per tile, so every sum carries from span to span; blocks of
+    n - 1 rows, the first ending inside the grid; every row in spans of two
+    positions, each carrying its running sum into the next; and one tile for
+    the whole grid."""
+    *axes, last = fam._integration_axes()
+    n, L = fam.component_balls[last].inner.shape
+    r = n_fields * math.prod(len(fam.component_balls[c]) for c in axes)
+    return [1, (n - 1) * r, 2 * n * r, n * L * r]
+
+
+def last_pass_tiles(fam, monkeypatch):
+    """The (top, p0, block shape) of each tile the last integrated pass
+    yields, as a list that later calls append to."""
+    last = fam.component_balls[fam._integration_axes()[-1]]
+    prefix_blocks, tiles = domain.ComponentBalls._prefix_blocks, []
+
+    def spy(balls, values):
+        for top, p0, block in prefix_blocks(balls, values):
+            if balls is last:
+                tiles.append((top, p0, block.shape))
+            yield top, p0, block
+
+    monkeypatch.setattr(domain.ComponentBalls, "_prefix_blocks", spy)
+    return tiles
 
 
 class TestPrefixOperators:
@@ -481,10 +509,43 @@ class TestPrefixOperators:
         fam = enumerate_family(ProductDomain(make()))
         fields = np.random.default_rng(5).random((3, fam.domain.size))
         whole = fam.integrated_slots(fields)
-        for add_values, max_values in TILINGS:
-            monkeypatch.setattr(domain, "TILE_ADD_VALUES", add_values)
-            monkeypatch.setattr(domain, "TILE_MAX_VALUES", max_values)
+        for budget in tilings(fam, 3):
+            monkeypatch.setattr(domain, "TILE_VALUES", budget)
             assert fam.integrated_slots(fields).tobytes() == whole.tobytes()
+
+    @OPERATOR_DOMAINS
+    def test_tile_shapes(self, make, monkeypatch):
+        # rows first, then positions, so each budget of ``tilings`` gives its
+        # shape
+        fam = enumerate_family(ProductDomain(make()))
+        fields = np.random.default_rng(5).random((3, fam.domain.size))
+        n, L = fam.component_balls[fam._integration_axes()[-1]].inner.shape
+        tiles = last_pass_tiles(fam, monkeypatch)
+        shapes = []
+        for budget in tilings(fam, 3):
+            monkeypatch.setattr(domain, "TILE_VALUES", budget)
+            fam.integrated_slots(fields)
+            shapes.append({(span, k) for _, _, (span, k, _) in tiles})
+            tiles.clear()
+        assert n > 2 and L > 2
+        assert shapes == [
+            {(1, 1)},  # one position of one row
+            {(1, n - 1), (1, 1)},  # n - 1 rows, then the last row alone
+            {(2, n), (2 - L % 2, n)},  # two positions, the last one alone when L is odd
+            {(L, n)},  # the whole grid
+        ]
+
+    def test_default_budget_splits_full_cap_rows(self, monkeypatch):
+        # the 92 rows of the order-3 full-cap mesh fit TILE_VALUES at two
+        # positions of 248 fields, so each tile is every row, two positions
+        # at a time, each span carrying its running sums into the next
+        fam = enumerate_family(ProductDomain([oracles.mesh_grid(build_icosphere(3))]))
+        fields = np.random.default_rng(5).random((248, fam.domain.size))
+        floor_slots = fam.integrated_slots(fields[0])
+        tiles = last_pass_tiles(fam, monkeypatch)
+        fam.count_exceedances(fields, floor_slots, np.zeros(floor_slots.shape, dtype=np.int32))
+        assert {shape for _, _, shape in tiles} == {(2, 92, 248)}
+        assert [p0 for _, p0, _ in tiles] == list(range(0, 92, 2))
 
     @OPERATOR_DOMAINS
     def test_integrated_slots(self, make, monkeypatch):
@@ -494,11 +555,10 @@ class TestPrefixOperators:
         whole = fam.integrated_slots(T)
         last = fam.component_balls[fam._integration_axes()[-1]]
         assert whole.shape[:2] == last.kept.T.shape
-        # (1, 1) splits every row of more than one point into spans shorter
-        # than the row, each carrying its running sum into the next
-        for add_values, max_values in TILINGS:
-            monkeypatch.setattr(domain, "TILE_ADD_VALUES", add_values)
-            monkeypatch.setattr(domain, "TILE_MAX_VALUES", max_values)
+        # a budget of 1 splits every row of more than one point into spans
+        # shorter than the row, each carrying its running sum into the next
+        for budget in tilings(fam, 1):
+            monkeypatch.setattr(domain, "TILE_VALUES", budget)
             slots = fam.integrated_slots(T)
             assert slots.tobytes() == whole.tobytes()
             np.testing.assert_allclose(fam.ball_values(slots), expected, rtol=1e-13, atol=0)
@@ -562,9 +622,8 @@ class TestPrefixOperators:
             assert ((stats >= floors[1][:, None]).sum(axis=1) == B).all()
             for floor in floors:
                 expected = (stats >= floor[:, None]).sum(axis=1)
-                for add_values, max_values in [DEFAULT_TILING] + TILINGS:
-                    monkeypatch.setattr(domain, "TILE_ADD_VALUES", add_values)
-                    monkeypatch.setattr(domain, "TILE_MAX_VALUES", max_values)
+                for budget in [DEFAULT_TILING] + tilings(fam, B):
+                    monkeypatch.setattr(domain, "TILE_VALUES", budget)
                     # counts are added to what is there
                     counts = self.count(fam, fields, floor, start)
                     np.testing.assert_array_equal(counts - start, expected)
@@ -579,8 +638,7 @@ class TestPrefixOperators:
         # one-row, one-position tiles, so the tile buffers grow with the stack;
         # the deepest stack counted at once, so numpy's fixed buffers are a
         # small part
-        monkeypatch.setattr(domain, "TILE_ADD_VALUES", 1)
-        monkeypatch.setattr(domain, "TILE_MAX_VALUES", 1)
+        monkeypatch.setattr(domain, "TILE_VALUES", 1)
         fields = np.random.default_rng(6).random((248, fam.domain.size))
         floor_slots = fam.integrated_slots(fields[0])
         count_slots = np.zeros(floor_slots.shape, dtype=np.int64)

@@ -3,14 +3,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
+from ballwise import evalsim
 from ballwise.domain import ProductDomain, circle_component, mesh_component
 from ballwise.evalsim import (
+    REPLICATE_BYTES,
+    SEED_BYTES,
     GaussianFieldSampler,
     ScenarioConfig,
     cap_region_mask,
@@ -146,6 +151,19 @@ class TestErrorRates:
         assert r.false_positive_rate == pytest.approx(1.0 / 4.0)
         assert r.false_discovery_rate == pytest.approx(1.0 / 4.0)
 
+    @pytest.mark.parametrize("replicates", [1, 2, 300])
+    def test_matches_whole_mask_products(self, replicates):
+        # summed one replicate at a time, so the order of the adds may change:
+        # a relative m eps
+        rng = np.random.default_rng(replicates)
+        rej = rng.random((replicates, 642)) < 0.2
+        truth = rng.random(642) < 0.3
+        w = rng.random(642) ** 3
+        r = compute_error_rates(rej, truth, w)
+        got = (r.sensitivity, r.fwer, r.false_positive_rate, r.false_discovery_rate)
+        expected = oracles.error_rates_whole(rej, truth, w)
+        np.testing.assert_allclose(got, expected, rtol=642 * np.finfo(float).eps, atol=0)
+
     def test_global_null_sensitivity_none(self):
         rej = np.zeros((2, 3), dtype=bool)
         truth = np.zeros(3, dtype=bool)
@@ -251,6 +269,39 @@ class TestRunScenario:
         rows = build_icosphere(2).compute_distances()
         with pytest.raises(ValueError, match="distances of 42 rows"):
             run_scenario(self._base_cfg(), self._domain(), np.zeros(12, dtype=bool), rows)
+
+    def test_replicate_memory(self, monkeypatch):
+        # at m = 642 the peak grows per replicate by its mask and its seed,
+        # as the replicates check counts them; the noise, the family and
+        # inference are stand-ins, so the masks set the peak
+        mesh = build_icosphere(8)
+        rows = mesh.compute_distances(limit=0.1)
+        domain = ProductDomain([mesh_component(mesh, radius_cap=0.1, rows=rows)])
+        rng = np.random.default_rng(0)
+
+        class Noise:
+            def __init__(self, *args):
+                pass
+
+            def sample(self, rng, n_draws):
+                return rng.standard_normal((n_draws, domain.size))
+
+        monkeypatch.setattr(evalsim, "GaussianFieldSampler", Noise)
+        monkeypatch.setattr(evalsim, "enumerate_family", lambda d: None)
+        monkeypatch.setattr(evalsim, "run_inference", lambda *args: SimpleNamespace(
+            p=SimpleNamespace(adjusted=rng.random(domain.size))))
+        truth = np.arange(domain.size) < 100
+        peaks = []
+        for replicates in (1000, 3000):
+            tracemalloc.start()
+            try:
+                run_scenario(self._base_cfg(replicates=replicates), domain, truth, rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_replicate = (peaks[1] - peaks[0]) / 2000
+        assert REPLICATE_BYTES * domain.size < per_replicate
+        assert per_replicate <= REPLICATE_BYTES * domain.size + SEED_BYTES
 
     def test_masks_returned(self):
         cfg = self._base_cfg(replicates=2)

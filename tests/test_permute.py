@@ -22,6 +22,7 @@ from oracles import (
     ball_weight,
     integrated_stat,
     null_distribution,
+    permutations_loop,
     permute_once,
     product_ball,
     pvalues,
@@ -119,11 +120,23 @@ class TestGeneratePermutations:
             generate_permutations(10, 42, 8), generate_permutations(10, 42, 8)
         )
 
-    def test_rows_come_from_the_seed_stream(self):
-        rng = np.random.default_rng(42)
-        expected = np.array([rng.permutation(8) for _ in range(10)], dtype=np.int64)
-        perms = generate_permutations(10, 42, 8)
-        assert perms.dtype == np.int64 and perms.tobytes() == expected.tobytes()
+    def test_rows_come_from_the_seed_stream(self, monkeypatch):
+        # one draw gives the rows, C-ordered, and leaves the generator in the
+        # state of one rng.permutation call per row
+        drawn = []
+
+        def default_rng(seed):
+            drawn.append(np.random.Generator(np.random.PCG64(seed)))
+            return drawn[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        for B, N in [(10, 8), (500, 20), (500, 30), (7, 2), (3, 1), (50, 100)]:
+            perms = generate_permutations(B, 42, N)
+            state = drawn[-1].bit_generator.state
+            expected, rng = permutations_loop(B, 42, N)
+            assert perms.dtype == np.int64 and perms.flags.c_contiguous
+            assert perms.tobytes() == expected.tobytes()
+            assert state == rng.bit_generator.state
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="wrong length"):
