@@ -245,18 +245,14 @@ COMPONENT_KEYS = {  # kind: (required keys, optional keys)
 }
 
 
-def _component_mesh(section: dict, cap: float, check=None):
+def _component_mesh(section: dict, cap: float):
     """The weighed mesh of a checked mesh or icosphere component and the
-    rows of its ``distance_cache`` up to ``cap``, None without a cache.
-    ``check``, if given, sees the vertex count before the weights and the
-    cache are."""
+    rows of its ``distance_cache`` up to ``cap``, None without a cache."""
     if section["kind"] == "icosphere":
         radius = _finite_number(section.get("radius", 1.0), "radius")
         m = _icosphere(_positive_int(section["order"], "order"), radius)
     else:
         m = _load_mesh(_file_key(section, "path", "mesh"), _file_key(section, "edge_lengths"))
-    if check is not None:
-        check(m.n_vertices)
     m.compute_weights()
     cache = _file_key(section, "distance_cache")
     if cache is None:
@@ -764,31 +760,58 @@ def _truth_mask(section: dict, mesh) -> np.ndarray:
     return multi_patch_mask(mesh, centers, float(radius))
 
 
+def _mesh_key(section: dict) -> str:
+    """One key per mesh source: a component section less its cap."""
+    return repr(sorted((k, v) for k, v in section.items() if k != "radius_cap"))
+
+
+def _search_bounds(scenarios) -> dict[str, float]:
+    """The bound to search each mesh to, by ``_mesh_key``: the largest cap
+    or 3 noise bandwidths of the scenarios whose domain names it, so one
+    search serves every cap's cut and every scenario's noise. A component
+    that does not parse is left out: building its domain refuses it."""
+    bounds: dict[str, float] = {}
+    for cfg, domain_section in scenarios:
+        components = domain_section.get("components") if isinstance(domain_section, dict) else ()
+        for section in components if isinstance(components, list) else ():
+            if not isinstance(section, dict):
+                continue
+            try:
+                cap = _parse_cap(section.get("radius_cap", "inf"))
+            except ValueError:
+                continue
+            key = _mesh_key(section)
+            bounds[key] = max(bounds.get(key, 0.0), cap, 3 * cfg.noise_bandwidth)
+    return bounds
+
+
 def cmd_simulate(args) -> int:
-    from .evalsim import _check_noise_vertices, _check_one_mesh, run_scenario
+    from .evalsim import _check_one_mesh, run_scenario
 
     config = _load_json(args.config)
     if not isinstance(config, list) or not config:
         raise ConfigError("simulate config must be a non-empty JSON list of scenarios")
+    scenarios = []
+    for idx, section in enumerate(config):
+        with _located(f"scenario[{idx}]"):
+            scenarios.append(_scenario_from_config(section, idx))
+    bounds = _search_bounds(scenarios)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["scenario", "sensitivity", "fwer", "fpr", "fdr", "replicates"])
     meshes: dict = {}
 
     def mesh_of(section, cap=None):
-        # one mesh per source, its section less the cap, with every pair's
-        # distance, which the noise and the truth read and each cap cuts;
-        # refused first if too large for the noise
-        key = repr(sorted((k, v) for k, v in section.items() if k != "radius_cap"))
+        # one mesh per source, searched or its cache read once, to its bound
+        key = _mesh_key(section)
         if key not in meshes:
-            m, rows = _component_mesh(section, math.inf, _check_noise_vertices)
-            meshes[key] = m, m.compute_distances() if rows is None else rows
+            m, rows = _component_mesh(section, bounds[key])
+            meshes[key] = m, m.compute_distances(limit=bounds[key]) if rows is None else rows
         return meshes[key]
 
     stages = Stages()
-    for idx, section in enumerate(config):
+    for idx, (section, (cfg, domain_section)) in enumerate(zip(config, scenarios)):
         with _located(f"scenario[{idx}]"):
-            cfg, domain_section = _scenario_from_config(section, idx)
             with stages("build"):
                 domain = _build_domain(domain_section, mesh_of)
                 _check_one_mesh(domain)

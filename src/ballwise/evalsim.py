@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ProductDomain, enumerate_family
+from .domain import TILE_VALUES, ProductDomain, enumerate_family
 from .glm import StatKernel
 from .mesh import DistanceRows, TriangulatedManifold, check_memory, memory_limit
 from .permute import check_permutations, generate_permutations, run_inference
@@ -23,13 +23,8 @@ __all__ = [
     "GaussianFieldSampler",
     "compute_error_rates",
     "run_scenario",
-    "cap_region_mask",
     "multi_patch_mask",
 ]
-
-# Dense covariance square roots only; larger meshes need a user-supplied
-# noise sampler.
-MAX_NOISE_VERTICES = 2000
 
 # Bytes per domain point for each sample (the noise draw and its field) and
 # replicate (its rejection mask), and per replicate for its seed:
@@ -38,13 +33,15 @@ SAMPLE_BYTES = 17
 REPLICATE_BYTES = 1
 SEED_BYTES = 400
 
-
-def _check_noise_vertices(n: int) -> None:
-    if n > MAX_NOISE_VERTICES:
-        raise ValueError(
-            f"dense covariance limited to {MAX_NOISE_VERTICES} vertices, the "
-            f"mesh has {n}; supply your own noise generator for larger meshes"
-        )
+# Bytes per (point, neighbour within 3h) slot of the noise kernel: the rows
+# cut at 3h (12, when the rows given reach past it), the kernel's float64
+# weight and one float64 temporary while it is built; and per value of a
+# sampling tile, with room to spare. At orders 10 and 25 the tracemalloc peak
+# of GaussianFieldSampler reads 28.0-28.5 bytes a slot from rows searched to
+# 1.5 (16.0-16.5 from rows searched to 3h = 0.9), and that of a sample, past
+# its draws, 3.0 tiles of 8-byte values.
+NOISE_SLOT_BYTES = 28
+NOISE_TILE_BYTES = 32
 
 
 def _check_one_mesh(domain: ProductDomain) -> None:
@@ -55,43 +52,67 @@ def _check_one_mesh(domain: ProductDomain) -> None:
 
 
 class GaussianFieldSampler:
-    """Zero-mean Gaussian field on mesh vertices with squared-exponential
-    covariance sd^2 * exp(-d(x,y)^2 / (2 * bandwidth^2)).
+    """Zero-mean Gaussian field on mesh vertices, a process convolution
+    (Higdon 2002): f = sd * A z for independent standard normal z.
 
-    Realized through the symmetric square root of the dense covariance
-    matrix, built from all-pairs ``DistanceRows`` (every row holds every
-    vertex). With graph-geodesic distances on a curved mesh this kernel need
-    not be positive semidefinite; negative eigenvalues are clamped to zero,
-    so the field's covariance is the PSD eigenvalue projection of the kernel
-    (``clamped_mass`` reports how much was removed, relative to the trace).
+    Row i of A holds sqrt(w_j) exp(-(d_ij / h)^2) for the vertices j with
+    d_ij < 3h and 0 for the others, scaled to unit norm, where w are the
+    mesh's quadrature weights and h the bandwidth. The field's covariance
+    sd^2 A A' is exactly positive semidefinite with diagonal sd^2, and close
+    to the squared-exponential sd^2 exp(-d^2 / (2 h^2)) where the mesh is
+    nearly flat over 3h. Vertices that no edge path joins are uncorrelated.
+
+    Only the entries of ``distances`` below 3h are read, a prefix of each
+    sorted row, so rows searched to any bound of at least 3h give the same
+    bits as all pairs. A is applied a tile of rows at a time by numpy gathers
+    and sums, with no BLAS call, so the field does not depend on the BLAS
+    thread count.
     """
 
-    def __init__(self, distances: DistanceRows, bandwidth: float, sd: float):
-        if bandwidth <= 0 or sd <= 0:
+    def __init__(self, distances: DistanceRows, weights, bandwidth: float, sd: float):
+        if not (bandwidth > 0 and sd > 0):
             raise ValueError("bandwidth and sd must be positive")
-        n = len(distances)
-        _check_noise_vertices(n)
-        if distances.values.shape != (n, n) or np.isinf(distances.values).any():
-            raise ValueError("noise covariance needs finite all-pairs distances")
-        d = np.empty((n, n))
-        d[np.arange(n)[:, None], distances.indices] = distances.values
-        cov = sd ** 2 * np.exp(-(d ** 2) / (2.0 * bandwidth ** 2))
-        try:
-            vals, vecs = np.linalg.eigh(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"covariance factorization failed: {exc}") from exc
-        self.clamped_mass = float(-vals[vals < 0].sum() / np.trace(cov))
-        # the symmetric root V sqrt(D) V', not V sqrt(D): eigenvalues of an
-        # icosphere's covariance repeat, and the basis LAPACK picks within a
-        # repeated eigenspace (with it every field drawn through V sqrt(D))
-        # depends on its thread count; the symmetric root does not
-        self.factor = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-        self.n_vertices = n
+        rows = distances.below(3 * bandwidth)
+        n, L = rows.values.shape
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (n,):
+            raise ValueError(f"{w.size} weights do not match the {n} rows of the distances")
+        check_memory(f"noise kernel of {n} points by {L} neighbours",
+                     NOISE_SLOT_BYTES * n * L + NOISE_TILE_BYTES * max(TILE_VALUES, L),
+                     memory_limit(),
+                     "; use a smaller noise_bandwidth")
+        # (d / h)^2, not d^2 / h^2: no power of the bandwidth alone leaves
+        # float range; the padding at inf gets exp(-inf) = 0
+        kernel = rows.values / bandwidth
+        np.square(kernel, out=kernel)
+        np.exp(np.negative(kernel, out=kernel), out=kernel)
+        kernel *= np.append(np.sqrt(w), 0.0)[rows.indices]
+        kernel /= np.sqrt(np.einsum("ij,ij->i", kernel, kernel))[:, None]
+        self.kernel, self.indices, self.sd = kernel, rows.indices, float(sd)
 
     def sample(self, rng: np.random.Generator, n_draws: int = 1) -> np.ndarray:
-        """(n_draws, n_vertices) independent field realizations."""
-        z = rng.standard_normal((n_draws, self.n_vertices))
-        return z @ self.factor.T
+        """(n_draws, n_vertices) independent field realizations.
+
+        Each tile gathers the draws' z at the rows' neighbours, as many rows
+        as fit ``TILE_VALUES`` values (at least one), then as many draws as
+        fit beside them, and sums each row's weighted neighbours on its own.
+        """
+        n, L = self.kernel.shape
+        z = rng.standard_normal((n_draws, n))
+        # a zero at index n, the rows' padding
+        padded = np.concatenate([z, np.zeros((n_draws, 1))], axis=1)
+        rows = min(n, max(TILE_VALUES // L, 1))
+        draws = max(TILE_VALUES // (rows * L), 1)
+        for top in range(0, n, rows):
+            indices, kernel = self.indices[top:top + rows], self.kernel[top:top + rows]
+            for first in range(0, n_draws, draws):
+                # take, not fancy indexing, for a C-order tile: each row's
+                # neighbours are then summed on their own, whatever the tile
+                tile = np.take(padded[first:first + draws], indices, axis=1)
+                tile *= kernel
+                z[first:first + draws, top:top + rows] = tile.sum(axis=-1)
+        z *= self.sd
+        return z
 
 
 @dataclass
@@ -146,11 +167,6 @@ def compute_error_rates(
     )
 
 
-def cap_region_mask(m: TriangulatedManifold, center: int, radius: float) -> np.ndarray:
-    """Boolean mask of one connected geodesic patch around ``center``."""
-    return multi_patch_mask(m, [center], radius)
-
-
 def multi_patch_mask(m: TriangulatedManifold, centers, radius: float) -> np.ndarray:
     """Union of geodesic patches: a scattered multi-region truth mask."""
     mask = np.zeros(m.n_vertices, dtype=bool)
@@ -180,7 +196,7 @@ class ScenarioConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
-        if self.noise_bandwidth <= 0 or self.noise_sd <= 0:
+        if not (self.noise_bandwidth > 0 and self.noise_sd > 0):
             raise ValueError("noise scale parameters must be positive")
 
 
@@ -189,9 +205,11 @@ def run_scenario(cfg: ScenarioConfig, domain: ProductDomain, truth: np.ndarray,
     """Run one scenario: simulate, test, threshold the adjusted p-values.
 
     Half the observations carry the base signal on ``truth``, the grid mask
-    where the null is false (none: a global null), half are pure noise,
-    drawn on the domain's one mesh from its all-pairs ``distances``;
-    inference is the two-sample pipeline with raw label permutations (exact
+    where the null is false (none: a global null), half are pure noise. The
+    noise is drawn on the domain's one mesh by ``GaussianFieldSampler``, from
+    the weights of the domain's component and from ``distances``, the mesh's
+    rows searched out to at least 3 * ``noise_bandwidth`` (or all pairs).
+    Inference is the two-sample pipeline with raw label permutations (exact
     under the exchangeable null). A scenario whose samples, replicates or
     permutations could not be held is refused before the noise is set up.
     Returns ``ErrorRates``, or ``(ErrorRates, masks)`` with the (replicates,
@@ -210,7 +228,8 @@ def run_scenario(cfg: ScenarioConfig, domain: ProductDomain, truth: np.ndarray,
     check_memory(f"replicates = {cfg.replicates} on {m} points",
                  cfg.replicates * (REPLICATE_BYTES * m + SEED_BYTES), limit)
     check_permutations(cfg.n_permutations, cfg.n_samples)
-    sampler = GaussianFieldSampler(distances, cfg.noise_bandwidth, cfg.noise_sd)
+    sampler = GaussianFieldSampler(distances, domain.components[0].weights,
+                                   cfg.noise_bandwidth, cfg.noise_sd)
     family = enumerate_family(domain)
 
     groups = np.repeat([0, 1], cfg.n_samples // 2)

@@ -15,6 +15,7 @@ with the centred signals per permutation.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 
@@ -105,12 +106,21 @@ class StatKernel:
                 f"matrix has {Y.shape[0]} rows"
             )
         self.statistic = statistic
-        self.sxx = self.x @ self.x
+        self.sxx = float(self.x @ self.x)
         # a constant column has no centred variation in exact arithmetic;
         # zeroing it keeps its statistic equal under every permutation
         self.Z = Y - Y.mean(axis=0)
         self.Z[:, Y.min(axis=0) == Y.max(axis=0)] = 0.0
         self.ss = _col_ss(self.Z)
+        # by Cauchy-Schwarz every permutation's u^2 is at most x'x SS and its
+        # squared slope at most SS / x'x; past float range a field would come
+        # out inf or nan, which no tie floor compares with
+        ss = float(self.ss.max(initial=0.0))
+        if not 0 < self.sxx < math.inf or not math.isfinite(
+            2 * (ss / self.sxx if statistic == "slope_sq" else ss * self.sxx)
+        ):
+            raise ValueError(f"{statistic} would overflow on these signals and this design; "
+                             "rescale the signals or the covariate")
         # a residual sum of squares within this share of SS is a perfect fit:
         # the rounding error of the one-pass SS - u^2 / x'x grows with N (up to
         # about N eps / 2 on exactly degenerate columns), so below it the

@@ -221,6 +221,17 @@ def rows_to_dense(rows) -> np.ndarray:
     return d[:, :n]
 
 
+def convolution_factor(full: np.ndarray, weights, bandwidth: float) -> np.ndarray:
+    """The dense n x n factor A of the process-convolution noise, from the
+    all-pairs distances ``full``: row i holds sqrt(w_j) exp(-d_ij^2 / h^2)
+    where d_ij < 3h and 0 elsewhere, divided by its Euclidean norm. The
+    noise's covariance is sd^2 A A'."""
+    with np.errstate(over="ignore", under="ignore"):
+        near = np.sqrt(np.asarray(weights, float)) * np.exp(-((full / bandwidth) ** 2))
+    A = np.where(full < 3 * bandwidth, near, 0.0)
+    return A / np.linalg.norm(A, axis=1, keepdims=True)
+
+
 def row_arrays(rows) -> list[tuple]:
     """The dtype, shape and bytes of the arrays of sorted rows, a
     ``DistanceRows`` or the pair ``dense_to_rows`` returns, to compare them

@@ -20,7 +20,7 @@ from ballwise.domain import (
     enumerate_family,
     mesh_component,
 )
-from ballwise.evalsim import ScenarioConfig, cap_region_mask, run_scenario
+from ballwise.evalsim import ScenarioConfig, multi_patch_mask, run_scenario
 from ballwise.glm import StatKernel
 from ballwise.mesh import build_icosphere
 from ballwise.permute import generate_permutations, run_inference
@@ -217,7 +217,7 @@ def test_tradeoff_trends():
     m = build_icosphere(3)
     m.compute_weights()
     rows = m.compute_distances()
-    truth = cap_region_mask(m, 0, 0.65)
+    truth = multi_patch_mask(m, [0], 0.65)
 
     def scenario(n_samples, cap):
         cfg = ScenarioConfig(

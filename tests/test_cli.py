@@ -682,6 +682,26 @@ def zero_variance(tmp_path, monkeypatch):
     return argv, "zero residual variance with nonzero effect at grid point(s) [3]"
 
 
+def huge_signals(tmp_path, monkeypatch):
+    # finite, but their squares are not: every field would be nan, below no
+    # tie floor, and every p-value 1 / (B + 1)
+    signals = tmp_path / "signals.bin"
+    argv = run_argv(tmp_path, lambda c: c.update(data={"path": str(signals), "format": "bin"}))
+    save_signals_bin(1e160 * np.random.default_rng(0).standard_normal((8, 12)), signals)
+    return argv, ("t_two_sample_sq would overflow on these signals and this design; "
+                  "rescale the signals or the covariate")
+
+
+def huge_noise_sd(tmp_path, monkeypatch):
+    # the noise at sd 1e200 meets the same refusal
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps([{"icosphere_order": 2, "n_samples": 8, "permutations": 9,
+                                  "replicates": 1, "seed": 1, "noise_sd": 1e200}]))
+    argv = ["simulate", "--config", str(sweep), "--out", str(tmp_path / "r.csv")]
+    return argv, ("scenario[0]: t_two_sample_sq would overflow on these signals and this "
+                  "design; rescale the signals or the covariate")
+
+
 def nan_vertex_distances(tmp_path, monkeypatch):
     write_test_setup(tmp_path)
     path = non_finite_vertex(tmp_path, "nan")
@@ -869,7 +889,8 @@ def scenario_over_the_limit(key, value, message):
 
 
 @pytest.mark.parametrize("make", [
-    empty_components, object_components, zero_variance, nan_vertex_distances,
+    empty_components, object_components, zero_variance, huge_signals, huge_noise_sd,
+    nan_vertex_distances,
     nan_vertex_test, overflowing_vertex_test, nan_edge_length, zero_area_mesh,
     # the mesh is disconnected, and says so when it is loaded
     pytest.param(isolated_vertex, marks=pytest.mark.filterwarnings("ignore:.*disconnected")),
@@ -1527,7 +1548,8 @@ class TestSimulate:
 
     def test_one_search_per_mesh(self, tmp_path, monkeypatch):
         # scenarios on one mesh at different caps, by shorthand or by a
-        # domain section, share one load and one full search
+        # domain section, share one load and one search, to the largest cap
+        # or 3 noise bandwidths among them: 3 x 0.5 here
         mesh_path = tmp_path / "m.off"
         assert main(["tessellate", "--order", "2", "--out", str(mesh_path)]) == 0
         calls = []
@@ -1539,60 +1561,72 @@ class TestSimulate:
         self.rates(tmp_path, "sweep", [
             {**base, "mesh_path": str(mesh_path), "radius_cap": 0.5},
             {**base, "domain": {"components": [component]}},
+            {**base, "mesh_path": str(mesh_path), "radius_cap": 0.5, "noise_bandwidth": 0.5},
         ])
-        assert calls == [{}]
+        assert calls == [{"limit": 1.5}]
+
+    def test_cache_read_once_to_the_bound(self, tmp_path, monkeypatch):
+        # a cached mesh is read once, up to 3 x the default bandwidth 0.3
+        # here, and gives the rates of a search
+        mesh_path, cache = tmp_path / "m.off", tmp_path / "d.bin"
+        assert main(["tessellate", "--order", "3", "--out", str(mesh_path)]) == 0
+        assert main(["distances", "--mesh", str(mesh_path), "--out", str(cache)]) == 0
+        base = {"n_samples": 8, "permutations": 19, "replicates": 2, "seed": 1,
+                "signal_amplitude": 1.5, "truth": {"type": "cap", "center": 0, "radius": 0.5}}
+        searched = self.rates(tmp_path, "searched", [
+            {**base, "mesh_path": str(mesh_path), "radius_cap": cap} for cap in (0.5, 0.8)])
+        limits = []
+        read = cli.load_distance_cache
+        monkeypatch.setattr(cli, "load_distance_cache",
+                            lambda path, limit: limits.append(limit) or read(path, limit))
+        monkeypatch.setattr(mesh.TriangulatedManifold, "compute_distances",
+                            lambda *a, **k: pytest.fail("searched a cached mesh"))
+        component = {"kind": "mesh", "path": str(mesh_path), "distance_cache": str(cache)}
+        cached = self.rates(tmp_path, "cached", [
+            {**base, "domain": {"components": [{**component, "radius_cap": cap}]}}
+            for cap in (0.5, 0.8)])
+        assert limits == [3 * 0.3]
+        assert cached == searched
+
+    @pytest.mark.parametrize(
+        "bandwidth", [1e-200, 1e200], ids=["tiny-bandwidth", "huge-bandwidth"]
+    )
+    def test_extreme_noise_bandwidth_runs(self, tmp_path, bandwidth):
+        # iid noise and one common factor; neither squares the bandwidth
+        scenario = {"icosphere_order": 2, "n_samples": 8, "permutations": 9,
+                    "replicates": 1, "seed": 1, "noise_bandwidth": bandwidth,
+                    "signal_amplitude": 1.0, "truth": {"type": "cap", "center": 0, "radius": 0.5}}
+        rows = list(csv.DictReader(self.rates(tmp_path, "extreme", [scenario])
+                                   .decode().splitlines()))
+        assert [row["replicates"] for row in rows] == ["1"]
 
     def test_scenario_not_an_object(self, tmp_path, capsys):
         err = self.run_scenario_json(tmp_path, capsys, [5])
         assert "scenario[0]: must be a JSON object, got 5" in err
 
-    @pytest.mark.parametrize(
-        "source, order",
-        [("icosphere_order", 15), ("icosphere_order", 60), ("mesh_path", 15), ("domain", 15)],
-    )
-    def test_mesh_too_large_for_the_noise(self, tmp_path, capsys, monkeypatch, source, order):
-        scenario = {"n_samples": 8, "permutations": 9, "replicates": 1, "seed": 1}
+    @pytest.mark.parametrize("source", ["icosphere_order", "mesh_path", "domain"])
+    def test_mesh_over_2000_vertices_runs(self, tmp_path, monkeypatch, source):
+        # order 15, 2252 vertices: searched to 3 noise bandwidths, not in full
+        calls = []
+        search = mesh.TriangulatedManifold.compute_distances
+        monkeypatch.setattr(mesh.TriangulatedManifold, "compute_distances",
+                            lambda self, *a, **k: calls.append(k) or search(self, *a, **k))
+        scenario = {"n_samples": 8, "permutations": 9, "replicates": 1, "seed": 1,
+                    "signal_amplitude": 1.0, "truth": {"type": "cap", "center": 0, "radius": 0.3}}
+        component = {"kind": "icosphere", "order": 15, "radius_cap": 0.1}
         if source == "mesh_path":
             mesh_path = tmp_path / "big.off"
-            assert main(["tessellate", "--order", str(order), "--out", str(mesh_path)]) == 0
-            scenario["mesh_path"] = str(mesh_path)
+            assert main(["tessellate", "--order", "15", "--out", str(mesh_path)]) == 0
+            scenario.update(mesh_path=str(mesh_path), radius_cap=0.1)
         elif source == "domain":
-            scenario["domain"] = {"components": [{"kind": "icosphere", "order": order}]}
+            scenario["domain"] = {"components": [component]}
         else:
-            scenario["icosphere_order"] = order
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("distances computed for a mesh the sampler refuses")
-
-        monkeypatch.setattr(mesh.TriangulatedManifold, "compute_distances", refuse)
-        err = self.run_scenario_json(tmp_path, capsys, [scenario])
-        vertices = 10 * order**2 + 2
-        assert f"dense covariance limited to 2000 vertices, the mesh has {vertices}" in err
-
-    def test_mesh_too_large_for_the_noise_is_refused_before_its_cache(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # the refusal comes as soon as the mesh is loaded: its weights, its
-        # 40.6 MB cache and a search are never reached
-        mesh_path, cache = tmp_path / "big.off", tmp_path / "d.bin"
-        assert main(["tessellate", "--order", "15", "--out", str(mesh_path)]) == 0
-        assert main(["distances", "--mesh", str(mesh_path), "--out", str(cache)]) == 0
-        calls = []
-
-        def spy(name):
-            return lambda *args, **kwargs: calls.append(name)
-
-        monkeypatch.setattr(cli, "load_distance_cache", spy("load_distance_cache"))
-        for name in ("compute_distances", "compute_weights"):
-            monkeypatch.setattr(mesh.TriangulatedManifold, name, spy(name))
-        component = {"kind": "mesh", "path": str(mesh_path), "distance_cache": str(cache)}
-        scenario = {"domain": {"components": [component]}, "n_samples": 8,
-                    "permutations": 9, "replicates": 1, "seed": 1}
-        assert self.run_scenario_json(tmp_path, capsys, [scenario]) == (
-            "error: scenario[0].domain.components[0]: dense covariance limited to 2000 "
-            "vertices, the mesh has 2252; supply your own noise generator for larger meshes\n"
-        )
-        assert calls == []
+            scenario.update(icosphere_order=15, radius_cap=0.1)
+        rows = list(csv.DictReader(self.rates(tmp_path, "big", [scenario])
+                                   .decode().splitlines()))
+        assert [row["replicates"] for row in rows] == ["1"]
+        assert 0.0 <= float(rows[0]["sensitivity"]) <= 1.0
+        assert calls == [{"limit": 3 * 0.3}]
 
 
 def small_inference(components):

@@ -12,79 +12,133 @@ import pytest
 
 import oracles
 from ballwise import evalsim
-from ballwise.domain import ProductDomain, circle_component, mesh_component
+from ballwise.domain import TILE_VALUES, ProductDomain, circle_component, mesh_component
 from ballwise.evalsim import (
     REPLICATE_BYTES,
     SEED_BYTES,
     GaussianFieldSampler,
     ScenarioConfig,
-    cap_region_mask,
     compute_error_rates,
     multi_patch_mask,
     run_scenario,
 )
-from ballwise.mesh import DistanceRows, build_icosphere
+from ballwise.mesh import TriangulatedManifold, build_icosphere
 
 PATH_DISTANCES = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 PATH_ROWS = oracles.distance_rows(PATH_DISTANCES)
 
 
+class UnitDraws:
+    """A stand-in generator whose n draws are the n unit vectors, so that a
+    sampler's ``sample`` returns sd A', whose Gram matrix sd^2 A A' is the
+    covariance its noise is drawn from."""
+
+    def standard_normal(self, shape):
+        return np.eye(shape[1])[:shape[0]]
+
+
+def drawn_covariance(sampler):
+    factor = sampler.sample(UnitDraws(), len(sampler.kernel))
+    return factor.T @ factor
+
+
 class TestGaussianFieldSampler:
     def test_tiny_bandwidth_is_iid(self):
-        s = GaussianFieldSampler(PATH_ROWS, bandwidth=1e-4, sd=2.0)
-        cov = s.factor @ s.factor.T
-        np.testing.assert_allclose(cov, 4.0 * np.eye(3), atol=1e-8)
+        # no other vertex is within 3h: each row of A is its own unit vector
+        for bandwidth in (1e-4, 1e-200):
+            s = GaussianFieldSampler(PATH_ROWS, np.ones(3), bandwidth=bandwidth, sd=2.0)
+            np.testing.assert_array_equal(drawn_covariance(s), 4.0 * np.eye(3))
 
     def test_huge_bandwidth_is_common_factor(self):
-        s = GaussianFieldSampler(PATH_ROWS, bandwidth=1e4, sd=1.0)
-        cov = s.factor @ s.factor.T
-        np.testing.assert_allclose(cov, np.ones((3, 3)), atol=1e-6)
+        for bandwidth in (1e4, 1e200):
+            s = GaussianFieldSampler(PATH_ROWS, [1.0, 2.0, 0.5], bandwidth=bandwidth, sd=1.0)
+            np.testing.assert_allclose(drawn_covariance(s), np.ones((3, 3)), atol=1e-6)
 
     def test_factor_reproduces_kernel(self):
-        s = GaussianFieldSampler(PATH_ROWS, bandwidth=0.7, sd=1.3)
-        expected = 1.3 ** 2 * np.exp(-PATH_DISTANCES ** 2 / (2 * 0.7 ** 2))
-        np.testing.assert_allclose(s.factor @ s.factor.T, expected, atol=1e-10)
+        # 3h = 1.8 cuts the pair (0, 2) at distance 2 out of A
+        w = np.array([1.0, 2.0, 0.5])
+        s = GaussianFieldSampler(PATH_ROWS, w, bandwidth=0.6, sd=1.3)
+        expected = oracles.convolution_factor(PATH_DISTANCES, w, 0.6)
+        assert expected[0, 2] == expected[2, 0] == 0.0
+        np.testing.assert_allclose(s.sample(UnitDraws(), 3), 1.3 * expected.T,
+                                   rtol=1e-15, atol=0)
 
     def test_monte_carlo_covariance(self, triangle_strip):
         # 3-vertex sub-check on a real mesh: empirical covariance of 1e5
-        # draws within 0.02 of the closed-form kernel
+        # draws within 0.02 of the covariance drawn from, A A'
         rows = triangle_strip.compute_distances()
-        s = GaussianFieldSampler(rows, 1.0, 1.0)
+        w = triangle_strip.compute_weights().weights
+        s = GaussianFieldSampler(rows, w, 1.0, 1.0)
         draws = s.sample(np.random.default_rng(123), 100_000)
         emp = np.cov(draws[:, :3].T)
-        d = oracles.rows_to_dense(rows)[:3, :3]
-        expected = np.exp(-(d ** 2) / 2.0)
+        A = oracles.convolution_factor(oracles.rows_to_dense(rows), w, 1.0)
+        expected = (A @ A.T)[:3, :3]
         assert np.abs(emp - expected).max() < 0.02
 
     def test_zero_mean(self, triangle_strip):
-        s = GaussianFieldSampler(triangle_strip.compute_distances(), 0.5, 1.0)
+        s = GaussianFieldSampler(triangle_strip.compute_distances(),
+                                 triangle_strip.compute_weights().weights, 0.5, 1.0)
         draws = s.sample(np.random.default_rng(7), 50_000)
         assert np.abs(draws.mean(axis=0)).max() < 0.02
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            GaussianFieldSampler(PATH_ROWS, bandwidth=0.0, sd=1.0)
-        with pytest.raises(ValueError):
-            GaussianFieldSampler(PATH_ROWS, bandwidth=1.0, sd=-1.0)
+        for bandwidth, sd in ((0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="must be positive"):
+                GaussianFieldSampler(PATH_ROWS, np.ones(3), bandwidth=bandwidth, sd=sd)
+        with pytest.raises(ValueError, match="2 weights do not match the 3 rows"):
+            GaussianFieldSampler(PATH_ROWS, np.ones(2), bandwidth=1.0, sd=1.0)
 
-    def test_size_limit(self):
-        # refused on its row count, before any row is read
-        d = DistanceRows(np.empty((2001, 0), np.int32), np.empty((2001, 0)))
-        with pytest.raises(ValueError, match="dense covariance"):
-            GaussianFieldSampler(d, bandwidth=1.0, sd=1.0)
+    def test_size_limit(self, monkeypatch):
+        # the kernel's slots within 3h and one tile
+        m = build_icosphere(4).compute_weights()
+        rows = m.compute_distances()
+        L = rows.below(0.9).values.shape[1]
+        need = evalsim.NOISE_SLOT_BYTES * 162 * L + evalsim.NOISE_TILE_BYTES * TILE_VALUES
+        monkeypatch.setattr(evalsim, "memory_limit", lambda: need)
+        GaussianFieldSampler(rows, m.weights, bandwidth=0.3, sd=1.0)
+        monkeypatch.setattr(evalsim, "memory_limit", lambda: need - 1)
+        with pytest.raises(ValueError, match=f"noise kernel of 162 points by {L} neighbours "
+                                             "would need up to .*; use a smaller noise_bandwidth"):
+            GaussianFieldSampler(rows, m.weights, bandwidth=0.3, sd=1.0)
 
     def test_covariance_matches_dense_kernel(self):
-        m = build_icosphere(3)
-        s = GaussianFieldSampler(m.compute_distances(), bandwidth=0.4, sd=1.0)
-        d = oracles.dense_dijkstra(m)
-        cov = np.exp(-(d**2) / (2 * 0.4**2))
-        vals, vecs = np.linalg.eigh(cov)
-        expected = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-        assert s.factor.tobytes() == expected.tobytes()
+        # the covariance drawn is sd^2 A A' of the dense oracle, from the
+        # all-pairs rows, to rounding, and its diagonal is sd^2
+        m = build_icosphere(3).compute_weights()
+        rows = m.compute_distances()
+        s = GaussianFieldSampler(rows, m.weights, bandwidth=0.4, sd=1.3)
+        A = oracles.convolution_factor(oracles.rows_to_dense(rows), m.weights, 0.4)
+        cov = drawn_covariance(s)
+        np.testing.assert_allclose(cov, 1.3**2 * (A @ A.T), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.diag(cov), 1.3**2, rtol=1e-15)
+        assert np.all(np.linalg.eigvalsh(A @ A.T) > -1e-14)
+
+    def test_rows_searched_to_3h_match_all_pairs(self):
+        # the noise reads the rows below 3h only: a search to 3h, to more,
+        # and all pairs give the same bits
+        m = build_icosphere(4).compute_weights()
+        fields = [
+            GaussianFieldSampler(rows, m.weights, bandwidth=0.3, sd=1.0)
+            .sample(np.random.default_rng(5), 7).tobytes()
+            for rows in (m.compute_distances(limit=0.9), m.compute_distances(limit=1.4),
+                         m.compute_distances())
+        ]
+        assert fields[0] == fields[1] == fields[2]
+
+    def test_tiles_do_not_change_the_bits(self, monkeypatch):
+        # each row's neighbours are summed on their own, whatever the tile
+        m = build_icosphere(4).compute_weights()
+        rows = m.compute_distances(limit=0.9)
+        fields = []
+        for tile in (TILE_VALUES, 7, 1):
+            monkeypatch.setattr(evalsim, "TILE_VALUES", tile)
+            s = GaussianFieldSampler(rows, m.weights, bandwidth=0.3, sd=1.0)
+            fields.append(s.sample(np.random.default_rng(5), 7).tobytes())
+        assert fields[0] == fields[1] == fields[2]
 
     def test_simulate_does_not_depend_on_blas_threads(self, tmp_path):
-        # an icosphere's covariance has eigenvalues of multiplicity 3 and 5,
-        # whose eigenbasis LAPACK picks differently on 1 and 2 threads
+        # the noise makes no BLAS call; the two runs also cover the stat
+        # kernel's products on 1 and 2 threads
         scenario = {
             "id": "cap", "icosphere_order": 4, "n_samples": 10, "permutations": 19,
             "replicates": 2, "seed": 5, "signal_amplitude": 1.5, "radius_cap": 0.5,
@@ -105,11 +159,18 @@ class TestGaussianFieldSampler:
             rates.append(out.read_bytes())
         assert rates[0] == rates[1]
 
-    def test_infinite_distances_rejected(self):
-        d = PATH_DISTANCES.copy()
-        d[0, 2] = d[2, 0] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            GaussianFieldSampler(oracles.distance_rows(d), bandwidth=1.0, sd=1.0)
+    def test_disconnected_parts_are_uncorrelated(self):
+        # two triangles that share no edge: no pair across them is in any
+        # row, so their covariance is exactly 0
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                          [5, 0, 0], [6, 0, 0], [5, 1, 0]], dtype=float)
+        m = TriangulatedManifold(verts, np.array([[0, 1, 2], [3, 4, 5]]))
+        with pytest.warns(UserWarning, match="disconnected"):
+            rows = m.compute_distances()
+        s = GaussianFieldSampler(rows, m.compute_weights().weights, bandwidth=10.0, sd=1.0)
+        cov = drawn_covariance(s)
+        assert not cov[:3, 3:].any() and not cov[3:, :3].any()
+        assert (cov[:3, :3] > 0.9).all() and (cov[3:, 3:] > 0.9).all()
 
 
 class TestErrorRates:
@@ -182,14 +243,14 @@ class TestErrorRates:
 class TestTruthMasks:
     def test_cap_region_connected(self):
         m = build_icosphere(2)
-        mask = cap_region_mask(m, 0, 0.9)
+        mask = multi_patch_mask(m, [0], 0.9)
         assert mask[0]
         assert 1 < mask.sum() < m.n_vertices
 
     def test_multi_patch_union(self):
         m = build_icosphere(2)
-        a = cap_region_mask(m, 0, 0.5)
-        b = cap_region_mask(m, 11, 0.5)
+        a = multi_patch_mask(m, [0], 0.5)
+        b = multi_patch_mask(m, [11], 0.5)
         np.testing.assert_array_equal(multi_patch_mask(m, [0, 11], 0.5), a | b)
 
 
@@ -206,7 +267,7 @@ class TestRunScenario:
         defaults.update(kwargs)
         return ScenarioConfig(**defaults)
 
-    # the order-1 icosphere's all-pairs rows, which the noise reads
+    # the order-1 icosphere's all-pairs rows, which reach the noise's 3h
     ROWS = build_icosphere(1).compute_distances()
 
     def _domain(self, cap=math.inf):
@@ -229,18 +290,18 @@ class TestRunScenario:
     def test_separation_limit(self):
         # huge amplitude, cap below vertex spacing: every truth vertex found
         m = build_icosphere(1)
-        truth = cap_region_mask(m, 0, 1.2)
+        truth = multi_patch_mask(m, [0], 1.2)
         cfg = self._base_cfg(replicates=2, signal_amplitude=50.0)
         domain = ProductDomain([mesh_component(m, radius_cap=0.05)])
         rates = run_scenario(cfg, domain, truth, self.ROWS)
         assert rates.sensitivity == pytest.approx(1.0)
 
     def test_mesh_searched_to_the_cap_is_searched_in_full(self):
-        # the noise reads every pair: a component searched only to its cap,
-        # with the all-pairs rows beside it, gives the rates of one cut from
-        # those rows
+        # the noise reads its own rows, all pairs here: a component searched
+        # only to its cap, with those rows beside it, gives the rates of one
+        # cut from them
         cfg = self._base_cfg(replicates=2, signal_amplitude=2.0)
-        truth = cap_region_mask(build_icosphere(1), 0, 1.2)
+        truth = multi_patch_mask(build_icosphere(1), [0], 1.2)
         searched = ProductDomain([mesh_component(build_icosphere(1), radius_cap=0.8)])
         assert np.isfinite(searched.components[0].rows.values).sum() < 12 * 12
         rates = run_scenario(cfg, searched, truth, self.ROWS)

@@ -336,6 +336,29 @@ class TestStatKernel:
         with pytest.raises(ValueError, match="4 observations"):
             StatKernel(np.zeros((5, 2)), "t_two_sample_sq", [0, 0, 1, 1])
 
+    @pytest.mark.parametrize("statistic,design_kwargs", STATISTIC_DESIGNS)
+    def test_fields_that_would_overflow_are_refused(self, statistic, design_kwargs):
+        # finite signals whose squares are not: the fields would be nan or
+        # inf, every p-value 1 / (B + 1); refused before any permutation.
+        # At 1e150 they are in range, and the statistics are scale-free but
+        # for the slope
+        Y = np.random.default_rng(3).standard_normal((6, 4))
+        perms = np.array([np.random.default_rng(4).permutation(6) for _ in range(5)])
+        with pytest.raises(ValueError, match=f"{statistic} would overflow.*rescale the "
+                                             "signals or the covariate"):
+            StatKernel(1e160 * Y, statistic, **design_kwargs)
+        fields = StatKernel(1e150 * Y, statistic, **design_kwargs).fields(perms)
+        unit = StatKernel(Y, statistic, **design_kwargs).fields(perms)
+        scale = 1e300 if statistic == "slope_sq" else 1.0
+        np.testing.assert_allclose(fields, scale * unit, rtol=1e-12)
+
+    def test_slope_on_a_tiny_covariate_is_refused(self):
+        # SS / x'x bounds the squared slope: a covariate near 1e-160 passes it
+        Y = np.random.default_rng(3).standard_normal((6, 4))
+        with pytest.raises(ValueError, match="slope_sq would overflow"):
+            StatKernel(Y, "slope_sq", 1e-160 * np.arange(6.0))
+        StatKernel(Y, "t_trend_cutoff", 1e-140 * np.arange(6.0))
+
     def test_design_vector_takes_one_vector(self):
         # a covariate as N numbers, N x 1 or 1 x N is the same centred vector
         t = [0.0, 1.0, 3.0, 4.0]
