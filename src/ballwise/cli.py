@@ -150,7 +150,10 @@ def _parse_cap(value) -> float:
         return math.inf
     if not _is_number(value):
         raise ConfigError(f"radius_cap must be a number or 'inf', got {value!r}")
-    return _positive_cap(float(value))
+    try:
+        return _positive_cap(float(value))
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"radius_cap must be a finite number or 'inf', got {value!r}") from None
 
 
 def _is_int(value) -> bool:
@@ -391,10 +394,12 @@ def _scipy_version() -> str | None:
     )["version"]
 
 
-def _manifest(config: dict, seed: int, perms: np.ndarray, family, stages: Stages) -> str:
+def _manifest(config: dict, seed: int, perms: np.ndarray, family, chunk: int,
+              stages: Stages) -> str:
     import hashlib
     import json
 
+    from .domain import memory_bound
     from .permute import RNG_ALGORITHM
 
     seconds = stages.seconds()
@@ -408,6 +413,9 @@ def _manifest(config: dict, seed: int, perms: np.ndarray, family, stages: Stages
             "family_balls": family.n_balls,
             "family_shape": list(family.shape),
             "family_memberships": family.n_memberships,
+            "permutation_chunk": chunk,
+            # MiB, as peak_rss_mb
+            "memory_bound_mb": round(memory_bound(family.domain, chunk) / 2**20, 1),
             "ballwise_version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -585,14 +593,16 @@ def cmd_test(args) -> int:
                     f"model: the design has {n_obs} observations but the signal "
                     f"matrix has {Y.shape[0]} rows"
                 )
+            # refuses signals whose fields would overflow before any family work
+            kernel = StatKernel(Y, statistic, design)
             perms, seed, alpha = _build_inference(config["inference"], args.seed, n_obs)
         with stages("enumerate"):
             family = enumerate_family(domain)
         with stages("inference"):
-            result = run_inference(StatKernel(Y, statistic, design), family, perms)
+            result = run_inference(kernel, family, perms)
 
         def manifest():  # formatted last, so its peak RSS covers the other writes
-            yield _manifest(config, seed, perms, family, stages)
+            yield _manifest(config, seed, perms, family, result.permutation_chunk, stages)
 
         with stages("write"):
             outputs = {

@@ -39,13 +39,11 @@ __all__ = [
     "FamilyTooLargeError",
 ]
 
-# A chunk of permutations is CHUNK_PERMUTATIONS, fewer when its working
-# memory would pass CHUNK_BYTES: the tile buffers of ball counting
-# (tile_bytes(), the same for every chunk) and, per permutation, column_bytes
-# or the stat kernel's temporaries (KERNEL_FIELDS fields), whichever is more.
-# Larger domains get smaller chunks.
+# A chunk of permutations is CHUNK_PERMUTATIONS, fewer only when memory_bound
+# at that chunk would pass memory_limit(). Per permutation the loop holds
+# column_bytes or the stat kernel's temporaries (KERNEL_FIELDS fields),
+# whichever is more.
 CHUNK_PERMUTATIONS = 32
-CHUNK_BYTES = 64 * 2**20
 KERNEL_FIELDS = 5
 
 # Prefix sums run over tiles of at most TILE_VALUES values (512 KiB) of the
@@ -85,9 +83,6 @@ class ComponentGrid:
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
 
 
 def mesh_component(
@@ -501,10 +496,13 @@ class AdjustmentFamily:
         return _column_bytes(self.domain.size, [(*b.inner.shape, len(b)) for b in balls])
 
     def chunk_size(self) -> int:
-        """Permutations per chunk: CHUNK_PERMUTATIONS, fewer when their
-        working memory and the tiles would pass CHUNK_BYTES, and at least one."""
-        per_field = max(self.column_bytes, KERNEL_FIELDS * 8 * self.domain.size)
-        return max(1, min(CHUNK_PERMUTATIONS, (CHUNK_BYTES - tile_bytes()) // per_field))
+        """Permutations per chunk: the largest chunk, at most
+        CHUNK_PERMUTATIONS, whose ``memory_bound`` fits ``memory_limit()``,
+        and at least one (``enumerate_family`` refuses a domain whose chunk of
+        one does not fit). The p-values do not depend on it."""
+        fixed, per_permutation, _ = _bound_terms(self.domain)
+        fits = (memory_limit() - fixed) // per_permutation
+        return max(1, min(CHUNK_PERMUTATIONS, fits))
 
     def _integrate_axes(self, fields: np.ndarray, axes) -> np.ndarray:
         """The (n_1, ..., n_L, B) tensor of a stat field (m,) or a stack
@@ -611,19 +609,9 @@ def tile_bytes() -> int:
     return 8 * (5 * TILE_VALUES + 3 * np.getbufsize())
 
 
-def memory_bound(d: ProductDomain) -> int:
-    """An upper bound, worked out before anything is enumerated, on the bytes
-    that the family of ``d`` and inference on it hold at once.
-
-    A component's balls are at most its slots where a row's distance grows.
-    Its sorted rows hold 12 bytes per slot (the points, which the balls read
-    as ``order``, and their distances) and its family 9 (``inner`` and one
-    transient bool). On the last integrated component's slot grid, counting
-    holds 12 bytes per slot (tie floors, int32 counts) and a chunk of
-    permutations, and 8 bytes per product ball (the observed sums); covering
-    holds 5 per slot (the counts, the unkept mask) and 20 per product ball
-    (the observed sums, the p-values and the counts they are read from).
-    """
+def _bound_terms(d: ProductDomain) -> tuple[int, int, int]:
+    """``memory_bound(d, chunk)`` is max(fixed + chunk * per_permutation,
+    covering): these three terms, in bytes."""
     parts, family = [], 0
     for g in d.components:
         values = g.rows.values
@@ -636,9 +624,29 @@ def memory_bound(d: ProductDomain) -> int:
     n_balls = math.prod(balls for _, _, balls in parts)
     n, L, balls = parts[-1]
     slots = n * L * (n_balls // balls)
-    per_field = max(_column_bytes(d.size, parts), KERNEL_FIELDS * 8 * d.size)
-    chunk = max(CHUNK_BYTES, per_field + tile_bytes())
-    return family + max(12 * slots + 8 * n_balls + chunk, 5 * slots + 20 * n_balls)
+    per_permutation = max(_column_bytes(d.size, parts), KERNEL_FIELDS * 8 * d.size)
+    return (family + 12 * slots + 8 * n_balls + tile_bytes(), per_permutation,
+            family + 5 * slots + 20 * n_balls)
+
+
+def memory_bound(d: ProductDomain, chunk: int) -> int:
+    """An upper bound, worked out before anything is enumerated, on the bytes
+    that the family of ``d`` and inference on it, in chunks of ``chunk``
+    permutations, hold at once.
+
+    A component's balls are at most its slots where a row's distance grows.
+    Its sorted rows hold 12 bytes per slot (the points, which the balls read
+    as ``order``, and their distances) and its family 9 (``inner`` and one
+    transient bool). On the last integrated component's slot grid, counting
+    holds 12 bytes per slot (tie floors, int32 counts), 8 bytes per product
+    ball (the observed sums), the tiles (``tile_bytes()``) and, per
+    permutation of the chunk, ``column_bytes`` or the stat kernel's
+    KERNEL_FIELDS fields, whichever is more; covering holds 5 per slot (the
+    counts, the unkept mask) and 20 per product ball (the observed sums, the
+    p-values and the counts they are read from).
+    """
+    fixed, per_permutation, covering = _bound_terms(d)
+    return max(fixed + chunk * per_permutation, covering)
 
 
 class FamilyTooLargeError(ValueError):
@@ -650,9 +658,9 @@ def enumerate_family(d: ProductDomain) -> AdjustmentFamily:
 
     Component supports are already deduplicated and products of distinct
     supports are distinct, so no cross-component dedup is needed. Raises,
-    before enumerating anything, when ``memory_bound`` exceeds
-    ``memory_limit``.
+    before enumerating anything, when ``memory_bound`` at a chunk of one
+    permutation exceeds ``memory_limit``.
     """
-    check_memory("the adjustment family and inference on it", memory_bound(d), memory_limit(),
+    check_memory("the adjustment family and inference on it", memory_bound(d, 1), memory_limit(),
                  "; use smaller radius caps or a coarser grid", FamilyTooLargeError)
     return AdjustmentFamily(d, [enumerate_component_balls(c) for c in d.components])

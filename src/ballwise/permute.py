@@ -77,25 +77,16 @@ class PValueFields:
     adjusted: np.ndarray        # (m,)
     n_permutations: int
 
-    def tobytes(self) -> bytes:
-        """Canonical byte serialization (reproducibility checks)."""
-        return b"".join(
-            [
-                np.int64(self.n_permutations).tobytes(),
-                np.ascontiguousarray(self.pointwise, dtype="<f8").tobytes(),
-                np.ascontiguousarray(self.ballwise, dtype="<f8").tobytes(),
-                np.ascontiguousarray(self.adjusted, dtype="<f8").tobytes(),
-            ]
-        )
-
 
 @dataclass
 class InferenceResult:
-    """Observed statistics and the resulting p-value fields."""
+    """Observed statistics, the resulting p-value fields and the
+    permutations per chunk that the loop ran."""
 
     observed_field: np.ndarray
     observed_ball_stats: np.ndarray
     p: PValueFields
+    permutation_chunk: int
 
 
 def _tie_floor(observed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -115,8 +106,9 @@ def run_inference(
     its identity row. The shape is checked (``check_permutations``), then
     that each row reorders 0..N-1, before any field is computed.
     Permutations are processed in chunks of ``family.chunk_size()``
-    (``domain.CHUNK_PERMUTATIONS``, fewer when a chunk would need more than
-    ``domain.CHUNK_BYTES``). A chunk's fields come from one ``StatKernel``
+    (``domain.CHUNK_PERMUTATIONS``, fewer only when the family's
+    ``memory_bound`` at that chunk would pass ``memory_limit()``); no p-value
+    depends on the chunk. A chunk's fields come from one ``StatKernel``
     call, and ``count_exceedances`` adds them to the counts one integration
     tile at a time. Everything per ball lies on the slot grid of the family's
     last integrated component (``integrated_slots``), as each tile's running
@@ -161,4 +153,4 @@ def run_inference(
     p_ball = family.ball_values(count_slots) / (B + 1.0)
     p_adjusted = family.cover(count_slots) / (B + 1.0)
     fields_out = PValueFields((point_counts + 1) / (B + 1.0), p_ball, p_adjusted, B)
-    return InferenceResult(T_obs, ball_obs, fields_out)
+    return InferenceResult(T_obs, ball_obs, fields_out, chunk_size)

@@ -321,6 +321,11 @@ def ball_list(balls) -> list[ComponentBall]:
     return _BALL_LISTS[balls]
 
 
+def total_weight(g) -> float:
+    """A component grid's total quadrature weight."""
+    return float(g.weights.sum())
+
+
 # --- the whole family as one sparse matrix --------------------------------------
 
 def weight_matrix(family) -> csr_matrix:
@@ -541,6 +546,18 @@ def pvalues(nd: NullDistribution, family):
     p_point = (1.0 + point_counts) / (B + 1.0)
     p_ball = (1.0 + ball_counts) / (B + 1.0)
     return PValueFields(p_point, p_ball, cover_max(p_ball, family), B)
+
+
+def pvalue_bytes(p: PValueFields) -> bytes:
+    """Canonical bytes of p-value fields, for reproducibility checks."""
+    return b"".join(
+        [
+            np.int64(p.n_permutations).tobytes(),
+            np.ascontiguousarray(p.pointwise, dtype="<f8").tobytes(),
+            np.ascontiguousarray(p.ballwise, dtype="<f8").tobytes(),
+            np.ascontiguousarray(p.adjusted, dtype="<f8").tobytes(),
+        ]
+    )
 
 
 # --- error rates ---------------------------------------------------------------

@@ -369,6 +369,9 @@ class TestTestCommand:
         assert manifest["family_shape"] == list(fam.shape) and len(fam.shape) == 2
         assert manifest["family_balls"] == fam.n_balls
         assert manifest["family_memberships"] == weight_matrix(fam).nnz
+        assert manifest["permutation_chunk"] == fam.chunk_size() == 32
+        bound = domain.memory_bound(fam.domain, domain.CHUNK_PERMUTATIONS)
+        assert manifest["memory_bound_mb"] == round(bound / 2**20, 1)
 
     def test_order8_full_cap_family(self, tmp_path):
         # 100 M support memberships: refused while the family was one sparse
@@ -926,6 +929,17 @@ def test_degenerate_input(tmp_path, capsys, monkeypatch, make):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_overflowing_signals_refused_before_the_family(tmp_path, capsys, monkeypatch):
+    # the stat kernel is built with the signals, so its refusal comes before
+    # any family work
+    enumerated = []
+    monkeypatch.setattr(domain, "enumerate_family", enumerated.append)
+    argv, message = huge_signals(tmp_path, monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert enumerated == []
+
+
 @pytest.mark.filterwarnings("ignore:.*disconnected")
 @pytest.mark.parametrize("command", ["test", "simulate"])
 def test_zero_weight_refused_before_distances(tmp_path, capsys, monkeypatch, command):
@@ -1009,9 +1023,10 @@ def test_keys_are_those_of_the_kind(tmp_path, capsys, argv, message):
 
 
 def limit_memory(monkeypatch, fraction):
-    """Set the family's memory limit to ``fraction`` of the bound of the
-    order-1 full-cap domain of ``write_test_setup``, and return the bound."""
-    bound = domain.memory_bound(ProductDomain([mesh_component(build_icosphere(1))]))
+    """Set the family's memory limit to ``fraction`` of the bound, at a chunk of
+    one permutation, of the order-1 full-cap domain of ``write_test_setup``,
+    and return the bound."""
+    bound = domain.memory_bound(ProductDomain([mesh_component(build_icosphere(1))]), 1)
     monkeypatch.setattr(domain, "memory_limit", lambda: int(bound * fraction))
     return bound
 
@@ -1058,8 +1073,12 @@ class TestFamilyGuard:
         assert f"over the limit of {int(bound * 0.5) / 1e6:,.1f} MB" in err
 
     def test_at_limit_runs(self, tmp_path, monkeypatch):
-        limit_memory(monkeypatch, 1.0)
+        bound = limit_memory(monkeypatch, 1.0)
         assert self.run_with_domain_key(tmp_path, "radius_cap", "inf", component=0) == 0
+        # in chunks of one permutation, which the manifest records
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["permutation_chunk"] == 1
+        assert manifest["memory_bound_mb"] == round(bound / 2**20, 1)
 
     @pytest.mark.parametrize("command", ["test", "adjust", "simulate"])
     def test_refused_before_enumeration(self, tmp_path, command, capsys, monkeypatch):
@@ -1084,6 +1103,15 @@ class TestFamilyGuard:
         assert self.run_with_domain_key(tmp_path, "radius_cap", value, command, 0) == 2
         assert (
             f"domain.components[0]: radius_cap must be a number or 'inf', got {value!r}"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command", ["test", "adjust"])
+    def test_radius_cap_beyond_float_range(self, tmp_path, command, capsys):
+        # an integer that no float holds is refused naming the key
+        assert self.run_with_domain_key(tmp_path, "radius_cap", 10**400, command, 0) == 2
+        assert (
+            "domain.components[0]: radius_cap must be a finite number or 'inf', got 1000"
             in capsys.readouterr().err
         )
 
@@ -1469,6 +1497,9 @@ class TestSimulate:
              "scenario[0].domain.components[0]: radius must be a finite number, got True"),
             (lambda s: s.update(radius_cap=True),
              "scenario[0].domain.components[0]: radius_cap must be a number or 'inf', got True"),
+            (lambda s: s.update(radius_cap=10**400),
+             "scenario[0].domain.components[0]: radius_cap must be a finite number or 'inf', "
+             "got 1000"),
         ],
         ids=["no-center", "center-abc", "center-float", "center-999", "center-negative",
              "radius-negative", "radius-nan", "radius-abc", "patch-center-12",
@@ -1478,7 +1509,7 @@ class TestSimulate:
              "bandwidth-bool", "bandwidth-inf", "amplitude-string", "amplitude-bool",
              "amplitude-nan", "alpha-string", "noise-sd-null", "noise-sd-huge-int",
              "icosphere-radius-bool",
-             "cap-bool"],
+             "cap-bool", "cap-huge-int"],
     )
     def test_malformed_scenario(self, tmp_path, capsys, change, message):
         scenario = {"icosphere_order": 1, "n_samples": 8, "permutations": 9,
@@ -1703,6 +1734,7 @@ class TestBallsCsv:
             observed_ball_stats=rng.standard_normal(fam.n_balls) ** 2,
             p=PValueFields(np.ones(fam.domain.size), rng.integers(1, 501, fam.n_balls) / 500,
                            np.ones(fam.domain.size), 499),
+            permutation_chunk=32,
         )
         longest = 0
         tracemalloc.start()

@@ -30,6 +30,7 @@ from oracles import (
     product_ball,
     support_indices,
     support_weights,
+    total_weight,
     weight_matrix,
 )
 
@@ -123,7 +124,7 @@ def family_supports(balls):
 class TestComponentGrids:
     def test_circle_weights_and_distances(self):
         g = circle_component(12, circumference=12.0)
-        assert g.total_weight() == pytest.approx(12.0)
+        assert total_weight(g) == pytest.approx(12.0)
         d = oracles.rows_to_dense(g.rows)  # no cap: every pair is in a row
         assert d.max() == pytest.approx(6.0)  # half circumference
         np.testing.assert_array_equal(d, d.T)
@@ -132,12 +133,12 @@ class TestComponentGrids:
     def test_interval_trapezoid(self):
         g = interval_component(0.0, 2.0, 5)
         np.testing.assert_allclose(g.weights, [0.25, 0.5, 0.5, 0.5, 0.25])
-        assert g.total_weight() == pytest.approx(2.0)
+        assert total_weight(g) == pytest.approx(2.0)
         assert oracles.rows_to_dense(g.rows).max() == pytest.approx(2.0)
 
     def test_mesh_component(self, unit_tetrahedron):
         g = mesh_component(unit_tetrahedron)
-        assert g.total_weight() == pytest.approx(np.sqrt(3.0), rel=1e-9)
+        assert total_weight(g) == pytest.approx(np.sqrt(3.0), rel=1e-9)
 
     def test_full_cap_mesh_component_keeps_one_copy(self):
         m = build_icosphere(3)
@@ -806,7 +807,7 @@ class TestEnumerateFamily:
     def test_memory_limit(self, monkeypatch):
         d = ProductDomain([circle_component(12), interval_component(0.0, 1.0, 3)])
         n_balls = enumerate_family(d).n_balls
-        bound = domain.memory_bound(d)
+        bound = domain.memory_bound(d, 1)
         monkeypatch.setattr(domain, "memory_limit", lambda: bound)
         assert enumerate_family(d).n_balls == n_balls
         monkeypatch.setattr(domain, "memory_limit", lambda: bound // 2)
@@ -848,7 +849,7 @@ class TestBallWeight:
         full = max(range(fam.n_balls), key=lambda k: len(support_indices(fam, k)))
         assert len(support_indices(fam, full)) == d.size
         assert ball_weight(fam, full) == pytest.approx(
-            c1.total_weight() * c2.total_weight(), rel=1e-12
+            total_weight(c1) * total_weight(c2), rel=1e-12
         )
 
     def test_tetrahedron_times_one_circle_point(self, unit_tetrahedron):

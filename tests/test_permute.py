@@ -7,6 +7,7 @@ import pytest
 from ballwise import domain
 from ballwise.domain import (
     AdjustmentFamily,
+    FamilyTooLargeError,
     ProductDomain,
     circle_component,
     enumerate_family,
@@ -25,6 +26,7 @@ from oracles import (
     permutations_loop,
     permute_once,
     product_ball,
+    pvalue_bytes,
     pvalues,
     support_indices,
     t_two_sample_sq,
@@ -426,8 +428,8 @@ class TestEngineProperties:
         design = [0] * 4 + [1] * 4
         statistic = "t_two_sample_sq"
         perms = generate_permutations(20, 7, len(Y))
-        a = run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes()
-        b = run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes()
+        a = pvalue_bytes(run_inference(StatKernel(Y, statistic, design), fam, perms).p)
+        b = pvalue_bytes(run_inference(StatKernel(Y, statistic, design), fam, perms).p)
         assert a == b
 
     @pytest.mark.parametrize("statistic", ["t_two_sample_sq", "t_trend_cutoff", "slope_sq"])
@@ -450,8 +452,8 @@ class TestEngineProperties:
             perms = generate_permutations(100, seed, len(Y))
             nd = null_distribution(Y, statistic, design, fam, perms, "freedman_lane")
             p = [
-                pvalues(nd, fam).tobytes(),
-                run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes(),
+                pvalue_bytes(pvalues(nd, fam)),
+                pvalue_bytes(run_inference(StatKernel(Y, statistic, design), fam, perms).p),
             ]
             assert p[0] == p[1], seed
 
@@ -465,7 +467,7 @@ class TestEngineProperties:
         p_chunk = run_inference(StatKernel(Y, statistic, design), fam, perms).p
         for scheme in ("freedman_lane", "raw_label_permutation"):
             nd = null_distribution(Y, statistic, design, fam, perms, scheme)
-            assert pvalues(nd, fam).tobytes() == p_chunk.tobytes()
+            assert pvalue_bytes(pvalues(nd, fam)) == pvalue_bytes(p_chunk)
 
     def test_chunk_size_and_byte_budget(self, tet_circle_domain, monkeypatch):
         d, fam = tet_circle_domain
@@ -474,13 +476,14 @@ class TestEngineProperties:
         statistic = "t_two_sample_sq"
         perms = generate_permutations(45, 8, len(Y))
         monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", 1)
-        ref = run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes()
+        ref = pvalue_bytes(run_inference(StatKernel(Y, statistic, design), fam, perms).p)
         for chunk in (7, 32):
             monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", chunk)
-            assert run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes() == ref
-        # a budget of the tiles and three fields' working memory caps every
-        # chunk at 3: the observed field is integrated alone (0), each chunk
-        # is counted in one call
+            p = run_inference(StatKernel(Y, statistic, design), fam, perms).p
+            assert pvalue_bytes(p) == ref
+        # a memory limit below the bound at a chunk of 4 caps every chunk at
+        # 3: the observed field is integrated alone (0), each chunk is
+        # counted in one call
         stacked = []
         integrate = AdjustmentFamily.integrated_slots
         count = AdjustmentFamily.count_exceedances
@@ -495,10 +498,37 @@ class TestEngineProperties:
 
         monkeypatch.setattr(AdjustmentFamily, "integrated_slots", spy_integrate)
         monkeypatch.setattr(AdjustmentFamily, "count_exceedances", spy_count)
-        per_field = max(fam.column_bytes, domain.KERNEL_FIELDS * 8 * d.size)
-        monkeypatch.setattr(domain, "CHUNK_BYTES", domain.tile_bytes() + 3 * per_field + 7)
-        assert run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes() == ref
+        bounds = [domain.memory_bound(d, chunk) for chunk in range(1, 33)]
+        monkeypatch.setattr(domain, "memory_limit", lambda: bounds[3] - 1)
+        result = run_inference(StatKernel(Y, statistic, design), fam, perms)
+        assert pvalue_bytes(result.p) == ref and result.permutation_chunk == 3
         assert stacked == [0] + [3] * 15
+        # every limit between the bounds at chunks of 1 and 32 gives the
+        # largest chunk whose bound fits
+        for chunk, bound in enumerate(bounds, 1):
+            monkeypatch.setattr(domain, "memory_limit", lambda: bound)
+            assert fam.chunk_size() == chunk
+            monkeypatch.setattr(domain, "memory_limit", lambda: bound - 1)
+            assert fam.chunk_size() == max(chunk - 1, 1)
+        monkeypatch.setattr(domain, "memory_limit", lambda: bounds[-1] * 2)
+        assert fam.chunk_size() == 32
+        # the family is refused exactly when a chunk of one does not fit
+        monkeypatch.setattr(domain, "memory_limit", lambda: bounds[0])
+        assert enumerate_family(d).n_balls == fam.n_balls
+        monkeypatch.setattr(domain, "memory_limit", lambda: bounds[0] - 1)
+        with pytest.raises(FamilyTooLargeError, match=f"up to {bounds[0] / 1e6:,.1f} MB"):
+            enumerate_family(d)
+
+    @pytest.mark.parametrize("components", [
+        lambda: [mesh_component(build_icosphere(25), 0.3), circle_component(12, 12.0, 2.5)],
+        lambda: [mesh_component(build_icosphere(12), 0.3), circle_component(24, 24.0, 2.5)],
+    ], ids=["s2xs1-order25", "order12-circle24"])
+    def test_large_products_run_chunks_of_32(self, components, monkeypatch):
+        # 25,899,408 and 2,510,784 balls: with memory to spare, a large
+        # product runs chunks of 32 too
+        monkeypatch.setattr(domain, "memory_limit", lambda: 2**40)
+        fam = enumerate_family(ProductDomain(components()))
+        assert fam.chunk_size() == 32
 
     @pytest.mark.slow
     def test_order16_full_cap_runs_chunks_of_32(self, monkeypatch):
@@ -517,10 +547,11 @@ class TestEngineProperties:
             return count(self, fields, floor_slots, count_slots)
 
         monkeypatch.setattr(AdjustmentFamily, "count_exceedances", spy)
-        chunked = run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes()
+        chunked = pvalue_bytes(run_inference(StatKernel(Y, statistic, design), fam, perms).p)
         assert stacked == [32, 32]
         monkeypatch.setattr(domain, "CHUNK_PERMUTATIONS", 1)
-        assert run_inference(StatKernel(Y, statistic, design), fam, perms).p.tobytes() == chunked
+        p = run_inference(StatKernel(Y, statistic, design), fam, perms).p
+        assert pvalue_bytes(p) == chunked
 
     @pytest.mark.slow
     def test_order16_full_cap_peak_within_2_85_slot_grids(self):
@@ -559,21 +590,25 @@ class TestEngineProperties:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("shape", [
-        "mesh_circle", "sphere25", "simulate_fullcap", "order16_full_cap"
+        "mesh_circle", "sphere25", "simulate_fullcap", "order16_full_cap", "s2xs1"
     ])
     def test_memory_bound_holds_the_peak(self, shape):
-        # the benchmark's domain shapes and statistics, and the full cap at
-        # order 16; B = 64 runs two full chunks
+        # the benchmark's domain shapes and statistics, the full cap at order
+        # 16, and S^2 x S^1 at order 25 (25,899,408 balls); B = 64 runs two
+        # full chunks
         N, statistic = 20, "t_two_sample_sq"
         if shape == "mesh_circle":
             components = [mesh_component(build_icosphere(4), 0.5), circle_component(12, 12.0, 2.5)]
         elif shape == "sphere25":
             components = [mesh_component(build_icosphere(25), 0.06)]
             N, statistic = 30, "t_trend_cutoff"
+        elif shape == "s2xs1":
+            components = [mesh_component(build_icosphere(25), 0.3), circle_component(12, 12.0, 2.5)]
+            N, statistic = 30, "t_trend_cutoff"
         else:
             components = [mesh_component(build_icosphere(5 if shape == "simulate_fullcap" else 16))]
         d = ProductDomain(components)
-        bound = domain.memory_bound(d)
+        bound = domain.memory_bound(d, domain.CHUNK_PERMUTATIONS)
         Y = np.random.default_rng(19).standard_normal((N, d.size))
         if statistic == "t_trend_cutoff":
             design = np.arange(float(N))
