@@ -415,7 +415,9 @@ def _manifest(config: dict, seed: int, perms: np.ndarray, family, chunk: int,
             "family_memberships": family.n_memberships,
             "permutation_chunk": chunk,
             # MiB, as peak_rss_mb
-            "memory_bound_mb": round(memory_bound(family.domain, chunk) / 2**20, 1),
+            "memory_bound_mb": round(
+                memory_bound(family.domain, chunk, family.n_obs) / 2**20, 1
+            ),
             "ballwise_version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -597,7 +599,7 @@ def cmd_test(args) -> int:
             kernel = StatKernel(Y, statistic, design)
             perms, seed, alpha = _build_inference(config["inference"], args.seed, n_obs)
         with stages("enumerate"):
-            family = enumerate_family(domain)
+            family = enumerate_family(domain, n_obs)
         with stages("inference"):
             result = run_inference(kernel, family, perms)
 

@@ -127,7 +127,8 @@ def circle_component(
         kind="circle",
         points=idx * step,
         weights=np.full(n_points, step),
-        rows=DistanceRows.from_dense_blocks(n_points, block_rows, lambda d: d < radius_cap),
+        rows=DistanceRows.from_dense_blocks(n_points, block_rows, lambda d: d < radius_cap,
+                                            radius_cap),
         radius_cap=radius_cap,
     )
 
@@ -153,7 +154,8 @@ def interval_component(
         kind="interval",
         points=np.linspace(a, b, n_points),
         weights=w,
-        rows=DistanceRows.from_dense_blocks(n_points, block_rows, lambda d: d < radius_cap),
+        rows=DistanceRows.from_dense_blocks(n_points, block_rows, lambda d: d < radius_cap,
+                                            radius_cap),
         radius_cap=radius_cap,
     )
 
@@ -452,11 +454,13 @@ class AdjustmentFamily:
     ``component_balls`` holds one ``ComponentBalls`` operator per component
     and is the family's only description: product ball k is
     ``np.unravel_index(k, shape)`` over the per-component ball counts
-    ``shape``, which is ``itertools.product`` order.
+    ``shape``, which is ``itertools.product`` order. ``n_obs`` signals of the
+    domain are held beside it through inference (``memory_bound``).
     """
 
     domain: ProductDomain
     component_balls: list[ComponentBalls]
+    n_obs: int = 0
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -500,7 +504,7 @@ class AdjustmentFamily:
         CHUNK_PERMUTATIONS, whose ``memory_bound`` fits ``memory_limit()``,
         and at least one (``enumerate_family`` refuses a domain whose chunk of
         one does not fit). The p-values do not depend on it."""
-        fixed, per_permutation, _ = _bound_terms(self.domain)
+        fixed, per_permutation, _ = _bound_terms(self.domain, self.n_obs)
         fits = (memory_limit() - fixed) // per_permutation
         return max(1, min(CHUNK_PERMUTATIONS, fits))
 
@@ -609,10 +613,10 @@ def tile_bytes() -> int:
     return 8 * (5 * TILE_VALUES + 3 * np.getbufsize())
 
 
-def _bound_terms(d: ProductDomain) -> tuple[int, int, int]:
-    """``memory_bound(d, chunk)`` is max(fixed + chunk * per_permutation,
-    covering): these three terms, in bytes."""
-    parts, family = [], 0
+def _bound_terms(d: ProductDomain, n_obs: int) -> tuple[int, int, int]:
+    """``memory_bound(d, chunk, n_obs)`` is max(fixed + chunk *
+    per_permutation, covering): these three terms, in bytes."""
+    parts, family = [], 16 * n_obs * d.size
     for g in d.components:
         values = g.rows.values
         n, L = values.shape
@@ -629,15 +633,17 @@ def _bound_terms(d: ProductDomain) -> tuple[int, int, int]:
             family + 5 * slots + 20 * n_balls)
 
 
-def memory_bound(d: ProductDomain, chunk: int) -> int:
+def memory_bound(d: ProductDomain, chunk: int, n_obs: int = 0) -> int:
     """An upper bound, worked out before anything is enumerated, on the bytes
     that the family of ``d`` and inference on it, in chunks of ``chunk``
-    permutations, hold at once.
+    permutations, hold at once, with ``n_obs`` signals.
 
-    A component's balls are at most its slots where a row's distance grows.
-    Its sorted rows hold 12 bytes per slot (the points, which the balls read
-    as ``order``, and their distances) and its family 9 (``inner`` and one
-    transient bool). On the last integrated component's slot grid, counting
+    The signals hold 16 bytes per observation and point throughout (the
+    loaded float64 matrix and the stat kernel's centred copy). A component's
+    balls are at most its slots where a row's distance grows. Its sorted rows
+    hold 12 bytes per slot (the points, which the balls read as ``order``,
+    and their distances) and its family 9 (``inner`` and one transient
+    bool). On the last integrated component's slot grid, counting
     holds 12 bytes per slot (tie floors, int32 counts), 8 bytes per product
     ball (the observed sums), the tiles (``tile_bytes()``) and, per
     permutation of the chunk, ``column_bytes`` or the stat kernel's
@@ -645,7 +651,7 @@ def memory_bound(d: ProductDomain, chunk: int) -> int:
     counts, the unkept mask) and 20 per product ball (the observed sums, the
     p-values and the counts they are read from).
     """
-    fixed, per_permutation, covering = _bound_terms(d)
+    fixed, per_permutation, covering = _bound_terms(d, n_obs)
     return max(fixed + chunk * per_permutation, covering)
 
 
@@ -653,14 +659,18 @@ class FamilyTooLargeError(ValueError):
     """The family and inference on it would need more memory than the limit."""
 
 
-def enumerate_family(d: ProductDomain) -> AdjustmentFamily:
-    """Cartesian products of the per-component ball supports.
+def enumerate_family(d: ProductDomain, n_obs: int = 0) -> AdjustmentFamily:
+    """Cartesian products of the per-component ball supports, for inference
+    on ``n_obs`` signals (none: ``adjust``).
 
     Component supports are already deduplicated and products of distinct
     supports are distinct, so no cross-component dedup is needed. Raises,
     before enumerating anything, when ``memory_bound`` at a chunk of one
     permutation exceeds ``memory_limit``.
     """
-    check_memory("the adjustment family and inference on it", memory_bound(d, 1), memory_limit(),
+    what = "the adjustment family and inference on it"
+    if n_obs:
+        what += f" with {n_obs} signals of {d.size} points"
+    check_memory(what, memory_bound(d, 1, n_obs), memory_limit(),
                  "; use smaller radius caps or a coarser grid", FamilyTooLargeError)
-    return AdjustmentFamily(d, [enumerate_component_balls(c) for c in d.components])
+    return AdjustmentFamily(d, [enumerate_component_balls(c) for c in d.components], n_obs)

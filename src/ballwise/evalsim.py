@@ -64,14 +64,17 @@ class GaussianFieldSampler:
 
     Only the entries of ``distances`` below 3h are read, a prefix of each
     sorted row, so rows searched to any bound of at least 3h give the same
-    bits as all pairs. A is applied a tile of rows at a time by numpy gathers
-    and sums, with no BLAS call, so the field does not depend on the BLAS
-    thread count.
+    bits as all pairs; rows whose ``bound`` is below 3h are refused. A is
+    applied a tile of rows at a time by numpy gathers and sums, with no BLAS
+    call, so the field does not depend on the BLAS thread count.
     """
 
     def __init__(self, distances: DistanceRows, weights, bandwidth: float, sd: float):
         if not (bandwidth > 0 and sd > 0):
             raise ValueError("bandwidth and sd must be positive")
+        if distances.bound < 3 * bandwidth:
+            raise ValueError(f"the distances hold every entry only below {distances.bound:g}, "
+                             f"short of 3 * bandwidth = {3 * bandwidth:g}")
         rows = distances.below(3 * bandwidth)
         n, L = rows.values.shape
         w = np.asarray(weights, dtype=float)
@@ -230,7 +233,7 @@ def run_scenario(cfg: ScenarioConfig, domain: ProductDomain, truth: np.ndarray,
     check_permutations(cfg.n_permutations, cfg.n_samples)
     sampler = GaussianFieldSampler(distances, domain.components[0].weights,
                                    cfg.noise_bandwidth, cfg.noise_sd)
-    family = enumerate_family(domain)
+    family = enumerate_family(domain, cfg.n_samples)
 
     groups = np.repeat([0, 1], cfg.n_samples // 2)
     base = np.where(truth, cfg.signal_amplitude, 0.0)

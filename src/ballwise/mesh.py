@@ -44,6 +44,17 @@ DEGENERACY_RTOL = 1e-9
 # compressed this many distances at a time.
 DISTANCE_BLOCK = 1 << 20
 
+# Bytes per (row, point) pair of a block that building DistanceRows holds
+# beside the rows: for the search, its best and mark buffers, a round's
+# candidate arrays and the reached positions; for dense blocks, the block,
+# its mask and its kept positions; for both, the block's entries and sort
+# temporaries as they go into the rows. The tracemalloc peak of a full-cap
+# build, less its rows, reads 49-53 bytes a pair for the search at orders 4
+# to 25, and 33-35 for circles and intervals of 200 to 3000 points and for a
+# cache read.
+SEARCH_PAIR_BYTES = 64
+DENSE_PAIR_BYTES = 40
+
 
 @dataclass(frozen=True)
 class DistanceRows:
@@ -52,43 +63,54 @@ class DistanceRows:
     Row i of ``indices`` (n x L) holds the points near center i by (distance,
     index), and of ``values`` their distances, a shorter row than the longest
     padded with the point n at ``inf``. Which points a row keeps (those within
-    a search bound, or below a ball cap) is up to whoever builds it.
+    a search bound, or below a ball cap) is up to whoever builds it; every
+    point at a distance below ``bound`` is kept.
     """
 
     indices: np.ndarray  # (n, L) int32, padded with n
     values: np.ndarray   # (n, L) float64, padded with inf
+    bound: float = np.inf
 
     @classmethod
-    def from_blocks(cls, n: int, blocks: Iterable[tuple]) -> "DistanceRows":
-        """Gather the rows one block at a time.
+    def from_blocks(cls, n: int, blocks: Iterable[tuple], bound: float,
+                    pair_bytes: int) -> "DistanceRows":
+        """Fill the rows one block at a time.
 
         ``blocks`` yields ``(start, stop, distances, kept)`` in row order:
         rows ``start:stop`` of the n x n distances, flat, and the positions in
         them of the entries to keep, ascending, so each row comes in index
-        order. One stable sort by distance then orders it by (distance, index).
-        Raises ``ValueError`` once what is held at the end would pass
-        ``memory_limit()``: the padded rows and their ``filled`` mask, 13
-        bytes a slot for n rows as long as the longest so far, and the kept
-        entries of the blocks so far, 12 bytes each.
+        order. Each block's entries go into its rows as it comes, and one
+        stable sort by distance orders them by (distance, index); a block with
+        a row longer than any before widens all rows with padding. Raises
+        ``ValueError`` once what a block holds would pass ``memory_limit()``:
+        the rows, 12 bytes a slot at the longest row so far (both copies while
+        they widen), and the block's working memory, ``pair_bytes`` for each
+        (row, point) pair of a block of ``_block_size(n)`` rows.
         """
-        parts, counts, longest, limit = [], np.zeros(n, dtype=np.int64), 0, memory_limit()
+        indices, values = np.full((n, 0), n, dtype=np.int32), np.full((n, 0), np.inf)
+        limit = memory_limit()
         for start, stop, distances, kept in blocks:
-            counts[start:stop] = np.diff(np.searchsorted(kept, np.arange(stop - start + 1) * n))
-            longest = max(longest, int(counts[start:stop].max(initial=0)))
-            need = 13 * n * longest + 12 * int(counts[:stop].sum())
-            check_memory(f"distance rows of {n} points", need, limit,
-                         "; use a smaller radius_cap or a coarser grid")
-            parts.append((start, stop, (kept % n).astype(np.int32), distances[kept]))
-        # each entry at its position in its row, in index order, the rest padding
-        filled = np.arange(longest) < counts[:, None]
-        rows = cls(np.full(filled.shape, n, dtype=np.int32), np.full(filled.shape, np.inf))
-        for start, stop, c, d in parts:
-            indices, values = rows.indices[start:stop], rows.values[start:stop]
-            indices[filled[start:stop]], values[filled[start:stop]] = c, d
-            s = np.argsort(values, axis=1, kind="stable")
-            indices[:] = np.take_along_axis(indices, s, 1)
-            values[:] = np.take_along_axis(values, s, 1)
-        return rows
+            counts = np.diff(np.searchsorted(kept, np.arange(stop - start + 1) * n))
+            held = values.shape[1]
+            L = max(held, int(counts.max(initial=0)))
+            # the rows, both copies while they widen, and one block's work
+            rows_bytes = 12 * n * (L + held if L > held else L)
+            check_memory(f"distance rows of {n} points",
+                         rows_bytes + pair_bytes * _block_size(n) * n,
+                         limit, "; use a smaller radius_cap or a coarser grid")
+            if L > held:
+                indices = np.pad(indices, ((0, 0), (0, L - held)), constant_values=n)
+                values = np.pad(values, ((0, 0), (0, L - held)), constant_values=np.inf)
+            # the block's entries at the head of its rows, in index order
+            rows_i, rows_v = indices[start:stop], values[start:stop]
+            filled = np.arange(L) < counts[:, None]
+            rows_i[filled] = kept % n
+            rows_v[filled] = distances[kept]
+            s = np.argsort(rows_v, axis=1, kind="stable")
+            rows_i[:] = np.take_along_axis(rows_i, s, 1)
+            rows_v[:] = np.take_along_axis(rows_v, s, 1)
+            del distances, kept  # before the next block is made
+        return cls(indices, values, bound)
 
     @classmethod
     def from_dense_blocks(
@@ -96,12 +118,14 @@ class DistanceRows:
         n: int,
         block_rows: Callable[[int, int], np.ndarray],
         keep: Callable[[np.ndarray], np.ndarray],
+        bound: float,
     ) -> "DistanceRows":
         """Compress dense rows one block at a time.
 
         ``block_rows(start, stop)`` returns rows ``start:stop`` of the n x n
         distances, flat or not (``_block_size(n)`` rows per call, fewer at the
-        end), and ``keep(block)`` marks the entries to keep.
+        end), and ``keep(block)`` marks the entries to keep: every one below
+        ``bound``, at least.
         """
         def blocks():
             step = _block_size(n)
@@ -109,8 +133,9 @@ class DistanceRows:
                 stop = min(n, start + step)
                 block = block_rows(start, stop)
                 yield start, stop, block.ravel(), np.flatnonzero(keep(block))
+                del block  # before the next one is made
 
-        return cls.from_blocks(n, blocks())
+        return cls.from_blocks(n, blocks(), bound, DENSE_PAIR_BYTES)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -126,14 +151,15 @@ class DistanceRows:
         return np.where(j + 1 < L, self.values[i, np.minimum(j + 1, L - 1)], np.inf)
 
     def below(self, bound: float) -> "DistanceRows":
-        """The entries with distance < ``bound``, a prefix of every row."""
+        """The entries with distance < ``bound``, a prefix of every row; the
+        rows themselves when that is all of them."""
         keep = self.values < bound
         if np.array_equal(keep, self.values < np.inf):
             return self
         L = int(keep.sum(axis=1).max(initial=0))
         keep = keep[:, :L]
         return DistanceRows(np.where(keep, self.indices[:, :L], len(self)),
-                            np.where(keep, self.values[:, :L], np.inf))
+                            np.where(keep, self.values[:, :L], np.inf), min(self.bound, bound))
 
 
 @dataclass
@@ -207,12 +233,6 @@ class TriangulatedManifold:
         found = (lo >= 0) & (hi < n) & (self._edge_keys[pos] == keys)
         return np.where(found, pos, -1)
 
-    def edge_length(self, i: int, j: int) -> float:
-        k = int(self._edge_ids(i, j))
-        if k < 0:
-            raise KeyError((min(i, j), max(i, j)))
-        return float(self.edge_lengths[k])
-
     def override_edge_lengths(self, path) -> None:
         """Apply per-edge length overrides from a CSV of ``i,j,length`` rows.
 
@@ -285,11 +305,6 @@ class TriangulatedManifold:
         self.weights = w
         return self
 
-    def total_weight(self) -> float:
-        if self.weights is None:
-            self.compute_weights()
-        return float(self.weights.sum())
-
     def _graph(self) -> "_Graph":
         """The edge graph, each edge both ways."""
         i, j = self.edges[:, 0], self.edges[:, 1]
@@ -308,8 +323,9 @@ class TriangulatedManifold:
         ``DistanceRows`` row of the vertices within ``limit``.
 
         The search runs over blocks of sources (``_Graph.search_blocks``),
-        whose reached positions, sorted, ``DistanceRows.from_blocks`` gathers
-        into rows; no dense row is made. Every distance up to and including
+        whose reached positions, sorted, ``DistanceRows.from_blocks`` lays
+        into the rows as each block comes; no dense row is made. The rows'
+        ``bound`` is ``limit``. Every distance up to and including
         ``limit`` is the same float as in the unbounded run, and as
         Dijkstra's, so a ball cap needs only ``limit=cap``. A disconnected
         graph warns, once per mesh; its cross-component pairs are absent.
@@ -318,7 +334,7 @@ class TriangulatedManifold:
             (start, stop, best, np.sort(reached))
             for start, stop, best, reached in self._graph().search_blocks(limit)
         )
-        rows = DistanceRows.from_blocks(self.n_vertices, blocks)
+        rows = DistanceRows.from_blocks(self.n_vertices, blocks, limit, SEARCH_PAIR_BYTES)
         self._warn_if_disconnected(
             "mesh edge graph is disconnected; distances across components are infinite"
         )
@@ -534,7 +550,7 @@ def load_distance_cache(path, limit: float = np.inf) -> DistanceRows:
             return np.fromfile(fh, dtype="<f8", count=(stop - start) * n)
 
         return DistanceRows.from_dense_blocks(
-            n, block_rows, lambda block: np.isfinite(block) & (block <= limit)
+            n, block_rows, lambda block: np.isfinite(block) & (block <= limit), limit
         )
 
 

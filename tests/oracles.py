@@ -322,8 +322,14 @@ def ball_list(balls) -> list[ComponentBall]:
 
 
 def total_weight(g) -> float:
-    """A component grid's total quadrature weight."""
+    """A component grid's, or a weighed mesh's, total quadrature weight."""
     return float(g.weights.sum())
+
+
+def edge_length(m, i: int, j: int) -> float:
+    """The length of the mesh edge joining vertices i and j."""
+    (k,) = np.flatnonzero((m.edges == (min(i, j), max(i, j))).all(axis=1))
+    return float(m.edge_lengths[k])
 
 
 # --- the whole family as one sparse matrix --------------------------------------

@@ -901,15 +901,15 @@ def scenario_over_the_limit(key, value, message):
     out_in_missing_directory, out_names_a_directory, icosphere_over_the_limit,
     icosphere_component_over_the_limit, missing_scenario_mesh,
     permutations_past_the_counts, permutations_over_the_limit,
-    # 13 bytes a slot and 12 an entry: one block of 362 full rows of 362, and
-    # one of 1000 rows of 1000
+    # 12 bytes a slot, and 64 a pair of the search's block or 40 of a dense
+    # one: one block of 362 full rows of 362, and one of 1000 rows of 1000
     distance_rows_over_the_limit({"kind": "icosphere", "order": 6},
-                                 "362 points would need up to 3.3 MB"),
+                                 "362 points would need up to 10.0 MB"),
     distance_rows_over_the_limit({"kind": "circle", "points": 1000},
-                                 "1000 points would need up to 25.0 MB"),
-    # the rows alone (1.6 MB) fit 2 MB; the entries gathered beside them do not
+                                 "1000 points would need up to 52.0 MB"),
+    # the rows alone (1.6 MB) fit 2 MB; the search's work beside them does not
     distance_rows_over_the_limit({"kind": "icosphere", "order": 6},
-                                 "362 points would need up to 3.3 MB", limit=2_000_000),
+                                 "362 points would need up to 10.0 MB", limit=2_000_000),
     # 17 bytes a point per sample, 1 a point and 400 per replicate, 8 per
     # permuted observation
     scenario_over_the_limit("n_samples", 10_000, "on 12 points would need up to 2.0 MB"),
@@ -1022,11 +1022,12 @@ def test_keys_are_those_of_the_kind(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def limit_memory(monkeypatch, fraction):
+def limit_memory(monkeypatch, fraction, n_obs=0):
     """Set the family's memory limit to ``fraction`` of the bound, at a chunk of
-    one permutation, of the order-1 full-cap domain of ``write_test_setup``,
-    and return the bound."""
-    bound = domain.memory_bound(ProductDomain([mesh_component(build_icosphere(1))]), 1)
+    one permutation and with ``n_obs`` signals (``write_test_setup`` has 8),
+    of the order-1 full-cap domain of ``write_test_setup``, and return the
+    bound."""
+    bound = domain.memory_bound(ProductDomain([mesh_component(build_icosphere(1))]), 1, n_obs)
     monkeypatch.setattr(domain, "memory_limit", lambda: int(bound * fraction))
     return bound
 
@@ -1066,19 +1067,36 @@ class TestFamilyGuard:
 
     @pytest.mark.parametrize("command", ["test", "adjust"])
     def test_over_limit_family(self, tmp_path, command, capsys, monkeypatch):
-        bound = limit_memory(monkeypatch, 0.5)
+        # adjust reads no signals
+        bound = limit_memory(monkeypatch, 0.5, 8 if command == "test" else 0)
         assert self.run_with_domain_key(tmp_path, "radius_cap", "inf", command, 0) == 2
         err = capsys.readouterr().err
         assert f"would need up to {bound / 1e6:,.1f} MB" in err
         assert f"over the limit of {int(bound * 0.5) / 1e6:,.1f} MB" in err
 
     def test_at_limit_runs(self, tmp_path, monkeypatch):
-        bound = limit_memory(monkeypatch, 1.0)
+        bound = limit_memory(monkeypatch, 1.0, 8)
         assert self.run_with_domain_key(tmp_path, "radius_cap", "inf", component=0) == 0
         # in chunks of one permutation, which the manifest records
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["permutation_chunk"] == 1
         assert manifest["memory_bound_mb"] == round(bound / 2**20, 1)
+
+    def test_signals_over_the_limit(self, tmp_path, capsys, monkeypatch):
+        # the family fits the limit alone; its 8 signals of 12 points and
+        # their centred copy, 1536 bytes, push it over
+        bound = limit_memory(monkeypatch, 1.0)
+        assert domain.memory_bound(ProductDomain([mesh_component(build_icosphere(1))]), 1, 8) == (
+            bound + 1536
+        )
+        assert self.run_with_domain_key(tmp_path, "radius_cap", "inf", component=0) == 2
+        assert capsys.readouterr().err == (
+            "error: the adjustment family and inference on it with 8 signals of 12 points "
+            f"would need up to {(bound + 1536) / 1e6:,.1f} MB, over the limit of "
+            f"{bound / 1e6:,.1f} MB (half of physical memory or of the address-space "
+            "limit); use smaller radius caps or a coarser grid\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["test", "adjust", "simulate"])
     def test_refused_before_enumeration(self, tmp_path, command, capsys, monkeypatch):
@@ -1365,7 +1383,7 @@ class TestSimulate:
             assert 0.0 <= float(rows[0][key]) <= 1.0
 
     def test_over_limit_family(self, tmp_path, monkeypatch, capsys):
-        bound = limit_memory(monkeypatch, 0.5)
+        bound = limit_memory(monkeypatch, 0.5, 8)
         sweep = [{"icosphere_order": 1, "n_samples": 8, "permutations": 9,
                   "replicates": 1, "seed": 1}]
         cfg = tmp_path / "sweep.json"

@@ -88,6 +88,17 @@ class TestGaussianFieldSampler:
         with pytest.raises(ValueError, match="2 weights do not match the 3 rows"):
             GaussianFieldSampler(PATH_ROWS, np.ones(2), bandwidth=1.0, sd=1.0)
 
+    def test_rows_short_of_three_bandwidths_refused(self):
+        # rows searched to 0.5 miss the pairs from 0.5 to 3h = 0.9; those
+        # searched to 0.9, and all pairs, hold them
+        m = build_icosphere(4).compute_weights()
+        with pytest.raises(ValueError, match=r"the distances hold every entry only below 0\.5, "
+                                             r"short of 3 \* bandwidth = 0\.9"):
+            GaussianFieldSampler(m.compute_distances(limit=0.5), m.weights, bandwidth=0.3, sd=1.0)
+        full = GaussianFieldSampler(m.compute_distances(), m.weights, bandwidth=0.3, sd=1.0)
+        reach = GaussianFieldSampler(m.compute_distances(limit=0.9), m.weights, 0.3, 1.0)
+        assert reach.kernel.tobytes() == full.kernel.tobytes()
+
     def test_size_limit(self, monkeypatch):
         # the kernel's slots within 3h and one tile
         m = build_icosphere(4).compute_weights()
@@ -348,7 +359,7 @@ class TestRunScenario:
                 return rng.standard_normal((n_draws, domain.size))
 
         monkeypatch.setattr(evalsim, "GaussianFieldSampler", Noise)
-        monkeypatch.setattr(evalsim, "enumerate_family", lambda d: None)
+        monkeypatch.setattr(evalsim, "enumerate_family", lambda *args: None)
         monkeypatch.setattr(evalsim, "run_inference", lambda *args: SimpleNamespace(
             p=SimpleNamespace(adjusted=rng.random(domain.size))))
         truth = np.arange(domain.size) < 100

@@ -235,24 +235,24 @@ class TestWeights:
     def test_conservation(self, order):
         m = build_icosphere(order).compute_weights()
         total_area = m.triangle_areas().sum()
-        assert m.total_weight() == pytest.approx(total_area, rel=1e-9)
+        assert oracles.total_weight(m) == pytest.approx(total_area, rel=1e-9)
 
     def test_edge_override_changes_areas(self, triangle_strip, tmp_path):
         m = triangle_strip.compute_weights()
-        base_total = m.total_weight()
+        base_total = oracles.total_weight(m)
         override = tmp_path / "lengths.csv"
-        lines = [f"{i},{j},{2 * m.edge_length(i, j)}" for i, j in m.edges]
+        lines = [f"{i},{j},{2 * oracles.edge_length(m, i, j)}" for i, j in m.edges]
         override.write_text("\n".join(lines) + "\n")
         m.override_edge_lengths(override)
         assert m.weights is None
         m.compute_weights()
-        assert m.total_weight() == pytest.approx(4 * base_total, rel=1e-12)
+        assert oracles.total_weight(m) == pytest.approx(4 * base_total, rel=1e-12)
 
     @pytest.mark.parametrize("order", [1, 3, 8])
     def test_areas_match_scalar_heron(self, order):
         m = build_icosphere(order)
         expected = [
-            oracles.heron_area(m.edge_length(a, b), m.edge_length(b, c), m.edge_length(a, c))
+            oracles.heron_area(*(oracles.edge_length(m, *e) for e in ((a, b), (b, c), (a, c))))
             for a, b, c in m.triangles
         ]
         assert m.triangle_areas().tobytes() == np.array(expected).tobytes()
@@ -265,7 +265,7 @@ class TestWeights:
         m.edge_lengths[m.edges.tolist().index([1, 3])] = 2.0 + 1e-10  # 1 + 1 + slack
         areas = m.triangle_areas()
         expected = [
-            oracles.heron_area(m.edge_length(a, b), m.edge_length(b, c), m.edge_length(a, c))
+            oracles.heron_area(*(oracles.edge_length(m, *e) for e in ((a, b), (b, c), (a, c))))
             for a, b, c in tris
         ]
         assert areas.tobytes() == np.array(expected).tobytes()
@@ -406,6 +406,65 @@ class TestDistances:
             rows = load_distance_cache(path, limit=cap)
         # no distance equals the cap, so "< cap" and "<= cap" keep the same
         assert oracles.row_arrays(rows) == oracles.row_arrays(oracles.dense_to_rows(full, cap))
+
+    def test_rows_widen_as_longer_rows_come(self, monkeypatch):
+        # one row per block: the interval's end rows are shorter than its
+        # middle ones, so the rows widen as the first blocks come, to the
+        # same bytes as one block of every row
+        whole = interval_component(0.0, 1.0, 20, radius_cap=0.3).rows
+        monkeypatch.setattr(mesh, "DISTANCE_BLOCK", 20)
+        widths, pad = [], np.pad
+
+        def spy(array, *args, **kwargs):
+            widths.append(array.shape[1])
+            return pad(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "pad", spy)
+        rows = interval_component(0.0, 1.0, 20, radius_cap=0.3).rows
+        # indices, then values, each time: from no column to the 6 of row 0,
+        # then one column at a time to the 11 of row 5
+        assert widths[::2] == widths[1::2] == [0, 6, 7, 8, 9, 10]
+        assert oracles.row_arrays(rows) == oracles.row_arrays(whole)
+
+    def test_rows_record_their_bound(self, tmp_path):
+        m = build_icosphere(3)
+        assert m.compute_distances().bound == np.inf
+        searched = m.compute_distances(limit=0.4)
+        assert searched.bound == 0.4
+        assert searched.below(0.3).bound == 0.3
+        assert searched.below(0.5) is searched
+        path = tmp_path / "d.bin"
+        save_distance_cache(m, path)
+        assert load_distance_cache(path, limit=0.4).bound == 0.4
+        assert circle_component(12, radius_cap=2.5).rows.bound == 2.5
+        assert interval_component(0.0, 1.0, 20, radius_cap=0.3).rows.bound == 0.3
+
+    @staticmethod
+    def assert_peak_within_refusal(build, monkeypatch):
+        """``build()``'s tracemalloc peak is at most the largest figure its
+        refusal checks against the limit."""
+        needs, check = [], mesh.check_memory
+
+        def spy(what, need, *args):
+            needs.append(need)
+            return check(what, need, *args)
+
+        monkeypatch.setattr(mesh, "check_memory", spy)
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(needs)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_icosphere(12).compute_distances(),
+        lambda: circle_component(3000),
+        lambda: build_icosphere(16).compute_distances(),
+    ], ids=["order-12", "circle-3000", "order-16"])
+    def test_build_peak_within_refusal(self, build, monkeypatch):
+        self.assert_peak_within_refusal(build, monkeypatch)
 
     def test_capped_connected_mesh_does_not_warn(self):
         m = build_icosphere(3)
